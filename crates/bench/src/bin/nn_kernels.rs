@@ -1,22 +1,35 @@
 //! Int8 vs f32 marking kernels: time [`EventNetwork::mark`] against the
-//! fused [`QuantizedEventNetwork`] path on identical windows, single
-//! threaded, across the network shapes the figures use. Dumps
-//! `results/BENCH_nn_kernels.json`; the int8 path is expected to come in
-//! at >= 2x on every shape (the SSE2 `_mm_madd_epi16` kernels plus the
-//! allocation-free scratch arena).
+//! [`QuantizedEventNetwork`] path on identical windows, single threaded,
+//! across the network shapes the figures use, and sweep the number of
+//! windows stacked into one batched forward pass — the sweep
+//! `dlacep_core::MARK_BATCH` is chosen from. Per shape it also splits the
+//! single-window int8 time into the encoder and the head (emission layer +
+//! BI-CRF). Dumps `results/BENCH_nn_kernels.json`.
 //!
 //! ```bash
 //! cargo run --release -p dlacep-bench --bin nn_kernels
 //! ```
 
 use dlacep_core::model::{EventNetwork, NetworkConfig};
-use dlacep_core::quantized::QuantizedEventNetwork;
+use dlacep_core::quantized::{simd_level, QuantizedEventNetwork};
+use dlacep_core::MARK_BATCH;
 use dlacep_nn::quant::ScratchArena;
+use dlacep_nn::{Initializer, ParamStore, QuantizedStackedBiLstm, StackedBiLstm};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::io::Write;
 use std::time::Instant;
+
+/// Windows per batched forward pass tried by the sweep.
+const BATCH_SWEEP: [usize; 6] = [1, 2, 4, 8, 16, 32];
+
+/// One batch size's per-window time.
+#[derive(Debug, Serialize)]
+struct SweepPoint {
+    batch: usize,
+    int8_nanos_per_window: f64,
+}
 
 /// One shape's head-to-head numbers.
 #[derive(Debug, Serialize)]
@@ -26,10 +39,21 @@ struct KernelRow {
     input_dim: usize,
     hidden: usize,
     layers: usize,
+    simd_level: String,
     windows_timed: usize,
     f32_nanos_per_window: f64,
+    /// One window per forward pass (`batch = 1`).
     int8_nanos_per_window: f64,
+    /// Of which the stacked-BiLSTM encoder (a same-shape encoder alone)…
+    encoder_nanos_per_window: f64,
+    /// …and the rest: emission layer + BI-CRF head.
+    head_nanos_per_window: f64,
     speedup: f64,
+    /// `MARK_BATCH` windows per forward pass, as the pipelines run it.
+    mark_batch: usize,
+    batched_int8_nanos_per_window: f64,
+    batched_speedup: f64,
+    batch_sweep: Vec<SweepPoint>,
     marks_agree: f64,
 }
 
@@ -41,6 +65,24 @@ fn windows(rng: &mut StdRng, count: usize, t_len: usize, dim: usize) -> Vec<Vec<
                 .collect()
         })
         .collect()
+}
+
+/// Rounds each timing is the best of: the sandbox drifts between faster
+/// and slower stretches lasting seconds, and the minimum is what repeats.
+const ROUNDS: usize = 7;
+
+/// Best-of-[`ROUNDS`] mean nanoseconds per window of `pass`, which
+/// processes `windows_per_pass` windows per call.
+fn time_per_window(reps: usize, windows_per_pass: usize, mut pass: impl FnMut()) -> f64 {
+    (0..ROUNDS)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..reps {
+                pass();
+            }
+            start.elapsed().as_nanos() as f64 / (reps * windows_per_pass) as f64
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 fn bench_shape(
@@ -62,6 +104,7 @@ fn bench_shape(
         QuantizedEventNetwork::quantize(&net, calib.iter().map(Vec::as_slice)).expect("quantizes");
 
     let wins = windows(&mut rng, 64, t_len, input_dim);
+    let refs: Vec<&[Vec<f32>]> = wins.iter().map(Vec::as_slice).collect();
     let mut arena = ScratchArena::new();
     let mut out = Vec::new();
 
@@ -75,23 +118,47 @@ fn bench_shape(
         total += a.len();
     }
 
-    let reps = 4;
-    let start = Instant::now();
-    for _ in 0..reps {
+    let reps = 2;
+    let f32_nanos = time_per_window(reps, wins.len(), || {
         for w in &wins {
             std::hint::black_box(net.mark(std::hint::black_box(w)));
         }
-    }
-    let f32_nanos = start.elapsed().as_nanos() as f64 / (reps * wins.len()) as f64;
+    });
 
-    let start = Instant::now();
-    for _ in 0..reps {
+    let batch_sweep: Vec<SweepPoint> = BATCH_SWEEP
+        .iter()
+        .map(|&batch| SweepPoint {
+            batch,
+            int8_nanos_per_window: time_per_window(reps, wins.len(), || {
+                for group in refs.chunks(batch) {
+                    quant.mark_batch_into(std::hint::black_box(group), &mut arena, &mut out);
+                    std::hint::black_box(&out);
+                }
+            }),
+        })
+        .collect();
+    let at = |batch: usize| {
+        batch_sweep
+            .iter()
+            .find(|p| p.batch == batch)
+            .map(|p| p.int8_nanos_per_window)
+            .expect("MARK_BATCH is one of the swept sizes")
+    };
+    let (int8_nanos, batched_nanos) = (at(1), at(MARK_BATCH));
+
+    // The encoder alone: inference time does not depend on weight values,
+    // so a freshly initialised encoder of the same shape stands in.
+    let mut store = ParamStore::new();
+    let mut init = Initializer::seeded(1);
+    let stack = StackedBiLstm::new(&mut store, &mut init, input_dim, hidden, layers);
+    let encoder = QuantizedStackedBiLstm::quantize(&store, &stack, 1.5 / 127.0).expect("finite");
+    let encoder_nanos = time_per_window(reps, wins.len(), || {
         for w in &wins {
-            quant.mark_into(std::hint::black_box(w), &mut arena, &mut out);
-            std::hint::black_box(&out);
+            arena.io_a.clear();
+            arena.io_a.extend(w.iter().flatten());
+            encoder.infer_in_place(t_len, std::hint::black_box(&mut arena));
         }
-    }
-    let int8_nanos = start.elapsed().as_nanos() as f64 / (reps * wins.len()) as f64;
+    });
 
     KernelRow {
         scenario: scenario.to_string(),
@@ -99,10 +166,17 @@ fn bench_shape(
         input_dim,
         hidden,
         layers,
-        windows_timed: reps * wins.len(),
+        simd_level: simd_level().to_string(),
+        windows_timed: ROUNDS * reps * wins.len(),
         f32_nanos_per_window: f32_nanos,
         int8_nanos_per_window: int8_nanos,
+        encoder_nanos_per_window: encoder_nanos,
+        head_nanos_per_window: (int8_nanos - encoder_nanos).max(0.0),
         speedup: f32_nanos / int8_nanos,
+        mark_batch: MARK_BATCH,
+        batched_int8_nanos_per_window: batched_nanos,
+        batched_speedup: f32_nanos / batched_nanos,
+        batch_sweep,
         marks_agree: agree as f64 / total as f64,
     }
 }
@@ -120,12 +194,28 @@ fn main() {
     ];
 
     println!(
-        "{:<14} {:>5} {:>4} {:>7} {:>6} {:>14} {:>14} {:>8} {:>7}",
-        "scenario", "T", "in", "hidden", "layers", "f32 ns/win", "int8 ns/win", "speedup", "agree"
+        "integer kernels: {}; MARK_BATCH = {MARK_BATCH}",
+        simd_level()
+    );
+    println!(
+        "{:<12} {:>3} {:>3} {:>4} {:>2} {:>11} {:>11} {:>10} {:>9} {:>11} {:>7} {:>8} {:>6}",
+        "scenario",
+        "T",
+        "in",
+        "hid",
+        "L",
+        "f32 ns/win",
+        "int8 B=1",
+        "encoder",
+        "head",
+        "int8 B=8",
+        "x B=1",
+        "x B=8",
+        "agree"
     );
     for r in &rows {
         println!(
-            "{:<14} {:>5} {:>4} {:>7} {:>6} {:>14.0} {:>14.0} {:>7.2}x {:>6.1}%",
+            "{:<12} {:>3} {:>3} {:>4} {:>2} {:>11.0} {:>11.0} {:>10.0} {:>9.0} {:>11.0} {:>6.2}x {:>7.2}x {:>5.1}%",
             r.scenario,
             r.t_len,
             r.input_dim,
@@ -133,9 +223,22 @@ fn main() {
             r.layers,
             r.f32_nanos_per_window,
             r.int8_nanos_per_window,
+            r.encoder_nanos_per_window,
+            r.head_nanos_per_window,
+            r.batched_int8_nanos_per_window,
             r.speedup,
+            r.batched_speedup,
             100.0 * r.marks_agree
         );
+    }
+    println!("\nbatch sweep, int8 ns/window:");
+    for r in &rows {
+        let sweep: Vec<String> = r
+            .batch_sweep
+            .iter()
+            .map(|p| format!("B={} {:.0}", p.batch, p.int8_nanos_per_window))
+            .collect();
+        println!("{:<12} {}", r.scenario, sweep.join("  "));
     }
 
     let dir = std::path::Path::new("results");

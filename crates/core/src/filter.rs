@@ -13,6 +13,20 @@ use dlacep_cep::plan::Plan;
 use dlacep_cep::Pattern;
 use dlacep_events::PrimitiveEvent;
 
+/// One window's marks, with the raw scores behind them when they were asked
+/// for and the filter has any.
+pub type WindowMarks = (Vec<bool>, Option<Vec<f32>>);
+
+/// Windows handed to [`Filter::mark_batch`] at a time by the pipelines, and
+/// the most the int8 filter stacks into one forward pass. From the
+/// `nn_kernels` sweep (`results/BENCH_nn_kernels.json`): at the paper's
+/// shape (2 × BiLSTM, H = 150, `Wh` = 180 KB) per-window time falls by about
+/// a fifth up to 4–8 windows per pass — the recurrent weights are then read
+/// from L2 once per pass instead of once per window — and is flat beyond;
+/// at shapes whose weights fit L1 batching changes nothing. 8 also leaves
+/// the pooled paths enough chunks to balance.
+pub const MARK_BATCH: usize = 8;
+
 /// Marks the events of one assembler window that should survive filtration.
 ///
 /// `Send + Sync` is a supertrait so the runtime can evaluate independent
@@ -29,6 +43,21 @@ pub trait Filter: Send + Sync {
     /// filters return `None` (the default).
     fn scores(&self, _window: &[PrimitiveEvent]) -> Option<Vec<f32>> {
         None
+    }
+
+    /// Mark several windows in one call, optionally with their scores. A
+    /// filter that can share work across windows, or derive marks and
+    /// scores from one forward pass, overrides this; every window's result
+    /// must equal what [`Filter::mark`] and [`Filter::scores`] return for
+    /// it alone. The default does exactly that, window by window.
+    fn mark_batch(&self, windows: &[&[PrimitiveEvent]], with_scores: bool) -> Vec<WindowMarks> {
+        windows
+            .iter()
+            .map(|w| {
+                let marks = self.mark(w);
+                (marks, with_scores.then(|| self.scores(w)).flatten())
+            })
+            .collect()
     }
 
     /// Short name for reports.

@@ -21,7 +21,7 @@
 //! [`BreakerState::HalfOpen`] and probes the filter on one window: success
 //! re-closes the breaker, another fault re-opens it.
 
-use crate::filter::Filter;
+use crate::filter::{Filter, WindowMarks};
 use dlacep_events::PrimitiveEvent;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -86,8 +86,10 @@ pub struct GuardConfig {
     /// Windows served in passthrough while [`BreakerState::Open`] before a
     /// half-open probe.
     pub cooldown_windows: usize,
-    /// Validate [`Filter::scores`] for non-finite values. Costs one extra
-    /// score pass per window on filters that implement it.
+    /// Validate the filter's raw scores for non-finite values. Marks and
+    /// scores are requested together ([`Filter::mark_batch`]), so a filter
+    /// that derives both from one forward pass pays nothing extra; one
+    /// that only implements [`Filter::scores`] pays a second pass.
     pub validate_scores: bool,
 }
 
@@ -125,7 +127,7 @@ pub struct GuardStats {
 /// otherwise the marks plus the scores when score validation is enabled.
 /// Produced by callers under their own `catch_unwind`, consumed by
 /// [`FilterGuard::mark_speculative`].
-pub type SpeculativeInvocation = Option<(Vec<bool>, Option<Vec<f32>>)>;
+pub type SpeculativeInvocation = Option<WindowMarks>;
 
 /// Result of one guarded marking call.
 #[derive(Debug, Clone)]
@@ -350,18 +352,7 @@ impl<F: Filter> FilterGuard<F> {
 
     /// One validated filter invocation under `catch_unwind`.
     fn invoke(&self, window: &[PrimitiveEvent]) -> Result<Vec<bool>, FaultKind> {
-        let validate = self.config.validate_scores;
-        let filter = &self.filter;
-        let raw = catch_unwind(AssertUnwindSafe(|| {
-            let marks = filter.mark(window);
-            let scores = if validate {
-                filter.scores(window)
-            } else {
-                None
-            };
-            (marks, scores)
-        }))
-        .ok();
+        let raw = invoke_unwinding(&self.filter, window, self.config.validate_scores);
         self.validate(window.len(), raw)
     }
 
@@ -381,6 +372,68 @@ impl<F: Filter> FilterGuard<F> {
             }
         }
         Ok(marks)
+    }
+}
+
+/// One raw filter invocation on one window under `catch_unwind`: marks,
+/// plus scores when `with_scores`, from a single [`Filter::mark_batch`]
+/// call. A filter that returns no result for the window is reported as
+/// having returned no marks, which validation counts as a wrong length.
+pub(crate) fn invoke_unwinding<F: Filter>(
+    filter: &F,
+    window: &[PrimitiveEvent],
+    with_scores: bool,
+) -> SpeculativeInvocation {
+    catch_unwind(AssertUnwindSafe(|| {
+        filter
+            .mark_batch(&[window], with_scores)
+            .pop()
+            .unwrap_or_default()
+    }))
+    .ok()
+}
+
+/// A test filter that counts forward passes: one per `mark`, one per
+/// `scores`, and one per window of a `mark_batch`, which derives marks and
+/// scores together the way the int8 filter does.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct OnePass(std::sync::atomic::AtomicUsize);
+
+#[cfg(test)]
+impl OnePass {
+    pub(crate) fn passes(&self) -> usize {
+        self.0.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    fn pass(&self, windows: usize) {
+        self.0
+            .fetch_add(windows, std::sync::atomic::Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+impl Filter for OnePass {
+    fn mark(&self, window: &[PrimitiveEvent]) -> Vec<bool> {
+        self.pass(1);
+        vec![true; window.len()]
+    }
+
+    fn scores(&self, window: &[PrimitiveEvent]) -> Option<Vec<f32>> {
+        self.pass(1);
+        Some(vec![0.5; window.len()])
+    }
+
+    fn mark_batch(&self, windows: &[&[PrimitiveEvent]], with_scores: bool) -> Vec<WindowMarks> {
+        self.pass(windows.len());
+        windows
+            .iter()
+            .map(|w| (vec![true; w.len()], with_scores.then(|| vec![0.5; w.len()])))
+            .collect()
+    }
+
+    fn name(&self) -> &'static str {
+        "one-pass"
     }
 }
 
@@ -598,6 +651,18 @@ mod tests {
             },
         );
         assert!(lax.mark(w.events()).fault.is_none());
+    }
+
+    #[test]
+    fn score_validation_costs_no_second_forward_pass() {
+        let w = window(4);
+        let mut g = FilterGuard::new(OnePass::default(), cfg(3, 2));
+        for _ in 0..5 {
+            let out = g.mark(w.events());
+            assert!(out.fault.is_none());
+            assert_eq!(out.marks, vec![true; 4]);
+        }
+        assert_eq!(g.filter().passes(), 5, "one forward pass per window");
     }
 
     #[test]

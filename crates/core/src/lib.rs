@@ -76,7 +76,10 @@ pub use durable::{
     DurError, DurableDlacep, RecoveryReport, DUR_DIR_ENV,
 };
 pub use embed::EventEmbedder;
-pub use filter::{EventNetFilter, Filter, OracleFilter, PassthroughFilter, WindowNetFilter};
+pub use filter::{
+    EventNetFilter, Filter, OracleFilter, PassthroughFilter, WindowMarks, WindowNetFilter,
+    MARK_BATCH,
+};
 pub use guard::{BreakerState, FaultKind, FilterGuard, GuardConfig, GuardState, GuardStats};
 pub use metrics::{compare, compare_runs, run_ecep, ComparisonReport};
 pub use model::{EventNetwork, NetworkConfig, WindowNetwork};

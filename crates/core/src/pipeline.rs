@@ -2,7 +2,7 @@
 //! extract → union.
 
 use crate::assembler::{AssemblerConfig, AssemblerError};
-use crate::filter::Filter;
+use crate::filter::{Filter, WindowMarks, MARK_BATCH};
 use dlacep_cep::engine::CepEngine;
 use dlacep_cep::plan::{CompileError, Plan};
 use dlacep_cep::sharded::run_sharded_traced;
@@ -12,7 +12,7 @@ use dlacep_cep::{
 use dlacep_events::PrimitiveEvent;
 use dlacep_obs::{Counter, Histogram, MetricsSnapshot, Registry, TraceBuilder, Tracer};
 use dlacep_par::{Parallelism, PoolStats, ThreadPool};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -231,7 +231,7 @@ fn finish_pipeline_traces(
         .flat_map(|m| m.event_ids.iter().map(|id| id.0))
         .collect();
     for mut t in traces {
-        // `filtered` is ordered by id (dedupe map is keyed on it).
+        // `filtered` keeps stream order, which is ascending ids.
         let relayed = filtered.binary_search_by_key(&t.id, |ev| ev.id.0).is_ok();
         let m = t.builder.span_at("mark", Some(t.root), t_mark.0, t_mark.1);
         t.builder.annotate(m, "windows", windows_marked.into());
@@ -350,7 +350,7 @@ impl<F: Filter> Dlacep<F> {
         &self.assembler
     }
 
-    /// Run over a stream prefix.
+    /// Run over a stream prefix (events in arrival order, ids ascending).
     ///
     /// Marked events keep their original ids, so the extractor's ID-distance
     /// constraint (§4.4) guarantees the emitted match set is a subset of the
@@ -368,86 +368,31 @@ impl<F: Filter> Dlacep<F> {
     /// so for a fixed `shard_events`).
     #[must_use = "the report carries the emitted matches"]
     pub fn run(&self, events: &[PrimitiveEvent]) -> DlacepReport {
-        match &self.pool {
-            Some(pool) => self.run_with_pool(pool, events),
-            None => self.run_serial(events),
-        }
-    }
-
-    fn run_serial(&self, events: &[PrimitiveEvent]) -> DlacepReport {
+        let pool = self.pool.as_ref();
         self.obs.events_total.add(events.len() as u64);
         let tracer = self.obs.registry.tracer();
         let traces = begin_pipeline_traces(&tracer, events);
         let t_f0 = tracer.now_nanos();
         let filter_start = Instant::now();
-        let mut filter_faults = 0usize;
-        let mut windows_marked = 0u64;
-        let mut relayed: BTreeMap<u64, PrimitiveEvent> = BTreeMap::new();
-        for window in self.assembler.windows(events) {
-            let marks = {
-                let _span = self.obs.mark_nanos.span();
-                self.filter.mark(window)
-            };
-            windows_marked += 1;
-            apply_marks(window, marks, &mut filter_faults, &mut relayed);
-        }
-        let filtered: Vec<PrimitiveEvent> = relayed.into_values().collect();
-        let filter_time = filter_start.elapsed();
-        let t_f1 = tracer.now_nanos();
-        self.record_filter_stage(windows_marked, filter_faults, filtered.len(), filter_time);
-
-        let cep_start = Instant::now();
-        let mut extractor = NfaEngine::from_plan(self.shared.plan().clone(), NfaConfig::default());
-        let matches = extractor.run(&filtered);
-        let cep_time = cep_start.elapsed();
-        let t_c1 = tracer.now_nanos();
-        self.record_cep_stage(extractor.stats(), cep_time);
-        finish_pipeline_traces(
-            traces,
-            windows_marked,
-            &filtered,
-            &matches,
-            (t_f0, t_f1),
-            (t_f1, t_c1),
-        );
-
-        self.report(
-            events.len(),
-            filtered.len(),
-            matches,
-            *extractor.stats(),
-            filter_time,
-            cep_time,
-            filter_faults,
-            None,
-        )
-    }
-
-    fn run_with_pool(&self, pool: &Arc<ThreadPool>, events: &[PrimitiveEvent]) -> DlacepReport {
-        self.obs.events_total.add(events.len() as u64);
-        let tracer = self.obs.registry.tracer();
-        let traces = begin_pipeline_traces(&tracer, events);
-        let t_f0 = tracer.now_nanos();
-        let filter_start = Instant::now();
-        let mut filter_faults = 0usize;
-        let mut relayed: BTreeMap<u64, PrimitiveEvent> = BTreeMap::new();
-        // Windows are independent reads of the stream: mark them on the
-        // pool, then merge in window order so dedupe insertion order — and
-        // therefore the relayed stream — matches the serial path exactly.
+        // Windows are independent reads of the stream: the filter gets them
+        // a chunk at a time, on the pool when there is one, and the chunks'
+        // results are merged in window order either way.
         let windows: Vec<&[PrimitiveEvent]> = self.assembler.windows(events).collect();
-        let mark = |w: &&[PrimitiveEvent]| {
-            let _span = self.obs.mark_nanos.span();
-            self.filter.mark(w)
+        let chunks: Vec<&[&[PrimitiveEvent]]> = windows.chunks(MARK_BATCH).collect();
+        let marked: Vec<Vec<WindowMarks>> = match pool {
+            Some(pool) if windows.len() >= self.par.min_batch_windows => {
+                pool.parallel_map(&chunks, 1, |_, chunk| self.mark_chunk(chunk))
+            }
+            _ => chunks.iter().map(|chunk| self.mark_chunk(chunk)).collect(),
         };
-        let marks_per_window: Vec<Vec<bool>> = if windows.len() >= self.par.min_batch_windows {
-            pool.parallel_map(&windows, 1, |_, w| mark(w))
-        } else {
-            windows.iter().map(mark).collect()
-        };
-        for (window, marks) in windows.iter().zip(marks_per_window) {
-            apply_marks(window, marks, &mut filter_faults, &mut relayed);
-        }
-        let filtered: Vec<PrimitiveEvent> = relayed.into_values().collect();
+        let (filtered, filter_faults) = relay(
+            events,
+            self.assembler.step_size,
+            windows
+                .iter()
+                .zip(marked.iter().flatten())
+                .map(|(window, (marks, _))| (window.len(), marks.as_slice())),
+        );
         let filter_time = filter_start.elapsed();
         let t_f1 = tracer.now_nanos();
         self.record_filter_stage(
@@ -458,21 +403,22 @@ impl<F: Filter> Dlacep<F> {
         );
 
         let cep_start = Instant::now();
-        let (matches, stats) = if filtered.len() >= 2 * self.par.shard_events {
-            run_sharded_traced(
-                || NfaEngine::from_plan(self.shared.plan().clone(), NfaConfig::default()),
+        let new_engine = || NfaEngine::from_plan(self.shared.plan().clone(), NfaConfig::default());
+        let (matches, stats) = match pool {
+            Some(pool) if filtered.len() >= 2 * self.par.shard_events => run_sharded_traced(
+                new_engine,
                 self.shared.plan().window,
                 &filtered,
                 self.par.shard_events,
                 pool.as_ref(),
                 &self.obs.shard_nanos,
                 &tracer,
-            )
-        } else {
-            let mut extractor =
-                NfaEngine::from_plan(self.shared.plan().clone(), NfaConfig::default());
-            let matches = extractor.run(&filtered);
-            (matches, *extractor.stats())
+            ),
+            _ => {
+                let mut extractor = new_engine();
+                let matches = extractor.run(&filtered);
+                (matches, *extractor.stats())
+            }
         };
         let cep_time = cep_start.elapsed();
         let t_c1 = tracer.now_nanos();
@@ -494,8 +440,26 @@ impl<F: Filter> Dlacep<F> {
             filter_time,
             cep_time,
             filter_faults,
-            Some(pool.stats()),
+            pool.map(|p| p.stats()),
         )
+    }
+
+    /// Mark one chunk of windows, one result per window. `mark_nanos`
+    /// stays a per-window histogram: every window of the chunk records an
+    /// equal share of the chunk's time. A filter that returns the wrong
+    /// number of results has the missing ones replaced by empty mark
+    /// vectors, which [`relay`] fails open on.
+    fn mark_chunk(&self, chunk: &[&[PrimitiveEvent]]) -> Vec<WindowMarks> {
+        let start = self.obs.mark_nanos.is_enabled().then(Instant::now);
+        let mut marked = self.filter.mark_batch(chunk, false);
+        if let Some(start) = start {
+            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            for _ in chunk {
+                self.obs.mark_nanos.record(nanos / chunk.len() as u64);
+            }
+        }
+        marked.resize_with(chunk.len(), Default::default);
+        marked
     }
 
     /// Record the filter stage's counters and wall time (identically on the
@@ -568,29 +532,40 @@ impl<F: Filter> Dlacep<F> {
     }
 }
 
-/// Merge one window's marks into the relayed-event map, failing open on a
-/// wrong-length mark vector. Shared by the serial and pooled paths so both
-/// apply identical semantics.
-fn apply_marks(
-    window: &[PrimitiveEvent],
-    marks: Vec<bool>,
-    filter_faults: &mut usize,
-    relayed: &mut BTreeMap<u64, PrimitiveEvent>,
-) {
-    // A mark vector of the wrong length is a filter defect, not a caller
-    // bug: fail open on this window (relay everything) so a broken filter
-    // degrades throughput, never recall.
-    let marks = if marks.len() == window.len() {
-        marks
-    } else {
-        *filter_faults += 1;
-        vec![true; window.len()]
-    };
-    for (ev, keep) in window.iter().zip(marks) {
-        if keep {
-            relayed.entry(ev.id.0).or_insert_with(|| ev.clone());
+/// Erase duplicate marks from overlapping windows and collect the relayed
+/// stream (§4.2): window `i` is the slice of `events` starting at position
+/// `i · step`, so its marks are OR-ed into a per-position map and the kept
+/// events are cloned once, in stream order. `windows` yields each window's
+/// length and marks.
+///
+/// A mark vector of the wrong length is a filter defect, not a caller bug:
+/// that window fails open (everything in it is relayed) and is counted, so
+/// a broken filter degrades throughput, never recall.
+fn relay<'a>(
+    events: &[PrimitiveEvent],
+    step: usize,
+    windows: impl Iterator<Item = (usize, &'a [bool])>,
+) -> (Vec<PrimitiveEvent>, usize) {
+    let mut keep = vec![false; events.len()];
+    let mut faults = 0;
+    for (i, (len, marks)) in windows.enumerate() {
+        let slots = &mut keep[i * step..i * step + len];
+        if marks.len() == len {
+            for (slot, &mark) in slots.iter_mut().zip(marks) {
+                *slot |= mark;
+            }
+        } else {
+            faults += 1;
+            slots.fill(true);
         }
     }
+    let relayed = events
+        .iter()
+        .zip(&keep)
+        .filter(|(_, &keep)| keep)
+        .map(|(ev, _)| ev.clone())
+        .collect();
+    (relayed, faults)
 }
 
 #[cfg(test)]
@@ -742,6 +717,56 @@ mod tests {
         assert!(report.filter_faults > 0);
         assert_eq!(report.events_relayed, report.events_total);
         assert_eq!(keys(&report.matches), keys(&truth));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+
+        // Whatever the marks — wrong-length vectors included — the relayed
+        // stream is what an id-keyed dedupe map relays: ascending ids,
+        // every kept event once, faulty windows in full.
+        #[test]
+        fn relay_equals_id_keyed_dedupe(
+            n in 0usize..120,
+            mark_size in 1usize..13,
+            step_seed in 0usize..12,
+            draws in proptest::prop::collection::vec(0u8..8, 1600),
+        ) {
+            let step_size = 1 + step_seed % mark_size;
+            let s = noisy_stream(n);
+            let assembler = AssemblerConfig { mark_size, step_size };
+            let mut draws = draws.into_iter();
+            let windows: Vec<(&[PrimitiveEvent], Vec<bool>)> = assembler
+                .windows(s.events())
+                .map(|w| {
+                    // One window in eight gets a mark vector one short.
+                    let len = w.len() - usize::from(draws.next() == Some(7));
+                    (w, draws.by_ref().take(len).map(|d| d < 3).collect())
+                })
+                .collect();
+
+            let mut by_id = std::collections::BTreeMap::new();
+            let mut want_faults = 0;
+            for (w, marks) in &windows {
+                if marks.len() != w.len() {
+                    want_faults += 1;
+                }
+                for (i, ev) in w.iter().enumerate() {
+                    if marks.len() != w.len() || marks[i] {
+                        by_id.entry(ev.id.0).or_insert_with(|| ev.clone());
+                    }
+                }
+            }
+            let want: Vec<PrimitiveEvent> = by_id.into_values().collect();
+
+            let (got, faults) = relay(
+                s.events(),
+                step_size,
+                windows.iter().map(|(w, marks)| (w.len(), marks.as_slice())),
+            );
+            proptest::prop_assert_eq!(faults, want_faults);
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -5,21 +5,27 @@
 //! Architecture of the split:
 //!
 //! * **Encoder + emission layer** (≥ 99% of the marking FLOPs) run int8
-//!   with per-channel weight scales and static activation scales.
-//! * **BI-CRF head** stays in f32: it is `O(T · L²)` with `L = 2` — noise
-//!   here would directly move the decode boundary for no measurable
-//!   speedup. [`CrfHead`] replicates the exact forward/backward arithmetic
-//!   of [`dlacep_nn::BiCrf`] allocation-free over the scratch arena.
+//!   with per-channel weight scales and static activation scales, over
+//!   `B` windows at a time stacked time-step-major.
+//! * **BI-CRF head** stays in f32: it is `O(T · L²)` with `L = 2`, and
+//!   noise here would directly move the decode boundary. [`CrfHead`]
+//!   replicates the exact forward/backward arithmetic of
+//!   [`dlacep_nn::BiCrf`], allocation-free over the scratch arena and
+//!   addressing each window of the batch in place.
 //! * **Scratch** lives in a small pool of [`ScratchArena`]s (one per
-//!   in-flight window), so concurrent marking under the parallel batch
+//!   in-flight batch), so concurrent marking under the parallel batch
 //!   path shares nothing and steady-state marking allocates nothing.
+//!
+//! Every window's marks and scores are a function of that window alone:
+//! the batch size, the window's position in a batch and which thread ran
+//! it cannot change a bit of the result.
 //!
 //! The accuracy contract (recall/precision delta vs the f32 filter ≤ 1% on
 //! the fig8/fig9 suites) is enforced by `dlacep-bench`'s
 //! `quantized_recall` test, not assumed.
 
 use crate::embed::EventEmbedder;
-use crate::filter::{EventNetFilter, Filter};
+use crate::filter::{EventNetFilter, Filter, WindowMarks, MARK_BATCH};
 use crate::model::EventNetwork;
 use dlacep_dur::{CodecError, Dec, Decoder, Enc, Encoder};
 use dlacep_events::PrimitiveEvent;
@@ -28,11 +34,15 @@ use dlacep_nn::quant::{
     ScratchArena, UNIT_SCALE,
 };
 use dlacep_nn::{BiCrf, Crf, ParamStore};
+
+/// The integer-kernel level the int8 filter dispatches to on this CPU
+/// (`"avx2"`, `"sse2"` or `"scalar"`), for telemetry and report headers.
+pub use dlacep_nn::quant::simd_level;
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
 /// Arenas kept warm in the pool. Marking uses one arena per in-flight
-/// window; the pool only grows past this if more windows are marked
+/// batch; the pool only grows past this if more batches are marked
 /// concurrently than this many threads.
 const ARENA_POOL_CAPACITY: usize = 16;
 
@@ -104,23 +114,26 @@ impl CrfDir {
         })
     }
 
-    /// Forward–backward over `em` (`t_len × 2`, read right-to-left when
-    /// `rev`), adding this direction's posterior marginals into `out`
-    /// (`t_len × 2`, indexed in original orientation). `alpha`/`beta` are
-    /// caller scratch of at least `t_len × 2`.
+    /// Forward–backward over one window of a time-step-major batch, adding
+    /// this direction's posterior marginals into `out`.
+    ///
+    /// Position `k` of this direction's chain is window step `k`, or
+    /// `t_len - 1 - k` when `rev`; window step `t` lives at index
+    /// `2 · t · stride` of `em` and `out`, so a window is addressed in
+    /// place. `alpha`/`beta` are caller scratch of at least `2 · t_len`.
+    #[allow(clippy::too_many_arguments)]
     fn accumulate_marginals(
         &self,
         t_len: usize,
+        stride: usize,
         em: &[f32],
         rev: bool,
         alpha: &mut [f32],
         beta: &mut [f32],
         out: &mut [f32],
     ) {
-        let e = |t: usize, j: usize| {
-            let tt = if rev { t_len - 1 - t } else { t };
-            em[tt * 2 + j]
-        };
+        let at = |k: usize| 2 * stride * if rev { t_len - 1 - k } else { k };
+        let e = |k: usize, j: usize| em[at(k) + j];
         alpha[0] = self.start[0] + e(0, 0);
         alpha[1] = self.start[1] + e(0, 1);
         for t in 1..t_len {
@@ -144,9 +157,8 @@ impl CrfDir {
             alpha[(t_len - 1) * 2 + 1] + self.end[1],
         );
         for t in 0..t_len {
-            let orig = if rev { t_len - 1 - t } else { t };
             for j in 0..2 {
-                out[orig * 2 + j] += (alpha[t * 2 + j] + beta[t * 2 + j] - logz).exp();
+                out[at(t) + j] += (alpha[t * 2 + j] + beta[t * 2 + j] - logz).exp();
             }
         }
     }
@@ -191,23 +203,30 @@ impl CrfHead {
         })
     }
 
-    /// Sum of both directions' posterior marginals into `out` (`t_len×2`,
-    /// overwritten). The decode rule downstream — mark when
-    /// `out[2t+1] >= out[2t]` — matches `BiCrf::decode`'s per-position
+    /// Sum of both directions' posterior marginals for every window of a
+    /// time-step-major batch: `em` and `out` are `t_len · batch × 2`
+    /// (`out` is overwritten), `alpha`/`beta` are scratch for `2 · t_len`
+    /// values each. The decode rule downstream — mark when
+    /// `out[2r+1] >= out[2r]` — matches `BiCrf::decode`'s per-position
     /// argmax including its tie behaviour (ties go to label 1).
     fn combined_marginals(
         &self,
         t_len: usize,
+        batch: usize,
         em: &[f32],
         alpha: &mut [f32],
         beta: &mut [f32],
         out: &mut [f32],
     ) {
-        out[..t_len * 2].fill(0.0);
-        self.fwd
-            .accumulate_marginals(t_len, em, false, alpha, beta, out);
-        self.bwd
-            .accumulate_marginals(t_len, em, true, alpha, beta, out);
+        let rows = t_len * batch;
+        out[..2 * rows].fill(0.0);
+        for b in 0..batch {
+            let (em, out) = (&em[2 * b..2 * rows], &mut out[2 * b..2 * rows]);
+            self.fwd
+                .accumulate_marginals(t_len, batch, em, false, alpha, beta, out);
+            self.bwd
+                .accumulate_marginals(t_len, batch, em, true, alpha, beta, out);
+        }
     }
 }
 
@@ -267,18 +286,22 @@ impl QuantizedEventNetwork {
         self.input_dim
     }
 
-    /// Run encoder + emissions + combined CRF marginals for `t_len` rows
-    /// already loaded into `arena.io_a`; leaves the per-position combined
-    /// marginal sums in `arena.probs` (`t_len × 2`).
-    fn combined_into(&self, t_len: usize, arena: &mut ScratchArena) {
-        self.encoder.infer_in_place(t_len, arena);
+    /// Run encoder + emissions + combined CRF marginals for `batch`
+    /// windows of `t_len` rows each, loaded time-step-major into
+    /// `arena.io_a` (row `t · batch + b` is step `t` of window `b`); leaves
+    /// the per-position combined marginal sums in `arena.probs` (same row
+    /// order, 2 values per row).
+    fn combined_into(&self, t_len: usize, batch: usize, arena: &mut ScratchArena) {
+        let rows = t_len * batch;
+        self.encoder.infer_batch(t_len, batch, arena);
         self.emit
-            .infer_into(t_len, &arena.io_a, &mut arena.xq, &mut arena.emit);
+            .infer_into(rows, &arena.io_a, &mut arena.xq, &mut arena.emit);
         ensure(&mut arena.crf_alpha, t_len * 2);
         ensure(&mut arena.crf_beta, t_len * 2);
-        ensure(&mut arena.probs, t_len * 2);
+        ensure(&mut arena.probs, rows * 2);
         self.crf.combined_marginals(
             t_len,
+            batch,
             &arena.emit,
             &mut arena.crf_alpha,
             &mut arena.crf_beta,
@@ -286,11 +309,17 @@ impl QuantizedEventNetwork {
         );
     }
 
-    fn load_window(&self, window: &[Vec<f32>], arena: &mut ScratchArena) {
-        ensure(&mut arena.io_a, window.len() * self.input_dim);
-        for (t, row) in window.iter().enumerate() {
-            assert_eq!(row.len(), self.input_dim, "embedding width mismatch");
-            arena.io_a[t * self.input_dim..(t + 1) * self.input_dim].copy_from_slice(row);
+    /// Load pre-embedded windows of one length time-step-major.
+    fn load_windows(&self, windows: &[&[Vec<f32>]], arena: &mut ScratchArena) {
+        let (batch, dim) = (windows.len(), self.input_dim);
+        let t_len = windows.first().map_or(0, |w| w.len());
+        ensure(&mut arena.io_a, t_len * batch * dim);
+        for (b, window) in windows.iter().enumerate() {
+            assert_eq!(window.len(), t_len, "a batch holds windows of one length");
+            for (t, row) in window.iter().enumerate() {
+                assert_eq!(row.len(), dim, "embedding width mismatch");
+                arena.io_a[(t * batch + b) * dim..][..dim].copy_from_slice(row);
+            }
         }
     }
 
@@ -298,13 +327,28 @@ impl QuantizedEventNetwork {
     /// reusable buffer. Allocation-free once `arena` and `out` have grown
     /// to the window shape.
     pub fn mark_into(&self, window: &[Vec<f32>], arena: &mut ScratchArena, out: &mut Vec<bool>) {
+        self.mark_batch_into(&[window], arena, out);
+    }
+
+    /// [`QuantizedEventNetwork::mark_into`] over several windows of one
+    /// length in one batched forward pass; `out` receives their marks back
+    /// to back, in window order.
+    pub fn mark_batch_into(
+        &self,
+        windows: &[&[Vec<f32>]],
+        arena: &mut ScratchArena,
+        out: &mut Vec<bool>,
+    ) {
         out.clear();
-        if window.is_empty() {
+        let (batch, t_len) = (windows.len(), windows.first().map_or(0, |w| w.len()));
+        if t_len == 0 {
             return;
         }
-        self.load_window(window, arena);
-        self.combined_into(window.len(), arena);
-        out.extend((0..window.len()).map(|t| arena.probs[t * 2 + 1] >= arena.probs[t * 2]));
+        self.load_windows(windows, arena);
+        self.combined_into(t_len, batch, arena);
+        for b in 0..batch {
+            out.extend(window_probs(&arena.probs, t_len, batch, b).map(|[p0, p1]| p1 >= p0));
+        }
     }
 
     /// Quantized counterpart of [`EventNetwork::marginals`]: posterior
@@ -319,10 +363,24 @@ impl QuantizedEventNetwork {
         if window.is_empty() {
             return;
         }
-        self.load_window(window, arena);
-        self.combined_into(window.len(), arena);
-        out.extend((0..window.len()).map(|t| 0.5 * arena.probs[t * 2 + 1]));
+        self.load_windows(&[window], arena);
+        self.combined_into(window.len(), 1, arena);
+        out.extend(window_probs(&arena.probs, window.len(), 1, 0).map(|[_, p1]| 0.5 * p1));
     }
+}
+
+/// The `[label 0, label 1]` combined marginal sums of window `b` of a
+/// time-step-major batch, step by step.
+fn window_probs(
+    probs: &[f32],
+    t_len: usize,
+    batch: usize,
+    b: usize,
+) -> impl Iterator<Item = [f32; 2]> + '_ {
+    (0..t_len).map(move |t| {
+        let row = 2 * (t * batch + b);
+        [probs[row], probs[row + 1]]
+    })
 }
 
 impl Enc for QuantizedEventNetwork {
@@ -438,6 +496,28 @@ impl QuantizedFilter {
         }
     }
 
+    /// One batched forward pass over `group` (non-empty windows of one
+    /// length), leaving the combined marginal sums in `arena.probs`.
+    fn forward(&self, group: &[&[PrimitiveEvent]], arena: &mut ScratchArena) {
+        let (batch, t_len, dim) = (group.len(), group[0].len(), self.embedder.dim());
+        ensure(&mut arena.io_a, t_len * batch * dim);
+        for (b, window) in group.iter().enumerate() {
+            for (t, ev) in window.iter().enumerate() {
+                self.embedder
+                    .embed_into(ev, &mut arena.io_a[(t * batch + b) * dim..][..dim]);
+            }
+        }
+        self.network.combined_into(t_len, batch, arena);
+    }
+
+    /// The marking rule on one position's combined marginal sums.
+    fn decide(&self, [p0, p1]: [f32; 2]) -> bool {
+        match self.threshold {
+            None => p1 >= p0,
+            Some(thr) => 0.5 * p1 > thr,
+        }
+    }
+
     /// Mark into a reusable buffer — the allocation-free entry point. With
     /// a warm arena pool and an `out` buffer at capacity, marking performs
     /// zero heap allocations per window.
@@ -446,42 +526,10 @@ impl QuantizedFilter {
         if window.is_empty() {
             return;
         }
-        let dim = self.embedder.dim();
         let mut arena = self.take_arena();
-        ensure(&mut arena.io_a, window.len() * dim);
-        for (t, ev) in window.iter().enumerate() {
-            self.embedder
-                .embed_into(ev, &mut arena.io_a[t * dim..(t + 1) * dim]);
-        }
-        self.network.combined_into(window.len(), &mut arena);
-        match self.threshold {
-            None => {
-                out.extend((0..window.len()).map(|t| arena.probs[t * 2 + 1] >= arena.probs[t * 2]))
-            }
-            Some(thr) => {
-                out.extend((0..window.len()).map(|t| 0.5 * arena.probs[t * 2 + 1] > thr));
-            }
-        }
+        self.forward(&[window], &mut arena);
+        out.extend(window_probs(&arena.probs, window.len(), 1, 0).map(|p| self.decide(p)));
         self.return_arena(arena);
-    }
-
-    fn marginals(&self, window: &[PrimitiveEvent]) -> Vec<f32> {
-        if window.is_empty() {
-            return Vec::new();
-        }
-        let dim = self.embedder.dim();
-        let mut arena = self.take_arena();
-        ensure(&mut arena.io_a, window.len() * dim);
-        for (t, ev) in window.iter().enumerate() {
-            self.embedder
-                .embed_into(ev, &mut arena.io_a[t * dim..(t + 1) * dim]);
-        }
-        self.network.combined_into(window.len(), &mut arena);
-        let out = (0..window.len())
-            .map(|t| 0.5 * arena.probs[t * 2 + 1])
-            .collect();
-        self.return_arena(arena);
-        out
     }
 }
 
@@ -493,7 +541,38 @@ impl Filter for QuantizedFilter {
     }
 
     fn scores(&self, window: &[PrimitiveEvent]) -> Option<Vec<f32>> {
-        Some(self.marginals(window))
+        self.mark_batch(&[window], true).pop()?.1
+    }
+
+    /// Consecutive windows of one length go through the network together,
+    /// up to [`MARK_BATCH`] at a time; marks and scores of a window come
+    /// from the same forward pass.
+    fn mark_batch(&self, windows: &[&[PrimitiveEvent]], with_scores: bool) -> Vec<WindowMarks> {
+        let mut out = Vec::with_capacity(windows.len());
+        let mut arena = self.take_arena();
+        let mut rest = windows;
+        while let Some(first) = rest.first() {
+            let t_len = first.len();
+            let batch = rest
+                .iter()
+                .take(MARK_BATCH)
+                .take_while(|w| w.len() == t_len)
+                .count();
+            let (group, tail) = rest.split_at(batch);
+            rest = tail;
+            if t_len > 0 {
+                self.forward(group, &mut arena);
+            }
+            for b in 0..batch {
+                let probs = || window_probs(&arena.probs, t_len, batch, b);
+                out.push((
+                    probs().map(|p| self.decide(p)).collect(),
+                    with_scores.then(|| probs().map(|[_, p1]| 0.5 * p1).collect()),
+                ));
+            }
+        }
+        self.return_arena(arena);
+        out
     }
 
     fn name(&self) -> &'static str {

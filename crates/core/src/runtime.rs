@@ -31,9 +31,10 @@
 
 use crate::assembler::AssemblerConfig;
 use crate::drift::{DriftConfig, DriftMonitor, DriftMonitorState, DriftState};
-use crate::filter::{Filter, OracleFilter};
+use crate::filter::{Filter, OracleFilter, MARK_BATCH};
 use crate::guard::{
-    BreakerState, FilterGuard, GuardConfig, GuardState, GuardStats, SpeculativeInvocation,
+    invoke_unwinding, BreakerState, FilterGuard, GuardConfig, GuardState, GuardStats,
+    SpeculativeInvocation,
 };
 use crate::pipeline::DlacepError;
 use crate::retrain::{
@@ -1153,26 +1154,35 @@ impl<F: Filter> StreamingDlacep<F> {
             }
         } else {
             // Speculative parallel marking: compute raw filter results on
-            // the pool, then replay them through the guard serially.
+            // the pool, a chunk of windows per task, then replay them
+            // through the guard serially. A panic anywhere in a chunk
+            // re-runs that chunk window by window, so only the window that
+            // panics is reported as faulty — as on the serial path.
             let raws: Vec<SpeculativeInvocation> = {
                 self.buf.make_contiguous();
                 let base = self.base;
                 let (head, _) = self.buf.as_slices();
                 let filter = self.guard.filter();
                 let validate = self.guard.config().validate_scores;
-                pool.parallel_map(&ready, 1, |_, &(start, end)| {
-                    let window = &head[start - base..end - base];
-                    catch_unwind(AssertUnwindSafe(|| {
-                        let marks = filter.mark(window);
-                        let scores = if validate {
-                            filter.scores(window)
-                        } else {
-                            None
-                        };
-                        (marks, scores)
-                    }))
-                    .ok()
+                let windows: Vec<&[PrimitiveEvent]> = ready
+                    .iter()
+                    .map(|&(start, end)| &head[start - base..end - base])
+                    .collect();
+                let chunks: Vec<&[&[PrimitiveEvent]]> = windows.chunks(MARK_BATCH).collect();
+                pool.parallel_map(&chunks, 1, |_, chunk| {
+                    match catch_unwind(AssertUnwindSafe(|| filter.mark_batch(chunk, validate))) {
+                        Ok(marked) if marked.len() == chunk.len() => {
+                            marked.into_iter().map(Some).collect::<Vec<_>>()
+                        }
+                        _ => chunk
+                            .iter()
+                            .map(|window| invoke_unwinding(filter, window, validate))
+                            .collect(),
+                    }
                 })
+                .into_iter()
+                .flatten()
+                .collect()
             };
             // Speculation was computed against the filter installed when
             // the batch started; a validated hot swap mid-settle bumps the
@@ -1937,6 +1947,73 @@ mod tests {
             "the broken filter must actually fault"
         );
         assert_eq!(serial_report.final_mode, RuntimeMode::DegradedExact);
+    }
+
+    #[test]
+    fn pooled_speculation_runs_one_pass_per_window_with_score_validation() {
+        use crate::guard::OnePass;
+        let cfg = RuntimeConfig {
+            parallelism: Parallelism {
+                threads: 3,
+                min_batch_windows: 1,
+                shard_events: 512,
+            },
+            guard: GuardConfig {
+                validate_scores: true,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut rt = StreamingDlacep::builder(seq_ab(8), OnePass::default())
+            .config(cfg)
+            .build()
+            .unwrap();
+        for chunk in noisy_stream(400).events().chunks(97) {
+            rt.ingest_batch(chunk).unwrap();
+        }
+        let passes_before_flush = rt.filter().passes();
+        assert!(
+            passes_before_flush > MARK_BATCH,
+            "several chunks were marked"
+        );
+        assert_eq!(passes_before_flush, rt.windows_evaluated);
+        let report = rt.finish();
+        assert_eq!(report.windows_degraded, 0);
+    }
+
+    #[test]
+    fn a_panic_in_a_pooled_chunk_faults_only_its_own_window() {
+        // The window starting at event 64 panics. On the pool it shares a
+        // `mark_batch` call with its chunk neighbours, which must still be
+        // marked by the filter: the guard sees one fault, as serially.
+        struct PanicsAt64;
+        impl Filter for PanicsAt64 {
+            fn mark(&self, window: &[PrimitiveEvent]) -> Vec<bool> {
+                assert_ne!(window[0].id.0, 64, "poisoned window");
+                window.iter().map(|ev| ev.type_id != C).collect()
+            }
+            fn name(&self) -> &'static str {
+                "panics-at-64"
+            }
+        }
+
+        let p = seq_ab(8);
+        let s = noisy_stream(300);
+        let mut serial = StreamingDlacep::new(p.clone(), PanicsAt64).unwrap();
+        serial.ingest_all(s.events()).unwrap();
+        let serial_report = serial.finish();
+        assert_eq!(serial_report.guard.faults_total, 1);
+
+        let cfg = RuntimeConfig {
+            parallelism: Parallelism::with_threads(4),
+            ..Default::default()
+        };
+        let mut pooled = StreamingDlacep::builder(p, PanicsAt64)
+            .config(cfg)
+            .build()
+            .unwrap();
+        pooled.ingest_batch(s.events()).unwrap();
+        assert_reports_equal(&pooled.finish(), &serial_report, "one poisoned window");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! [`QuantizedFilter`] as a drop-in [`Filter`]: agreement with the f32
 //! filter it was quantized from inside the full batch pipeline, zero heap
 //! allocations per window in steady state, compatibility with the filter
-//! guard's score validation, determinism on the parallel batch path, and
-//! checkpoint/restore equivalence under the streaming runtime.
+//! guard's score validation, independence of a window's marks from batching
+//! and pooling, checkpoint/restore equivalence under the streaming runtime,
+//! and decoding of a model persisted before the kernels were rebuilt.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -196,27 +197,6 @@ fn guard_validates_quantized_scores_and_obs_counts_quant_windows() {
 }
 
 #[test]
-fn parallel_batch_path_matches_serial() {
-    let (_, quant, eval) = trained_pair();
-    let pattern = seq_pattern(&[0, 1], 8);
-
-    let serial = Dlacep::builder(pattern.clone(), quant.clone())
-        .build()
-        .unwrap();
-    let parallel = Dlacep::builder(pattern, quant)
-        .parallelism(Parallelism::with_threads(2))
-        .build()
-        .unwrap();
-
-    let a = serial.run(&eval);
-    let b = parallel.run(&eval);
-    assert_eq!(
-        a.matches, b.matches,
-        "parallel marking must be deterministic"
-    );
-}
-
-#[test]
 fn checkpoint_restore_equivalence_with_quantized_filter() {
     let (_, quant, eval) = trained_pair();
     let pattern = seq_pattern(&[0, 1], 8);
@@ -256,5 +236,157 @@ fn checkpoint_restore_equivalence_with_quantized_filter() {
         assert_eq!(rec_report.matches, ref_report.matches, "split at {split}");
         assert_eq!(rec_report.windows_evaluated, ref_report.windows_evaluated);
         assert_eq!(rec_report.windows_degraded, ref_report.windows_degraded);
+    }
+}
+
+/// Marks and scores of a window do not depend on how many windows share
+/// its forward pass, where it sits among them, or whether it went through
+/// `mark`/`scores` or the batched entry point.
+#[test]
+fn marks_and_scores_are_independent_of_batching() {
+    let (_, quant, eval) = trained_pair();
+    let windows: Vec<&[PrimitiveEvent]> = eval.chunks(16).take(40).collect();
+    let alone: Vec<(Vec<bool>, Vec<f32>)> = windows
+        .iter()
+        .map(|w| (quant.mark(w), quant.scores(w).unwrap()))
+        .collect();
+    let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+    for batch in [1usize, 2, 7, 32] {
+        // Slide the batch over the windows so every window is seen at
+        // several positions of a batch.
+        for start in 0..windows.len() - batch {
+            let got = quant.mark_batch(&windows[start..start + batch], true);
+            assert_eq!(got.len(), batch);
+            for (i, (marks, scores)) in got.iter().enumerate() {
+                let (want_marks, want_scores) = &alone[start + i];
+                assert_eq!(marks, want_marks, "batch {batch} start {start} pos {i}");
+                assert_eq!(
+                    bits(scores.as_deref().unwrap()),
+                    bits(want_scores),
+                    "batch {batch} start {start} pos {i}"
+                );
+            }
+        }
+    }
+
+    // Without scores nothing is computed for them, and windows of other
+    // lengths (the stream's tail, an empty slice) split the batch cleanly.
+    let mixed: Vec<&[PrimitiveEvent]> = vec![&eval[..16], &eval[16..21], &[], &eval[32..48]];
+    let got = quant.mark_batch(&mixed, false);
+    for (w, (marks, scores)) in mixed.iter().zip(&got) {
+        assert_eq!(marks, &quant.mark(w));
+        assert!(scores.is_none());
+    }
+}
+
+/// Pooled chunking — batch pipeline and streaming `ingest_batch` — yields
+/// what the serial paths yield, marks included.
+#[test]
+fn pooled_chunking_matches_serial_for_batch_and_streaming() {
+    let (_, quant, eval) = trained_pair();
+    let pattern = seq_pattern(&[0, 1], 8);
+    let par = Parallelism {
+        threads: 3,
+        min_batch_windows: 1,
+        shard_events: 100_000,
+    };
+
+    let serial = Dlacep::builder(pattern.clone(), quant.clone())
+        .build()
+        .unwrap()
+        .run(&eval);
+    let pooled = Dlacep::builder(pattern.clone(), quant.clone())
+        .parallelism(par)
+        .build()
+        .unwrap()
+        .run(&eval);
+    assert_eq!(pooled.matches, serial.matches);
+    assert_eq!(pooled.events_relayed, serial.events_relayed);
+    assert_eq!(pooled.extractor_stats, serial.extractor_stats);
+
+    let mut one_by_one = StreamingDlacep::builder(pattern.clone(), quant.clone())
+        .build()
+        .unwrap();
+    one_by_one.ingest_all(&eval).unwrap();
+    let one_by_one = one_by_one.finish();
+    let cfg = RuntimeConfig {
+        parallelism: par,
+        ..Default::default()
+    };
+    let mut batched = StreamingDlacep::builder(pattern, quant)
+        .config(cfg)
+        .build()
+        .unwrap();
+    for chunk in eval.chunks(300) {
+        batched.ingest_batch(chunk).unwrap();
+    }
+    let batched = batched.finish();
+    assert_eq!(batched.matches, one_by_one.matches);
+    assert_eq!(batched.events_relayed, one_by_one.events_relayed);
+    assert_eq!(batched.windows_evaluated, one_by_one.windows_evaluated);
+    // The streaming runtime emits what the batch pipeline emits.
+    assert_eq!(batched.events_relayed, serial.events_relayed);
+}
+
+fn fixture_events() -> Vec<PrimitiveEvent> {
+    (0..24u64)
+        .map(|i| {
+            let attr = ((i * 7 % 5) as f64 - 2.0) * 0.4;
+            PrimitiveEvent::new(i, TypeId((i % 3) as u32), i, vec![attr])
+        })
+        .collect()
+}
+
+/// A filter encoded by the commit before the kernels were rebuilt (binary
+/// codec and JSON) still decodes, re-encodes to the same bytes — the
+/// persisted form is the canonical `i8` + scales, the packed layout is
+/// rebuilt on load — and scores its windows as it did then, up to the
+/// activation approximant's error.
+#[test]
+fn model_encoded_before_the_kernel_rebuild_still_decodes_and_marks() {
+    use dlacep_core::QuantizedEventNetwork;
+    use dlacep_dur::{Decoder, Encoder};
+
+    let hex = include_str!("fixtures/quantized_filter_pr11.hex").trim();
+    let bytes: Vec<u8> = (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect();
+    let mut d = Decoder::new(&bytes);
+    let filter: QuantizedFilter = d.get().expect("a PR-11 filter decodes");
+    d.finish().unwrap();
+    let mut e = Encoder::new();
+    e.put(&filter);
+    assert_eq!(e.into_bytes(), bytes, "the persisted form must not change");
+
+    let json = include_str!("fixtures/quantized_network_pr11.json").trim();
+    let network: QuantizedEventNetwork = serde_json::from_str(json).expect("PR-11 JSON decodes");
+    assert_eq!(&network, filter.network());
+    assert_eq!(serde_json::to_string(&network).unwrap(), json);
+
+    // What the encoding commit computed for these windows (threshold 0.5).
+    let then: [[f32; 8]; 3] = [
+        [
+            0.5243341, 0.53559136, 0.5308176, 0.53030586, 0.522494, 0.51935005, 0.5128662,
+            0.49216038,
+        ],
+        [
+            0.52399933, 0.54770017, 0.5437307, 0.53951037, 0.53871334, 0.53682595, 0.5348688,
+            0.52086115,
+        ],
+        [
+            0.5058774, 0.5226469, 0.5239047, 0.5171306, 0.51433414, 0.5126109, 0.5066692,
+            0.49793965,
+        ],
+    ];
+    let events = fixture_events();
+    for (w, then) in events.chunks(8).zip(&then) {
+        let scores = filter.scores(w).unwrap();
+        let marks = filter.mark(w);
+        for ((now, then), mark) in scores.iter().zip(then).zip(marks) {
+            assert!((now - then).abs() < 2e-3, "score moved: {then} -> {now}");
+            assert_eq!(mark, *now > 0.5);
+        }
     }
 }

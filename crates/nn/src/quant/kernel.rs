@@ -1,357 +1,579 @@
-//! Integer GEMM kernels and fast activations for the int8 inference path.
+//! The int8 forward-pass kernels: a broadcast-accumulate integer GEMM with
+//! scalar, SSE2 and AVX2 instantiations, the rational gate activations and
+//! the fused LSTM cell update.
 //!
-//! Quantized operands are stored as `i16` holding int8-range values
-//! (±127): `pmaddwd` multiplies `i16` lanes into `i32` pairs, so widening
-//! at pack time instead of per-multiply keeps the inner loop to one
-//! multiply-add per lane. Weights are packed transposed (one row per
-//! output channel) so every dot product walks both operands contiguously,
-//! and the shared dimension is zero-padded to the SIMD lane width so the
-//! hot loop has no scalar tail.
+//! **Integer GEMM.** Quantized operands are `i16` holding int8-range values
+//! (±127). Weights are packed as *k-pairs × channels*: for every pair of
+//! input rows `(2p, 2p+1)` and every output channel `j` the two weights sit
+//! next to each other, `w[(p · n_pad + j) · 2 ..][..2]`. One activation pair
+//! broadcast to every 32-bit lane and multiplied with `pmaddwd` against a
+//! vector of such pairs yields `a[2p]·W[2p][j] + a[2p+1]·W[2p+1][j]` for
+//! 4 (SSE2) or 8 (AVX2) channels at once, so a dot product is finished by
+//! plain lane-wise `i32` adds over `p` — there is no horizontal reduction.
+//! The driver tiles channels in the outer loop and activation rows in the
+//! inner one: a channel tile's weights stay in L1 while every row of the
+//! batch streams over them, which is where stacking windows pays when the
+//! whole matrix does not fit in L1.
 //!
-//! The SSE2 path and the portable scalar path produce bit-identical
-//! accumulators — integer arithmetic is exact — so quantized inference is
-//! deterministic across both.
+//! **Bit identity.** Integer accumulation is exact, the epilogue is one
+//! `cvt → mul → add` per lane in that order on every path, and the gate
+//! math is one piece of code in per-lane IEEE `add`/`mul`/`div`/`min`/`max`
+//! (Rust never contracts to FMA or reassociates, so however the compiler
+//! vectorises it the lanes compute the same values). The scalar, SSE2 and
+//! AVX2 forward passes therefore produce identical bytes.
 
-/// SIMD lane width in `i16` elements (one 128-bit SSE2 register).
-pub(crate) const LANE: usize = 8;
+use std::sync::OnceLock;
 
-/// Output-channel block for the cache-blocked GEMM: a block of packed
-/// weight rows (`J_BLOCK × k_pad × 2` bytes, ≈ 19 KiB at the marking-stage
-/// shape) stays L1-resident while every activation row streams over it.
-const J_BLOCK: usize = 32;
+/// Output channels are padded to a multiple of this: one AVX2 vector of
+/// `i32` accumulators.
+pub(crate) const CH_PAD: usize = 8;
 
-/// `k` rounded up to a whole number of lanes.
+/// `n` rounded up to a multiple of `to`.
 #[inline]
-pub(crate) fn pad_to_lane(k: usize) -> usize {
-    k.div_ceil(LANE) * LANE
+pub(crate) fn pad_to(n: usize, to: usize) -> usize {
+    n.div_ceil(to) * to
 }
 
-/// Quantize one f32 row into int8-range `i16` values: `q = round(x / scale)`
-/// clamped to ±127. `dst` may be longer than `src`; the tail is zeroed so
-/// padded lanes contribute nothing to the dot products.
+/// Which integer-GEMM instantiation runs. Chosen once per process by
+/// [`simd_level`]; tests call each level directly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SimdLevel {
+    /// Portable lane-array code, the reference the SIMD paths must equal.
+    Scalar,
+    /// 128-bit `pmaddwd` (x86-64 baseline).
+    Sse2,
+    /// 256-bit `vpmaddwd`, when the CPU reports AVX2.
+    Avx2,
+}
+
+impl SimdLevel {
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            SimdLevel::Scalar => "scalar",
+            SimdLevel::Sse2 => "sse2",
+            SimdLevel::Avx2 => "avx2",
+        }
+    }
+
+    /// Every level this CPU can execute, narrowest first.
+    pub(crate) fn available() -> &'static [SimdLevel] {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return &[SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2];
+            }
+            &[SimdLevel::Scalar, SimdLevel::Sse2]
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            &[SimdLevel::Scalar]
+        }
+    }
+}
+
+/// The widest level the CPU supports, detected on first use.
+pub(crate) fn simd_level() -> SimdLevel {
+    static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
+    *LEVEL.get_or_init(|| *SimdLevel::available().last().unwrap_or(&SimdLevel::Scalar))
+}
+
+// ---------------------------------------------------------------------------
+// Rounding and activations (one definition, every path)
+// ---------------------------------------------------------------------------
+
+/// `round(x)` (half away from zero) clamped to ±127, as an int8-range
+/// `i16`; NaN maps to 0.
+#[inline(always)]
+pub(crate) fn quantize(x: f32) -> i16 {
+    x.round().clamp(-127.0, 127.0) as i16
+}
+
+/// Quantize one f32 row: `q = round(x · inv_scale)` clamped to ±127. `dst`
+/// may be longer than `src`; the tail is zeroed so padded lanes contribute
+/// nothing to the dot products.
 #[inline]
 pub(crate) fn quantize_row(src: &[f32], inv_scale: f32, dst: &mut [i16]) {
-    debug_assert!(dst.len() >= src.len());
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = (s * inv_scale).round().clamp(-127.0, 127.0) as i16;
+    let (head, tail) = dst.split_at_mut(src.len());
+    for (d, &s) in head.iter_mut().zip(src) {
+        *d = quantize(s * inv_scale);
     }
-    for d in dst[src.len()..].iter_mut() {
-        *d = 0;
-    }
+    tail.fill(0);
 }
 
-/// Exact integer dot product of two lane-padded `i16` rows.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn dot(a: &[i16], b: &[i16]) -> i32 {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(a.len() % LANE, 0);
-    // SAFETY: SSE2 is part of the x86_64 baseline; loads are unaligned-safe
-    // (`loadu`) and stay within the equal-length, lane-padded slices.
-    unsafe {
-        let mut acc = _mm_setzero_si128();
-        let mut k = 0;
-        while k < a.len() {
-            let av = _mm_loadu_si128(a.as_ptr().add(k) as *const __m128i);
-            let bv = _mm_loadu_si128(b.as_ptr().add(k) as *const __m128i);
-            acc = _mm_add_epi32(acc, _mm_madd_epi16(av, bv));
-            k += LANE;
+/// Beyond this the [7/6] approximant is within 5e-7 of ±1 and the input is
+/// clamped, which makes the function saturate instead of following the
+/// rational's `x/28` asymptote.
+const TANH_CLAMP: f32 = 4.97;
+
+/// `tanh` as the [7/6] Padé approximant `x·P(x²)/Q(x²)` on the clamped
+/// input: |err| < 1e-4 against `libm` everywhere, odd-symmetric by
+/// construction (`x²` is sign-free, the leading `x` carries the sign),
+/// bounded by 1, and branch-free.
+#[inline(always)]
+pub(crate) fn tanh_approx(x: f32) -> f32 {
+    let x = x.clamp(-TANH_CLAMP, TANH_CLAMP);
+    let x2 = x * x;
+    let p = x * (135_135.0 + x2 * (17_325.0 + x2 * (378.0 + x2)));
+    let q = 135_135.0 + x2 * (62_370.0 + x2 * (3_150.0 + x2 * 28.0));
+    p / q
+}
+
+/// `sigmoid(x) = 0.5 + 0.5·tanh(x/2)` through the same approximant.
+#[inline(always)]
+pub(crate) fn sigmoid_approx(x: f32) -> f32 {
+    0.5 + 0.5 * tanh_approx(0.5 * x)
+}
+
+/// The fused LSTM cell update for `rows` sequences at one time step.
+///
+/// `z` holds the gate pre-activations, `rows × 4·hp` laid out
+/// `[i | f | g | o]` with every gate block padded to `hp` lanes; `c`, `h`
+/// and `hq` are `rows × hp`. One pass per row applies the activations,
+/// updates the cell, and writes the new hidden state both as f32 (`h`) and
+/// re-quantized at the unit scale (`hq`, the next step's GEMM operand).
+/// Padded lanes see `z = 0`, which keeps their `c`, `h` and `hq` at zero.
+pub(crate) fn lstm_cells(
+    rows: usize,
+    hp: usize,
+    z: &[f32],
+    c: &mut [f32],
+    h: &mut [f32],
+    hq: &mut [i16],
+) {
+    assert!(hp > 0 && z.len() >= rows * 4 * hp, "gate rows");
+    assert!(c.len() >= rows * hp && h.len() >= rows * hp && hq.len() >= rows * hp);
+    let z_rows = z.chunks_exact(4 * hp);
+    let state = c
+        .chunks_exact_mut(hp)
+        .zip(h.chunks_exact_mut(hp))
+        .zip(hq.chunks_exact_mut(hp));
+    for (z, ((c, h), hq)) in z_rows.zip(state).take(rows) {
+        let (zi, rest) = z.split_at(hp);
+        let (zf, rest) = rest.split_at(hp);
+        let (zg, zo) = rest.split_at(hp);
+        for j in 0..hp {
+            let i_g = sigmoid_approx(zi[j]);
+            let f_g = sigmoid_approx(zf[j]);
+            let g_g = tanh_approx(zg[j]);
+            let o_g = sigmoid_approx(zo[j]);
+            let c_new = f_g * c[j] + i_g * g_g;
+            let h_new = o_g * tanh_approx(c_new);
+            c[j] = c_new;
+            h[j] = h_new;
+            hq[j] = quantize(h_new * 127.0);
         }
-        hsum_epi32(acc)
     }
 }
 
-/// Dot products of one lane-padded row against two weight rows at once —
-/// the two-column blocking amortizes the activation loads across both
-/// accumulators.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn dot2(a: &[i16], b0: &[i16], b1: &[i16]) -> (i32, i32) {
-    use std::arch::x86_64::*;
-    debug_assert!(a.len() == b0.len() && a.len() == b1.len());
-    debug_assert_eq!(a.len() % LANE, 0);
-    // SAFETY: as in `dot`.
-    unsafe {
-        let mut acc0 = _mm_setzero_si128();
-        let mut acc1 = _mm_setzero_si128();
-        let mut k = 0;
-        while k < a.len() {
-            let av = _mm_loadu_si128(a.as_ptr().add(k) as *const __m128i);
-            let b0v = _mm_loadu_si128(b0.as_ptr().add(k) as *const __m128i);
-            let b1v = _mm_loadu_si128(b1.as_ptr().add(k) as *const __m128i);
-            acc0 = _mm_add_epi32(acc0, _mm_madd_epi16(av, b0v));
-            acc1 = _mm_add_epi32(acc1, _mm_madd_epi16(av, b1v));
-            k += LANE;
-        }
-        (hsum_epi32(acc0), hsum_epi32(acc1))
-    }
-}
+// ---------------------------------------------------------------------------
+// Packed weights
+// ---------------------------------------------------------------------------
 
-/// Dot products of one lane-padded row against four weight rows at once,
-/// reduced to a single `[d0, d1, d2, d3]` vector: the unpack ladder sums
-/// the four accumulators with no scalar extraction, so the caller can run
-/// the scale/bias epilogue in SIMD too.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn dot4(a: &[i16], b0: &[i16], b1: &[i16], b2: &[i16], b3: &[i16]) -> std::arch::x86_64::__m128i {
-    use std::arch::x86_64::*;
-    debug_assert!(a.len() == b0.len() && a.len() == b1.len());
-    debug_assert!(a.len() == b2.len() && a.len() == b3.len());
-    debug_assert_eq!(a.len() % LANE, 0);
-    // SAFETY: as in `dot`.
-    unsafe {
-        let mut acc0 = _mm_setzero_si128();
-        let mut acc1 = _mm_setzero_si128();
-        let mut acc2 = _mm_setzero_si128();
-        let mut acc3 = _mm_setzero_si128();
-        let mut k = 0;
-        while k < a.len() {
-            let av = _mm_loadu_si128(a.as_ptr().add(k) as *const __m128i);
-            acc0 = _mm_add_epi32(
-                acc0,
-                _mm_madd_epi16(av, _mm_loadu_si128(b0.as_ptr().add(k) as *const __m128i)),
-            );
-            acc1 = _mm_add_epi32(
-                acc1,
-                _mm_madd_epi16(av, _mm_loadu_si128(b1.as_ptr().add(k) as *const __m128i)),
-            );
-            acc2 = _mm_add_epi32(
-                acc2,
-                _mm_madd_epi16(av, _mm_loadu_si128(b2.as_ptr().add(k) as *const __m128i)),
-            );
-            acc3 = _mm_add_epi32(
-                acc3,
-                _mm_madd_epi16(av, _mm_loadu_si128(b3.as_ptr().add(k) as *const __m128i)),
-            );
-            k += LANE;
-        }
-        // Transpose-and-add: four 4-lane partial sums collapse to one
-        // vector holding each accumulator's total.
-        let t0 = _mm_unpacklo_epi32(acc0, acc1);
-        let t1 = _mm_unpackhi_epi32(acc0, acc1);
-        let t2 = _mm_unpacklo_epi32(acc2, acc3);
-        let t3 = _mm_unpackhi_epi32(acc2, acc3);
-        let s01 = _mm_add_epi32(t0, t1);
-        let s23 = _mm_add_epi32(t2, t3);
-        _mm_add_epi32(_mm_unpacklo_epi64(s01, s23), _mm_unpackhi_epi64(s01, s23))
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline]
-unsafe fn hsum_epi32(v: std::arch::x86_64::__m128i) -> i32 {
-    use std::arch::x86_64::*;
-    // SAFETY: pure register arithmetic, no memory access.
-    unsafe {
-        let hi = _mm_shuffle_epi32(v, 0b01_00_11_10);
-        let sum2 = _mm_add_epi32(v, hi);
-        let hi2 = _mm_shuffle_epi32(sum2, 0b00_00_00_01);
-        _mm_cvtsi128_si32(_mm_add_epi32(sum2, hi2))
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-fn dot(a: &[i16], b: &[i16]) -> i32 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| i32::from(x) * i32::from(y))
-        .sum()
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-fn dot2(a: &[i16], b0: &[i16], b1: &[i16]) -> (i32, i32) {
-    (dot(a, b0), dot(a, b1))
-}
-
-/// Cache-blocked int8 GEMM: `out[i][j] = dot(a[i], bt[j]) * a_scale *
-/// w_scales[j] + bias[j]`, with `a` an `m × k_pad` activation matrix and
-/// `bt` an `n × k_pad` transposed weight matrix (row = output channel).
-/// `out` must hold `m * n` elements and is overwritten.
-// A GEMM signature is its argument list: shapes, operands, and the fused
-// scale/bias epilogue. Bundling them into a struct would only move the
-// nine names one level down.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn qgemm(
-    m: usize,
-    n: usize,
+/// One weight matrix in the kernel's layout, with the epilogue's operands.
+///
+/// Built only by [`PackedWeights::pack`], which establishes the size
+/// relations the unsafe kernels rely on: `k_pad` is even, `n_pad` is a
+/// multiple of [`CH_PAD`] and at least `n`, `w` holds `k_pad · n_pad`
+/// values, `deq` and `bias` hold `n_pad`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PackedWeights {
     k_pad: usize,
+    n: usize,
+    n_pad: usize,
+    w: Vec<i16>,
+    deq: Vec<f32>,
+    bias: Vec<f32>,
+}
+
+impl PackedWeights {
+    /// Pack canonical weights (`data[j · in_dim + k]`, output channel `j`,
+    /// per-channel `scales`) for activation rows of `k_pad` values (even,
+    /// at least `in_dim`, zero beyond it) quantized at `act_scale`.
+    ///
+    /// Output channels are taken in blocks of `block` and every block is
+    /// padded to `block_pad` channels: the LSTM packs its four gate blocks
+    /// padded to whole vectors (`block = H`, `block_pad = H` rounded up to
+    /// [`CH_PAD`]) so the cell update never runs a scalar tail, a dense
+    /// layer packs one unpadded block. Padded channels have zero weights,
+    /// zero scale and zero bias, so they produce exactly `0.0`.
+    // The canonical tensor, the activation side and the channel layout are
+    // three independent things; a struct would only rename the arguments.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn pack(
+        data: &[i8],
+        in_dim: usize,
+        k_pad: usize,
+        scales: &[f32],
+        act_scale: f32,
+        bias: Option<&[f32]>,
+        block: usize,
+        block_pad: usize,
+    ) -> Self {
+        let out_dim = scales.len();
+        assert_eq!(data.len(), out_dim * in_dim, "weight tensor shape");
+        assert!(
+            k_pad >= in_dim && k_pad.is_multiple_of(2),
+            "activation row width"
+        );
+        assert!(block >= 1 && block_pad >= block && out_dim.is_multiple_of(block));
+        assert!(bias.is_none_or(|b| b.len() == out_dim), "bias length");
+        let n = out_dim / block * block_pad;
+        let n_pad = pad_to(n, CH_PAD);
+        let mut packed = PackedWeights {
+            k_pad,
+            n,
+            n_pad,
+            w: vec![0; k_pad * n_pad],
+            deq: vec![0.0; n_pad],
+            bias: vec![0.0; n_pad],
+        };
+        for j in 0..out_dim {
+            let ch = j / block * block_pad + j % block;
+            packed.deq[ch] = act_scale * scales[j];
+            if let Some(b) = bias {
+                packed.bias[ch] = b[j];
+            }
+            for k in 0..in_dim {
+                packed.w[(k / 2 * n_pad + ch) * 2 + k % 2] = i16::from(data[j * in_dim + k]);
+            }
+        }
+        packed
+    }
+
+    /// Width of a quantized activation row this matrix multiplies.
+    pub(crate) fn k_pad(&self) -> usize {
+        self.k_pad
+    }
+
+    /// Width of an output row (block padding included).
+    pub(crate) fn n(&self) -> usize {
+        self.n
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Integer GEMM
+// ---------------------------------------------------------------------------
+
+/// `out[i][..n] = a[i]·W · deq + bias`, or with `accumulate` `out[i][..n] +=
+/// a[i]·W · deq`, for `m` activation rows of `k_pad` values and dense
+/// output rows of `n` values.
+pub(crate) fn qgemm(
+    level: SimdLevel,
+    m: usize,
     a: &[i16],
-    bt: &[i16],
-    a_scale: f32,
-    w_scales: &[f32],
-    bias: Option<&[f32]>,
+    w: &PackedWeights,
+    accumulate: bool,
     out: &mut [f32],
 ) {
-    debug_assert_eq!(a.len(), m * k_pad);
-    debug_assert_eq!(bt.len(), n * k_pad);
-    debug_assert_eq!(w_scales.len(), n);
-    debug_assert!(out.len() >= m * n);
-    let mut jb = 0;
-    while jb < n {
-        let j_end = (jb + J_BLOCK).min(n);
-        for i in 0..m {
-            let a_row = &a[i * k_pad..(i + 1) * k_pad];
-            let out_row = &mut out[i * n..(i + 1) * n];
-            let mut j = jb;
+    assert!(a.len() >= m * w.k_pad, "activation rows");
+    assert!(out.len() >= m * w.n, "output rows");
+    #[cfg(target_arch = "x86_64")]
+    assert!(
+        level != SimdLevel::Avx2 || std::arch::is_x86_feature_detected!("avx2"),
+        "AVX2 kernels requested on a CPU without AVX2"
+    );
+    // SAFETY: the asserts above bound every row the drivers touch and
+    // confirm the CPU feature the AVX2 driver needs; `PackedWeights::pack`
+    // bounds every weight, scale and bias access (see `gemm_tile`).
+    unsafe {
+        match level {
+            SimdLevel::Scalar => {
+                gemm::<ScalarLanes>(m, a.as_ptr(), w, accumulate, out.as_mut_ptr())
+            }
             #[cfg(target_arch = "x86_64")]
-            {
-                use std::arch::x86_64::*;
-                while j + 3 < j_end {
-                    let d = dot4(
-                        a_row,
-                        &bt[j * k_pad..(j + 1) * k_pad],
-                        &bt[(j + 1) * k_pad..(j + 2) * k_pad],
-                        &bt[(j + 2) * k_pad..(j + 3) * k_pad],
-                        &bt[(j + 3) * k_pad..(j + 4) * k_pad],
-                    );
-                    // SAFETY: `j + 3 < j_end <= n`, so the 4-wide loads and
-                    // store stay inside `w_scales`/`bias`/`out_row` (all
-                    // length `n`). Per-lane ops match the scalar epilogue's
-                    // order, so results are bit-identical to it.
-                    unsafe {
-                        let f = _mm_mul_ps(_mm_cvtepi32_ps(d), _mm_set1_ps(a_scale));
-                        let mut r = _mm_mul_ps(f, _mm_loadu_ps(w_scales.as_ptr().add(j)));
-                        if let Some(b) = bias {
-                            r = _mm_add_ps(r, _mm_loadu_ps(b.as_ptr().add(j)));
-                        }
-                        _mm_storeu_ps(out_row.as_mut_ptr().add(j), r);
-                    }
-                    j += 4;
+            SimdLevel::Sse2 => {
+                gemm::<x86::Sse2Lanes>(m, a.as_ptr(), w, accumulate, out.as_mut_ptr())
+            }
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => x86::gemm_avx2(m, a.as_ptr(), w, accumulate, out.as_mut_ptr()),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => gemm::<ScalarLanes>(m, a.as_ptr(), w, accumulate, out.as_mut_ptr()),
+        }
+    }
+}
+
+/// One vector of `CH` `i32` accumulators, one per output channel.
+trait Lanes {
+    type Acc: Copy;
+    /// Output channels per accumulator.
+    const CH: usize;
+
+    unsafe fn zero() -> Self::Acc;
+
+    /// `acc[l] += a[0]·w[2l] + a[1]·w[2l+1]` for every lane `l`.
+    ///
+    /// # Safety
+    /// `a` must be readable for 2 and `w` for `2 · CH` values.
+    unsafe fn madd(acc: Self::Acc, a: *const i16, w: *const i16) -> Self::Acc;
+
+    /// `out[l] = acc[l] as f32 · deq[l] + base[l]` for every lane.
+    ///
+    /// # Safety
+    /// `deq` and `base` must be readable and `out` writable for `CH` values
+    /// (`out` may alias `base`).
+    unsafe fn finish(acc: Self::Acc, deq: *const f32, base: *const f32, out: *mut f32);
+
+    /// The accumulators as an array (the first `CH` entries are valid), for
+    /// the scalar epilogue of a row's last, partial vector.
+    unsafe fn to_array(acc: Self::Acc) -> [i32; CH_PAD];
+}
+
+struct ScalarLanes;
+
+impl Lanes for ScalarLanes {
+    type Acc = [i32; CH_PAD];
+    const CH: usize = CH_PAD;
+
+    #[inline(always)]
+    unsafe fn zero() -> Self::Acc {
+        [0; CH_PAD]
+    }
+
+    #[inline(always)]
+    unsafe fn madd(mut acc: Self::Acc, a: *const i16, w: *const i16) -> Self::Acc {
+        // SAFETY: the caller guarantees 2 readable values at `a` and
+        // `2 · CH` at `w`.
+        unsafe {
+            let (a0, a1) = (i32::from(*a), i32::from(*a.add(1)));
+            for (l, lane) in acc.iter_mut().enumerate() {
+                *lane += a0 * i32::from(*w.add(2 * l)) + a1 * i32::from(*w.add(2 * l + 1));
+            }
+        }
+        acc
+    }
+
+    #[inline(always)]
+    unsafe fn finish(acc: Self::Acc, deq: *const f32, base: *const f32, out: *mut f32) {
+        for (l, &lane) in acc.iter().enumerate() {
+            // SAFETY: the caller guarantees `CH` values behind each pointer.
+            unsafe { *out.add(l) = lane as f32 * *deq.add(l) + *base.add(l) };
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn to_array(acc: Self::Acc) -> [i32; CH_PAD] {
+        acc
+    }
+}
+
+/// Channel vectors per tile; with two rows that is eight accumulators, which
+/// leaves room for the broadcast and the weight operands in 16 registers.
+const TILE_VECS: usize = 4;
+
+/// The GEMM driver: channel tiles outside, activation rows inside.
+///
+/// # Safety
+/// `a` must be readable for `m · w.k_pad` values and `out` readable and
+/// writable for `m · w.n`; `L`'s instructions must be available.
+#[inline(always)]
+unsafe fn gemm<L: Lanes>(
+    m: usize,
+    a: *const i16,
+    w: &PackedWeights,
+    accumulate: bool,
+    out: *mut f32,
+) {
+    let vecs = w.n_pad / L::CH;
+    let mut v = 0;
+    // SAFETY: forwarded from the caller; `v` stays below `n_pad / CH`.
+    unsafe {
+        while v + TILE_VECS <= vecs {
+            gemm_rows::<L, TILE_VECS>(m, a, w, accumulate, out, v);
+            v += TILE_VECS;
+        }
+        while v < vecs {
+            gemm_rows::<L, 1>(m, a, w, accumulate, out, v);
+            v += 1;
+        }
+    }
+}
+
+/// Every activation row against one channel tile, two rows at a time.
+#[inline(always)]
+unsafe fn gemm_rows<L: Lanes, const NV: usize>(
+    m: usize,
+    a: *const i16,
+    w: &PackedWeights,
+    accumulate: bool,
+    out: *mut f32,
+    v: usize,
+) {
+    let mut i = 0;
+    // SAFETY: forwarded from `gemm`; `i + MR <= m` for every tile.
+    unsafe {
+        while i + 2 <= m {
+            gemm_tile::<L, 2, NV>(a, w, accumulate, out, i, v);
+            i += 2;
+        }
+        if i < m {
+            gemm_tile::<L, 1, NV>(a, w, accumulate, out, i, v);
+        }
+    }
+}
+
+/// `MR` rows × `NV` channel vectors: accumulate over every k-pair, then
+/// run the epilogue.
+///
+/// # Safety
+/// As [`gemm`], with rows `i .. i + MR` below `m` and channel vectors
+/// `v .. v + NV` below `n_pad / CH`.
+#[inline(always)]
+unsafe fn gemm_tile<L: Lanes, const MR: usize, const NV: usize>(
+    a: *const i16,
+    w: &PackedWeights,
+    accumulate: bool,
+    out: *mut f32,
+    i: usize,
+    v: usize,
+) {
+    let (k_pad, n, n_pad) = (w.k_pad, w.n, w.n_pad);
+    let ch0 = v * L::CH;
+    // SAFETY: `pack` sized `w.w` to `k_pad · n_pad` and `deq`/`bias` to
+    // `n_pad`; with `p < k_pad / 2` and `ch0 + NV · CH <= n_pad` the weight
+    // reads end at `(p · n_pad + n_pad) · 2 <= k_pad · n_pad`. Row `i + r`
+    // of `a` and `out` is in bounds by the caller's contract, and a full
+    // vector is stored to `out` only when it ends at or before `n`.
+    unsafe {
+        let mut acc = [[L::zero(); NV]; MR];
+        for p in 0..k_pad / 2 {
+            let w_p = w.w.as_ptr().add((p * n_pad + ch0) * 2);
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let a_p = a.add((i + r) * k_pad + 2 * p);
+                for (c, acc_rc) in acc_r.iter_mut().enumerate() {
+                    *acc_rc = L::madd(*acc_rc, a_p, w_p.add(c * L::CH * 2));
                 }
             }
-            while j + 1 < j_end {
-                let (d0, d1) = dot2(
-                    a_row,
-                    &bt[j * k_pad..(j + 1) * k_pad],
-                    &bt[(j + 1) * k_pad..(j + 2) * k_pad],
-                );
-                let base0 = bias.map_or(0.0, |b| b[j]);
-                let base1 = bias.map_or(0.0, |b| b[j + 1]);
-                out_row[j] = d0 as f32 * a_scale * w_scales[j] + base0;
-                out_row[j + 1] = d1 as f32 * a_scale * w_scales[j + 1] + base1;
-                j += 2;
-            }
-            if j < j_end {
-                let d = dot(a_row, &bt[j * k_pad..(j + 1) * k_pad]);
-                out_row[j] = d as f32 * a_scale * w_scales[j] + bias.map_or(0.0, |b| b[j]);
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            let out_row = out.add((i + r) * n);
+            let base_row = if accumulate {
+                out_row.cast_const()
+            } else {
+                w.bias.as_ptr()
+            };
+            for (c, &acc_rc) in acc_r.iter().enumerate() {
+                let ch = ch0 + c * L::CH;
+                if ch + L::CH <= n {
+                    L::finish(
+                        acc_rc,
+                        w.deq.as_ptr().add(ch),
+                        base_row.add(ch),
+                        out_row.add(ch),
+                    );
+                } else {
+                    let lanes = L::to_array(acc_rc);
+                    for (l, &lane) in lanes.iter().enumerate().take(n.saturating_sub(ch)) {
+                        *out_row.add(ch + l) = lane as f32 * w.deq[ch + l] + *base_row.add(ch + l);
+                    }
+                }
             }
         }
-        jb = j_end;
     }
 }
 
-/// Row-vector GEMM accumulating into `out`: `out[j] += dot(a, bt[j]) *
-/// a_scale * w_scales[j]`. Used by the LSTM recurrence, where the gate
-/// pre-activations already hold `x·Wx + b` and the hidden contribution is
-/// added per step.
-pub(crate) fn qgemv_acc(
-    n: usize,
-    k_pad: usize,
-    a: &[i16],
-    bt: &[i16],
-    a_scale: f32,
-    w_scales: &[f32],
-    out: &mut [f32],
-) {
-    debug_assert_eq!(a.len(), k_pad);
-    debug_assert_eq!(bt.len(), n * k_pad);
-    debug_assert!(out.len() >= n && w_scales.len() == n);
-    let mut j = 0;
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::*;
-        while j + 3 < n {
-            let d = dot4(
-                a,
-                &bt[j * k_pad..(j + 1) * k_pad],
-                &bt[(j + 1) * k_pad..(j + 2) * k_pad],
-                &bt[(j + 2) * k_pad..(j + 3) * k_pad],
-                &bt[(j + 3) * k_pad..(j + 4) * k_pad],
-            );
-            // SAFETY: `j + 3 < n`, so the 4-wide loads and the accumulate
-            // store stay inside `w_scales`/`out` (length >= n); per-lane op
-            // order matches the scalar tail below.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{gemm, Lanes, PackedWeights, CH_PAD};
+    use std::arch::x86_64::*;
+
+    pub(super) struct Sse2Lanes;
+
+    impl Lanes for Sse2Lanes {
+        type Acc = __m128i;
+        const CH: usize = 4;
+
+        #[inline(always)]
+        unsafe fn zero() -> __m128i {
+            // SAFETY: SSE2 is part of the x86-64 baseline.
+            unsafe { _mm_setzero_si128() }
+        }
+
+        #[inline(always)]
+        unsafe fn madd(acc: __m128i, a: *const i16, w: *const i16) -> __m128i {
+            // SAFETY: unaligned loads of 4 bytes at `a` and 16 at `w`, both
+            // readable by the caller's contract.
             unsafe {
-                let f = _mm_mul_ps(_mm_cvtepi32_ps(d), _mm_set1_ps(a_scale));
-                let r = _mm_mul_ps(f, _mm_loadu_ps(w_scales.as_ptr().add(j)));
-                let cur = _mm_loadu_ps(out.as_ptr().add(j));
-                _mm_storeu_ps(out.as_mut_ptr().add(j), _mm_add_ps(cur, r));
+                let pair = _mm_set1_epi32(a.cast::<i32>().read_unaligned());
+                let wv = _mm_loadu_si128(w.cast());
+                _mm_add_epi32(acc, _mm_madd_epi16(pair, wv))
             }
-            j += 4;
+        }
+
+        #[inline(always)]
+        unsafe fn finish(acc: __m128i, deq: *const f32, base: *const f32, out: *mut f32) {
+            // SAFETY: 4 floats behind each pointer by the caller's contract.
+            unsafe {
+                let r = _mm_mul_ps(_mm_cvtepi32_ps(acc), _mm_loadu_ps(deq));
+                _mm_storeu_ps(out, _mm_add_ps(r, _mm_loadu_ps(base)));
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn to_array(acc: __m128i) -> [i32; CH_PAD] {
+            let mut lanes = [0; CH_PAD];
+            // SAFETY: the array holds 32 bytes, the store writes 16.
+            unsafe { _mm_storeu_si128(lanes.as_mut_ptr().cast(), acc) };
+            lanes
         }
     }
-    while j + 1 < n {
-        let (d0, d1) = dot2(
-            a,
-            &bt[j * k_pad..(j + 1) * k_pad],
-            &bt[(j + 1) * k_pad..(j + 2) * k_pad],
-        );
-        out[j] += d0 as f32 * a_scale * w_scales[j];
-        out[j + 1] += d1 as f32 * a_scale * w_scales[j + 1];
-        j += 2;
-    }
-    if j < n {
-        out[j] += dot(a, &bt[j * k_pad..(j + 1) * k_pad]) as f32 * a_scale * w_scales[j];
-    }
-}
 
-// ---------------------------------------------------------------------------
-// Fast activations
-// ---------------------------------------------------------------------------
+    struct Avx2Lanes;
 
-/// Half-width of the tanh interpolation table; `tanh(±8)` differs from ±1
-/// by 2.3e-7, far below the int8 quantization error.
-const TANH_RANGE: f32 = 8.0;
-/// Interpolation intervals across `[-TANH_RANGE, TANH_RANGE]`. At 512
-/// intervals the linear-interpolation error is bounded by
-/// `max|tanh''| · h² / 8 ≈ 1.2e-4`.
-const TANH_INTERVALS: usize = 512;
+    impl Lanes for Avx2Lanes {
+        type Acc = __m256i;
+        const CH: usize = 8;
 
-struct TanhTable {
-    knots: [f32; TANH_INTERVALS + 1],
-}
-
-fn tanh_table() -> &'static TanhTable {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<TanhTable> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut knots = [0.0_f32; TANH_INTERVALS + 1];
-        for (i, k) in knots.iter_mut().enumerate() {
-            let x = -TANH_RANGE + 2.0 * TANH_RANGE * i as f32 / TANH_INTERVALS as f32;
-            *k = x.tanh();
+        #[inline(always)]
+        unsafe fn zero() -> __m256i {
+            // SAFETY: reached only through `gemm_avx2`.
+            unsafe { _mm256_setzero_si256() }
         }
-        TanhTable { knots }
-    })
-}
 
-/// Borrow the shared activation table once per window so the hot loop
-/// avoids the `OnceLock` check per element.
-#[derive(Clone, Copy)]
-pub(crate) struct ActTable(&'static TanhTable);
+        #[inline(always)]
+        unsafe fn madd(acc: __m256i, a: *const i16, w: *const i16) -> __m256i {
+            // SAFETY: unaligned loads of 4 bytes at `a` and 32 at `w`, both
+            // readable by the caller's contract.
+            unsafe {
+                let pair = _mm256_set1_epi32(a.cast::<i32>().read_unaligned());
+                let wv = _mm256_loadu_si256(w.cast());
+                _mm256_add_epi32(acc, _mm256_madd_epi16(pair, wv))
+            }
+        }
 
-impl ActTable {
-    pub(crate) fn get() -> Self {
-        ActTable(tanh_table())
+        #[inline(always)]
+        unsafe fn finish(acc: __m256i, deq: *const f32, base: *const f32, out: *mut f32) {
+            // SAFETY: 8 floats behind each pointer by the caller's contract.
+            unsafe {
+                let r = _mm256_mul_ps(_mm256_cvtepi32_ps(acc), _mm256_loadu_ps(deq));
+                _mm256_storeu_ps(out, _mm256_add_ps(r, _mm256_loadu_ps(base)));
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn to_array(acc: __m256i) -> [i32; CH_PAD] {
+            let mut lanes = [0; CH_PAD];
+            // SAFETY: the array holds exactly the 32 bytes stored.
+            unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc) };
+            lanes
+        }
     }
 
-    /// `tanh` by table lookup with linear interpolation (|err| ≲ 1.2e-4).
-    #[inline]
-    pub(crate) fn tanh(self, x: f32) -> f32 {
-        let t = (x.clamp(-TANH_RANGE, TANH_RANGE) + TANH_RANGE)
-            * (TANH_INTERVALS as f32 / (2.0 * TANH_RANGE));
-        let i = (t as usize).min(TANH_INTERVALS - 1);
-        let frac = t - i as f32;
-        let lo = self.0.knots[i];
-        lo + (self.0.knots[i + 1] - lo) * frac
-    }
-
-    /// `sigmoid(x) = 0.5 + 0.5·tanh(x/2)` through the same table.
-    #[inline]
-    pub(crate) fn sigmoid(self, x: f32) -> f32 {
-        0.5 + 0.5 * self.tanh(0.5 * x)
+    /// The AVX2 instantiation of the driver; the generic code is inlined
+    /// here so the whole tile loop is compiled with 256-bit registers.
+    ///
+    /// # Safety
+    /// As [`gemm`], and the CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gemm_avx2(
+        m: usize,
+        a: *const i16,
+        w: &PackedWeights,
+        accumulate: bool,
+        out: *mut f32,
+    ) {
+        // SAFETY: forwarded from the caller.
+        unsafe { gemm::<Avx2Lanes>(m, a, w, accumulate, out) }
     }
 }
 
@@ -359,86 +581,184 @@ impl ActTable {
 mod tests {
     use super::*;
 
-    fn scalar_dot(a: &[i16], b: &[i16]) -> i32 {
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| i32::from(x) * i32::from(y))
-            .sum()
+    /// Deterministic int8-range values.
+    fn ints(n: usize, mul: usize, add: usize) -> Vec<i8> {
+        (0..n)
+            .map(|i| (((i * mul + add) % 255) as i32 - 127) as i8)
+            .collect()
     }
 
-    #[test]
-    fn dot_kernels_match_scalar_reference() {
-        for k in [LANE, 2 * LANE, 5 * LANE] {
-            let a: Vec<i16> = (0..k).map(|i| ((i * 37 + 11) % 255) as i16 - 127).collect();
-            let b0: Vec<i16> = (0..k).map(|i| ((i * 53 + 7) % 255) as i16 - 127).collect();
-            let b1: Vec<i16> = (0..k).map(|i| ((i * 29 + 3) % 255) as i16 - 127).collect();
-            assert_eq!(dot(&a, &b0), scalar_dot(&a, &b0));
-            let (d0, d1) = dot2(&a, &b0, &b1);
-            assert_eq!(d0, scalar_dot(&a, &b0));
-            assert_eq!(d1, scalar_dot(&a, &b1));
-        }
-    }
-
-    #[test]
-    fn qgemm_matches_naive_integer_product() {
-        let (m, n, k) = (5, 67, 3 * LANE);
-        let a: Vec<i16> = (0..m * k).map(|i| ((i * 31) % 255) as i16 - 127).collect();
-        let bt: Vec<i16> = (0..n * k).map(|i| ((i * 17) % 255) as i16 - 127).collect();
-        let scales: Vec<f32> = (0..n).map(|j| 0.01 + j as f32 * 1e-4).collect();
-        let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.1).collect();
-        let a_scale = 0.02_f32;
-        let mut out = vec![0.0_f32; m * n];
-        qgemm(m, n, k, &a, &bt, a_scale, &scales, Some(&bias), &mut out);
+    /// The product straight from the canonical layout, in the epilogue's
+    /// operation order.
+    #[allow(clippy::too_many_arguments)]
+    fn naive(
+        m: usize,
+        a: &[i16],
+        k_pad: usize,
+        data: &[i8],
+        in_dim: usize,
+        scales: &[f32],
+        act_scale: f32,
+        base: impl Fn(usize, usize) -> f32,
+    ) -> Vec<f32> {
+        let n = scales.len();
+        let mut out = vec![0.0; m * n];
         for i in 0..m {
             for j in 0..n {
-                let acc = scalar_dot(&a[i * k..(i + 1) * k], &bt[j * k..(j + 1) * k]);
-                let want = acc as f32 * a_scale * scales[j] + bias[j];
-                assert_eq!(out[i * n + j], want, "({i},{j})");
+                let acc: i32 = (0..in_dim)
+                    .map(|k| i32::from(a[i * k_pad + k]) * i32::from(data[j * in_dim + k]))
+                    .sum();
+                out[i * n + j] = acc as f32 * (act_scale * scales[j]) + base(i, j);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_level_matches_the_naive_product() {
+        // Odd k, channel counts around the vector and tile widths, one and
+        // several rows, with and without a partial last vector.
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (1, 7, 2),
+            (3, 16, 64),
+            (5, 33, 67),
+            (2, 9, 40),
+            (7, 150, 36),
+        ] {
+            let data = ints(n * k, 31, 5);
+            let scales: Vec<f32> = (0..n).map(|j| 0.01 + j as f32 * 1e-4).collect();
+            let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.1 - 1.0).collect();
+            let w = PackedWeights::pack(&data, k, pad_to(k, 2), &scales, 0.02, Some(&bias), n, n);
+            assert_eq!((w.n(), w.k_pad()), (n, pad_to(k, 2)));
+            let k_pad = w.k_pad();
+            let mut a = vec![0_i16; m * k_pad];
+            for i in 0..m {
+                for kk in 0..k {
+                    a[i * k_pad + kk] = i16::from(ints(m * k, 17, 3)[i * k + kk]);
+                }
+            }
+            let want = naive(m, &a, k_pad, &data, k, &scales, 0.02, |_, j| bias[j]);
+            let seed: Vec<f32> = (0..m * n).map(|i| i as f32 * 0.25 - 3.0).collect();
+            let want_acc = naive(m, &a, k_pad, &data, k, &scales, 0.02, |i, j| {
+                seed[i * n + j]
+            });
+            for &level in SimdLevel::available() {
+                let mut out = vec![f32::NAN; m * n];
+                qgemm(level, m, &a, &w, false, &mut out);
+                assert_eq!(out, want, "{} store {m}x{k}x{n}", level.name());
+                let mut out = seed.clone();
+                qgemm(level, m, &a, &w, true, &mut out);
+                assert_eq!(out, want_acc, "{} accumulate {m}x{k}x{n}", level.name());
             }
         }
     }
 
     #[test]
-    fn qgemv_accumulates() {
-        let (n, k) = (9, LANE);
-        let a: Vec<i16> = (0..k).map(|i| i as i16 - 3).collect();
-        let bt: Vec<i16> = (0..n * k).map(|i| (i % 11) as i16 - 5).collect();
+    fn block_padding_inserts_zero_channels() {
+        // 4 blocks of 3 channels padded to 8: channel j lands at
+        // (j / 3) · 8 + j % 3 and every other output is exactly zero.
+        let (k, block, block_pad) = (5, 3, 8);
+        let n = 4 * block;
+        let data = ints(n * k, 13, 1);
         let scales = vec![0.5_f32; n];
-        let mut out = vec![1.0_f32; n];
-        qgemv_acc(n, k, &a, &bt, 0.25, &scales, &mut out);
-        for j in 0..n {
-            let acc = scalar_dot(&a, &bt[j * k..(j + 1) * k]);
-            assert_eq!(out[j], 1.0 + acc as f32 * 0.25 * 0.5, "{j}");
+        let bias: Vec<f32> = (0..n).map(|j| 1.0 + j as f32).collect();
+        let w = PackedWeights::pack(&data, k, 6, &scales, 1.0, Some(&bias), block, block_pad);
+        assert_eq!(w.n(), 4 * block_pad);
+        let a: Vec<i16> = (0..w.k_pad()).map(|i| i as i16 - 2).collect();
+        for &level in SimdLevel::available() {
+            let mut out = vec![f32::NAN; w.n()];
+            qgemm(level, 1, &a, &w, false, &mut out);
+            for (ch, &got) in out.iter().enumerate() {
+                let (b, u) = (ch / block_pad, ch % block_pad);
+                let want = if u < block {
+                    let j = b * block + u;
+                    let acc: i32 = (0..k)
+                        .map(|kk| i32::from(a[kk]) * i32::from(data[j * k + kk]))
+                        .sum();
+                    acc as f32 * 0.5 + bias[j]
+                } else {
+                    0.0
+                };
+                assert_eq!(got, want, "{} channel {ch}", level.name());
+            }
         }
     }
 
     #[test]
     fn quantize_row_clamps_and_pads() {
         let src = [0.0, 1.0, -1.0, 10.0, -10.0];
-        let mut dst = vec![99_i16; pad_to_lane(src.len())];
+        let mut dst = vec![99_i16; 8];
         quantize_row(&src, 127.0, &mut dst); // scale = 1/127
         assert_eq!(&dst[..5], &[0, 127, -127, 127, -127]);
         assert!(dst[5..].iter().all(|&v| v == 0), "padding must be zeroed");
+        // Ties round away from zero; a poisoned activation quantizes to 0.
+        quantize_row(&[0.5, -0.5, 2.5, f32::NAN], 1.0, &mut dst);
+        assert_eq!(&dst[..4], &[1, -1, 3, 0]);
     }
 
     #[test]
-    fn fast_activations_are_accurate() {
-        let t = ActTable::get();
+    fn activations_are_accurate_odd_monotone_and_saturating() {
+        let (mut prev_t, mut prev_s) = (-1.0_f32, 0.0_f32);
         let mut x = -12.0_f32;
         while x <= 12.0 {
-            assert!(
-                (t.tanh(x) - x.tanh()).abs() < 2e-4,
-                "tanh({x}): {} vs {}",
-                t.tanh(x),
-                x.tanh()
-            );
+            let (t, s) = (tanh_approx(x), sigmoid_approx(x));
+            assert!((t - x.tanh()).abs() < 2e-4, "tanh({x}) = {t}");
             let sig = 1.0 / (1.0 + (-x).exp());
-            assert!(
-                (t.sigmoid(x) - sig).abs() < 2e-4,
-                "sigmoid({x}): {} vs {sig}",
-                t.sigmoid(x)
-            );
-            x += 0.013;
+            assert!((s - sig).abs() < 2e-4, "sigmoid({x}) = {s}");
+            assert_eq!(tanh_approx(-x), -t, "tanh is odd at {x}");
+            assert!(t >= prev_t && s >= prev_s, "monotone at {x}");
+            assert!(t.abs() <= 1.0 && (0.0..=1.0).contains(&s), "bounded at {x}");
+            (prev_t, prev_s) = (t, s);
+            x += 0.003;
+        }
+        // Saturation: constant beyond the clamp, on both sides.
+        let top = tanh_approx(TANH_CLAMP);
+        assert!(top <= 1.0 && top > 0.9999);
+        for x in [5.0, 8.0, 100.0, 1e30, f32::INFINITY] {
+            assert_eq!(tanh_approx(x), top);
+            assert_eq!(tanh_approx(-x), -top);
+            assert_eq!(sigmoid_approx(2.0 * x), 0.5 + 0.5 * top);
+        }
+        assert!(
+            tanh_approx(f32::NAN).is_nan(),
+            "NaN must stay visible to the guard"
+        );
+    }
+
+    #[test]
+    fn lstm_cells_match_the_scalar_formula_and_keep_padding_zero() {
+        let (rows, hid, hp) = (3, 5, 8);
+        let mut z = vec![0.0_f32; rows * 4 * hp];
+        let mut c: Vec<f32> = vec![0.0; rows * hp];
+        for r in 0..rows {
+            for j in 0..hid {
+                c[r * hp + j] = ((r * 7 + j) as f32 * 0.37).sin();
+                for g in 0..4 {
+                    z[r * 4 * hp + g * hp + j] = ((r * 11 + g * 5 + j) as f32 * 0.91).cos() * 3.0;
+                }
+            }
+        }
+        let c0 = c.clone();
+        let mut h = vec![9.0_f32; rows * hp];
+        let mut hq = vec![9_i16; rows * hp];
+        lstm_cells(rows, hp, &z, &mut c, &mut h, &mut hq);
+        for r in 0..rows {
+            for j in 0..hp {
+                let zr = &z[r * 4 * hp..];
+                let want_c = sigmoid_approx(zr[hp + j]) * c0[r * hp + j]
+                    + sigmoid_approx(zr[j]) * tanh_approx(zr[2 * hp + j]);
+                let want_h = sigmoid_approx(zr[3 * hp + j]) * tanh_approx(want_c);
+                assert_eq!(c[r * hp + j], want_c);
+                assert_eq!(h[r * hp + j], want_h);
+                assert_eq!(hq[r * hp + j], quantize(want_h * 127.0));
+                if j >= hid {
+                    assert_eq!(
+                        (c[r * hp + j], h[r * hp + j], hq[r * hp + j]),
+                        (0.0, 0.0, 0)
+                    );
+                }
+            }
         }
     }
 }

@@ -14,17 +14,20 @@
 //!   is exactly `1/127`, and only the layer-0 input scale needs
 //!   calibration from sample windows (see
 //!   [`calibrate_input_scale`]).
-//! * **Kernels** accumulate in `i32` over lane-padded `i16` operands (see
-//!   [`kernel`](self)); the float result is recovered with one multiply
-//!   per output element.
+//! * **One batched kernel**: `B` windows of equal length are stacked
+//!   time-step-major, so every LSTM step is one `[B × k]·[k × 4H]` integer
+//!   GEMM followed by one fused, vectorised cell update (see
+//!   [`kernel`](self)). A single window is the `B = 1` call of the same
+//!   code, and a window's output does not depend on `B` or on its position
+//!   in the batch: rows never mix.
 //! * **No allocation in steady state**: every intermediate lives in a
-//!   [`ScratchArena`] that grows to the high-water mark of the windows it
+//!   [`ScratchArena`] that grows to the high-water mark of the batches it
 //!   has seen and is then reused verbatim.
 //!
 //! Quantized layers serialize through both `serde` (model bundles) and the
 //! `dlacep-dur` binary codec (checkpoint-grade round-trips): the canonical
-//! form is the `i8` tensor plus per-channel scales; the packed `i16`
-//! inference layout is rebuilt on load.
+//! form is the `i8` tensor plus per-channel scales; the packed inference
+//! layout is derived data, rebuilt on load.
 
 mod kernel;
 
@@ -33,8 +36,15 @@ use crate::lstm::{BiLstmLayer, LstmLayer, StackedBiLstm};
 use crate::matrix::{Matrix, ShapeError};
 use crate::params::ParamStore;
 use dlacep_dur::{CodecError, Dec, Decoder, Enc, Encoder};
-use kernel::{pad_to_lane, qgemm, qgemv_acc, quantize_row, ActTable};
+use kernel::{lstm_cells, pad_to, qgemm, quantize_row, PackedWeights, SimdLevel, CH_PAD};
 use serde::{DeError, Deserialize, Serialize, Value};
+
+/// The integer-kernel instantiation this process dispatches to, detected
+/// once from the CPU: `"avx2"`, `"sse2"` or `"scalar"`. All three produce
+/// identical bytes; the name is for operators and benchmark headers.
+pub fn simd_level() -> &'static str {
+    kernel::simd_level().name()
+}
 
 /// Scale of a tanh-bounded activation tensor: hidden states live in
 /// (-1, 1), so ±127 maps exactly onto the open unit interval.
@@ -92,30 +102,32 @@ pub fn ensure<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
 /// All fields are plain buffers with unspecified contents between calls;
 /// callers borrow the fields they need (disjoint field borrows keep the
 /// whole pass allocation-free). One arena serves one inference at a time —
-/// concurrent marking uses an arena pool (one arena per in-flight window).
+/// concurrent marking uses an arena pool (one arena per in-flight batch).
+/// Row-shaped buffers are time-step-major over a batch of `B` windows: row
+/// `t · B + b` belongs to step `t` of window `b`.
 #[derive(Debug, Default)]
 pub struct ScratchArena {
-    /// Quantized activation rows for the current layer (`T × k_pad`).
+    /// Quantized activation rows for the current layer (`T·B × k_pad`).
     pub xq: Vec<i16>,
-    /// Quantized hidden-state row for the recurrence (`k_pad(H)`).
+    /// Quantized hidden-state rows for the recurrence (`B × H_pad`).
     pub hq: Vec<i16>,
-    /// Layer input/output ping-pong buffers (`T × width`).
+    /// Layer input/output ping-pong buffers (`T·B × width`).
     pub io_a: Vec<f32>,
     /// Second half of the ping-pong pair.
     pub io_b: Vec<f32>,
-    /// Gate pre-activations (`T × 4H`).
+    /// Gate pre-activations of one direction (`T·B × 4·H_pad`).
     pub gates: Vec<f32>,
-    /// LSTM hidden state (`H`).
+    /// LSTM hidden state of the current step (`B × H_pad`).
     pub h: Vec<f32>,
-    /// LSTM cell state (`H`).
+    /// LSTM cell state (`B × H_pad`).
     pub c: Vec<f32>,
-    /// Emission scores (`T × L`).
+    /// Emission scores (`T·B × L`).
     pub emit: Vec<f32>,
-    /// Per-event positive-label probabilities (`T`).
+    /// Per-position combined label marginals (`T·B × L`).
     pub probs: Vec<f32>,
-    /// CRF forward trellis (`T × L`).
+    /// CRF forward trellis of one window (`T × L`).
     pub crf_alpha: Vec<f32>,
-    /// CRF backward trellis (`T × L`).
+    /// CRF backward trellis of one window (`T × L`).
     pub crf_beta: Vec<f32>,
 }
 
@@ -157,18 +169,16 @@ where
 
 /// A weight matrix quantized symmetrically per output channel.
 ///
-/// Canonical storage is transposed relative to the f32 layer layout: row
-/// `j` holds output channel `j`'s weights as `i8`, with `scales[j]`
-/// recovering the float value (`w ≈ q · scale`). A lane-padded `i16` copy
-/// (`packed`) feeds the SIMD kernels; it is derived data, rebuilt on
-/// deserialization and excluded from the serialized form.
+/// Storage is transposed relative to the f32 layer layout: row `j` holds
+/// output channel `j`'s weights as `i8`, with `scales[j]` recovering the
+/// float value (`w ≈ q · scale`). This is the canonical, serialized form;
+/// the layers that own a matrix derive the kernel's packed layout from it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedMatrix {
     out_dim: usize,
     in_dim: usize,
     data: Vec<i8>,
     scales: Vec<f32>,
-    packed: Vec<i16>,
 }
 
 impl QuantizedMatrix {
@@ -196,24 +206,12 @@ impl QuantizedMatrix {
                 data[j * in_dim + k] = (w.try_get(k, j)? * inv).round().clamp(-127.0, 127.0) as i8;
             }
         }
-        Ok(Self::assemble(out_dim, in_dim, data, scales))
-    }
-
-    fn assemble(out_dim: usize, in_dim: usize, data: Vec<i8>, scales: Vec<f32>) -> Self {
-        let k_pad = pad_to_lane(in_dim);
-        let mut packed = vec![0_i16; out_dim * k_pad];
-        for j in 0..out_dim {
-            for k in 0..in_dim {
-                packed[j * k_pad + k] = i16::from(data[j * in_dim + k]);
-            }
-        }
-        Self {
+        Ok(Self {
             out_dim,
             in_dim,
             data,
             scales,
-            packed,
-        }
+        })
     }
 
     /// Number of output channels.
@@ -226,19 +224,32 @@ impl QuantizedMatrix {
         self.in_dim
     }
 
-    /// Lane-padded input width of the packed layout.
-    pub(crate) fn k_pad(&self) -> usize {
-        pad_to_lane(self.in_dim)
-    }
-
     /// Per-output-channel scales.
     pub fn scales(&self) -> &[f32] {
         &self.scales
     }
 
-    /// Packed transposed `i16` rows for the kernels.
-    pub(crate) fn packed(&self) -> &[i16] {
-        &self.packed
+    /// Pack for the kernels: activation rows of `k_pad` values arrive at
+    /// `act_scale`, output channels are laid out in blocks of `block`
+    /// padded to `block_pad` (see [`PackedWeights::pack`]).
+    fn pack(
+        &self,
+        k_pad: usize,
+        act_scale: f32,
+        bias: Option<&[f32]>,
+        block: usize,
+        block_pad: usize,
+    ) -> PackedWeights {
+        PackedWeights::pack(
+            &self.data,
+            self.in_dim,
+            k_pad,
+            &self.scales,
+            act_scale,
+            bias,
+            block,
+            block_pad,
+        )
     }
 
     /// Reconstruct the float weights (layer layout `in_dim × out_dim`).
@@ -271,10 +282,15 @@ impl Deserialize for QuantizedMatrix {
         let in_dim: usize = serde::field(m, "in_dim")?;
         let data: Vec<i8> = serde::field(m, "data")?;
         let scales: Vec<f32> = serde::field(m, "scales")?;
-        if data.len() != out_dim * in_dim || scales.len() != out_dim {
+        if out_dim.checked_mul(in_dim) != Some(data.len()) || scales.len() != out_dim {
             return Err(DeError::new("QuantizedMatrix: shape/data mismatch"));
         }
-        Ok(Self::assemble(out_dim, in_dim, data, scales))
+        Ok(Self {
+            out_dim,
+            in_dim,
+            data,
+            scales,
+        })
     }
 }
 
@@ -303,7 +319,12 @@ impl Dec for QuantizedMatrix {
                 "quantized matrix scale count mismatch".into(),
             ));
         }
-        Ok(Self::assemble(out_dim, in_dim, data, scales))
+        Ok(Self {
+            out_dim,
+            in_dim,
+            data,
+            scales,
+        })
     }
 }
 
@@ -311,12 +332,37 @@ impl Dec for QuantizedMatrix {
 // QuantizedLinear
 // ---------------------------------------------------------------------------
 
+/// Quantize `input` (`rows × width`, row-major) at `1 / inv_scale` into
+/// `xq` (`rows × k_pad`, padding zeroed), growing `xq` as needed.
+fn quantize_rows(
+    input: &[f32],
+    rows: usize,
+    width: usize,
+    inv_scale: f32,
+    k_pad: usize,
+    xq: &mut Vec<i16>,
+) {
+    ensure(xq, rows * k_pad);
+    if width == 0 {
+        xq[..rows * k_pad].fill(0);
+        return;
+    }
+    for (src, dst) in input[..rows * width]
+        .chunks_exact(width)
+        .zip(xq.chunks_exact_mut(k_pad))
+    {
+        quantize_row(src, inv_scale, dst);
+    }
+}
+
 /// A dense layer with int8 weights and a static input scale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedLinear {
     w: QuantizedMatrix,
     bias: Vec<f32>,
     in_scale: f32,
+    /// Derived from the three fields above; never serialized.
+    packed: PackedWeights,
 }
 
 impl QuantizedLinear {
@@ -326,7 +372,23 @@ impl QuantizedLinear {
         let (w_id, b_id) = layer.params();
         let w = QuantizedMatrix::from_weights(store.value(w_id))?;
         let bias = store.value(b_id).as_slice().to_vec();
-        Ok(Self { w, bias, in_scale })
+        Ok(Self::assemble(w, bias, in_scale).expect("a trained layer's bias matches its weights"))
+    }
+
+    /// Build from the canonical fields, deriving the packed layout; fails
+    /// when the bias does not match the output width.
+    fn assemble(w: QuantizedMatrix, bias: Vec<f32>, in_scale: f32) -> Result<Self, &'static str> {
+        if bias.len() != w.out_dim() {
+            return Err("quantized linear: bias length does not match output width");
+        }
+        let n = w.out_dim().max(1);
+        let packed = w.pack(pad_to(w.in_dim(), 2), in_scale, Some(&bias), n, n);
+        Ok(Self {
+            w,
+            bias,
+            in_scale,
+            packed,
+        })
     }
 
     /// Input width.
@@ -347,28 +409,45 @@ impl QuantizedLinear {
     /// `x · W + b` over `t_len` rows read from `input` (`t_len × in_dim`),
     /// written to `out` (`t_len × out_dim`). `xq` is quantization scratch.
     pub fn infer_into(&self, t_len: usize, input: &[f32], xq: &mut Vec<i16>, out: &mut Vec<f32>) {
-        let (k, n, kp) = (self.w.in_dim(), self.w.out_dim(), self.w.k_pad());
-        ensure(xq, t_len * kp);
-        ensure(out, t_len * n);
-        let inv = 1.0 / self.in_scale;
-        for t in 0..t_len {
-            quantize_row(
-                &input[t * k..(t + 1) * k],
-                inv,
-                &mut xq[t * kp..(t + 1) * kp],
-            );
-        }
-        qgemm(
-            t_len,
-            n,
-            kp,
-            &xq[..t_len * kp],
-            self.w.packed(),
-            self.in_scale,
-            self.w.scales(),
-            Some(&self.bias),
-            out,
-        );
+        self.infer_at(kernel::simd_level(), t_len, input, xq, out);
+    }
+
+    fn infer_at(
+        &self,
+        level: SimdLevel,
+        rows: usize,
+        input: &[f32],
+        xq: &mut Vec<i16>,
+        out: &mut Vec<f32>,
+    ) {
+        let k_pad = self.packed.k_pad();
+        quantize_rows(input, rows, self.in_dim(), 1.0 / self.in_scale, k_pad, xq);
+        ensure(out, rows * self.packed.n());
+        qgemm(level, rows, xq, &self.packed, false, out);
+    }
+}
+
+impl Serialize for QuantizedLinear {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("w".into(), self.w.to_value()),
+            ("bias".into(), self.bias.to_value()),
+            ("in_scale".into(), self.in_scale.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for QuantizedLinear {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let m = v
+            .as_map()
+            .ok_or_else(|| DeError::new("QuantizedLinear: expected map"))?;
+        Self::assemble(
+            serde::field(m, "w")?,
+            serde::field(m, "bias")?,
+            serde::field(m, "in_scale")?,
+        )
+        .map_err(DeError::new)
     }
 }
 
@@ -382,11 +461,7 @@ impl Enc for QuantizedLinear {
 
 impl Dec for QuantizedLinear {
     fn dec(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            w: d.get()?,
-            bias: d.get()?,
-            in_scale: d.get()?,
-        })
+        Self::assemble(d.get()?, d.get()?, d.get()?).map_err(|e| CodecError::Malformed(e.into()))
     }
 }
 
@@ -394,7 +469,7 @@ impl Dec for QuantizedLinear {
 // Quantized LSTM stack
 // ---------------------------------------------------------------------------
 
-/// One LSTM direction with int8 `Wx`/`Wh` and fused gate computation.
+/// One LSTM direction with int8 `Wx`/`Wh` (canonical form).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuantizedLstmLayer {
     input_dim: usize,
@@ -422,78 +497,32 @@ impl QuantizedLstmLayer {
         self.hidden
     }
 
-    /// One direction over the sequence. `xq` holds the quantized input
-    /// rows (`t_len × k_pad`, scale `x_scale`); hidden states are written
-    /// into `out` at `[t * out_stride + col_off ..][..hidden]`, re-aligned
-    /// to input order when `reverse`. The gate computation is fused: one
-    /// pass over the pre-activation row produces i/f/g/o, the cell update,
-    /// and the output row without intermediate buffers.
-    #[allow(clippy::too_many_arguments)]
-    fn infer_dir(
-        &self,
-        t_len: usize,
-        xq: &[i16],
-        x_scale: f32,
-        reverse: bool,
-        gates: &mut Vec<f32>,
-        hq: &mut Vec<i16>,
-        h_buf: &mut Vec<f32>,
-        c_buf: &mut Vec<f32>,
-        out: &mut [f32],
-        out_stride: usize,
-        col_off: usize,
-        act: ActTable,
-    ) {
-        let hid = self.hidden;
-        let h4 = 4 * hid;
-        let kp_in = self.wx.k_pad();
-        let kp_h = self.wh.k_pad();
-        ensure(gates, t_len * h4);
-        ensure(hq, kp_h);
-        ensure(h_buf, hid);
-        ensure(c_buf, hid);
-        // One big GEMM computes x·Wx + b for every timestep.
-        qgemm(
-            t_len,
-            h4,
-            kp_in,
-            &xq[..t_len * kp_in],
-            self.wx.packed(),
-            x_scale,
-            self.wx.scales(),
-            Some(&self.bias),
-            gates,
-        );
-        let h = &mut h_buf[..hid];
-        let c = &mut c_buf[..hid];
-        h.fill(0.0);
-        c.fill(0.0);
-        for step in 0..t_len {
-            let t = if reverse { t_len - 1 - step } else { step };
-            let z = &mut gates[t * h4..(t + 1) * h4];
-            if step > 0 {
-                // h is tanh-bounded: static 1/127 scale, no calibration.
-                quantize_row(h, 127.0, &mut hq[..kp_h]);
-                qgemv_acc(
-                    h4,
-                    kp_h,
-                    &hq[..kp_h],
-                    self.wh.packed(),
-                    UNIT_SCALE,
-                    self.wh.scales(),
-                    z,
-                );
-            }
-            for j in 0..hid {
-                let i_g = act.sigmoid(z[j]);
-                let f_g = act.sigmoid(z[hid + j]);
-                let g_g = act.tanh(z[2 * hid + j]);
-                let o_g = act.sigmoid(z[3 * hid + j]);
-                c[j] = f_g * c[j] + i_g * g_g;
-                h[j] = o_g * act.tanh(c[j]);
-            }
-            out[t * out_stride + col_off..t * out_stride + col_off + hid].copy_from_slice(h);
+    /// Pack both matrices with the four gate blocks padded to whole
+    /// vectors; the bias rides in `Wx`'s epilogue. Fails on shapes that do
+    /// not describe an LSTM direction reading `x_scale`-quantized rows of
+    /// `input_dim` values.
+    fn pack(&self, x_scale: f32) -> Result<PackedDir, &'static str> {
+        let (hid, gates) = (self.hidden, 4 * self.hidden);
+        let shaped = hid > 0
+            && self.bias.len() == gates
+            && (self.wx.out_dim(), self.wx.in_dim()) == (gates, self.input_dim)
+            && (self.wh.out_dim(), self.wh.in_dim()) == (gates, hid);
+        if !shaped {
+            return Err("quantized LSTM layer: inconsistent weight shapes");
         }
+        let hp = pad_to(hid, CH_PAD);
+        Ok(PackedDir {
+            wx: self.wx.pack(
+                pad_to(self.input_dim, 2),
+                x_scale,
+                Some(&self.bias),
+                hid,
+                hp,
+            ),
+            // h is tanh-bounded: static 1/127 scale, no calibration. Its
+            // quantized rows are `hp` wide, padding included.
+            wh: self.wh.pack(hp, UNIT_SCALE, None, hid, hp),
+        })
     }
 }
 
@@ -562,12 +591,22 @@ impl Dec for QuantizedBiLstmLayer {
     }
 }
 
+/// One direction's matrices in the kernel's layout.
+#[derive(Debug, Clone, PartialEq)]
+struct PackedDir {
+    wx: PackedWeights,
+    wh: PackedWeights,
+}
+
 /// The quantized stacked-BiLSTM encoder: the int8 counterpart of
 /// [`StackedBiLstm::infer`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedStackedBiLstm {
     layers: Vec<QuantizedBiLstmLayer>,
     input_scale: f32,
+    /// `[fwd, bwd]` per layer, derived from the two fields above; never
+    /// serialized.
+    packed: Vec<[PackedDir; 2]>,
 }
 
 impl QuantizedStackedBiLstm {
@@ -584,9 +623,31 @@ impl QuantizedStackedBiLstm {
             .iter()
             .map(|l| QuantizedBiLstmLayer::quantize(store, l))
             .collect::<Result<Vec<_>, _>>()?;
+        Ok(Self::assemble(layers, input_scale).expect("a trained stack's shapes are consistent"))
+    }
+
+    /// Build from the canonical fields, deriving the packed layout; fails
+    /// when the layers do not chain (each consumes the previous one's
+    /// `2 × hidden` outputs) or a layer's own shapes disagree.
+    fn assemble(layers: Vec<QuantizedBiLstmLayer>, input_scale: f32) -> Result<Self, &'static str> {
+        let mut packed = Vec::with_capacity(layers.len());
+        let mut x_scale = input_scale;
+        let mut width = layers.first().map_or(0, |l| l.input_dim());
+        for layer in &layers {
+            if layer.input_dim() != width
+                || layer.bwd.input_dim != width
+                || layer.bwd.hidden != layer.fwd.hidden
+            {
+                return Err("quantized BiLSTM stack: layer widths do not chain");
+            }
+            packed.push([layer.fwd.pack(x_scale)?, layer.bwd.pack(x_scale)?]);
+            width = layer.out_dim();
+            x_scale = UNIT_SCALE;
+        }
         Ok(Self {
             layers,
             input_scale,
+            packed,
         })
     }
 
@@ -610,50 +671,86 @@ impl QuantizedStackedBiLstm {
         self.input_scale
     }
 
-    /// Run the stack in place: input is read from `arena.io_a`
-    /// (`t_len × input_dim`, row-major) and the final activations are left
-    /// in `arena.io_a` (`t_len × out_dim`). Allocation-free once the arena
-    /// has grown to this shape.
+    /// Run the stack over one window in place: input is read from
+    /// `arena.io_a` (`t_len × input_dim`, row-major) and the final
+    /// activations are left in `arena.io_a` (`t_len × out_dim`). This is
+    /// the `batch = 1` call of [`QuantizedStackedBiLstm::infer_batch`].
     pub fn infer_in_place(&self, t_len: usize, arena: &mut ScratchArena) {
-        if t_len == 0 {
+        self.infer_batch(t_len, 1, arena);
+    }
+
+    /// Run the stack over `batch` windows of `t_len` steps each, stacked
+    /// time-step-major: row `t · batch + b` of `arena.io_a` holds step `t`
+    /// of window `b` (`input_dim` values on entry, `out_dim` on return).
+    /// Allocation-free once the arena has grown to this shape.
+    pub fn infer_batch(&self, t_len: usize, batch: usize, arena: &mut ScratchArena) {
+        self.infer_batch_at(kernel::simd_level(), t_len, batch, arena);
+    }
+
+    fn infer_batch_at(
+        &self,
+        level: SimdLevel,
+        t_len: usize,
+        batch: usize,
+        arena: &mut ScratchArena,
+    ) {
+        let rows = t_len * batch;
+        if rows == 0 {
             return;
         }
-        let act = ActTable::get();
         let mut x_scale = self.input_scale;
-        for layer in &self.layers {
-            let w_in = layer.input_dim();
-            let w_out = layer.out_dim();
-            let kp = layer.fwd.wx.k_pad();
-            ensure(&mut arena.xq, t_len * kp);
-            ensure(&mut arena.io_b, t_len * w_out);
-            let inv = 1.0 / x_scale;
-            for t in 0..t_len {
-                quantize_row(
-                    &arena.io_a[t * w_in..(t + 1) * w_in],
-                    inv,
-                    &mut arena.xq[t * kp..(t + 1) * kp],
-                );
-            }
-            let hid = layer.fwd.hidden;
-            for (dir, reverse, off) in [(&layer.fwd, false, 0), (&layer.bwd, true, hid)] {
-                dir.infer_dir(
-                    t_len,
-                    &arena.xq,
-                    x_scale,
-                    reverse,
-                    &mut arena.gates,
-                    &mut arena.hq,
-                    &mut arena.h,
-                    &mut arena.c,
-                    &mut arena.io_b,
-                    w_out,
-                    off,
-                    act,
-                );
+        for (layer, dirs) in self.layers.iter().zip(&self.packed) {
+            let (w_in, w_out, hid) = (layer.input_dim(), layer.out_dim(), layer.fwd.hidden);
+            let hp = pad_to(hid, CH_PAD);
+            let gate_w = 4 * hp;
+            let k_in = dirs[0].wx.k_pad();
+            quantize_rows(&arena.io_a, rows, w_in, 1.0 / x_scale, k_in, &mut arena.xq);
+            ensure(&mut arena.io_b, rows * w_out);
+            ensure(&mut arena.gates, rows * gate_w);
+            ensure(&mut arena.hq, batch * hp);
+            ensure(&mut arena.h, batch * hp);
+            ensure(&mut arena.c, batch * hp);
+            for (dir, reverse) in dirs.iter().zip([false, true]) {
+                // One GEMM computes x·Wx + b for every step of every window.
+                qgemm(level, rows, &arena.xq, &dir.wx, false, &mut arena.gates);
+                arena.c[..batch * hp].fill(0.0);
+                let col = if reverse { hid } else { 0 };
+                for step in 0..t_len {
+                    let t = if reverse { t_len - 1 - step } else { step };
+                    let z = &mut arena.gates[t * batch * gate_w..(t + 1) * batch * gate_w];
+                    if step > 0 {
+                        qgemm(level, batch, &arena.hq, &dir.wh, true, z);
+                    }
+                    lstm_cells(batch, hp, z, &mut arena.c, &mut arena.h, &mut arena.hq);
+                    let out_rows = arena.io_b[t * batch * w_out..(t + 1) * batch * w_out]
+                        .chunks_exact_mut(w_out);
+                    for (out, h) in out_rows.zip(arena.h.chunks_exact(hp)) {
+                        out[col..col + hid].copy_from_slice(&h[..hid]);
+                    }
+                }
             }
             std::mem::swap(&mut arena.io_a, &mut arena.io_b);
             x_scale = UNIT_SCALE;
         }
+    }
+}
+
+impl Serialize for QuantizedStackedBiLstm {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("layers".into(), self.layers.to_value()),
+            ("input_scale".into(), self.input_scale.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for QuantizedStackedBiLstm {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let m = v
+            .as_map()
+            .ok_or_else(|| DeError::new("QuantizedStackedBiLstm: expected map"))?;
+        Self::assemble(serde::field(m, "layers")?, serde::field(m, "input_scale")?)
+            .map_err(DeError::new)
     }
 }
 
@@ -666,10 +763,7 @@ impl Enc for QuantizedStackedBiLstm {
 
 impl Dec for QuantizedStackedBiLstm {
     fn dec(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            layers: d.get()?,
-            input_scale: d.get()?,
-        })
+        Self::assemble(d.get()?, d.get()?).map_err(|e| CodecError::Malformed(e.into()))
     }
 }
 
@@ -781,6 +875,131 @@ mod tests {
             max_err = max_err.max((arena.io_a[i] - want).abs());
         }
         assert!(max_err < 0.06, "max hidden-state error {max_err}");
+    }
+
+    /// A seeded stack and `batch` windows of deterministic inputs, loaded
+    /// time-step-major the way [`QuantizedStackedBiLstm::infer_batch`]
+    /// reads them. `window(b)` picks which window fills batch slot `b`.
+    fn stack_and_input(
+        (input_dim, hidden, layers): (usize, usize, usize),
+        t_len: usize,
+        batch: usize,
+        window: impl Fn(usize) -> usize,
+    ) -> (QuantizedStackedBiLstm, Vec<f32>) {
+        let mut store = ParamStore::new();
+        let mut init = Initializer::seeded((input_dim * 31 + hidden) as u64);
+        let stack = StackedBiLstm::new(&mut store, &mut init, input_dim, hidden, layers);
+        let q = QuantizedStackedBiLstm::quantize(&store, &stack, 0.02).unwrap();
+        let mut input = vec![0.0; t_len * batch * input_dim];
+        for t in 0..t_len {
+            for b in 0..batch {
+                for d in 0..input_dim {
+                    let phase = (window(b) * 131 + t * 17 + d * 5 + 1) as f32;
+                    input[(t * batch + b) * input_dim + d] = (phase * 0.37).sin() * 2.2;
+                }
+            }
+        }
+        (q, input)
+    }
+
+    fn run(
+        q: &QuantizedStackedBiLstm,
+        level: SimdLevel,
+        t_len: usize,
+        batch: usize,
+        input: &[f32],
+    ) -> Vec<u32> {
+        let mut arena = ScratchArena::new();
+        ensure(&mut arena.io_a, input.len());
+        arena.io_a[..input.len()].copy_from_slice(input);
+        q.infer_batch_at(level, t_len, batch, &mut arena);
+        arena.io_a[..t_len * batch * q.out_dim()]
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn every_simd_level_produces_identical_bytes() {
+        // Hidden widths around the vector and tile widths, input widths
+        // that are odd and not a multiple of any lane count, sequence
+        // lengths from one step to 512, one row and several.
+        let cases: [((usize, usize, usize), usize, usize); 7] = [
+            ((1, 1, 1), 1, 1),
+            ((3, 7, 2), 2, 3),
+            ((5, 16, 1), 32, 1),
+            ((6, 16, 2), 512, 2),
+            ((9, 75, 1), 32, 2),
+            ((11, 150, 1), 32, 1),
+            ((30, 150, 2), 2, 7),
+        ];
+        for (shape, t_len, batch) in cases {
+            let (q, input) = stack_and_input(shape, t_len, batch, |b| b);
+            let reference = run(&q, SimdLevel::Scalar, t_len, batch, &input);
+            assert!(
+                reference.iter().any(|&bits| bits != 0),
+                "{shape:?}: all-zero output"
+            );
+            for &level in SimdLevel::available() {
+                assert_eq!(
+                    run(&q, level, t_len, batch, &input),
+                    reference,
+                    "{} differs from scalar at {shape:?} T={t_len} B={batch}",
+                    level.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_is_independent_of_batch_size_and_position() {
+        let (shape, t_len) = ((5, 7, 2), 9);
+        let out_dim = 2 * shape.1;
+        let alone = |w: usize| {
+            let (q, input) = stack_and_input(shape, t_len, 1, |_| w);
+            run(&q, kernel::simd_level(), t_len, 1, &input)
+        };
+        for batch in [1usize, 2, 7, 32] {
+            // Slot b holds window (b + shift): over the shifts every
+            // window visits every position of the batch.
+            for shift in 0..batch {
+                let (q, input) = stack_and_input(shape, t_len, batch, |b| (b + shift) % batch);
+                let out = run(&q, kernel::simd_level(), t_len, batch, &input);
+                for b in 0..batch {
+                    let want = alone((b + shift) % batch);
+                    for t in 0..t_len {
+                        assert_eq!(
+                            out[(t * batch + b) * out_dim..][..out_dim],
+                            want[t * out_dim..][..out_dim],
+                            "B={batch} shift={shift} slot={b} step={t}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_layer_shapes_fail_to_decode() {
+        let mut store = ParamStore::new();
+        let mut init = Initializer::seeded(4);
+        let a = StackedBiLstm::new(&mut store, &mut init, 3, 4, 1);
+        let b = StackedBiLstm::new(&mut store, &mut init, 5, 4, 1);
+        let qa = QuantizedStackedBiLstm::quantize(&store, &a, 0.1).unwrap();
+        let qb = QuantizedStackedBiLstm::quantize(&store, &b, 0.1).unwrap();
+        // Two well-formed layers that do not chain (8 outputs into 5 inputs).
+        let mut e = Encoder::new();
+        e.put(&vec![qa.layers[0].clone(), qb.layers[0].clone()]);
+        e.put(&0.1_f32);
+        let bytes = e.into_bytes();
+        assert!(matches!(
+            Decoder::new(&bytes).get::<QuantizedStackedBiLstm>(),
+            Err(CodecError::Malformed(_))
+        ));
+        let json = serde_json::to_string(&qa)
+            .unwrap()
+            .replace("\"hidden\":4", "\"hidden\":3");
+        assert!(serde_json::from_str::<QuantizedStackedBiLstm>(&json).is_err());
     }
 
     #[test]

@@ -315,6 +315,12 @@ fn render_telemetry<F: Filter, S: Store>(
                  # TYPE dlacep_serve_queue_depth gauge\n",
             );
             scrape.push_str(&format!("dlacep_serve_queue_depth {queued}\n"));
+            scrape.push_str(&format!(
+                "# HELP dlacep_nn_simd_level Integer-kernel level int8 filters dispatch to.\n\
+                 # TYPE dlacep_nn_simd_level gauge\n\
+                 dlacep_nn_simd_level{{level=\"{}\"}} 1\n",
+                dlacep_core::quantized::simd_level()
+            ));
             // The serving tier's own counters (connection lifecycle,
             // shedding, telemetry truncation) ride the same scrape.
             scrape.push_str(&obs.render_prometheus());

@@ -790,13 +790,16 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
     }
 
     /// Fleet liveness as one JSON document: the fleet position, trace
-    /// sampling rate, and per-shard key counts, durability counters,
-    /// high-water lag, and runtime-mode census.
+    /// sampling rate, the SIMD level int8 filters dispatch to, and
+    /// per-shard key counts, durability counters, high-water lag, and
+    /// runtime-mode census.
     pub fn healthz_json(&self) -> String {
         let mut out = format!(
-            "{{\"status\":\"ok\",\"position\":{},\"trace_sample_every\":{},\"shards\":[",
+            "{{\"status\":\"ok\",\"position\":{},\"trace_sample_every\":{},\
+             \"simd_level\":\"{}\",\"shards\":[",
             self.next_global,
-            self.tracer.sample_every()
+            self.tracer.sample_every(),
+            dlacep_core::quantized::simd_level()
         );
         for (si, shard) in self.shards.iter().enumerate() {
             if si > 0 {

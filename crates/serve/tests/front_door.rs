@@ -477,6 +477,19 @@ fn serve_counters_appear_in_wire_metrics() {
             "metrics scrape must expose {series}:\n{body}"
         );
     }
+    // The dispatched SIMD level is an info metric on the scrape and a
+    // field of the liveness document.
+    let level = dlacep_core::quantized::simd_level();
+    assert!(["avx2", "sse2", "scalar"].contains(&level));
+    assert!(
+        body.contains(&format!("dlacep_nn_simd_level{{level=\"{level}\"}} 1")),
+        "metrics scrape must say which kernel level runs:\n{body}"
+    );
+    let healthz = client.telemetry("healthz").unwrap();
+    assert!(
+        healthz.contains(&format!("\"simd_level\":\"{level}\"")),
+        "healthz must say which kernel level runs: {healthz}"
+    );
     drop(client);
     server.stop().unwrap();
     drop(handle);
