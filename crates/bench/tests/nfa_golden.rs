@@ -1,0 +1,233 @@
+//! The NFA engine pinned to the commit before its per-event path was
+//! rebuilt (PR 13): for every Table-1/2 template and one pattern per
+//! remaining operator, the *sequence* of emitted matches (order included,
+//! FNV-1a over names and ids) and the full [`EngineStats`] must equal what
+//! that commit produced. `partial_matches_created`, `condition_evaluations`
+//! and `peak_partial_matches` are the paper's §3.2 complexity measure — an
+//! optimisation may change what is allocated, never what is counted.
+//!
+//! The fixture was written by running [`cases`] on the parent commit (from a
+//! throwaway `#[path]` module there, hence the `pub`s).
+
+use dlacep_bench::queries::real::*;
+use dlacep_bench::queries::synth::{q_b1, q_b2, q_b3};
+use dlacep_cep::pattern::dsl::{conj, disj, event, kleene, neg, seq};
+use dlacep_cep::{CepEngine, EngineStats, Expr, Match, NfaEngine, Pattern, Predicate, TypeSet};
+use dlacep_data::stocks::StockConfig;
+use dlacep_data::synthetic::SyntheticConfig;
+use dlacep_events::{PrimitiveEvent, TypeId, WindowSpec};
+use serde::{Deserialize, Serialize};
+
+const FIXTURE: &str = include_str!("../../cep/tests/fixtures/nfa_golden_pr13.json");
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+pub struct Case {
+    pub name: String,
+    pub sequence_hash: u64,
+    pub stats: EngineStats,
+}
+
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for b in bytes {
+        *h = (*h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+fn sequence_hash(matches: &[Match]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for m in matches {
+        fnv(&mut h, &(m.event_ids.len() as u64).to_le_bytes());
+        for id in &m.event_ids {
+            fnv(&mut h, &id.0.to_le_bytes());
+        }
+        for (name, ids) in &m.bindings {
+            fnv(&mut h, name.as_bytes());
+            fnv(&mut h, &(ids.len() as u64).to_le_bytes());
+            for id in ids {
+                fnv(&mut h, &id.0.to_le_bytes());
+            }
+        }
+    }
+    h
+}
+
+fn leaf(t: u32, name: &str) -> dlacep_cep::PatternExpr {
+    event(TypeSet::single(TypeId(t)), name)
+}
+
+fn lt(a: &str, b: &str) -> Predicate {
+    Predicate::lt(Expr::attr(a, 0), Expr::attr(b, 0))
+}
+
+/// Six uniform types, one attribute, timestamps advancing by 0–2 so a time
+/// window holds a varying number of events.
+fn operator_stream(seed: u64, n: usize) -> Vec<PrimitiveEvent> {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut ts = 0;
+    (0..n as u64)
+        .map(|id| {
+            ts += next() % 3;
+            let attr = (next() % 1000) as f64 / 100.0;
+            PrimitiveEvent::new(id, TypeId((next() % 6) as u32), ts, vec![attr])
+        })
+        .collect()
+}
+
+fn operator_patterns() -> Vec<(&'static str, Pattern)> {
+    let count = WindowSpec::Count(12);
+    vec![
+        (
+            "kleene_seq_body",
+            Pattern::new(
+                seq([
+                    leaf(0, "a"),
+                    kleene(seq([leaf(1, "x"), leaf(2, "y")])),
+                    leaf(3, "d"),
+                ]),
+                vec![lt("x", "a"), lt("a", "d")],
+                count,
+            ),
+        ),
+        (
+            "neg_leading",
+            Pattern::new(
+                seq([neg(leaf(1, "n")), leaf(0, "a"), leaf(2, "c")]),
+                vec![lt("a", "n")],
+                count,
+            ),
+        ),
+        (
+            "neg_inner_seq",
+            Pattern::new(
+                seq([
+                    leaf(0, "a"),
+                    neg(seq([leaf(1, "n1"), leaf(3, "n2")])),
+                    leaf(2, "c"),
+                ]),
+                vec![lt("n1", "c")],
+                count,
+            ),
+        ),
+        (
+            "disj",
+            Pattern::new(
+                disj([
+                    seq([leaf(0, "a"), leaf(1, "b")]),
+                    seq([leaf(2, "c"), leaf(3, "d"), leaf(4, "e")]),
+                ]),
+                vec![lt("a", "b"), lt("c", "e")],
+                count,
+            ),
+        ),
+        (
+            "conj",
+            Pattern::new(
+                conj([leaf(0, "a"), leaf(1, "b"), leaf(2, "c")]),
+                vec![lt("a", "b")],
+                count,
+            ),
+        ),
+        (
+            "time_seq",
+            Pattern::new(
+                seq([leaf(0, "a"), leaf(1, "b"), leaf(2, "c")]),
+                vec![lt("a", "c")],
+                WindowSpec::Time(9),
+            ),
+        ),
+        (
+            "time_neg_leading_kleene",
+            Pattern::new(
+                seq([
+                    neg(leaf(4, "n")),
+                    leaf(0, "a"),
+                    kleene(leaf(1, "k")),
+                    leaf(2, "c"),
+                ]),
+                vec![lt("k", "c")],
+                WindowSpec::Time(7),
+            ),
+        ),
+    ]
+}
+
+fn table_patterns(w: u64) -> Vec<(&'static str, Pattern)> {
+    vec![
+        ("q_a1", q_a1(5, 7, &[1, 2], 0.6, 1.4, w)),
+        ("q_a2", q_a2(3, w)),
+        ("q_a3", q_a3(5, 7, 3, &[1, 2], 1, 4, 0.6, 1.4, 0.5, w)),
+        ("q_a4", q_a4(5, 7, &[1, 2], 1, 4, 0.6, 1.4, 0.7, 1.3, w)),
+        ("q_a5", q_a5(2, 8, 2, 0.6, 1.4, w)),
+        ("q_a6", q_a6(3, 8, 0.6, 1.4, w)),
+        ("q_a7", q_a7(2, 8, 2, 0.6, 1.4, w)),
+        ("q_a8", q_a8(2, 8, 2, 0.6, 1.4, w)),
+        ("q_a9", q_a9(4, 8, 16, 0.6, 1.4, 0.5, 1.5, w)),
+        (
+            "q_a10",
+            q_a10(3, 8, 8, &[(0.6, 1.4), (0.5, 1.5), (0.7, 1.3)], w),
+        ),
+        ("q_a11_seq", q_a11(SeqOrConj::Seq, 5, 0.6, 1.4, w)),
+        ("q_a11_conj", q_a11(SeqOrConj::Conj, 5, 0.6, 1.4, w)),
+        ("q_a12", q_a12(5, 0.6, 1.4, 0.5, 1.5, w)),
+    ]
+}
+
+fn run(name: &str, pattern: &Pattern, events: &[PrimitiveEvent]) -> Case {
+    let mut engine = NfaEngine::new(pattern).expect("golden patterns compile");
+    let matches = engine.run(events);
+    assert!(
+        engine.stats().partial_matches_created > 0,
+        "{name}: a golden case must create partial matches"
+    );
+    Case {
+        name: name.to_string(),
+        sequence_hash: sequence_hash(&matches),
+        stats: *engine.stats(),
+    }
+}
+
+pub fn cases() -> Vec<Case> {
+    let (_, stocks) = StockConfig {
+        num_tickers: 48,
+        num_events: 2_500,
+        seed: 13,
+        ..StockConfig::default()
+    }
+    .generate();
+    let (_, synth) = SyntheticConfig {
+        num_types: 7,
+        num_events: 3_000,
+        seed: 13,
+    }
+    .generate();
+    let operators = operator_stream(13, 3_000);
+
+    let mut out = Vec::new();
+    for (name, p) in table_patterns(18) {
+        out.push(run(name, &p, stocks.events()));
+    }
+    for (name, p) in [("q_b1", q_b1(36)), ("q_b2", q_b2(36)), ("q_b3", q_b3(36))] {
+        out.push(run(name, &p, synth.events()));
+    }
+    for (name, p) in operator_patterns() {
+        out.push(run(name, &p, &operators));
+    }
+    out
+}
+
+#[test]
+fn engine_reproduces_the_parent_commit() {
+    let want: Vec<Case> = serde_json::from_str(FIXTURE).expect("fixture parses");
+    let got = cases();
+    assert_eq!(got.len(), want.len(), "case list changed");
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g, w, "{} diverged from the parent commit", w.name);
+    }
+}

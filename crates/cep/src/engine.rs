@@ -110,10 +110,12 @@ pub trait CepEngine {
 
 /// A sliding window of recent events, addressable by [`EventId`]. Engines use
 /// it to resolve bound ids to attribute values for condition evaluation and
-/// to scan gaps for negated occurrences.
+/// to scan gaps for negated occurrences. Evicted slots (and their attribute
+/// buffers) are reused by later pushes, so a full window allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct EventArena {
     events: VecDeque<PrimitiveEvent>,
+    spare: Vec<PrimitiveEvent>,
 }
 
 impl EventArena {
@@ -122,12 +124,22 @@ impl EventArena {
         Self::default()
     }
 
-    /// Append the newest event (ids must increase).
-    pub fn push(&mut self, ev: PrimitiveEvent) {
+    /// Append a copy of the newest event (ids must increase).
+    pub fn push(&mut self, ev: &PrimitiveEvent) {
         if let Some(last) = self.events.back() {
             debug_assert!(ev.id > last.id, "arena requires increasing ids");
         }
-        self.events.push_back(ev);
+        match self.spare.pop() {
+            Some(mut slot) => {
+                slot.id = ev.id;
+                slot.type_id = ev.type_id;
+                slot.ts = ev.ts;
+                slot.attrs.clear();
+                slot.attrs.extend_from_slice(&ev.attrs);
+                self.events.push_back(slot);
+            }
+            None => self.events.push_back(ev.clone()),
+        }
     }
 
     /// Resolve an id to its event, if still retained.
@@ -136,37 +148,42 @@ impl EventArena {
         if id < front {
             return None;
         }
-        // Ids are increasing but not necessarily dense (filtered streams!),
-        // so binary-search by id.
-        let idx = self.events.binary_search_by(|e| e.id.cmp(&id)).ok()?;
-        Some(&self.events[idx])
+        // On a dense stream the id is its own offset; ids are increasing but
+        // not necessarily dense (filtered streams!), so search otherwise.
+        let guess = (id.0 - front.0) as usize;
+        match self.events.get(guess) {
+            Some(e) if e.id == id => Some(e),
+            _ => {
+                let idx = self.events.binary_search_by(|e| e.id.cmp(&id)).ok()?;
+                Some(&self.events[idx])
+            }
+        }
+    }
+
+    /// Id of the oldest retained event.
+    pub fn first_id(&self) -> Option<EventId> {
+        self.events.front().map(|e| e.id)
     }
 
     /// Drop events with `ts < horizon` (time-window eviction).
     pub fn evict_before_ts(&mut self, horizon: u64) {
-        while let Some(front) = self.events.front() {
-            if front.ts.0 < horizon {
-                self.events.pop_front();
-            } else {
-                break;
-            }
+        while self.events.front().is_some_and(|e| e.ts.0 < horizon) {
+            self.spare.extend(self.events.pop_front());
         }
     }
 
     /// Drop events with `id < horizon`.
     pub fn evict_below(&mut self, horizon: EventId) {
-        while let Some(front) = self.events.front() {
-            if front.id < horizon {
-                self.events.pop_front();
-            } else {
-                break;
-            }
+        while self.events.front().is_some_and(|e| e.id < horizon) {
+            self.spare.extend(self.events.pop_front());
         }
     }
 
-    /// Events with ids strictly between `lo` and `hi`, in order.
-    pub fn between(&self, lo: EventId, hi: EventId) -> impl Iterator<Item = &PrimitiveEvent> {
-        self.events.iter().filter(move |e| e.id > lo && e.id < hi)
+    /// Events with `ids.start <= id < ids.end`, in order.
+    pub fn range(&self, ids: std::ops::Range<EventId>) -> impl Iterator<Item = &PrimitiveEvent> {
+        let lo = self.events.partition_point(|e| e.id < ids.start);
+        let hi = self.events.partition_point(|e| e.id < ids.end);
+        self.events.range(lo..hi.max(lo))
     }
 
     /// Number of retained events.
@@ -193,6 +210,7 @@ impl EventArena {
         );
         Self {
             events: events.into(),
+            spare: Vec::new(),
         }
     }
 }
@@ -221,7 +239,7 @@ mod tests {
     fn arena_get_with_gaps() {
         let mut a = EventArena::new();
         for id in [1, 4, 9, 10] {
-            a.push(ev(id));
+            a.push(&ev(id));
         }
         assert_eq!(a.get(EventId(4)).unwrap().id, EventId(4));
         assert!(a.get(EventId(5)).is_none());
@@ -232,7 +250,7 @@ mod tests {
     fn arena_evicts_below_horizon() {
         let mut a = EventArena::new();
         for id in 0..10 {
-            a.push(ev(id));
+            a.push(&ev(id));
         }
         a.evict_below(EventId(7));
         assert_eq!(a.len(), 3);
@@ -241,12 +259,35 @@ mod tests {
     }
 
     #[test]
-    fn arena_between_is_exclusive() {
+    fn arena_range_is_half_open_and_reaches_id_zero() {
         let mut a = EventArena::new();
-        for id in 0..6 {
-            a.push(ev(id));
+        for id in [0, 1, 2, 3, 5, 8] {
+            a.push(&ev(id));
         }
-        let ids: Vec<u64> = a.between(EventId(1), EventId(4)).map(|e| e.id.0).collect();
-        assert_eq!(ids, vec![2, 3]);
+        let ids = |r: std::ops::Range<u64>| -> Vec<u64> {
+            a.range(EventId(r.start)..EventId(r.end))
+                .map(|e| e.id.0)
+                .collect()
+        };
+        assert_eq!(ids(2..5), vec![2, 3]);
+        assert_eq!(ids(0..2), vec![0, 1]);
+        assert_eq!(ids(4..9), vec![5, 8]);
+        assert!(ids(4..4).is_empty());
+        assert_eq!(a.range(EventId(5)..EventId(3)).count(), 0);
+    }
+
+    #[test]
+    fn arena_reuses_evicted_slots() {
+        let mut a = EventArena::new();
+        for id in 0..8 {
+            a.push(&ev(id));
+            a.evict_below(EventId((id + 1).saturating_sub(3)));
+        }
+        assert_eq!(a.len(), 3);
+        assert_eq!(a.get(EventId(6)).unwrap().attrs, vec![6.0]);
+        assert!(
+            a.spare.len() <= 1,
+            "evicted slots are recycled, not hoarded"
+        );
     }
 }

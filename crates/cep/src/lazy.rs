@@ -14,7 +14,7 @@
 use crate::engine::{CepEngine, EngineStats, EventArena, Match};
 use crate::pattern::ast::Pattern;
 use crate::plan::{Branch, Plan, StepKind};
-use crate::tree::TreeError;
+use crate::tree::{check_bound, step_conds, StepCond, TreeError};
 use dlacep_events::{EventId, PrimitiveEvent, WindowSpec};
 
 /// One lazily assembled partial match.
@@ -32,6 +32,7 @@ struct LazyPm {
 
 struct LazyBranch {
     branch: Branch,
+    conds: Vec<StepCond>,
     /// Step indices in evaluation (frequency-ascending) order.
     order: Vec<usize>,
     /// Per step: buffered candidate event ids within the window horizon.
@@ -75,19 +76,12 @@ impl LazyEngine {
                         });
                     }
                 }
-                let binding_of = b
-                    .steps
-                    .iter()
-                    .map(|s| match &s.kind {
-                        StepKind::Single { binding, .. } => binding.clone(),
-                        StepKind::Kleene { .. } => unreachable!("rejected above"),
-                    })
-                    .collect();
                 Ok(LazyBranch {
+                    conds: step_conds(&b),
                     buffers: vec![Vec::new(); n],
                     partials: Vec::new(),
                     order,
-                    binding_of,
+                    binding_of: b.emission_bindings(),
                     branch: b,
                 })
             })
@@ -169,18 +163,12 @@ impl LazyEngine {
         next_pm.min_ts = min_ts;
         next_pm.max_ts = max_ts;
         // Eager conditions that became decidable.
-        for cond in &lb.branch.global_conds {
-            let m = cond.step_mask;
-            if m & (1 << s) == 0 || m & next_pm.bound != m {
+        for (m, cond) in &lb.conds {
+            if m & (1 << s) == 0 || m & next_pm.bound != *m {
                 continue;
             }
             stats.condition_evaluations += 1;
-            let lookup = |b: &str, a: usize| -> Option<f64> {
-                let step = lb.binding_of.iter().position(|n| n == b)?;
-                let id = next_pm.ids[step]?;
-                arena.get(id)?.attr(a)
-            };
-            if cond.pred.eval(&lookup) == Some(false) {
+            if check_bound(cond, &next_pm.ids, arena) == Some(false) {
                 return None;
             }
         }
@@ -191,7 +179,7 @@ impl LazyEngine {
 impl CepEngine for LazyEngine {
     fn process(&mut self, ev: &PrimitiveEvent) {
         self.stats.events_processed += 1;
-        self.arena.push(ev.clone());
+        self.arena.push(ev);
         match self.window {
             WindowSpec::Count(w) => self
                 .arena
@@ -230,19 +218,19 @@ impl CepEngine for LazyEngine {
                 if !types.contains(ev.type_id) {
                     continue;
                 }
-                let ok = lb.branch.global_conds.iter().all(|c| {
-                    if c.step_mask != 1 << s {
+                let ok = lb.conds.iter().all(|(mask, cond)| {
+                    if *mask != 1 << s {
                         return true;
                     }
                     stats.condition_evaluations += 1;
-                    let lookup = |b: &str, a: usize| -> Option<f64> {
-                        if b == lb.binding_of[s] {
+                    let own = |&(step, a): &(usize, usize)| {
+                        if step == s {
                             arena.get(ev.id)?.attr(a)
                         } else {
                             None
                         }
                     };
-                    c.pred.eval(&lookup) == Some(true)
+                    cond.eval(&own) == Some(true)
                 });
                 if ok {
                     lb.buffers[s].push(ev.id);

@@ -20,6 +20,7 @@ pub mod lazy;
 pub mod nfa;
 pub mod pattern;
 pub mod plan;
+pub mod program;
 pub mod rewrite;
 pub mod sharded;
 pub mod share;
@@ -35,6 +36,7 @@ pub use pattern::condition::{CmpOp, Expr, Predicate};
 pub use pattern::dsl::{conj, disj, event, kleene, neg, seq, PatternBuilder};
 pub use pattern::error::PatternError;
 pub use plan::{CompileError, Plan};
+pub use program::Program;
 pub use rewrite::{normalize, normalize_pattern, RewriteStats, MAX_ALTERNATIVES};
 pub use sharded::{run_sharded, run_sharded_obs, shard_layout, Shard};
 pub use share::{AttributedMatches, PatternSet, ShareReport, SharedPlan};

@@ -5,122 +5,74 @@
 //! pattern; a new event may extend any of them (and each extension *keeps*
 //! the original, which is what makes skip-till-any-match worst-case
 //! exponential in the window size — the effect DLACEP exploits, §3.2).
+//!
+//! The engine runs a [`Program`]: names are resolved and per-step tables
+//! built once, partial matches live as fixed-width rows in one flat store
+//! per branch (layout in [`crate::program`]), and one pass per event both
+//! compacts expired rows away and extends the survivors. A candidate
+//! extension is assembled at the tail of the buffer of new rows and simply
+//! truncated away again when a condition rejects it, so the steady state
+//! allocates only for the matches it emits.
 
 use crate::engine::{CepEngine, EngineStats, EventArena, Match};
 use crate::pattern::ast::Pattern;
-use crate::plan::{Branch, CompileError, NegGroup, Plan, StepKind};
+use crate::plan::{CompileError, NegGroup, Plan, Slot};
+use crate::program::{
+    BranchProgram, Cond, Leaf, Program, Step, StepProgram, BOUND, IDS, MAX_ID, MIN_ID, MIN_TS,
+};
 use crate::state::{KleeneSnapshot, NfaEngineState, PartialSnapshot, StateError};
 use dlacep_events::{EventId, PrimitiveEvent, WindowSpec};
-use std::collections::HashMap;
+use std::collections::VecDeque;
+use std::sync::Arc;
 
-/// Where a binding resolves at runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RtSlot {
-    Step(usize),
-    KleeneElem { step: usize, elem: usize },
-    NegElem { neg: usize, elem: usize },
+/// Events absorbed by Kleene steps, as backward chains: a row holds the
+/// index of its newest node and the chain length, and extending a partial
+/// adds one node that points at its parent's chain — nothing is copied.
+#[derive(Default)]
+struct KleenePool {
+    /// `(event, index of the previous node in its chain)`.
+    nodes: VecDeque<(EventId, u64)>,
+    /// Index of `nodes[0]`; indices stay valid across eviction.
+    base: u64,
 }
 
-/// State of one Kleene step inside a partial match.
-#[derive(Debug, Clone, Default)]
-struct KleeneState {
-    /// Completed iterations (event ids per inner element).
-    iterations: Vec<Vec<EventId>>,
-    /// Events of the iteration currently being assembled.
-    in_progress: Vec<EventId>,
-}
+impl KleenePool {
+    fn push(&mut self, id: EventId, prev: u64) -> u64 {
+        self.nodes.push_back((id, prev));
+        self.base + self.nodes.len() as u64 - 1
+    }
 
-/// One stored partial match.
-#[derive(Debug, Clone)]
-struct PartialMatch {
-    /// Bound event per single step (`None` for Kleene steps / unbound).
-    single: Vec<Option<EventId>>,
-    /// Kleene state per Kleene ordinal.
-    kleene: Vec<KleeneState>,
-    /// Steps considered bound (Kleene: at least one complete iteration).
-    bound: u64,
-    min_id: u64,
-    max_id: u64,
-    min_ts: u64,
-}
-
-impl PartialMatch {
-    fn empty(num_steps: usize, num_kleene: usize) -> Self {
-        Self {
-            single: vec![None; num_steps],
-            kleene: vec![KleeneState::default(); num_kleene],
-            bound: 0,
-            min_id: u64::MAX,
-            max_id: 0,
-            min_ts: u64::MAX,
+    /// Drop leading nodes of events the arena has evicted: every partial
+    /// match that held one has expired with it.
+    fn evict_below(&mut self, horizon: EventId) {
+        while self.nodes.front().is_some_and(|n| n.0 < horizon) {
+            self.nodes.pop_front();
+            self.base += 1;
         }
     }
 
-    fn is_blank(&self) -> bool {
-        self.min_id == u64::MAX
-    }
-
-    fn note_event(&mut self, ev: &PrimitiveEvent) {
-        self.min_id = self.min_id.min(ev.id.0);
-        self.max_id = self.max_id.max(ev.id.0);
-        self.min_ts = self.min_ts.min(ev.ts.0);
+    /// The newest `n` ids of the chain ending at `head`, oldest first.
+    fn tail(&self, mut head: u64, n: usize, out: &mut Vec<EventId>) {
+        out.clear();
+        for _ in 0..n {
+            let (id, prev) = self.nodes[(head - self.base) as usize];
+            out.push(id);
+            head = prev;
+        }
+        out.reverse();
     }
 }
 
-struct BranchRuntime {
-    branch: Branch,
-    resolver: HashMap<String, RtSlot>,
-    /// Step index → Kleene ordinal.
-    kleene_ord: Vec<Option<usize>>,
-    succ_masks: Vec<u64>,
-    full_mask: u64,
-    partials: Vec<PartialMatch>,
-}
-
-impl BranchRuntime {
-    fn new(branch: Branch) -> Self {
-        let mut resolver = HashMap::new();
-        let mut kleene_ord = vec![None; branch.steps.len()];
-        let mut ord = 0;
-        for (i, step) in branch.steps.iter().enumerate() {
-            match &step.kind {
-                StepKind::Single { binding, .. } => {
-                    resolver.insert(binding.clone(), RtSlot::Step(i));
-                }
-                StepKind::Kleene { inner, .. } => {
-                    for (j, elem) in inner.iter().enumerate() {
-                        resolver.insert(
-                            elem.binding.clone(),
-                            RtSlot::KleeneElem { step: i, elem: j },
-                        );
-                    }
-                    kleene_ord[i] = Some(ord);
-                    ord += 1;
-                }
-            }
-        }
-        for (n, neg) in branch.negs.iter().enumerate() {
-            for (j, elem) in neg.inner.iter().enumerate() {
-                resolver.insert(elem.binding.clone(), RtSlot::NegElem { neg: n, elem: j });
-            }
-        }
-        let succ_masks = (0..branch.steps.len())
-            .map(|s| branch.successor_mask(s))
-            .collect();
-        let full_mask = branch.full_mask();
-        Self {
-            branch,
-            resolver,
-            kleene_ord,
-            succ_masks,
-            full_mask,
-            partials: Vec::new(),
-        }
-    }
-
-    fn num_kleene(&self) -> usize {
-        self.kleene_ord.iter().flatten().count() // ordinals are dense
-    }
+/// Mutable state of one branch.
+#[derive(Default)]
+struct BranchState {
+    /// Stored partial matches in creation order, `stride` words each.
+    rows: Vec<u64>,
+    /// No stored row's window key (`min_id`; `min_ts` under a time window)
+    /// is smaller: until this expires, nothing has. Unset while `rows` is
+    /// empty.
+    oldest: u64,
+    pool: KleenePool,
 }
 
 /// Configuration knobs of the NFA engine.
@@ -140,12 +92,18 @@ pub struct NfaConfig {
 
 /// NFA-style skip-till-any-match evaluation engine.
 pub struct NfaEngine {
-    window: WindowSpec,
-    branches: Vec<BranchRuntime>,
+    program: Arc<Program>,
+    branches: Vec<BranchState>,
     arena: EventArena,
     out: Vec<Match>,
     stats: EngineStats,
     config: NfaConfig,
+    /// Reused buffers: rows created by the current event (the last one
+    /// doubles as the candidate under test), ids walked out of a Kleene
+    /// chain, `(min_id, branch)` of every stored row while shedding.
+    created: Vec<u64>,
+    ids: Vec<EventId>,
+    ages: Vec<(u64, usize)>,
 }
 
 impl NfaEngine {
@@ -162,49 +120,63 @@ impl NfaEngine {
 
     /// Instantiate from an already-compiled plan.
     pub fn from_plan(plan: Plan, config: NfaConfig) -> Self {
-        let branches = plan.branches.into_iter().map(BranchRuntime::new).collect();
+        Self::from_program(Arc::new(Program::lower(&plan)), config)
+    }
+
+    /// Instantiate from a lowered plan; engines built from clones of one
+    /// `Arc` share it.
+    pub fn from_program(program: Arc<Program>, config: NfaConfig) -> Self {
         Self {
-            window: plan.window,
-            branches,
+            branches: (program.branches.iter().map(|_| BranchState::default())).collect(),
+            program,
             arena: EventArena::new(),
             out: Vec::new(),
             stats: EngineStats::default(),
             config,
+            created: Vec::new(),
+            ids: Vec::new(),
+            ages: Vec::new(),
         }
     }
 
     /// Currently stored partial matches across branches.
     pub fn stored_partials(&self) -> usize {
-        self.branches.iter().map(|b| b.partials.len()).sum()
+        stored(&self.program, &self.branches)
     }
 
     /// Capture the full mutable state for checkpointing (see [`crate::state`]).
     pub fn export_state(&self) -> NfaEngineState {
+        let mut ids = Vec::new();
+        let mut snapshot = |bp: &BranchProgram, pool: &KleenePool, row: &[u64]| PartialSnapshot {
+            single: (0..bp.steps.len())
+                .map(|s| {
+                    let bound = bp.kleene_mask >> s & 1 == 0 && row[BOUND] >> s & 1 == 1;
+                    bound.then(|| EventId(row[IDS + s]))
+                })
+                .collect(),
+            kleene: (bp.kleene.iter().enumerate())
+                .map(|(ord, &(step, len))| {
+                    pool.tail(row[IDS + step], row[bp.iters_at + ord] as usize, &mut ids);
+                    let (done, in_progress) = ids.split_at(ids.len() - ids.len() % len);
+                    KleeneSnapshot {
+                        iterations: done.chunks(len).map(<[EventId]>::to_vec).collect(),
+                        in_progress: in_progress.to_vec(),
+                    }
+                })
+                .collect(),
+            bound: row[BOUND],
+            min_id: row[MIN_ID],
+            max_id: row[MAX_ID],
+            min_ts: row[MIN_TS],
+        };
         NfaEngineState {
             arena: self.arena.snapshot(),
             pending: self.out.clone(),
             stats: self.stats,
-            branches: self
-                .branches
-                .iter()
-                .map(|rt| {
-                    rt.partials
-                        .iter()
-                        .map(|pm| PartialSnapshot {
-                            single: pm.single.clone(),
-                            kleene: pm
-                                .kleene
-                                .iter()
-                                .map(|k| KleeneSnapshot {
-                                    iterations: k.iterations.clone(),
-                                    in_progress: k.in_progress.clone(),
-                                })
-                                .collect(),
-                            bound: pm.bound,
-                            min_id: pm.min_id,
-                            max_id: pm.max_id,
-                            min_ts: pm.min_ts,
-                        })
+            branches: (self.program.branches.iter().zip(&self.branches))
+                .map(|(bp, st)| {
+                    (st.rows.chunks(bp.stride))
+                        .map(|row| snapshot(bp, &st.pool, row))
                         .collect()
                 })
                 .collect(),
@@ -214,8 +186,9 @@ impl NfaEngine {
     /// Replace the engine's mutable state with a previously exported snapshot.
     ///
     /// The engine must be compiled from the same pattern as the exporter:
-    /// branch, step and Kleene counts and the bound mask are validated, and a
-    /// mismatch leaves the engine untouched.
+    /// branch, step and Kleene counts, the bound mask against what is bound,
+    /// and every referenced event against the snapshot's arena are validated,
+    /// and a mismatch leaves the engine untouched.
     pub fn import_state(&mut self, state: NfaEngineState) -> Result<(), StateError> {
         if state.branches.len() != self.branches.len() {
             return Err(StateError(format!(
@@ -224,161 +197,358 @@ impl NfaEngine {
                 self.branches.len()
             )));
         }
-        let mut restored: Vec<Vec<PartialMatch>> = Vec::with_capacity(state.branches.len());
-        for (bi, (rt, partials)) in self.branches.iter().zip(&state.branches).enumerate() {
-            let num_steps = rt.branch.steps.len();
-            let num_kleene = rt.num_kleene();
-            let mut branch_partials = Vec::with_capacity(partials.len());
+        let arena = EventArena::restore(state.arena);
+        let key = window_key(self.program.window);
+        let mut restored = Vec::with_capacity(state.branches.len());
+        for (bi, (bp, partials)) in self
+            .program
+            .branches
+            .iter()
+            .zip(&state.branches)
+            .enumerate()
+        {
+            let mut st = BranchState::default();
             for pm in partials {
-                if pm.single.len() != num_steps {
-                    return Err(StateError(format!(
-                        "branch {bi}: partial binds {} steps, branch has {num_steps}",
-                        pm.single.len()
-                    )));
-                }
-                if pm.kleene.len() != num_kleene {
-                    return Err(StateError(format!(
-                        "branch {bi}: partial has {} Kleene states, branch has {num_kleene}",
-                        pm.kleene.len()
-                    )));
-                }
-                if pm.bound & !rt.full_mask != 0 {
-                    return Err(StateError(format!(
-                        "branch {bi}: bound mask {:#x} exceeds branch mask {:#x}",
-                        pm.bound, rt.full_mask
-                    )));
-                }
-                branch_partials.push(PartialMatch {
-                    single: pm.single.clone(),
-                    kleene: pm
-                        .kleene
-                        .iter()
-                        .map(|k| KleeneState {
-                            iterations: k.iterations.clone(),
-                            in_progress: k.in_progress.clone(),
-                        })
-                        .collect(),
-                    bound: pm.bound,
-                    min_id: pm.min_id,
-                    max_id: pm.max_id,
-                    min_ts: pm.min_ts,
-                });
+                restore_row(bp, &arena, &mut st, pm)
+                    .map_err(|what| StateError(format!("branch {bi}: {what}")))?;
             }
-            restored.push(branch_partials);
+            st.oldest = (st.rows.chunks(bp.stride).map(|row| row[key]).min()).unwrap_or(0);
+            restored.push(st);
         }
-        self.arena = EventArena::restore(state.arena);
+        self.arena = arena;
         self.out = state.pending;
         self.stats = state.stats;
-        for (rt, partials) in self.branches.iter_mut().zip(restored) {
-            rt.partials = partials;
-        }
+        self.branches = restored;
         Ok(())
     }
+}
 
-    /// Enforce the partial-match budget: shed the oldest partials (smallest
-    /// `min_id`) until at most `budget` remain across all branches.
-    fn shed_to_budget(branches: &mut [BranchRuntime], stats: &mut EngineStats, budget: usize) {
-        let stored: usize = branches.iter().map(|b| b.partials.len()).sum();
-        if stored <= budget {
-            return;
-        }
-        let excess = stored - budget;
-        let mut ages: Vec<(u64, usize)> = Vec::with_capacity(stored);
-        for (bi, rt) in branches.iter().enumerate() {
-            for pm in &rt.partials {
-                ages.push((pm.min_id, bi));
-            }
-        }
-        ages.sort_unstable();
-        let mut shed_per_branch = vec![0usize; branches.len()];
-        for &(_, bi) in ages.iter().take(excess) {
-            shed_per_branch[bi] += 1;
-        }
-        for (rt, &k) in branches.iter_mut().zip(&shed_per_branch) {
-            if k > 0 {
-                // Stable sort keeps insertion order among equal-age partials.
-                rt.partials.sort_by_key(|pm| pm.min_id);
-                rt.partials.drain(..k);
-            }
-        }
-        stats.partials_shed += excess as u64;
+/// Append the row for `pm` to `st`, re-reading the attribute values its
+/// conditions need from `arena` and re-linking its Kleene chains.
+fn restore_row(
+    bp: &BranchProgram,
+    arena: &EventArena,
+    st: &mut BranchState,
+    pm: &PartialSnapshot,
+) -> Result<(), String> {
+    let shape = (pm.single.len(), pm.kleene.len());
+    if shape != (bp.steps.len(), bp.kleene.len()) || pm.bound & !bp.full_mask != 0 {
+        return Err(format!(
+            "partial with (steps, Kleene steps) {shape:?} and bound mask {:#x} does not fit a \
+             branch with {:?} and mask {:#x}",
+            pm.bound,
+            (bp.steps.len(), bp.kleene.len()),
+            bp.full_mask
+        ));
     }
+    let held = |id: EventId| {
+        arena
+            .get(id)
+            .ok_or_else(|| format!("event {} is bound but not in the arena", id.0))
+    };
+    let at = st.rows.len();
+    st.rows.extend_from_slice(&bp.blank);
+    let row = &mut st.rows[at..];
+    row[BOUND] = pm.bound;
+    row[MIN_ID] = pm.min_id;
+    row[MAX_ID] = pm.max_id;
+    row[MIN_TS] = pm.min_ts;
+    for (s, step) in bp.steps.iter().enumerate() {
+        let bound = pm.bound >> s & 1 == 1;
+        match &step.kind {
+            StepProgram::Single => {
+                if pm.single[s].is_some() != bound {
+                    return Err(format!("step {s}: bound mask and bound event disagree"));
+                }
+                if let Some(id) = pm.single[s] {
+                    row[IDS + s] = id.0;
+                    bp.fill_vals(row, step, &held(id)?.attrs);
+                }
+            }
+            StepProgram::Kleene { ord, inner, .. } => {
+                let k = &pm.kleene[*ord];
+                if pm.single[s].is_some()
+                    || k.iterations.is_empty() == bound
+                    || k.iterations.iter().any(|it| it.len() != inner.len())
+                    || k.in_progress.len() >= inner.len()
+                {
+                    return Err(format!("step {s}: malformed Kleene state"));
+                }
+                for id in k.iterations.iter().flatten().chain(&k.in_progress) {
+                    held(*id)?;
+                    row[IDS + s] = st.pool.push(*id, row[IDS + s]);
+                    row[bp.iters_at + ord] += 1;
+                }
+            }
+        }
+    }
+    Ok(())
+}
 
-    fn expired(window: WindowSpec, pm: &PartialMatch, ev: &PrimitiveEvent) -> bool {
-        if pm.is_blank() {
-            return false;
-        }
-        match window {
-            WindowSpec::Count(w) => ev.id.0 - pm.min_id >= w,
-            WindowSpec::Time(w) => ev.ts.0 - pm.min_ts > w,
-        }
+fn stored(program: &Program, branches: &[BranchState]) -> usize {
+    (program.branches.iter().zip(branches))
+        .map(|(bp, st)| st.rows.len() / bp.stride)
+        .sum()
+}
+
+/// The row word a window expires on.
+fn window_key(window: WindowSpec) -> usize {
+    match window {
+        WindowSpec::Count(_) => MIN_ID,
+        WindowSpec::Time(_) => MIN_TS,
     }
 }
 
-/// Attribute lookup for predicate evaluation: resolves binding names through
-/// the runtime slot table, then through the arena, with optional
-/// Kleene-iteration and negation-candidate overlays.
-struct Lookup<'a> {
-    rt: &'a BranchRuntime,
-    pm: &'a PartialMatch,
+/// Has a partial match whose window key is `key` left the window at `ev`?
+/// (Exactly the complement of "may `ev` still join it".)
+#[inline]
+fn expired(window: WindowSpec, key: u64, ev: &PrimitiveEvent) -> bool {
+    match window {
+        WindowSpec::Count(w) => ev.id.0 - key >= w,
+        WindowSpec::Time(w) => ev.ts.0 - key > w,
+    }
+}
+
+/// Enforce the partial-match budget: shed the oldest partials (smallest
+/// `min_id`, ties by branch then storage order) until at most `budget`
+/// remain across all branches. Survivors keep their order.
+fn shed_to_budget(
+    program: &Program,
+    branches: &mut [BranchState],
+    ages: &mut Vec<(u64, usize)>,
+    stats: &mut EngineStats,
+    budget: usize,
+) {
+    let excess = stored(program, branches).saturating_sub(budget);
+    if excess == 0 {
+        return;
+    }
+    ages.clear();
+    for (bi, (bp, st)) in program.branches.iter().zip(&*branches).enumerate() {
+        ages.extend(st.rows.chunks(bp.stride).map(|row| (row[MIN_ID], bi)));
+    }
+    // Everything ordered before the pivot goes, and of the rows equal to it
+    // as many as it takes, in storage order.
+    let pivot = *ages.select_nth_unstable(excess - 1).1;
+    let mut ties = excess - ages[..excess - 1].iter().filter(|a| **a < pivot).count();
+    for (bi, (bp, st)) in program.branches.iter().zip(branches).enumerate() {
+        let mut kept = 0;
+        for at in (0..st.rows.len()).step_by(bp.stride) {
+            let age = (st.rows[at + MIN_ID], bi);
+            if age < pivot {
+                continue;
+            }
+            if age == pivot && ties > 0 {
+                ties -= 1;
+                continue;
+            }
+            st.rows.copy_within(at..at + bp.stride, kept);
+            kept += bp.stride;
+        }
+        st.rows.truncate(kept);
+    }
+    stats.partials_shed += excess as u64;
+}
+
+/// The Kleene iteration or negated occurrence a condition is checked on.
+#[derive(Clone, Copy)]
+enum Under<'a> {
+    Nothing,
+    /// `(kleene step, ids per inner element)`.
+    Iter(usize, &'a [EventId]),
+    /// `(neg index, candidate ids per inner element)`.
+    Neg(usize, &'a [Option<EventId>]),
+}
+
+/// What a condition is evaluated against.
+#[derive(Clone, Copy)]
+struct Scope<'a> {
+    bp: &'a BranchProgram,
     arena: &'a EventArena,
-    /// Iteration overlay: `(kleene step, ids per inner elem)`.
-    iteration: Option<(usize, &'a [EventId])>,
-    /// Negation overlay: `(neg index, candidate ids per inner elem)`.
-    neg: Option<(usize, &'a [Option<EventId>])>,
+    row: &'a [u64],
+    under: Under<'a>,
 }
 
-impl<'a> Lookup<'a> {
-    fn get(&self, binding: &str, attr: usize) -> Option<f64> {
-        let slot = self.rt.resolver.get(binding)?;
-        let id = match *slot {
-            RtSlot::Step(s) => self.pm.single[s]?,
-            RtSlot::KleeneElem { step, elem } => {
-                let (it_step, ids) = self.iteration?;
-                if it_step != step {
-                    return None;
-                }
-                *ids.get(elem)?
+impl Scope<'_> {
+    #[inline]
+    fn get(&self, leaf: &Leaf) -> Option<f64> {
+        let attr_of = |id: EventId, attr: usize| self.arena.get(id)?.attr(attr);
+        match (*leaf, self.under) {
+            (Leaf::Val(i), _) => {
+                let known = self.row[self.bp.known_at + i / 64] >> (i % 64) & 1 == 1;
+                known.then(|| f64::from_bits(self.row[self.bp.vals_at + i]))
             }
-            RtSlot::NegElem { neg, elem } => {
-                let (n, ids) = self.neg?;
-                if n != neg {
-                    return None;
-                }
-                (*ids.get(elem)?)?
+            (Leaf::Elem(Slot::KleeneElem { step, elem }, attr), Under::Iter(s, ids))
+                if s == step =>
+            {
+                attr_of(*ids.get(elem)?, attr)
             }
-        };
-        self.arena.get(id)?.attr(attr)
+            (Leaf::Elem(Slot::NegElem { neg, elem }, attr), Under::Neg(n, ids)) if n == neg => {
+                attr_of((*ids.get(elem)?)?, attr)
+            }
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn check(&self, cond: &Cond) -> Option<bool> {
+        cond.eval(&|leaf| self.get(leaf))
     }
 }
 
-impl NfaEngine {
-    /// Evaluate eager conditions triggered by newly bound step `s`; `true`
-    /// when none fail (undecidable conditions pass for now).
-    fn eager_conds_ok(
-        stats: &mut EngineStats,
-        rt: &BranchRuntime,
-        arena: &EventArena,
-        pm: &PartialMatch,
-        s: usize,
-    ) -> bool {
-        for cond in &rt.branch.global_conds {
-            let mask = cond.step_mask;
-            if mask & (1 << s) == 0 {
+/// One branch's pass over one event.
+struct Pass<'a> {
+    window: WindowSpec,
+    max_kleene_iters: Option<usize>,
+    bp: &'a BranchProgram,
+    arena: &'a EventArena,
+    ev: &'a PrimitiveEvent,
+    pool: &'a mut KleenePool,
+    stats: &'a mut EngineStats,
+    out: &'a mut Vec<Match>,
+    ids: &'a mut Vec<EventId>,
+}
+
+impl<'a> Pass<'a> {
+    fn scope<'s>(&self, row: &'s [u64], under: Under<'s>) -> Scope<'s>
+    where
+        'a: 's,
+    {
+        let (bp, arena) = (self.bp, self.arena);
+        Scope {
+            bp,
+            arena,
+            row,
+            under,
+        }
+    }
+
+    /// Compact expired rows out of `rows` and extend the survivors (then the
+    /// empty partial) by the event at the steps in `accept`. Returns the
+    /// smallest window key left in the store.
+    fn run(&mut self, rows: &mut Vec<u64>, created: &mut Vec<u64>, accept: u64) -> u64 {
+        let bp = self.bp;
+        let (stride, key) = (bp.stride, window_key(self.window));
+        let mut oldest = u64::MAX;
+        // Survivors move down over the expired in whole runs: `kept` words
+        // are in place, the run starting at `run` is still to be moved.
+        let (mut kept, mut run) = (0, 0);
+        for at in (0..rows.len()).step_by(stride) {
+            if expired(self.window, rows[at + key], self.ev) {
+                rows.copy_within(run..at, kept);
+                kept += at - run;
+                run = at + stride;
                 continue;
             }
-            if mask & pm.bound != mask {
+            let row = &rows[at..at + stride];
+            oldest = oldest.min(row[key]);
+            // A bound single step is taken; a Kleene step may absorb more.
+            let open = accept & (bp.kleene_mask | !row[BOUND]);
+            if open != 0 {
+                self.extend(row, open, created);
+            }
+        }
+        rows.copy_within(run.., kept);
+        kept += rows.len() - run;
+        rows.truncate(kept);
+        if accept & bp.roots != 0 {
+            self.extend(&bp.blank, accept & bp.roots, created);
+        }
+        for row in created.chunks(stride) {
+            oldest = oldest.min(row[key]);
+        }
+        rows.extend_from_slice(created);
+        created.clear();
+        oldest
+    }
+
+    /// Try the event at each step of `open` on top of `parent`, appending
+    /// the partial matches that survive to `created`.
+    fn extend(&mut self, parent: &[u64], mut open: u64, created: &mut Vec<u64>) {
+        let (bp, ev) = (self.bp, self.ev);
+        while open != 0 {
+            let s = open.trailing_zeros() as usize;
+            open &= open - 1;
+            let step = &bp.steps[s];
+            if step.preds & parent[BOUND] != step.preds {
                 continue;
             }
-            stats.condition_evaluations += 1;
-            let lk = Lookup {
-                rt,
-                pm,
-                arena,
-                iteration: None,
-                neg: None,
-            };
-            if cond.pred.eval(&|b, a| lk.get(b, a)) == Some(false) {
+            let at = created.len();
+            match &step.kind {
+                StepProgram::Single => {
+                    created.extend_from_slice(parent);
+                    let row = &mut created[at..];
+                    row[IDS + s] = ev.id.0;
+                    row[BOUND] |= 1 << s;
+                    note_event(row, ev);
+                    bp.fill_vals(row, step, &ev.attrs);
+                    if !self.eager_conds_ok(&created[at..], step) {
+                        created.truncate(at);
+                        continue;
+                    }
+                    self.stats.partial_matches_created += 1;
+                    self.try_emit(&created[at..]);
+                }
+                StepProgram::Kleene {
+                    ord,
+                    inner,
+                    iter_conds,
+                } => {
+                    // A Kleene may not absorb once a successor bound.
+                    if parent[BOUND] & step.succ != 0 {
+                        continue;
+                    }
+                    let absorbed = parent[bp.iters_at + ord] as usize;
+                    let pos = absorbed % inner.len();
+                    let capped = |cap| pos == 0 && absorbed / inner.len() >= cap;
+                    if self.max_kleene_iters.is_some_and(capped) || !inner[pos].contains(ev.type_id)
+                    {
+                        continue;
+                    }
+                    created.extend_from_slice(parent);
+                    note_event(&mut created[at..], ev);
+                    let completes = pos + 1 == inner.len();
+                    if completes {
+                        // Early filter on the iteration this event closes.
+                        self.pool.tail(parent[IDS + s], pos, self.ids);
+                        self.ids.push(ev.id);
+                        let scope = self.scope(&created[at..], Under::Iter(s, self.ids));
+                        let mut ok = true;
+                        for cond in iter_conds {
+                            self.stats.condition_evaluations += 1;
+                            if scope.check(cond) == Some(false) {
+                                ok = false;
+                                break;
+                            }
+                        }
+                        if !ok {
+                            created.truncate(at);
+                            continue;
+                        }
+                    }
+                    let row = &mut created[at..];
+                    row[IDS + s] = self.pool.push(ev.id, parent[IDS + s]);
+                    row[bp.iters_at + ord] += 1;
+                    self.stats.partial_matches_created += 1;
+                    if completes {
+                        row[BOUND] |= 1 << s;
+                        self.try_emit(&created[at..]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Evaluate the eager conditions that binding `step` made decidable;
+    /// `true` when none fail (undecidable conditions pass for now).
+    fn eager_conds_ok(&mut self, row: &[u64], step: &Step) -> bool {
+        for &i in &step.eager {
+            let (mask, cond) = &self.bp.conds[i];
+            if mask & row[BOUND] != *mask {
+                continue;
+            }
+            self.stats.condition_evaluations += 1;
+            if self.scope(row, Under::Nothing).check(cond) == Some(false) {
                 return false;
             }
         }
@@ -387,138 +557,93 @@ impl NfaEngine {
 
     /// Check a completed partial match: deferred Kleene conditions and
     /// negation gaps; emit on success.
-    fn try_emit(
-        window: WindowSpec,
-        stats: &mut EngineStats,
-        out: &mut Vec<Match>,
-        rt: &BranchRuntime,
-        arena: &EventArena,
-        pm: &PartialMatch,
-    ) {
-        if pm.bound != rt.full_mask {
+    fn try_emit(&mut self, row: &[u64]) {
+        let bp = self.bp;
+        if row[BOUND] != bp.full_mask {
             return;
         }
-        if pm.kleene.iter().any(|k| !k.in_progress.is_empty()) {
+        let mut iters = row[bp.iters_at..].iter().zip(&bp.kleene);
+        if iters.any(|(n, &(_, len))| !(*n as usize).is_multiple_of(len)) {
             return;
         }
         // Deferred Kleene conditions: ∀ iterations.
-        for (step, pred) in &rt.branch.deferred_conds {
-            let ord = rt.kleene_ord[*step].expect("deferred cond targets kleene");
-            for iter in &pm.kleene[ord].iterations {
-                stats.condition_evaluations += 1;
-                let lk = Lookup {
-                    rt,
-                    pm,
-                    arena,
-                    iteration: Some((*step, iter)),
-                    neg: None,
-                };
-                if pred.eval(&|b, a| lk.get(b, a)) != Some(true) {
+        for (step, cond) in &bp.deferred {
+            let len = self.kleene_ids(row, *step);
+            for iter in self.ids.chunks(len) {
+                self.stats.condition_evaluations += 1;
+                if self.scope(row, Under::Iter(*step, iter)).check(cond) != Some(true) {
                     return;
                 }
             }
         }
-        // Negation gaps.
-        for (n, neg) in rt.branch.negs.iter().enumerate() {
-            if Self::neg_occurs(window, stats, rt, arena, pm, n, neg) {
+        for (n, neg) in bp.negs.iter().enumerate() {
+            if self.neg_occurs(row, n, neg) {
                 return;
             }
         }
-        out.push(Self::build_match(rt, pm));
-        stats.matches_emitted += 1;
+        let m = self.build_match(row);
+        self.out.push(m);
+        self.stats.matches_emitted += 1;
     }
 
-    fn step_bounds(rt: &BranchRuntime, pm: &PartialMatch, s: usize) -> (u64, u64) {
-        match rt.kleene_ord[s] {
-            None => {
-                let id = pm.single[s].expect("bound step").0;
-                (id, id)
-            }
-            Some(ord) => {
-                let ks = &pm.kleene[ord];
-                let mut lo = u64::MAX;
-                let mut hi = 0;
-                for iter in &ks.iterations {
-                    for id in iter {
-                        lo = lo.min(id.0);
-                        hi = hi.max(id.0);
-                    }
-                }
-                (lo, hi)
-            }
+    /// Load every id Kleene step `s` of `row` has absorbed into `self.ids`
+    /// (iteration after iteration); returns the iteration length.
+    fn kleene_ids(&mut self, row: &[u64], s: usize) -> usize {
+        let StepProgram::Kleene { ord, inner, .. } = &self.bp.steps[s].kind else {
+            unreachable!("step {s} is not a Kleene step");
+        };
+        let absorbed = row[self.bp.iters_at + ord] as usize;
+        self.pool.tail(row[IDS + s], absorbed, self.ids);
+        inner.len()
+    }
+
+    /// Smallest and largest event id bound at step `s`.
+    fn step_bounds(&mut self, row: &[u64], s: usize) -> (u64, u64) {
+        if self.bp.kleene_mask >> s & 1 == 0 {
+            return (row[IDS + s], row[IDS + s]);
         }
+        self.kleene_ids(row, s);
+        let ids = self.ids.iter();
+        ids.fold((u64::MAX, 0), |(lo, hi), id| (lo.min(id.0), hi.max(id.0)))
     }
 
     /// Does a forbidden occurrence of `neg.inner` exist in the gap?
-    fn neg_occurs(
-        window: WindowSpec,
-        stats: &mut EngineStats,
-        rt: &BranchRuntime,
-        arena: &EventArena,
-        pm: &PartialMatch,
-        n: usize,
-        neg: &NegGroup,
-    ) -> bool {
-        let hi = EventId(
-            neg.before
-                .iter()
-                .map(|&s| Self::step_bounds(rt, pm, s).0)
-                .min()
-                .expect("neg.before is never empty"),
-        );
-        let candidates: Vec<&PrimitiveEvent> = if neg.after.is_empty() {
+    fn neg_occurs(&mut self, row: &[u64], n: usize, neg: &NegGroup) -> bool {
+        let (arena, window) = (self.arena, self.window);
+        let hi = (neg.before.iter())
+            .map(|&s| self.step_bounds(row, s).0)
+            .min();
+        let hi = EventId(hi.expect("neg.before is never empty"));
+        let lo = neg.after.iter().map(|&s| self.step_bounds(row, s).1).max();
+        let candidates: Vec<&PrimitiveEvent> = match lo {
             // Leading NEG: the gap starts at the match's window start —
             // any event before `hi` that still shares a window with the
-            // match counts (inclusive bound; ids start at 0).
-            let max_ts = arena.get(EventId(pm.max_id)).map(|e| e.ts.0);
-            let mut cands: Vec<&PrimitiveEvent> = arena
-                .between(EventId(0), hi)
-                .chain(arena.get(EventId(0)).filter(|e| e.id < hi))
-                .filter(|e| match window {
-                    WindowSpec::Count(w) => pm.max_id - e.id.0 <= w.saturating_sub(1),
-                    WindowSpec::Time(w) => max_ts.is_none_or(|mt| mt.saturating_sub(e.ts.0) <= w),
-                })
-                .collect();
-            // The id-0 event was appended out of order; the DFS needs the
-            // candidates in arrival order for in-order subsequence search.
-            cands.sort_by_key(|e| e.id);
-            cands
-        } else {
-            let lo = EventId(
-                neg.after
-                    .iter()
-                    .map(|&s| Self::step_bounds(rt, pm, s).1)
-                    .max()
-                    .expect("nonempty"),
-            );
-            if lo >= hi {
-                return false;
+            // match counts (ids start at 0).
+            None => {
+                let max_id = row[MAX_ID];
+                let max_ts = arena.get(EventId(max_id)).map(|e| e.ts.0);
+                (arena.range(EventId(0)..hi))
+                    .filter(|e| match window {
+                        WindowSpec::Count(w) => max_id - e.id.0 <= w.saturating_sub(1),
+                        WindowSpec::Time(w) => {
+                            max_ts.is_none_or(|mt| mt.saturating_sub(e.ts.0) <= w)
+                        }
+                    })
+                    .collect()
             }
-            arena.between(lo, hi).collect()
+            Some(lo) if lo >= hi.0 => return false,
+            Some(lo) => arena.range(EventId(lo + 1)..hi).collect(),
         };
-        let mut assigned: Vec<Option<EventId>> = vec![None; neg.inner.len()];
-        Self::neg_dfs(
-            stats,
-            rt,
-            arena,
-            pm,
-            n,
-            neg,
-            &candidates,
-            0,
-            0,
-            &mut assigned,
-        )
+        let mut assigned = vec![None; neg.inner.len()];
+        self.neg_dfs(row, n, neg, &candidates, 0, 0, &mut assigned)
     }
 
     /// Backtracking search for an in-order occurrence of the negated
     /// sequence among `candidates`, honoring the group's conditions.
     #[allow(clippy::too_many_arguments)]
     fn neg_dfs(
-        stats: &mut EngineStats,
-        rt: &BranchRuntime,
-        arena: &EventArena,
-        pm: &PartialMatch,
+        &mut self,
+        row: &[u64],
         n: usize,
         neg: &NegGroup,
         candidates: &[&PrimitiveEvent],
@@ -528,16 +653,9 @@ impl NfaEngine {
     ) -> bool {
         if elem == neg.inner.len() {
             // Full occurrence assembled; conditions must all hold.
-            for cond in &neg.conditions {
-                stats.condition_evaluations += 1;
-                let lk = Lookup {
-                    rt,
-                    pm,
-                    arena,
-                    iteration: None,
-                    neg: Some((n, assigned)),
-                };
-                if cond.pred_eval(&lk) != Some(true) {
+            for cond in &self.bp.neg_conds[n] {
+                self.stats.condition_evaluations += 1;
+                if self.scope(row, Under::Neg(n, assigned)).check(cond) != Some(true) {
                     return false;
                 }
             }
@@ -548,18 +666,7 @@ impl NfaEngine {
                 continue;
             }
             assigned[elem] = Some(cand.id);
-            if Self::neg_dfs(
-                stats,
-                rt,
-                arena,
-                pm,
-                n,
-                neg,
-                candidates,
-                elem + 1,
-                i + 1,
-                assigned,
-            ) {
+            if self.neg_dfs(row, n, neg, candidates, elem + 1, i + 1, assigned) {
                 return true;
             }
             assigned[elem] = None;
@@ -567,44 +674,36 @@ impl NfaEngine {
         false
     }
 
-    fn build_match(rt: &BranchRuntime, pm: &PartialMatch) -> Match {
+    fn build_match(&mut self, row: &[u64]) -> Match {
+        let bp = self.bp;
         let mut bindings = Vec::new();
-        for (s, step) in rt.branch.steps.iter().enumerate() {
-            match &step.kind {
-                StepKind::Single { binding, .. } => {
-                    bindings.push((binding.clone(), vec![pm.single[s].expect("bound")]));
-                }
-                StepKind::Kleene { inner, .. } => {
-                    let ord = rt.kleene_ord[s].expect("kleene ordinal");
-                    for (j, elem) in inner.iter().enumerate() {
-                        let ids: Vec<EventId> =
-                            pm.kleene[ord].iterations.iter().map(|it| it[j]).collect();
-                        bindings.push((elem.binding.clone(), ids));
-                    }
-                }
+        for (s, step) in bp.steps.iter().enumerate() {
+            if bp.kleene_mask >> s & 1 == 0 {
+                bindings.push((step.names[0].clone(), vec![EventId(row[IDS + s])]));
+                continue;
+            }
+            let len = self.kleene_ids(row, s);
+            for (j, name) in step.names.iter().enumerate() {
+                let ids = self.ids.iter().skip(j).step_by(len).copied().collect();
+                bindings.push((name.clone(), ids));
             }
         }
         Match::from_bindings(bindings)
     }
 }
 
-// Small helper so neg conditions evaluate through the overlay. (The generic
-// `Predicate::eval` takes a closure; this keeps the call sites readable.)
-trait PredEval {
-    fn pred_eval(&self, lk: &Lookup<'_>) -> Option<bool>;
-}
-
-impl PredEval for crate::pattern::condition::Predicate {
-    fn pred_eval(&self, lk: &Lookup<'_>) -> Option<bool> {
-        self.eval(&|b, a| lk.get(b, a))
-    }
+fn note_event(row: &mut [u64], ev: &PrimitiveEvent) {
+    row[MIN_ID] = row[MIN_ID].min(ev.id.0);
+    row[MAX_ID] = row[MAX_ID].max(ev.id.0);
+    row[MIN_TS] = row[MIN_TS].min(ev.ts.0);
 }
 
 impl CepEngine for NfaEngine {
     fn process(&mut self, ev: &PrimitiveEvent) {
         self.stats.events_processed += 1;
-        self.arena.push(ev.clone());
-        match self.window {
+        self.arena.push(ev);
+        let window = self.program.window;
+        match window {
             WindowSpec::Count(w) => {
                 self.arena
                     .evict_below(EventId((ev.id.0 + 1).saturating_sub(w)));
@@ -613,119 +712,40 @@ impl CepEngine for NfaEngine {
                 self.arena.evict_before_ts(ev.ts.0.saturating_sub(w));
             }
         }
-        let window = self.window;
-        let config = self.config;
-        let arena = &self.arena;
-        let stats = &mut self.stats;
-        let out = &mut self.out;
-        for rt in &mut self.branches {
-            rt.partials.retain(|pm| !NfaEngine::expired(window, pm, ev));
-
-            let num_steps = rt.branch.steps.len();
-            let num_kleene = rt.num_kleene();
-            let mut created: Vec<PartialMatch> = Vec::new();
-
-            // The blank match participates so first steps can seed partials.
-            let blank = PartialMatch::empty(num_steps, num_kleene);
-            let candidates = rt.partials.iter().chain(std::iter::once(&blank));
-
-            for pm in candidates {
-                // Window admission (blank always admits).
-                let admits = if pm.is_blank() {
-                    true
-                } else {
-                    match window {
-                        WindowSpec::Count(w) => ev.id.0 - pm.min_id <= w.saturating_sub(1),
-                        WindowSpec::Time(w) => ev.ts.0 - pm.min_ts <= w,
-                    }
-                };
-                if !admits {
-                    continue;
-                }
-                for s in 0..num_steps {
-                    let step = &rt.branch.steps[s];
-                    if step.preds & pm.bound != step.preds {
-                        continue;
-                    }
-                    match &step.kind {
-                        StepKind::Single { types, .. } => {
-                            if pm.bound & (1 << s) != 0 || !types.contains(ev.type_id) {
-                                continue;
-                            }
-                            let mut next = pm.clone();
-                            next.single[s] = Some(ev.id);
-                            next.bound |= 1 << s;
-                            next.note_event(ev);
-                            if !NfaEngine::eager_conds_ok(stats, rt, arena, &next, s) {
-                                continue;
-                            }
-                            stats.partial_matches_created += 1;
-                            NfaEngine::try_emit(window, stats, out, rt, arena, &next);
-                            created.push(next);
-                        }
-                        StepKind::Kleene {
-                            inner,
-                            iter_conditions,
-                        } => {
-                            // A Kleene may not absorb once a successor bound.
-                            if pm.bound & rt.succ_masks[s] != 0 {
-                                continue;
-                            }
-                            let ord = rt.kleene_ord[s].expect("kleene ordinal");
-                            let ks = &pm.kleene[ord];
-                            if let Some(cap) = config.max_kleene_iters {
-                                if ks.iterations.len() >= cap && ks.in_progress.is_empty() {
-                                    continue;
-                                }
-                            }
-                            let pos = ks.in_progress.len();
-                            if !inner[pos].types.contains(ev.type_id) {
-                                continue;
-                            }
-                            let mut next = pm.clone();
-                            next.kleene[ord].in_progress.push(ev.id);
-                            next.note_event(ev);
-                            if pos + 1 == inner.len() {
-                                // Iteration complete: early condition filter.
-                                let iter = std::mem::take(&mut next.kleene[ord].in_progress);
-                                let mut ok = true;
-                                for cond in iter_conditions {
-                                    stats.condition_evaluations += 1;
-                                    let lk = Lookup {
-                                        rt,
-                                        pm: &next,
-                                        arena,
-                                        iteration: Some((s, &iter)),
-                                        neg: None,
-                                    };
-                                    if cond.pred_eval(&lk) == Some(false) {
-                                        ok = false;
-                                        break;
-                                    }
-                                }
-                                if !ok {
-                                    continue;
-                                }
-                                next.kleene[ord].iterations.push(iter);
-                                next.bound |= 1 << s;
-                                stats.partial_matches_created += 1;
-                                NfaEngine::try_emit(window, stats, out, rt, arena, &next);
-                                created.push(next);
-                            } else {
-                                stats.partial_matches_created += 1;
-                                created.push(next);
-                            }
-                        }
-                    }
-                }
+        let horizon = self.arena.first_id().unwrap_or(EventId(ev.id.0 + 1));
+        for (bp, st) in self.program.branches.iter().zip(&mut self.branches) {
+            let accept = bp.accepting(ev.type_id);
+            // An event no step accepts can only expire partials, and only
+            // once the oldest of them has.
+            let stale = !st.rows.is_empty() && expired(window, st.oldest, ev);
+            if accept == 0 && !stale {
+                continue;
             }
-            rt.partials.append(&mut created);
+            st.pool.evict_below(horizon);
+            let mut pass = Pass {
+                window,
+                max_kleene_iters: self.config.max_kleene_iters,
+                bp,
+                arena: &self.arena,
+                ev,
+                pool: &mut st.pool,
+                stats: &mut self.stats,
+                out: &mut self.out,
+                ids: &mut self.ids,
+            };
+            st.oldest = pass.run(&mut st.rows, &mut self.created, accept);
         }
-        if let Some(budget) = config.max_partials {
-            Self::shed_to_budget(&mut self.branches, stats, budget);
+        if let Some(budget) = self.config.max_partials {
+            shed_to_budget(
+                &self.program,
+                &mut self.branches,
+                &mut self.ages,
+                &mut self.stats,
+                budget,
+            );
         }
-        let stored: u64 = self.branches.iter().map(|b| b.partials.len() as u64).sum();
-        stats.peak_partial_matches = stats.peak_partial_matches.max(stored);
+        let stored = stored(&self.program, &self.branches) as u64;
+        self.stats.peak_partial_matches = self.stats.peak_partial_matches.max(stored);
     }
 
     fn drain_matches(&mut self) -> Vec<Match> {
@@ -1074,6 +1094,64 @@ mod tests {
         let mut a_ids: Vec<u64> = got.iter().map(|m| m.binding("a").unwrap()[0].0).collect();
         a_ids.sort_unstable();
         assert_eq!(a_ids, vec![2, 3], "oldest partials (a=0, a=1) were shed");
+    }
+
+    // `shed_to_budget` drops exactly the partials the rule it replaced
+    // dropped — all stored partials sorted by `(min_id, branch)`, the `excess`
+    // oldest counted per branch, that many taken off the front of each
+    // branch's *stable* sort by `min_id` — and, unlike it, leaves the
+    // survivors in storage order.
+    proptest::proptest! {
+        #[test]
+        fn shedding_drops_what_the_stable_sort_dropped(
+            ages in proptest::prop::collection::vec(
+                proptest::prop::collection::vec(0u64..6, 0..12),
+                3,
+            ),
+            budget in 0usize..40,
+        ) {
+            let three = PatternExpr::Disj(vec![leaf(A, "a"), leaf(B, "b"), leaf(C, "c")]);
+            let program = Program::lower(
+                &Plan::compile(&Pattern::new(three, vec![], WindowSpec::Count(100))).unwrap(),
+            );
+            // A row is a min_id plus, as its identity, its storage position.
+            let mut branches: Vec<BranchState> = (program.branches.iter().zip(&ages))
+                .map(|(bp, ages)| {
+                    let mut st = BranchState::default();
+                    for (tag, age) in ages.iter().enumerate() {
+                        let at = st.rows.len();
+                        st.rows.extend_from_slice(&bp.blank);
+                        st.rows[at + MIN_ID] = *age;
+                        st.rows[at + MAX_ID] = tag as u64;
+                    }
+                    st
+                })
+                .collect();
+
+            let mut all: Vec<(u64, usize)> = (ages.iter().enumerate())
+                .flat_map(|(bi, ages)| ages.iter().map(move |a| (*a, bi)))
+                .collect();
+            all.sort_unstable();
+            let excess = all.len().saturating_sub(budget);
+            let expected: Vec<Vec<u64>> = (ages.iter().enumerate())
+                .map(|(bi, ages)| {
+                    let k = all[..excess].iter().filter(|a| a.1 == bi).count();
+                    let mut order: Vec<usize> = (0..ages.len()).collect();
+                    order.sort_by_key(|&tag| ages[tag]);
+                    let mut kept: Vec<u64> = order[k..].iter().map(|&tag| tag as u64).collect();
+                    kept.sort_unstable();
+                    kept
+                })
+                .collect();
+
+            let mut stats = EngineStats::default();
+            shed_to_budget(&program, &mut branches, &mut Vec::new(), &mut stats, budget);
+            let got: Vec<Vec<u64>> = (program.branches.iter().zip(&branches))
+                .map(|(bp, st)| st.rows.chunks(bp.stride).map(|row| row[MAX_ID]).collect())
+                .collect();
+            proptest::prop_assert_eq!(got, expected);
+            proptest::prop_assert_eq!(stats.partials_shed, excess as u64);
+        }
     }
 
     #[test]

@@ -45,14 +45,30 @@ impl Expr {
     }
 
     /// Evaluate against a binding resolver; `None` when a referenced binding
-    /// is unbound or an attribute is missing.
+    /// is unbound or an attribute is missing. For the parser and tests:
+    /// engines [`lower`](Self::lower) once and evaluate the compiled form.
     pub fn eval(&self, lookup: &dyn Fn(&str, usize) -> Option<f64>) -> Option<f64> {
+        self.lower(&mut |b, a| Some((b, a)))
+            .eval(&|&(b, a)| lookup(b, a))
+    }
+
+    /// Resolve every `binding.attr` to a leaf of the caller's choosing
+    /// (`None`: nothing binds that name, the reference never evaluates).
+    pub fn lower<'a, L>(
+        &'a self,
+        leaf: &mut impl FnMut(&'a str, usize) -> Option<L>,
+    ) -> CompiledExpr<L> {
         match self {
-            Expr::Const(c) => Some(*c),
-            Expr::Attr { binding, attr } => lookup(binding, *attr),
-            Expr::Mul(a, b) => Some(a.eval(lookup)? * b.eval(lookup)?),
-            Expr::Add(a, b) => Some(a.eval(lookup)? + b.eval(lookup)?),
-            Expr::Sub(a, b) => Some(a.eval(lookup)? - b.eval(lookup)?),
+            Expr::Const(c) => CompiledExpr::Const(*c),
+            Expr::Attr { binding, attr } => {
+                leaf(binding, *attr).map_or(CompiledExpr::Unresolved, CompiledExpr::Leaf)
+            }
+            Expr::Mul(a, b) => match (a.lower(leaf), b.lower(leaf)) {
+                (CompiledExpr::Const(c), CompiledExpr::Leaf(l)) => CompiledExpr::Scaled(c, l),
+                (a, b) => CompiledExpr::Mul(Box::new(a), Box::new(b)),
+            },
+            Expr::Add(a, b) => CompiledExpr::Add(Box::new(a.lower(leaf)), Box::new(b.lower(leaf))),
+            Expr::Sub(a, b) => CompiledExpr::Sub(Box::new(a.lower(leaf)), Box::new(b.lower(leaf))),
         }
     }
 
@@ -159,27 +175,29 @@ impl Predicate {
 
     /// Evaluate against a binding resolver. `None` when some referenced
     /// binding is not (yet) bound — callers treat that as "not decidable".
+    /// For the parser and tests: engines [`lower`](Self::lower) once and
+    /// evaluate the compiled form.
     pub fn eval(&self, lookup: &dyn Fn(&str, usize) -> Option<f64>) -> Option<bool> {
+        self.lower(&mut |b, a| Some((b, a)))
+            .eval(&|&(b, a)| lookup(b, a))
+    }
+
+    /// Resolve every `binding.attr` to a leaf of the caller's choosing; see
+    /// [`Expr::lower`].
+    pub fn lower<'a, L>(
+        &'a self,
+        leaf: &mut impl FnMut(&'a str, usize) -> Option<L>,
+    ) -> CompiledPred<L> {
         match self {
-            Predicate::Cmp { lhs, op, rhs } => Some(op.apply(lhs.eval(lookup)?, rhs.eval(lookup)?)),
-            Predicate::And(ps) => {
-                for p in ps {
-                    if !p.eval(lookup)? {
-                        return Some(false);
-                    }
-                }
-                Some(true)
-            }
-            Predicate::Or(ps) => {
-                for p in ps {
-                    if p.eval(lookup)? {
-                        return Some(true);
-                    }
-                }
-                Some(false)
-            }
-            Predicate::Not(p) => Some(!p.eval(lookup)?),
-            Predicate::True => Some(true),
+            Predicate::Cmp { lhs, op, rhs } => CompiledPred::Cmp {
+                lhs: lhs.lower(leaf),
+                op: *op,
+                rhs: rhs.lower(leaf),
+            },
+            Predicate::And(ps) => CompiledPred::And(ps.iter().map(|p| p.lower(leaf)).collect()),
+            Predicate::Or(ps) => CompiledPred::Or(ps.iter().map(|p| p.lower(leaf)).collect()),
+            Predicate::Not(p) => CompiledPred::Not(Box::new(p.lower(leaf))),
+            Predicate::True => CompiledPred::True,
         }
     }
 
@@ -203,6 +221,85 @@ impl Predicate {
             }
             Predicate::Not(p) => p.collect(out),
             Predicate::True => {}
+        }
+    }
+}
+
+/// An [`Expr`] with names resolved: what engines evaluate per event. The
+/// leaf type is the engine's own (a row slot, a step index, …), so the one
+/// evaluator below serves all of them without a name or a hash at run time.
+/// Variants mirror [`Expr`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum CompiledExpr<L> {
+    Const(f64),
+    /// A resolved `binding.attr`.
+    Leaf(L),
+    /// `factor · binding.attr`, the paper's band bound, without the boxes.
+    Scaled(f64, L),
+    /// A reference nothing binds; evaluates to `None`.
+    Unresolved,
+    Mul(Box<CompiledExpr<L>>, Box<CompiledExpr<L>>),
+    Add(Box<CompiledExpr<L>>, Box<CompiledExpr<L>>),
+    Sub(Box<CompiledExpr<L>>, Box<CompiledExpr<L>>),
+}
+
+impl<L> CompiledExpr<L> {
+    /// Evaluate with `get` supplying leaf values; `None` when a leaf is
+    /// unbound or its attribute missing.
+    #[inline]
+    pub fn eval(&self, get: &impl Fn(&L) -> Option<f64>) -> Option<f64> {
+        match self {
+            CompiledExpr::Const(c) => Some(*c),
+            CompiledExpr::Leaf(l) => get(l),
+            CompiledExpr::Scaled(c, l) => Some(c * get(l)?),
+            CompiledExpr::Unresolved => None,
+            CompiledExpr::Mul(a, b) => Some(a.eval(get)? * b.eval(get)?),
+            CompiledExpr::Add(a, b) => Some(a.eval(get)? + b.eval(get)?),
+            CompiledExpr::Sub(a, b) => Some(a.eval(get)? - b.eval(get)?),
+        }
+    }
+}
+
+/// A [`Predicate`] with names resolved, variant for variant; see
+/// [`CompiledExpr`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum CompiledPred<L> {
+    Cmp {
+        lhs: CompiledExpr<L>,
+        op: CmpOp,
+        rhs: CompiledExpr<L>,
+    },
+    And(Vec<CompiledPred<L>>),
+    Or(Vec<CompiledPred<L>>),
+    Not(Box<CompiledPred<L>>),
+    True,
+}
+
+impl<L> CompiledPred<L> {
+    /// Evaluate with `get` supplying leaf values. `None` when some leaf is
+    /// not (yet) bound — callers treat that as "not decidable".
+    #[inline]
+    pub fn eval(&self, get: &impl Fn(&L) -> Option<f64>) -> Option<bool> {
+        match self {
+            CompiledPred::Cmp { lhs, op, rhs } => Some(op.apply(lhs.eval(get)?, rhs.eval(get)?)),
+            CompiledPred::And(ps) => {
+                for p in ps {
+                    if !p.eval(get)? {
+                        return Some(false);
+                    }
+                }
+                Some(true)
+            }
+            CompiledPred::Or(ps) => {
+                for p in ps {
+                    if p.eval(get)? {
+                        return Some(true);
+                    }
+                }
+                Some(false)
+            }
+            CompiledPred::Not(p) => Some(!p.eval(get)?),
+            CompiledPred::True => Some(true),
         }
     }
 }

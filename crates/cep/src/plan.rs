@@ -191,16 +191,44 @@ impl Branch {
         m
     }
 
-    /// Binding names of every positive single step, in step order.
-    pub fn single_bindings(&self) -> Vec<(usize, &str)> {
-        self.steps
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match &s.kind {
-                StepKind::Single { binding, .. } => Some((i, binding.as_str())),
-                StepKind::Kleene { .. } => None,
-            })
-            .collect()
+    /// Binding names the branch emits in [`Match`](crate::Match) order:
+    /// steps in order, a single step contributing its binding and a Kleene
+    /// step its inner elements'. (Negated bindings never appear in matches.)
+    pub fn emission_bindings(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for step in &self.steps {
+            match &step.kind {
+                StepKind::Single { binding, .. } => out.push(binding.clone()),
+                StepKind::Kleene { inner, .. } => {
+                    out.extend(inner.iter().map(|e| e.binding.clone()));
+                }
+            }
+        }
+        out
+    }
+
+    /// Every binding name of the branch with the slot it resolves to — what
+    /// engines lower conditions through, once, when they are built.
+    pub fn slots(&self) -> HashMap<&str, Slot> {
+        let mut slots = HashMap::new();
+        for (step, s) in self.steps.iter().enumerate() {
+            match &s.kind {
+                StepKind::Single { binding, .. } => {
+                    slots.insert(binding.as_str(), Slot::Step(step));
+                }
+                StepKind::Kleene { inner, .. } => {
+                    for (elem, e) in inner.iter().enumerate() {
+                        slots.insert(e.binding.as_str(), Slot::KleeneElem { step, elem });
+                    }
+                }
+            }
+        }
+        for (neg, group) in self.negs.iter().enumerate() {
+            for (elem, e) in group.inner.iter().enumerate() {
+                slots.insert(e.binding.as_str(), Slot::NegElem { neg, elem });
+            }
+        }
+        slots
     }
 }
 
@@ -323,21 +351,34 @@ fn hoist_disj(expr: &PatternExpr) -> Result<Vec<PatternExpr>, CompileError> {
 
 /// Where a binding name resolves within a branch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotRef {
+pub enum Slot {
+    /// The event bound to single step `.0`.
     Step(usize),
-    KleeneElem(usize),
-    NegElem(usize),
+    /// Element `elem` of an iteration of Kleene step `step`.
+    KleeneElem {
+        /// The Kleene step.
+        step: usize,
+        /// Position within its inner sequence.
+        elem: usize,
+    },
+    /// Element `elem` of an occurrence of negation group `neg`.
+    NegElem {
+        /// Index into [`Branch::negs`].
+        neg: usize,
+        /// Position within its inner sequence.
+        elem: usize,
+    },
 }
 
 #[derive(Default)]
 struct BranchBuilder {
     steps: Vec<PlanStep>,
     negs: Vec<NegGroup>,
-    names: HashMap<String, SlotRef>,
+    names: HashMap<String, Slot>,
 }
 
 impl BranchBuilder {
-    fn declare(&mut self, name: &str, slot: SlotRef) -> Result<(), CompileError> {
+    fn declare(&mut self, name: &str, slot: Slot) -> Result<(), CompileError> {
         if self.names.insert(name.to_string(), slot).is_some() {
             return Err(CompileError::DuplicateBinding(name.to_string()));
         }
@@ -389,7 +430,7 @@ fn walk(
             if idx >= MAX_STEPS {
                 return Err(CompileError::TooManySteps);
             }
-            b.declare(binding, SlotRef::Step(idx))?;
+            b.declare(binding, Slot::Step(idx))?;
             b.steps.push(PlanStep {
                 kind: StepKind::Single {
                     types: types.clone(),
@@ -405,8 +446,8 @@ fn walk(
             if idx >= MAX_STEPS {
                 return Err(CompileError::TooManySteps);
             }
-            for elem in &inner {
-                b.declare(&elem.binding, SlotRef::KleeneElem(idx))?;
+            for (elem, e) in inner.iter().enumerate() {
+                b.declare(&e.binding, Slot::KleeneElem { step: idx, elem })?;
             }
             b.steps.push(PlanStep {
                 kind: StepKind::Kleene {
@@ -425,8 +466,8 @@ fn walk(
                 if let PatternExpr::Neg(body) = c {
                     let inner = flatten_leaf_seq(body)?;
                     let neg_idx = b.negs.len();
-                    for elem in &inner {
-                        b.declare(&elem.binding, SlotRef::NegElem(neg_idx))?;
+                    for (elem, e) in inner.iter().enumerate() {
+                        b.declare(&e.binding, Slot::NegElem { neg: neg_idx, elem })?;
                     }
                     // `after` = the positive steps accumulated so far in this
                     // seq (or the enclosing preds when the NEG leads).
@@ -518,14 +559,14 @@ fn compile_branch(expr: &PatternExpr, conditions: &[Predicate]) -> Result<Branch
         let kleenes: Vec<usize> = slots
             .iter()
             .filter_map(|s| match s {
-                SlotRef::KleeneElem(k) => Some(*k),
+                Slot::KleeneElem { step, .. } => Some(*step),
                 _ => None,
             })
             .collect();
         let neg_refs: Vec<usize> = slots
             .iter()
             .filter_map(|s| match s {
-                SlotRef::NegElem(n) => Some(*n),
+                Slot::NegElem { neg, .. } => Some(*neg),
                 _ => None,
             })
             .collect();
@@ -556,7 +597,7 @@ fn compile_branch(expr: &PatternExpr, conditions: &[Predicate]) -> Result<Branch
         }
         // Pure single-step condition: eager.
         let mask = slots.iter().fold(0u64, |m, s| match s {
-            SlotRef::Step(i) => m | (1 << i),
+            Slot::Step(i) => m | (1 << i),
             _ => unreachable!("filtered above"),
         });
         global_conds.push(GlobalCond {

@@ -24,9 +24,11 @@ use crate::pattern::ast::Pattern;
 use crate::pattern::condition::{Expr, Predicate};
 use crate::pattern::error::PatternError;
 use crate::plan::{Branch, GroupElem, Plan, StepKind};
+use crate::program::Program;
 use crate::rewrite::{normalize_pattern, RewriteStats};
 use dlacep_events::WindowSpec;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// An ordered, non-empty set of patterns sharing one window — the
 /// registration point for multi-pattern evaluation.
@@ -130,6 +132,8 @@ pub struct ShareReport {
 #[derive(Debug, Clone)]
 pub struct SharedPlan {
     fused: Plan,
+    /// `fused` lowered once; every engine over this plan shares it.
+    program: Arc<Program>,
     units: Vec<Unit>,
     unit_of_binding: HashMap<String, usize>,
     n_patterns: usize,
@@ -156,7 +160,7 @@ impl SharedPlan {
                 report.branches_total += 1;
                 let owner = Owner {
                     pattern: pi,
-                    bindings: emission_bindings(branch),
+                    bindings: branch.emission_bindings(),
                 };
                 let canon = canonicalize(branch);
                 match canon_branches.iter().position(|b| *b == canon) {
@@ -186,16 +190,18 @@ impl SharedPlan {
         for (k, canon) in canon_branches.iter().enumerate() {
             let prefix = format!("u{k}.");
             let prefixed = rename_branch(canon, &|name| format!("{prefix}{name}"));
-            for name in emission_bindings(&prefixed) {
+            for name in prefixed.emission_bindings() {
                 unit_of_binding.insert(name, k);
             }
             fused_branches.push(prefixed);
         }
+        let fused = Plan {
+            branches: fused_branches,
+            window: set.window(),
+        };
         Ok(SharedPlan {
-            fused: Plan {
-                branches: fused_branches,
-                window: set.window(),
-            },
+            program: Arc::new(Program::lower(&fused)),
+            fused,
             units,
             unit_of_binding,
             n_patterns: set.len(),
@@ -226,7 +232,7 @@ impl SharedPlan {
     /// Instantiate an NFA engine over the fused plan — one engine, one scan,
     /// for the whole set.
     pub fn engine(&self, config: NfaConfig) -> NfaEngine {
-        NfaEngine::from_plan(self.fused.clone(), config)
+        NfaEngine::from_program(Arc::clone(&self.program), config)
     }
 
     /// Attribute fused-plan matches back to their source patterns: returns
@@ -287,22 +293,6 @@ fn accumulate(into: &mut RewriteStats, from: &RewriteStats) {
     into.disj_hoisted += from.disj_hoisted;
     into.disj_distributed += from.disj_distributed;
     into.groups_simplified += from.groups_simplified;
-}
-
-/// Binding names a branch emits in [`Match`] order: steps in order, a single
-/// step contributing its binding and a Kleene step its inner elements'.
-/// (Negated bindings never appear in emitted matches.)
-fn emission_bindings(branch: &Branch) -> Vec<String> {
-    let mut out = Vec::new();
-    for step in &branch.steps {
-        match &step.kind {
-            StepKind::Single { binding, .. } => out.push(binding.clone()),
-            StepKind::Kleene { inner, .. } => {
-                out.extend(inner.iter().map(|e| e.binding.clone()));
-            }
-        }
-    }
-    out
 }
 
 /// Rename every binding in a branch to a positional name (`s<i>` for the

@@ -13,7 +13,8 @@
 
 use crate::engine::{CepEngine, EngineStats, EventArena, Match};
 use crate::pattern::ast::Pattern;
-use crate::plan::{Branch, CompileError, Plan, StepKind};
+use crate::pattern::condition::CompiledPred;
+use crate::plan::{Branch, CompileError, Plan, Slot, StepKind};
 use crate::state::{EntrySnapshot, StateError, TreeEngineState};
 use dlacep_events::{EventId, PrimitiveEvent, WindowSpec};
 
@@ -149,8 +150,34 @@ struct TreeNode {
     buffer: Vec<Entry>,
 }
 
+/// An eager condition over `(step, attribute)` leaves with the steps it
+/// needs bound — the form the tree and lazy engines evaluate.
+pub(crate) type StepCond = (u64, CompiledPred<(usize, usize)>);
+
+/// Lower a branch's eager conditions, once, when an engine is built.
+pub(crate) fn step_conds(branch: &Branch) -> Vec<StepCond> {
+    let slots = branch.slots();
+    let mut leaf = |name: &str, attr: usize| match slots.get(name)? {
+        Slot::Step(s) => Some((*s, attr)),
+        _ => None,
+    };
+    (branch.global_conds.iter())
+        .map(|g| (g.step_mask, g.pred.lower(&mut leaf)))
+        .collect()
+}
+
+/// Evaluate a lowered condition with step `s` bound to event `ids[s]`.
+pub(crate) fn check_bound(
+    cond: &CompiledPred<(usize, usize)>,
+    ids: &[Option<EventId>],
+    arena: &EventArena,
+) -> Option<bool> {
+    cond.eval(&|&(step, attr)| arena.get(ids[step]?)?.attr(attr))
+}
+
 struct BranchTree {
     branch: Branch,
+    conds: Vec<StepCond>,
     nodes: Vec<TreeNode>,
     root: usize,
     /// step → leaf node index
@@ -199,20 +226,13 @@ impl BranchTree {
             }
         }
         let root = add(&mut nodes, &mut leaf_of, &shape);
-        let binding_of = branch
-            .steps
-            .iter()
-            .map(|s| match &s.kind {
-                StepKind::Single { binding, .. } => binding.clone(),
-                StepKind::Kleene { .. } => unreachable!("rejected above"),
-            })
-            .collect();
         Ok(Self {
+            conds: step_conds(&branch),
+            binding_of: branch.emission_bindings(),
             branch,
             nodes,
             root,
             leaf_of,
-            binding_of,
         })
     }
 }
@@ -398,8 +418,7 @@ impl TreeEngine {
     fn join(
         stats: &mut EngineStats,
         arena: &EventArena,
-        branch: &Branch,
-        binding_of: &[String],
+        tree: &BranchTree,
         window: WindowSpec,
         x: &Entry,
         y: &Entry,
@@ -427,7 +446,7 @@ impl TreeEngine {
         // Order: each bound step's predecessors (if bound) must precede it.
         for (t, id_t) in ids.iter().enumerate() {
             let Some(id_t) = id_t else { continue };
-            let preds = branch.steps[t].preds;
+            let preds = tree.branch.steps[t].preds;
             if preds == 0 {
                 continue;
             }
@@ -459,21 +478,15 @@ impl TreeEngine {
             }
         }
         // Conditions newly decidable at this node.
-        for cond in &branch.global_conds {
-            let m = cond.step_mask;
-            if m & combined_mask != m {
+        for (m, cond) in &tree.conds {
+            if m & combined_mask != *m {
                 continue;
             }
-            if m != 0 && (m & x.mask == m || m & y.mask == m) {
+            if *m != 0 && (m & x.mask == *m || m & y.mask == *m) {
                 continue; // already validated below this node
             }
             stats.condition_evaluations += 1;
-            let lookup = |b: &str, a: usize| -> Option<f64> {
-                let step = binding_of.iter().position(|n| n == b)?;
-                let id = ids[step]?;
-                arena.get(id)?.attr(a)
-            };
-            if cond.pred.eval(&lookup) != Some(true) {
+            if check_bound(cond, &ids, arena) != Some(true) {
                 return None;
             }
         }
@@ -491,7 +504,7 @@ impl TreeEngine {
 impl CepEngine for TreeEngine {
     fn process(&mut self, ev: &PrimitiveEvent) {
         self.stats.events_processed += 1;
-        self.arena.push(ev.clone());
+        self.arena.push(ev);
         match self.window {
             WindowSpec::Count(w) => self
                 .arena
@@ -529,17 +542,12 @@ impl CepEngine for TreeEngine {
                     max_ts: ev.ts.0,
                 };
                 // Single-step conditions gate leaf insertion.
-                let ok = tree.branch.global_conds.iter().all(|c| {
-                    if c.step_mask != 1 << s {
+                let ok = tree.conds.iter().all(|(mask, cond)| {
+                    if *mask != 1 << s {
                         return true;
                     }
                     stats.condition_evaluations += 1;
-                    let lookup = |b: &str, a: usize| -> Option<f64> {
-                        let step = tree.binding_of.iter().position(|nm| nm == b)?;
-                        let id = entry.ids[step]?;
-                        arena.get(id)?.attr(a)
-                    };
-                    c.pred.eval(&lookup) == Some(true)
+                    check_bound(cond, &entry.ids, arena) == Some(true)
                 });
                 if !ok {
                     continue;
@@ -564,15 +572,7 @@ impl CepEngine for TreeEngine {
                 let sibling = if l == node_idx { r } else { l };
                 let mut joined: Vec<Entry> = Vec::new();
                 for other in &tree.nodes[sibling].buffer {
-                    if let Some(j) = Self::join(
-                        stats,
-                        arena,
-                        &tree.branch,
-                        &tree.binding_of,
-                        window,
-                        &entry,
-                        other,
-                    ) {
+                    if let Some(j) = Self::join(stats, arena, tree, window, &entry, other) {
                         joined.push(j);
                     }
                 }
@@ -615,17 +615,9 @@ pub fn estimate_cost_model(branch: &Branch, sample: &[PrimitiveEvent]) -> CostMo
             rates[s] = c as f64 / total;
         }
     }
-    let binding_of: Vec<String> = branch
-        .steps
-        .iter()
-        .map(|s| match &s.kind {
-            StepKind::Single { binding, .. } => binding.clone(),
-            StepKind::Kleene { .. } => String::new(),
-        })
-        .collect();
     let mut sel = vec![vec![1.0; n]; n];
-    for cond in &branch.global_conds {
-        let steps: Vec<usize> = (0..n).filter(|s| cond.step_mask & (1 << s) != 0).collect();
+    for (mask, cond) in &step_conds(branch) {
+        let steps: Vec<usize> = (0..n).filter(|s| mask & (1 << s) != 0).collect();
         if steps.len() != 2 {
             continue;
         }
@@ -645,16 +637,16 @@ pub fn estimate_cost_model(branch: &Branch, sample: &[PrimitiveEvent]) -> CostMo
         let mut tried = 0usize;
         for a in &events_i {
             for b in &events_j {
-                let lookup = |bd: &str, at: usize| -> Option<f64> {
-                    if bd == binding_of[i] {
+                let lookup = |&(step, at): &(usize, usize)| -> Option<f64> {
+                    if step == i {
                         a.attr(at)
-                    } else if bd == binding_of[j] {
+                    } else if step == j {
                         b.attr(at)
                     } else {
                         None
                     }
                 };
-                if let Some(ok) = cond.pred.eval(&lookup) {
+                if let Some(ok) = cond.eval(&lookup) {
                     tried += 1;
                     if ok {
                         pass += 1;

@@ -1,0 +1,106 @@
+//! Allocation gate for the NFA engine's per-event path: in steady state
+//! (stores and arena at their working size) `Q_A1(j=4, k=10)` — the repo
+//! benchmark's heavy-partials exact workload, ≈ 48 partial matches created
+//! and ≈ 160 conditions evaluated per event — may allocate only for the
+//! matches it emits. The engine this replaced made ≈ 207 allocations per
+//! event on the same input.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use dlacep_cep::{CepEngine, NfaEngine, Pattern, PatternExpr, Predicate, TypeSet};
+use dlacep_events::{PrimitiveEvent, TypeId, WindowSpec};
+
+/// Counts every allocation of the process: this file holds one test, so
+/// nothing else runs while it measures.
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a statistic and publishes nothing.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Table 1 `Q_A1(j, k, p, α, β)`: `SEQ(S_1..S_j)` over the `k` most frequent
+/// types with `∀i ∈ p: α·S_i.vol < S_j.vol < β·S_i.vol`.
+fn q_a1(j: usize, k: u32, p: &[usize], alpha: f64, beta: f64, w: u64) -> Pattern {
+    let top_k = TypeSet::new((0..k).map(TypeId).collect());
+    let leaves = (1..=j)
+        .map(|t| PatternExpr::event(top_k.clone(), format!("s{t}")))
+        .collect();
+    let last = format!("s{j}");
+    let conds = p
+        .iter()
+        .map(|i| {
+            let from = format!("s{i}");
+            Predicate::band(alpha, (&from, 0), (&last, 0), beta, (&from, 0))
+        })
+        .collect();
+    Pattern::new(PatternExpr::Seq(leaves), conds, WindowSpec::Count(w))
+}
+
+/// A Zipf-ish stock stream: type `t` about `1/(t+1)` as frequent as type 0,
+/// volumes log-uniform over a decade.
+fn stream(n: u64) -> Vec<PrimitiveEvent> {
+    let mut state = 0x00a1_10c8_u64;
+    let mut unit = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..n)
+        .map(|id| {
+            let t = (64f64.powf(unit()) - 1.0) as u32;
+            PrimitiveEvent::new(id, TypeId(t), id, vec![10f64.powf(unit())])
+        })
+        .collect()
+}
+
+#[test]
+fn steady_state_allocates_only_for_matches() {
+    const WARM: usize = 4_000;
+    let events = stream(8_000);
+    let mut engine = NfaEngine::new(&q_a1(4, 10, &[1, 2, 3], 0.95, 1.05, 24)).unwrap();
+    let mut matches = engine.run(&events[..WARM]);
+    let created = engine.stats().partial_matches_created;
+
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for ev in &events[WARM..] {
+        engine.process(ev);
+        matches.append(&mut engine.drain_matches());
+    }
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+
+    let measured = (events.len() - WARM) as u64;
+    let per_event = (engine.stats().partial_matches_created - created) / measured;
+    assert!(
+        per_event >= 20,
+        "the gate must measure a heavy-partials load, got {per_event} partial matches per event"
+    );
+    assert!(!matches.is_empty());
+    assert!(
+        allocs <= 2 * measured,
+        "{allocs} allocations over {measured} steady-state events (limit 2 per event)"
+    );
+}

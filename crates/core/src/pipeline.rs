@@ -6,9 +6,7 @@ use crate::filter::{Filter, WindowMarks, MARK_BATCH};
 use dlacep_cep::engine::CepEngine;
 use dlacep_cep::plan::{CompileError, Plan};
 use dlacep_cep::sharded::run_sharded_traced;
-use dlacep_cep::{
-    EngineStats, Match, NfaConfig, NfaEngine, Pattern, PatternError, PatternSet, SharedPlan,
-};
+use dlacep_cep::{EngineStats, Match, NfaConfig, Pattern, PatternError, PatternSet, SharedPlan};
 use dlacep_events::PrimitiveEvent;
 use dlacep_obs::{Counter, Histogram, MetricsSnapshot, Registry, TraceBuilder, Tracer};
 use dlacep_par::{Parallelism, PoolStats, ThreadPool};
@@ -403,7 +401,7 @@ impl<F: Filter> Dlacep<F> {
         );
 
         let cep_start = Instant::now();
-        let new_engine = || NfaEngine::from_plan(self.shared.plan().clone(), NfaConfig::default());
+        let new_engine = || self.shared.engine(NfaConfig::default());
         let (matches, stats) = match pool {
             Some(pool) if filtered.len() >= 2 * self.par.shard_events => run_sharded_traced(
                 new_engine,
