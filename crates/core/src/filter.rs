@@ -71,6 +71,29 @@ pub trait Filter: Send + Sync {
     }
 }
 
+/// A borrowed filter is a filter: the batch pipeline guards `&F` per run.
+impl<F: Filter + ?Sized> Filter for &F {
+    fn mark(&self, window: &[PrimitiveEvent]) -> Vec<bool> {
+        (**self).mark(window)
+    }
+
+    fn scores(&self, window: &[PrimitiveEvent]) -> Option<Vec<f32>> {
+        (**self).scores(window)
+    }
+
+    fn mark_batch(&self, windows: &[&[PrimitiveEvent]], with_scores: bool) -> Vec<WindowMarks> {
+        (**self).mark_batch(windows, with_scores)
+    }
+
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn quantized(&self) -> bool {
+        (**self).quantized()
+    }
+}
+
 /// Learned per-event filter: stacked BiLSTM + BI-CRF (§4.3 event-network).
 #[derive(Debug, Clone)]
 pub struct EventNetFilter {

@@ -57,13 +57,13 @@ pub mod filter;
 pub mod guard;
 pub mod metrics;
 pub mod model;
-pub mod multi;
 pub mod objective;
 pub mod persist;
 pub mod pipeline;
 pub mod quantized;
 pub mod retrain;
 pub mod runtime;
+pub mod stage;
 pub mod trainer;
 
 pub use assembler::{AssemblerConfig, AssemblerError};
@@ -83,7 +83,6 @@ pub use filter::{
 pub use guard::{BreakerState, FaultKind, FilterGuard, GuardConfig, GuardState, GuardStats};
 pub use metrics::{compare, compare_runs, run_ecep, ComparisonReport};
 pub use model::{EventNetwork, NetworkConfig, WindowNetwork};
-pub use multi::{train_multi_pattern, MultiPatternDlacep, MultiReport, MultiTraining};
 pub use objective::AcepObjective;
 pub use persist::{
     load_event_filter, load_quantized_filter, load_window_filter, save_event_filter,
@@ -100,7 +99,8 @@ pub use runtime::{
     RuntimeMode, RuntimeReport, StreamingDlacep,
 };
 pub use trainer::{
-    train_event_filter, train_window_filter, EventNetTraining, TrainConfig, WindowNetTraining,
+    train_event_filter, train_multi_pattern, train_window_filter, EventNetTraining, TrainConfig,
+    WindowNetTraining,
 };
 
 /// Convenient glob-import surface.

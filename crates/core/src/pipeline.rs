@@ -2,7 +2,9 @@
 //! extract → union.
 
 use crate::assembler::{AssemblerConfig, AssemblerError};
-use crate::filter::{Filter, WindowMarks, MARK_BATCH};
+use crate::filter::Filter;
+use crate::guard::GuardConfig;
+use crate::stage::MarkStage;
 use dlacep_cep::engine::CepEngine;
 use dlacep_cep::plan::{CompileError, Plan};
 use dlacep_cep::sharded::run_sharded_traced;
@@ -83,9 +85,11 @@ pub struct DlacepReport {
     pub filtering_ratio: f64,
     /// Extractor work counters.
     pub extractor_stats: EngineStats,
-    /// Windows whose filter output was invalid (wrong mark-vector length).
-    /// Each such window fails open: all of its events are relayed, trading
-    /// throughput for recall.
+    /// Windows on which the filter faulted (panic, wrong mark-vector
+    /// length). Each such window fails open: all of its events are relayed,
+    /// trading throughput for recall; consecutive faults open the run's
+    /// breaker (see [`crate::guard`]), which relays further windows in full
+    /// without invoking the filter.
     pub filter_faults: usize,
     /// Cumulative scheduling counters of the pipeline's pool; `None` on the
     /// serial path.
@@ -132,11 +136,7 @@ struct PipelineObs {
     filter_stage_nanos: Histogram,
     cep_stage_nanos: Histogram,
     shard_nanos: Histogram,
-    cep_events_processed: Counter,
-    cep_partials_created: Counter,
-    cep_partials_shed: Counter,
-    cep_condition_evals: Counter,
-    cep_matches_emitted: Counter,
+    cep: CepCounters,
 }
 
 impl PipelineObs {
@@ -152,30 +152,39 @@ impl PipelineObs {
             filter_stage_nanos: registry.histogram("pipeline.filter_stage_nanos"),
             cep_stage_nanos: registry.histogram("pipeline.cep_stage_nanos"),
             shard_nanos: registry.histogram("cep.shard_extract_nanos"),
-            cep_events_processed: registry.counter("cep.events_processed"),
-            cep_partials_created: registry.counter("cep.partials_created"),
-            cep_partials_shed: registry.counter("cep.partials_shed"),
-            cep_condition_evals: registry.counter("cep.condition_evals"),
-            cep_matches_emitted: registry.counter("cep.matches_emitted"),
+            cep: CepCounters::new(&registry),
             registry,
         }
     }
+}
 
-    /// Fold one extraction's engine counters into the `cep.*` namespace.
-    fn record_engine_stats(&self, stats: &EngineStats) {
-        self.cep_events_processed.add(stats.events_processed);
-        self.cep_partials_created.add(stats.partial_matches_created);
-        self.cep_partials_shed.add(stats.partials_shed);
-        self.cep_condition_evals.add(stats.condition_evaluations);
-        self.cep_matches_emitted.add(stats.matches_emitted);
+/// The `cep.*` counters an extractor's work folds into, for the batch
+/// pipeline and the streaming runtime alike.
+pub(crate) struct CepCounters {
+    events_processed: Counter,
+    partials_created: Counter,
+    partials_shed: Counter,
+    condition_evals: Counter,
+    matches_emitted: Counter,
+}
+
+impl CepCounters {
+    pub(crate) fn new(registry: &Registry) -> Self {
+        Self {
+            events_processed: registry.counter("cep.events_processed"),
+            partials_created: registry.counter("cep.partials_created"),
+            partials_shed: registry.counter("cep.partials_shed"),
+            condition_evals: registry.counter("cep.condition_evals"),
+            matches_emitted: registry.counter("cep.matches_emitted"),
+        }
     }
 
-    fn snapshot_if_enabled(&self) -> Option<MetricsSnapshot> {
-        if self.registry.is_enabled() {
-            Some(self.registry.snapshot())
-        } else {
-            None
-        }
+    pub(crate) fn record(&self, stats: &EngineStats) {
+        self.events_processed.add(stats.events_processed);
+        self.partials_created.add(stats.partial_matches_created);
+        self.partials_shed.add(stats.partials_shed);
+        self.condition_evals.add(stats.condition_evaluations);
+        self.matches_emitted.add(stats.matches_emitted);
     }
 }
 
@@ -356,6 +365,11 @@ impl<F: Filter> Dlacep<F> {
     /// Duplicate marks from overlapping assembler windows are erased before
     /// relaying (§4.2).
     ///
+    /// The filter half is a [`MarkStage`] over the whole slice, behind a
+    /// default-configured guard that lives for this call: a filter that
+    /// panics or returns marks of the wrong length degrades throughput,
+    /// never recall, and never unwinds through `run`.
+    ///
     /// With a multi-thread [`Parallelism`] config, window marking is batched
     /// onto the pool and large filtered streams are evaluated as CEP shards;
     /// matches and marks are identical to the serial path (see
@@ -372,44 +386,54 @@ impl<F: Filter> Dlacep<F> {
         let traces = begin_pipeline_traces(&tracer, events);
         let t_f0 = tracer.now_nanos();
         let filter_start = Instant::now();
-        // Windows are independent reads of the stream: the filter gets them
-        // a chunk at a time, on the pool when there is one, and the chunks'
-        // results are merged in window order either way.
-        let windows: Vec<&[PrimitiveEvent]> = self.assembler.windows(events).collect();
-        let chunks: Vec<&[&[PrimitiveEvent]]> = windows.chunks(MARK_BATCH).collect();
-        let marked: Vec<Vec<WindowMarks>> = match pool {
-            Some(pool) if windows.len() >= self.par.min_batch_windows => {
-                pool.parallel_map(&chunks, 1, |_, chunk| self.mark_chunk(chunk))
-            }
-            _ => chunks.iter().map(|chunk| self.mark_chunk(chunk)).collect(),
-        };
-        let (filtered, filter_faults) = relay(
-            events,
-            self.assembler.step_size,
-            windows
-                .iter()
-                .zip(marked.iter().flatten())
-                .map(|(window, (marks, _))| (window.len(), marks.as_slice())),
+        // A finite slice is a stream that ends: admit every position, let
+        // the stage mark all windows (trailing ones included) through a
+        // guard that lives for this run, and keep what it finalizes.
+        let mut stage = MarkStage::new(
+            &self.filter,
+            GuardConfig::default(),
+            self.assembler,
+            self.pool.clone(),
+            self.par.min_batch_windows,
+            self.obs.mark_nanos.clone(),
         );
+        stage.admit(events.len());
+        stage.settle(events, true, &mut ());
+        let filtered: Vec<PrimitiveEvent> = events
+            .iter()
+            .zip(stage.drain_finalized())
+            .filter(|(_, keep)| *keep)
+            .map(|(ev, _)| ev.clone())
+            .collect();
+        let windows_marked = stage.windows_evaluated() as u64;
+        let filter_faults = stage.guard().stats().faults_total as usize;
         let filter_time = filter_start.elapsed();
         let t_f1 = tracer.now_nanos();
-        self.record_filter_stage(
-            windows.len() as u64,
-            filter_faults,
-            filtered.len(),
-            filter_time,
-        );
+        let obs = &self.obs;
+        obs.windows_marked.add(windows_marked);
+        // Split by inference path so quant-vs-f32 traffic is visible when a
+        // deployment mixes quantized and full-precision filters in one
+        // registry.
+        if self.filter.quantized() {
+            obs.windows_marked_quant.add(windows_marked);
+        } else {
+            obs.windows_marked_f32.add(windows_marked);
+        }
+        obs.filter_faults.add(filter_faults as u64);
+        obs.events_relayed.add(filtered.len() as u64);
+        obs.filter_stage_nanos
+            .record(u64::try_from(filter_time.as_nanos()).unwrap_or(u64::MAX));
 
         let cep_start = Instant::now();
         let new_engine = || self.shared.engine(NfaConfig::default());
-        let (matches, stats) = match pool {
+        let (matches, extractor_stats) = match pool {
             Some(pool) if filtered.len() >= 2 * self.par.shard_events => run_sharded_traced(
                 new_engine,
                 self.shared.plan().window,
                 &filtered,
                 self.par.shard_events,
                 pool.as_ref(),
-                &self.obs.shard_nanos,
+                &obs.shard_nanos,
                 &tracer,
             ),
             _ => {
@@ -420,92 +444,18 @@ impl<F: Filter> Dlacep<F> {
         };
         let cep_time = cep_start.elapsed();
         let t_c1 = tracer.now_nanos();
-        self.record_cep_stage(&stats, cep_time);
+        obs.cep.record(&extractor_stats);
+        obs.cep_stage_nanos
+            .record(u64::try_from(cep_time.as_nanos()).unwrap_or(u64::MAX));
         finish_pipeline_traces(
             traces,
-            windows.len() as u64,
+            windows_marked,
             &filtered,
             &matches,
             (t_f0, t_f1),
             (t_f1, t_c1),
         );
 
-        self.report(
-            events.len(),
-            filtered.len(),
-            matches,
-            stats,
-            filter_time,
-            cep_time,
-            filter_faults,
-            pool.map(|p| p.stats()),
-        )
-    }
-
-    /// Mark one chunk of windows, one result per window. `mark_nanos`
-    /// stays a per-window histogram: every window of the chunk records an
-    /// equal share of the chunk's time. A filter that returns the wrong
-    /// number of results has the missing ones replaced by empty mark
-    /// vectors, which [`relay`] fails open on.
-    fn mark_chunk(&self, chunk: &[&[PrimitiveEvent]]) -> Vec<WindowMarks> {
-        let start = self.obs.mark_nanos.is_enabled().then(Instant::now);
-        let mut marked = self.filter.mark_batch(chunk, false);
-        if let Some(start) = start {
-            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            for _ in chunk {
-                self.obs.mark_nanos.record(nanos / chunk.len() as u64);
-            }
-        }
-        marked.resize_with(chunk.len(), Default::default);
-        marked
-    }
-
-    /// Record the filter stage's counters and wall time (identically on the
-    /// serial and pooled paths, so counter values stay thread-count
-    /// independent).
-    fn record_filter_stage(
-        &self,
-        windows_marked: u64,
-        filter_faults: usize,
-        events_relayed: usize,
-        filter_time: Duration,
-    ) {
-        self.obs.windows_marked.add(windows_marked);
-        // Split by inference path so quant-vs-f32 traffic is visible when a
-        // deployment mixes quantized and full-precision filters in one
-        // registry.
-        if self.filter.quantized() {
-            self.obs.windows_marked_quant.add(windows_marked);
-        } else {
-            self.obs.windows_marked_f32.add(windows_marked);
-        }
-        self.obs.filter_faults.add(filter_faults as u64);
-        self.obs.events_relayed.add(events_relayed as u64);
-        self.obs
-            .filter_stage_nanos
-            .record(u64::try_from(filter_time.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// Record the CEP stage's engine counters and wall time.
-    fn record_cep_stage(&self, stats: &EngineStats, cep_time: Duration) {
-        self.obs.record_engine_stats(stats);
-        self.obs
-            .cep_stage_nanos
-            .record(u64::try_from(cep_time.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn report(
-        &self,
-        events_total: usize,
-        events_relayed: usize,
-        matches: Vec<Match>,
-        extractor_stats: EngineStats,
-        filter_time: Duration,
-        cep_time: Duration,
-        filter_faults: usize,
-        pool: Option<PoolStats>,
-    ) -> DlacepReport {
         // The engine emitted fused-plan matches (unit binding names);
         // attribute them back to their source patterns with the original
         // names restored.
@@ -513,57 +463,21 @@ impl<F: Filter> Dlacep<F> {
         DlacepReport {
             matches: attributed.union,
             per_pattern: attributed.per_pattern,
-            events_total,
-            events_relayed,
+            events_total: events.len(),
+            events_relayed: filtered.len(),
             filter_time,
             cep_time,
-            filtering_ratio: if events_total == 0 {
+            filtering_ratio: if events.is_empty() {
                 0.0
             } else {
-                1.0 - events_relayed as f64 / events_total as f64
+                1.0 - filtered.len() as f64 / events.len() as f64
             },
             extractor_stats,
             filter_faults,
-            pool,
-            obs: self.obs.snapshot_if_enabled(),
+            pool: pool.map(|p| p.stats()),
+            obs: (obs.registry.is_enabled()).then(|| obs.registry.snapshot()),
         }
     }
-}
-
-/// Erase duplicate marks from overlapping windows and collect the relayed
-/// stream (§4.2): window `i` is the slice of `events` starting at position
-/// `i · step`, so its marks are OR-ed into a per-position map and the kept
-/// events are cloned once, in stream order. `windows` yields each window's
-/// length and marks.
-///
-/// A mark vector of the wrong length is a filter defect, not a caller bug:
-/// that window fails open (everything in it is relayed) and is counted, so
-/// a broken filter degrades throughput, never recall.
-fn relay<'a>(
-    events: &[PrimitiveEvent],
-    step: usize,
-    windows: impl Iterator<Item = (usize, &'a [bool])>,
-) -> (Vec<PrimitiveEvent>, usize) {
-    let mut keep = vec![false; events.len()];
-    let mut faults = 0;
-    for (i, (len, marks)) in windows.enumerate() {
-        let slots = &mut keep[i * step..i * step + len];
-        if marks.len() == len {
-            for (slot, &mark) in slots.iter_mut().zip(marks) {
-                *slot |= mark;
-            }
-        } else {
-            faults += 1;
-            slots.fill(true);
-        }
-    }
-    let relayed = events
-        .iter()
-        .zip(&keep)
-        .filter(|(_, &keep)| keep)
-        .map(|(ev, _)| ev.clone())
-        .collect();
-    (relayed, faults)
 }
 
 #[cfg(test)]
@@ -717,54 +631,28 @@ mod tests {
         assert_eq!(keys(&report.matches), keys(&truth));
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
-
-        // Whatever the marks — wrong-length vectors included — the relayed
-        // stream is what an id-keyed dedupe map relays: ascending ids,
-        // every kept event once, faulty windows in full.
-        #[test]
-        fn relay_equals_id_keyed_dedupe(
-            n in 0usize..120,
-            mark_size in 1usize..13,
-            step_seed in 0usize..12,
-            draws in proptest::prop::collection::vec(0u8..8, 1600),
-        ) {
-            let step_size = 1 + step_seed % mark_size;
-            let s = noisy_stream(n);
-            let assembler = AssemblerConfig { mark_size, step_size };
-            let mut draws = draws.into_iter();
-            let windows: Vec<(&[PrimitiveEvent], Vec<bool>)> = assembler
-                .windows(s.events())
-                .map(|w| {
-                    // One window in eight gets a mark vector one short.
-                    let len = w.len() - usize::from(draws.next() == Some(7));
-                    (w, draws.by_ref().take(len).map(|d| d < 3).collect())
-                })
-                .collect();
-
-            let mut by_id = std::collections::BTreeMap::new();
-            let mut want_faults = 0;
-            for (w, marks) in &windows {
-                if marks.len() != w.len() {
-                    want_faults += 1;
-                }
-                for (i, ev) in w.iter().enumerate() {
-                    if marks.len() != w.len() || marks[i] {
-                        by_id.entry(ev.id.0).or_insert_with(|| ev.clone());
-                    }
-                }
+    #[test]
+    fn panicking_filter_is_caught_and_opens_the_breaker() {
+        struct AlwaysPanics;
+        impl Filter for AlwaysPanics {
+            fn mark(&self, _window: &[PrimitiveEvent]) -> Vec<bool> {
+                panic!("broken filter");
             }
-            let want: Vec<PrimitiveEvent> = by_id.into_values().collect();
-
-            let (got, faults) = relay(
-                s.events(),
-                step_size,
-                windows.iter().map(|(w, marks)| (w.len(), marks.as_slice())),
-            );
-            proptest::prop_assert_eq!(faults, want_faults);
-            proptest::prop_assert_eq!(got, want);
+            fn name(&self) -> &'static str {
+                "always-panics"
+            }
         }
+
+        let p = seq_ab(8);
+        let s = noisy_stream(200);
+        let truth = ground_truth_matches(&p, s.events());
+        let report = Dlacep::new(p, AlwaysPanics).unwrap().run(s.events());
+        // 24 windows under the default guard: three faults trip the
+        // breaker, sixteen windows bypass the filter, the probe faults
+        // again, the last four bypass. Nothing unwinds, nothing is lost.
+        assert_eq!(report.filter_faults, 4);
+        assert_eq!(report.events_relayed, report.events_total);
+        assert_eq!(keys(&report.matches), keys(&truth));
     }
 
     #[test]

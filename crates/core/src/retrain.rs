@@ -33,37 +33,19 @@
 //! count. That is what makes the crash sweep able to assert that a run
 //! killed mid-retrain and recovered equals an uninterrupted reference.
 
+use crate::embed::EventEmbedder;
 use crate::filter::{Filter, OracleFilter};
-use crate::model::NetworkConfig;
 use crate::persist::{
     decode_event_filter, decode_quantized_filter, encode_event_filter, encode_quantized_filter,
 };
 use crate::quantized::QuantizedFilter;
-use crate::trainer::TrainConfig;
+use crate::trainer::{fit_event_network, oversample, Sample, TrainConfig};
 use dlacep_cep::plan::Plan;
 use dlacep_cep::Pattern;
 use dlacep_events::PrimitiveEvent;
-use dlacep_nn::optim::Optimizer;
-use dlacep_nn::{record_epoch, Adam, BatchSampler, ConvergenceDetector};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use crate::embed::EventEmbedder;
-use crate::model::EventNetwork;
-
-/// Environment variable overriding [`RetrainConfig::max_retries`].
-pub const RETRAIN_MAX_RETRIES_ENV: &str = "DLACEP_RETRAIN_MAX_RETRIES";
-/// Environment variable overriding [`RetrainConfig::backoff_base_windows`].
-pub const RETRAIN_BACKOFF_ENV: &str = "DLACEP_RETRAIN_BACKOFF_WINDOWS";
-/// Environment variable overriding [`RetrainConfig::min_recall`].
-pub const RETRAIN_MIN_RECALL_ENV: &str = "DLACEP_RETRAIN_MIN_RECALL";
-/// Environment variable overriding [`RetrainConfig::min_precision`].
-pub const RETRAIN_MIN_PRECISION_ENV: &str = "DLACEP_RETRAIN_MIN_PRECISION";
-/// Environment variable overriding [`RetrainConfig::replay_windows`].
-pub const RETRAIN_REPLAY_ENV: &str = "DLACEP_RETRAIN_REPLAY_WINDOWS";
-/// Environment variable overriding [`RetrainConfig::holdout_every`].
-pub const RETRAIN_HOLDOUT_ENV: &str = "DLACEP_RETRAIN_HOLDOUT_EVERY";
 
 /// Supervisor policy: replay-buffer sizing, validation-gate thresholds,
 /// and the retry/backoff schedule. All units that involve time are in
@@ -105,32 +87,6 @@ impl Default for RetrainConfig {
 }
 
 impl RetrainConfig {
-    /// Defaults overridden by any `DLACEP_RETRAIN_*` environment variables
-    /// that are set and parse; unset or malformed variables keep the
-    /// default (same convention as [`crate::durable::dur_dir_from_env`]).
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Some(v) = env_parse::<u32>(RETRAIN_MAX_RETRIES_ENV) {
-            cfg.max_retries = v;
-        }
-        if let Some(v) = env_parse::<u64>(RETRAIN_BACKOFF_ENV) {
-            cfg.backoff_base_windows = v;
-        }
-        if let Some(v) = env_parse::<f64>(RETRAIN_MIN_RECALL_ENV) {
-            cfg.min_recall = v;
-        }
-        if let Some(v) = env_parse::<f64>(RETRAIN_MIN_PRECISION_ENV) {
-            cfg.min_precision = v;
-        }
-        if let Some(v) = env_parse::<usize>(RETRAIN_REPLAY_ENV) {
-            cfg.replay_windows = v;
-        }
-        if let Some(v) = env_parse::<usize>(RETRAIN_HOLDOUT_ENV) {
-            cfg.holdout_every = v;
-        }
-        cfg
-    }
-
     /// Validate the configuration. The runtime surfaces failures as a typed
     /// configuration error before anything is built.
     pub fn validate(&self) -> Result<(), String> {
@@ -153,10 +109,6 @@ impl RetrainConfig {
         }
         Ok(())
     }
-}
-
-fn env_parse<T: std::str::FromStr>(var: &str) -> Option<T> {
-    std::env::var(var).ok()?.trim().parse().ok()
 }
 
 /// Produces, serializes, and deserializes candidate filters for the
@@ -238,8 +190,8 @@ pub struct GateReport {
 }
 
 /// In-memory supervisor attached to a running `StreamingDlacep`. The
-/// decision logic itself lives in `runtime::step_retrain`; this struct owns
-/// the data that logic operates on.
+/// decision logic itself lives in the runtime's per-window observer
+/// (`step_retrain`); this struct owns the data that logic operates on.
 pub(crate) struct RetrainRuntime<F> {
     pub(crate) cfg: RetrainConfig,
     pub(crate) trainer: Box<dyn ModelTrainer<F>>,
@@ -365,9 +317,7 @@ pub(crate) fn validate_candidate<F: Filter>(
 /// Train an event-network filter on already-assembled replay windows,
 /// labeling each window with the exact engine — the online analogue of
 /// [`crate::trainer::train_event_filter`], which labels a raw historical
-/// stream. One replay window is one training sample. Epoch loss/grad-norm
-/// flow into the *global* obs registry (like offline training) so per-run
-/// registries stay deterministic across thread counts.
+/// stream. One replay window is one training sample.
 pub fn train_on_windows(
     pattern: &Pattern,
     windows: &[Vec<PrimitiveEvent>],
@@ -388,7 +338,7 @@ pub fn train_on_windows(
     let embedder = EventEmbedder::for_plan(&plan, num_attrs);
     let seed = cfg.seed ^ attempt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
 
-    let mut samples: Vec<(Vec<Vec<f32>>, Vec<bool>, bool)> = windows
+    let mut samples: Vec<Sample> = windows
         .iter()
         .map(|w| {
             let labels = oracle.mark(w);
@@ -397,65 +347,11 @@ pub fn train_on_windows(
         })
         .collect();
     if cfg.oversample_positives {
-        let pos: Vec<usize> = (0..samples.len()).filter(|&i| samples[i].2).collect();
-        let neg = samples.len() - pos.len();
-        if !pos.is_empty() && neg > pos.len() {
-            let copies = ((neg / pos.len()).saturating_sub(1)).min(15);
-            let extra: Vec<usize> = pos
-                .iter()
-                .flat_map(|&i| std::iter::repeat_with(move || i).take(copies))
-                .collect();
-            for i in extra {
-                let dup = samples[i].clone();
-                samples.push(dup);
-            }
-        }
+        oversample(&mut samples, None);
     }
-
-    let net_cfg = NetworkConfig {
-        input_dim: embedder.dim(),
-        hidden: cfg.hidden,
-        layers: cfg.layers,
-        seed,
-    };
-    let mut net = EventNetwork::new(net_cfg);
-    let obs = dlacep_obs::global();
-    let mut opt = Adam::new(cfg.lr.lr_at(0));
-    let mut sampler = BatchSampler::new(samples.len(), seed);
-    let mut detector =
-        ConvergenceDetector::new(cfg.convergence_threshold, cfg.convergence_patience);
-    for epoch in 0..cfg.max_epochs {
-        opt.set_lr(cfg.lr.lr_at(epoch));
-        let mut epoch_loss = 0.0;
-        let mut epoch_grad_norm = 0.0;
-        let mut batches = 0;
-        for batch_idx in sampler.epoch(cfg.batch.at(epoch)) {
-            let batch: Vec<(&[Vec<f32>], &[bool])> = batch_idx
-                .iter()
-                .map(|&i| {
-                    let (w, l, _) = &samples[i];
-                    (w.as_slice(), l.as_slice())
-                })
-                .collect();
-            let step = net.train_batch(&batch, &mut opt, cfg.grad_clip);
-            epoch_loss += step.loss;
-            epoch_grad_norm += step.grad_norm;
-            batches += 1;
-        }
-        let loss = epoch_loss / batches.max(1) as f32;
-        record_epoch(
-            &obs,
-            epoch,
-            loss,
-            epoch_grad_norm / batches.max(1) as f32,
-            cfg.lr.lr_at(epoch),
-        );
-        if detector.observe(loss) {
-            break;
-        }
-    }
+    let (network, _) = fit_event_network(&samples, embedder.dim(), cfg, seed);
     Ok(crate::filter::EventNetFilter {
-        network: net,
+        network,
         embedder,
         threshold: cfg.mark_threshold,
     })

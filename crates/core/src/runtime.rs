@@ -1,16 +1,18 @@
 //! Supervised streaming DLACEP runtime with graceful degradation.
 //!
-//! [`Dlacep`](crate::pipeline::Dlacep) is a batch harness: it assumes an
-//! in-order, fully materialized stream and a well-behaved filter. This module
-//! is the deployable counterpart — a [`StreamingDlacep`] ingests events one
-//! at a time and survives every fault class the batch path would panic or
-//! silently lose data on:
+//! [`Dlacep`](crate::pipeline::Dlacep) runs the loop over a finite,
+//! in-order slice. This module is the deployable counterpart — a
+//! [`StreamingDlacep`] ingests events as they arrive, one at a time or in
+//! batches, and drives the same filter stage ([`crate::stage`]) with the
+//! supervision a long-lived deployment needs:
 //!
-//! * **Filter faults** — every filter invocation goes through a
+//! * **Filter faults** — every filter invocation goes through the stage's
 //!   [`FilterGuard`]: panics are caught, mark vectors validated, scores
 //!   optionally checked for NaNs. Faulty windows fail open (relay
 //!   everything); sustained faults trip a circuit breaker into passthrough
 //!   (exact-CEP) mode with half-open probing to re-admit a recovered filter.
+//!   Here the guard's state outlives a call, is checkpointed, and every
+//!   transition lands in the timeline.
 //! * **Partial-match explosions** — the extractor runs under an optional
 //!   partial-match budget ([`RuntimeConfig::max_partials`]); excess state is
 //!   shed oldest-first, which can lose matches but never invents them.
@@ -18,7 +20,7 @@
 //!   `Drifted` verdict routes all subsequent windows to exact CEP and raises
 //!   a retrain signal until [`StreamingDlacep::rebaseline`] is called.
 //! * **Out-of-order input** — arrival-time regressions are handled by an
-//!   explicit [`OutOfOrderPolicy`] instead of the batch path's panic.
+//!   explicit [`OutOfOrderPolicy`], event by event.
 //!
 //! Degradation is **supervised**: every mode change is recorded in a
 //! [`ModeTransition`] timeline, and the final [`RuntimeReport`] extends the
@@ -31,24 +33,25 @@
 
 use crate::assembler::AssemblerConfig;
 use crate::drift::{DriftConfig, DriftMonitor, DriftMonitorState, DriftState};
-use crate::filter::{Filter, OracleFilter, MARK_BATCH};
-use crate::guard::{
-    invoke_unwinding, BreakerState, FilterGuard, GuardConfig, GuardState, GuardStats,
-    SpeculativeInvocation,
-};
-use crate::pipeline::DlacepError;
+use crate::filter::{Filter, OracleFilter};
+use crate::guard::{BreakerState, FilterGuard, GuardConfig, GuardOutcome, GuardState, GuardStats};
+use crate::pipeline::{CepCounters, DlacepError};
 use crate::retrain::{
     validate_candidate, GateReport, ModelTrainer, RetrainCheckpoint, RetrainConfig, RetrainRuntime,
     RetrainState,
 };
+use crate::stage::{checked_usize, MarkStage, StageState, WindowObserver};
 use dlacep_cep::engine::CepEngine;
 use dlacep_cep::plan::Plan;
 use dlacep_cep::{EngineStats, Match, NfaConfig, NfaEngine, Pattern};
 use dlacep_events::{AttrValue, EventId, OutOfOrderPolicy, PrimitiveEvent, StreamError, TypeId};
-use dlacep_obs::{Counter, Histogram, Journal, MetricsSnapshot, Registry, TraceBuilder, Tracer};
+use dlacep_obs::{
+    Counter, FieldValue, Histogram, Journal, MetricsSnapshot, Registry, TraceBuilder, Tracer,
+};
 use dlacep_par::{Parallelism, PoolStats, ThreadPool};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -123,9 +126,10 @@ pub struct RuntimeConfig {
 }
 
 /// The runtime's effective operating mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RuntimeMode {
     /// The neural filter is trusted and applied.
+    #[default]
     Filtering,
     /// Windows pass through unfiltered — exact-CEP behaviour (full recall,
     /// no throughput gain).
@@ -336,11 +340,7 @@ struct RuntimeObs {
     window_nanos: Histogram,
     retrain_gate_nanos: Histogram,
     ingest_to_emit_nanos: Histogram,
-    cep_events_processed: Counter,
-    cep_partials_created: Counter,
-    cep_partials_shed: Counter,
-    cep_condition_evals: Counter,
-    cep_matches_emitted: Counter,
+    cep: CepCounters,
 }
 
 impl RuntimeObs {
@@ -367,58 +367,14 @@ impl RuntimeObs {
             window_nanos: registry.histogram("runtime.window_nanos"),
             retrain_gate_nanos: registry.histogram("runtime.retrain_gate_nanos"),
             ingest_to_emit_nanos: registry.histogram("runtime.ingest_to_emit_nanos"),
-            cep_events_processed: registry.counter("cep.events_processed"),
-            cep_partials_created: registry.counter("cep.partials_created"),
-            cep_partials_shed: registry.counter("cep.partials_shed"),
-            cep_condition_evals: registry.counter("cep.condition_evals"),
-            cep_matches_emitted: registry.counter("cep.matches_emitted"),
+            cep: CepCounters::new(&registry),
             registry,
         }
     }
 
-    /// Fold the extractor's final counters into the `cep.*` namespace
-    /// (called once, at `finish`).
-    fn record_engine_stats(&self, stats: &EngineStats) {
-        self.cep_events_processed.add(stats.events_processed);
-        self.cep_partials_created.add(stats.partial_matches_created);
-        self.cep_partials_shed.add(stats.partials_shed);
-        self.cep_condition_evals.add(stats.condition_evaluations);
-        self.cep_matches_emitted.add(stats.matches_emitted);
-    }
-
     fn snapshot_if_enabled(&self) -> Option<MetricsSnapshot> {
-        if self.registry.is_enabled() {
-            Some(self.registry.snapshot())
-        } else {
-            None
-        }
+        (self.registry.is_enabled()).then(|| self.registry.snapshot())
     }
-}
-
-/// Append a mode transition to both the timeline and the journal (the
-/// journal's `"mode"` entries subsume the timeline). A free function over
-/// the individual fields so call sites inside window evaluation — where
-/// `self.buf` is borrowed — can still record.
-fn record_mode(
-    timeline: &mut Vec<ModeTransition>,
-    journal: &Journal,
-    window: u64,
-    mode: RuntimeMode,
-    cause: ModeCause,
-) {
-    timeline.push(ModeTransition {
-        window,
-        mode,
-        cause,
-    });
-    journal.record(
-        "mode",
-        &[
-            ("window", window.into()),
-            ("mode", format!("{mode:?}").into()),
-            ("cause", format!("{cause:?}").into()),
-        ],
-    );
 }
 
 /// One sampled in-flight trace: the builder plus the index of its root
@@ -428,54 +384,397 @@ struct ActiveTrace {
     root: u32,
 }
 
-/// The streaming DLACEP runtime. See the [module docs](self).
-pub struct StreamingDlacep<F: Filter> {
+/// What the supervisor notes about the window being replayed, between the
+/// stage's `begin` and `settled` hooks.
+#[derive(Default)]
+struct WindowNotes {
+    wall: Option<Instant>,
+    /// Whether the window covers a sampled event (span structure is
+    /// deterministic; only the nanosecond timestamps vary run to run).
+    traced: bool,
+    t_mark0: u64,
+    mode_before: RuntimeMode,
+    mark_path: &'static str,
+}
+
+/// Everything that watches the guard replay: drift detection, the retrain
+/// supervisor, the degradation timeline, metrics and trace spans. Attached
+/// to the [`MarkStage`] as its [`WindowObserver`], so the hook order per
+/// window is guard → drift → retrain.
+struct Supervisor<F: Filter> {
     pattern: Pattern,
-    /// The configuration as passed in, kept for the checkpoint fingerprint.
-    config: RuntimeConfig,
-    assembler: AssemblerConfig,
-    ooo_policy: OutOfOrderPolicy,
-    guard: FilterGuard<F>,
-    engine: NfaEngine,
-    par: Parallelism,
+    /// Runs the training job (shared with the stage).
     pool: Option<Arc<ThreadPool>>,
     drift: Option<DriftMonitor>,
     drift_fallback: bool,
     retrain_signaled: bool,
     retrain: Option<RetrainRuntime<F>>,
-    /// Bumped on every hot swap. [`StreamingDlacep::ingest_batch`] uses it
-    /// to discard speculative filter invocations computed against a model
-    /// that was swapped out mid-batch.
-    filter_generation: u64,
-    /// Admitted events not yet relayed/discarded, starting at position
-    /// `base`; `marks` is position-aligned with `buf`.
-    buf: VecDeque<PrimitiveEvent>,
-    marks: VecDeque<bool>,
+    windows_degraded: usize,
+    timeline: Vec<ModeTransition>,
+    obs: RuntimeObs,
     /// Trace plane handle (shared with the obs registry). When enabled,
-    /// `traces` is position-aligned with `buf` (`None` = unsampled event);
-    /// when disabled both stay empty.
+    /// `traces` is position-aligned with the runtime's buffer (`None` =
+    /// unsampled event); when disabled it stays empty.
     tracer: Tracer,
     traces: VecDeque<Option<ActiveTrace>>,
+    notes: WindowNotes,
+}
+
+/// One `"retrain"` journal entry: window and phase, then `more`.
+fn journal_retrain(journal: &Journal, we: u64, phase: &str, more: &[(&str, FieldValue)]) {
+    let mut fields = vec![("window", we.into()), ("phase", phase.into())];
+    fields.extend_from_slice(more);
+    journal.record("retrain", &fields);
+}
+
+impl<F: Filter> Supervisor<F> {
+    fn mode(&self, guard: &FilterGuard<F>) -> RuntimeMode {
+        if self.drift_fallback || guard.state() != BreakerState::Closed {
+            RuntimeMode::DegradedExact
+        } else {
+            RuntimeMode::Filtering
+        }
+    }
+
+    /// Append a mode transition to both the timeline and the journal (the
+    /// journal's `"mode"` entries subsume the timeline).
+    fn record_mode(&mut self, window: u64, mode: RuntimeMode, cause: ModeCause) {
+        self.timeline.push(ModeTransition {
+            window,
+            mode,
+            cause,
+        });
+        self.obs.journal.record(
+            "mode",
+            &[
+                ("window", window.into()),
+                ("mode", format!("{mode:?}").into()),
+                ("cause", format!("{cause:?}").into()),
+            ],
+        );
+    }
+
+    fn count_degraded(&mut self) {
+        self.windows_degraded += 1;
+        self.obs.windows_degraded.inc();
+    }
+
+    /// Advance the retrain supervisor by one evaluated window (`we` windows
+    /// so far). Scheduling is keyed to the window count, so the whole
+    /// degrade → retrain → validate → swap cycle is a pure function of the
+    /// workload and config regardless of batching or thread count. Returns
+    /// the validated candidate for the stage to swap in.
+    fn step_retrain(&mut self, we: u64, guard: &FilterGuard<F>) -> Option<F> {
+        let rr = self.retrain.as_mut()?;
+        if self.retrain_signaled && rr.state == RetrainState::Idle {
+            // Defer by one backoff period so the replay ring captures some
+            // post-drift windows before the first attempt trains on them.
+            let resume_at = we + rr.cfg.backoff_base_windows;
+            rr.state = RetrainState::Waiting {
+                resume_at,
+                attempt: 0,
+            };
+            self.obs.retrain_started.inc();
+            journal_retrain(
+                &self.obs.journal,
+                we,
+                "scheduled",
+                &[("attempt", 0u64.into()), ("resume_at", resume_at.into())],
+            );
+        }
+        let RetrainState::Waiting { resume_at, attempt } = rr.state else {
+            return None;
+        };
+        if we < resume_at {
+            return None;
+        }
+        let cfg = rr.cfg;
+        let (train_slice, holdout) = rr.split_replay();
+        let candidate: Result<F, String> = if train_slice.is_empty() || holdout.is_empty() {
+            Err(format!(
+                "replay buffer too small to split ({} windows)",
+                train_slice.len() + holdout.len()
+            ))
+        } else {
+            // Dispatch the training job onto the work-stealing pool. The
+            // panic fence sits *inside* the closure: the pool re-raises
+            // task panics on join, and a crashed trainer must surface as a
+            // retryable verdict, not tear down the runtime.
+            let (pattern, trainer, train_ref) = (&self.pattern, rr.trainer.as_ref(), &train_slice);
+            let job = move || {
+                catch_unwind(AssertUnwindSafe(|| {
+                    trainer.retrain(pattern, train_ref, u64::from(attempt))
+                }))
+                .map_err(|_| "training job panicked".to_string())
+                .and_then(|r| r)
+            };
+            match &self.pool {
+                Some(pool) => pool
+                    .parallel_map(&[()], 1, move |_, _| job())
+                    .pop()
+                    .expect("one item in, one out"),
+                None => job(),
+            }
+        };
+        let verdict: Result<(F, GateReport), String> = candidate.and_then(|cand| {
+            let _span = self.obs.retrain_gate_nanos.span();
+            let oracle = OracleFilter::new(self.pattern.clone());
+            let gate = validate_candidate(&cand, &oracle, &holdout)?;
+            if gate.recall < cfg.min_recall || gate.precision < cfg.min_precision {
+                return Err(format!(
+                    "gate failed: recall {:.4} (min {:.4}), precision {:.4} (min {:.4})",
+                    gate.recall, cfg.min_recall, gate.precision, cfg.min_precision
+                ));
+            }
+            Ok((cand, gate))
+        });
+        match verdict {
+            Ok((cand, gate)) => {
+                let version = rr.next_version;
+                rr.next_version += 1;
+                let bytes = rr.trainer.encode(&cand);
+                rr.active_model = Some((version, bytes.clone()));
+                rr.pending_models.push((version, bytes));
+                rr.state = RetrainState::Idle;
+                // Floor the rebaseline so a sparse holdout cannot produce a
+                // zero baseline (which would make every later rate "in
+                // tolerance" and blind the monitor).
+                let baseline = gate.marked_rate.max(0.01);
+                rr.baseline_override = Some(baseline);
+                if let Some(m) = &mut self.drift {
+                    m.rebaseline(baseline);
+                }
+                self.drift_fallback = false;
+                self.retrain_signaled = false;
+                self.obs.retrain_validated.inc();
+                self.obs.retrain_swapped.inc();
+                journal_retrain(
+                    &self.obs.journal,
+                    we,
+                    "validated",
+                    &[
+                        ("attempt", u64::from(attempt).into()),
+                        ("recall", format!("{:.4}", gate.recall).into()),
+                        ("precision", format!("{:.4}", gate.precision).into()),
+                    ],
+                );
+                journal_retrain(
+                    &self.obs.journal,
+                    we,
+                    "swapped",
+                    &[("version", version.into())],
+                );
+                // A swap leaves the breaker where it was, so the mode can
+                // be read before the stage installs the candidate.
+                self.record_mode(we, self.mode(guard), ModeCause::Swapped);
+                Some(cand)
+            }
+            Err(reason) => {
+                self.obs.retrain_rejected.inc();
+                journal_retrain(
+                    &self.obs.journal,
+                    we,
+                    "rejected",
+                    &[
+                        ("attempt", u64::from(attempt).into()),
+                        ("reason", reason.into()),
+                    ],
+                );
+                let next_attempt = attempt + 1;
+                if next_attempt > cfg.max_retries {
+                    rr.state = RetrainState::Exhausted;
+                    journal_retrain(
+                        &self.obs.journal,
+                        we,
+                        "exhausted",
+                        &[("verdict", "permanent-degraded".into())],
+                    );
+                } else {
+                    let resume_at = we + (cfg.backoff_base_windows << next_attempt.min(16));
+                    rr.state = RetrainState::Waiting {
+                        resume_at,
+                        attempt: next_attempt,
+                    };
+                    self.obs.retrain_retried.inc();
+                    journal_retrain(
+                        &self.obs.journal,
+                        we,
+                        "scheduled",
+                        &[
+                            ("attempt", u64::from(next_attempt).into()),
+                            ("resume_at", resume_at.into()),
+                        ],
+                    );
+                }
+                None
+            }
+        }
+    }
+}
+
+impl<F: Filter> WindowObserver<F> for Supervisor<F> {
+    fn bypass(&self) -> bool {
+        self.drift_fallback
+    }
+
+    fn begin(&mut self, _widx: u64, span: Range<usize>, guard: &FilterGuard<F>) {
+        self.obs.windows_evaluated.inc();
+        let traced = self.tracer.is_enabled() && self.traces.range(span).any(Option::is_some);
+        self.notes = WindowNotes {
+            wall: self.obs.window_nanos.is_enabled().then(Instant::now),
+            traced,
+            t_mark0: if traced { self.tracer.now_nanos() } else { 0 },
+            mode_before: self.mode(guard),
+            mark_path: "degraded",
+        };
+        if self.drift_fallback {
+            self.count_degraded();
+        }
+    }
+
+    fn marked(&mut self, widx: u64, outcome: &mut GuardOutcome, guard: &FilterGuard<F>) {
+        let healthy = outcome.filter_invoked && outcome.fault.is_none();
+        self.notes.mark_path = match (healthy, outcome.fault) {
+            (_, Some(_)) => "fault",
+            (false, None) => "degraded",
+            (true, None) if guard.filter().quantized() => "int8",
+            (true, None) => "f32",
+        };
+        if outcome.fault.is_some() {
+            self.obs.guard_faults.inc();
+        }
+        for &(from, to) in &outcome.transitions {
+            self.obs.journal.record(
+                "breaker",
+                &[
+                    ("window", widx.into()),
+                    ("from", format!("{from:?}").into()),
+                    ("to", format!("{to:?}").into()),
+                ],
+            );
+            let entry = match (from, to) {
+                (BreakerState::Closed, BreakerState::Open) => {
+                    Some((RuntimeMode::DegradedExact, ModeCause::FaultThreshold))
+                }
+                (BreakerState::HalfOpen, BreakerState::Open) => {
+                    Some((RuntimeMode::DegradedExact, ModeCause::ProbeFailed))
+                }
+                (BreakerState::HalfOpen, BreakerState::Closed) => {
+                    self.obs.recoveries.inc();
+                    Some((RuntimeMode::Filtering, ModeCause::Recovered))
+                }
+                _ => None,
+            };
+            if to == BreakerState::Open {
+                self.obs.breaker_trips.inc();
+            }
+            if let Some((mode, cause)) = entry {
+                self.record_mode(widx, mode, cause);
+            }
+        }
+        if healthy {
+            // Attribute the marking to its inference path so int8 rollouts
+            // are visible next to the f32 baseline.
+            if guard.filter().quantized() {
+                self.obs.windows_marked_quant.inc();
+            } else {
+                self.obs.windows_marked_f32.inc();
+            }
+            let verdict = self.drift.as_mut().map(|m| m.observe_marks(&outcome.marks));
+            if verdict == Some(DriftState::Drifted) {
+                // The verdict covers this window too: fail open now.
+                self.drift_fallback = true;
+                self.retrain_signaled = true;
+                self.obs.journal.record(
+                    "drift",
+                    &[("window", widx.into()), ("verdict", "Drifted".into())],
+                );
+                self.record_mode(widx, RuntimeMode::DegradedExact, ModeCause::Drift);
+                outcome.marks.fill(true);
+            }
+        }
+        if !healthy || self.drift_fallback {
+            self.count_degraded();
+        }
+    }
+
+    fn settled(
+        &mut self,
+        widx: u64,
+        window: &[PrimitiveEvent],
+        span: Range<usize>,
+        guard: &FilterGuard<F>,
+    ) -> Option<F> {
+        let t_mark1 = if self.notes.traced {
+            self.tracer.now_nanos()
+        } else {
+            0
+        };
+        if let Some(rr) = &mut self.retrain {
+            rr.observe_window(window);
+        }
+        let candidate = self.step_retrain(widx + 1, guard);
+        let mut exemplar = None;
+        if self.notes.traced {
+            let WindowNotes {
+                t_mark0,
+                mode_before,
+                mark_path,
+                ..
+            } = self.notes;
+            let mode_after = self.mode(guard);
+            let breaker = guard.state().name();
+            for at in self.traces.range_mut(span).flatten() {
+                exemplar.get_or_insert_with(|| at.builder.trace_id());
+                let a = at
+                    .builder
+                    .span_at("assemble", Some(at.root), t_mark0, t_mark0);
+                at.builder.annotate(a, "window", widx.into());
+                let m = at.builder.span_at("mark", Some(a), t_mark0, t_mark1);
+                at.builder.annotate(m, "path", mark_path.into());
+                at.builder.annotate(m, "breaker", breaker.into());
+                if mode_after != mode_before {
+                    let t = at.builder.instant("mode", Some(at.root));
+                    at.builder
+                        .annotate(t, "from", format!("{mode_before:?}").into());
+                    at.builder
+                        .annotate(t, "to", format!("{mode_after:?}").into());
+                }
+            }
+        }
+        if let Some(t0) = self.notes.wall {
+            let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.obs.window_nanos.record_traced(nanos, exemplar);
+        }
+        candidate
+    }
+}
+
+/// The streaming DLACEP runtime. See the [module docs](self).
+///
+/// The filter half of the loop is a [`MarkStage`]; this type is its
+/// streaming driver: it owns admission (ids, out-of-order policy), the
+/// buffer of events the stage has not finalized yet, and the CEP sink that
+/// every finalized, kept event is fed to.
+pub struct StreamingDlacep<F: Filter> {
+    /// The configuration as passed in, kept for the checkpoint fingerprint.
+    config: RuntimeConfig,
+    stage: MarkStage<F>,
+    sup: Supervisor<F>,
+    engine: NfaEngine,
+    /// Admitted events the stage has not finalized yet, in position order.
+    buf: VecDeque<PrimitiveEvent>,
     /// Admission instants position-aligned with `buf`, feeding the
     /// ingest-to-emit latency histogram. Empty when that histogram is
     /// disabled.
     admit_at: VecDeque<Instant>,
-    base: usize,
-    admitted: usize,
-    next_window_start: usize,
-    last_window_end: usize,
-    relayed_upto: usize,
     last_ts: Option<u64>,
     next_id: u64,
     events_offered: usize,
     events_dropped: usize,
     events_clamped: usize,
     events_relayed: usize,
-    windows_evaluated: usize,
-    windows_degraded: usize,
-    timeline: Vec<ModeTransition>,
     matches: Vec<Match>,
-    obs: RuntimeObs,
     /// Extractor shed count already journaled, for per-event deltas.
     journaled_sheds: u64,
 }
@@ -483,7 +782,7 @@ pub struct StreamingDlacep<F: Filter> {
 impl<F: Filter> StreamingDlacep<F> {
     /// Build with the default [`RuntimeConfig`].
     pub fn new(pattern: Pattern, filter: F) -> Result<Self, RuntimeError> {
-        Self::with_config_obs(pattern, filter, RuntimeConfig::default(), None)
+        Self::with_config_obs_trainer(pattern, filter, RuntimeConfig::default(), None, None)
     }
 
     /// Start a fluent builder — the one construction surface for every
@@ -493,23 +792,9 @@ impl<F: Filter> StreamingDlacep<F> {
         crate::builder::StreamingBuilder::new(pattern, filter)
     }
 
-    /// Shared construction path behind [`StreamingDlacep::builder`]: builds
-    /// the runtime, installs the obs registry (when given) *before* the
-    /// initial mode is recorded so the new journal is self-contained from
-    /// entry zero, and rebuilds the pool so its `pool.*` metrics land in the
-    /// same registry.
-    pub(crate) fn with_config_obs(
-        pattern: Pattern,
-        filter: F,
-        config: RuntimeConfig,
-        registry: Option<Arc<Registry>>,
-    ) -> Result<Self, RuntimeError> {
-        Self::with_config_obs_trainer(pattern, filter, config, registry, None)
-    }
-
-    /// Construction path behind [`crate::builder::StreamingBuilder::build`]
-    /// when a model trainer may be attached: pairs `config.retrain` with the
-    /// trainer (both or neither) before the usual registry installation.
+    /// Construction path behind [`crate::builder::StreamingBuilder::build`]:
+    /// builds the runtime against `registry` (default: the global one) and
+    /// records the initial mode as the journal's entry zero.
     pub(crate) fn with_config_obs_trainer(
         pattern: Pattern,
         filter: F,
@@ -517,58 +802,56 @@ impl<F: Filter> StreamingDlacep<F> {
         registry: Option<Arc<Registry>>,
         trainer: Option<Box<dyn ModelTrainer<F>>>,
     ) -> Result<Self, RuntimeError> {
-        let mut rt = Self::build(pattern, filter, config)?;
-        rt.attach_trainer(trainer)?;
-        if let Some(reg) = registry {
-            rt.obs = RuntimeObs::new(reg);
-            rt.pool = rt.par.build_pool_with_obs(&rt.obs.registry);
-            rt.tracer = rt.obs.registry.tracer();
-        }
-        Ok(rt.with_initial_mode())
-    }
-
-    /// Pair `config.retrain` with a trainer: self-healing needs both the
-    /// policy and a way to produce candidates, so a lone half is a
-    /// configuration error, not a silent no-op.
-    fn attach_trainer(
-        &mut self,
-        trainer: Option<Box<dyn ModelTrainer<F>>>,
-    ) -> Result<(), RuntimeError> {
-        match (self.config.retrain, trainer) {
-            (Some(cfg), Some(t)) => {
-                self.retrain = Some(RetrainRuntime::new(cfg, t));
-                Ok(())
-            }
-            (Some(_), None) => Err(RuntimeError::Config(
-                "config.retrain is set but no model trainer is attached; \
-                 use StreamingDlacep::builder(..).retrain(cfg, trainer)"
-                    .into(),
-            )),
-            (None, Some(_)) => Err(RuntimeError::Config(
-                "a model trainer is attached but config.retrain is None".into(),
-            )),
-            (None, None) => Ok(()),
-        }
+        let mut rt = Self::build(pattern, filter, config, registry, trainer)?;
+        rt.sup
+            .record_mode(0, RuntimeMode::Filtering, ModeCause::Start);
+        Ok(rt)
     }
 
     /// Shared construction path of the builder and
     /// [`StreamingDlacep::restore`]. Does *not* record the initial mode —
     /// a restored runtime continues its checkpointed timeline and journal
-    /// sequence instead of starting a fresh one.
-    fn build(pattern: Pattern, filter: F, config: RuntimeConfig) -> Result<Self, RuntimeError> {
+    /// sequence instead of starting a fresh one. The pool is built against
+    /// the final registry so its `pool.*` metrics land there.
+    fn build(
+        pattern: Pattern,
+        filter: F,
+        config: RuntimeConfig,
+        registry: Option<Arc<Registry>>,
+        trainer: Option<Box<dyn ModelTrainer<F>>>,
+    ) -> Result<Self, RuntimeError> {
         config.guard.validate().map_err(RuntimeError::Config)?;
         if let Some(drift) = &config.drift {
             drift.validate().map_err(RuntimeError::Config)?;
         }
-        if let Some(retrain) = &config.retrain {
-            retrain.validate().map_err(RuntimeError::Config)?;
-            if config.drift.is_none() {
-                return Err(RuntimeError::Config(
-                    "config.retrain requires drift detection (config.drift) to raise the signal"
-                        .into(),
-                ));
+        // Self-healing needs both the policy and a way to produce
+        // candidates, so a lone half is a configuration error, not a
+        // silent no-op.
+        let retrain = match (config.retrain, trainer) {
+            (Some(cfg), Some(t)) => {
+                cfg.validate().map_err(RuntimeError::Config)?;
+                if config.drift.is_none() {
+                    return Err(RuntimeError::Config(
+                        "config.retrain requires drift detection (config.drift) to raise the signal"
+                            .into(),
+                    ));
+                }
+                Some(RetrainRuntime::new(cfg, t))
             }
-        }
+            (Some(_), None) => {
+                return Err(RuntimeError::Config(
+                    "config.retrain is set but no model trainer is attached; \
+                     use StreamingDlacep::builder(..).retrain(cfg, trainer)"
+                        .into(),
+                ))
+            }
+            (None, Some(_)) => {
+                return Err(RuntimeError::Config(
+                    "a model trainer is attached but config.retrain is None".into(),
+                ))
+            }
+            (None, None) => None,
+        };
         let assembler = config
             .assembler
             .unwrap_or_else(|| AssemblerConfig::paper_default(pattern.window_size()));
@@ -583,86 +866,70 @@ impl<F: Filter> StreamingDlacep<F> {
                 ..NfaConfig::default()
             },
         );
-        let obs = RuntimeObs::new(dlacep_obs::global());
+        let obs = RuntimeObs::new(registry.unwrap_or_else(dlacep_obs::global));
         let pool = config.parallelism.build_pool_with_obs(&obs.registry);
         let tracer = obs.registry.tracer();
         Ok(Self {
-            pattern,
             config,
-            assembler,
-            ooo_policy: config.ooo_policy,
-            guard: FilterGuard::new(filter, config.guard),
+            stage: MarkStage::new(
+                filter,
+                config.guard,
+                assembler,
+                pool.clone(),
+                config.parallelism.min_batch_windows,
+                Histogram::disabled(),
+            ),
+            sup: Supervisor {
+                pattern,
+                pool,
+                drift: config.drift.map(DriftMonitor::new),
+                drift_fallback: false,
+                retrain_signaled: false,
+                retrain,
+                windows_degraded: 0,
+                timeline: Vec::new(),
+                obs,
+                tracer,
+                traces: VecDeque::new(),
+                notes: WindowNotes::default(),
+            },
             engine,
-            par: config.parallelism,
-            pool,
-            drift: config.drift.map(DriftMonitor::new),
-            drift_fallback: false,
-            retrain_signaled: false,
-            retrain: None,
-            filter_generation: 0,
             buf: VecDeque::new(),
-            marks: VecDeque::new(),
-            tracer,
-            traces: VecDeque::new(),
             admit_at: VecDeque::new(),
-            base: 0,
-            admitted: 0,
-            next_window_start: 0,
-            last_window_end: 0,
-            relayed_upto: 0,
             last_ts: None,
             next_id: 0,
             events_offered: 0,
             events_dropped: 0,
             events_clamped: 0,
             events_relayed: 0,
-            windows_evaluated: 0,
-            windows_degraded: 0,
-            timeline: Vec::new(),
             matches: Vec::new(),
-            obs,
             journaled_sheds: 0,
         })
     }
 
-    fn with_initial_mode(mut self) -> Self {
-        record_mode(
-            &mut self.timeline,
-            &self.obs.journal,
-            0,
-            RuntimeMode::Filtering,
-            ModeCause::Start,
-        );
-        self
-    }
-
     /// The pattern being extracted.
     pub fn pattern(&self) -> &Pattern {
-        &self.pattern
+        &self.sup.pattern
     }
 
     /// The assembler geometry in use.
     pub fn assembler(&self) -> &AssemblerConfig {
-        &self.assembler
+        self.stage.assembler()
     }
 
     /// The wrapped filter.
     pub fn filter(&self) -> &F {
-        self.guard.filter()
+        self.stage.guard().filter()
     }
 
     /// Current effective mode.
     pub fn mode(&self) -> RuntimeMode {
-        if self.drift_fallback || self.guard.state() != BreakerState::Closed {
-            RuntimeMode::DegradedExact
-        } else {
-            RuntimeMode::Filtering
-        }
+        self.sup.mode(self.stage.guard())
     }
 
     /// Current breaker state of the filter guard.
     pub fn breaker_state(&self) -> BreakerState {
-        self.guard.state()
+        self.stage.guard().state()
     }
 
     /// Live snapshot of this runtime's obs registry (`None` when obs is
@@ -670,37 +937,36 @@ impl<F: Filter> StreamingDlacep<F> {
     /// returned by [`StreamingDlacep::finish`], it can be taken while the
     /// runtime keeps ingesting.
     pub fn obs_snapshot(&self) -> Option<MetricsSnapshot> {
-        self.obs.snapshot_if_enabled()
+        self.sup.obs.snapshot_if_enabled()
     }
 
     /// The trace-plane handle this runtime records into (shared with its
     /// obs registry; disabled unless the registry carries a sampling
     /// tracer).
     pub fn tracer(&self) -> Tracer {
-        self.tracer.clone()
+        self.sup.tracer.clone()
     }
 
     /// Current drift verdict, if drift detection is enabled.
     pub fn drift_state(&self) -> Option<DriftState> {
-        self.drift.as_ref().map(|m| m.state())
+        self.sup.drift.as_ref().map(|m| m.state())
     }
 
     /// Whether drift has raised an unacknowledged retrain signal.
     pub fn retrain_signaled(&self) -> bool {
-        self.retrain_signaled
+        self.sup.retrain_signaled
     }
 
     /// Current retrain-supervisor position, if self-healing is configured.
     pub fn retrain_state(&self) -> Option<RetrainState> {
-        self.retrain.as_ref().map(|r| r.state)
+        self.sup.retrain.as_ref().map(|r| r.state)
     }
 
     /// Version of the currently deployed retrained model (`None` before the
     /// first swap or without self-healing).
     pub fn active_model_version(&self) -> Option<u64> {
-        self.retrain
-            .as_ref()
-            .and_then(|r| r.active_model.as_ref().map(|(v, _)| *v))
+        let active = self.sup.retrain.as_ref()?.active_model.as_ref();
+        active.map(|(v, _)| *v)
     }
 
     /// Drain accepted models not yet persisted to a durable registry, as
@@ -708,7 +974,8 @@ impl<F: Filter> StreamingDlacep<F> {
     /// these after each ingestion step; callers without a durability layer
     /// can ignore them (the active model still rides in the checkpoint).
     pub fn take_pending_models(&mut self) -> Vec<(u64, Vec<u8>)> {
-        self.retrain
+        self.sup
+            .retrain
             .as_mut()
             .map(|r| std::mem::take(&mut r.pending_models))
             .unwrap_or_default()
@@ -737,14 +1004,14 @@ impl<F: Filter> StreamingDlacep<F> {
     /// [`RuntimeCheckpoint::config_fingerprint`].
     fn config_fingerprint(&self) -> Vec<u8> {
         let mut e = dlacep_dur::Encoder::new();
-        e.put_u64(self.assembler.mark_size as u64);
-        e.put_u64(self.assembler.step_size as u64);
-        e.put_u8(match self.ooo_policy {
+        e.put_u64(self.assembler().mark_size as u64);
+        e.put_u64(self.assembler().step_size as u64);
+        e.put_u8(match self.config.ooo_policy {
             OutOfOrderPolicy::Drop => 0,
             OutOfOrderPolicy::ClampToLastTs => 1,
             OutOfOrderPolicy::Reject => 2,
         });
-        let guard = self.guard.config();
+        let guard = self.config.guard;
         e.put_u64(guard.fault_threshold as u64);
         e.put_u64(guard.cooldown_windows as u64);
         e.put(&guard.validate_scores);
@@ -779,33 +1046,35 @@ impl<F: Filter> StreamingDlacep<F> {
     /// matches; touches no I/O (the durability layer in
     /// [`durable`](crate::durable) handles persistence and atomicity).
     pub fn checkpoint(&self) -> RuntimeCheckpoint {
+        let stage = self.stage.export_state();
         RuntimeCheckpoint {
             config_fingerprint: self.config_fingerprint(),
             engine: self.engine.export_state(),
-            guard: self.guard.export_state(),
-            drift: self.drift.as_ref().map(|m| m.export_state()),
-            drift_fallback: self.drift_fallback,
-            retrain_signaled: self.retrain_signaled,
+            guard: stage.guard,
+            drift: self.sup.drift.as_ref().map(|m| m.export_state()),
+            drift_fallback: self.sup.drift_fallback,
+            retrain_signaled: self.sup.retrain_signaled,
             buf: self.buf.iter().cloned().collect(),
-            marks: self.marks.iter().copied().collect(),
-            base: self.base as u64,
-            admitted: self.admitted as u64,
-            next_window_start: self.next_window_start as u64,
-            last_window_end: self.last_window_end as u64,
-            relayed_upto: self.relayed_upto as u64,
+            marks: stage.marks,
+            base: stage.base,
+            admitted: stage.admitted,
+            next_window_start: stage.next_window_start,
+            last_window_end: stage.last_window_end,
+            // Positions leave the buffer exactly as they are relayed.
+            relayed_upto: stage.base,
             last_ts: self.last_ts,
             next_id: self.next_id,
             events_offered: self.events_offered as u64,
             events_dropped: self.events_dropped as u64,
             events_clamped: self.events_clamped as u64,
             events_relayed: self.events_relayed as u64,
-            windows_evaluated: self.windows_evaluated as u64,
-            windows_degraded: self.windows_degraded as u64,
-            timeline: self.timeline.clone(),
+            windows_evaluated: stage.windows_evaluated,
+            windows_degraded: self.sup.windows_degraded as u64,
+            timeline: self.sup.timeline.clone(),
             matches: self.matches.clone(),
             journaled_sheds: self.journaled_sheds,
-            journal_next_seq: self.obs.journal.next_seq(),
-            retrain: self.retrain.as_ref().map(|r| r.export()),
+            journal_next_seq: self.sup.obs.journal.next_seq(),
+            retrain: self.sup.retrain.as_ref().map(|r| r.export()),
         }
     }
 
@@ -845,23 +1114,14 @@ impl<F: Filter> StreamingDlacep<F> {
         ckpt: RuntimeCheckpoint,
         trainer: Option<Box<dyn ModelTrainer<F>>>,
     ) -> Result<Self, RuntimeError> {
-        let mut rt = Self::build(pattern, filter, config)?;
-        rt.attach_trainer(trainer)?;
-        if let Some(reg) = registry {
-            rt.obs = RuntimeObs::new(reg);
-            rt.pool = rt.par.build_pool_with_obs(&rt.obs.registry);
-            rt.tracer = rt.obs.registry.tracer();
-        }
+        let mut rt = Self::build(pattern, filter, config, registry, trainer)?;
         if ckpt.config_fingerprint != rt.config_fingerprint() {
             return Err(RuntimeError::Restore(
                 "checkpoint was taken under a different runtime configuration".into(),
             ));
         }
-        fn us(v: u64, what: &str) -> Result<usize, RuntimeError> {
-            usize::try_from(v)
-                .map_err(|_| RuntimeError::Restore(format!("{what} exceeds usize: {v}")))
-        }
-        match (rt.retrain.as_mut(), ckpt.retrain) {
+        let us = |v, what| checked_usize(v, what).map_err(RuntimeError::Restore);
+        match (rt.sup.retrain.as_mut(), ckpt.retrain) {
             (Some(rr), Some(rck)) => {
                 rr.import(rck);
                 // Redeploy the checkpointed model so marking continues with
@@ -869,21 +1129,19 @@ impl<F: Filter> StreamingDlacep<F> {
                 // import below: `swap_filter` clears the consecutive-fault
                 // count, and the checkpointed count (which may include
                 // post-swap faults) must win.
-                if let Some((version, bytes)) = rr.active_model.clone() {
-                    let model = rr.trainer.decode(&bytes).map_err(|e| {
+                if let Some((version, bytes)) = &rr.active_model {
+                    let model = rr.trainer.decode(bytes).map_err(|e| {
                         RuntimeError::Restore(format!(
                             "checkpointed model v{version} failed to decode: {e}"
                         ))
                     })?;
-                    rt.guard.swap_filter(model);
+                    rt.stage.swap_filter(model);
                 }
                 // Re-apply the effective drift baseline: `import_state`
                 // below only carries the trajectory, not the rebaselined
                 // config.
-                if let Some(baseline) = rt.retrain.as_ref().unwrap().baseline_override {
-                    if let Some(m) = rt.drift.as_mut() {
-                        m.set_baseline_rate(baseline);
-                    }
+                if let (Some(baseline), Some(m)) = (rr.baseline_override, rt.sup.drift.as_mut()) {
+                    m.set_baseline_rate(baseline);
                 }
             }
             (None, None) => {}
@@ -898,8 +1156,7 @@ impl<F: Filter> StreamingDlacep<F> {
         rt.engine
             .import_state(ckpt.engine)
             .map_err(|e| RuntimeError::Restore(e.to_string()))?;
-        rt.guard.import_state(ckpt.guard);
-        match (rt.drift.as_mut(), ckpt.drift) {
+        match (rt.sup.drift.as_mut(), ckpt.drift) {
             (Some(m), Some(st)) => m.import_state(st),
             (None, None) => {}
             // Unreachable while the fingerprint covers drift presence, but a
@@ -910,42 +1167,48 @@ impl<F: Filter> StreamingDlacep<F> {
                 ))
             }
         }
-        rt.drift_fallback = ckpt.drift_fallback;
-        rt.retrain_signaled = ckpt.retrain_signaled;
-        if ckpt.marks.len() != ckpt.buf.len() {
+        rt.sup.drift_fallback = ckpt.drift_fallback;
+        rt.sup.retrain_signaled = ckpt.retrain_signaled;
+        if ckpt.marks.len() != ckpt.buf.len() || ckpt.relayed_upto != ckpt.base {
             return Err(RuntimeError::Restore(format!(
-                "mark vector length {} disagrees with buffer length {}",
+                "{} marks and {} buffered events from position {}, relayed up to {}",
                 ckpt.marks.len(),
-                ckpt.buf.len()
+                ckpt.buf.len(),
+                ckpt.base,
+                ckpt.relayed_upto
             )));
         }
         rt.buf = ckpt.buf.into();
-        rt.marks = ckpt.marks.into();
+        rt.stage
+            .import_state(StageState {
+                guard: ckpt.guard,
+                marks: ckpt.marks,
+                base: ckpt.base,
+                admitted: ckpt.admitted,
+                next_window_start: ckpt.next_window_start,
+                last_window_end: ckpt.last_window_end,
+                windows_evaluated: ckpt.windows_evaluated,
+            })
+            .map_err(RuntimeError::Restore)?;
         // In-flight traces and admission instants are timing-only state and
         // not checkpointed: restored events relay as unsampled and their
         // latency clock restarts at the restore instant.
-        if rt.tracer.is_enabled() {
-            rt.traces = std::iter::repeat_with(|| None).take(rt.buf.len()).collect();
+        if rt.sup.tracer.is_enabled() {
+            rt.sup.traces = std::iter::repeat_with(|| None).take(rt.buf.len()).collect();
         }
-        if rt.obs.ingest_to_emit_nanos.is_enabled() {
+        if rt.sup.obs.ingest_to_emit_nanos.is_enabled() {
             rt.admit_at = std::iter::repeat_with(Instant::now)
                 .take(rt.buf.len())
                 .collect();
         }
-        rt.base = us(ckpt.base, "base")?;
-        rt.admitted = us(ckpt.admitted, "admitted")?;
-        rt.next_window_start = us(ckpt.next_window_start, "next_window_start")?;
-        rt.last_window_end = us(ckpt.last_window_end, "last_window_end")?;
-        rt.relayed_upto = us(ckpt.relayed_upto, "relayed_upto")?;
         rt.last_ts = ckpt.last_ts;
         rt.next_id = ckpt.next_id;
         rt.events_offered = us(ckpt.events_offered, "events_offered")?;
         rt.events_dropped = us(ckpt.events_dropped, "events_dropped")?;
         rt.events_clamped = us(ckpt.events_clamped, "events_clamped")?;
         rt.events_relayed = us(ckpt.events_relayed, "events_relayed")?;
-        rt.windows_evaluated = us(ckpt.windows_evaluated, "windows_evaluated")?;
-        rt.windows_degraded = us(ckpt.windows_degraded, "windows_degraded")?;
-        rt.timeline = ckpt.timeline;
+        rt.sup.windows_degraded = us(ckpt.windows_degraded, "windows_degraded")?;
+        rt.sup.timeline = ckpt.timeline;
         rt.matches = ckpt.matches;
         rt.journaled_sheds = ckpt.journaled_sheds;
         Ok(rt)
@@ -955,26 +1218,21 @@ impl<F: Filter> StreamingDlacep<F> {
     /// leave the drift fallback. (Swap in the retrained model by building a
     /// fresh runtime; the monitor reset covers in-place fine-tuning.)
     pub fn rebaseline(&mut self, baseline_rate: f64) {
-        if let Some(m) = &mut self.drift {
+        if let Some(m) = &mut self.sup.drift {
             m.rebaseline(baseline_rate);
         }
-        if let Some(rr) = &mut self.retrain {
+        if let Some(rr) = &mut self.sup.retrain {
             // Manual acknowledgement overrides the supervisor: a pending
             // schedule is cancelled and an Exhausted verdict is cleared —
             // the operator has intervened.
             rr.state = RetrainState::Idle;
         }
-        if self.drift_fallback {
-            self.drift_fallback = false;
-            self.retrain_signaled = false;
+        if self.sup.drift_fallback {
+            self.sup.drift_fallback = false;
+            self.sup.retrain_signaled = false;
             let mode = self.mode();
-            record_mode(
-                &mut self.timeline,
-                &self.obs.journal,
-                self.windows_evaluated as u64,
-                mode,
-                ModeCause::Rebaselined,
-            );
+            let window = self.stage.windows_evaluated() as u64;
+            self.sup.record_mode(window, mode, ModeCause::Rebaselined);
         }
     }
 
@@ -1001,17 +1259,13 @@ impl<F: Filter> StreamingDlacep<F> {
         attrs: Vec<AttrValue>,
         trace_seq: Option<u64>,
     ) -> Result<Option<EventId>, RuntimeError> {
-        let id = self.admit(type_id, ts, attrs, trace_seq)?;
-        for (start, end) in self.take_ready_windows() {
-            self.evaluate_window(start, end);
-        }
-        self.relay_finalized(self.next_window_start.min(self.admitted));
-        Ok(id)
+        let id = self.admit(type_id, ts, attrs, trace_seq);
+        self.settle(false);
+        id
     }
 
     /// Apply the out-of-order policy, stamp and buffer one event — without
-    /// evaluating any window. Shared by [`StreamingDlacep::ingest`] and
-    /// [`StreamingDlacep::ingest_batch`].
+    /// evaluating any window.
     fn admit(
         &mut self,
         type_id: TypeId,
@@ -1019,18 +1273,19 @@ impl<F: Filter> StreamingDlacep<F> {
         attrs: Vec<AttrValue>,
         trace_seq: Option<u64>,
     ) -> Result<Option<EventId>, RuntimeError> {
+        let obs = &self.sup.obs;
         self.events_offered += 1;
-        self.obs.events_offered.inc();
+        obs.events_offered.inc();
         let ts = match self.last_ts {
-            Some(last) if ts < last => match self.ooo_policy {
+            Some(last) if ts < last => match self.config.ooo_policy {
                 OutOfOrderPolicy::Drop => {
                     self.events_dropped += 1;
-                    self.obs.events_dropped.inc();
+                    obs.events_dropped.inc();
                     return Ok(None);
                 }
                 OutOfOrderPolicy::ClampToLastTs => {
                     self.events_clamped += 1;
-                    self.obs.events_clamped.inc();
+                    obs.events_clamped.inc();
                     last
                 }
                 OutOfOrderPolicy::Reject => {
@@ -1047,77 +1302,59 @@ impl<F: Filter> StreamingDlacep<F> {
         self.next_id += 1;
         self.buf
             .push_back(PrimitiveEvent::new(id.0, type_id, ts, attrs));
-        self.marks.push_back(false);
-        self.push_trace_state(id, type_id, ts, trace_seq);
-        self.admitted += 1;
-        self.obs.events_admitted.inc();
+        self.stage.admit(1);
+        obs.events_admitted.inc();
+        // Per-position trace/latency state stays aligned with `buf`:
+        // dropped and rejected events never reach here.
+        if obs.ingest_to_emit_nanos.is_enabled() {
+            self.admit_at.push_back(Instant::now());
+        }
+        if self.sup.tracer.is_enabled() {
+            let seq = trace_seq.unwrap_or(id.0);
+            let trace = self.sup.tracer.begin(seq).map(|mut b| {
+                let root = b.start("ingest", None);
+                b.annotate(root, "event_id", id.0.into());
+                b.annotate(root, "type_id", u64::from(type_id.0).into());
+                b.annotate(root, "ts", ts.into());
+                b.end(root);
+                ActiveTrace { builder: b, root }
+            });
+            self.sup.traces.push_back(trace);
+        }
         Ok(Some(id))
     }
 
-    /// Seed the per-position trace/latency state for a just-admitted event,
-    /// keeping `traces`/`admit_at` aligned with `buf`. Dropped events never
-    /// reach here, so alignment holds by construction.
-    fn push_trace_state(&mut self, id: EventId, type_id: TypeId, ts: u64, trace_seq: Option<u64>) {
-        if self.obs.ingest_to_emit_nanos.is_enabled() {
-            self.admit_at.push_back(Instant::now());
-        }
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        let seq = trace_seq.unwrap_or(id.0);
-        self.traces.push_back(self.tracer.begin(seq).map(|mut b| {
-            let root = b.start("ingest", None);
-            b.annotate(root, "event_id", id.0.into());
-            b.annotate(root, "type_id", u64::from(type_id.0).into());
-            b.annotate(root, "ts", ts.into());
-            b.end(root);
-            ActiveTrace { builder: b, root }
-        }));
-    }
-
-    /// Claim every full window that admitted events currently cover,
-    /// advancing `next_window_start` past them. The window sequence is a
-    /// pure function of the admitted positions and the assembler geometry —
-    /// identical whether windows are then evaluated one by one or as a
-    /// batch.
-    fn take_ready_windows(&mut self) -> Vec<(usize, usize)> {
-        let mut ready = Vec::new();
-        while self.admitted >= self.next_window_start + self.assembler.mark_size {
-            let start = self.next_window_start;
-            ready.push((start, start + self.assembler.mark_size));
-            self.next_window_start = start + self.assembler.step_size;
-        }
-        ready
-    }
-
-    /// Ingest a slice of pre-stamped events by their `(type, ts, attrs)`
-    /// payloads. Ids are re-stamped by arrival; events dropped by the
-    /// out-of-order policy consume no id.
+    /// Ingest events by their `(type, ts, attrs)` payloads, one
+    /// [`StreamingDlacep::ingest`] each. Ids are re-stamped by arrival;
+    /// admission is that of [`StreamingDlacep::ingest_batch`].
     pub fn ingest_all<'a>(
         &mut self,
         events: impl IntoIterator<Item = &'a PrimitiveEvent>,
     ) -> Result<(), RuntimeError> {
+        let mut rejected = None;
         for ev in events {
-            self.ingest(ev.type_id, ev.ts.0, ev.attrs.clone())?;
+            if let Err(e) = self.ingest(ev.type_id, ev.ts.0, ev.attrs.clone()) {
+                rejected.get_or_insert(e);
+            }
         }
-        Ok(())
+        rejected.map_or(Ok(()), Err)
     }
 
-    /// Ingest a slice of events as one batch. Admission (ids, out-of-order
-    /// policy, counters) is identical to event-by-event
-    /// [`StreamingDlacep::ingest_all`]; the windows the batch completes are
-    /// then marked on the pool when the [`Parallelism`] config is
-    /// multi-threaded and the runtime is healthy.
+    /// Ingest a slice of events as one batch. Every event is offered and
+    /// judged by the out-of-order policy on its own (ids are re-stamped by
+    /// arrival; dropped and rejected events consume none), then the windows
+    /// the batch completes are marked together — in chunks, on the pool
+    /// when the [`Parallelism`] config has one — and replayed through
+    /// guard, drift monitor and retrain supervisor in window order (see
+    /// [`crate::stage`]). Matches, counters, timeline and journal are those
+    /// of offering the same events one [`StreamingDlacep::ingest`] at a
+    /// time, for any filter whose output depends only on the window (the
+    /// raw filter may see speculative calls whose results a mid-batch trip
+    /// discards).
     ///
-    /// Pooled marking is **speculative**: filter invocations run in
-    /// parallel under `catch_unwind`, then replay through the guard and
-    /// drift monitor serially, in window order. Guard state, drift
-    /// verdicts, the mode timeline and all report counters are therefore
-    /// identical to the serial path for any filter whose output depends
-    /// only on the window (the raw filter may observe extra speculative
-    /// calls after a mid-batch trip — schedule-keyed test filters like
-    /// `ChaosFilter` belong on the serial path). With a serial config this
-    /// is exactly `ingest_all`.
+    /// Under [`OutOfOrderPolicy::Reject`] the first rejection is returned
+    /// once the whole batch has settled; the events after it were still
+    /// offered.
     pub fn ingest_batch(&mut self, events: &[PrimitiveEvent]) -> Result<(), RuntimeError> {
         self.ingest_batch_traced(events, None)
     }
@@ -1130,499 +1367,75 @@ impl<F: Filter> StreamingDlacep<F> {
         events: &[PrimitiveEvent],
         trace_seqs: Option<&[u64]>,
     ) -> Result<(), RuntimeError> {
-        let seq_at = |i: usize| trace_seqs.and_then(|s| s.get(i).copied());
-        let Some(pool) = self.pool.clone() else {
-            for (i, ev) in events.iter().enumerate() {
-                self.ingest_traced(ev.type_id, ev.ts.0, ev.attrs.clone(), seq_at(i))?;
-            }
-            return Ok(());
-        };
-        // Admit everything first; on a rejection, still evaluate the
-        // windows completed by the previously admitted events (matching
-        // what per-event ingestion would have done before the error).
-        let mut admit_err = None;
+        let mut rejected = None;
         for (i, ev) in events.iter().enumerate() {
-            if let Err(e) = self.admit(ev.type_id, ev.ts.0, ev.attrs.clone(), seq_at(i)) {
-                admit_err = Some(e);
-                break;
+            let seq = trace_seqs.and_then(|s| s.get(i).copied());
+            if let Err(e) = self.admit(ev.type_id, ev.ts.0, ev.attrs.clone(), seq) {
+                rejected.get_or_insert(e);
             }
         }
-        let ready = self.take_ready_windows();
-        if ready.len() < self.par.min_batch_windows || self.mode() != RuntimeMode::Filtering {
-            for &(start, end) in &ready {
-                self.evaluate_window(start, end);
-            }
-        } else {
-            // Speculative parallel marking: compute raw filter results on
-            // the pool, a chunk of windows per task, then replay them
-            // through the guard serially. A panic anywhere in a chunk
-            // re-runs that chunk window by window, so only the window that
-            // panics is reported as faulty — as on the serial path.
-            let raws: Vec<SpeculativeInvocation> = {
-                self.buf.make_contiguous();
-                let base = self.base;
-                let (head, _) = self.buf.as_slices();
-                let filter = self.guard.filter();
-                let validate = self.guard.config().validate_scores;
-                let windows: Vec<&[PrimitiveEvent]> = ready
-                    .iter()
-                    .map(|&(start, end)| &head[start - base..end - base])
-                    .collect();
-                let chunks: Vec<&[&[PrimitiveEvent]]> = windows.chunks(MARK_BATCH).collect();
-                pool.parallel_map(&chunks, 1, |_, chunk| {
-                    match catch_unwind(AssertUnwindSafe(|| filter.mark_batch(chunk, validate))) {
-                        Ok(marked) if marked.len() == chunk.len() => {
-                            marked.into_iter().map(Some).collect::<Vec<_>>()
-                        }
-                        _ => chunk
-                            .iter()
-                            .map(|window| invoke_unwinding(filter, window, validate))
-                            .collect(),
-                    }
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            };
-            // Speculation was computed against the filter installed when
-            // the batch started; a validated hot swap mid-settle bumps the
-            // generation, and every later window re-marks live against the
-            // new model instead of replaying stale results.
-            let generation = self.filter_generation;
-            for (&(start, end), raw) in ready.iter().zip(raws) {
-                let pre = (self.filter_generation == generation).then_some(raw);
-                self.evaluate_window_inner(start, end, pre);
-            }
-        }
-        self.relay_finalized(self.next_window_start.min(self.admitted));
-        match admit_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.settle(false);
+        rejected.map_or(Ok(()), Err)
+    }
+
+    /// Let the stage mark the windows the admitted events complete, then
+    /// feed every position it finalized to the extractor.
+    fn settle(&mut self, end_of_stream: bool) {
+        self.buf.make_contiguous();
+        self.stage
+            .settle(self.buf.as_slices().0, end_of_stream, &mut self.sup);
+        self.relay_finalized();
     }
 
     /// Flush the trailing partial window, relay the remaining marked events
     /// and produce the final report.
     pub fn finish(mut self) -> RuntimeReport {
-        // Evaluate trailing windows exactly as the batch assembler iterator
-        // would: stop after the first window touching the end of the stream.
-        // `last_window_end == admitted` means ingestion already evaluated it.
-        if self.admitted > 0 && self.last_window_end != self.admitted {
-            while self.next_window_start < self.admitted {
-                let start = self.next_window_start;
-                let end = (start + self.assembler.mark_size).min(self.admitted);
-                self.evaluate_window(start, end);
-                self.next_window_start = start + self.assembler.step_size;
-                if end == self.admitted {
-                    break;
-                }
-            }
-        }
-        self.relay_finalized(self.admitted);
+        self.settle(true);
         let final_mode = self.mode();
-        self.obs.record_engine_stats(self.engine.stats());
+        let sup = self.sup;
+        // The extractor's counters fold into `cep.*` once, here.
+        sup.obs.cep.record(self.engine.stats());
         RuntimeReport {
             matches: self.matches,
             events_offered: self.events_offered,
-            events_admitted: self.admitted,
+            events_admitted: self.stage.admitted(),
             events_dropped: self.events_dropped,
             events_clamped: self.events_clamped,
             events_relayed: self.events_relayed,
-            windows_evaluated: self.windows_evaluated,
-            windows_degraded: self.windows_degraded,
-            guard: *self.guard.stats(),
-            timeline: self.timeline,
-            retrain_signaled: self.retrain_signaled,
+            windows_evaluated: self.stage.windows_evaluated(),
+            windows_degraded: sup.windows_degraded,
+            guard: *self.stage.guard().stats(),
+            timeline: sup.timeline,
+            retrain_signaled: sup.retrain_signaled,
             final_mode,
-            drift_state: self.drift.as_ref().map(|m| m.state()),
-            retrain: self.retrain.as_ref().map(|r| RetrainReport {
+            drift_state: sup.drift.as_ref().map(|m| m.state()),
+            retrain: sup.retrain.as_ref().map(|r| RetrainReport {
                 state: r.state,
                 active_version: r.active_model.as_ref().map(|(v, _)| *v),
                 models_accepted: r.next_version - 1,
             }),
             extractor_stats: *self.engine.stats(),
-            pool: self.pool.as_ref().map(|p| p.stats()),
-            obs: self.obs.snapshot_if_enabled(),
+            pool: sup.pool.as_ref().map(|p| p.stats()),
+            obs: sup.obs.snapshot_if_enabled(),
         }
     }
 
-    /// Evaluate the assembler window covering positions `[start, end)`.
-    fn evaluate_window(&mut self, start: usize, end: usize) {
-        self.evaluate_window_inner(start, end, None);
-    }
-
-    /// Evaluate one window, optionally consuming a speculative filter
-    /// invocation precomputed by [`StreamingDlacep::ingest_batch`]. The
-    /// guard discards stale speculation whenever its breaker is not Closed,
-    /// and the drift-fallback passthrough ignores it entirely, so state
-    /// transitions happen exactly as on the live path.
-    fn evaluate_window_inner(
-        &mut self,
-        start: usize,
-        end: usize,
-        pre: Option<SpeculativeInvocation>,
-    ) {
-        let wall = self.obs.window_nanos.is_enabled().then(Instant::now);
-        let widx = self.windows_evaluated as u64;
-        self.windows_evaluated += 1;
-        self.obs.windows_evaluated.inc();
-        self.last_window_end = end;
-        let lo = start - self.base;
-        let hi = end - self.base;
-        // Trace plane: annotate this window's spans onto every sampled
-        // event it covers. Span *structure* is deterministic (sampling is
-        // keyed on the sequence, path/mode labels on guard state); only
-        // the nanosecond timestamps vary run to run.
-        let traced = self.tracer.is_enabled()
-            && self
-                .traces
-                .iter()
-                .skip(lo)
-                .take(hi - lo)
-                .any(Option::is_some);
-        let mode_before = self.mode();
-        let t_mark0 = if traced { self.tracer.now_nanos() } else { 0 };
-        let mut mark_path = "degraded";
-        self.buf.make_contiguous();
-        let (head, _) = self.buf.as_slices();
-        let window = &head[lo..hi];
-        if let Some(rr) = &mut self.retrain {
-            rr.observe_window(window);
-        }
-
-        let marks = if self.drift_fallback {
-            self.windows_degraded += 1;
-            self.obs.windows_degraded.inc();
-            vec![true; window.len()]
-        } else {
-            let outcome = match pre {
-                Some(raw) => self.guard.mark_speculative(window, raw),
-                None => self.guard.mark(window),
-            };
-            mark_path = if outcome.fault.is_some() {
-                "fault"
-            } else if !outcome.filter_invoked {
-                "degraded"
-            } else if self.guard.filter().quantized() {
-                "int8"
-            } else {
-                "f32"
-            };
-            if outcome.fault.is_some() {
-                self.obs.guard_faults.inc();
-            }
-            for &(from, to) in &outcome.transitions {
-                self.obs.journal.record(
-                    "breaker",
-                    &[
-                        ("window", widx.into()),
-                        ("from", format!("{from:?}").into()),
-                        ("to", format!("{to:?}").into()),
-                    ],
-                );
-                if to == BreakerState::Open {
-                    self.obs.breaker_trips.inc();
-                }
-                if (from, to) == (BreakerState::HalfOpen, BreakerState::Closed) {
-                    self.obs.recoveries.inc();
-                }
-                let entry = match (from, to) {
-                    (BreakerState::Closed, BreakerState::Open) => {
-                        Some((RuntimeMode::DegradedExact, ModeCause::FaultThreshold))
-                    }
-                    (BreakerState::HalfOpen, BreakerState::Open) => {
-                        Some((RuntimeMode::DegradedExact, ModeCause::ProbeFailed))
-                    }
-                    (BreakerState::HalfOpen, BreakerState::Closed) => {
-                        Some((RuntimeMode::Filtering, ModeCause::Recovered))
-                    }
-                    _ => None,
-                };
-                if let Some((mode, cause)) = entry {
-                    record_mode(&mut self.timeline, &self.obs.journal, widx, mode, cause);
-                }
-            }
-            let mut marks = outcome.marks;
-            if outcome.filter_invoked && outcome.fault.is_none() {
-                // Attribute the marking to its inference path so int8
-                // rollouts are visible next to the f32 baseline.
-                if self.guard.filter().quantized() {
-                    self.obs.windows_marked_quant.inc();
-                } else {
-                    self.obs.windows_marked_f32.inc();
-                }
-                if let Some(monitor) = &mut self.drift {
-                    let verdict = monitor.observe_marks(&marks);
-                    if verdict == DriftState::Drifted {
-                        // The verdict covers this window too: fail open now.
-                        self.drift_fallback = true;
-                        self.retrain_signaled = true;
-                        self.obs.journal.record(
-                            "drift",
-                            &[
-                                ("window", widx.into()),
-                                ("verdict", format!("{verdict:?}").into()),
-                            ],
-                        );
-                        record_mode(
-                            &mut self.timeline,
-                            &self.obs.journal,
-                            widx,
-                            RuntimeMode::DegradedExact,
-                            ModeCause::Drift,
-                        );
-                        marks = vec![true; marks.len()];
-                    }
-                }
-            }
-            if !outcome.filter_invoked || outcome.fault.is_some() || self.drift_fallback {
-                self.windows_degraded += 1;
-                self.obs.windows_degraded.inc();
-            }
-            marks
-        };
-
-        let t_mark1 = if traced { self.tracer.now_nanos() } else { 0 };
-        for (i, mark) in marks.into_iter().enumerate() {
-            if mark {
-                self.marks[lo + i] = true;
-            }
-        }
-        self.step_retrain();
-        let mut exemplar = None;
-        if traced {
-            let mode_after = self.mode();
-            let breaker = self.guard.state().name();
-            for slot in self.traces.iter_mut().skip(lo).take(hi - lo) {
-                let Some(at) = slot else { continue };
-                exemplar.get_or_insert_with(|| at.builder.trace_id());
-                let a = at
-                    .builder
-                    .span_at("assemble", Some(at.root), t_mark0, t_mark0);
-                at.builder.annotate(a, "window", widx.into());
-                let m = at.builder.span_at("mark", Some(a), t_mark0, t_mark1);
-                at.builder.annotate(m, "path", mark_path.into());
-                at.builder.annotate(m, "breaker", breaker.into());
-                if mode_after != mode_before {
-                    let t = at.builder.instant("mode", Some(at.root));
-                    at.builder
-                        .annotate(t, "from", format!("{mode_before:?}").into());
-                    at.builder
-                        .annotate(t, "to", format!("{mode_after:?}").into());
-                }
-            }
-        }
-        if let Some(t0) = wall {
-            let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.obs.window_nanos.record_traced(nanos, exemplar);
-        }
-    }
-
-    /// Advance the retrain supervisor by one evaluated window. Scheduling
-    /// is keyed to `windows_evaluated`, so the whole degrade → retrain →
-    /// validate → swap cycle is a pure function of the workload and config
-    /// regardless of batching or thread count.
-    fn step_retrain(&mut self) {
-        if self.retrain.is_none() {
-            return;
-        }
-        let we = self.windows_evaluated as u64;
-        if self.retrain_signaled
-            && matches!(self.retrain.as_ref().unwrap().state, RetrainState::Idle)
-        {
-            let rr = self.retrain.as_mut().unwrap();
-            // Defer by one backoff period so the replay ring captures some
-            // post-drift windows before the first attempt trains on them.
-            let resume_at = we + rr.cfg.backoff_base_windows;
-            rr.state = RetrainState::Waiting {
-                resume_at,
-                attempt: 0,
-            };
-            self.obs.retrain_started.inc();
-            self.obs.journal.record(
-                "retrain",
-                &[
-                    ("window", we.into()),
-                    ("phase", "scheduled".into()),
-                    ("attempt", 0u64.into()),
-                    ("resume_at", resume_at.into()),
-                ],
-            );
-        }
-        let (resume_at, attempt) = match self.retrain.as_ref().unwrap().state {
-            RetrainState::Waiting { resume_at, attempt } => (resume_at, attempt),
-            _ => return,
-        };
-        if we < resume_at {
-            return;
-        }
-        let (train_slice, holdout, cfg) = {
-            let rr = self.retrain.as_ref().unwrap();
-            let (t, h) = rr.split_replay();
-            (t, h, rr.cfg)
-        };
-        let candidate: Result<F, String> = if train_slice.is_empty() || holdout.is_empty() {
-            Err(format!(
-                "replay buffer too small to split ({} windows)",
-                train_slice.len() + holdout.len()
-            ))
-        } else {
-            // Dispatch the training job onto the work-stealing pool. The
-            // panic fence sits *inside* the closure: the pool re-raises
-            // task panics on join, and a crashed trainer must surface as a
-            // retryable verdict, not tear down the runtime.
-            let pattern = &self.pattern;
-            let trainer = self.retrain.as_ref().unwrap().trainer.as_ref();
-            let train_ref = &train_slice;
-            let job = move || {
-                catch_unwind(AssertUnwindSafe(|| {
-                    trainer.retrain(pattern, train_ref, u64::from(attempt))
-                }))
-                .map_err(|_| "training job panicked".to_string())
-                .and_then(|r| r)
-            };
-            match &self.pool {
-                Some(pool) => pool
-                    .parallel_map(&[()], 1, move |_, _| job())
-                    .pop()
-                    .expect("one item in, one out"),
-                None => job(),
-            }
-        };
-        let verdict: Result<(F, GateReport), String> = candidate.and_then(|cand| {
-            let _span = self.obs.retrain_gate_nanos.span();
-            let oracle = OracleFilter::new(self.pattern.clone());
-            let gate = validate_candidate(&cand, &oracle, &holdout)?;
-            if gate.recall < cfg.min_recall || gate.precision < cfg.min_precision {
-                return Err(format!(
-                    "gate failed: recall {:.4} (min {:.4}), precision {:.4} (min {:.4})",
-                    gate.recall, cfg.min_recall, gate.precision, cfg.min_precision
-                ));
-            }
-            Ok((cand, gate))
-        });
-        match verdict {
-            Ok((cand, gate)) => {
-                let rr = self.retrain.as_mut().unwrap();
-                let version = rr.next_version;
-                rr.next_version += 1;
-                let bytes = rr.trainer.encode(&cand);
-                rr.active_model = Some((version, bytes.clone()));
-                rr.pending_models.push((version, bytes));
-                rr.state = RetrainState::Idle;
-                // Floor the rebaseline so a sparse holdout cannot produce a
-                // zero baseline (which would make every later rate "in
-                // tolerance" and blind the monitor).
-                let baseline = gate.marked_rate.max(0.01);
-                rr.baseline_override = Some(baseline);
-                self.guard.swap_filter(cand);
-                self.filter_generation += 1;
-                if let Some(m) = &mut self.drift {
-                    m.rebaseline(baseline);
-                }
-                self.drift_fallback = false;
-                self.retrain_signaled = false;
-                self.obs.retrain_validated.inc();
-                self.obs.retrain_swapped.inc();
-                self.obs.journal.record(
-                    "retrain",
-                    &[
-                        ("window", we.into()),
-                        ("phase", "validated".into()),
-                        ("attempt", u64::from(attempt).into()),
-                        ("recall", format!("{:.4}", gate.recall).into()),
-                        ("precision", format!("{:.4}", gate.precision).into()),
-                    ],
-                );
-                self.obs.journal.record(
-                    "retrain",
-                    &[
-                        ("window", we.into()),
-                        ("phase", "swapped".into()),
-                        ("version", version.into()),
-                    ],
-                );
-                let mode = self.mode();
-                record_mode(
-                    &mut self.timeline,
-                    &self.obs.journal,
-                    we,
-                    mode,
-                    ModeCause::Swapped,
-                );
-            }
-            Err(reason) => {
-                self.obs.retrain_rejected.inc();
-                self.obs.journal.record(
-                    "retrain",
-                    &[
-                        ("window", we.into()),
-                        ("phase", "rejected".into()),
-                        ("attempt", u64::from(attempt).into()),
-                        ("reason", reason.into()),
-                    ],
-                );
-                let rr = self.retrain.as_mut().unwrap();
-                let next_attempt = attempt + 1;
-                if next_attempt > rr.cfg.max_retries {
-                    rr.state = RetrainState::Exhausted;
-                    self.obs.journal.record(
-                        "retrain",
-                        &[
-                            ("window", we.into()),
-                            ("phase", "exhausted".into()),
-                            ("verdict", "permanent-degraded".into()),
-                        ],
-                    );
-                } else {
-                    let backoff = rr.cfg.backoff_base_windows << next_attempt.min(16);
-                    let resume_at = we + backoff;
-                    rr.state = RetrainState::Waiting {
-                        resume_at,
-                        attempt: next_attempt,
-                    };
-                    self.obs.retrain_retried.inc();
-                    self.obs.journal.record(
-                        "retrain",
-                        &[
-                            ("window", we.into()),
-                            ("phase", "scheduled".into()),
-                            ("attempt", u64::from(next_attempt).into()),
-                            ("resume_at", resume_at.into()),
-                        ],
-                    );
-                }
-            }
-        }
-    }
-
-    /// Relay every finalized position below `upto` (no future window can
-    /// cover them) and drop it from the buffer.
-    fn relay_finalized(&mut self, upto: usize) {
-        while self.relayed_upto < upto {
-            // Invariant, not input-reachable: `buf`/`marks` hold exactly the
-            // positions in `[relayed_upto, admitted)`, `upto <= admitted`,
-            // and restore() re-validates the alignment before accepting a
-            // checkpoint — so both queues are non-empty here.
+    /// The CEP sink: take every position the stage has finalized out of the
+    /// buffer and feed the kept ones to the extractor.
+    fn relay_finalized(&mut self) {
+        let obs = &self.sup.obs;
+        for keep in self.stage.drain_finalized() {
+            // Invariant, not input-reachable: `buf` holds exactly the
+            // positions the stage has not drained, and restore()
+            // re-validates the alignment before accepting a checkpoint.
             let ev = self.buf.pop_front().expect("buffer aligned with positions");
-            let marked = self.marks.pop_front().expect("marks aligned with buffer");
-            let mut trace = if self.tracer.is_enabled() {
-                self.traces.pop_front().flatten()
-            } else {
-                None
-            };
-            let admitted_at = if self.obs.ingest_to_emit_nanos.is_enabled() {
-                self.admit_at.pop_front()
-            } else {
-                None
-            };
-            self.relayed_upto += 1;
-            self.base += 1;
-            if marked {
+            let mut trace = self.sup.traces.pop_front().flatten();
+            let admitted_at = self.admit_at.pop_front();
+            if keep {
                 let t_cep0 = trace.as_ref().map(|at| at.builder.now_nanos());
                 self.engine.process(&ev);
                 self.events_relayed += 1;
-                self.obs.events_relayed.inc();
+                obs.events_relayed.inc();
                 // Journal partial-match sheds at per-event granularity so
                 // the entry sequence is independent of how ingestion was
                 // batched (the `cep.partials_shed` counter itself is folded
@@ -1631,7 +1444,7 @@ impl<F: Filter> StreamingDlacep<F> {
                 if shed > self.journaled_sheds {
                     let delta = shed - self.journaled_sheds;
                     self.journaled_sheds = shed;
-                    self.obs.journal.record(
+                    obs.journal.record(
                         "shed",
                         &[("event", ev.id.0.into()), ("count", delta.into())],
                     );
@@ -1660,7 +1473,7 @@ impl<F: Filter> StreamingDlacep<F> {
             }
             if let Some(t0) = admitted_at {
                 let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.obs.ingest_to_emit_nanos.record_traced(nanos, trace_id);
+                obs.ingest_to_emit_nanos.record_traced(nanos, trace_id);
             }
         }
     }
@@ -1670,7 +1483,6 @@ impl<F: Filter> StreamingDlacep<F> {
 mod tests {
     use super::*;
     use crate::filter::{OracleFilter, PassthroughFilter};
-    use crate::pipeline::Dlacep;
     use dlacep_cep::{PatternExpr, TypeSet};
     use dlacep_data::label::ground_truth_matches;
     use dlacep_events::{EventStream, WindowSpec};
@@ -1706,24 +1518,6 @@ mod tests {
 
     fn keys(ms: &[Match]) -> BTreeSet<Vec<EventId>> {
         ms.iter().map(|m| m.event_ids.clone()).collect()
-    }
-
-    #[test]
-    fn streaming_equals_batch_on_healthy_filter() {
-        for n in [0usize, 3, 16, 50, 137, 200] {
-            let p = seq_ab(8);
-            let s = noisy_stream(n);
-            let batch = Dlacep::new(p.clone(), OracleFilter::new(p.clone()))
-                .unwrap()
-                .run(s.events());
-            let mut rt = StreamingDlacep::new(p, OracleFilter::new(seq_ab(8))).unwrap();
-            rt.ingest_all(s.events()).unwrap();
-            let report = rt.finish();
-            assert_eq!(keys(&report.matches), keys(&batch.matches), "n = {n}");
-            assert_eq!(report.events_relayed, batch.events_relayed, "n = {n}");
-            assert_eq!(report.final_mode, RuntimeMode::Filtering);
-            assert_eq!(report.windows_degraded, 0);
-        }
     }
 
     #[test]
@@ -1860,7 +1654,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_ingest_equals_serial_on_healthy_filter() {
+    fn batched_ingest_equals_per_event_on_healthy_filter() {
         for n in [0usize, 16, 50, 137, 200] {
             let p = seq_ab(8);
             let s = noisy_stream(n);
@@ -1868,41 +1662,24 @@ mod tests {
             let mut serial = StreamingDlacep::new(p.clone(), OracleFilter::new(p.clone())).unwrap();
             serial.ingest_all(s.events()).unwrap();
             let serial_report = serial.finish();
-
-            let cfg = RuntimeConfig {
-                parallelism: Parallelism::with_threads(4),
-                ..Default::default()
-            };
-            let mut pooled = StreamingDlacep::builder(p.clone(), OracleFilter::new(p))
-                .config(cfg)
-                .build()
-                .unwrap();
-            // Feed in uneven chunks so batches end mid-window.
-            for chunk in s.events().chunks(37) {
-                pooled.ingest_batch(chunk).unwrap();
-            }
-            let pooled_report = pooled.finish();
-
-            assert_reports_equal(&pooled_report, &serial_report, &format!("n = {n}"));
-            assert!(pooled_report.pool.is_some(), "pooled run reports its pool");
             assert!(serial_report.pool.is_none());
-        }
-    }
 
-    #[test]
-    fn batched_ingest_with_serial_config_is_ingest_all() {
-        let p = seq_ab(8);
-        let s = noisy_stream(80);
-        let mut a = StreamingDlacep::new(p.clone(), OracleFilter::new(p.clone())).unwrap();
-        a.ingest_all(s.events()).unwrap();
-        let mut b = StreamingDlacep::builder(p.clone(), OracleFilter::new(p))
-            .parallelism(Parallelism::serial())
-            .build()
-            .unwrap();
-        b.ingest_batch(s.events()).unwrap();
-        let (ra, rb) = (a.finish(), b.finish());
-        assert_reports_equal(&ra, &rb, "serial-config batch");
-        assert!(rb.pool.is_none(), "serial config never builds a pool");
+            // Inline chunks under a serial config, pool tasks under a
+            // pooled one: the same answer either way.
+            for threads in [1, 4] {
+                let mut batched = StreamingDlacep::builder(p.clone(), OracleFilter::new(p.clone()))
+                    .parallelism(Parallelism::with_threads(threads))
+                    .build()
+                    .unwrap();
+                // Feed in uneven chunks so batches end mid-window.
+                for chunk in s.events().chunks(37) {
+                    batched.ingest_batch(chunk).unwrap();
+                }
+                let report = batched.finish();
+                assert_reports_equal(&report, &serial_report, &format!("n = {n}, {threads}t"));
+                assert_eq!(report.pool.is_some(), threads > 1, "a pool iff pooled");
+            }
+        }
     }
 
     #[test]
@@ -1973,10 +1750,10 @@ mod tests {
         }
         let passes_before_flush = rt.filter().passes();
         assert!(
-            passes_before_flush > MARK_BATCH,
+            passes_before_flush > crate::filter::MARK_BATCH,
             "several chunks were marked"
         );
-        assert_eq!(passes_before_flush, rt.windows_evaluated);
+        assert_eq!(passes_before_flush, rt.stage.windows_evaluated());
         let report = rt.finish();
         assert_eq!(report.windows_degraded, 0);
     }
@@ -2017,31 +1794,37 @@ mod tests {
     }
 
     #[test]
-    fn batched_ingest_rejection_matches_serial_state() {
-        // A timestamp regression mid-batch: admission stops there, windows
-        // completed by the earlier events are still evaluated, and the
-        // error surfaces — exactly like per-event ingestion.
+    fn batched_ingest_offers_every_event_past_a_rejection() {
+        // Timestamp regressions mid-batch: each is rejected on its own, the
+        // events after it are still offered, and the first error surfaces
+        // once the batch has settled — the state is that of per-event
+        // ingestion with the caller carrying on after each error.
         let p = seq_ab(4);
         let mut events: Vec<PrimitiveEvent> = noisy_stream(40).events().to_vec();
-        events[25] = PrimitiveEvent::new(25, A, 3, vec![0.0]); // ts regression
+        events[5] = PrimitiveEvent::new(5, A, 3, vec![0.0]);
+        events[25] = PrimitiveEvent::new(25, B, 7, vec![0.0]);
 
         let mut serial = StreamingDlacep::new(p.clone(), PassthroughFilter).unwrap();
-        let serial_err = serial.ingest_all(&events).unwrap_err();
+        let mut errors = Vec::new();
+        for ev in &events {
+            errors.extend(serial.ingest(ev.type_id, ev.ts.0, ev.attrs.clone()).err());
+        }
         let serial_report = serial.finish();
+        assert_eq!(errors.len(), 2);
+        assert_eq!(serial_report.events_admitted, 38);
 
-        let cfg = RuntimeConfig {
-            parallelism: Parallelism::with_threads(2),
-            ..Default::default()
-        };
-        let mut pooled = StreamingDlacep::builder(p, PassthroughFilter)
-            .config(cfg)
-            .build()
-            .unwrap();
-        let pooled_err = pooled.ingest_batch(&events).unwrap_err();
-        let pooled_report = pooled.finish();
-
-        assert_eq!(pooled_err, serial_err);
-        assert_reports_equal(&pooled_report, &serial_report, "mid-batch rejection");
+        for threads in [1, 2] {
+            let cfg = RuntimeConfig {
+                parallelism: Parallelism::with_threads(threads),
+                ..Default::default()
+            };
+            let mut batched = StreamingDlacep::builder(p.clone(), PassthroughFilter)
+                .config(cfg)
+                .build()
+                .unwrap();
+            assert_eq!(batched.ingest_batch(&events).unwrap_err(), errors[0]);
+            assert_reports_equal(&batched.finish(), &serial_report, "mid-batch rejections");
+        }
     }
 
     #[test]

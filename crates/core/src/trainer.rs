@@ -6,14 +6,16 @@
 use crate::embed::EventEmbedder;
 use crate::filter::{EventNetFilter, WindowNetFilter};
 use crate::model::{EventNetwork, NetworkConfig, WindowNetwork};
+use crate::pipeline::DlacepError;
 use dlacep_cep::plan::Plan;
-use dlacep_cep::Pattern;
-use dlacep_data::{label_stream, train_test_split, LabeledSample};
+use dlacep_cep::{Pattern, PatternSet};
+use dlacep_data::label::label_stream_multi;
+use dlacep_data::train_test_split;
 use dlacep_events::EventStream;
 use dlacep_nn::optim::Optimizer;
 use dlacep_nn::{
     record_epoch, Adam, BatchSampler, BatchSchedule, Confusion, ConvergenceDetector, LrSchedule,
-    TrainReport,
+    TrainReport, TrainStep,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -98,24 +100,35 @@ impl TrainConfig {
     }
 }
 
-/// The embedded form of the labeled samples, shared by both model trainers.
+/// One embedded training sample: the window, its per-event labels, and
+/// whether it contains a full match.
+pub(crate) type Sample = (Vec<Vec<f32>>, Vec<bool>, bool);
+
+/// The embedded form of the labeled samples, shared by the model trainers.
 struct Prepared {
     embedder: EventEmbedder,
-    train: Vec<(Vec<Vec<f32>>, Vec<bool>, bool)>,
-    test: Vec<(Vec<Vec<f32>>, Vec<bool>, bool)>,
+    train: Vec<Sample>,
+    test: Vec<Sample>,
     dropped_short: usize,
 }
 
-fn prepare(pattern: &Pattern, stream: &EventStream, cfg: &TrainConfig) -> Prepared {
-    let plan = Plan::compile(pattern).expect("pattern compiles");
+/// Label `stream` in 2W-sized samples against `patterns` (labels OR-ed),
+/// embed for `plan`'s relevant types, split, subsample and oversample.
+/// `shuffle_salt` keys the post-oversampling shuffle.
+fn prepare(
+    patterns: &[Pattern],
+    plan: &Plan,
+    stream: &EventStream,
+    cfg: &TrainConfig,
+    shuffle_salt: u64,
+) -> Prepared {
     let num_attrs = stream.events().first().map_or(0, |e| e.attrs.len());
-    let embedder = EventEmbedder::for_plan(&plan, num_attrs);
-    let sample_len = (2 * pattern.window_size()) as usize;
-    let samples: Vec<LabeledSample> = label_stream(pattern, stream, sample_len);
-    let full: Vec<&LabeledSample> = samples.iter().filter(|s| s.len == sample_len).collect();
-    let dropped_short = samples.len() - full.len();
-    let embedded: Vec<(Vec<Vec<f32>>, Vec<bool>, bool)> = full
+    let embedder = EventEmbedder::for_plan(plan, num_attrs);
+    let sample_len = (2 * plan.window.size()) as usize;
+    let samples = label_stream_multi(patterns, stream, sample_len);
+    let embedded: Vec<Sample> = samples
         .iter()
+        .filter(|s| s.len == sample_len)
         .map(|s| {
             let evs = &stream.events()[s.start..s.start + s.len];
             (
@@ -125,6 +138,7 @@ fn prepare(pattern: &Pattern, stream: &EventStream, cfg: &TrainConfig) -> Prepar
             )
         })
         .collect();
+    let dropped_short = samples.len() - embedded.len();
     let (mut train, test) = train_test_split(embedded, cfg.train_fraction, cfg.seed);
     if cfg.data_fraction < 1.0 {
         let keep = ((train.len() as f64) * cfg.data_fraction).ceil().max(1.0) as usize;
@@ -133,21 +147,7 @@ fn prepare(pattern: &Pattern, stream: &EventStream, cfg: &TrainConfig) -> Prepar
         train.truncate(keep.min(train.len()));
     }
     if cfg.oversample_positives {
-        let pos: Vec<usize> = (0..train.len()).filter(|&i| train[i].2).collect();
-        let neg = train.len() - pos.len();
-        if !pos.is_empty() && neg > pos.len() {
-            let copies = ((neg / pos.len()).saturating_sub(1)).min(15);
-            let extra: Vec<_> = pos
-                .iter()
-                .flat_map(|&i| std::iter::repeat_with(move || i).take(copies))
-                .collect();
-            for i in extra {
-                let dup = train[i].clone();
-                train.push(dup);
-            }
-            let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xa1a1);
-            train.shuffle(&mut rng);
-        }
+        oversample(&mut train, Some(cfg.seed ^ shuffle_salt));
     }
     Prepared {
         embedder,
@@ -155,6 +155,101 @@ fn prepare(pattern: &Pattern, stream: &EventStream, cfg: &TrainConfig) -> Prepar
         test,
         dropped_short,
     }
+}
+
+/// Duplicate the match-containing samples until the classes are roughly
+/// balanced (capped at ×16), copies appended in the order of their
+/// originals, then reshuffle when given a seed. A set that is already
+/// balanced, or has no positive, is left as it is.
+pub(crate) fn oversample(samples: &mut Vec<Sample>, shuffle_seed: Option<u64>) {
+    let pos: Vec<usize> = (0..samples.len()).filter(|&i| samples[i].2).collect();
+    let neg = samples.len() - pos.len();
+    if pos.is_empty() || neg <= pos.len() {
+        return;
+    }
+    let copies = (neg / pos.len()).saturating_sub(1).min(15);
+    for i in pos {
+        for _ in 0..copies {
+            samples.push(samples[i].clone());
+        }
+    }
+    if let Some(seed) = shuffle_seed {
+        samples.shuffle(&mut StdRng::seed_from_u64(seed));
+    }
+}
+
+/// The epoch loop of every trainer: learning-rate schedule → seeded batch
+/// sampler → one `step` per batch → `record_epoch` into the *global* obs
+/// registry (so per-run registries stay deterministic across thread
+/// counts) → convergence check. An empty sample set trains zero epochs.
+pub(crate) fn fit(
+    samples: &[Sample],
+    cfg: &TrainConfig,
+    seed: u64,
+    mut step: impl FnMut(&[&Sample], &mut Adam) -> TrainStep,
+) -> TrainReport {
+    let obs = dlacep_obs::global();
+    let mut opt = Adam::new(cfg.lr.lr_at(0));
+    let mut sampler = BatchSampler::new(samples.len(), seed);
+    let mut detector =
+        ConvergenceDetector::new(cfg.convergence_threshold, cfg.convergence_patience);
+    let mut epoch_losses = Vec::new();
+    let mut converged = false;
+    for epoch in 0..cfg.max_epochs {
+        if samples.is_empty() {
+            break;
+        }
+        opt.set_lr(cfg.lr.lr_at(epoch));
+        let (mut loss, mut grad_norm, mut batches) = (0.0, 0.0, 0);
+        for idx in sampler.epoch(cfg.batch.at(epoch)) {
+            let batch: Vec<&Sample> = idx.iter().map(|&i| &samples[i]).collect();
+            let done = step(&batch, &mut opt);
+            loss += done.loss;
+            grad_norm += done.grad_norm;
+            batches += 1;
+        }
+        let loss = loss / batches.max(1) as f32;
+        record_epoch(
+            &obs,
+            epoch,
+            loss,
+            grad_norm / batches.max(1) as f32,
+            cfg.lr.lr_at(epoch),
+        );
+        epoch_losses.push(loss);
+        if detector.observe(loss) {
+            converged = true;
+            break;
+        }
+    }
+    TrainReport {
+        epochs_run: epoch_losses.len(),
+        epoch_losses,
+        converged,
+    }
+}
+
+/// [`fit`] an event-network on `samples`.
+pub(crate) fn fit_event_network(
+    samples: &[Sample],
+    input_dim: usize,
+    cfg: &TrainConfig,
+    seed: u64,
+) -> (EventNetwork, TrainReport) {
+    let mut net = EventNetwork::new(NetworkConfig {
+        input_dim,
+        hidden: cfg.hidden,
+        layers: cfg.layers,
+        seed,
+    });
+    let report = fit(samples, cfg, seed, |batch, opt| {
+        let batch: Vec<(&[Vec<f32>], &[bool])> = batch
+            .iter()
+            .map(|(w, labels, _)| (w.as_slice(), labels.as_slice()))
+            .collect();
+        net.train_batch(&batch, opt, cfg.grad_clip)
+    });
+    (net, report)
 }
 
 /// Outcome of training the event-network.
@@ -169,62 +264,9 @@ pub struct EventNetTraining {
     pub dropped_short: usize,
 }
 
-/// Train the event-network filter for one pattern.
-pub fn train_event_filter(
-    pattern: &Pattern,
-    stream: &EventStream,
-    cfg: &TrainConfig,
-) -> EventNetTraining {
-    let prepared = prepare(pattern, stream, cfg);
-    let net_cfg = NetworkConfig {
-        input_dim: prepared.embedder.dim(),
-        hidden: cfg.hidden,
-        layers: cfg.layers,
-        seed: cfg.seed,
-    };
-    let mut net = EventNetwork::new(net_cfg);
-    let obs = dlacep_obs::global();
-    let mut opt = Adam::new(cfg.lr.lr_at(0));
-    let mut sampler = BatchSampler::new(prepared.train.len(), cfg.seed);
-    let mut detector =
-        ConvergenceDetector::new(cfg.convergence_threshold, cfg.convergence_patience);
-    let mut losses = Vec::new();
-    let mut converged = false;
-    for epoch in 0..cfg.max_epochs {
-        if prepared.train.is_empty() {
-            break;
-        }
-        opt.set_lr(cfg.lr.lr_at(epoch));
-        let mut epoch_loss = 0.0;
-        let mut epoch_grad_norm = 0.0;
-        let mut batches = 0;
-        for batch_idx in sampler.epoch(cfg.batch.at(epoch)) {
-            let batch: Vec<(&[Vec<f32>], &[bool])> = batch_idx
-                .iter()
-                .map(|&i| {
-                    let (w, l, _) = &prepared.train[i];
-                    (w.as_slice(), l.as_slice())
-                })
-                .collect();
-            let step = net.train_batch(&batch, &mut opt, cfg.grad_clip);
-            epoch_loss += step.loss;
-            epoch_grad_norm += step.grad_norm;
-            batches += 1;
-        }
-        let loss = epoch_loss / batches.max(1) as f32;
-        record_epoch(
-            &obs,
-            epoch,
-            loss,
-            epoch_grad_norm / batches.max(1) as f32,
-            cfg.lr.lr_at(epoch),
-        );
-        losses.push(loss);
-        if detector.observe(loss) {
-            converged = true;
-            break;
-        }
-    }
+/// Train on `prepared.train`, score on `prepared.test`.
+fn train_event_network(prepared: Prepared, cfg: &TrainConfig) -> EventNetTraining {
+    let (net, report) = fit_event_network(&prepared.train, prepared.embedder.dim(), cfg, cfg.seed);
     let mut test = Confusion::new();
     for (w, labels, _) in &prepared.test {
         let pred: Vec<bool> = match cfg.mark_threshold {
@@ -239,14 +281,42 @@ pub fn train_event_filter(
             embedder: prepared.embedder,
             threshold: cfg.mark_threshold,
         },
-        report: TrainReport {
-            epochs_run: losses.len(),
-            epoch_losses: losses,
-            converged,
-        },
+        report,
         test,
         dropped_short: prepared.dropped_short,
     }
+}
+
+/// Train the event-network filter for one pattern.
+pub fn train_event_filter(
+    pattern: &Pattern,
+    stream: &EventStream,
+    cfg: &TrainConfig,
+) -> EventNetTraining {
+    let plan = Plan::compile(pattern).expect("pattern compiles");
+    let prepared = prepare(std::slice::from_ref(pattern), &plan, stream, cfg, 0xa1a1);
+    train_event_network(prepared, cfg)
+}
+
+/// Train one event-network for a set of patterns (§4.3): labels are OR-ed
+/// across the patterns ("semantically unifying the patterns into one"), so
+/// an event is positive if it participates in a full match of *any* of
+/// them, and the embedding covers every pattern's relevant types. Hand the
+/// returned `filter` to [`crate::pipeline::Dlacep::multi`] with the same
+/// set: the shared filter then runs once per window and one fused
+/// extractor attributes the matches per pattern.
+///
+/// # Errors
+/// Returns [`DlacepError::Pattern`] when `patterns` is empty or the windows
+/// disagree, and [`DlacepError::Compile`] when any pattern fails to compile.
+pub fn train_multi_pattern(
+    patterns: &[Pattern],
+    stream: &EventStream,
+    cfg: &TrainConfig,
+) -> Result<EventNetTraining, DlacepError> {
+    let shared = PatternSet::new(patterns.to_vec())?.compile()?;
+    let prepared = prepare(patterns, shared.plan(), stream, cfg, 0x77);
+    Ok(train_event_network(prepared, cfg))
 }
 
 /// Outcome of training the window-network.
@@ -267,56 +337,21 @@ pub fn train_window_filter(
     stream: &EventStream,
     cfg: &TrainConfig,
 ) -> WindowNetTraining {
-    let prepared = prepare(pattern, stream, cfg);
-    let net_cfg = NetworkConfig {
+    let plan = Plan::compile(pattern).expect("pattern compiles");
+    let prepared = prepare(std::slice::from_ref(pattern), &plan, stream, cfg, 0xa1a1);
+    let mut net = WindowNetwork::new(NetworkConfig {
         input_dim: prepared.embedder.dim(),
         hidden: cfg.hidden,
         layers: cfg.layers,
         seed: cfg.seed,
-    };
-    let mut net = WindowNetwork::new(net_cfg);
-    let obs = dlacep_obs::global();
-    let mut opt = Adam::new(cfg.lr.lr_at(0));
-    let mut sampler = BatchSampler::new(prepared.train.len(), cfg.seed);
-    let mut detector =
-        ConvergenceDetector::new(cfg.convergence_threshold, cfg.convergence_patience);
-    let mut losses = Vec::new();
-    let mut converged = false;
-    for epoch in 0..cfg.max_epochs {
-        if prepared.train.is_empty() {
-            break;
-        }
-        opt.set_lr(cfg.lr.lr_at(epoch));
-        let mut epoch_loss = 0.0;
-        let mut epoch_grad_norm = 0.0;
-        let mut batches = 0;
-        for batch_idx in sampler.epoch(cfg.batch.at(epoch)) {
-            let batch: Vec<(&[Vec<f32>], bool)> = batch_idx
-                .iter()
-                .map(|&i| {
-                    let (w, _, lab) = &prepared.train[i];
-                    (w.as_slice(), *lab)
-                })
-                .collect();
-            let step = net.train_batch(&batch, &mut opt, cfg.grad_clip);
-            epoch_loss += step.loss;
-            epoch_grad_norm += step.grad_norm;
-            batches += 1;
-        }
-        let loss = epoch_loss / batches.max(1) as f32;
-        record_epoch(
-            &obs,
-            epoch,
-            loss,
-            epoch_grad_norm / batches.max(1) as f32,
-            cfg.lr.lr_at(epoch),
-        );
-        losses.push(loss);
-        if detector.observe(loss) {
-            converged = true;
-            break;
-        }
-    }
+    });
+    let report = fit(&prepared.train, cfg, cfg.seed, |batch, opt| {
+        let batch: Vec<(&[Vec<f32>], bool)> = batch
+            .iter()
+            .map(|(w, _, label)| (w.as_slice(), *label))
+            .collect();
+        net.train_batch(&batch, opt, cfg.grad_clip)
+    });
     let mut test = Confusion::new();
     for (w, _, label) in &prepared.test {
         test.record(net.applicable(w), *label);
@@ -326,11 +361,7 @@ pub fn train_window_filter(
             network: net,
             embedder: prepared.embedder,
         },
-        report: TrainReport {
-            epochs_run: losses.len(),
-            epoch_losses: losses,
-            converged,
-        },
+        report,
         test,
         dropped_short: prepared.dropped_short,
     }
@@ -421,5 +452,82 @@ mod tests {
         // (Fig. 11), not a unit test.
         let out = train_event_filter(&p, &s, &cfg);
         assert_eq!(out.report.epochs_run, 1);
+    }
+
+    fn seq2(a: u32, b: u32) -> Pattern {
+        Pattern::new(
+            PatternExpr::Seq(vec![
+                PatternExpr::event(TypeSet::single(TypeId(a)), "x"),
+                PatternExpr::event(TypeSet::single(TypeId(b)), "y"),
+            ]),
+            vec![],
+            WindowSpec::Count(6),
+        )
+    }
+
+    #[test]
+    fn one_network_serves_two_patterns() {
+        use dlacep_cep::{Match, PatternSet};
+        use dlacep_data::label::ground_truth_matches;
+
+        let p1 = seq2(0, 1);
+        let p2 = seq2(2, 3);
+        let history = stream(2_400, 1);
+        let mut cfg = TrainConfig::quick();
+        cfg.max_epochs = 14;
+        let trained = train_multi_pattern(&[p1.clone(), p2.clone()], &history, &cfg).unwrap();
+        assert!(trained.report.epochs_run > 0);
+
+        let live = stream(1_200, 2);
+        let set = PatternSet::new(vec![p1.clone(), p2.clone()]).unwrap();
+        let report = Dlacep::multi(set, trained.filter)
+            .build()
+            .unwrap()
+            .run(live.events());
+        assert_eq!(report.per_pattern.len(), 2);
+        let t1 = ground_truth_matches(&p1, live.events());
+        let t2 = ground_truth_matches(&p2, live.events());
+        assert!(!t1.is_empty() && !t2.is_empty());
+        let recall = |found: &Vec<Match>, truth: &Vec<Match>| {
+            let tk: std::collections::BTreeSet<_> =
+                truth.iter().map(|m| m.event_ids.clone()).collect();
+            let c = found.iter().filter(|m| tk.contains(&m.event_ids)).count();
+            c as f64 / truth.len() as f64
+        };
+        assert!(recall(&report.per_pattern[0], &t1) > 0.4, "p1 recall");
+        assert!(recall(&report.per_pattern[1], &t2) > 0.4, "p2 recall");
+        // No false positives per pattern (id-distance constraint).
+        for (found, truth) in report.per_pattern.iter().zip([&t1, &t2]) {
+            let tk: std::collections::BTreeSet<_> =
+                truth.iter().map(|m| m.event_ids.clone()).collect();
+            for m in found {
+                assert!(tk.contains(&m.event_ids));
+            }
+        }
+    }
+
+    #[test]
+    fn mismatched_windows_rejected() {
+        let p1 = seq2(0, 1);
+        let mut p2 = seq2(2, 3);
+        p2.window = WindowSpec::Count(9);
+        let err = train_multi_pattern(&[p1, p2], &stream(200, 0), &TrainConfig::quick())
+            .err()
+            .expect("mixed windows must be rejected");
+        assert!(matches!(
+            err,
+            DlacepError::Pattern(dlacep_cep::PatternError::WindowMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn empty_pattern_set_rejected() {
+        let err = train_multi_pattern(&[], &stream(100, 0), &TrainConfig::quick())
+            .err()
+            .expect("empty set must be rejected");
+        assert!(matches!(
+            err,
+            DlacepError::Pattern(dlacep_cep::PatternError::EmptySet)
+        ));
     }
 }

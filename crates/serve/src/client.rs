@@ -39,17 +39,6 @@ use dlacep_events::TypeId;
 use crate::server::WireClient;
 use crate::wire::{WireError, WireMsg};
 
-/// Env override for [`ClientConfig::connect_timeout`] (milliseconds).
-pub const CLIENT_CONNECT_TIMEOUT_ENV: &str = "DLACEP_CLIENT_CONNECT_TIMEOUT_MS";
-/// Env override for [`ClientConfig::io_timeout`] (milliseconds).
-pub const CLIENT_IO_TIMEOUT_ENV: &str = "DLACEP_CLIENT_IO_TIMEOUT_MS";
-/// Env override for [`ClientConfig::backoff_base`] (milliseconds).
-pub const CLIENT_BACKOFF_BASE_ENV: &str = "DLACEP_CLIENT_BACKOFF_BASE_MS";
-/// Env override for [`ClientConfig::backoff_max`] (milliseconds).
-pub const CLIENT_BACKOFF_MAX_ENV: &str = "DLACEP_CLIENT_BACKOFF_MAX_MS";
-/// Env override for [`ClientConfig::max_retries`].
-pub const CLIENT_MAX_RETRIES_ENV: &str = "DLACEP_CLIENT_MAX_RETRIES";
-
 /// Tuning knobs for [`ResilientClient`]. All durations are wall-clock;
 /// the jitter source is seeded and deterministic.
 #[derive(Debug, Clone)]
@@ -81,34 +70,6 @@ impl Default for ClientConfig {
             jitter_seed: 0x9E37_79B9_7F4A_7C15,
         }
     }
-}
-
-impl ClientConfig {
-    /// Defaults with `DLACEP_CLIENT_*` env overrides applied. Unset or
-    /// unparsable variables keep the default.
-    pub fn from_env() -> Self {
-        let mut cfg = ClientConfig::default();
-        if let Some(ms) = env_u64(CLIENT_CONNECT_TIMEOUT_ENV) {
-            cfg.connect_timeout = Duration::from_millis(ms.max(1));
-        }
-        if let Some(ms) = env_u64(CLIENT_IO_TIMEOUT_ENV) {
-            cfg.io_timeout = Duration::from_millis(ms.max(1));
-        }
-        if let Some(ms) = env_u64(CLIENT_BACKOFF_BASE_ENV) {
-            cfg.backoff_base = Duration::from_millis(ms.max(1));
-        }
-        if let Some(ms) = env_u64(CLIENT_BACKOFF_MAX_ENV) {
-            cfg.backoff_max = Duration::from_millis(ms.max(1));
-        }
-        if let Some(n) = env_u64(CLIENT_MAX_RETRIES_ENV) {
-            cfg.max_retries = n.min(u64::from(u32::MAX)) as u32;
-        }
-        cfg
-    }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 /// Why a [`ResilientClient`] operation gave up.

@@ -51,11 +51,7 @@ pub mod wire;
 
 pub use channel::{spawn, ServeError, ServeHandle, ServePump, TeleKind};
 pub use chaos::{ChaosPlan, ChaosProxy, ChaosStats, MAX_DUP_BYTES};
-pub use client::{
-    ClientConfig, ClientError, ClientStats, ResilientClient, CLIENT_BACKOFF_BASE_ENV,
-    CLIENT_BACKOFF_MAX_ENV, CLIENT_CONNECT_TIMEOUT_ENV, CLIENT_IO_TIMEOUT_ENV,
-    CLIENT_MAX_RETRIES_ENV,
-};
+pub use client::{ClientConfig, ClientError, ClientStats, ResilientClient};
 pub use fleet::{
     shards_from_env, FilterFactory, FleetConfig, FleetError, FleetRecoveryReport, FleetStats,
     ShardRecovery, ShardStats, ShardedDlacep, TrainerFactory, SHARDS_ENV,

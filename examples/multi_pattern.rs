@@ -73,13 +73,17 @@ fn main() {
         trained.test.f1()
     );
 
-    // Filter once, scan once with the fused automaton, attribute per pattern.
-    let report = trained.system.run(live.events());
+    // The batch pipeline takes the set and the shared filter: filter once,
+    // scan once with the fused automaton, attribute per pattern.
+    let report = Dlacep::multi(set.clone(), trained.filter)
+        .build()
+        .unwrap()
+        .run(live.events());
     println!(
         "\nshared evaluation over {} events ({} relayed to the extractor):",
         report.events_total, report.events_relayed
     );
-    for (i, (p, found)) in [&p1, &p2].iter().zip(&report.matches).enumerate() {
+    for (i, (p, found)) in [&p1, &p2].iter().zip(&report.per_pattern).enumerate() {
         let truth = ground_truth_matches(p, live.events());
         let keys: std::collections::BTreeSet<_> =
             truth.iter().map(|m| m.event_ids.clone()).collect();
@@ -93,8 +97,8 @@ fn main() {
         );
     }
 
-    // The batch pipeline accepts the same set: Dlacep::multi gives a report
-    // with the union match set plus per-pattern attribution.
+    // With an oracle filter the same pipeline shows the union match set
+    // next to the per-pattern attribution.
     let oracle = Pattern::disjunction_of(&[p1.clone(), p2.clone()]).expect("one shared window");
     let dl = Dlacep::multi(set, OracleFilter::new(oracle))
         .build()

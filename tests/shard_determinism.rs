@@ -13,7 +13,9 @@ use dlacep::cep::{Pattern, PatternExpr, TypeSet};
 use dlacep::core::{OracleFilter, Parallelism, RuntimeConfig, RuntimeReport};
 use dlacep::data::{StockConfig, SyntheticConfig};
 use dlacep::dur::MemStore;
-use dlacep::events::{EventStream, KeyExtractor, TypeId, WindowSpec};
+use dlacep::events::{
+    EventStream, KeyExtractor, OutOfOrderPolicy, PrimitiveEvent, TypeId, WindowSpec,
+};
 use dlacep::serve::{FleetConfig, FleetReport, ShardedDlacep};
 use std::sync::Arc;
 
@@ -103,13 +105,18 @@ fn assert_runtime_reports_equal(a: &RuntimeReport, b: &RuntimeReport, ctx: &str)
     );
 }
 
-fn assert_fleet_reports_equal(a: &FleetReport, b: &FleetReport, ctx: &str) {
+/// Same keys, and every key's runtime report equal field for field.
+fn assert_key_reports_equal(a: &FleetReport, b: &FleetReport, ctx: &str) {
     let keys_a: Vec<u64> = a.keys.iter().map(|k| k.key).collect();
     let keys_b: Vec<u64> = b.keys.iter().map(|k| k.key).collect();
     assert_eq!(keys_a, keys_b, "{ctx}: key sets");
     for (ka, kb) in a.keys.iter().zip(&b.keys) {
         assert_runtime_reports_equal(&ka.report, &kb.report, &format!("{ctx}: key {}", ka.key));
     }
+}
+
+fn assert_fleet_reports_equal(a: &FleetReport, b: &FleetReport, ctx: &str) {
+    assert_key_reports_equal(a, b, ctx);
     assert_eq!(a.totals, b.totals, "{ctx}: fleet totals");
     assert_eq!(
         a.matches()
@@ -164,32 +171,105 @@ fn fleet_results_identical_across_shard_and_thread_counts() {
     }
 }
 
+/// The answer must not depend on how the stream was cut into calls, or on a
+/// crash — in order, and with timestamps that regress within a key: every
+/// event of a batch is offered and judged by the out-of-order policy on its
+/// own, exactly as when offered one by one, and as WAL replay offers it
+/// after a crash.
 #[test]
-fn per_event_and_batch_ingest_agree() {
+fn per_event_batched_and_recovered_fleets_agree() {
     let pattern = seq_pattern(&[0, 1, 2], 12);
-    let stream = stock_stream(1_500);
-    let batch = run_fleet(2, 1, &pattern, &stream);
-
-    let cfg = FleetConfig {
-        shards: 2,
-        key_extractor: KeyExtractor::ByTypeGroup(4),
-        obs: true,
-        sync_every_events: 16,
-        checkpoint_every_events: 640,
-        ..FleetConfig::default()
-    };
-    let pat = pattern.clone();
-    let mut fleet = ShardedDlacep::create(
-        pattern.clone(),
-        cfg,
-        Arc::new(move || OracleFilter::new(pat.clone())),
-        Arc::new(|| None),
-        vec![MemStore::new(), MemStore::new()],
-    )
-    .unwrap();
-    for ev in stream.events() {
-        fleet.ingest(ev.type_id, ev.ts.0, ev.attrs.clone()).unwrap();
+    let in_order: Vec<PrimitiveEvent> = stock_stream(1_500).events().to_vec();
+    let mut regressing = in_order.clone();
+    for ev in regressing.iter_mut().skip(5).step_by(11) {
+        ev.ts.0 /= 2;
     }
-    let serial = fleet.finish();
-    assert_fleet_reports_equal(&batch, &serial, "batch vs per-event ingest");
+    for (events, policy) in [
+        (&in_order, OutOfOrderPolicy::Reject),
+        (&regressing, OutOfOrderPolicy::Reject),
+        (&regressing, OutOfOrderPolicy::Drop),
+        (&regressing, OutOfOrderPolicy::ClampToLastTs),
+    ] {
+        let cfg = || FleetConfig {
+            shards: 2,
+            key_extractor: KeyExtractor::ByTypeGroup(4),
+            runtime: RuntimeConfig {
+                ooo_policy: policy,
+                ..RuntimeConfig::default()
+            },
+            obs: true,
+            sync_every_events: 16,
+            checkpoint_every_events: 640,
+            ..FleetConfig::default()
+        };
+        let mk_filter = || {
+            let pat = pattern.clone();
+            Arc::new(move || OracleFilter::new(pat.clone()))
+        };
+        let create = || {
+            let stores = vec![MemStore::new(), MemStore::new()];
+            ShardedDlacep::create(
+                pattern.clone(),
+                cfg(),
+                mk_filter(),
+                Arc::new(|| None),
+                stores,
+            )
+            .unwrap()
+        };
+
+        let mut per_event = create();
+        for ev in events {
+            per_event
+                .ingest(ev.type_id, ev.ts.0, ev.attrs.clone())
+                .unwrap();
+        }
+        let per_event = per_event.finish();
+        let t = per_event.totals;
+        assert!(t.matches > 0, "{policy:?}: the stream must still match");
+        assert_eq!(
+            t.events_admitted - t.events_clamped < t.events_offered,
+            !std::ptr::eq(events, &in_order),
+            "{policy:?}: timestamps regress within a key exactly in the regressing stream"
+        );
+
+        let mut batched = create();
+        for chunk in events.chunks(97) {
+            batched.ingest_batch(chunk).unwrap();
+        }
+        assert_fleet_reports_equal(
+            &per_event,
+            &batched.finish(),
+            &format!("{policy:?}: per-event vs batched"),
+        );
+
+        // Crash after a synced prefix (past the checkpoint at 640), recover
+        // from checkpoint + WAL replay, re-feed the rest in batches.
+        let mut crashed = create();
+        for chunk in events[..1_000].chunks(97) {
+            crashed.ingest_batch(chunk).unwrap();
+        }
+        crashed.sync().unwrap();
+        let (mut recovered, report) = ShardedDlacep::recover(
+            pattern.clone(),
+            cfg(),
+            mk_filter(),
+            Arc::new(|| None),
+            crashed.into_stores(),
+        )
+        .unwrap();
+        let resume_at = report.resume_seq as usize - 1;
+        assert!(
+            (640..=1_000).contains(&resume_at),
+            "{policy:?}: {resume_at}"
+        );
+        for chunk in events[resume_at..].chunks(97) {
+            recovered.ingest_batch(chunk).unwrap();
+        }
+        assert_key_reports_equal(
+            &per_event,
+            &recovered.finish(),
+            &format!("{policy:?}: per-event vs crash + recover + re-feed"),
+        );
+    }
 }
