@@ -3,8 +3,9 @@
 //! across the network shapes the figures use, and sweep the number of
 //! windows stacked into one batched forward pass — the sweep
 //! `dlacep_core::MARK_BATCH` is chosen from. Per shape it also splits the
-//! single-window int8 time into the encoder and the head (emission layer +
-//! BI-CRF). Dumps `results/BENCH_nn_kernels.json`.
+//! single-window int8 time into the encoder, the emission layer and the
+//! BI-CRF head, and times the fused LSTM cell update on its own at every
+//! kernel level the CPU has. Dumps `results/BENCH_nn_kernels.json`.
 //!
 //! ```bash
 //! cargo run --release -p dlacep-bench --bin nn_kernels
@@ -13,8 +14,10 @@
 use dlacep_core::model::{EventNetwork, NetworkConfig};
 use dlacep_core::quantized::{simd_level, QuantizedEventNetwork};
 use dlacep_core::MARK_BATCH;
-use dlacep_nn::quant::ScratchArena;
-use dlacep_nn::{Initializer, ParamStore, QuantizedStackedBiLstm, StackedBiLstm};
+use dlacep_nn::quant::{time_cell_update, ScratchArena, UNIT_SCALE};
+use dlacep_nn::{
+    Initializer, Linear, ParamStore, QuantizedLinear, QuantizedStackedBiLstm, StackedBiLstm,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -29,6 +32,14 @@ const BATCH_SWEEP: [usize; 6] = [1, 2, 4, 8, 16, 32];
 struct SweepPoint {
     batch: usize,
     int8_nanos_per_window: f64,
+}
+
+/// The fused cell update alone: one step over `rows × hidden` units.
+#[derive(Debug, Serialize)]
+struct CellPoint {
+    simd_level: String,
+    rows: usize,
+    nanos_per_step: f64,
 }
 
 /// One shape's head-to-head numbers.
@@ -46,8 +57,13 @@ struct KernelRow {
     int8_nanos_per_window: f64,
     /// Of which the stacked-BiLSTM encoder (a same-shape encoder alone)…
     encoder_nanos_per_window: f64,
-    /// …and the rest: emission layer + BI-CRF head.
-    head_nanos_per_window: f64,
+    /// …the emission layer (a same-shape layer alone, over the encoder's
+    /// quantized output rows)…
+    emission_nanos_per_window: f64,
+    /// …and the rest: the BI-CRF head and the decode.
+    crf_head_nanos_per_window: f64,
+    /// One cell-update step at one row and at `MARK_BATCH` rows, per level.
+    cell_update: Vec<CellPoint>,
     speedup: f64,
     /// `MARK_BATCH` windows per forward pass, as the pipelines run it.
     mark_batch: usize,
@@ -160,6 +176,35 @@ fn bench_shape(
         }
     });
 
+    // Likewise the emission layer, over the rows the encoder just left.
+    let emit_layer = Linear::new(&mut store, &mut init, 2 * hidden, 2);
+    let emission = QuantizedLinear::quantize(&store, &emit_layer, UNIT_SCALE).expect("finite");
+    let mut emitted = Vec::new();
+    let emission_nanos = time_per_window(reps, wins.len(), || {
+        for _ in &wins {
+            emission.infer_quantized(t_len, std::hint::black_box(&arena.xq), &mut emitted);
+            std::hint::black_box(&emitted);
+        }
+    });
+
+    let cell_update = [1, MARK_BATCH]
+        .into_iter()
+        .flat_map(|rows| {
+            let best = (0..ROUNDS)
+                .map(|_| time_cell_update(rows, hidden, 2_000))
+                .reduce(|best, round| {
+                    let faster = best.iter().zip(round);
+                    faster.map(|(b, r)| (b.0, b.1.min(r.1))).collect()
+                })
+                .expect("at least one round");
+            best.into_iter().map(move |(level, nanos)| CellPoint {
+                simd_level: level.to_string(),
+                rows,
+                nanos_per_step: nanos,
+            })
+        })
+        .collect();
+
     KernelRow {
         scenario: scenario.to_string(),
         t_len,
@@ -171,7 +216,9 @@ fn bench_shape(
         f32_nanos_per_window: f32_nanos,
         int8_nanos_per_window: int8_nanos,
         encoder_nanos_per_window: encoder_nanos,
-        head_nanos_per_window: (int8_nanos - encoder_nanos).max(0.0),
+        emission_nanos_per_window: emission_nanos,
+        crf_head_nanos_per_window: (int8_nanos - encoder_nanos - emission_nanos).max(0.0),
+        cell_update,
         speedup: f32_nanos / int8_nanos,
         mark_batch: MARK_BATCH,
         batched_int8_nanos_per_window: batched_nanos,
@@ -198,7 +245,7 @@ fn main() {
         simd_level()
     );
     println!(
-        "{:<12} {:>3} {:>3} {:>4} {:>2} {:>11} {:>11} {:>10} {:>9} {:>11} {:>7} {:>8} {:>6}",
+        "{:<12} {:>3} {:>3} {:>4} {:>2} {:>11} {:>11} {:>10} {:>9} {:>9} {:>11} {:>7} {:>8} {:>6}",
         "scenario",
         "T",
         "in",
@@ -207,7 +254,8 @@ fn main() {
         "f32 ns/win",
         "int8 B=1",
         "encoder",
-        "head",
+        "emission",
+        "crf head",
         "int8 B=8",
         "x B=1",
         "x B=8",
@@ -215,7 +263,7 @@ fn main() {
     );
     for r in &rows {
         println!(
-            "{:<12} {:>3} {:>3} {:>4} {:>2} {:>11.0} {:>11.0} {:>10.0} {:>9.0} {:>11.0} {:>6.2}x {:>7.2}x {:>5.1}%",
+            "{:<12} {:>3} {:>3} {:>4} {:>2} {:>11.0} {:>11.0} {:>10.0} {:>9.0} {:>9.0} {:>11.0} {:>6.2}x {:>7.2}x {:>5.1}%",
             r.scenario,
             r.t_len,
             r.input_dim,
@@ -224,7 +272,8 @@ fn main() {
             r.f32_nanos_per_window,
             r.int8_nanos_per_window,
             r.encoder_nanos_per_window,
-            r.head_nanos_per_window,
+            r.emission_nanos_per_window,
+            r.crf_head_nanos_per_window,
             r.batched_int8_nanos_per_window,
             r.speedup,
             r.batched_speedup,
@@ -239,6 +288,16 @@ fn main() {
             .map(|p| format!("B={} {:.0}", p.batch, p.int8_nanos_per_window))
             .collect();
         println!("{:<12} {}", r.scenario, sweep.join("  "));
+    }
+
+    println!("\ncell update, ns per step of rows x H_pad:");
+    for r in &rows {
+        let cells: Vec<String> = r
+            .cell_update
+            .iter()
+            .map(|p| format!("{} B={} {:.0}", p.simd_level, p.rows, p.nanos_per_step))
+            .collect();
+        println!("{:<12} H={:<4} {}", r.scenario, r.hidden, cells.join("  "));
     }
 
     let dir = std::path::Path::new("results");

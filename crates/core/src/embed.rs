@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A fitted embedder mapping events to fixed-width vectors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EventEmbedder {
     /// Relevant type → one-hot slot.
     slots: HashMap<TypeId, usize>,

@@ -6,12 +6,21 @@
 //!
 //! * **Encoder + emission layer** (≥ 99% of the marking FLOPs) run int8
 //!   with per-channel weight scales and static activation scales, over
-//!   `B` windows at a time stacked time-step-major.
-//! * **BI-CRF head** stays in f32: it is `O(T · L²)` with `L = 2`, and
-//!   noise here would directly move the decode boundary. [`CrfHead`]
-//!   replicates the exact forward/backward arithmetic of
-//!   [`dlacep_nn::BiCrf`], allocation-free over the scratch arena and
-//!   addressing each window of the batch in place.
+//!   `B` windows at a time stacked time-step-major. The emission layer
+//!   multiplies the quantized rows the encoder's last cell update wrote;
+//!   nothing is quantized twice.
+//! * **BI-CRF head** stays in f32 (it is `O(T · L²)` with `L = 2`, and
+//!   noise here would directly move the decode boundary) but not in the
+//!   log domain. [`CrfHead`] computes the same posterior marginals as
+//!   [`dlacep_nn::BiCrf`] by the *scaled* forward–backward recursion on
+//!   probabilities: scores exponentiated once when the head is built
+//!   (derived, never persisted), one `exp` per position on the clamped
+//!   emission difference shared by both directions, `α̂` renormalised at
+//!   every step, and a backward sweep that reuses those normalisers and
+//!   writes each marginal as it passes instead of storing a trellis. The
+//!   derivation and its error bounds are in DESIGN.md, "Quantized
+//!   inference"; the decode rule and its tie behaviour (ties mark) are
+//!   `BiCrf::decode`'s.
 //! * **Scratch** lives in a small pool of [`ScratchArena`]s (one per
 //!   in-flight batch), so concurrent marking under the parallel batch
 //!   path shares nothing and steady-state marking allocates nothing.
@@ -38,7 +47,7 @@ use dlacep_nn::{BiCrf, Crf, ParamStore};
 /// The integer-kernel level the int8 filter dispatches to on this CPU
 /// (`"avx2"`, `"sse2"` or `"scalar"`), for telemetry and report headers.
 pub use dlacep_nn::quant::simd_level;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::sync::Mutex;
 
 /// Arenas kept warm in the pool. Marking uses one arena per in-flight
@@ -79,24 +88,32 @@ impl From<QuantError> for QuantizeError {
     }
 }
 
-/// `max + ln(e^(a-max) + e^(b-max))`, the 2-label specialization of the
-/// CRF's log-sum-exp (same arithmetic order as the f32 head).
-#[inline]
-fn log_sum_exp2(a: f32, b: f32) -> f32 {
-    let m = a.max(b);
-    if m == f32::NEG_INFINITY {
-        return f32::NEG_INFINITY;
-    }
-    m + ((a - m).exp() + (b - m).exp()).ln()
+/// Bound on the emission difference `e₁ − e₀` fed to `exp`. A position
+/// whose difference is beyond it has a disfavoured-label marginal below
+/// `exp(2Δ − 40)` with or without the clamp (`Δ` = spread of the transition
+/// scores), so clamping moves no marginal by more than that — 4e-18 · e^2Δ —
+/// while `exp(±40)` times a renormalised α̂ stays far inside f32 range.
+const EMIT_DIFF_CLAMP: f32 = 40.0;
+
+/// `exp(x − max x)`: potentials of one score group, the largest exactly 1
+/// so none overflows (marginals are invariant to a common factor).
+fn potentials<const N: usize>(scores: &[f32]) -> [f32; N] {
+    let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    std::array::from_fn(|i| (scores[i] - max).exp())
 }
 
-/// One directional CRF over 2 labels, extracted to plain f32 buffers
-/// (`trans` row-major 2×2, `start`/`end` length 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One directional CRF over 2 labels. The canonical, persisted form is the
+/// trained log-domain scores (`trans` row-major 2×2, `start`/`end` length
+/// 2); inference runs on their exponentials.
+#[derive(Debug, Clone, PartialEq)]
 struct CrfDir {
     trans: Vec<f32>,
     start: Vec<f32>,
     end: Vec<f32>,
+    /// `exp` of the three fields above, derived; never serialized.
+    pot_trans: [f32; 4],
+    pot_start: [f32; 2],
+    pot_end: [f32; 2],
 }
 
 impl CrfDir {
@@ -107,60 +124,91 @@ impl CrfDir {
             });
         }
         let (trans, start, end) = crf.params();
+        let scores = |id| store.value(id).as_slice().to_vec();
+        Ok(Self::assemble(scores(trans), scores(start), scores(end))
+            .expect("a 2-label CRF has 2×2 transitions and 2 start/end scores"))
+    }
+
+    /// Build from the canonical fields, deriving the potentials.
+    fn assemble(trans: Vec<f32>, start: Vec<f32>, end: Vec<f32>) -> Result<Self, &'static str> {
+        if trans.len() != 4 || start.len() != 2 || end.len() != 2 {
+            return Err("CRF head parameter lengths");
+        }
         Ok(Self {
-            trans: store.value(trans).as_slice().to_vec(),
-            start: store.value(start).as_slice().to_vec(),
-            end: store.value(end).as_slice().to_vec(),
+            pot_trans: potentials(&trans),
+            pot_start: potentials(&start),
+            pot_end: potentials(&end),
+            trans,
+            start,
+            end,
         })
     }
 
-    /// Forward–backward over one window of a time-step-major batch, adding
-    /// this direction's posterior marginals into `out`.
+    /// Scaled forward–backward over one window of a time-step-major batch,
+    /// adding this direction's posterior marginals into `out`.
     ///
     /// Position `k` of this direction's chain is window step `k`, or
-    /// `t_len - 1 - k` when `rev`; window step `t` lives at index
-    /// `2 · t · stride` of `em` and `out`, so a window is addressed in
-    /// place. `alpha`/`beta` are caller scratch of at least `2 · t_len`.
-    #[allow(clippy::too_many_arguments)]
+    /// `t_len - 1 - k` when `rev`; window step `t` has emission potentials
+    /// `(1, u[t])` and lives at index `2 · t · stride` of `out`, so a
+    /// window is addressed in place. `alpha` is scratch for `3 · t_len`
+    /// values: per position the renormalised `α̂` and the reciprocal of its
+    /// normaliser. Applied to the `β` recursion the same factor keeps
+    /// `Σⱼ α̂(j)·β̂(j)` constant along the chain, so `β̂` needs neither a
+    /// normaliser nor a trellis of its own: the backward sweep carries it
+    /// in two variables and writes each marginal as it passes.
     fn accumulate_marginals(
         &self,
         t_len: usize,
         stride: usize,
-        em: &[f32],
         rev: bool,
+        u: &[f32],
         alpha: &mut [f32],
-        beta: &mut [f32],
         out: &mut [f32],
     ) {
-        let at = |k: usize| 2 * stride * if rev { t_len - 1 - k } else { k };
-        let e = |k: usize, j: usize| em[at(k) + j];
-        alpha[0] = self.start[0] + e(0, 0);
-        alpha[1] = self.start[1] + e(0, 1);
-        for t in 1..t_len {
-            for j in 0..2 {
-                let s0 = alpha[(t - 1) * 2] + self.trans[j];
-                let s1 = alpha[(t - 1) * 2 + 1] + self.trans[2 + j];
-                alpha[t * 2 + j] = log_sum_exp2(s0, s1) + e(t, j);
+        let step = |k: usize| if rev { t_len - 1 - k } else { k };
+        let [t00, t01, t10, t11] = self.pot_trans;
+        let (mut a0, mut a1) = (self.pot_start[0], self.pot_start[1] * u[step(0)]);
+        for (k, cell) in alpha[..3 * t_len].chunks_exact_mut(3).enumerate() {
+            if k > 0 {
+                (a0, a1) = (a0 * t00 + a1 * t10, (a0 * t01 + a1 * t11) * u[step(k)]);
             }
+            let r = 1.0 / (a0 + a1);
+            (a0, a1) = (a0 * r, a1 * r);
+            cell.copy_from_slice(&[a0, a1, r]);
         }
-        beta[(t_len - 1) * 2] = self.end[0];
-        beta[(t_len - 1) * 2 + 1] = self.end[1];
-        for t in (0..t_len - 1).rev() {
-            for i in 0..2 {
-                let s0 = self.trans[i * 2] + e(t + 1, 0) + beta[(t + 1) * 2];
-                let s1 = self.trans[i * 2 + 1] + e(t + 1, 1) + beta[(t + 1) * 2 + 1];
-                beta[t * 2 + i] = log_sum_exp2(s0, s1);
-            }
+        let (mut b0, mut b1) = (self.pot_end[0], self.pot_end[1]);
+        for (k, cell) in alpha[..3 * t_len].chunks_exact(3).enumerate().rev() {
+            let (m0, m1) = (cell[0] * b0, cell[1] * b1);
+            let (o, sum) = (2 * stride * step(k), m0 + m1);
+            out[o] += m0 / sum;
+            out[o + 1] += m1 / sum;
+            let (w0, w1) = (b0 * cell[2], b1 * u[step(k)] * cell[2]);
+            (b0, b1) = (t00 * w0 + t01 * w1, t10 * w0 + t11 * w1);
         }
-        let logz = log_sum_exp2(
-            alpha[(t_len - 1) * 2] + self.end[0],
-            alpha[(t_len - 1) * 2 + 1] + self.end[1],
-        );
-        for t in 0..t_len {
-            for j in 0..2 {
-                out[at(t) + j] += (alpha[t * 2 + j] + beta[t * 2 + j] - logz).exp();
-            }
-        }
+    }
+}
+
+impl Serialize for CrfDir {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("trans".into(), self.trans.to_value()),
+            ("start".into(), self.start.to_value()),
+            ("end".into(), self.end.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for CrfDir {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let m = v
+            .as_map()
+            .ok_or_else(|| DeError::new("CrfDir: expected map"))?;
+        Self::assemble(
+            serde::field(m, "trans")?,
+            serde::field(m, "start")?,
+            serde::field(m, "end")?,
+        )
+        .map_err(DeError::new)
     }
 }
 
@@ -174,20 +222,12 @@ impl Enc for CrfDir {
 
 impl Dec for CrfDir {
     fn dec(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let dir = Self {
-            trans: d.get()?,
-            start: d.get()?,
-            end: d.get()?,
-        };
-        if dir.trans.len() != 4 || dir.start.len() != 2 || dir.end.len() != 2 {
-            return Err(CodecError::Malformed("CRF head parameter lengths".into()));
-        }
-        Ok(dir)
+        Self::assemble(d.get()?, d.get()?, d.get()?).map_err(|e| CodecError::Malformed(e.into()))
     }
 }
 
-/// The f32 BI-CRF head of the quantized network: exact 2-label
-/// forward–backward over both directions, allocation-free.
+/// The BI-CRF head of the quantized network: scaled probability-domain
+/// 2-label forward–backward over both directions, allocation-free.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct CrfHead {
     fwd: CrfDir,
@@ -205,27 +245,41 @@ impl CrfHead {
 
     /// Sum of both directions' posterior marginals for every window of a
     /// time-step-major batch: `em` and `out` are `t_len · batch × 2`
-    /// (`out` is overwritten), `alpha`/`beta` are scratch for `2 · t_len`
-    /// values each. The decode rule downstream — mark when
-    /// `out[2r+1] >= out[2r]` — matches `BiCrf::decode`'s per-position
-    /// argmax including its tie behaviour (ties go to label 1).
+    /// (`out` is overwritten), `scratch` holds `4 · t_len` values. The
+    /// decode rule downstream — mark when `out[2r+1] >= out[2r]` — matches
+    /// `BiCrf::decode`'s per-position argmax including its tie behaviour
+    /// (ties go to label 1).
+    ///
+    /// Marginals depend on a position's two emissions only through their
+    /// difference, so one `exp` per position serves both directions. A
+    /// non-finite emission is a broken model, not a saturated one: it
+    /// poisons its window's marginals with NaN for the guard to see.
     fn combined_marginals(
         &self,
         t_len: usize,
         batch: usize,
         em: &[f32],
-        alpha: &mut [f32],
-        beta: &mut [f32],
+        scratch: &mut [f32],
         out: &mut [f32],
     ) {
         let rows = t_len * batch;
         out[..2 * rows].fill(0.0);
+        let (u, alpha) = scratch.split_at_mut(t_len);
         for b in 0..batch {
-            let (em, out) = (&em[2 * b..2 * rows], &mut out[2 * b..2 * rows]);
+            for (t, u) in u.iter_mut().enumerate() {
+                let e = &em[2 * (t * batch + b)..][..2];
+                let d = e[1] - e[0];
+                *u = if d.is_finite() {
+                    d.clamp(-EMIT_DIFF_CLAMP, EMIT_DIFF_CLAMP).exp()
+                } else {
+                    f32::NAN
+                };
+            }
+            let out = &mut out[2 * b..2 * rows];
             self.fwd
-                .accumulate_marginals(t_len, batch, em, false, alpha, beta, out);
+                .accumulate_marginals(t_len, batch, false, u, alpha, out);
             self.bwd
-                .accumulate_marginals(t_len, batch, em, true, alpha, beta, out);
+                .accumulate_marginals(t_len, batch, true, u, alpha, out);
         }
     }
 }
@@ -247,8 +301,8 @@ impl Dec for CrfHead {
 }
 
 /// An [`EventNetwork`] quantized for inference: int8 encoder + emission
-/// layer, exact f32 BI-CRF head.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// layer, probability-domain f32 BI-CRF head.
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedEventNetwork {
     input_dim: usize,
     encoder: QuantizedStackedBiLstm,
@@ -271,12 +325,39 @@ impl QuantizedEventNetwork {
                 .into_iter()
                 .flat_map(|w| w.iter().map(Vec::as_slice)),
         )?;
-        Ok(Self {
-            input_dim: network.config.input_dim,
-            encoder: QuantizedStackedBiLstm::quantize(store, encoder, input_scale)?,
+        Ok(Self::assemble(
+            network.config.input_dim,
+            QuantizedStackedBiLstm::quantize(store, encoder, input_scale)?,
             // The emission layer consumes tanh-bounded encoder outputs.
-            emit: QuantizedLinear::quantize(store, emit, UNIT_SCALE)?,
-            crf: CrfHead::extract(store, crf)?,
+            QuantizedLinear::quantize(store, emit, UNIT_SCALE)?,
+            CrfHead::extract(store, crf)?,
+        )
+        .expect("a trained network's layers chain"))
+    }
+
+    /// Build from the parts, checking that they chain: the emission layer
+    /// multiplies the rows the encoder leaves quantized at [`UNIT_SCALE`],
+    /// so it must have been quantized for that width and scale.
+    fn assemble(
+        input_dim: usize,
+        encoder: QuantizedStackedBiLstm,
+        emit: QuantizedLinear,
+        crf: CrfHead,
+    ) -> Result<Self, &'static str> {
+        if encoder.num_layers() == 0 || encoder.input_dim() != input_dim {
+            return Err("quantized network: encoder does not read the embedding width");
+        }
+        if emit.in_dim() != encoder.out_dim() || emit.in_scale() != UNIT_SCALE {
+            return Err("quantized network: emission layer does not read the encoder's output");
+        }
+        if emit.out_dim() != 2 {
+            return Err("quantized network: the head decodes exactly 2 labels");
+        }
+        Ok(Self {
+            input_dim,
+            encoder,
+            emit,
+            crf,
         })
     }
 
@@ -294,19 +375,11 @@ impl QuantizedEventNetwork {
     fn combined_into(&self, t_len: usize, batch: usize, arena: &mut ScratchArena) {
         let rows = t_len * batch;
         self.encoder.infer_batch(t_len, batch, arena);
-        self.emit
-            .infer_into(rows, &arena.io_a, &mut arena.xq, &mut arena.emit);
-        ensure(&mut arena.crf_alpha, t_len * 2);
-        ensure(&mut arena.crf_beta, t_len * 2);
+        self.emit.infer_quantized(rows, &arena.xq, &mut arena.emit);
+        ensure(&mut arena.crf, t_len * 4);
         ensure(&mut arena.probs, rows * 2);
-        self.crf.combined_marginals(
-            t_len,
-            batch,
-            &arena.emit,
-            &mut arena.crf_alpha,
-            &mut arena.crf_beta,
-            &mut arena.probs,
-        );
+        self.crf
+            .combined_marginals(t_len, batch, &arena.emit, &mut arena.crf, &mut arena.probs);
     }
 
     /// Load pre-embedded windows of one length time-step-major.
@@ -394,12 +467,34 @@ impl Enc for QuantizedEventNetwork {
 
 impl Dec for QuantizedEventNetwork {
     fn dec(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            input_dim: d.get()?,
-            encoder: d.get()?,
-            emit: d.get()?,
-            crf: d.get()?,
-        })
+        Self::assemble(d.get()?, d.get()?, d.get()?, d.get()?)
+            .map_err(|e| CodecError::Malformed(e.into()))
+    }
+}
+
+impl Serialize for QuantizedEventNetwork {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("input_dim".into(), self.input_dim.to_value()),
+            ("encoder".into(), self.encoder.to_value()),
+            ("emit".into(), self.emit.to_value()),
+            ("crf".into(), self.crf.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for QuantizedEventNetwork {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let m = v
+            .as_map()
+            .ok_or_else(|| DeError::new("QuantizedEventNetwork: expected map"))?;
+        Self::assemble(
+            serde::field(m, "input_dim")?,
+            serde::field(m, "encoder")?,
+            serde::field(m, "emit")?,
+            serde::field(m, "crf")?,
+        )
+        .map_err(DeError::new)
     }
 }
 
@@ -427,7 +522,9 @@ impl Clone for QuantizedFilter {
 impl PartialEq for QuantizedFilter {
     fn eq(&self, other: &Self) -> bool {
         // Scratch arenas are not part of the filter's identity.
-        self.network == other.network && self.threshold == other.threshold
+        self.network == other.network
+            && self.embedder == other.embedder
+            && self.threshold == other.threshold
     }
 }
 
@@ -607,6 +704,9 @@ mod tests {
     use crate::model::NetworkConfig;
     use dlacep_cep::TypeSet;
     use dlacep_events::TypeId;
+    use dlacep_nn::{Initializer, Linear, Matrix};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn ev(i: u64, t: u32) -> PrimitiveEvent {
         PrimitiveEvent::new(i, TypeId(t), i, vec![((i * 7 % 5) as f64 - 2.0) * 0.4])
@@ -691,6 +791,262 @@ mod tests {
         assert!(assert_filter(&q));
         assert!(!assert_filter(&filter));
         assert_eq!(q.name(), "event-network-int8");
+    }
+
+    /// A BI-CRF whose scores are uniform in `±spread`, and its extracted
+    /// probability-domain head.
+    fn random_head(rng: &mut StdRng, spread: f32) -> (ParamStore, BiCrf, CrfHead) {
+        let mut store = ParamStore::new();
+        let crf = BiCrf::new(&mut store, &mut Initializer::seeded(1), 2);
+        let (fwd, bwd) = crf.directions();
+        for dir in [fwd, bwd] {
+            let (trans, start, end) = dir.params();
+            for id in [trans, start, end] {
+                for v in store.value_mut(id).as_mut_slice() {
+                    *v = rng.gen_range(-spread..spread);
+                }
+            }
+        }
+        let head = CrfHead::extract(&store, &crf).unwrap();
+        (store, crf, head)
+    }
+
+    /// The head's combined marginal sums for `batch` windows whose emission
+    /// rows are `em(b, t)`, stacked time-step-major as marking stacks them.
+    fn head_probs(
+        head: &CrfHead,
+        t_len: usize,
+        batch: usize,
+        em: impl Fn(usize, usize) -> [f32; 2],
+    ) -> Vec<f32> {
+        let mut stacked = vec![0.0; 2 * t_len * batch];
+        for t in 0..t_len {
+            for b in 0..batch {
+                stacked[2 * (t * batch + b)..][..2].copy_from_slice(&em(b, t));
+            }
+        }
+        let mut scratch = vec![0.0; 4 * t_len];
+        let mut out = vec![f32::NAN; 2 * t_len * batch];
+        head.combined_marginals(t_len, batch, &stacked, &mut scratch, &mut out);
+        out
+    }
+
+    /// The BI-CRF's combined marginals by log-domain forward–backward in
+    /// f64: what both f32 heads approximate.
+    fn marginals_f64(store: &ParamStore, crf: &BiCrf, em: &Matrix) -> Vec<f64> {
+        let t_len = em.rows();
+        let lse = |a: f64, b: f64| a.max(b) + ((a - a.max(b)).exp() + (b - a.max(b)).exp()).ln();
+        let mut out = vec![0.0; 2 * t_len];
+        let (fwd, bwd) = crf.directions();
+        for (dir, rev) in [(fwd, false), (bwd, true)] {
+            let (trans, start, end) = dir.params();
+            let p = |id, i: usize| f64::from(store.value(id).as_slice()[i]);
+            let e = |k: usize, j: usize| f64::from(em.get(if rev { t_len - 1 - k } else { k }, j));
+            let mut alpha = vec![[0.0; 2]; t_len];
+            let mut beta = vec![[0.0; 2]; t_len];
+            alpha[0] = [p(start, 0) + e(0, 0), p(start, 1) + e(0, 1)];
+            for k in 1..t_len {
+                for j in 0..2 {
+                    alpha[k][j] = e(k, j)
+                        + lse(
+                            alpha[k - 1][0] + p(trans, j),
+                            alpha[k - 1][1] + p(trans, 2 + j),
+                        );
+                }
+            }
+            beta[t_len - 1] = [p(end, 0), p(end, 1)];
+            for k in (0..t_len - 1).rev() {
+                for i in 0..2 {
+                    beta[k][i] = lse(
+                        p(trans, 2 * i) + e(k + 1, 0) + beta[k + 1][0],
+                        p(trans, 2 * i + 1) + e(k + 1, 1) + beta[k + 1][1],
+                    );
+                }
+            }
+            let logz = lse(alpha[0][0] + beta[0][0], alpha[0][1] + beta[0][1]);
+            for k in 0..t_len {
+                let t = if rev { t_len - 1 - k } else { k };
+                for j in 0..2 {
+                    out[2 * t + j] += 0.5 * (alpha[k][j] + beta[k][j] - logz).exp();
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn head_equals_the_f32_bicrf_marginals() {
+        let mut rng = StdRng::seed_from_u64(19);
+        // T = 512 is the renormalisation's test: unscaled, α would leave
+        // f32 range within a few dozen steps at these magnitudes. ±60
+        // emissions differ by up to 120, where the clamp acts. The f64
+        // recursion is the truth both heads approximate; the f32 `BiCrf`
+        // is held to 1e-4 where its own log-domain sums stay small, and to
+        // what they can carry where they do not (|α| reaches T · |e|: one
+        // ulp is 1.2e-4 at 1,500 and 2e-3 at 30,000, over T steps).
+        for (t_len, spread, emit, f32_tol) in [
+            (1, 2.0, 3.0, 1e-4),
+            (2, 2.0, 3.0, 1e-4),
+            (32, 3.0, 6.0, 1e-4),
+            (512, 2.0, 3.0, 1e-2),
+            (32, 2.0, 60.0, 1e-3),
+            (512, 1.0, 60.0, 1e-1),
+        ] {
+            for _ in 0..8 {
+                let (store, crf, head) = random_head(&mut rng, spread);
+                let em = Matrix::from_fn(t_len, 2, |_, _| rng.gen_range(-emit..emit));
+                let want = crf.marginals(&store, &em);
+                let truth = marginals_f64(&store, &crf, &em);
+                let decoded = crf.decode(&store, &em);
+                let got = head_probs(&head, t_len, 1, |_, t| [em.get(t, 0), em.get(t, 1)]);
+                for t in 0..t_len {
+                    let (p0, p1) = (0.5 * got[2 * t], 0.5 * got[2 * t + 1]);
+                    for (p, l) in [(p0, 0), (p1, 1)] {
+                        let (w, truth) = (want.get(t, l), truth[2 * t + l]);
+                        assert!(
+                            (f64::from(p) - truth).abs() < 1e-5,
+                            "T={t_len} t={t} l={l}: {p} vs f64 {truth}"
+                        );
+                        assert!(
+                            (p - w).abs() < f32_tol,
+                            "T={t_len} t={t} l={l}: {p} vs f32 {w}"
+                        );
+                        assert!((0.0..=1.0).contains(&p), "marginal {p} out of range");
+                    }
+                    // Away from a coin flip the marks agree too.
+                    if (p1 - p0).abs() > 1e-3 {
+                        assert_eq!(usize::from(p1 >= p0), decoded[t], "T={t_len} t={t}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn head_ties_go_to_label_one_like_the_f32_decode() {
+        // Equal emissions under label-symmetric scores: both labels are
+        // exactly as likely at every position, in both heads.
+        let mut store = ParamStore::new();
+        let crf = BiCrf::new(&mut store, &mut Initializer::seeded(1), 2);
+        let (fwd, bwd) = crf.directions();
+        for dir in [fwd, bwd] {
+            let (trans, start, end) = dir.params();
+            store
+                .value_mut(trans)
+                .as_mut_slice()
+                .copy_from_slice(&[0.7, -0.3, -0.3, 0.7]);
+            store.value_mut(start).map_inplace(|_| 0.25);
+            store.value_mut(end).map_inplace(|_| -0.5);
+        }
+        let head = CrfHead::extract(&store, &crf).unwrap();
+        let em = Matrix::from_fn(9, 2, |t, _| t as f32 * 0.4 - 1.0);
+        let got = head_probs(&head, 9, 1, |_, t| [em.get(t, 0), em.get(t, 1)]);
+        for pair in got.chunks_exact(2) {
+            assert_eq!(pair[0], pair[1], "an exact tie");
+        }
+        assert_eq!(crf.decode(&store, &em), vec![1; 9]);
+    }
+
+    #[test]
+    fn head_result_is_independent_of_batch_size_and_position() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let (_, _, head) = random_head(&mut rng, 2.0);
+        let t_len = 13;
+        let windows: Vec<Vec<[f32; 2]>> = (0..7)
+            .map(|_| {
+                (0..t_len)
+                    .map(|_| [rng.gen_range(-5.0..5.0), rng.gen_range(-5.0..5.0)])
+                    .collect()
+            })
+            .collect();
+        let alone: Vec<Vec<f32>> = windows
+            .iter()
+            .map(|w| head_probs(&head, t_len, 1, |_, t| w[t]))
+            .collect();
+        for batch in [2, 3, 7] {
+            for shift in 0..batch {
+                let got = head_probs(&head, t_len, batch, |b, t| windows[(b + shift) % 7][t]);
+                for b in 0..batch {
+                    let mine: Vec<f32> = window_probs(&got, t_len, batch, b).flatten().collect();
+                    assert_eq!(mine, alone[(b + shift) % 7], "B={batch} slot={b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_emissions_are_a_score_fault_not_a_panic() {
+        use crate::guard::{FaultKind, FilterGuard, GuardConfig};
+        let (filter, events) = setup();
+        let healthy = QuantizedFilter::quantize(&filter, &[&events[..8]]).unwrap();
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            // A model whose emission bias is not a number: every emission
+            // of label 0 is, whatever the encoder produced.
+            let mut store = ParamStore::new();
+            let width = healthy.network.emit.in_dim();
+            let layer = Linear::new(&mut store, &mut Initializer::seeded(3), width, 2);
+            store.value_mut(layer.params().1).set(0, 0, poison);
+            let mut broken = healthy.clone();
+            broken.network.emit = QuantizedLinear::quantize(&store, &layer, UNIT_SCALE).unwrap();
+
+            let scores = broken.scores(&events[..8]).unwrap();
+            assert!(scores.iter().all(|s| s.is_nan()), "{poison}: {scores:?}");
+            assert_eq!(broken.mark(&events[..8]).len(), 8);
+            let mut guard = FilterGuard::new(
+                broken,
+                GuardConfig {
+                    validate_scores: true,
+                    ..GuardConfig::default()
+                },
+            );
+            let outcome = guard.mark(&events[..8]);
+            assert_eq!(outcome.fault, Some(FaultKind::NonFiniteScore));
+            assert_eq!(outcome.marks, vec![true; 8], "a fault fails open");
+        }
+    }
+
+    #[test]
+    fn parts_that_do_not_chain_fail_to_decode() {
+        let (filter, events) = setup();
+        let q = QuantizedFilter::quantize(&filter, &[&events[..8]]).unwrap();
+        let net = q.network();
+        let mut store = ParamStore::new();
+        let mut init = Initializer::seeded(3);
+        let width = net.emit.in_dim();
+        let rescaled = Linear::new(&mut store, &mut init, width, 2);
+        let narrower = Linear::new(&mut store, &mut init, width - 2, 2);
+        for (layer, in_scale) in [(rescaled, 0.5), (narrower, UNIT_SCALE)] {
+            let emit = QuantizedLinear::quantize(&store, &layer, in_scale).unwrap();
+            let mut e = Encoder::new();
+            e.put(&net.input_dim);
+            e.put(&net.encoder);
+            e.put(&emit);
+            e.put(&net.crf);
+            let bytes = e.into_bytes();
+            assert!(matches!(
+                Decoder::new(&bytes).get::<QuantizedEventNetwork>(),
+                Err(CodecError::Malformed(_))
+            ));
+        }
+        let json = serde_json::to_string(net).unwrap();
+        assert_eq!(
+            &serde_json::from_str::<QuantizedEventNetwork>(&json).unwrap(),
+            net
+        );
+        let bad = json.replacen("\"input_dim\":", "\"input_dim\":1", 1);
+        assert!(serde_json::from_str::<QuantizedEventNetwork>(&bad).is_err());
+    }
+
+    #[test]
+    fn filters_differing_only_in_embedder_are_unequal() {
+        let (filter, events) = setup();
+        let q = QuantizedFilter::quantize(&filter, &[&events[..8]]).unwrap();
+        // Same width, different slot assignment.
+        let other = EventEmbedder::new(&TypeSet::new(vec![TypeId(0), TypeId(2)]), 1);
+        assert_eq!(other.dim(), q.embedder().dim());
+        let swapped = QuantizedFilter::from_parts(q.network().clone(), other, q.threshold);
+        assert_eq!(q, q.clone());
+        assert_ne!(q, swapped);
     }
 
     #[test]

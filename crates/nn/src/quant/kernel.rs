@@ -83,9 +83,18 @@ pub(crate) fn simd_level() -> SimdLevel {
 
 /// `round(x)` (half away from zero) clamped to ±127, as an int8-range
 /// `i16`; NaN maps to 0.
+///
+/// Written without `f32::round`, which is a libm call the loop vectoriser
+/// cannot see through: after the clamp `t = trunc(x)` is an `as` cast and
+/// fits, `x − t` is exact (the fraction of an f32 below 2²³ is
+/// representable), and comparing it with ±½ reproduces every tie. NaN
+/// survives the clamp, casts to 0 and fails both comparisons.
 #[inline(always)]
 pub(crate) fn quantize(x: f32) -> i16 {
-    x.round().clamp(-127.0, 127.0) as i16
+    let x = x.clamp(-127.0, 127.0);
+    let t = x as i32;
+    let frac = x - t as f32;
+    (t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)) as i16
 }
 
 /// Quantize one f32 row: `q = round(x · inv_scale)` clamped to ±127. `dst`
@@ -124,45 +133,125 @@ pub(crate) fn sigmoid_approx(x: f32) -> f32 {
     0.5 + 0.5 * tanh_approx(0.5 * x)
 }
 
+/// Where [`lstm_cells`] leaves a step's hidden state for the layer above:
+/// row `r`'s first `hid` lanes go to `[r · stride ..]` of both buffers,
+/// as f32 and re-quantized at the unit scale. The slices start at the
+/// direction's column of the step's first row.
+pub(crate) struct LayerOut<'a> {
+    pub(crate) f32s: &'a mut [f32],
+    pub(crate) q: &'a mut [i16],
+    pub(crate) stride: usize,
+}
+
 /// The fused LSTM cell update for `rows` sequences at one time step.
 ///
 /// `z` holds the gate pre-activations, `rows × 4·hp` laid out
-/// `[i | f | g | o]` with every gate block padded to `hp` lanes; `c`, `h`
-/// and `hq` are `rows × hp`. One pass per row applies the activations,
-/// updates the cell, and writes the new hidden state both as f32 (`h`) and
-/// re-quantized at the unit scale (`hq`, the next step's GEMM operand).
-/// Padded lanes see `z = 0`, which keeps their `c`, `h` and `hq` at zero.
+/// `[i | f | g | o]` with every gate block padded to `hp` lanes (`hid`
+/// rounded up to [`CH_PAD`]); `c` and `hq` are `rows × hp`. One pass per
+/// row applies the activations, updates the cell, and writes the new hidden
+/// state re-quantized at the unit scale into `hq` (the next step's GEMM
+/// operand, padding included) and its first `hid` lanes straight into the
+/// layer's output rows. Padded lanes see `z = 0`, which keeps their `c` and `hq`
+/// at zero.
+///
+/// **Lane contract.** The update is one body over whole [`CH_PAD`]-lane
+/// groups, each lane an independent chain of IEEE `add`/`mul`/`div`/`min`/
+/// `max`/`cvt` — no call, no branch, no cross-lane operation — so every
+/// instantiation computes the same bits however it is vectorised, and the
+/// vectoriser does turn a group's activations and state update into one
+/// 256-bit or two 128-bit operations per step of the chain (the saturating
+/// float → int cast of the re-quantization is the one step this toolchain
+/// still emits lane by lane). It is instantiated twice: for the x86-64
+/// baseline (which [`SimdLevel::Scalar`] and [`SimdLevel::Sse2`] share) and
+/// under `avx2`.
 pub(crate) fn lstm_cells(
+    level: SimdLevel,
     rows: usize,
-    hp: usize,
+    hid: usize,
     z: &[f32],
     c: &mut [f32],
-    h: &mut [f32],
     hq: &mut [i16],
+    out: LayerOut<'_>,
 ) {
-    assert!(hp > 0 && z.len() >= rows * 4 * hp, "gate rows");
-    assert!(c.len() >= rows * hp && h.len() >= rows * hp && hq.len() >= rows * hp);
-    let z_rows = z.chunks_exact(4 * hp);
-    let state = c
-        .chunks_exact_mut(hp)
-        .zip(h.chunks_exact_mut(hp))
-        .zip(hq.chunks_exact_mut(hp));
-    for (z, ((c, h), hq)) in z_rows.zip(state).take(rows) {
+    assert!(hid > 0, "hidden width");
+    let hp = pad_to(hid, CH_PAD);
+    assert!(z.len() >= rows * 4 * hp && c.len() >= rows * hp && hq.len() >= rows * hp);
+    let out_len = rows.saturating_sub(1) * out.stride + hid;
+    assert!(out.stride >= hid && out.f32s.len() >= out_len && out.q.len() >= out_len);
+    #[cfg(target_arch = "x86_64")]
+    if level == SimdLevel::Avx2 {
+        assert!(
+            std::arch::is_x86_feature_detected!("avx2"),
+            "AVX2 kernels requested on a CPU without AVX2"
+        );
+        // SAFETY: the CPU supports AVX2, checked on the line above.
+        return unsafe { x86::lstm_cells_avx2(rows, hid, z, c, hq, out) };
+    }
+    let _ = level;
+    lstm_cells_rows(rows, hid, z, c, hq, out);
+}
+
+/// [`lstm_cells`] past its checks; inlined into each instantiation.
+#[inline(always)]
+fn lstm_cells_rows(
+    rows: usize,
+    hid: usize,
+    z: &[f32],
+    c: &mut [f32],
+    hq: &mut [i16],
+    out: LayerOut<'_>,
+) {
+    let hp = pad_to(hid, CH_PAD);
+    let state = c.chunks_exact_mut(hp).zip(hq.chunks_exact_mut(hp));
+    for (r, (z, (c, hq))) in z.chunks_exact(4 * hp).zip(state).take(rows).enumerate() {
         let (zi, rest) = z.split_at(hp);
         let (zf, rest) = rest.split_at(hp);
         let (zg, zo) = rest.split_at(hp);
-        for j in 0..hp {
-            let i_g = sigmoid_approx(zi[j]);
-            let f_g = sigmoid_approx(zf[j]);
-            let g_g = tanh_approx(zg[j]);
-            let o_g = sigmoid_approx(zo[j]);
-            let c_new = f_g * c[j] + i_g * g_g;
-            let h_new = o_g * tanh_approx(c_new);
-            c[j] = c_new;
-            h[j] = h_new;
-            hq[j] = quantize(h_new * 127.0);
+        let gates = zi.as_chunks().0.iter().zip(zf.as_chunks().0);
+        let gates = gates.zip(zg.as_chunks().0.iter().zip(zo.as_chunks().0));
+        let state = c.as_chunks_mut().0.iter_mut().zip(hq.as_chunks_mut().0);
+        let out_f32 = &mut out.f32s[r * out.stride..][..hid];
+        let out_q = &mut out.q[r * out.stride..][..hid];
+        for (v, (((zi, zf), (zg, zo)), (c, hq))) in gates.zip(state).enumerate() {
+            let h = cell_lanes(zi, zf, zg, zo, c, hq);
+            let at = v * CH_PAD;
+            match (
+                out_f32[at..].first_chunk_mut(),
+                out_q[at..].first_chunk_mut(),
+            ) {
+                (Some(f32s), Some(q)) => (*f32s, *q) = (h, *hq),
+                // The last group of a width that is not a whole number of
+                // groups: its padded lanes belong to the neighbouring column.
+                _ => {
+                    out_f32[at..].copy_from_slice(&h[..hid - at]);
+                    out_q[at..].copy_from_slice(&hq[..hid - at]);
+                }
+            }
         }
     }
+}
+
+/// One lane group of the cell update; returns the new hidden state.
+#[inline(always)]
+fn cell_lanes(
+    zi: &[f32; CH_PAD],
+    zf: &[f32; CH_PAD],
+    zg: &[f32; CH_PAD],
+    zo: &[f32; CH_PAD],
+    c: &mut [f32; CH_PAD],
+    hq: &mut [i16; CH_PAD],
+) -> [f32; CH_PAD] {
+    let mut h = [0.0; CH_PAD];
+    for j in 0..CH_PAD {
+        let i_g = sigmoid_approx(zi[j]);
+        let f_g = sigmoid_approx(zf[j]);
+        let g_g = tanh_approx(zg[j]);
+        let o_g = sigmoid_approx(zo[j]);
+        c[j] = f_g * c[j] + i_g * g_g;
+        h[j] = o_g * tanh_approx(c[j]);
+        hq[j] = quantize(h[j] * 127.0);
+    }
+    h
 }
 
 // ---------------------------------------------------------------------------
@@ -474,7 +563,7 @@ unsafe fn gemm_tile<L: Lanes, const MR: usize, const NV: usize>(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{gemm, Lanes, PackedWeights, CH_PAD};
+    use super::{gemm, lstm_cells_rows, Lanes, LayerOut, PackedWeights, CH_PAD};
     use std::arch::x86_64::*;
 
     pub(super) struct Sse2Lanes;
@@ -557,6 +646,19 @@ mod x86 {
             unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc) };
             lanes
         }
+    }
+
+    /// The AVX2 instantiation of the cell update.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn lstm_cells_avx2(
+        rows: usize,
+        hid: usize,
+        z: &[f32],
+        c: &mut [f32],
+        hq: &mut [i16],
+        out: LayerOut<'_>,
+    ) {
+        lstm_cells_rows(rows, hid, z, c, hq, out);
     }
 
     /// The AVX2 instantiation of the driver; the generic code is inlined
@@ -727,35 +829,100 @@ mod tests {
     }
 
     #[test]
-    fn lstm_cells_match_the_scalar_formula_and_keep_padding_zero() {
-        let (rows, hid, hp) = (3, 5, 8);
-        let mut z = vec![0.0_f32; rows * 4 * hp];
-        let mut c: Vec<f32> = vec![0.0; rows * hp];
-        for r in 0..rows {
-            for j in 0..hid {
-                c[r * hp + j] = ((r * 7 + j) as f32 * 0.37).sin();
-                for g in 0..4 {
-                    z[r * 4 * hp + g * hp + j] = ((r * 11 + g * 5 + j) as f32 * 0.91).cos() * 3.0;
+    fn quantize_equals_round_then_clamp() {
+        let old = |x: f32| f32::round(x).clamp(-127.0, 127.0) as i16;
+        // Every tie and both of its f32 neighbours, past the clamp too.
+        for k in -130..=130 {
+            for tie in [k as f32 - 0.5, k as f32 + 0.5] {
+                for x in [tie.next_down(), tie, tie.next_up()] {
+                    assert_eq!(quantize(x), old(x), "x = {x:?}");
                 }
             }
         }
-        let c0 = c.clone();
-        let mut h = vec![9.0_f32; rows * hp];
-        let mut hq = vec![9_i16; rows * hp];
-        lstm_cells(rows, hp, &z, &mut c, &mut h, &mut hq);
+        assert_eq!((quantize(0.5), quantize(-0.5)), (1, -1), "ties round away");
+        assert_eq!((quantize(2.5), quantize(-2.5)), (3, -3));
+        assert_eq!(quantize(f32::NAN), 0);
+        assert_eq!(quantize(f32::INFINITY), 127);
+        assert_eq!(quantize(f32::NEG_INFINITY), -127);
+        for x in [0.0, -0.0, f32::MIN_POSITIVE, 1e-45, f32::MAX, f32::MIN, 1e9] {
+            assert_eq!(quantize(x), old(x), "x = {x:?}");
+        }
+        // A dense sweep over the clamp range and a little beyond.
+        let n = 1_300_000;
+        for i in 0..=n {
+            let x = -130.0 + 260.0 * (i as f32 / n as f32);
+            assert_eq!(quantize(x), old(x), "x = {x:?}");
+        }
+    }
+
+    /// Gate pre-activations and cell state for `rows × hid` units padded to
+    /// `hp` lanes, spanning both saturation tails.
+    fn cell_inputs(rows: usize, hid: usize, hp: usize) -> (Vec<f32>, Vec<f32>) {
+        let mut z = vec![0.0_f32; rows * 4 * hp];
+        let mut c = vec![0.0_f32; rows * hp];
         for r in 0..rows {
-            for j in 0..hp {
-                let zr = &z[r * 4 * hp..];
-                let want_c = sigmoid_approx(zr[hp + j]) * c0[r * hp + j]
-                    + sigmoid_approx(zr[j]) * tanh_approx(zr[2 * hp + j]);
-                let want_h = sigmoid_approx(zr[3 * hp + j]) * tanh_approx(want_c);
-                assert_eq!(c[r * hp + j], want_c);
-                assert_eq!(h[r * hp + j], want_h);
-                assert_eq!(hq[r * hp + j], quantize(want_h * 127.0));
-                if j >= hid {
+            for j in 0..hid {
+                c[r * hp + j] = ((r * 7 + j) as f32 * 0.37).sin() * 1.5;
+                for g in 0..4 {
+                    z[r * 4 * hp + g * hp + j] = ((r * 11 + g * 5 + j) as f32 * 0.91).cos() * 7.0;
+                }
+            }
+        }
+        (z, c)
+    }
+
+    #[test]
+    fn lstm_cells_match_the_scalar_formula_at_every_level() {
+        for hid in [1, 7, 16, 75, 150] {
+            for rows in [1, 3, 8] {
+                let hp = pad_to(hid, CH_PAD);
+                // Two directions' worth of output columns: the update owns
+                // `hid` of them, starting at column `hid`.
+                let (stride, col) = (2 * hid, hid);
+                let (z, c0) = cell_inputs(rows, hid, hp);
+                let mut reference = None;
+                for &level in SimdLevel::available() {
+                    let mut c = c0.clone();
+                    let mut hq = vec![9_i16; rows * hp];
+                    let mut out = vec![9.0_f32; rows * stride];
+                    let mut out_q = vec![9_i16; rows * stride];
+                    let layer_out = LayerOut {
+                        f32s: &mut out[col..],
+                        q: &mut out_q[col..],
+                        stride,
+                    };
+                    lstm_cells(level, rows, hid, &z, &mut c, &mut hq, layer_out);
+                    for r in 0..rows {
+                        let zr = &z[r * 4 * hp..];
+                        for j in 0..hp {
+                            let want_c = sigmoid_approx(zr[hp + j]) * c0[r * hp + j]
+                                + sigmoid_approx(zr[j]) * tanh_approx(zr[2 * hp + j]);
+                            let want_h = sigmoid_approx(zr[3 * hp + j]) * tanh_approx(want_c);
+                            assert_eq!(c[r * hp + j].to_bits(), want_c.to_bits());
+                            assert_eq!(hq[r * hp + j], quantize(want_h * 127.0));
+                            if j < hid {
+                                let at = r * stride + col + j;
+                                assert_eq!(out[at].to_bits(), want_h.to_bits());
+                                assert_eq!(out_q[at], hq[r * hp + j]);
+                                assert_eq!(
+                                    (out[at - col], out_q[at - col]),
+                                    (9.0, 9),
+                                    "the other direction's columns"
+                                );
+                            } else {
+                                assert_eq!((c[r * hp + j], hq[r * hp + j]), (0.0, 0), "padding");
+                            }
+                        }
+                    }
+                    let bytes: Vec<u32> = c.iter().chain(&out).map(|v| v.to_bits()).collect();
+                    hq.extend(&out_q);
+                    let (want_bytes, want_hq) =
+                        reference.get_or_insert((bytes.clone(), hq.clone()));
                     assert_eq!(
-                        (c[r * hp + j], h[r * hp + j], hq[r * hp + j]),
-                        (0.0, 0.0, 0)
+                        (&bytes, &hq),
+                        (&*want_bytes, &*want_hq),
+                        "{} H={hid} B={rows}",
+                        level.name()
                     );
                 }
             }

@@ -20,6 +20,11 @@
 //!   [`kernel`](self)). A single window is the `B = 1` call of the same
 //!   code, and a window's output does not depend on `B` or on its position
 //!   in the batch: rows never mix.
+//! * **Quantized once, where produced**: the cell update writes a step's
+//!   hidden state straight into the layer's output rows, as f32 and as the
+//!   int8-range values the next GEMM reads — the recurrence's, the next
+//!   layer's and the emission layer's. Only the layer-0 input is quantized
+//!   from f32 rows.
 //! * **No allocation in steady state**: every intermediate lives in a
 //!   [`ScratchArena`] that grows to the high-water mark of the batches it
 //!   has seen and is then reused verbatim.
@@ -36,7 +41,7 @@ use crate::lstm::{BiLstmLayer, LstmLayer, StackedBiLstm};
 use crate::matrix::{Matrix, ShapeError};
 use crate::params::ParamStore;
 use dlacep_dur::{CodecError, Dec, Decoder, Enc, Encoder};
-use kernel::{lstm_cells, pad_to, qgemm, quantize_row, PackedWeights, SimdLevel, CH_PAD};
+use kernel::{lstm_cells, pad_to, qgemm, quantize_row, LayerOut, PackedWeights, SimdLevel, CH_PAD};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// The integer-kernel instantiation this process dispatches to, detected
@@ -44,6 +49,38 @@ use serde::{DeError, Deserialize, Serialize, Value};
 /// identical bytes; the name is for operators and benchmark headers.
 pub fn simd_level() -> &'static str {
     kernel::simd_level().name()
+}
+
+/// For the `nn_kernels` report only: mean nanoseconds of one fused LSTM
+/// cell update over `rows × hidden` units, `steps` updates on synthetic
+/// pre-activations, at every kernel level this CPU has (`"scalar"` and
+/// `"sse2"` share the cell's baseline instantiation).
+#[doc(hidden)]
+pub fn time_cell_update(rows: usize, hidden: usize, steps: usize) -> Vec<(&'static str, f64)> {
+    let hp = pad_to(hidden, CH_PAD);
+    let z: Vec<f32> = (0..rows * 4 * hp)
+        .map(|i| (i as f32 * 0.37).sin() * 3.0)
+        .collect();
+    let (mut c, mut hq) = (vec![0.0; rows * hp], vec![0; rows * hp]);
+    let (mut f32s, mut q) = (vec![0.0; rows * hidden], vec![0; rows * hidden]);
+    SimdLevel::available()
+        .iter()
+        .map(|&level| {
+            let start = std::time::Instant::now();
+            for _ in 0..steps {
+                let out = LayerOut {
+                    f32s: &mut f32s,
+                    q: &mut q,
+                    stride: hidden,
+                };
+                let z = std::hint::black_box(&z);
+                lstm_cells(level, rows, hidden, z, &mut c, &mut hq, out);
+                std::hint::black_box(&mut hq);
+            }
+            let nanos = start.elapsed().as_nanos() as f64 / steps.max(1) as f64;
+            (level.name(), nanos)
+        })
+        .collect()
 }
 
 /// Scale of a tanh-bounded activation tensor: hidden states live in
@@ -107,28 +144,34 @@ pub fn ensure<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
 /// `t · B + b` belongs to step `t` of window `b`.
 #[derive(Debug, Default)]
 pub struct ScratchArena {
-    /// Quantized activation rows for the current layer (`T·B × k_pad`).
+    /// Quantized activation rows (`T·B × k_pad`): the current layer's
+    /// input, and after the pass the encoder's output at [`UNIT_SCALE`].
     pub xq: Vec<i16>,
-    /// Quantized hidden-state rows for the recurrence (`B × H_pad`).
+    /// The layer being computed writes its quantized output rows here;
+    /// swapped with `xq` when the layer is done.
+    pub xq_b: Vec<i16>,
+    /// Quantized hidden state of the current step, the recurrent GEMM's
+    /// operand (`B × H_pad`, padding zero).
     pub hq: Vec<i16>,
-    /// Layer input/output ping-pong buffers (`T·B × width`).
+    /// Layer input/output ping-pong buffers (`T·B × width`): the caller
+    /// loads `io_a`, the cell update writes each step's hidden state
+    /// straight into its rows of `io_b`, and the two swap per layer.
     pub io_a: Vec<f32>,
     /// Second half of the ping-pong pair.
     pub io_b: Vec<f32>,
-    /// Gate pre-activations of one direction (`T·B × 4·H_pad`).
+    /// Gate pre-activations of one direction (`T·B × 4·H_pad`): filled by
+    /// the input GEMM, accumulated into by the recurrent one.
     pub gates: Vec<f32>,
-    /// LSTM hidden state of the current step (`B × H_pad`).
-    pub h: Vec<f32>,
     /// LSTM cell state (`B × H_pad`).
     pub c: Vec<f32>,
     /// Emission scores (`T·B × L`).
     pub emit: Vec<f32>,
     /// Per-position combined label marginals (`T·B × L`).
     pub probs: Vec<f32>,
-    /// CRF forward trellis of one window (`T × L`).
-    pub crf_alpha: Vec<f32>,
-    /// CRF backward trellis of one window (`T × L`).
-    pub crf_beta: Vec<f32>,
+    /// CRF head scratch of one window (`T × 4`): the emission potentials,
+    /// then the forward trellis with its per-step normalisers. The backward
+    /// sweep keeps its state in registers.
+    pub crf: Vec<f32>,
 }
 
 impl ScratchArena {
@@ -401,6 +444,11 @@ impl QuantizedLinear {
         self.w.out_dim()
     }
 
+    /// The static scale this layer's input rows are quantized at.
+    pub fn in_scale(&self) -> f32 {
+        self.in_scale
+    }
+
     /// The int8 weight matrix (per-channel scales included).
     pub fn weights(&self) -> &QuantizedMatrix {
         &self.w
@@ -410,6 +458,15 @@ impl QuantizedLinear {
     /// written to `out` (`t_len × out_dim`). `xq` is quantization scratch.
     pub fn infer_into(&self, t_len: usize, input: &[f32], xq: &mut Vec<i16>, out: &mut Vec<f32>) {
         self.infer_at(kernel::simd_level(), t_len, input, xq, out);
+    }
+
+    /// [`QuantizedLinear::infer_into`] for rows that are already quantized
+    /// at this layer's input scale (`rows × in_dim`, `in_dim` even): the
+    /// encoder leaves such rows in [`ScratchArena::xq`].
+    pub fn infer_quantized(&self, rows: usize, xq: &[i16], out: &mut Vec<f32>) {
+        assert_eq!(self.packed.k_pad(), self.in_dim(), "unpadded input rows");
+        ensure(out, rows * self.packed.n());
+        qgemm(kernel::simd_level(), rows, xq, &self.packed, false, out);
     }
 
     fn infer_at(
@@ -682,7 +739,10 @@ impl QuantizedStackedBiLstm {
     /// Run the stack over `batch` windows of `t_len` steps each, stacked
     /// time-step-major: row `t · batch + b` of `arena.io_a` holds step `t`
     /// of window `b` (`input_dim` values on entry, `out_dim` on return).
-    /// Allocation-free once the arena has grown to this shape.
+    /// The same rows quantized at [`UNIT_SCALE`] — what the recurrence
+    /// itself consumed — are left in `arena.xq`, ready for
+    /// [`QuantizedLinear::infer_quantized`]. Allocation-free once the arena
+    /// has grown to this shape.
     pub fn infer_batch(&self, t_len: usize, batch: usize, arena: &mut ScratchArena) {
         self.infer_batch_at(kernel::simd_level(), t_len, batch, arena);
     }
@@ -695,20 +755,25 @@ impl QuantizedStackedBiLstm {
         arena: &mut ScratchArena,
     ) {
         let rows = t_len * batch;
+        let Some([first, _]) = self.packed.first() else {
+            return;
+        };
         if rows == 0 {
             return;
         }
-        let mut x_scale = self.input_scale;
+        // Layer 0 quantizes its f32 input at the calibrated scale; every
+        // later consumer reads the rows the cell update left in `xq`.
+        let (w_in, inv_scale) = (self.input_dim(), 1.0 / self.input_scale);
+        let k_in = first.wx.k_pad();
+        quantize_rows(&arena.io_a, rows, w_in, inv_scale, k_in, &mut arena.xq);
         for (layer, dirs) in self.layers.iter().zip(&self.packed) {
-            let (w_in, w_out, hid) = (layer.input_dim(), layer.out_dim(), layer.fwd.hidden);
+            let (w_out, hid) = (layer.out_dim(), layer.fwd.hidden);
             let hp = pad_to(hid, CH_PAD);
             let gate_w = 4 * hp;
-            let k_in = dirs[0].wx.k_pad();
-            quantize_rows(&arena.io_a, rows, w_in, 1.0 / x_scale, k_in, &mut arena.xq);
             ensure(&mut arena.io_b, rows * w_out);
+            ensure(&mut arena.xq_b, rows * w_out);
             ensure(&mut arena.gates, rows * gate_w);
             ensure(&mut arena.hq, batch * hp);
-            ensure(&mut arena.h, batch * hp);
             ensure(&mut arena.c, batch * hp);
             for (dir, reverse) in dirs.iter().zip([false, true]) {
                 // One GEMM computes x·Wx + b for every step of every window.
@@ -721,16 +786,17 @@ impl QuantizedStackedBiLstm {
                     if step > 0 {
                         qgemm(level, batch, &arena.hq, &dir.wh, true, z);
                     }
-                    lstm_cells(batch, hp, z, &mut arena.c, &mut arena.h, &mut arena.hq);
-                    let out_rows = arena.io_b[t * batch * w_out..(t + 1) * batch * w_out]
-                        .chunks_exact_mut(w_out);
-                    for (out, h) in out_rows.zip(arena.h.chunks_exact(hp)) {
-                        out[col..col + hid].copy_from_slice(&h[..hid]);
-                    }
+                    let step_rows = t * batch * w_out + col..(t + 1) * batch * w_out;
+                    let out = LayerOut {
+                        f32s: &mut arena.io_b[step_rows.clone()],
+                        q: &mut arena.xq_b[step_rows],
+                        stride: w_out,
+                    };
+                    lstm_cells(level, batch, hid, z, &mut arena.c, &mut arena.hq, out);
                 }
             }
             std::mem::swap(&mut arena.io_a, &mut arena.io_b);
-            x_scale = UNIT_SCALE;
+            std::mem::swap(&mut arena.xq, &mut arena.xq_b);
         }
     }
 }
@@ -980,6 +1046,24 @@ mod tests {
     }
 
     #[test]
+    fn encoder_leaves_its_output_quantized_for_the_next_layer() {
+        // Odd hidden width, two layers, several windows: `xq` must hold
+        // exactly what quantizing the f32 output rows at the unit scale
+        // gives, so a consumer may read either.
+        let (shape, t_len, batch) = ((5, 7, 2), 6, 3);
+        let (q, input) = stack_and_input(shape, t_len, batch, |b| b);
+        let mut arena = ScratchArena::new();
+        ensure(&mut arena.io_a, input.len());
+        arena.io_a[..input.len()].copy_from_slice(&input);
+        q.infer_batch(t_len, batch, &mut arena);
+        let n = t_len * batch * q.out_dim();
+        let mut want = vec![0; n];
+        quantize_row(&arena.io_a[..n], 1.0 / UNIT_SCALE, &mut want);
+        assert_eq!(arena.xq[..n], want[..]);
+        assert!(want.iter().any(|&v| v != 0));
+    }
+
+    #[test]
     fn malformed_layer_shapes_fail_to_decode() {
         let mut store = ParamStore::new();
         let mut init = Initializer::seeded(4);
@@ -1059,6 +1143,7 @@ mod tests {
         q.infer_in_place(t_len, &mut arena);
         let caps = (
             arena.xq.capacity(),
+            arena.xq_b.capacity(),
             arena.io_a.capacity(),
             arena.io_b.capacity(),
             arena.gates.capacity(),
@@ -1070,6 +1155,7 @@ mod tests {
                 caps,
                 (
                     arena.xq.capacity(),
+                    arena.xq_b.capacity(),
                     arena.io_a.capacity(),
                     arena.io_b.capacity(),
                     arena.gates.capacity(),
