@@ -7,40 +7,48 @@
 //! * every **offered** event is appended to a [`Wal`] *before* it reaches the
 //!   runtime — admission (out-of-order policy, id stamping) is deterministic,
 //!   so replaying the log re-derives it exactly;
-//! * [`DurableDlacep::checkpoint_now`] syncs the WAL, captures the full
-//!   runtime trajectory ([`RuntimeCheckpoint`]) and publishes it atomically
-//!   (tmp + fsync + rename), then prunes checkpoints and fully-covered WAL
-//!   segments;
+//! * [`DurableDlacep::checkpoint_now`] syncs the WAL, appends the matches
+//!   emitted since the previous checkpoint to the store's [`EmitLog`] and
+//!   syncs it, captures the live runtime trajectory ([`RuntimeCheckpoint`]:
+//!   state plus an [`EmittedMark`], not the output) and publishes it
+//!   atomically (tmp + fsync + rename) together with the log's byte offset,
+//!   then prunes checkpoints and fully-covered WAL segments;
 //! * [`DurableDlacep::recover`] loads the newest *valid* checkpoint (corrupt
-//!   or torn ones are skipped), restores the runtime, and replays the WAL
-//!   suffix. The result is byte-identical — matches, counters, timeline,
-//!   journal sequence — to a run that never crashed, which
-//!   `tests/crash_sweep.rs` proves for every possible crash point.
+//!   or torn ones are skipped), cuts the emit log back to that checkpoint's
+//!   offset, restores the runtime with the log's matches as its emitted
+//!   prefix, and replays the WAL suffix. The result is byte-identical —
+//!   matches, counters, timeline, journal sequence — to a run that never
+//!   crashed, which `tests/crash_sweep.rs` proves for every possible crash
+//!   point.
 //!
-//! The recovery protocol relies on two orderings, both enforced here: a
+//! The recovery protocol relies on three orderings, all enforced here: a
 //! checkpoint is written only after the WAL is synced (so its sequence number
-//! is always ≤ the durable log end), and WAL segments are pruned only below
-//! the oldest *retained* checkpoint (so recovery always finds the suffix it
-//! needs).
+//! is always ≤ the durable log end) and only after the emit log is synced
+//! (so its offset is always ≤ the durable emit log end — whatever lies beyond
+//! it is re-derived by replay and appended again), and WAL segments are
+//! pruned only below the oldest *retained* checkpoint (so recovery always
+//! finds the suffix it needs).
 //!
 //! What is **not** covered: the filter model itself (persist it with
 //! [`crate::persist`] and pass the reloaded filter to `recover`), and output
-//! already handed to a downstream consumer — use
-//! [`RuntimeCheckpoint::matches`]' length as the emitted-match watermark to
+//! already handed to a downstream consumer — use the emitted mark's count
+//! ([`RuntimeCheckpoint::emitted`], live as
+//! [`StreamingDlacep::match_seq`]) as the emitted-match watermark to
 //! deduplicate on the consumer side.
 
 use crate::filter::Filter;
 use crate::retrain::{ModelTrainer, RetrainCheckpoint, RetrainState};
 use crate::runtime::{
-    ModeCause, ModeTransition, RuntimeCheckpoint, RuntimeConfig, RuntimeError, RuntimeMode,
-    RuntimeReport, StreamingDlacep,
+    EmittedMark, ModeCause, ModeTransition, RuntimeCheckpoint, RuntimeConfig, RuntimeError,
+    RuntimeMode, RuntimeReport, StreamingDlacep,
 };
 use crate::{BreakerState, GuardStats};
 use crate::{DriftMonitorState, GuardState};
-use dlacep_cep::Pattern;
+use dlacep_cep::{Match, Pattern};
 use dlacep_dur::{
-    load_latest_checkpoint, load_latest_model, prune_checkpoints, prune_models, publish_model,
-    write_checkpoint, CodecError, Dec, Decoder, Enc, Encoder, Store, Wal, WalConfig, WalError,
+    load_latest_checkpoint, load_latest_model, prune_checkpoints, prune_models, publish_checkpoint,
+    publish_model, CodecError, Dec, Decoder, EmitError, EmitLog, Enc, Encoder, Store, Wal,
+    WalConfig, WalError, CKPT_MAGIC, CKPT_VERSION,
 };
 use dlacep_events::{AttrValue, EventId, TypeId};
 use dlacep_obs::{Counter, Registry};
@@ -96,8 +104,12 @@ pub enum DurError {
     /// version/logic mismatch, not a torn write.
     Corrupt(CodecError),
     /// The wrapped runtime rejected something (configuration, restore
-    /// mismatch, or an out-of-order event under `Reject`).
+    /// mismatch — including an emitted prefix that disagrees with the
+    /// checkpoint's mark — or an out-of-order event under `Reject`).
     Runtime(RuntimeError),
+    /// The emit log is damaged, or ends before the checkpoint that covers
+    /// it.
+    Emit(EmitError),
 }
 
 impl std::fmt::Display for DurError {
@@ -107,6 +119,7 @@ impl std::fmt::Display for DurError {
             DurError::Wal(e) => write!(f, "wal: {e}"),
             DurError::Corrupt(e) => write!(f, "checkpoint payload: {e}"),
             DurError::Runtime(e) => write!(f, "runtime: {e}"),
+            DurError::Emit(e) => write!(f, "{e}"),
         }
     }
 }
@@ -131,6 +144,12 @@ impl From<RuntimeError> for DurError {
     }
 }
 
+impl From<EmitError> for DurError {
+    fn from(e: EmitError) -> Self {
+        DurError::Emit(e)
+    }
+}
+
 /// What [`DurableDlacep::recover`] found and did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
@@ -145,6 +164,9 @@ pub struct RecoveryReport {
     pub truncated_bytes: u64,
     /// Torn header-less segments removed on open.
     pub removed_segments: u64,
+    /// Bytes cut from the emit log: whatever lay beyond the restored
+    /// checkpoint's offset, torn or whole (re-derived by the WAL replay).
+    pub emit_truncated_bytes: u64,
     /// Next WAL sequence number — the stream position the source must
     /// re-feed from.
     pub resume_seq: u64,
@@ -167,14 +189,20 @@ pub struct RecoveryReport {
 /// (the sharded fleet in `dlacep-serve`) log the exact same offer encoding
 /// after their own routing prefix.
 pub fn encode_offer(type_id: TypeId, ts: u64, attrs: &[AttrValue]) -> Vec<u8> {
-    let mut e = Encoder::new();
+    let mut e = Encoder::with_capacity(4 + 8 + 8 + 8 * attrs.len());
+    put_offer(&mut e, type_id, ts, attrs);
+    e.into_bytes()
+}
+
+/// [`encode_offer`] into an encoder the caller owns — how the WAL paths
+/// write an offer straight into the log's record buffer.
+pub fn put_offer(e: &mut Encoder, type_id: TypeId, ts: u64, attrs: &[AttrValue]) {
     e.put_u32(type_id.0);
     e.put_u64(ts);
     e.put_u64(attrs.len() as u64);
     for a in attrs {
         e.put(a);
     }
-    e.into_bytes()
 }
 
 /// Inverse of [`encode_offer`]. Rejects trailing bytes, so a caller that
@@ -196,6 +224,11 @@ pub fn decode_offer(payload: &[u8]) -> Result<(TypeId, u64, Vec<AttrValue>), Cod
 pub struct DurableDlacep<F: Filter, S: Store> {
     rt: StreamingDlacep<F>,
     wal: Wal,
+    emit: EmitLog,
+    /// How many of the runtime's matches the emit log already holds.
+    logged: usize,
+    /// The checkpoint frame under construction, reused across checkpoints.
+    frame: Encoder,
     store: S,
     cfg: DurConfig,
     offered_since_ckpt: u64,
@@ -237,6 +270,8 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
         trainer: Option<Box<dyn ModelTrainer<F>>>,
     ) -> Result<Self, DurError> {
         let (wal, _) = Wal::open(&mut store, dur.wal)?;
+        // A fresh runtime has emitted nothing: the log starts empty.
+        let (emit, _) = EmitLog::open_at(&mut store, 0, |_| Ok(()))?;
         let rt = StreamingDlacep::with_config_obs_trainer(
             pattern,
             filter,
@@ -245,12 +280,14 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
             trainer,
         )?;
         let reg = registry.unwrap_or_else(dlacep_obs::global);
-        Ok(Self::assemble(rt, wal, store, dur, &reg))
+        Ok(Self::assemble(rt, wal, emit, 0, store, dur, &reg))
     }
 
     fn assemble(
         rt: StreamingDlacep<F>,
         wal: Wal,
+        emit: EmitLog,
+        logged: usize,
         store: S,
         cfg: DurConfig,
         registry: &Registry,
@@ -258,6 +295,9 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
         Self {
             rt,
             wal,
+            emit,
+            logged,
+            frame: Encoder::new(),
             store,
             cfg,
             offered_since_ckpt: 0,
@@ -269,10 +309,12 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
     }
 
     /// Rebuild from whatever `store` holds: open the WAL (truncating a torn
-    /// tail), load the newest valid checkpoint, restore the runtime, replay
-    /// the WAL suffix. An empty store is a cold start. `pattern`, `filter`
-    /// and `config` must be what the original runtime ran with; a
-    /// configuration mismatch is a [`RuntimeError::Restore`] error.
+    /// tail), load the newest valid checkpoint, open the emit log at that
+    /// checkpoint's offset (cutting what lies beyond), restore the runtime
+    /// with the log's matches as its emitted prefix, replay the WAL suffix.
+    /// An empty store is a cold start. `pattern`, `filter` and `config` must
+    /// be what the original runtime ran with; a configuration mismatch is a
+    /// [`RuntimeError::Restore`] error.
     ///
     /// Replayed events that the original run rejected (out-of-order under
     /// [`Reject`](dlacep_events::OutOfOrderPolicy::Reject)) are rejected
@@ -312,9 +354,30 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
             None => dlacep_obs::global(),
         };
 
-        let (rt, checkpoint_seq, journal_watermark) = match scan.latest {
+        let restored = match scan.latest {
             Some((seq, payload)) => {
-                let ckpt = decode_checkpoint(&payload).map_err(DurError::Corrupt)?;
+                let (emit_offset, ckpt) =
+                    decode_durable_payload(scan.version, &payload).map_err(DurError::Corrupt)?;
+                Some((seq, emit_offset, ckpt))
+            }
+            None => None,
+        };
+        // The emit log is cut at the checkpoint's offset (all of it goes on
+        // a cold start): what lay beyond is re-derived by the replay below.
+        let emit_offset = restored.as_ref().map_or(0, |r| r.1);
+        let mut from_log: Vec<Match> = Vec::new();
+        let (emit, emit_truncated_bytes) = EmitLog::open_at(&mut store, emit_offset, |record| {
+            let mut d = Decoder::new(record);
+            let _key = d.take_u64()?;
+            from_log.push(d.get()?);
+            d.finish()
+        })?;
+        let logged = from_log.len();
+        let (rt, checkpoint_seq, journal_watermark) = match restored {
+            Some((seq, _, mut ckpt)) => {
+                // A version-1 checkpoint brings its matches embedded and
+                // covers no log; they reach it at the next checkpoint.
+                ckpt.emitted_prefix.append(&mut from_log);
                 let watermark = ckpt.journal_next_seq;
                 let rt = StreamingDlacep::restore_with_trainer(
                     pattern, filter, config, registry, ckpt, trainer,
@@ -330,7 +393,7 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
         };
         let from_seq = checkpoint_seq.unwrap_or(0);
 
-        let mut this = Self::assemble(rt, wal, store, dur, &reg);
+        let mut this = Self::assemble(rt, wal, emit, logged, store, dur, &reg);
         if wal_report.truncated_bytes > 0 || wal_report.removed_segments > 0 {
             this.recovery_truncated.inc();
         }
@@ -363,6 +426,7 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
             wal_replayed: replayed,
             truncated_bytes: wal_report.truncated_bytes,
             removed_segments: wal_report.removed_segments,
+            emit_truncated_bytes,
             resume_seq,
             journal_watermark,
             model_version: this.rt.active_model_version(),
@@ -390,8 +454,8 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
         ts: u64,
         attrs: Vec<AttrValue>,
     ) -> Result<Option<EventId>, DurError> {
-        let payload = encode_offer(type_id, ts, &attrs);
-        self.wal.append(&mut self.store, &payload)?;
+        self.wal
+            .append_with(&mut self.store, |e| put_offer(e, type_id, ts, &attrs))?;
         self.offered_since_ckpt += 1;
         let id = self.rt.ingest(type_id, ts, attrs);
         // Publish freshly accepted models before any covering checkpoint:
@@ -426,16 +490,33 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
         self.wal.sync(&mut self.store).map_err(DurError::from)
     }
 
-    /// Sync the WAL, publish a checkpoint of the current state atomically,
-    /// and prune old checkpoints plus fully-covered WAL segments. Returns
-    /// the checkpoint's sequence number (== offered events logged).
+    /// Sync the WAL, append the matches emitted since the last checkpoint to
+    /// the emit log and sync it, publish a checkpoint of the current state
+    /// (with the log's offset) atomically, and prune old checkpoints plus
+    /// fully-covered WAL segments. Returns the checkpoint's sequence number
+    /// (== offered events logged).
     pub fn checkpoint_now(&mut self) -> Result<u64, DurError> {
         self.publish_pending_models()?;
         self.wal.sync(&mut self.store)?;
         let seq = self.wal.next_seq();
-        let payload = encode_checkpoint(&self.rt.checkpoint());
-        let bytes = write_checkpoint(&mut self.store, seq, &payload)?;
-        self.ckpt_bytes.add(bytes);
+        let matches = self.rt.matches_so_far();
+        for m in &matches[self.logged..] {
+            self.emit.stage(|e| {
+                e.put_u64(0); // key: a single runtime has one stream
+                e.put(m);
+            });
+        }
+        self.emit.append(&mut self.store)?;
+        self.logged = matches.len();
+        self.emit.sync(&mut self.store)?;
+        let (emit_offset, ckpt) = (self.emit.offset(), self.rt.checkpoint());
+        self.frame.clear();
+        self.frame.put_frame(CKPT_MAGIC, CKPT_VERSION, |e| {
+            e.put_u64(emit_offset);
+            e.put(&ckpt);
+        });
+        publish_checkpoint(&mut self.store, seq, self.frame.bytes())?;
+        self.ckpt_bytes.add(self.frame.len() as u64);
         if let Some(oldest_kept) = prune_checkpoints(&mut self.store, self.cfg.keep_checkpoints)? {
             self.wal.prune_below(&mut self.store, oldest_kept)?;
         }
@@ -464,12 +545,28 @@ pub fn encode_checkpoint(ckpt: &RuntimeCheckpoint) -> Vec<u8> {
     e.into_bytes()
 }
 
-/// Deserialize a checkpoint payload.
+/// Deserialize a checkpoint payload, of this format or of version 1 (which
+/// embedded every emitted match: they come back as the checkpoint's
+/// [`emitted_prefix`](RuntimeCheckpoint::emitted_prefix)).
 pub fn decode_checkpoint(payload: &[u8]) -> Result<RuntimeCheckpoint, CodecError> {
     let mut d = Decoder::new(payload);
     let ckpt = d.get()?;
     d.finish()?;
     Ok(ckpt)
+}
+
+/// Split a durable runtime's checkpoint frame payload into the emit-log
+/// offset it covers and the runtime checkpoint. A version-1 frame is the
+/// bare runtime payload and covers no log.
+fn decode_durable_payload(
+    version: u16,
+    payload: &[u8],
+) -> Result<(u64, RuntimeCheckpoint), CodecError> {
+    let mut d = Decoder::new(payload);
+    let emit_offset = if version >= 2 { d.take_u64()? } else { 0 };
+    let ckpt = d.get()?;
+    d.finish()?;
+    Ok((emit_offset, ckpt))
 }
 
 // ---- binary codec impls for the checkpointed core types ----
@@ -715,8 +812,14 @@ impl Dec for RetrainCheckpoint {
     }
 }
 
+/// First word of a version-2 [`RuntimeCheckpoint`] payload. A version-1
+/// payload opens with the byte length of its configuration fingerprint,
+/// which no payload is long enough to make equal to this.
+const RUNTIME_PAYLOAD_V2: u64 = u64::from_le_bytes(*b"DLRTCKv2");
+
 impl Enc for RuntimeCheckpoint {
     fn enc(&self, e: &mut Encoder) {
+        e.put_u64(RUNTIME_PAYLOAD_V2);
         e.put(&self.config_fingerprint);
         e.put(&self.engine);
         e.put(&self.guard);
@@ -739,7 +842,8 @@ impl Enc for RuntimeCheckpoint {
         e.put_u64(self.windows_evaluated);
         e.put_u64(self.windows_degraded);
         e.put(&self.timeline);
-        e.put(&self.matches);
+        e.put_u64(self.emitted.count);
+        e.put_u64(self.emitted.hash);
         e.put_u64(self.journaled_sheds);
         e.put_u64(self.journal_next_seq);
         e.put(&self.retrain);
@@ -748,6 +852,11 @@ impl Enc for RuntimeCheckpoint {
 
 impl Dec for RuntimeCheckpoint {
     fn dec(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        let v1 = d.clone().take_u64()? != RUNTIME_PAYLOAD_V2;
+        if !v1 {
+            d.take_u64()?;
+        }
+        let mut emitted_prefix = Vec::new();
         Ok(RuntimeCheckpoint {
             config_fingerprint: d.get::<Vec<u8>>()?,
             engine: d.get()?,
@@ -771,12 +880,26 @@ impl Dec for RuntimeCheckpoint {
             windows_evaluated: d.take_u64()?,
             windows_degraded: d.take_u64()?,
             timeline: d.get()?,
-            matches: d.get()?,
+            emitted: if v1 {
+                // Decode-only: version 1 embedded the matches themselves.
+                emitted_prefix = d.get::<Vec<Match>>()?;
+                EmittedMark::of(&emitted_prefix)
+            } else {
+                EmittedMark {
+                    count: d.take_u64()?,
+                    hash: d.take_u64()?,
+                }
+            },
+            emitted_prefix,
             journaled_sheds: d.take_u64()?,
             journal_next_seq: d.take_u64()?,
-            // Appended in a later format revision: checkpoints written
-            // before the retrain supervisor existed simply end here.
-            retrain: if d.remaining() == 0 { None } else { d.get()? },
+            // Version-1 checkpoints written before the retrain supervisor
+            // existed simply end here.
+            retrain: if v1 && d.remaining() == 0 {
+                None
+            } else {
+                d.get()?
+            },
         })
     }
 }

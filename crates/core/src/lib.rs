@@ -72,8 +72,8 @@ pub use chaos::{out_of_order_timestamps, ChaosFault, ChaosFilter, ChaosTrainer, 
 pub use dlacep_par::{Parallelism, PoolStats};
 pub use drift::{DriftConfig, DriftMonitor, DriftMonitorState, DriftState};
 pub use durable::{
-    decode_checkpoint, decode_offer, dur_dir_from_env, encode_checkpoint, encode_offer, DurConfig,
-    DurError, DurableDlacep, RecoveryReport, DUR_DIR_ENV,
+    decode_checkpoint, decode_offer, dur_dir_from_env, encode_checkpoint, encode_offer, put_offer,
+    DurConfig, DurError, DurableDlacep, RecoveryReport, DUR_DIR_ENV,
 };
 pub use embed::EventEmbedder;
 pub use filter::{
@@ -95,8 +95,8 @@ pub use retrain::{
     RetrainCheckpoint, RetrainConfig, RetrainState,
 };
 pub use runtime::{
-    ModeCause, ModeTransition, RetrainReport, RuntimeCheckpoint, RuntimeConfig, RuntimeError,
-    RuntimeMode, RuntimeReport, StreamingDlacep,
+    EmittedMark, ModeCause, ModeTransition, RetrainReport, RuntimeCheckpoint, RuntimeConfig,
+    RuntimeError, RuntimeMode, RuntimeReport, StreamingDlacep,
 };
 pub use trainer::{
     train_event_filter, train_multi_pattern, train_window_filter, EventNetTraining, TrainConfig,

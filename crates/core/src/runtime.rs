@@ -166,13 +166,59 @@ pub struct ModeTransition {
     pub cause: ModeCause,
 }
 
+/// How many matches a runtime has emitted, and a running hash over them in
+/// emission order. It stands in a checkpoint for the matches themselves —
+/// output already emitted is not state — and lets restore verify that the
+/// emitted prefix it is handed back (from the durability layer's emit log)
+/// is the one the checkpointing runtime produced. Its count is the
+/// emitted-match watermark: a downstream consumer that persisted `count`
+/// outputs can deduplicate replayed emissions exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EmittedMark {
+    /// Matches emitted so far.
+    pub count: u64,
+    /// Hash of every emitted match's ids and bindings, in order.
+    pub hash: u64,
+}
+
+impl EmittedMark {
+    /// The mark of a whole emitted sequence.
+    pub fn of(matches: &[Match]) -> Self {
+        let mut mark = EmittedMark::default();
+        matches.iter().for_each(|m| mark.push(m));
+        mark
+    }
+
+    /// Advance the mark over one more emitted match.
+    pub fn push(&mut self, m: &Match) {
+        fn mix(h: u64, word: u64) -> u64 {
+            (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+        }
+        fn mix_ids(h: u64, ids: &[EventId]) -> u64 {
+            ids.iter()
+                .fold(mix(h, ids.len() as u64), |h, id| mix(h, id.0))
+        }
+        let mut h = mix_ids(self.hash, &m.event_ids);
+        h = mix(h, m.bindings.len() as u64);
+        for (name, bound) in &m.bindings {
+            h = name
+                .bytes()
+                .fold(mix(h, name.len() as u64), |h, b| mix(h, u64::from(b)));
+            h = mix_ids(h, bound);
+        }
+        self.count += 1;
+        self.hash = h;
+    }
+}
+
 /// Full mutable state of a [`StreamingDlacep`], captured by
 /// [`StreamingDlacep::checkpoint`] and re-injected by
 /// [`StreamingDlacep::restore`]. Everything derived from the pattern and
 /// configuration (compiled plan, guard wiring, pool) is rebuilt by the
 /// constructors; the checkpoint carries only the trajectory: admission
 /// cursors, the un-relayed buffer, breaker/drift state, the extractor's
-/// partial matches, emitted matches, and the observability watermark.
+/// partial matches, the emitted mark, and the observability watermark —
+/// its size follows the live state, not the length of the run.
 ///
 /// The binary encoding (see `dlacep-dur`) round-trips floats bit-exactly, so
 /// a restored runtime continues *byte-identically* to the uninterrupted one
@@ -227,10 +273,15 @@ pub struct RuntimeCheckpoint {
     pub windows_degraded: u64,
     /// Mode-change timeline up to the checkpoint.
     pub timeline: Vec<ModeTransition>,
-    /// Matches emitted up to the checkpoint. Their count doubles as the
-    /// emitted-match watermark: a downstream consumer that persisted
-    /// `matches.len()` outputs can dedup replayed emissions exactly.
-    pub matches: Vec<Match>,
+    /// Count and running hash of the matches emitted up to the checkpoint.
+    pub emitted: EmittedMark,
+    /// Restore-side input, never captured and never encoded: the emitted
+    /// matches themselves, handed back by whoever kept the output (the
+    /// durability layer reads them from its emit log; decoding a version-1
+    /// payload fills it from the matches that format embedded). Restore
+    /// checks it against [`emitted`](Self::emitted) and seeds
+    /// [`StreamingDlacep::matches_so_far`] with it.
+    pub emitted_prefix: Vec<Match>,
     /// Extractor shed count already journaled (per-event delta bookkeeping).
     pub journaled_sheds: u64,
     /// Journal sequence watermark at capture time: the number of journal
@@ -775,6 +826,8 @@ pub struct StreamingDlacep<F: Filter> {
     events_clamped: usize,
     events_relayed: usize,
     matches: Vec<Match>,
+    /// Running mark over `matches`, advanced as they are emitted.
+    emitted: EmittedMark,
     /// Extractor shed count already journaled, for per-event deltas.
     journaled_sheds: u64,
 }
@@ -903,6 +956,7 @@ impl<F: Filter> StreamingDlacep<F> {
             events_clamped: 0,
             events_relayed: 0,
             matches: Vec::new(),
+            emitted: EmittedMark::default(),
             journaled_sheds: 0,
         })
     }
@@ -993,8 +1047,8 @@ impl<F: Filter> StreamingDlacep<F> {
     }
 
     /// Emitted-match watermark: how many matches this runtime has produced.
-    /// Checkpointed, so a consumer that records it can deduplicate output
-    /// across a crash/restore cycle exactly.
+    /// Checkpointed (as [`EmittedMark::count`]), so a consumer that records
+    /// it can deduplicate output across a crash/restore cycle exactly.
     pub fn match_seq(&self) -> u64 {
         self.matches.len() as u64
     }
@@ -1042,9 +1096,10 @@ impl<F: Filter> StreamingDlacep<F> {
     }
 
     /// Capture the full mutable state. Cheap relative to a window
-    /// evaluation: clones the un-relayed buffer, stored partials and emitted
-    /// matches; touches no I/O (the durability layer in
-    /// [`durable`](crate::durable) handles persistence and atomicity).
+    /// evaluation: clones the un-relayed buffer and stored partials — not
+    /// the emitted matches, which the checkpoint only marks; touches no I/O
+    /// (the durability layer in [`durable`](crate::durable) handles
+    /// persistence, atomicity and the emit log).
     pub fn checkpoint(&self) -> RuntimeCheckpoint {
         let stage = self.stage.export_state();
         RuntimeCheckpoint {
@@ -1071,7 +1126,8 @@ impl<F: Filter> StreamingDlacep<F> {
             windows_evaluated: stage.windows_evaluated,
             windows_degraded: self.sup.windows_degraded as u64,
             timeline: self.sup.timeline.clone(),
-            matches: self.matches.clone(),
+            emitted: self.emitted,
+            emitted_prefix: Vec::new(),
             journaled_sheds: self.journaled_sheds,
             journal_next_seq: self.sup.obs.journal.next_seq(),
             retrain: self.sup.retrain.as_ref().map(|r| r.export()),
@@ -1086,6 +1142,11 @@ impl<F: Filter> StreamingDlacep<F> {
     /// recording any entry, so the restored journal sequence lines up with
     /// the uninterrupted run's from the checkpoint's
     /// [`journal watermark`](RuntimeCheckpoint::journal_next_seq).
+    ///
+    /// The matches emitted before the checkpoint are not in it: put them in
+    /// [`RuntimeCheckpoint::emitted_prefix`] first. A prefix whose count or
+    /// hash disagrees with the checkpoint's mark is a
+    /// [`RuntimeError::Restore`].
     ///
     /// After restore, ingesting the same events the original runtime would
     /// have seen next produces byte-identical matches, counters, timeline
@@ -1209,7 +1270,16 @@ impl<F: Filter> StreamingDlacep<F> {
         rt.events_relayed = us(ckpt.events_relayed, "events_relayed")?;
         rt.sup.windows_degraded = us(ckpt.windows_degraded, "windows_degraded")?;
         rt.sup.timeline = ckpt.timeline;
-        rt.matches = ckpt.matches;
+        let handed = EmittedMark::of(&ckpt.emitted_prefix);
+        if handed != ckpt.emitted {
+            return Err(RuntimeError::Restore(format!(
+                "emitted prefix holds {} matches hashing to {:#018x}, \
+                 the checkpoint marks {} hashing to {:#018x}",
+                handed.count, handed.hash, ckpt.emitted.count, ckpt.emitted.hash
+            )));
+        }
+        rt.matches = ckpt.emitted_prefix;
+        rt.emitted = ckpt.emitted;
         rt.journaled_sheds = ckpt.journaled_sheds;
         Ok(rt)
     }
@@ -1462,6 +1532,7 @@ impl<F: Filter> StreamingDlacep<F> {
                             .annotate(e, "matches", (drained.len() as u64).into());
                     }
                 }
+                drained.iter().for_each(|m| self.emitted.push(m));
                 self.matches.append(&mut drained);
             } else if let Some(at) = trace.as_mut() {
                 let f = at.builder.instant("filtered", Some(at.root));

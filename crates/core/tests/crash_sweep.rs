@@ -13,6 +13,14 @@
 //! The sweep runs on a healthy stream and on a fault-injected degraded one
 //! (filter panics/I-O faults keyed by window content, so replay draws the
 //! same faults), each with out-of-order arrivals under the Drop policy.
+//!
+//! Every checkpoint writes WAL sync → emit-log append → emit-log sync →
+//! checkpoint publish → prune, so the ticks swept include every point in
+//! between: each sweep asserts that some crash left the emit log ahead of
+//! the checkpoint recovery restored (torn or whole, it is cut and re-derived
+//! by replay), and the healthy stream is swept a second time with the newest
+//! published checkpoint corrupted, so recovery falls back to the older one
+//! and to its earlier emit-log offset.
 
 use dlacep_cep::{Pattern, PatternExpr, TypeSet};
 use dlacep_core::chaos::{
@@ -195,6 +203,13 @@ where
     }
 
     fn sweep(&self) {
+        let fell_back = self.sweep_recovering(|disk| disk);
+        assert_eq!(fell_back, 0, "an undamaged disk skips no checkpoint");
+    }
+
+    /// The sweep, with `damage` applied to each crashed disk image before
+    /// recovery sees it. Returns how many recoveries skipped a checkpoint.
+    fn sweep_recovering(&self, damage: impl Fn(MemStore) -> MemStore) -> u64 {
         let (ref_report, ref_reg) = self.reference();
         assert!(
             !ref_report.matches.is_empty(),
@@ -205,10 +220,13 @@ where
 
         let mut with_checkpoint = 0u64;
         let mut cold_starts = 0u64;
+        let mut emit_log_ahead = 0u64;
+        let mut fell_back = 0u64;
         for tick in 0..total {
             let Some(disk) = self.crashed_disk_image(tick) else {
                 panic!("crash at tick {tick} < total {total} must fire");
             };
+            let disk = damage(disk);
             let rec_reg = Arc::new(Registry::with_journal_capacity(8192));
             let (mut rec, report) = DurableDlacep::recover_with_trainer(
                 self.pattern.clone(),
@@ -224,6 +242,8 @@ where
                 Some(_) => with_checkpoint += 1,
                 None => cold_starts += 1,
             }
+            emit_log_ahead += u64::from(report.emit_truncated_bytes > 0);
+            fell_back += u64::from(report.checkpoints_skipped > 0);
             assert!(
                 report.resume_seq as usize <= self.input.len(),
                 "tick {tick}: resume_seq beyond the source"
@@ -266,7 +286,29 @@ where
             "sweep must exercise both cold starts ({cold_starts}) and \
              checkpoint restores ({with_checkpoint})"
         );
+        assert!(
+            emit_log_ahead > 0,
+            "sweep must crash between an emit-log sync and the checkpoint \
+             publish that would have covered it"
+        );
+        fell_back
     }
+}
+
+/// Flip a byte in the middle of the newest published checkpoint when an
+/// older one is retained behind it. (A lone checkpoint has no fallback: the
+/// WAL below it is already pruned, so losing it loses the head of the run.)
+fn corrupt_newest_checkpoint(mut disk: MemStore) -> MemStore {
+    let names = disk.list().unwrap();
+    let published: Vec<&String> = names.iter().filter(|n| n.ends_with(".ck")).collect();
+    if let [.., _, newest] = published[..] {
+        let mut bytes = disk.read(newest).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        disk.truncate(newest, 0).unwrap();
+        disk.append(newest, &bytes).unwrap();
+    }
+    disk
 }
 
 #[test]
@@ -279,6 +321,19 @@ fn crash_sweep_healthy_stream() {
         input: offers(48, 0.0, 5),
     }
     .sweep();
+}
+
+#[test]
+fn crash_sweep_healthy_stream_falling_back_past_a_corrupted_newest_checkpoint() {
+    let fell_back = Scenario {
+        pattern: seq_ab(6),
+        config: RuntimeConfig::default(),
+        mk_filter: || PassthroughFilter,
+        mk_trainer: no_trainer,
+        input: offers(48, 0.0, 5),
+    }
+    .sweep_recovering(corrupt_newest_checkpoint);
+    assert!(fell_back > 100, "only {fell_back} recoveries fell back");
 }
 
 #[test]

@@ -1,23 +1,28 @@
-//! The wire format does not notice that the filter stage now owns the mark
-//! map, the window cursors and the guard: a `RuntimeCheckpoint` the parent
-//! commit (PR 14) encoded mid-stream — events admitted but not yet relayed,
-//! the breaker Open, matches already emitted — decodes, restores, continues
-//! to the parent's recorded match sequence, and this build's
-//! `encode_checkpoint` at the same position is the parent's bytes.
+//! A version-1 `RuntimeCheckpoint` payload — the format PR 14 wrote and
+//! every commit up to ISSUE 20's parent kept, with every emitted match
+//! embedded — still decodes through the decode-only path: one encoded
+//! mid-stream (events admitted but not yet relayed, the breaker Open,
+//! matches already emitted) decodes, its embedded matches seed the emitted
+//! prefix, it restores and continues to the recorded match sequence.
 //!
-//! The fixture is the hex of `encode_checkpoint(&rt.checkpoint())` after
-//! [`SPLIT`] offers of [`offers`]; `PARENT_MATCHES`/`PARENT_MATCH_FNV`
-//! describe the full run's match sequence. Both were written by the parent
-//! commit running this file with `RECORD_FIXTURE=1`.
+//! `runtime_checkpoint_pr14.hex` is the hex of
+//! `encode_checkpoint(&rt.checkpoint())` after [`SPLIT`] offers of
+//! [`offers`], written by the PR 14 commit; `PARENT_MATCHES` /
+//! `PARENT_MATCH_FNV` describe the full run's match sequence.
+//! `runtime_checkpoint_v2.hex` is the same position in the current format
+//! (live state and an emitted mark, no matches), written by the commit that
+//! introduced it running this file with `RECORD_FIXTURE=1`: this build's
+//! `encode_checkpoint` must reproduce it byte for byte.
 
 use dlacep_cep::{Match, Pattern, PatternExpr, TypeSet};
 use dlacep_core::durable::{decode_checkpoint, encode_checkpoint};
 use dlacep_core::filter::Filter;
 use dlacep_core::guard::BreakerState;
-use dlacep_core::runtime::{RuntimeConfig, StreamingDlacep};
+use dlacep_core::runtime::{EmittedMark, RuntimeConfig, StreamingDlacep};
 use dlacep_events::{AttrValue, OutOfOrderPolicy, PrimitiveEvent, TypeId, WindowSpec};
 
 const FIXTURE: &str = include_str!("fixtures/runtime_checkpoint_pr14.hex");
+const FIXTURE_V2: &str = include_str!("fixtures/runtime_checkpoint_v2.hex");
 const SPLIT: usize = 171;
 const PARENT_MATCHES: usize = 115;
 const PARENT_MATCH_FNV: u64 = 0x2b79_c076_71a3_4395;
@@ -123,12 +128,13 @@ fn runtime_at_split() -> StreamingDlacep<TripsAt64> {
 fn parent_checkpoint_restores_and_continues() {
     let mut uninterrupted = runtime_at_split();
     let here = to_hex(&encode_checkpoint(&uninterrupted.checkpoint()));
+    let emitted_at_split = uninterrupted.matches_so_far().to_vec();
     feed(&mut uninterrupted, &offers()[SPLIT..]);
     let full = uninterrupted.finish();
     if std::env::var_os("RECORD_FIXTURE").is_some() {
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
-            "/tests/fixtures/runtime_checkpoint_pr14.hex"
+            "/tests/fixtures/runtime_checkpoint_v2.hex"
         );
         std::fs::write(path, format!("{here}\n")).unwrap();
         println!(
@@ -152,16 +158,25 @@ fn parent_checkpoint_restores_and_continues() {
     );
     assert!(ckpt.guard.open_windows > 0 && ckpt.guard.stats.panics == 3);
     assert!(
-        !ckpt.matches.is_empty(),
+        !ckpt.emitted_prefix.is_empty(),
         "the fixture must hold emitted matches"
     );
+    assert_eq!(ckpt.emitted_prefix, emitted_at_split);
+    assert_eq!(ckpt.emitted, EmittedMark::of(&emitted_at_split));
     assert!(ckpt.events_dropped > 0 && ckpt.last_window_end > ckpt.relayed_upto);
 
+    // The current format at the same position: the recorded bytes, the
+    // same state, and none of the output.
     assert_eq!(
         here,
-        FIXTURE.trim(),
-        "checkpoint diverged from the parent's encoding"
+        FIXTURE_V2.trim(),
+        "checkpoint diverged from the recorded version-2 encoding"
     );
+    let mut v2 = decode_checkpoint(&from_hex(FIXTURE_V2)).expect("version 2 decodes");
+    assert!(v2.emitted_prefix.is_empty(), "version 2 embeds no matches");
+    assert!(FIXTURE_V2.len() < FIXTURE.len());
+    v2.emitted_prefix = emitted_at_split;
+    assert_eq!(v2, ckpt, "both versions decode to the same checkpoint");
 
     let mut resumed = StreamingDlacep::restore(pattern(), TripsAt64, config(), None, ckpt)
         .expect("parent checkpoint restores");

@@ -467,7 +467,11 @@ fn mid_retrain_checkpoint_restores_signal_and_schedule() {
         if ckpt.is_none() && matches!(rt.retrain_state(), Some(RetrainState::Waiting { .. })) {
             assert!(rt.retrain_signaled(), "waiting implies a pending signal");
             assert_eq!(rt.mode(), RuntimeMode::DegradedExact);
-            ckpt = Some(rt.checkpoint());
+            // Emitted output is not in the checkpoint (only its mark is):
+            // hand it back, as the durability layer does from its emit log.
+            let mut at_crash = rt.checkpoint();
+            at_crash.emitted_prefix = rt.matches_so_far().to_vec();
+            ckpt = Some(at_crash);
             resume_from = i + 1;
             break;
         }
@@ -529,7 +533,11 @@ fn post_swap_checkpoint_redeploys_the_accepted_model() {
     for (i, (t, ts, attrs)) in input.iter().enumerate() {
         rt.ingest(*t, *ts, attrs.clone()).unwrap();
         if ckpt.is_none() && rt.active_model_version() == Some(1) {
-            ckpt = Some(rt.checkpoint());
+            // Emitted output is not in the checkpoint (only its mark is):
+            // hand it back, as the durability layer does from its emit log.
+            let mut at_crash = rt.checkpoint();
+            at_crash.emitted_prefix = rt.matches_so_far().to_vec();
+            ckpt = Some(at_crash);
             resume_from = i + 1;
             break;
         }

@@ -1,7 +1,12 @@
 //! Atomically-published checkpoint files.
 //!
 //! A checkpoint is one frame (`magic "DCKP"`, version, CRC32) whose payload
-//! is the runtime state serialized by the caller. Publication follows the
+//! is the runtime state serialized by the caller. Since container version 2
+//! that payload is live state only: the matches a runtime has emitted live
+//! in the store's [emit log](crate::emit) and the payload opens with the
+//! log's byte offset at the checkpoint. Version-1 files (whole output
+//! embedded, no offset) still load; [`CheckpointScan::version`] tells the
+//! caller which payload it holds. Publication follows the
 //! classic protocol: write `ckpt-{seq:016x}.tmp`, fsync it, rename to
 //! `ckpt-{seq:016x}.ck`, so a crash at any point leaves either the old
 //! checkpoint set or the old set plus a complete new file — never a
@@ -17,7 +22,7 @@ use crate::store::Store;
 /// Magic tag of checkpoint frames.
 pub const CKPT_MAGIC: [u8; 4] = *b"DCKP";
 /// Current checkpoint container version.
-pub const CKPT_VERSION: u16 = 1;
+pub const CKPT_VERSION: u16 = 2;
 
 fn checkpoint_name(seq: u64) -> String {
     format!("ckpt-{seq:016x}.ck")
@@ -35,18 +40,18 @@ fn parse_checkpoint_name(name: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-/// Write and atomically publish a checkpoint for WAL position `seq`.
-/// Returns the number of bytes written (frame included).
-pub fn write_checkpoint<S: Store>(store: &mut S, seq: u64, payload: &[u8]) -> io::Result<u64> {
+/// Atomically publish `frame` — a whole `CKPT_MAGIC` / [`CKPT_VERSION`]
+/// frame, built by the caller (in a buffer it reuses) with
+/// [`Encoder::put_frame`](crate::Encoder::put_frame) — as the checkpoint
+/// for WAL position `seq`.
+pub fn publish_checkpoint<S: Store>(store: &mut S, seq: u64, frame: &[u8]) -> io::Result<()> {
     let tmp = tmp_name(seq);
     if store.exists(&tmp)? {
         store.remove(&tmp)?; // stale tmp from an earlier crashed attempt
     }
-    let frame = codec::encode_frame(CKPT_MAGIC, CKPT_VERSION, payload);
-    store.append(&tmp, &frame)?;
+    store.append(&tmp, frame)?;
     store.sync(&tmp)?;
-    store.rename(&tmp, &checkpoint_name(seq))?;
-    Ok(frame.len() as u64)
+    store.rename(&tmp, &checkpoint_name(seq))
 }
 
 /// Result of scanning the store for the newest usable checkpoint.
@@ -54,6 +59,8 @@ pub fn write_checkpoint<S: Store>(store: &mut S, seq: u64, payload: &[u8]) -> io
 pub struct CheckpointScan {
     /// `(seq, payload)` of the newest checkpoint that decoded cleanly.
     pub latest: Option<(u64, Vec<u8>)>,
+    /// Container version of `latest`'s frame (0 when there is none).
+    pub version: u16,
     /// Newer published checkpoints that were skipped as unreadable.
     pub skipped: u64,
 }
@@ -71,8 +78,9 @@ pub fn load_latest_checkpoint<S: Store>(store: &S) -> io::Result<CheckpointScan>
     for (seq, name) in seqs.into_iter().rev() {
         let bytes = store.read(&name)?;
         match codec::decode_frame(CKPT_MAGIC, CKPT_VERSION, &bytes) {
-            Ok((_, payload)) => {
+            Ok((version, payload)) => {
                 scan.latest = Some((seq, payload.to_vec()));
+                scan.version = version;
                 return Ok(scan);
             }
             Err(CodecError::Truncated { .. })
@@ -117,6 +125,11 @@ mod tests {
     use crate::store::MemStore;
     use crate::torn::FailingStore;
 
+    fn write_checkpoint<S: Store>(store: &mut S, seq: u64, payload: &[u8]) -> io::Result<()> {
+        let frame = codec::encode_frame(CKPT_MAGIC, CKPT_VERSION, payload);
+        publish_checkpoint(store, seq, &frame)
+    }
+
     #[test]
     fn publish_and_load_newest_valid() {
         let mut store = MemStore::new();
@@ -128,7 +141,18 @@ mod tests {
         write_checkpoint(&mut store, 9, b"state@9").unwrap();
         let scan = load_latest_checkpoint(&store).unwrap();
         assert_eq!(scan.latest, Some((9, b"state@9".to_vec())));
+        assert_eq!(scan.version, CKPT_VERSION);
         assert_eq!(scan.skipped, 0);
+    }
+
+    #[test]
+    fn version_1_frames_still_load_and_report_their_version() {
+        let mut store = MemStore::new();
+        let frame = codec::encode_frame(CKPT_MAGIC, 1, b"whole output inside");
+        store.append(&checkpoint_name(3), &frame).unwrap();
+        let scan = load_latest_checkpoint(&store).unwrap();
+        assert_eq!(scan.latest, Some((3, b"whole output inside".to_vec())));
+        assert_eq!(scan.version, 1);
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //!   batching, size-based rotation, and corrupt-tail truncation on open.
 //! - **checkpoint**: atomically-published checkpoint files
 //!   (tmp + fsync + rename) with newest-valid-wins loading.
+//! - **emit** ([`EmitLog`]): the append-only log of output already emitted
+//!   — the WAL's record framing, cut on recovery at the restored
+//!   checkpoint's offset — so a checkpoint carries live state plus an
+//!   offset into it, not the whole output.
 //! - **registry**: atomically-published versioned model files — the retrain
 //!   supervisor's durable model lineage — with the same torn-write-safe
 //!   protocol and newest-valid-wins loading.
@@ -36,16 +40,21 @@
 
 pub mod checkpoint;
 pub mod codec;
+pub mod emit;
 pub mod manifest;
 pub mod registry;
 pub mod store;
 pub mod torn;
 pub mod wal;
 
-pub use checkpoint::{load_latest_checkpoint, prune_checkpoints, write_checkpoint, CheckpointScan};
+pub use checkpoint::{
+    load_latest_checkpoint, prune_checkpoints, publish_checkpoint, CheckpointScan, CKPT_MAGIC,
+    CKPT_VERSION,
+};
 pub use codec::{
     crc32, decode_frame, encode_frame, scan_frame, CodecError, Dec, Decoder, Enc, Encoder,
 };
+pub use emit::{EmitError, EmitLog, EMIT_LOG_NAME};
 pub use manifest::{load_manifest, shard_dir_name, write_manifest, FleetManifest, ManifestError};
 pub use registry::{list_models, load_latest_model, prune_models, publish_model, ModelScan};
 pub use store::{atomic_write_file, DirStore, MemStore, Store};

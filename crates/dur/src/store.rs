@@ -218,10 +218,13 @@ impl Store for MemStore {
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
         check_name(name)?;
-        self.files
-            .entry(name.to_string())
-            .or_default()
-            .extend_from_slice(bytes);
+        // Looked up by `&str`: only a new entry allocates its name.
+        match self.files.get_mut(name) {
+            Some(file) => file.extend_from_slice(bytes),
+            None => {
+                self.files.insert(name.to_string(), bytes.to_vec());
+            }
+        }
         Ok(())
     }
 

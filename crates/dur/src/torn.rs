@@ -236,10 +236,12 @@ impl<S: Store> Store for FailingStore<S> {
     fn append(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
         self.check_alive()?;
         // Page-cache write: instantly visible, not durable, zero ticks.
-        self.unsynced
-            .entry(name.to_string())
-            .or_default()
-            .extend_from_slice(bytes);
+        match self.unsynced.get_mut(name) {
+            Some(pending) => pending.extend_from_slice(bytes),
+            None => {
+                self.unsynced.insert(name.to_string(), bytes.to_vec());
+            }
+        }
         Ok(())
     }
 

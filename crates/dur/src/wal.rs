@@ -30,15 +30,13 @@
 use std::fmt;
 use std::io;
 
-use crate::codec::{self, scan_frame, CodecError, Decoder, Encoder};
+use crate::codec::{self, scan_frame, scan_record, CodecError, Decoder, Encoder};
 use crate::store::Store;
 
 /// Magic tag of segment header frames.
 pub const WAL_MAGIC: [u8; 4] = *b"DWAL";
 /// Current segment format version.
 pub const WAL_VERSION: u16 = 1;
-/// Bytes of per-record overhead (`crc32 | len`).
-const RECORD_HEADER_BYTES: usize = 8;
 
 /// WAL tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -133,45 +131,6 @@ fn encode_segment_header(start_seq: u64) -> Vec<u8> {
     codec::encode_frame(WAL_MAGIC, WAL_VERSION, payload.bytes())
 }
 
-fn encode_record(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
-    let len_bytes = (payload.len() as u32).to_le_bytes();
-    // The CRC covers the length field too, so a bit flip in `len` is a
-    // checksum mismatch (bit rot), not a phantom tear.
-    out.extend_from_slice(&codec::crc32_parts(&[&len_bytes, payload]).to_le_bytes());
-    out.extend_from_slice(&len_bytes);
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Decode the record starting at `bytes`; returns `(payload, consumed)`.
-fn scan_record(bytes: &[u8]) -> Result<(&[u8], usize), CodecError> {
-    if bytes.len() < RECORD_HEADER_BYTES {
-        return Err(CodecError::Truncated {
-            needed: RECORD_HEADER_BYTES,
-            remaining: bytes.len(),
-        });
-    }
-    let expected_crc = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-    let len = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-    let total = RECORD_HEADER_BYTES + len;
-    if bytes.len() < total {
-        return Err(CodecError::Truncated {
-            needed: total,
-            remaining: bytes.len(),
-        });
-    }
-    let payload = &bytes[RECORD_HEADER_BYTES..total];
-    let got_crc = codec::crc32_parts(&[&bytes[4..8], payload]);
-    if got_crc != expected_crc {
-        return Err(CodecError::ChecksumMismatch {
-            expected: expected_crc,
-            got: got_crc,
-        });
-    }
-    Ok((payload, total))
-}
-
 /// Whether a decode failure is the signature of a torn (prefix-cut) write.
 /// In the append-only crash model a tear can only shorten the file, so the
 /// scanner runs out of bytes (`Truncated`); a checksum mismatch over bytes
@@ -264,6 +223,8 @@ pub struct Wal {
     active: Option<(String, u64)>,
     /// Records appended since the last sync.
     appended_since_sync: u64,
+    /// The record being framed, reused from append to append.
+    record: Encoder,
 }
 
 impl Wal {
@@ -339,6 +300,7 @@ impl Wal {
             next_seq,
             active,
             appended_since_sync: 0,
+            record: Encoder::new(),
         };
         Ok((wal, report))
     }
@@ -351,6 +313,16 @@ impl Wal {
     /// Append one record, returning its sequence number. The record is
     /// durable once [`Wal::sync`] (or batched auto-sync) has run.
     pub fn append<S: Store>(&mut self, store: &mut S, payload: &[u8]) -> Result<u64, WalError> {
+        self.append_with(store, |e| e.put_bytes(payload))
+    }
+
+    /// [`Wal::append`] of the payload `write` encodes: header and payload
+    /// are framed in the log's own buffer, so an append allocates nothing.
+    pub fn append_with<S: Store>(
+        &mut self,
+        store: &mut S,
+        write: impl FnOnce(&mut Encoder),
+    ) -> Result<u64, WalError> {
         let rotate = match &self.active {
             Some((_, len)) => *len >= self.cfg.segment_max_bytes,
             None => true,
@@ -369,9 +341,10 @@ impl Wal {
             .active
             .as_mut()
             .expect("active segment exists after rotation");
-        let record = encode_record(payload);
-        store.append(name, &record)?;
-        *len += record.len() as u64;
+        self.record.clear();
+        self.record.put_record(write);
+        store.append(name, self.record.bytes())?;
+        *len += self.record.len() as u64;
         let seq = self.next_seq;
         self.next_seq += 1;
         self.appended_since_sync += 1;
@@ -485,6 +458,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::RECORD_HEADER_BYTES;
     use crate::store::MemStore;
 
     fn tiny_cfg() -> WalConfig {

@@ -2,9 +2,10 @@
 //! sizes, sync cadence, and segment rotation a run uses, a reopened log
 //! replays exactly what was appended; and however many bytes a crash cuts
 //! off the tail, recovery truncates to a clean record boundary and preserves
-//! the surviving prefix untouched.
+//! the surviving prefix untouched. The bytes on disk are pinned too: framing
+//! a record in the log's own buffer writes what building it apart did.
 
-use dlacep_dur::{MemStore, Store, Wal, WalConfig, WalError};
+use dlacep_dur::{crc32, encode_frame, MemStore, Store, Wal, WalConfig, WalError};
 use proptest::prelude::*;
 
 /// Append `payloads` under `cfg` and make everything durable.
@@ -30,6 +31,42 @@ fn last_segment(store: &MemStore) -> String {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // On-disk layout, spelled out independently of the encoder: a segment is
+    // its header frame (`DWAL`, version 1, start seq) followed by one
+    // `crc32(len | payload) | len | payload` per record, whether the payload
+    // came in as bytes or was encoded in place.
+    #[test]
+    fn segment_bytes_are_header_plus_crc_len_payload_records(
+        payloads in prop::collection::vec(prop::collection::vec(0u8..255, 0..40), 1..40),
+        segment_max in 32u64..256,
+        in_place in 0u8..2,
+    ) {
+        let cfg = WalConfig { segment_max_bytes: segment_max, sync_every: 0 };
+        let mut store = MemStore::new();
+        let (mut wal, _) = Wal::open(&mut store, cfg).unwrap();
+        let mut expect: Vec<(String, Vec<u8>)> = Vec::new();
+        for (seq, p) in payloads.iter().enumerate() {
+            if expect.last().is_none_or(|(_, bytes)| bytes.len() as u64 >= segment_max) {
+                let header = encode_frame(*b"DWAL", 1, &(seq as u64).to_le_bytes());
+                expect.push((format!("wal-{seq:016x}.seg"), header));
+            }
+            let len = (p.len() as u32).to_le_bytes();
+            let body = [len.as_slice(), p.as_slice()].concat();
+            let segment = &mut expect.last_mut().unwrap().1;
+            segment.extend_from_slice(&crc32(&body).to_le_bytes());
+            segment.extend_from_slice(&body);
+            if in_place == 1 {
+                wal.append_with(&mut store, |e| e.put_bytes(p)).unwrap();
+            } else {
+                wal.append(&mut store, p).unwrap();
+            }
+        }
+        prop_assert_eq!(store.list().unwrap().len(), expect.len());
+        for (name, bytes) in &expect {
+            prop_assert_eq!(&store.read(name).unwrap(), bytes, "{}", name);
+        }
+    }
 
     // Round-trip: any payload mix × any sync cadence × any (small) segment
     // size appends, rotates, reopens, and replays to exactly the input —

@@ -15,18 +15,23 @@
 //! ## Durability model
 //!
 //! Each shard owns one [`Store`] (directory `shard-{idx:04}/` under the
-//! fleet root when backed by `DirStore`s) holding its own WAL, checkpoint
-//! chain, and fleet manifest. An event is WAL-logged **before** its
-//! runtime sees it, as `g | key | offer` where `offer` is the exact
+//! fleet root when backed by `DirStore`s) holding its own WAL, emit log,
+//! checkpoint chain, and fleet manifest. An event is WAL-logged **before**
+//! its runtime sees it, as `g | key | offer` where `offer` is the exact
 //! [`dlacep_core::encode_offer`] encoding of the durable single-runtime
-//! tier. Checkpoints snapshot every key runtime of the shard plus the
-//! shard's fleet *high-water mark* — the last global sequence number whose
-//! effects the shard has durably applied.
+//! tier. A checkpoint first appends the `(key, match)` records emitted
+//! since the previous one to the shard's [`EmitLog`] and syncs it, then
+//! snapshots the live state of every key runtime of the shard plus the
+//! log's byte offset and the shard's fleet *high-water mark* — the last
+//! global sequence number whose effects the shard has durably applied. Its
+//! size follows the shard's live state, not how long the fleet has run.
 //!
 //! ## Recovery model
 //!
 //! [`ShardedDlacep::recover`] restores every shard independently
-//! (checkpoint, then WAL suffix), then reports
+//! (checkpoint, emit log cut back to the checkpoint's offset and handed to
+//! the key runtimes as their emitted prefixes, then the WAL suffix replayed
+//! in per-key batches), then reports
 //! `resume_seq = min(high_water) + 1`: the fleet position from which the
 //! source must re-offer events. Re-offered events that a given shard
 //! already applied (`g <= high_water`) are counted as `refeed_skipped` and
@@ -46,15 +51,17 @@
 //! redeployed on restore.
 
 use crate::hash::{shard_of, DEFAULT_HASH_SEED, HASH_REVISION};
+use dlacep_cep::Match;
 use dlacep_cep::Pattern;
 use dlacep_core::{
-    decode_offer, encode_checkpoint, encode_offer, Filter, ModelTrainer, RuntimeConfig,
-    RuntimeError, StreamingDlacep,
+    decode_offer, put_offer, Filter, ModelTrainer, RuntimeCheckpoint, RuntimeConfig, RuntimeError,
+    StreamingDlacep,
 };
 use dlacep_dur::codec::{CodecError, Decoder, Encoder};
 use dlacep_dur::manifest::{load_manifest, write_manifest, FleetManifest, ManifestError};
 use dlacep_dur::{
-    load_latest_checkpoint, prune_checkpoints, write_checkpoint, Store, Wal, WalConfig, WalError,
+    load_latest_checkpoint, prune_checkpoints, publish_checkpoint, EmitError, EmitLog, Store, Wal,
+    WalConfig, WalError, CKPT_MAGIC, CKPT_VERSION,
 };
 use dlacep_events::{AttrValue, KeyExtractor, PrimitiveEvent, TypeId};
 use dlacep_obs::{json_field, json_string, Registry, Tracer, DEFAULT_TRACE_CAPACITY};
@@ -145,8 +152,12 @@ pub enum FleetError {
     Wal(WalError),
     /// A persisted fleet record did not decode.
     Corrupt(CodecError),
-    /// A key runtime rejected an event or a checkpoint.
+    /// A key runtime rejected an event or a checkpoint (including an
+    /// emitted prefix that disagrees with the checkpoint's mark).
     Runtime(RuntimeError),
+    /// A shard's emit log is damaged, or ends before the checkpoint that
+    /// covers it.
+    Emit(EmitError),
     /// A shard manifest is unreadable.
     Manifest(ManifestError),
     /// The on-disk fleet is incompatible with this configuration
@@ -164,6 +175,7 @@ impl std::fmt::Display for FleetError {
             FleetError::Wal(e) => write!(f, "fleet wal: {e}"),
             FleetError::Corrupt(e) => write!(f, "fleet record: {e}"),
             FleetError::Runtime(e) => write!(f, "fleet runtime: {e}"),
+            FleetError::Emit(e) => write!(f, "fleet {e}"),
             FleetError::Manifest(e) => write!(f, "fleet manifest: {e}"),
             FleetError::Refused(msg) => write!(f, "fleet recovery refused: {msg}"),
             FleetError::Config(msg) => write!(f, "fleet config: {msg}"),
@@ -191,6 +203,11 @@ impl From<CodecError> for FleetError {
 impl From<RuntimeError> for FleetError {
     fn from(e: RuntimeError) -> Self {
         FleetError::Runtime(e)
+    }
+}
+impl From<EmitError> for FleetError {
+    fn from(e: EmitError) -> Self {
+        FleetError::Emit(e)
     }
 }
 impl From<ManifestError> for FleetError {
@@ -247,6 +264,9 @@ pub struct ShardRecovery {
     pub keys_restored: u64,
     /// WAL records replayed after the checkpoint.
     pub wal_replayed: u64,
+    /// Bytes cut from the emit log: whatever lay beyond the restored
+    /// checkpoint's offset (re-derived by the WAL replay).
+    pub emit_truncated_bytes: u64,
     /// The shard store was empty: initialized fresh.
     pub fresh: bool,
     /// Fleet high-water mark after restore + replay.
@@ -263,15 +283,59 @@ pub struct FleetRecoveryReport {
     pub resume_seq: u64,
 }
 
+/// One partition key's runtime and its durability bookkeeping.
+struct KeyRuntime<F: Filter> {
+    rt: StreamingDlacep<F>,
+    /// How many of `rt`'s matches the shard's emit log already holds.
+    logged: usize,
+}
+
 struct Shard<F: Filter, S: Store> {
     store: S,
     wal: Wal,
+    emit: EmitLog,
+    /// The checkpoint frame under construction, reused across checkpoints.
+    frame: Encoder,
     /// Last fleet-global sequence number durably applied by this shard.
     /// 0 = none; global sequence numbers start at 1.
     high_water: u64,
-    runtimes: BTreeMap<u64, StreamingDlacep<F>>,
+    runtimes: BTreeMap<u64, KeyRuntime<F>>,
     stats: ShardStats,
 }
+
+impl<F: Filter, S: Store> Shard<F, S> {
+    /// Open `store`'s WAL and its emit log at `emit_offset`, the bytes of
+    /// it the restored checkpoint covers (0 for a fresh store). Every
+    /// `(key, match)` record below the offset goes to `logged`; the bytes
+    /// cut beyond it are counted in the second return value.
+    fn open(
+        mut store: S,
+        wal_cfg: WalConfig,
+        emit_offset: u64,
+        mut logged: impl FnMut(u64, Match),
+    ) -> Result<(Self, u64), FleetError> {
+        let (wal, _) = Wal::open(&mut store, wal_cfg)?;
+        let (emit, cut) = EmitLog::open_at(&mut store, emit_offset, |record| {
+            let mut d = Decoder::new(record);
+            let key = d.take_u64()?;
+            logged(key, d.get()?);
+            d.finish()
+        })?;
+        let shard = Shard {
+            store,
+            wal,
+            emit,
+            frame: Encoder::new(),
+            high_water: 0,
+            runtimes: BTreeMap::new(),
+            stats: ShardStats::default(),
+        };
+        Ok((shard, cut))
+    }
+}
+
+/// A bucket of one key's events and their fleet-global sequence numbers.
+type Bucket = (Vec<PrimitiveEvent>, Vec<u64>);
 
 /// A keyed multi-shard fleet of durable DLACEP runtimes. See the
 /// [module docs](self) for the partitioning / durability / recovery model.
@@ -314,14 +378,7 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
         let mut shards = Vec::with_capacity(stores.len());
         for (i, mut store) in stores.into_iter().enumerate() {
             write_manifest(&mut store, &Self::manifest(&cfg, i as u32))?;
-            let (wal, _) = Wal::open(&mut store, cfg.wal)?;
-            shards.push(Shard {
-                store,
-                wal,
-                high_water: 0,
-                runtimes: BTreeMap::new(),
-                stats: ShardStats::default(),
-            });
+            shards.push(Shard::open(store, cfg.wal, 0, |_, _| {})?.0);
         }
         Ok(ShardedDlacep {
             pattern,
@@ -389,57 +446,69 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
                     true
                 }
             };
-            let (wal, _) = Wal::open(&mut store, fleet.cfg.wal)?;
-            let mut shard = Shard {
-                store,
-                wal,
-                high_water: 0,
-                runtimes: BTreeMap::new(),
-                stats: ShardStats::default(),
-            };
-            let scan = load_latest_checkpoint(&shard.store)?;
+            let scan = load_latest_checkpoint(&store)?;
             let mut report = ShardRecovery {
                 index,
                 checkpoint_seq: None,
                 keys_restored: 0,
                 wal_replayed: 0,
+                emit_truncated_bytes: 0,
                 fresh,
                 high_water: 0,
             };
             let mut replay_from = 0;
-            if let Some((seq, payload)) = scan.latest {
-                let ckpt = decode_shard_checkpoint(&payload)?;
-                shard.high_water = ckpt.high_water;
-                for (key, rt_ckpt) in ckpt.keys {
-                    let rt_ckpt = dlacep_core::decode_checkpoint(&rt_ckpt)?;
-                    shard.runtimes.insert(key, fleet.restore_runtime(rt_ckpt)?);
-                    report.keys_restored += 1;
-                }
-                report.checkpoint_seq = Some(seq);
-                replay_from = seq;
+            let mut ckpt = ShardCheckpoint::default();
+            if let Some((seq, payload)) = &scan.latest {
+                ckpt = decode_shard_checkpoint(scan.version, payload)?;
+                report.checkpoint_seq = Some(*seq);
+                replay_from = *seq;
             }
+            // Whatever the emit log holds past the checkpoint's offset (all
+            // of it when there is no checkpoint) is cut: the replay below
+            // re-derives it and the next checkpoint appends it again.
+            let mut emitted: BTreeMap<u64, Vec<Match>> = BTreeMap::new();
+            let (mut shard, cut) =
+                Shard::open(store, fleet.cfg.wal, ckpt.emit_offset, |key, m| {
+                    emitted.entry(key).or_default().push(m)
+                })?;
+            report.emit_truncated_bytes = cut;
+            shard.high_water = ckpt.high_water;
+            for (key, mut rt_ckpt) in ckpt.keys {
+                // A version-1 checkpoint brings its matches embedded and
+                // covers no log; they reach it at the next checkpoint.
+                let mut from_log = emitted.remove(&key).unwrap_or_default();
+                let logged = from_log.len();
+                rt_ckpt.emitted_prefix.append(&mut from_log);
+                let rt = fleet.restore_runtime(rt_ckpt)?;
+                shard.runtimes.insert(key, KeyRuntime { rt, logged });
+                report.keys_restored += 1;
+            }
+            if let Some(key) = emitted.keys().next() {
+                return Err(FleetError::Corrupt(CodecError::Malformed(format!(
+                    "shard {index}: the emit log holds matches of key {key}, \
+                     which the checkpoint does not know"
+                ))));
+            }
+            let mut buckets: BTreeMap<u64, Bucket> = BTreeMap::new();
             for (_, payload) in Wal::replay(&shard.store, replay_from)? {
                 let (g, key, type_id, ts, attrs) = decode_offer_record(&payload)?;
                 if g <= shard.high_water {
                     continue; // covered by the checkpoint
                 }
-                let rt = match shard.runtimes.entry(key) {
-                    std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(fleet.fresh_runtime()?)
-                    }
-                };
-                match rt.ingest_traced(type_id, ts, attrs, Some(g)) {
-                    Ok(_) | Err(RuntimeError::Stream(_)) => {}
-                    Err(e) => return Err(e.into()),
-                }
                 shard.high_water = g;
                 shard.stats.events_routed += 1;
                 report.wal_replayed += 1;
+                let bucket = buckets.entry(key).or_default();
+                // The id is a placeholder: admission re-stamps it.
+                bucket.0.push(PrimitiveEvent::new(g, type_id, ts, attrs));
+                bucket.1.push(g);
             }
             report.high_water = shard.high_water;
             reports.push(report);
             fleet.shards.push(shard);
+            for (key, (batch, seqs)) in buckets {
+                fleet.apply_bucket(i, key, &batch, &seqs)?;
+            }
         }
         // The fleet resumes counting from the slowest shard: every shard
         // has durably applied everything at or below min(high_water), and
@@ -545,11 +614,37 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
         Ok(self.obs_builder().build()?)
     }
 
-    fn restore_runtime(
-        &self,
-        ckpt: dlacep_core::RuntimeCheckpoint,
-    ) -> Result<StreamingDlacep<F>, FleetError> {
+    fn restore_runtime(&self, ckpt: RuntimeCheckpoint) -> Result<StreamingDlacep<F>, FleetError> {
         Ok(self.obs_builder().restore(ckpt)?)
+    }
+
+    /// The runtime of `key` on shard `si`, created on first sight.
+    fn key_runtime(&mut self, si: usize, key: u64) -> Result<&mut StreamingDlacep<F>, FleetError> {
+        if !self.shards[si].runtimes.contains_key(&key) {
+            let rt = self.fresh_runtime()?;
+            self.shards[si]
+                .runtimes
+                .insert(key, KeyRuntime { rt, logged: 0 });
+        }
+        let entry = self.shards[si].runtimes.get_mut(&key);
+        Ok(&mut entry.expect("inserted above").rt)
+    }
+
+    /// Offer one key's events, in order, to that key's runtime as one batch.
+    fn apply_bucket(
+        &mut self,
+        si: usize,
+        key: u64,
+        batch: &[PrimitiveEvent],
+        seqs: &[u64],
+    ) -> Result<(), FleetError> {
+        match self
+            .key_runtime(si, key)?
+            .ingest_batch_traced(batch, Some(seqs))
+        {
+            Ok(()) | Err(RuntimeError::Stream(_)) => Ok(()),
+            Err(e) => Err(e.into()),
+        }
     }
 
     fn obs_builder(&self) -> dlacep_core::StreamingBuilder<F> {
@@ -580,24 +675,21 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
         if g <= self.shards[si].high_water {
             self.shards[si].stats.refeed_skipped += 1;
         } else {
-            let record = encode_offer_record(g, key, type_id, ts, &attrs);
-            {
-                let shard = &mut self.shards[si];
-                shard.wal.append(&mut shard.store, &record)?;
-                shard.stats.wal_appends += 1;
-            }
-            if !self.shards[si].runtimes.contains_key(&key) {
-                let rt = self.fresh_runtime()?;
-                self.shards[si].runtimes.insert(key, rt);
-            }
             let shard = &mut self.shards[si];
-            let rt = shard.runtimes.get_mut(&key).expect("inserted above");
-            match rt.ingest_traced(type_id, ts, attrs, Some(g)) {
+            shard.wal.append_with(&mut shard.store, |e| {
+                put_offer_record(e, g, key, type_id, ts, &attrs)
+            })?;
+            shard.stats.wal_appends += 1;
+            match self
+                .key_runtime(si, key)?
+                .ingest_traced(type_id, ts, attrs, Some(g))
+            {
                 // Ordering rejections are the runtime's own admission
                 // decision; deterministic, so replay makes the same one.
                 Ok(_) | Err(RuntimeError::Stream(_)) => {}
                 Err(e) => return Err(e.into()),
             }
+            let shard = &mut self.shards[si];
             shard.high_water = g;
             shard.stats.events_routed += 1;
         }
@@ -610,7 +702,6 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
     /// (in key order per shard), which admits pooled window marking while
     /// producing the same per-key event order as serial ingest.
     pub fn ingest_batch(&mut self, events: &[PrimitiveEvent]) -> Result<(), FleetError> {
-        type Bucket = (Vec<PrimitiveEvent>, Vec<u64>);
         let mut buckets: BTreeMap<(usize, u64), Bucket> = BTreeMap::new();
         for ev in events {
             let g = self.next_global + 1;
@@ -622,8 +713,9 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
                 shard.stats.refeed_skipped += 1;
                 continue;
             }
-            let record = encode_offer_record(g, key, ev.type_id, ev.ts.0, &ev.attrs);
-            shard.wal.append(&mut shard.store, &record)?;
+            shard.wal.append_with(&mut shard.store, |e| {
+                put_offer_record(e, g, key, ev.type_id, ev.ts.0, &ev.attrs)
+            })?;
             shard.stats.wal_appends += 1;
             shard.high_water = g;
             shard.stats.events_routed += 1;
@@ -632,18 +724,7 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
             bucket.1.push(g);
         }
         for ((si, key), (batch, seqs)) in buckets {
-            if !self.shards[si].runtimes.contains_key(&key) {
-                let rt = self.fresh_runtime()?;
-                self.shards[si].runtimes.insert(key, rt);
-            }
-            let rt = self.shards[si]
-                .runtimes
-                .get_mut(&key)
-                .expect("inserted above");
-            match rt.ingest_batch_traced(&batch, Some(&seqs)) {
-                Ok(()) | Err(RuntimeError::Stream(_)) => {}
-                Err(e) => return Err(e.into()),
-            }
+            self.apply_bucket(si, key, &batch, &seqs)?;
         }
         self.since_sync += events.len() as u64;
         self.since_ckpt += events.len() as u64;
@@ -678,30 +759,51 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
     }
 
     /// Checkpoint every shard: drain accepted models, sync the WALs, then
-    /// write each shard's checkpoint stamped with the current fleet
-    /// position, prune old checkpoints, and drop covered WAL segments.
-    /// A crash anywhere inside leaves the previous checkpoint + WAL
-    /// suffix fully covering.
+    /// per shard append the matches emitted since its last checkpoint to
+    /// its emit log and sync it, write the shard's checkpoint — the live
+    /// state of every key, stamped with the current fleet position and the
+    /// log's offset — prune old checkpoints, and drop covered WAL segments.
+    /// A crash anywhere inside leaves the previous checkpoint + WAL suffix
+    /// fully covering; an emit-log tail it never got to cover is cut at
+    /// recovery and re-derived by the replay.
     pub fn checkpoint_now(&mut self) -> Result<(), FleetError> {
         let g = self.next_global;
         for shard in &mut self.shards {
-            for rt in shard.runtimes.values_mut() {
-                shard.stats.models_drained += rt.take_pending_models().len() as u64;
+            for entry in shard.runtimes.values_mut() {
+                shard.stats.models_drained += entry.rt.take_pending_models().len() as u64;
             }
             shard.wal.sync(&mut shard.store)?;
             shard.stats.wal_syncs += 1;
         }
         for shard in &mut self.shards {
-            let mut keys = Vec::with_capacity(shard.runtimes.len());
-            for (key, rt) in &shard.runtimes {
-                keys.push((*key, encode_checkpoint(&rt.checkpoint())));
+            for (key, entry) in &shard.runtimes {
+                for m in &entry.rt.matches_so_far()[entry.logged..] {
+                    shard.emit.stage(|e| {
+                        e.put_u64(*key);
+                        e.put(m);
+                    });
+                }
             }
-            let payload = encode_shard_checkpoint(&ShardCheckpoint {
-                high_water: g,
-                keys,
+            shard.emit.append(&mut shard.store)?;
+            for entry in shard.runtimes.values_mut() {
+                entry.logged = entry.rt.matches_so_far().len();
+            }
+            shard.emit.sync(&mut shard.store)?;
+            // Every key is encoded where it will be written from: one
+            // per-shard buffer, each key's length filled in behind it.
+            let emit_offset = shard.emit.offset();
+            shard.frame.clear();
+            shard.frame.put_frame(CKPT_MAGIC, CKPT_VERSION, |e| {
+                e.put_u64(g);
+                e.put_u64(emit_offset);
+                e.put_u64(shard.runtimes.len() as u64);
+                for (key, entry) in &shard.runtimes {
+                    e.put_u64(*key);
+                    e.put_len_prefixed(|e| e.put(&entry.rt.checkpoint()));
+                }
             });
             let seq = shard.wal.next_seq();
-            write_checkpoint(&mut shard.store, seq, &payload)?;
+            publish_checkpoint(&mut shard.store, seq, shard.frame.bytes())?;
             if let Some(oldest) = prune_checkpoints(&mut shard.store, self.cfg.keep_checkpoints)? {
                 shard.wal.prune_below(&mut shard.store, oldest)?;
             }
@@ -728,8 +830,8 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
         for shard in &self.shards {
             s.refeed_skipped += shard.stats.refeed_skipped;
             s.keys += shard.runtimes.len() as u64;
-            for rt in shard.runtimes.values() {
-                s.matches += rt.matches_so_far().len() as u64;
+            for entry in shard.runtimes.values() {
+                s.matches += entry.rt.match_seq();
             }
         }
         s
@@ -778,8 +880,8 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
                 c.insert("serve_refeed_skipped".into(), shard.stats.refeed_skipped);
                 c.insert("serve_models_drained".into(), shard.stats.models_drained);
                 c.insert("serve_keys".into(), shard.runtimes.len() as u64);
-                for rt in shard.runtimes.values() {
-                    if let Some(obs) = rt.obs_snapshot() {
+                for entry in shard.runtimes.values() {
+                    if let Some(obs) = entry.rt.obs_snapshot() {
                         crate::report::merge_into(&mut snap, &obs);
                     }
                 }
@@ -807,13 +909,13 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
             }
             let mut modes: BTreeMap<&'static str, u64> = BTreeMap::new();
             let mut matches = 0u64;
-            for rt in shard.runtimes.values() {
+            for KeyRuntime { rt, .. } in shard.runtimes.values() {
                 let mode = match rt.mode() {
                     dlacep_core::RuntimeMode::Filtering => "filtering",
                     dlacep_core::RuntimeMode::DegradedExact => "degraded_exact",
                 };
                 *modes.entry(mode).or_insert(0) += 1;
-                matches += rt.matches_so_far().len() as u64;
+                matches += rt.match_seq();
             }
             out.push_str(&format!(
                 "{{\"shard\":{si},\"keys\":{},\"high_water\":{},\"lag\":{},\"matches\":{matches},\
@@ -855,8 +957,8 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
         let mut out = String::from("[");
         let mut first = true;
         for (si, shard) in self.shards.iter().enumerate() {
-            for (key, rt) in &shard.runtimes {
-                let Some(snap) = rt.obs_snapshot() else {
+            for (key, entry) in &shard.runtimes {
+                let Some(snap) = entry.rt.obs_snapshot() else {
                     continue;
                 };
                 let entries = &snap.journal.entries;
@@ -901,8 +1003,8 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
                 matches: 0,
                 stats: shard.stats,
             };
-            for (key, rt) in shard.runtimes {
-                let report = rt.finish();
+            for (key, entry) in shard.runtimes {
+                let report = entry.rt.finish();
                 summary.matches += report.matches.len() as u64;
                 keys.push(KeyReport {
                     key,
@@ -927,45 +1029,52 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
 // Persistent record encodings
 // ---------------------------------------------------------------------------
 
+/// A decoded shard checkpoint. Written in place by
+/// [`ShardedDlacep::checkpoint_now`] as
+/// `high_water | emit_offset | n | n × (key | len | runtime checkpoint)`.
+#[derive(Default)]
 struct ShardCheckpoint {
     high_water: u64,
-    keys: Vec<(u64, Vec<u8>)>,
+    /// Bytes of the shard's emit log the checkpoint covers.
+    emit_offset: u64,
+    keys: Vec<(u64, RuntimeCheckpoint)>,
 }
 
-fn encode_shard_checkpoint(ckpt: &ShardCheckpoint) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_u64(ckpt.high_water);
-    e.put_u64(ckpt.keys.len() as u64);
-    for (key, bytes) in &ckpt.keys {
-        e.put_u64(*key);
-        e.put_u64(bytes.len() as u64);
-        e.put_bytes(bytes);
-    }
-    e.into_bytes()
-}
-
-fn decode_shard_checkpoint(payload: &[u8]) -> Result<ShardCheckpoint, CodecError> {
+/// Decode a shard checkpoint frame's payload. Version 1 has no
+/// `emit_offset` (it covers no log: its runtime checkpoints embed their
+/// matches) and is otherwise laid out the same.
+fn decode_shard_checkpoint(version: u16, payload: &[u8]) -> Result<ShardCheckpoint, CodecError> {
     let mut d = Decoder::new(payload);
     let high_water = d.take_u64()?;
+    let emit_offset = if version >= 2 { d.take_u64()? } else { 0 };
     let n = d.take_u64()? as usize;
     let mut keys = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
         let key = d.take_u64()?;
         let len = d.take_u64()? as usize;
-        keys.push((key, d.take_bytes(len)?.to_vec()));
+        keys.push((key, dlacep_core::decode_checkpoint(d.take_bytes(len)?)?));
     }
     d.finish()?;
-    Ok(ShardCheckpoint { high_water, keys })
+    Ok(ShardCheckpoint {
+        high_water,
+        emit_offset,
+        keys,
+    })
 }
 
 /// WAL record: `g | key | offer`, where `offer` is the durable tier's
-/// exact offer encoding ([`encode_offer`]).
-fn encode_offer_record(g: u64, key: u64, type_id: TypeId, ts: u64, attrs: &[AttrValue]) -> Vec<u8> {
-    let mut e = Encoder::new();
+/// exact offer encoding ([`dlacep_core::encode_offer`]).
+fn put_offer_record(
+    e: &mut Encoder,
+    g: u64,
+    key: u64,
+    type_id: TypeId,
+    ts: u64,
+    attrs: &[AttrValue],
+) {
     e.put_u64(g);
     e.put_u64(key);
-    e.put_bytes(&encode_offer(type_id, ts, attrs));
-    e.into_bytes()
+    put_offer(e, type_id, ts, attrs);
 }
 
 fn decode_offer_record(

@@ -273,3 +273,202 @@ fn per_event_batched_and_recovered_fleets_agree() {
         );
     }
 }
+
+/// A checkpoint writes, per shard and in this order: WAL sync, emit-log
+/// append, emit-log sync, checkpoint publish (tmp, fsync, rename), prune.
+/// Kill one shard's store at every durability tick of that sequence — so the
+/// emit log is found torn, whole but not yet covered by a checkpoint, or
+/// covered — and recover both from the disk as found and with that shard's
+/// newest checkpoint corrupted (fallback to the older retained one, whose
+/// emit-log offset lies further back). Recovered and re-fed, every key's
+/// match sequence and counters are the uninterrupted run's, and its journal
+/// is a suffix of the uninterrupted journal.
+#[test]
+fn crash_at_every_tick_of_a_checkpoint_recovers_to_the_uninterrupted_run() {
+    use dlacep::core::PassthroughFilter;
+    use dlacep::dur::{FailingStore, Schedule, Store};
+    use dlacep::serve::FleetError;
+
+    const SHARDS: usize = 2;
+    // Checkpoints after 40 and 80 events; the third, after 120, is swept.
+    const CHECKPOINTS: [usize; 3] = [40, 80, 120];
+    // Two keys under `ByTypeGroup(4)`, one per shard, both matching: every
+    // tick of the sweep is one more run of the fleet, so the state is small.
+    let step = |name: &str, a: u32, b: u32| {
+        PatternExpr::event(TypeSet::new(vec![TypeId(a), TypeId(b)]), name)
+    };
+    let pattern = Pattern::new(
+        PatternExpr::Seq(vec![step("s0", 0, 4), step("s1", 1, 5)]),
+        vec![],
+        WindowSpec::Count(6),
+    );
+    let mut state = 0x5eed_u64;
+    let events: Vec<PrimitiveEvent> = (0..140u64)
+        .map(|i| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            PrimitiveEvent::new(i, TypeId((state >> 33) as u32 % 8), i, vec![i as f64])
+        })
+        .collect();
+    fn cfg() -> FleetConfig {
+        FleetConfig {
+            shards: SHARDS as u32,
+            key_extractor: KeyExtractor::ByTypeGroup(4),
+            obs: true,
+            journal_capacity: 4096,
+            sync_every_events: 16,
+            checkpoint_every_events: 0,
+            ..FleetConfig::default()
+        }
+    }
+    type Fleet<S> = ShardedDlacep<PassthroughFilter, S>;
+    fn create<S: Store>(pattern: &Pattern, stores: Vec<S>) -> Fleet<S> {
+        ShardedDlacep::create(
+            pattern.clone(),
+            cfg(),
+            Arc::new(|| PassthroughFilter),
+            Arc::new(|| None),
+            stores,
+        )
+        .unwrap()
+    }
+    // Feed `events[from..upto]`, checkpointing at each listed position the
+    // range ends on.
+    fn feed<S: Store>(
+        fleet: &mut Fleet<S>,
+        events: &[PrimitiveEvent],
+        from: usize,
+        upto: usize,
+    ) -> Result<(), FleetError> {
+        let mut at = from;
+        for stop in CHECKPOINTS.into_iter().chain([events.len()]) {
+            let stop = stop.min(upto);
+            if stop <= at {
+                continue;
+            }
+            for chunk in events[at..stop].chunks(40) {
+                fleet.ingest_batch(chunk)?;
+            }
+            at = stop;
+            if CHECKPOINTS.contains(&at) {
+                fleet.checkpoint_now()?;
+            }
+        }
+        Ok(())
+    }
+    let reference = {
+        let mut fleet = create(&pattern, (0..SHARDS).map(|_| MemStore::new()).collect());
+        feed(&mut fleet, &events, 0, events.len()).unwrap();
+        fleet.finish()
+    };
+    assert_eq!(
+        reference.shards.iter().map(|s| s.keys).collect::<Vec<_>>(),
+        [1, 1]
+    );
+    assert!(reference.keys.iter().all(|k| k.report.matches.len() > 8));
+
+    // Ticks each shard has spent just before, and just after, the swept
+    // checkpoint (the run is deterministic, so two probes line up).
+    let ticks_after = |upto: usize, last_checkpoint: bool| -> Vec<u64> {
+        let stores = (0..SHARDS)
+            .map(|_| FailingStore::new(MemStore::new(), Schedule::never()))
+            .collect();
+        let mut fleet = create(&pattern, stores);
+        feed(&mut fleet, &events, 0, upto - 1).unwrap();
+        fleet.ingest_batch(&events[upto - 1..upto]).unwrap();
+        if last_checkpoint {
+            fleet.checkpoint_now().unwrap();
+        }
+        fleet.into_stores().iter().map(|s| s.ticks()).collect()
+    };
+    let (before, after) = (
+        ticks_after(CHECKPOINTS[2], false),
+        ticks_after(CHECKPOINTS[2], true),
+    );
+
+    let journal = |r: &RuntimeReport| -> Vec<_> {
+        let entries = &r.obs.as_ref().expect("obs is on").journal.entries;
+        entries
+            .iter()
+            .map(|e| (e.kind.clone(), e.fields.clone()))
+            .collect()
+    };
+    // Crash points at which recovery found the emit log ahead of the
+    // checkpoint it restored, `[as found, newest corrupted]`.
+    let mut log_ahead = [0u64; 2];
+    for shard in 0..SHARDS {
+        assert!(after[shard] > before[shard] + 100, "shard {shard}");
+        for tick in before[shard]..after[shard] {
+            let stores = (0..SHARDS)
+                .map(|i| {
+                    let schedule = if i == shard {
+                        Schedule::never().at(tick)
+                    } else {
+                        Schedule::never()
+                    };
+                    FailingStore::new(MemStore::new(), schedule)
+                })
+                .collect();
+            let mut fleet = create(&pattern, stores);
+            let err = feed(&mut fleet, &events, 0, CHECKPOINTS[2])
+                .expect_err("the crash tick lies inside the third checkpoint");
+            assert!(
+                matches!(err, FleetError::Io(_) | FleetError::Wal(_)),
+                "shard {shard} tick {tick}: {err}"
+            );
+            let disks: Vec<MemStore> = fleet
+                .into_stores()
+                .into_iter()
+                .map(FailingStore::into_durable)
+                .collect();
+
+            for corrupt_newest in [false, true] {
+                let ctx = format!("shard {shard} tick {tick} corrupt {corrupt_newest}");
+                let mut disks = disks.clone();
+                if corrupt_newest {
+                    let disk = &mut disks[shard];
+                    let names = disk.list().unwrap();
+                    let newest = names.iter().rfind(|n| n.ends_with(".ck")).unwrap();
+                    let mut bytes = disk.read(newest).unwrap();
+                    let mid = bytes.len() / 2;
+                    bytes[mid] ^= 0x40;
+                    disk.truncate(newest, 0).unwrap();
+                    disk.append(newest, &bytes).unwrap();
+                }
+                let (mut recovered, report) = ShardedDlacep::recover(
+                    pattern.clone(),
+                    cfg(),
+                    Arc::new(|| PassthroughFilter),
+                    Arc::new(|| None),
+                    disks,
+                )
+                .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+                let found = &report.shards[shard];
+                assert!(
+                    found.checkpoint_seq.is_some(),
+                    "{ctx}: two checkpoints were retained"
+                );
+                log_ahead[usize::from(corrupt_newest)] += u64::from(found.emit_truncated_bytes > 0);
+                let resume = report.resume_seq as usize - 1;
+                assert!((CHECKPOINTS[0]..=CHECKPOINTS[2]).contains(&resume), "{ctx}");
+                feed(&mut recovered, &events, resume, events.len())
+                    .unwrap_or_else(|e| panic!("{ctx}: re-feed failed: {e}"));
+                let got = recovered.finish();
+                assert_key_reports_equal(&reference, &got, &ctx);
+                for (want, got) in reference.keys.iter().zip(&got.keys) {
+                    assert!(
+                        journal(&want.report).ends_with(&journal(&got.report)),
+                        "{ctx}: key {} journal is not a suffix of the uninterrupted one",
+                        got.key
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        log_ahead[0] > 0 && log_ahead[1] > log_ahead[0],
+        "the sweep must land between emit-log sync and checkpoint publish, \
+         and a fallback must find more of the log uncovered: {log_ahead:?}"
+    );
+}
