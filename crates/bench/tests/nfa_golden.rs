@@ -1,24 +1,35 @@
 //! The NFA engine pinned to the commit before its per-event path was
 //! rebuilt (PR 13): for every Table-1/2 template and one pattern per
 //! remaining operator, the *sequence* of emitted matches (order included,
-//! FNV-1a over names and ids) and the full [`EngineStats`] must equal what
-//! that commit produced. `partial_matches_created`, `condition_evaluations`
-//! and `peak_partial_matches` are the paper's §3.2 complexity measure — an
+//! FNV-1a over names and ids) and the full [`EngineStats`] of the engine
+//! lowered in step order must equal what that commit produced.
+//! `partial_matches_created`, `condition_evaluations` and
+//! `peak_partial_matches` are the paper's §3.2 complexity measure — an
 //! optimisation may change what is allocated, never what is counted.
 //!
-//! The fixture was written by running [`cases`] on the parent commit (from a
-//! throwaway `#[path]` module there, hence the `pub`s).
+//! The engine as built by default, in the order the static cost model
+//! picks, must emit the same sequences (and count the same events and
+//! matches); the work it does in that order is pinned by its own fixture.
+//!
+//! `nfa_golden_pr13.json` was written by running [`cases`] on the parent of
+//! PR 14, `nfa_golden_ordered.json` by running it on the commit that made
+//! the order a property of the program (from a throwaway `#[path]` module,
+//! hence the `pub`s).
 
 use dlacep_bench::queries::real::*;
 use dlacep_bench::queries::synth::{q_b1, q_b2, q_b3};
 use dlacep_cep::pattern::dsl::{conj, disj, event, kleene, neg, seq};
-use dlacep_cep::{CepEngine, EngineStats, Expr, Match, NfaEngine, Pattern, Predicate, TypeSet};
+use dlacep_cep::program::Program;
+use dlacep_cep::{CepEngine, CostModel, EngineStats, Expr, Match, NfaConfig, NfaEngine, Pattern};
+use dlacep_cep::{Plan, Predicate, TypeSet};
 use dlacep_data::stocks::StockConfig;
 use dlacep_data::synthetic::SyntheticConfig;
 use dlacep_events::{PrimitiveEvent, TypeId, WindowSpec};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 const FIXTURE: &str = include_str!("../../cep/tests/fixtures/nfa_golden_pr13.json");
+const ORDERED: &str = include_str!("../../cep/tests/fixtures/nfa_golden_ordered.json");
 
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Case {
@@ -179,8 +190,15 @@ fn table_patterns(w: u64) -> Vec<(&'static str, Pattern)> {
     ]
 }
 
-fn run(name: &str, pattern: &Pattern, events: &[PrimitiveEvent]) -> Case {
-    let mut engine = NfaEngine::new(pattern).expect("golden patterns compile");
+fn run(name: &str, pattern: &Pattern, events: &[PrimitiveEvent], step_order: bool) -> Case {
+    let mut engine = match step_order {
+        true => {
+            let plan = Plan::compile(pattern).expect("golden patterns compile");
+            let program = Program::lower_with(&plan, |b| CostModel::uniform(b.steps.len()));
+            NfaEngine::from_program(Arc::new(program), NfaConfig::default())
+        }
+        false => NfaEngine::new(pattern).expect("golden patterns compile"),
+    };
     let matches = engine.run(events);
     assert!(
         engine.stats().partial_matches_created > 0,
@@ -193,7 +211,7 @@ fn run(name: &str, pattern: &Pattern, events: &[PrimitiveEvent]) -> Case {
     }
 }
 
-pub fn cases() -> Vec<Case> {
+pub fn cases(step_order: bool) -> Vec<Case> {
     let (_, stocks) = StockConfig {
         num_tickers: 48,
         num_events: 2_500,
@@ -211,13 +229,13 @@ pub fn cases() -> Vec<Case> {
 
     let mut out = Vec::new();
     for (name, p) in table_patterns(18) {
-        out.push(run(name, &p, stocks.events()));
+        out.push(run(name, &p, stocks.events(), step_order));
     }
     for (name, p) in [("q_b1", q_b1(36)), ("q_b2", q_b2(36)), ("q_b3", q_b3(36))] {
-        out.push(run(name, &p, synth.events()));
+        out.push(run(name, &p, synth.events(), step_order));
     }
     for (name, p) in operator_patterns() {
-        out.push(run(name, &p, &operators));
+        out.push(run(name, &p, &operators, step_order));
     }
     out
 }
@@ -225,9 +243,36 @@ pub fn cases() -> Vec<Case> {
 #[test]
 fn engine_reproduces_the_parent_commit() {
     let want: Vec<Case> = serde_json::from_str(FIXTURE).expect("fixture parses");
-    let got = cases();
+    let got = cases(true);
     assert_eq!(got.len(), want.len(), "case list changed");
     for (g, w) in got.iter().zip(&want) {
         assert_eq!(g, w, "{} diverged from the parent commit", w.name);
+    }
+}
+
+#[test]
+fn chosen_order_emits_the_parent_sequences_and_pins_its_work() {
+    let parent: Vec<Case> = serde_json::from_str(FIXTURE).expect("fixture parses");
+    let want: Vec<Case> = serde_json::from_str(ORDERED).expect("fixture parses");
+    let got = cases(false);
+    assert_eq!(got.len(), parent.len(), "case list changed");
+    assert_eq!(got.len(), want.len(), "case list changed");
+    for ((g, p), w) in got.iter().zip(&parent).zip(&want) {
+        assert_eq!(
+            g.sequence_hash, p.sequence_hash,
+            "{}: emitted sequence",
+            p.name
+        );
+        assert_eq!(
+            g.stats.events_processed, p.stats.events_processed,
+            "{}",
+            p.name
+        );
+        assert_eq!(
+            g.stats.matches_emitted, p.stats.matches_emitted,
+            "{}",
+            p.name
+        );
+        assert_eq!(g, w, "{} diverged from its recorded work", w.name);
     }
 }

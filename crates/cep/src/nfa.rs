@@ -13,10 +13,22 @@
 //! extension is assembled at the tail of the buffer of new rows and simply
 //! truncated away again when a condition rejects it, so the steady state
 //! allocates only for the matches it emits.
+//!
+//! A branch whose program binds steps in another order than the plan's
+//! (chosen by the cost model, [`crate::plan::CostModel::order`]) runs the
+//! same rows differently: a row binds a prefix of the order, the current
+//! event extends a stored row only at its next step, and every new row at
+//! once binds its next step to each past event of the window that fits it
+//! — checked before it is copied, like any extension — and so on down the
+//! order. A row is stored to wait for future events only if its next step
+//! need not precede a step it already binds, so an order that binds the
+//! step every condition mentions first stores nothing between events. The
+//! matches an event completes are emitted in the sequence the step-order
+//! pass would have emitted them ([`emission_key`]).
 
 use crate::engine::{CepEngine, EngineStats, EventArena, Match};
 use crate::pattern::ast::Pattern;
-use crate::plan::{CompileError, NegGroup, Plan, Slot};
+use crate::plan::{CompileError, NegGroup, Plan, Slot, MAX_ORDERED_STEPS};
 use crate::program::{
     BranchProgram, Cond, Leaf, Program, Step, StepProgram, BOUND, IDS, MAX_ID, MIN_ID, MIN_TS,
 };
@@ -100,10 +112,12 @@ pub struct NfaEngine {
     config: NfaConfig,
     /// Reused buffers: rows created by the current event (the last one
     /// doubles as the candidate under test), ids walked out of a Kleene
-    /// chain, `(min_id, branch)` of every stored row while shedding.
+    /// chain, `(min_id, branch)` of every stored row while shedding, where
+    /// in `created` the rows an ordered pass completed start.
     created: Vec<u64>,
     ids: Vec<EventId>,
     ages: Vec<(u64, usize)>,
+    done: Vec<usize>,
 }
 
 impl NfaEngine {
@@ -136,6 +150,7 @@ impl NfaEngine {
             created: Vec::new(),
             ids: Vec::new(),
             ages: Vec::new(),
+            done: Vec::new(),
         }
     }
 
@@ -188,7 +203,9 @@ impl NfaEngine {
     /// The engine must be compiled from the same pattern as the exporter:
     /// branch, step and Kleene counts, the bound mask against what is bound,
     /// and every referenced event against the snapshot's arena are validated,
-    /// and a mismatch leaves the engine untouched.
+    /// and a mismatch leaves the engine untouched. The exporter may have
+    /// evaluated in another order: rows that do not fit this engine's order
+    /// are re-derived from the snapshot's arena.
     pub fn import_state(&mut self, state: NfaEngineState) -> Result<(), StateError> {
         if state.branches.len() != self.branches.len() {
             return Err(StateError(format!(
@@ -197,7 +214,11 @@ impl NfaEngine {
                 self.branches.len()
             )));
         }
-        let arena = EventArena::restore(state.arena);
+        let arena = EventArena::restore(state.arena.clone());
+        // Rows of an ordered branch that are not prefixes of its order
+        // waiting for a future event (a step-order engine wrote them) are
+        // re-derived: replaying the arena rebuilds every row still alive.
+        let mut replay = None;
         let key = window_key(self.program.window);
         let mut restored = Vec::with_capacity(state.branches.len());
         for (bi, (bp, partials)) in self
@@ -207,6 +228,15 @@ impl NfaEngine {
             .zip(&state.branches)
             .enumerate()
         {
+            if bp.ordered && !partials.iter().all(|pm| waits(bp, pm.bound)) {
+                let engine = replay.get_or_insert_with(|| {
+                    let mut engine = Self::from_program(Arc::clone(&self.program), self.config);
+                    state.arena.iter().for_each(|ev| engine.process(ev));
+                    engine
+                });
+                restored.push(std::mem::take(&mut engine.branches[bi]));
+                continue;
+            }
             let mut st = BranchState::default();
             for pm in partials {
                 restore_row(bp, &arena, &mut st, pm)
@@ -283,6 +313,40 @@ fn restore_row(
         }
     }
     Ok(())
+}
+
+/// Does a row binding `bound` wait for a future event under `bp`'s order:
+/// it binds a proper prefix of the order, and its next step need not
+/// precede any step it binds?
+fn waits(bp: &BranchProgram, bound: u64) -> bool {
+    let k = bound.count_ones() as usize;
+    let prefix = bp.order[..k.min(bp.order.len())]
+        .iter()
+        .fold(0, |m, s| m | 1 << s);
+    k < bp.order.len() && bound == prefix && bp.steps[bp.order[k]].after & bound == 0
+}
+
+/// Where a completed row of an ordered branch falls in the step-order
+/// pass's emission sequence. That pass extends stored rows in creation
+/// order, each at its steps in index order, then the empty row; so a row
+/// ranks by its newest event, then by its parent (the row without that
+/// event), then by the step that event binds. For rows of one length that
+/// is: ids newest first, then the steps they bind from the oldest event's.
+/// (Ordered branches have at most [`MAX_ORDERED_STEPS`] steps, so the key
+/// fits on the stack; the words past `2·steps` are zero for every row.)
+fn emission_key(bp: &BranchProgram, row: &[u64]) -> [u64; 2 * MAX_ORDERED_STEPS] {
+    let n = bp.steps.len();
+    let mut bound = [(0, 0); MAX_ORDERED_STEPS];
+    for (s, b) in bound[..n].iter_mut().enumerate() {
+        *b = (row[IDS + s], s as u64);
+    }
+    bound[..n].sort_unstable_by(|a, b| b.cmp(a));
+    let mut key = [0; 2 * MAX_ORDERED_STEPS];
+    for (k, &(id, s)) in bound[..n].iter().enumerate() {
+        key[k] = id;
+        key[2 * n - 1 - k] = s;
+    }
+    key
 }
 
 fn stored(program: &Program, branches: &[BranchState]) -> usize {
@@ -407,6 +471,7 @@ struct Pass<'a> {
     stats: &'a mut EngineStats,
     out: &'a mut Vec<Match>,
     ids: &'a mut Vec<EventId>,
+    done: &'a mut Vec<usize>,
 }
 
 impl<'a> Pass<'a> {
@@ -442,8 +507,7 @@ impl<'a> Pass<'a> {
             }
             let row = &rows[at..at + stride];
             oldest = oldest.min(row[key]);
-            // A bound single step is taken; a Kleene step may absorb more.
-            let open = accept & (bp.kleene_mask | !row[BOUND]);
+            let open = accept & bp.open(row[BOUND]);
             if open != 0 {
                 self.extend(row, open, created);
             }
@@ -451,15 +515,88 @@ impl<'a> Pass<'a> {
         rows.copy_within(run.., kept);
         kept += rows.len() - run;
         rows.truncate(kept);
-        if accept & bp.roots != 0 {
-            self.extend(&bp.blank, accept & bp.roots, created);
+        if accept & bp.open(0) != 0 {
+            self.extend(&bp.blank, accept & bp.open(0), created);
+        }
+        if bp.ordered {
+            self.pull_and_emit(created);
         }
         for row in created.chunks(stride) {
-            oldest = oldest.min(row[key]);
+            if !bp.ordered || waits(bp, row[BOUND]) {
+                oldest = oldest.min(row[key]);
+                rows.extend_from_slice(row);
+            }
         }
-        rows.extend_from_slice(created);
         created.clear();
         oldest
+    }
+
+    /// Under an order: bind each new row's next step to every past event
+    /// of the window that fits it (rows this appends are walked in turn),
+    /// then emit the completed rows in step-order sequence.
+    fn pull_and_emit(&mut self, created: &mut Vec<u64>) {
+        let (bp, stride) = (self.bp, self.bp.stride);
+        let mut at = 0;
+        while at < created.len() {
+            let next = bp.open(created[at + BOUND]);
+            if next != 0 {
+                self.pull(created, at, next.trailing_zeros() as usize);
+            }
+            at += stride;
+        }
+        let mut done = std::mem::take(self.done);
+        done.clear();
+        done.extend(
+            (0..created.len())
+                .step_by(stride)
+                .filter(|&at| created[at + BOUND] == bp.full_mask),
+        );
+        done.sort_unstable_by_key(|&at| emission_key(bp, &created[at..at + stride]));
+        for &at in &done {
+            self.try_emit(&created[at..at + stride]);
+        }
+        *self.done = done;
+    }
+
+    /// Append to `created` the row at `at` with step `s` bound to each past
+    /// event of the window that fits it: after every bound step it must
+    /// follow, before every one it must precede (and the current event),
+    /// distinct from the bound events it is unordered with, and passing
+    /// the conditions this binding decides. Each candidate is bound into
+    /// the row's own slots for `s` and decided there before it is copied;
+    /// the row gets its mask back (the slots of an unbound step are never
+    /// read, and binding `s` later overwrites them).
+    fn pull(&mut self, created: &mut Vec<u64>, at: usize, s: usize) {
+        let (bp, step, stride) = (self.bp, &self.bp.steps[s], self.bp.stride);
+        let bound = created[at + BOUND];
+        let id = |q: usize| created[at + IDS + q];
+        let lo = bits(bound & step.before)
+            .map(|q| id(q) + 1)
+            .max()
+            .unwrap_or(0);
+        let hi = bits(bound & step.after)
+            .map(id)
+            .min()
+            .unwrap_or(self.ev.id.0);
+        let free = bound & !(step.before | step.after);
+        for cand in self.arena.range(EventId(lo)..EventId(hi)) {
+            if bp.accepting(cand.type_id) >> s & 1 == 0
+                || bits(free).any(|q| created[at + IDS + q] == cand.id.0)
+            {
+                continue;
+            }
+            let row = &mut created[at..at + stride];
+            row[IDS + s] = cand.id.0;
+            row[BOUND] = bound | 1 << s;
+            bp.fill_vals(row, step, &cand.attrs);
+            if self.eager_conds_ok(&created[at..at + stride], step) {
+                let new = created.len();
+                created.extend_from_within(at..at + stride);
+                note_event(&mut created[new..], cand);
+                self.stats.partial_matches_created += 1;
+            }
+        }
+        created[at + BOUND] = bound;
     }
 
     /// Try the event at each step of `open` on top of `parent`, appending
@@ -470,7 +607,9 @@ impl<'a> Pass<'a> {
             let s = open.trailing_zeros() as usize;
             open &= open - 1;
             let step = &bp.steps[s];
-            if step.preds & parent[BOUND] != step.preds {
+            // Under an order the event is the newest: it follows whatever
+            // is bound, and a stored row precedes nothing it binds next.
+            if !bp.ordered && step.preds & parent[BOUND] != step.preds {
                 continue;
             }
             let at = created.len();
@@ -487,7 +626,9 @@ impl<'a> Pass<'a> {
                         continue;
                     }
                     self.stats.partial_matches_created += 1;
-                    self.try_emit(&created[at..]);
+                    if !bp.ordered {
+                        self.try_emit(&created[at..]);
+                    }
                 }
                 StepProgram::Kleene {
                     ord,
@@ -692,6 +833,15 @@ impl<'a> Pass<'a> {
     }
 }
 
+/// The steps in `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let s = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (s < 64).then_some(s)
+    })
+}
+
 fn note_event(row: &mut [u64], ev: &PrimitiveEvent) {
     row[MIN_ID] = row[MIN_ID].min(ev.id.0);
     row[MAX_ID] = row[MAX_ID].max(ev.id.0);
@@ -732,6 +882,7 @@ impl CepEngine for NfaEngine {
                 stats: &mut self.stats,
                 out: &mut self.out,
                 ids: &mut self.ids,
+                done: &mut self.done,
             };
             st.oldest = pass.run(&mut st.rows, &mut self.created, accept);
         }

@@ -13,7 +13,7 @@
 
 use crate::pattern::ast::{Pattern, PatternExpr, TypeSet};
 use crate::pattern::condition::Predicate;
-use dlacep_events::WindowSpec;
+use dlacep_events::{PrimitiveEvent, WindowSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -614,6 +614,212 @@ fn compile_branch(expr: &PatternExpr, conditions: &[Predicate]) -> Result<Branch
     })
 }
 
+/// Join-order cost model: per-step arrival rates and pairwise predicate
+/// selectivities (the `R` and `SEL` of the paper's Φ formula, §3.2; the
+/// model of Kolchinsky & Schuster's join-query plan generation). It picks
+/// both the NFA's evaluation order ([`CostModel::order`]) and the tree
+/// engine's shape.
+#[derive(Debug, Clone)]
+pub struct CostModel {
+    /// Expected events matching step `i` per stream position.
+    pub rates: Vec<f64>,
+    /// `sel[i][j]`: probability the predicates between steps `i` and `j`
+    /// hold for a random pair (1.0 when unconstrained).
+    pub sel: Vec<Vec<f64>>,
+}
+
+/// Selectivity the static model assumes for a pair of steps one condition
+/// mentions together: System R's default for a range predicate.
+pub(crate) const STATIC_SELECTIVITY: f64 = 1.0 / 3.0;
+
+/// Longest branch [`CostModel::order`] searches; longer ones keep step
+/// order (the search is over step subsets).
+pub(crate) const MAX_ORDERED_STEPS: usize = 16;
+
+impl CostModel {
+    /// Uniform model (rates 1, selectivities 1): it cannot tell orders
+    /// apart, so it keeps step order — and yields a balanced tree.
+    pub fn uniform(n: usize) -> Self {
+        Self {
+            rates: vec![1.0; n],
+            sel: vec![vec![1.0; n]; n],
+        }
+    }
+
+    /// What an engine assumes knowing nothing of the stream: uniform rates,
+    /// and [`STATIC_SELECTIVITY`] for every pair of steps some eager
+    /// condition mentions together.
+    pub(crate) fn static_for(branch: &Branch) -> Self {
+        let mut model = Self::uniform(branch.steps.len());
+        for g in &branch.global_conds {
+            for (i, j) in pairs(g.step_mask) {
+                model.sel[i][j] = STATIC_SELECTIVITY;
+                model.sel[j][i] = STATIC_SELECTIVITY;
+            }
+        }
+        model
+    }
+
+    /// Estimate from a stream sample: rates are measured type frequencies,
+    /// pairwise selectivities are measured over sampled event pairs against
+    /// each two-step condition.
+    pub fn estimate(branch: &Branch, sample: &[PrimitiveEvent]) -> Self {
+        let n = branch.steps.len();
+        let total = sample.len().max(1) as f64;
+        let admits = |s: usize, e: &PrimitiveEvent| match &branch.steps[s].kind {
+            StepKind::Single { types, .. } => types.contains(e.type_id),
+            StepKind::Kleene { .. } => false,
+        };
+        let mut model = Self::uniform(n);
+        for (s, rate) in model.rates.iter_mut().enumerate() {
+            *rate = sample.iter().filter(|e| admits(s, e)).count() as f64 / total;
+        }
+        let slots = branch.slots();
+        for g in &branch.global_conds {
+            let [(i, j)] = pairs(g.step_mask).collect::<Vec<_>>()[..] else {
+                continue;
+            };
+            let cond = g.pred.lower(&mut |name, attr| match slots.get(name)? {
+                Slot::Step(s) => Some((*s, attr)),
+                _ => None,
+            });
+            let pick = |s| sample.iter().filter(move |e| admits(s, e)).take(64);
+            let (mut pass, mut tried) = (0usize, 0usize);
+            for a in pick(i) {
+                for b in pick(j) {
+                    let ev = |s: usize| if s == i { a } else { b };
+                    if let Some(ok) = cond.eval(&|&(s, attr)| ev(s).attr(attr)) {
+                        tried += 1;
+                        pass += usize::from(ok);
+                    }
+                }
+            }
+            if tried > 0 {
+                model.sel[i][j] = pass as f64 / tried as f64;
+                model.sel[j][i] = model.sel[i][j];
+            }
+        }
+        model
+    }
+
+    /// Expected cardinality of a sub-match over the step range `[i, j)`
+    /// within a window of `w` positions.
+    fn cardinality(&self, i: usize, j: usize, w: f64) -> f64 {
+        let mut c = 1.0;
+        for s in i..j {
+            c *= w * self.rates[s];
+        }
+        for a in i..j {
+            for b in (a + 1)..j {
+                c *= self.sel[a][b];
+            }
+        }
+        c
+    }
+
+    /// ZStream's plan search: the tree over contiguous step ranges
+    /// minimizing the total expected intermediate cardinality.
+    pub(crate) fn tree_shape(&self, n: usize, w: f64) -> Shape {
+        assert!(n > 0);
+        let mut best_cost: Vec<Vec<f64>> = vec![vec![0.0; n + 1]; n + 1];
+        let mut best_split: Vec<Vec<usize>> = vec![vec![0; n + 1]; n + 1];
+        for len in 2..=n {
+            for i in 0..=(n - len) {
+                let j = i + len;
+                let mut best = f64::INFINITY;
+                let mut arg = i + 1;
+                #[allow(clippy::needless_range_loop)]
+                for k in (i + 1)..j {
+                    // Joining [i,k) with [k,j) materializes card(i,k)+card(k,j)
+                    // intermediate tuples on top of the children's own cost.
+                    let c = best_cost[i][k]
+                        + best_cost[k][j]
+                        + self.cardinality(i, k, w)
+                        + self.cardinality(k, j, w);
+                    if c < best {
+                        best = c;
+                        arg = k;
+                    }
+                }
+                best_cost[i][j] = best;
+                best_split[i][j] = arg;
+            }
+        }
+        fn build(split: &[Vec<usize>], i: usize, j: usize) -> Shape {
+            if j - i == 1 {
+                Shape::Leaf(i)
+            } else {
+                let k = split[i][j];
+                Shape::Node(Box::new(build(split, i, k)), Box::new(build(split, k, j)))
+            }
+        }
+        build(&best_split, 0, n)
+    }
+
+    /// The left-deep evaluation order of `branch` in a window of `w`: the
+    /// permutation whose prefixes' expected cardinalities — `Π W·rate` over
+    /// the prefix times the selectivities of the step pairs inside it —
+    /// sum to the least. Ties go to step order, so a model that cannot tell
+    /// orders apart keeps arrival order; between other orders of equal cost
+    /// the later step is bound first (the earlier ones are then already in
+    /// the window to pull). A branch with a Kleene step, or longer than the
+    /// search bound, keeps step order.
+    pub(crate) fn order(&self, branch: &Branch, w: f64) -> Vec<usize> {
+        let n = branch.steps.len();
+        let identity: Vec<usize> = (0..n).collect();
+        if n > MAX_ORDERED_STEPS || self.rates.len() != n || !branch.kleene_steps().is_empty() {
+            return identity;
+        }
+        // Over step subsets: the cardinality of each, and the cheapest sum
+        // over the prefixes of an order ending in it with the last step.
+        let full = (1usize << n) - 1;
+        let (mut card, mut best, mut last) =
+            (vec![1.0; full + 1], vec![0.0; full + 1], vec![0; full + 1]);
+        for set in 1..=full {
+            let s = set.trailing_zeros() as usize;
+            let rest = set & (set - 1);
+            let linked: f64 = (0..n)
+                .filter(|j| rest >> j & 1 == 1)
+                .map(|j| self.sel[s][j])
+                .product();
+            card[set] = card[rest] * w * self.rates[s] * linked;
+            best[set] = f64::INFINITY;
+            for s in (0..n).filter(|s| set >> s & 1 == 1) {
+                if best[set & !(1 << s)] < best[set] {
+                    best[set] = best[set & !(1 << s)];
+                    last[set] = s;
+                }
+            }
+            best[set] += card[set];
+        }
+        let in_step_order: f64 = (1..=n).map(|k| card[(1 << k) - 1]).sum();
+        if in_step_order <= best[full] * (1.0 + 1e-9) {
+            return identity;
+        }
+        let mut order = Vec::with_capacity(n);
+        let mut set = full;
+        while set != 0 {
+            order.push(last[set]);
+            set &= !(1 << last[set]);
+        }
+        order.reverse();
+        order
+    }
+}
+
+/// Every pair `(i, j)`, `i < j`, of steps in `mask`.
+fn pairs(mask: u64) -> impl Iterator<Item = (usize, usize)> {
+    let steps = move || (0..MAX_STEPS).filter(move |s| mask >> s & 1 == 1);
+    steps().flat_map(move |i| steps().filter(move |&j| j > i).map(move |j| (i, j)))
+}
+
+/// Shape of a tree-engine join tree over steps `[lo, hi)`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Shape {
+    Leaf(usize),
+    Node(Box<Shape>, Box<Shape>),
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -846,5 +1052,61 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, CompileError::UnsupportedKleeneBody);
+    }
+
+    fn seq4(conds: Vec<Predicate>) -> Branch {
+        let steps = vec![leaf(0, "a"), leaf(1, "b"), leaf(2, "c"), leaf(3, "d")];
+        compile(PatternExpr::Seq(steps), conds)
+            .unwrap()
+            .branches
+            .remove(0)
+    }
+
+    #[test]
+    fn order_binds_the_step_every_condition_mentions_first() {
+        // Q_A1's shape: every condition links an earlier step to the last.
+        let conds = ["a", "b", "c"].map(|x| Predicate::lt(Expr::attr(x, 0), Expr::attr("d", 0)));
+        let branch = seq4(conds.to_vec());
+        assert_eq!(
+            CostModel::static_for(&branch).order(&branch, 20.0),
+            vec![3, 2, 1, 0]
+        );
+        // Linked neighbours gain nothing from another order: ties keep it.
+        let chain = seq4(vec![Predicate::lt(Expr::attr("a", 0), Expr::attr("b", 0))]);
+        assert_eq!(
+            CostModel::static_for(&chain).order(&chain, 20.0),
+            vec![0, 1, 2, 3]
+        );
+    }
+
+    #[test]
+    fn order_keeps_step_order_when_the_model_cannot_tell() {
+        let branch = seq4(vec![]);
+        assert_eq!(
+            CostModel::static_for(&branch).order(&branch, 20.0),
+            vec![0, 1, 2, 3]
+        );
+        let kleene = compile(
+            PatternExpr::Seq(vec![
+                leaf(0, "a"),
+                PatternExpr::Kleene(Box::new(leaf(1, "k"))),
+                leaf(2, "c"),
+            ]),
+            vec![Predicate::lt(Expr::attr("a", 0), Expr::attr("c", 0))],
+        )
+        .unwrap();
+        let b = &kleene.branches[0];
+        assert_eq!(CostModel::static_for(b).order(b, 20.0), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn order_without_selectivities_is_ascending_rate() {
+        // The lazy chain: rarest first, the later step first on a tie.
+        let branch = seq4(vec![]);
+        let model = CostModel {
+            rates: vec![0.5, 0.1, 0.5, 0.05],
+            ..CostModel::uniform(4)
+        };
+        assert_eq!(model.order(&branch, 30.0), vec![3, 1, 2, 0]);
     }
 }

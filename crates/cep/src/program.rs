@@ -15,10 +15,16 @@
 //! read from single steps, copied in when the step binds (`known` marks the
 //! ones the event actually carried), so evaluating a condition never leaves
 //! the row.
+//!
+//! Each branch also carries its evaluation order, chosen by a
+//! [`CostModel`] when the program is lowered. In step order a row binds
+//! steps as their events arrive; under any other order a row binds a prefix
+//! of the order, and the engine pulls the rest from the window (see
+//! [`crate::nfa`]).
 
 use crate::pattern::ast::TypeSet;
 use crate::pattern::condition::CompiledPred;
-use crate::plan::{Branch, NegGroup, Plan, Slot, StepKind};
+use crate::plan::{Branch, CostModel, NegGroup, Plan, Slot, StepKind};
 use dlacep_events::{TypeId, WindowSpec};
 
 pub(crate) const BOUND: usize = 0;
@@ -60,6 +66,10 @@ pub(crate) struct Step {
     pub preds: u64,
     /// Steps that directly require this one to precede them.
     pub succ: u64,
+    /// Steps that must precede this one, and that it must precede,
+    /// transitively.
+    pub before: u64,
+    pub after: u64,
     /// `(value slot, attribute)` to fill when this single step binds.
     pub vals: Vec<(usize, usize)>,
     /// Indices into [`BranchProgram::conds`] that mention this step.
@@ -83,6 +93,12 @@ pub(crate) struct BranchProgram {
     pub kleene_mask: u64,
     /// Steps without predecessors: the ones an empty partial can seed.
     pub roots: u64,
+    /// The evaluation order (step indices, first bound first), and whether
+    /// it differs from step order. Under an order, `next[k]` is the bit of
+    /// the step a row binding `k` steps binds next (0 once full).
+    pub order: Vec<usize>,
+    pub ordered: bool,
+    next: Vec<u64>,
     /// Sorted `(type, steps some element of which admits it)`.
     accepts: Vec<(TypeId, u64)>,
     pub iters_at: usize,
@@ -94,7 +110,7 @@ pub(crate) struct BranchProgram {
 }
 
 impl BranchProgram {
-    fn lower(branch: &Branch) -> Self {
+    fn lower(branch: &Branch, order: Vec<usize>) -> Self {
         let slots = branch.slots();
         // Value slot i holds attribute `vals[i].1` of single step `vals[i].0`.
         let mut vals: Vec<(usize, usize)> = Vec::new();
@@ -148,11 +164,20 @@ impl BranchProgram {
             if step.preds == 0 {
                 roots |= 1 << s;
             }
+            // Predecessors have lower indices: their closures are known.
+            let before = (0..s)
+                .filter(|p| step.preds >> p & 1 == 1)
+                .fold(step.preds, |m, p| m | steps[p].before);
+            for p in (0..s).filter(|p| before >> p & 1 == 1) {
+                steps[p].after |= 1 << s;
+            }
             steps.push(Step {
                 kind,
                 names,
                 preds: step.preds,
                 succ: branch.successor_mask(s),
+                before,
+                after: 0,
                 vals: Vec::new(),
                 eager: Vec::new(),
             });
@@ -188,9 +213,13 @@ impl BranchProgram {
         let mut blank = vec![0; stride];
         blank[MIN_ID] = u64::MAX;
         blank[MIN_TS] = u64::MAX;
+        let ordered = order.iter().enumerate().any(|(k, s)| k != *s);
         Self {
             kleene_mask,
             roots,
+            next: order.iter().map(|s| 1 << s).chain([0]).collect(),
+            order,
+            ordered,
             full_mask: branch.full_mask(),
             steps,
             conds,
@@ -207,6 +236,19 @@ impl BranchProgram {
         }
     }
 
+    /// Steps a row binding `bound` may bind the current event at: in step
+    /// order a root, or any step not yet bound (a Kleene step may absorb
+    /// more) whose predecessors the engine still checks; under an order,
+    /// the row's next step.
+    #[inline]
+    pub fn open(&self, bound: u64) -> u64 {
+        match (self.ordered, bound) {
+            (true, _) => self.next[bound.count_ones() as usize],
+            (false, 0) => self.roots,
+            (false, _) => self.kleene_mask | !bound,
+        }
+    }
+
     /// Steps an event of type `t` could bind or extend (0: none — the
     /// branch need not look at the event at all).
     pub fn accepting(&self, t: TypeId) -> u64 {
@@ -216,12 +258,17 @@ impl BranchProgram {
     }
 
     /// Copy the attributes conditions read from single step `step` into
-    /// `row`'s value slots, from the event binding it.
+    /// `row`'s value slots, from the event binding it (a slot whose
+    /// attribute the event lacks is marked unknown).
     pub fn fill_vals(&self, row: &mut [u64], step: &Step, attrs: &[f64]) {
         for &(slot, attr) in &step.vals {
-            if let Some(v) = attrs.get(attr) {
-                row[self.known_at + slot / 64] |= 1 << (slot % 64);
-                row[self.vals_at + slot] = v.to_bits();
+            let (word, bit) = (self.known_at + slot / 64, 1 << (slot % 64));
+            match attrs.get(attr) {
+                Some(v) => {
+                    row[word] |= bit;
+                    row[self.vals_at + slot] = v.to_bits();
+                }
+                None => row[word] &= !bit,
             }
         }
     }
@@ -236,11 +283,25 @@ pub struct Program {
 }
 
 impl Program {
-    /// Lower a plan.
+    /// Lower a plan, ordering each branch by [`CostModel::static_for`].
     pub fn lower(plan: &Plan) -> Self {
+        Self::lower_with(plan, CostModel::static_for)
+    }
+
+    /// Lower a plan, ordering each branch by the cost model `model` gives
+    /// for it ([`CostModel::order`]); `CostModel::uniform` keeps step order.
+    pub fn lower_with(plan: &Plan, model: impl Fn(&Branch) -> CostModel) -> Self {
+        let w = plan.window.size() as f64;
         Self {
             window: plan.window,
-            branches: plan.branches.iter().map(BranchProgram::lower).collect(),
+            branches: (plan.branches.iter())
+                .map(|b| BranchProgram::lower(b, model(b).order(b, w)))
+                .collect(),
         }
+    }
+
+    /// Each branch's evaluation order: step indices, first bound first.
+    pub fn orders(&self) -> impl Iterator<Item = &[usize]> {
+        self.branches.iter().map(|bp| bp.order.as_slice())
     }
 }

@@ -150,8 +150,8 @@ mod tests {
 }
 
 /// Estimate a [`PhiModel`] for a compiled plan branch from a stream sample:
-/// rates and pairwise selectivities are measured the same way the ZStream
-/// cost model measures them ([`crate::tree::estimate_cost_model`]), giving
+/// rates and pairwise selectivities are measured the same way the join-order
+/// cost model measures them ([`crate::plan::CostModel::estimate`]), giving
 /// the analytical `C_ECEP` prediction for real data. Experiments use this to
 /// sanity-check measured partial-match counters against the §3.2 model.
 pub fn estimate_phi(
@@ -159,7 +159,7 @@ pub fn estimate_phi(
     window: f64,
     sample: &[dlacep_events::PrimitiveEvent],
 ) -> PhiModel {
-    let model = crate::tree::estimate_cost_model(branch, sample);
+    let model = crate::plan::CostModel::estimate(branch, sample);
     PhiModel {
         window,
         rates: model.rates,

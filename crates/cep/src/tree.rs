@@ -14,7 +14,7 @@
 use crate::engine::{CepEngine, EngineStats, EventArena, Match};
 use crate::pattern::ast::Pattern;
 use crate::pattern::condition::CompiledPred;
-use crate::plan::{Branch, CompileError, Plan, Slot, StepKind};
+use crate::plan::{Branch, CompileError, CostModel, Plan, Shape, Slot, StepKind};
 use crate::state::{EntrySnapshot, StateError, TreeEngineState};
 use dlacep_events::{EventId, PrimitiveEvent, WindowSpec};
 
@@ -49,88 +49,6 @@ impl From<CompileError> for TreeError {
     }
 }
 
-/// Cost model: per-step arrival rates and pairwise predicate selectivities
-/// (the `R` and `SEL` vectors of the paper's Φ formula, §3.2).
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    /// Expected events matching step `i` per stream position.
-    pub rates: Vec<f64>,
-    /// `sel[i][j]`: probability the predicates between steps `i` and `j`
-    /// hold for a random pair (1.0 when unconstrained).
-    pub sel: Vec<Vec<f64>>,
-}
-
-impl CostModel {
-    /// Uniform model (rates 1, selectivities 1): yields a balanced tree.
-    pub fn uniform(n: usize) -> Self {
-        Self {
-            rates: vec![1.0; n],
-            sel: vec![vec![1.0; n]; n],
-        }
-    }
-
-    /// Expected cardinality of a sub-match over the step range `[i, j)`
-    /// within a window of `w` positions.
-    fn cardinality(&self, i: usize, j: usize, w: f64) -> f64 {
-        let mut c = 1.0;
-        for s in i..j {
-            c *= w * self.rates[s];
-        }
-        for a in i..j {
-            for b in (a + 1)..j {
-                c *= self.sel[a][b];
-            }
-        }
-        c
-    }
-}
-
-/// Shape of the evaluation tree over steps `[lo, hi)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Shape {
-    Leaf(usize),
-    Node(Box<Shape>, Box<Shape>),
-}
-
-/// Dynamic program over contiguous ranges: minimize the total expected
-/// intermediate cardinality (ZStream's plan search).
-fn optimize_shape(model: &CostModel, n: usize, w: f64) -> Shape {
-    assert!(n > 0);
-    let mut best_cost: Vec<Vec<f64>> = vec![vec![0.0; n + 1]; n + 1];
-    let mut best_split: Vec<Vec<usize>> = vec![vec![0; n + 1]; n + 1];
-    for len in 2..=n {
-        for i in 0..=(n - len) {
-            let j = i + len;
-            let mut best = f64::INFINITY;
-            let mut arg = i + 1;
-            #[allow(clippy::needless_range_loop)]
-            for k in (i + 1)..j {
-                // Joining [i,k) with [k,j) materializes card(i,k)+card(k,j)
-                // intermediate tuples on top of the children's own cost.
-                let c = best_cost[i][k]
-                    + best_cost[k][j]
-                    + model.cardinality(i, k, w)
-                    + model.cardinality(k, j, w);
-                if c < best {
-                    best = c;
-                    arg = k;
-                }
-            }
-            best_cost[i][j] = best;
-            best_split[i][j] = arg;
-        }
-    }
-    fn build(split: &[Vec<usize>], i: usize, j: usize) -> Shape {
-        if j - i == 1 {
-            Shape::Leaf(i)
-        } else {
-            let k = split[i][j];
-            Shape::Node(Box::new(build(split, i, k)), Box::new(build(split, k, j)))
-        }
-    }
-    build(&best_split, 0, n)
-}
-
 /// A buffered sub-match at a tree node.
 #[derive(Debug, Clone)]
 struct Entry {
@@ -151,11 +69,11 @@ struct TreeNode {
 }
 
 /// An eager condition over `(step, attribute)` leaves with the steps it
-/// needs bound — the form the tree and lazy engines evaluate.
-pub(crate) type StepCond = (u64, CompiledPred<(usize, usize)>);
+/// needs bound — the form the tree engine evaluates.
+type StepCond = (u64, CompiledPred<(usize, usize)>);
 
 /// Lower a branch's eager conditions, once, when an engine is built.
-pub(crate) fn step_conds(branch: &Branch) -> Vec<StepCond> {
+fn step_conds(branch: &Branch) -> Vec<StepCond> {
     let slots = branch.slots();
     let mut leaf = |name: &str, attr: usize| match slots.get(name)? {
         Slot::Step(s) => Some((*s, attr)),
@@ -167,7 +85,7 @@ pub(crate) fn step_conds(branch: &Branch) -> Vec<StepCond> {
 }
 
 /// Evaluate a lowered condition with step `s` bound to event `ids[s]`.
-pub(crate) fn check_bound(
+fn check_bound(
     cond: &CompiledPred<(usize, usize)>,
     ids: &[Option<EventId>],
     arena: &EventArena,
@@ -196,7 +114,7 @@ impl BranchTree {
             return Err(TreeError::UnsupportedOperator);
         }
         let n = branch.steps.len();
-        let shape = optimize_shape(model, n, w);
+        let shape = model.tree_shape(n, w);
         let mut nodes: Vec<TreeNode> = Vec::new();
         let mut leaf_of = vec![usize::MAX; n];
         fn add(nodes: &mut Vec<TreeNode>, leaf_of: &mut [usize], shape: &Shape) -> usize {
@@ -602,67 +520,6 @@ impl CepEngine for TreeEngine {
     }
 }
 
-/// Estimate a [`CostModel`] for a plan branch from a stream sample: rates are
-/// measured type frequencies, pairwise selectivities are measured over
-/// sampled event pairs against each two-step condition.
-pub fn estimate_cost_model(branch: &Branch, sample: &[PrimitiveEvent]) -> CostModel {
-    let n = branch.steps.len();
-    let mut rates = vec![0.0; n];
-    let total = sample.len().max(1) as f64;
-    for (s, step) in branch.steps.iter().enumerate() {
-        if let StepKind::Single { types, .. } = &step.kind {
-            let c = sample.iter().filter(|e| types.contains(e.type_id)).count();
-            rates[s] = c as f64 / total;
-        }
-    }
-    let mut sel = vec![vec![1.0; n]; n];
-    for (mask, cond) in &step_conds(branch) {
-        let steps: Vec<usize> = (0..n).filter(|s| mask & (1 << s) != 0).collect();
-        if steps.len() != 2 {
-            continue;
-        }
-        let (i, j) = (steps[0], steps[1]);
-        let pick = |s: usize| -> Vec<&PrimitiveEvent> {
-            sample
-                .iter()
-                .filter(|e| match &branch.steps[s].kind {
-                    StepKind::Single { types, .. } => types.contains(e.type_id),
-                    StepKind::Kleene { .. } => false,
-                })
-                .take(64)
-                .collect()
-        };
-        let (events_i, events_j) = (pick(i), pick(j));
-        let mut pass = 0usize;
-        let mut tried = 0usize;
-        for a in &events_i {
-            for b in &events_j {
-                let lookup = |&(step, at): &(usize, usize)| -> Option<f64> {
-                    if step == i {
-                        a.attr(at)
-                    } else if step == j {
-                        b.attr(at)
-                    } else {
-                        None
-                    }
-                };
-                if let Some(ok) = cond.eval(&lookup) {
-                    tried += 1;
-                    if ok {
-                        pass += 1;
-                    }
-                }
-            }
-        }
-        if tried > 0 {
-            let s = pass as f64 / tried as f64;
-            sel[i][j] = s;
-            sel[j][i] = s;
-        }
-    }
-    CostModel { rates, sel }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -701,7 +558,7 @@ mod tests {
         let mut model = CostModel::uniform(3);
         model.sel[0][1] = 0.001;
         model.sel[1][0] = 0.001;
-        let shape = optimize_shape(&model, 3, 10.0);
+        let shape = model.tree_shape(3, 10.0);
         assert_eq!(
             shape,
             Shape::Node(
@@ -869,7 +726,7 @@ mod tests {
         );
         let plan = Plan::compile(&p).unwrap();
         let s = stream(&[A, A, A, B]);
-        let m = estimate_cost_model(&plan.branches[0], s.events());
+        let m = CostModel::estimate(&plan.branches[0], s.events());
         assert!((m.rates[0] - 0.75).abs() < 1e-9);
         assert!((m.rates[1] - 0.25).abs() < 1e-9);
     }
@@ -887,7 +744,7 @@ mod tests {
         for i in 0..20 {
             s.push(if i % 2 == 0 { A } else { B }, i, vec![i as f64]);
         }
-        let m = estimate_cost_model(&plan.branches[0], s.events());
+        let m = CostModel::estimate(&plan.branches[0], s.events());
         assert!(
             m.sel[0][1] > 0.3 && m.sel[0][1] < 0.7,
             "sel {}",

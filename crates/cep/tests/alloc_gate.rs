@@ -1,15 +1,19 @@
 //! Allocation gate for the NFA engine's per-event path: in steady state
 //! (stores and arena at their working size) `Q_A1(j=4, k=10)` — the repo
 //! benchmark's heavy-partials exact workload, ≈ 48 partial matches created
-//! and ≈ 160 conditions evaluated per event — may allocate only for the
-//! matches it emits. The engine this replaced made ≈ 207 allocations per
-//! event on the same input.
+//! and ≈ 160 conditions evaluated per event in step order — may allocate
+//! only for the matches it emits, in step order and in the order the cost
+//! model picks (last step first, the rest pulled from the window). The
+//! engine this replaced made ≈ 207 allocations per event on the same input.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dlacep_cep::{CepEngine, NfaEngine, Pattern, PatternExpr, Predicate, TypeSet};
+use dlacep_cep::program::Program;
+use dlacep_cep::{CepEngine, CostModel, Match, NfaConfig, NfaEngine, Pattern, PatternExpr, Plan};
+use dlacep_cep::{Predicate, TypeSet};
 use dlacep_events::{PrimitiveEvent, TypeId, WindowSpec};
+use std::sync::Arc;
 
 /// Counts every allocation of the process: this file holds one test, so
 /// nothing else runs while it measures.
@@ -77,23 +81,35 @@ fn stream(n: u64) -> Vec<PrimitiveEvent> {
         .collect()
 }
 
-#[test]
-fn steady_state_allocates_only_for_matches() {
-    const WARM: usize = 4_000;
-    let events = stream(8_000);
-    let mut engine = NfaEngine::new(&q_a1(4, 10, &[1, 2, 3], 0.95, 1.05, 24)).unwrap();
+const WARM: usize = 4_000;
+
+/// Run `engine` over `events`; returns its matches and, over the events
+/// after [`WARM`], the partial matches it created per event and how often
+/// it allocated.
+fn measure(mut engine: NfaEngine, events: &[PrimitiveEvent]) -> (Vec<Match>, u64, u64) {
     let mut matches = engine.run(&events[..WARM]);
     let created = engine.stats().partial_matches_created;
-
     let before = ALLOCS.load(Ordering::Relaxed);
     for ev in &events[WARM..] {
         engine.process(ev);
         matches.append(&mut engine.drain_matches());
     }
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-
     let measured = (events.len() - WARM) as u64;
     let per_event = (engine.stats().partial_matches_created - created) / measured;
+    (matches, per_event, allocs)
+}
+
+#[test]
+fn steady_state_allocates_only_for_matches() {
+    let events = stream(8_000);
+    let pattern = q_a1(4, 10, &[1, 2, 3], 0.95, 1.05, 24);
+    let plan = Plan::compile(&pattern).unwrap();
+    let step_order = Program::lower_with(&plan, |b| CostModel::uniform(b.steps.len()));
+    let step_order = NfaEngine::from_program(Arc::new(step_order), NfaConfig::default());
+    let measured = (events.len() - WARM) as u64;
+
+    let (matches, per_event, allocs) = measure(step_order, &events);
     assert!(
         per_event >= 20,
         "the gate must measure a heavy-partials load, got {per_event} partial matches per event"
@@ -101,6 +117,13 @@ fn steady_state_allocates_only_for_matches() {
     assert!(!matches.is_empty());
     assert!(
         allocs <= 2 * measured,
-        "{allocs} allocations over {measured} steady-state events (limit 2 per event)"
+        "step order: {allocs} allocations over {measured} steady-state events (limit 2 per event)"
+    );
+
+    let (ordered, _, allocs) = measure(NfaEngine::new(&pattern).unwrap(), &events);
+    assert_eq!(ordered, matches);
+    assert!(
+        allocs <= 2 * measured,
+        "chosen order: {allocs} allocations over {measured} steady-state events (limit 2 per event)"
     );
 }

@@ -1,17 +1,20 @@
 //! Property-based equivalence: on random streams and random simple patterns,
-//! the NFA, tree and lazy engines must all produce exactly the match set of a
-//! brute-force oracle that enumerates every event combination.
+//! the NFA in every evaluation order (step order, the static model's, a
+//! rate-ordered lazy chain) and the tree engine must all produce exactly the
+//! match set of a brute-force oracle that enumerates every event
+//! combination — and every order the step-order match *sequence*.
 
 use dlacep_cep::engine::CepEngine;
 use dlacep_cep::pattern::ast::{Pattern, PatternExpr, TypeSet};
 use dlacep_cep::pattern::condition::{Expr, Predicate};
-use dlacep_cep::plan::{Plan, StepKind};
+use dlacep_cep::plan::{CostModel, Plan, StepKind};
+use dlacep_cep::program::Program;
 use dlacep_cep::sharded::run_sharded;
-use dlacep_cep::{LazyEngine, NfaEngine, TreeEngine};
+use dlacep_cep::{Match, NfaConfig, NfaEngine, TreeEngine};
 use dlacep_events::{EventId, EventStream, PrimitiveEvent, TypeId, WindowSpec};
 use dlacep_par::ThreadPool;
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// One pool shared by every proptest case: sharded evaluation must be
 /// correct regardless of how a long-lived pool interleaves shards.
@@ -109,6 +112,30 @@ fn enumerate(
     }
 }
 
+/// The NFA ordered as a lazy chain by per-step `rates` (ascending; `None`:
+/// step order).
+fn lazy(p: &Pattern, rates: Option<&[f64]>) -> NfaEngine {
+    let model = |b: &dlacep_cep::plan::Branch| match rates {
+        Some(r) => CostModel {
+            rates: r.to_vec(),
+            ..CostModel::uniform(b.steps.len())
+        },
+        None => CostModel::uniform(b.steps.len()),
+    };
+    let program = Program::lower_with(&Plan::compile(p).unwrap(), model);
+    NfaEngine::from_program(Arc::new(program), NfaConfig::default())
+}
+
+/// What `engine` emits, event by event.
+fn per_event(mut engine: NfaEngine, events: &[PrimitiveEvent]) -> Vec<Vec<Match>> {
+    (events.iter())
+        .map(|ev| {
+            engine.process(ev);
+            engine.drain_matches()
+        })
+        .collect()
+}
+
 fn keys(ms: &[dlacep_cep::Match]) -> Vec<Vec<EventId>> {
     let mut k: Vec<Vec<EventId>> = ms.iter().map(|m| m.event_ids.clone()).collect();
     k.sort();
@@ -163,7 +190,7 @@ proptest! {
         let expected = brute_force(&p, s.events());
         let mut nfa = NfaEngine::new(&p).unwrap();
         let mut tree = TreeEngine::new(&p).unwrap();
-        let mut lazy = LazyEngine::new(&p, Some(&[0.6, 0.4])).unwrap();
+        let mut lazy = lazy(&p, Some(&[0.6, 0.4]));
         prop_assert_eq!(keys(&nfa.run(s.events())), expected.clone());
         prop_assert_eq!(keys(&tree.run(s.events())), expected.clone());
         prop_assert_eq!(keys(&lazy.run(s.events())), expected);
@@ -187,7 +214,7 @@ proptest! {
         let expected = brute_force(&p, s.events());
         let mut nfa = NfaEngine::new(&p).unwrap();
         let mut tree = TreeEngine::new(&p).unwrap();
-        let mut lazy = LazyEngine::new(&p, None).unwrap();
+        let mut lazy = lazy(&p, None);
         prop_assert_eq!(keys(&nfa.run(s.events())), expected.clone());
         prop_assert_eq!(keys(&tree.run(s.events())), expected.clone());
         prop_assert_eq!(keys(&lazy.run(s.events())), expected);
@@ -247,8 +274,40 @@ proptest! {
             || TreeEngine::new(&p).unwrap(), window, s.events(), target, pool());
         prop_assert_eq!(keys(&tree_m), keys(&serial_matches));
         let (lazy_m, _) = run_sharded(
-            || LazyEngine::new(&p, Some(&[0.6, 0.4])).unwrap(), window, s.events(), target, pool());
-        prop_assert_eq!(keys(&lazy_m), keys(&serial_matches));
+            || lazy(&p, Some(&[0.6, 0.4])), window, s.events(), target, pool());
+        prop_assert_eq!(&lazy_m, &serial_matches);
+    }
+
+    #[test]
+    fn every_order_emits_the_step_order_sequence_event_by_event(
+        types in prop::collection::vec(0u8..4, 1..40),
+        vals in prop::collection::vec(-5i8..5, 40),
+        w in 2u64..12,
+    ) {
+        // Q_A1's shape, types overlapping so one event fits several steps:
+        // every condition mentions `d`, so the static model binds it first
+        // and pulls the rest from the window.
+        let s = make_stream(&types, &vals);
+        let any = || TypeSet::new(vec![TypeId(0), TypeId(1), TypeId(2), TypeId(3)]);
+        let p = Pattern::new(
+            PatternExpr::Seq(vec![
+                PatternExpr::event(any(), "a"),
+                leaf(1, "b"),
+                PatternExpr::event(any(), "c"),
+                PatternExpr::event(any(), "d"),
+            ]),
+            ["a", "b", "c"]
+                .map(|x| Predicate::lt(Expr::attr(x, 0), Expr::attr("d", 0)))
+                .to_vec(),
+            WindowSpec::Count(w),
+        );
+        let program = Program::lower(&Plan::compile(&p).unwrap());
+        prop_assert_eq!(program.orders().next().unwrap(), &[3, 2, 1, 0][..]);
+        let want = per_event(lazy(&p, None), s.events());
+        prop_assert_eq!(keys(&want.concat()), brute_force(&p, s.events()));
+        prop_assert_eq!(&per_event(NfaEngine::new(&p).unwrap(), s.events()), &want);
+        let rates = [0.4, 0.1, 0.3, 0.2];
+        prop_assert_eq!(&per_event(lazy(&p, Some(&rates)), s.events()), &want);
     }
 
     #[test]

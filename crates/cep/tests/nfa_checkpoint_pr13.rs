@@ -131,3 +131,12 @@ fn parent_checkpoint_imports_and_resumes() {
     assert_eq!(resumed, uninterrupted, "emitted sequence, order included");
     assert_eq!(engine.stats(), reference.stats());
 }
+
+/// The fixture pins rows the step-order pass stores: an edit of the cost
+/// model that reorders this pattern must fail here, not as a byte mismatch.
+#[test]
+fn fixture_pattern_keeps_step_order() {
+    let program = dlacep_cep::Program::lower(&dlacep_cep::Plan::compile(&pattern()).unwrap());
+    let step_order = |o: &[usize]| o.iter().enumerate().all(|(k, s)| k == *s);
+    assert!(program.orders().all(step_order));
+}

@@ -1,12 +1,16 @@
 //! Targeted integration tests of operator *combinations* the unit tests
 //! don't cover: KC together with NEG, nested structures under DISJ, time
-//! windows on the lazy/tree engines, and engine behaviour on degenerate
-//! inputs.
+//! windows under a rate-ordered evaluation and on the tree engine, and
+//! engine behaviour on degenerate inputs.
 
 use dlacep_cep::engine::CepEngine;
 use dlacep_cep::pattern::condition::Expr;
-use dlacep_cep::{LazyEngine, NfaEngine, Pattern, PatternExpr, Predicate, TreeEngine, TypeSet};
+use dlacep_cep::program::Program;
+use dlacep_cep::{
+    CostModel, NfaConfig, NfaEngine, Pattern, PatternExpr, Plan, Predicate, TreeEngine, TypeSet,
+};
 use dlacep_events::{EventStream, TypeId, WindowSpec};
+use std::sync::Arc;
 
 const A: TypeId = TypeId(0);
 const B: TypeId = TypeId(1);
@@ -91,7 +95,14 @@ fn lazy_engine_time_windows_agree_with_nfa() {
         s.push(*t, *ts, vec![i as f64]);
     }
     let mut nfa = NfaEngine::new(&p).unwrap();
-    let mut lazy = LazyEngine::new(&p, Some(&[0.6, 0.4])).unwrap();
+    // The lazy chain: the rarer `b` first, `a` pulled from the window.
+    let model = |_: &_| CostModel {
+        rates: vec![0.6, 0.4],
+        ..CostModel::uniform(2)
+    };
+    let program = Program::lower_with(&Plan::compile(&p).unwrap(), model);
+    assert_eq!(program.orders().next().unwrap(), &[1, 0][..]);
+    let mut lazy = NfaEngine::from_program(Arc::new(program), NfaConfig::default());
     let keys = |ms: Vec<dlacep_cep::Match>| -> Vec<_> {
         let mut k: Vec<_> = ms.into_iter().map(|m| m.event_ids).collect();
         k.sort();

@@ -72,8 +72,9 @@ pub struct DurConfig {
     /// Take a checkpoint every N offered events; `0` = only on explicit
     /// [`DurableDlacep::checkpoint_now`] calls.
     pub checkpoint_every_events: u64,
-    /// Checkpoints retained after each new one (≥ 1). Older checkpoints and
-    /// the WAL segments below the oldest retained one are pruned.
+    /// Checkpoints retained after each new one (at least two are). Older
+    /// checkpoints, and once two exist the WAL segments below the oldest
+    /// retained one, are pruned.
     pub keep_checkpoints: usize,
     /// Registry models retained after each publication (≥ 1). Models below
     /// the newest `keep_models` versions are pruned.

@@ -307,3 +307,12 @@ fn v1_shard_store_upgrades_in_place() {
         assert_eq!(got.report.extractor_stats, want.report.extractor_stats);
     }
 }
+
+/// The fixture pins rows the step-order pass stores: an edit of the cost
+/// model that reorders this pattern must fail here, not as a byte mismatch.
+#[test]
+fn fixture_pattern_keeps_step_order() {
+    let program = dlacep_cep::Program::lower(&dlacep_cep::Plan::compile(&pattern()).unwrap());
+    let step_order = |o: &[usize]| o.iter().enumerate().all(|(k, s)| k == *s);
+    assert!(program.orders().all(step_order));
+}

@@ -4,13 +4,15 @@
 //! prefix back from the log; and a log that cannot be that prefix — shorter
 //! than the checkpoint's offset, or holding other matches than the
 //! checkpoint marks — fails recovery with a typed error instead of resuming
-//! on output nobody emitted.
+//! on output nobody emitted. And a store's first checkpoint, while it is the
+//! only one, leaves the WAL whole: when it rots, recovery replays the run
+//! from its first event.
 
 use dlacep_cep::{Match, Pattern, PatternExpr, Predicate, TypeSet};
 use dlacep_core::durable::{encode_checkpoint, DurConfig, DurError, DurableDlacep};
 use dlacep_core::filter::PassthroughFilter;
 use dlacep_core::runtime::{RuntimeConfig, RuntimeError, StreamingDlacep};
-use dlacep_dur::{Decoder, EmitError, EmitLog, MemStore, Store, EMIT_LOG_NAME};
+use dlacep_dur::{Decoder, EmitError, EmitLog, MemStore, Store, WalConfig, EMIT_LOG_NAME};
 use dlacep_events::{EventId, KeyExtractor, TypeId, WindowSpec};
 use dlacep_serve::{FleetConfig, FleetError, ShardedDlacep};
 use std::sync::Arc;
@@ -250,4 +252,128 @@ fn a_log_whose_matches_disagree_with_the_mark_fails_recovery_with_a_typed_error(
         recover_fleet(store),
         Err(FleetError::Runtime(RuntimeError::Restore(_)))
     ));
+}
+
+/// WAL segments of a few records each, so pruning below a checkpoint
+/// removes some.
+const SMALL_SEGMENTS: WalConfig = WalConfig {
+    segment_max_bytes: 256,
+    sync_every: 4,
+};
+
+/// Events 0..48; a single checkpoint falls at event 24 and the run dies at
+/// event 30.
+fn lone_checkpoint_input() -> Vec<(TypeId, u64)> {
+    (0..48u64).map(|i| (TypeId((i % 3) as u32), i)).collect()
+}
+
+const CRASH_AT: usize = 30;
+
+/// Flip a byte in the middle of the store's only published checkpoint.
+fn corrupt_lone_checkpoint(store: &mut MemStore) {
+    let names = store.list().unwrap();
+    let [name] = names
+        .iter()
+        .filter(|n| n.ends_with(".ck"))
+        .collect::<Vec<_>>()[..]
+    else {
+        panic!("expected exactly one checkpoint, found {names:?}");
+    };
+    let mut bytes = store.read(name).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    store.truncate(name, 0).unwrap();
+    store.append(name, &bytes).unwrap();
+}
+
+#[test]
+fn a_corrupted_lone_durable_checkpoint_falls_back_to_the_whole_wal() {
+    let input = lone_checkpoint_input();
+    let cfg = || DurConfig {
+        wal: SMALL_SEGMENTS,
+        checkpoint_every_events: 24,
+        ..DurConfig::default()
+    };
+    let open = || {
+        let (pattern, config) = (seq_ab(), RuntimeConfig::default());
+        DurableDlacep::new(
+            pattern,
+            PassthroughFilter,
+            config,
+            cfg(),
+            MemStore::new(),
+            None,
+        )
+        .unwrap()
+    };
+    let mut reference = open();
+    for &(t, i) in &input {
+        reference.ingest(t, i, vec![i as f64]).unwrap();
+    }
+    let reference = reference.finish().matches;
+    assert!(reference.len() > 8);
+
+    let mut dur = open();
+    for &(t, i) in &input[..CRASH_AT] {
+        dur.ingest(t, i, vec![i as f64]).unwrap();
+    }
+    let mut store = dur.into_store();
+    corrupt_lone_checkpoint(&mut store);
+    let (pattern, config) = (seq_ab(), RuntimeConfig::default());
+    let (mut rec, report) =
+        DurableDlacep::recover(pattern, PassthroughFilter, config, cfg(), store, None)
+            .expect("the WAL still covers the run from its first event");
+    assert_eq!(
+        (report.checkpoint_seq, report.checkpoints_skipped),
+        (None, 1)
+    );
+    assert_eq!(report.resume_seq as usize, CRASH_AT);
+    for &(t, i) in &input[CRASH_AT..] {
+        rec.ingest(t, i, vec![i as f64]).unwrap();
+    }
+    assert_eq!(rec.finish().matches, reference);
+}
+
+#[test]
+fn a_corrupted_lone_shard_checkpoint_falls_back_to_the_whole_wal() {
+    let input = lone_checkpoint_input();
+    let cfg = || FleetConfig {
+        wal: SMALL_SEGMENTS,
+        checkpoint_every_events: 24,
+        sync_every_events: 4,
+        ..fleet_config()
+    };
+    let create = || {
+        let (filter, trainer) = (Arc::new(|| PassthroughFilter), Arc::new(|| None));
+        ShardedDlacep::create(seq_ab(), cfg(), filter, trainer, vec![MemStore::new()]).unwrap()
+    };
+    let matches = |fleet: ShardedDlacep<PassthroughFilter, MemStore>| -> Vec<Vec<Match>> {
+        fleet
+            .finish()
+            .keys
+            .into_iter()
+            .map(|k| k.report.matches)
+            .collect()
+    };
+    let mut reference = create();
+    for &(t, i) in &input {
+        reference.ingest(t, i, vec![i as f64]).unwrap();
+    }
+    let reference = matches(reference);
+    assert!(reference.concat().len() > 8);
+
+    let mut fleet = create();
+    for &(t, i) in &input[..CRASH_AT] {
+        fleet.ingest(t, i, vec![i as f64]).unwrap();
+    }
+    let mut stores = fleet.into_stores();
+    corrupt_lone_checkpoint(&mut stores[0]);
+    let (filter, trainer) = (Arc::new(|| PassthroughFilter), Arc::new(|| None));
+    let (mut rec, report) = ShardedDlacep::recover(seq_ab(), cfg(), filter, trainer, stores)
+        .expect("the WAL still covers the run from its first event");
+    assert_eq!(report.shards[0].checkpoint_seq, None);
+    for &(t, i) in &input[report.resume_seq as usize - 1..] {
+        rec.ingest(t, i, vec![i as f64]).unwrap();
+    }
+    assert_eq!(matches(rec), reference);
 }

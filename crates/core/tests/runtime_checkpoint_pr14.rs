@@ -193,3 +193,12 @@ fn parent_checkpoint_restores_and_continues() {
     assert_eq!(resumed.events_relayed, full.events_relayed);
     assert_eq!(resumed.final_mode, full.final_mode);
 }
+
+/// The fixture pins rows the step-order pass stores: an edit of the cost
+/// model that reorders this pattern must fail here, not as a byte mismatch.
+#[test]
+fn fixture_pattern_keeps_step_order() {
+    let program = dlacep_cep::Program::lower(&dlacep_cep::Plan::compile(&pattern()).unwrap());
+    let step_order = |o: &[usize]| o.iter().enumerate().all(|(k, s)| k == *s);
+    assert!(program.orders().all(step_order));
+}

@@ -94,9 +94,12 @@ pub fn load_latest_checkpoint<S: Store>(store: &S) -> io::Result<CheckpointScan>
     Ok(scan)
 }
 
-/// Delete all but the `keep` newest published checkpoints (and any stale
-/// `.tmp` leftovers). Returns the seq of the oldest kept checkpoint, if
-/// any — the WAL can be pruned below it.
+/// Delete all but the `keep` newest published checkpoints — never fewer
+/// than two, so the newest has a fallback — and any stale `.tmp` leftovers.
+/// Returns the seq of the oldest kept checkpoint once at least two are
+/// kept: the WAL can be pruned below it. While a store holds a single
+/// checkpoint the WAL from the first event is that checkpoint's fallback,
+/// and nothing may be pruned.
 pub fn prune_checkpoints<S: Store>(store: &mut S, keep: usize) -> io::Result<Option<u64>> {
     let names = store.list()?;
     let mut published: Vec<(u64, String)> = names
@@ -104,7 +107,7 @@ pub fn prune_checkpoints<S: Store>(store: &mut S, keep: usize) -> io::Result<Opt
         .filter_map(|name| parse_checkpoint_name(name).map(|seq| (seq, name.clone())))
         .collect();
     published.sort();
-    let cut = published.len().saturating_sub(keep.max(1));
+    let cut = published.len().saturating_sub(keep.max(2));
     for (_, name) in &published[..cut] {
         store.remove(name)?;
     }
@@ -116,7 +119,7 @@ pub fn prune_checkpoints<S: Store>(store: &mut S, keep: usize) -> io::Result<Opt
             store.remove(name)?;
         }
     }
-    Ok(published.get(cut).map(|(seq, _)| *seq))
+    Ok((published.len() - cut >= 2).then(|| published[cut].0))
 }
 
 #[cfg(test)]
@@ -181,6 +184,19 @@ mod tests {
             store.list().unwrap(),
             vec![checkpoint_name(6), checkpoint_name(8)]
         );
+        // A newest checkpoint always keeps a fallback.
+        assert_eq!(prune_checkpoints(&mut store, 1).unwrap(), Some(6));
+        assert_eq!(store.list().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_lone_checkpoint_leaves_the_wal_whole() {
+        let mut store = MemStore::new();
+        assert_eq!(prune_checkpoints(&mut store, 2).unwrap(), None);
+        write_checkpoint(&mut store, 4, b"s").unwrap();
+        assert_eq!(prune_checkpoints(&mut store, 2).unwrap(), None);
+        write_checkpoint(&mut store, 9, b"s").unwrap();
+        assert_eq!(prune_checkpoints(&mut store, 2).unwrap(), Some(4));
     }
 
     #[test]

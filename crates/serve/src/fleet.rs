@@ -105,7 +105,8 @@ pub struct FleetConfig {
     /// Fleet-level checkpoint cadence in offered events (0 = only explicit
     /// [`ShardedDlacep::checkpoint_now`] calls).
     pub checkpoint_every_events: u64,
-    /// Checkpoints retained per shard after a new one lands.
+    /// Checkpoints retained per shard after a new one lands (at least two
+    /// are; see `dur::prune_checkpoints`).
     pub keep_checkpoints: usize,
     /// Attach a metrics [`Registry`] to every key runtime.
     pub obs: bool,

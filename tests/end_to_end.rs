@@ -144,9 +144,9 @@ fn negation_pattern_pipeline_has_no_spurious_matches_when_negator_kept() {
 
 #[test]
 fn engines_agree_across_crates_on_generated_data() {
-    use dlacep::cep::plan::Plan;
-    use dlacep::cep::tree::estimate_cost_model;
-    use dlacep::cep::{LazyEngine, TreeEngine};
+    use dlacep::cep::plan::{CostModel, Plan};
+    use dlacep::cep::program::Program;
+    use dlacep::cep::{NfaConfig, TreeEngine};
     let (_, stream) = StockConfig {
         num_events: 2_000,
         ..Default::default()
@@ -154,13 +154,15 @@ fn engines_agree_across_crates_on_generated_data() {
     .generate();
     let pattern = seq_pattern(&[0, 1, 2], 10);
     let plan = Plan::compile(&pattern).unwrap();
-    let model = estimate_cost_model(&plan.branches[0], stream.events());
+    let model = CostModel::estimate(&plan.branches[0], stream.events());
     let keys = |ms: Vec<dlacep::cep::Match>| -> std::collections::BTreeSet<_> {
         ms.into_iter().map(|m| m.event_ids).collect()
     };
     let mut nfa = NfaEngine::new(&pattern).unwrap();
     let mut tree = TreeEngine::with_cost_model(&pattern, Some(model.clone())).unwrap();
-    let mut lazy = LazyEngine::new(&pattern, Some(&model.rates)).unwrap();
+    // The lazy chain: the NFA in the order the measured model picks.
+    let program = Program::lower_with(&plan, |_| model.clone());
+    let mut lazy = NfaEngine::from_program(std::sync::Arc::new(program), NfaConfig::default());
     let a = keys(nfa.run(stream.events()));
     assert!(!a.is_empty());
     assert_eq!(a, keys(tree.run(stream.events())));
@@ -170,22 +172,25 @@ fn engines_agree_across_crates_on_generated_data() {
 #[test]
 fn throughput_gain_reflects_partial_match_reduction() {
     // The §3.2 story end-to-end: a selective pattern on a heavy stream; the
-    // oracle-filtered extractor must create far fewer partial matches.
-    use dlacep::cep::Predicate;
+    // oracle-filtered extractor must create far fewer partial matches. The
+    // pattern is selective through a rare last type, not a condition, so
+    // the cost model keeps step order and the exact engine materialises
+    // every prefix of frequent events (a band on the last step would be
+    // bound first and prune most of them before filtering could).
     let (_, stream) = StockConfig {
         num_events: 4_000,
         ..Default::default()
     }
     .generate();
-    let leaves: Vec<PatternExpr> = (0..4)
+    let mut leaves: Vec<PatternExpr> = (0..3)
         .map(|i| PatternExpr::event(TypeSet::new((0..6).map(TypeId).collect()), format!("s{i}")))
         .collect();
-    let pattern = Pattern::new(
-        PatternExpr::Seq(leaves),
-        vec![Predicate::band(0.98, ("s0", 0), ("s3", 0), 1.02, ("s0", 0))],
-        WindowSpec::Count(16),
-    );
-    let (_, _, ecep_stats) = dlacep::core::metrics::run_ecep(&pattern, stream.events());
+    leaves.push(PatternExpr::event(TypeSet::single(TypeId(30)), "s3"));
+    let pattern = Pattern::new(PatternExpr::Seq(leaves), vec![], WindowSpec::Count(16));
+    let program = dlacep::cep::Program::lower(&dlacep::cep::Plan::compile(&pattern).unwrap());
+    assert_eq!(program.orders().next().unwrap(), &[0, 1, 2, 3][..]);
+    let (ecep_matches, _, ecep_stats) = dlacep::core::metrics::run_ecep(&pattern, stream.events());
+    assert!(!ecep_matches.is_empty());
     let dl = Dlacep::new(pattern.clone(), OracleFilter::new(pattern)).unwrap();
     let report = dl.run(stream.events());
     assert!(
