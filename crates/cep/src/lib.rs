@@ -23,7 +23,6 @@ pub mod pattern;
 pub mod plan;
 pub mod program;
 pub mod rewrite;
-pub mod sharded;
 pub mod share;
 pub mod state;
 pub mod stats;
@@ -42,7 +41,6 @@ pub use pattern::error::PatternError;
 pub use plan::{CompileError, CostModel, Plan};
 pub use program::Program;
 pub use rewrite::{normalize, normalize_pattern, RewriteStats, MAX_ALTERNATIVES};
-pub use sharded::{run_sharded, run_sharded_obs, shard_layout, Shard};
 pub use share::{AttributedMatches, PatternSet, ShareReport, SharedPlan};
 pub use state::{NfaEngineState, StateError, TreeEngineState};
 pub use tree::TreeEngine;

@@ -1,7 +1,7 @@
 //! A [`Plan`] lowered for the NFA engine's per-event path: every binding
 //! name resolved to an index, every per-step table the hot loop needs
 //! computed once. Engines over the same plan share one [`Program`] behind an
-//! `Arc` (CEP shards, multi-query runs).
+//! `Arc` (one engine per batch run, multi-query runs).
 //!
 //! A stored partial match is one fixed-width row of `u64` words:
 //!

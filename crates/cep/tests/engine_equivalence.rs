@@ -9,19 +9,10 @@ use dlacep_cep::pattern::ast::{Pattern, PatternExpr, TypeSet};
 use dlacep_cep::pattern::condition::{Expr, Predicate};
 use dlacep_cep::plan::{CostModel, Plan, StepKind};
 use dlacep_cep::program::Program;
-use dlacep_cep::sharded::run_sharded;
 use dlacep_cep::{Match, NfaConfig, NfaEngine, TreeEngine};
 use dlacep_events::{EventId, EventStream, PrimitiveEvent, TypeId, WindowSpec};
-use dlacep_par::ThreadPool;
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
-
-/// One pool shared by every proptest case: sharded evaluation must be
-/// correct regardless of how a long-lived pool interleaves shards.
-fn pool() -> &'static ThreadPool {
-    static POOL: OnceLock<ThreadPool> = OnceLock::new();
-    POOL.get_or_init(|| ThreadPool::new(4))
-}
+use std::sync::Arc;
 
 /// Brute-force oracle for single-event-step branches: enumerate all
 /// assignments of distinct events to steps, check preds order, window and
@@ -242,40 +233,6 @@ proptest! {
         let mut tree = TreeEngine::new(&p).unwrap();
         prop_assert_eq!(keys(&nfa.run(s.events())), expected.clone());
         prop_assert_eq!(keys(&tree.run(s.events())), expected);
-    }
-
-    #[test]
-    fn sharded_engines_agree_with_brute_force(
-        types in prop::collection::vec(0u8..4, 1..24),
-        vals in prop::collection::vec(-5i8..5, 24),
-        w in 2u64..8,
-        target in 2usize..8,
-    ) {
-        // Every engine kind, evaluated sharded on a shared pool with a tiny
-        // shard target (so multi-shard layouts actually occur), must emit
-        // exactly the serial NFA's match sequence — same values, same order
-        // — and the key set must equal the brute-force oracle.
-        let s = make_stream(&types, &vals);
-        let p = Pattern::new(
-            PatternExpr::Seq(vec![leaf(0, "a"), leaf(1, "b")]),
-            vec![Predicate::gt(Expr::attr("b", 0), Expr::attr("a", 0))],
-            WindowSpec::Count(w),
-        );
-        let expected = brute_force(&p, s.events());
-        let mut serial = NfaEngine::new(&p).unwrap();
-        let serial_matches = serial.run(s.events());
-        prop_assert_eq!(keys(&serial_matches), expected);
-
-        let window = Plan::compile(&p).unwrap().window;
-        let (nfa_m, _) = run_sharded(
-            || NfaEngine::new(&p).unwrap(), window, s.events(), target, pool());
-        prop_assert_eq!(&nfa_m, &serial_matches);
-        let (tree_m, _) = run_sharded(
-            || TreeEngine::new(&p).unwrap(), window, s.events(), target, pool());
-        prop_assert_eq!(keys(&tree_m), keys(&serial_matches));
-        let (lazy_m, _) = run_sharded(
-            || lazy(&p, Some(&[0.6, 0.4])), window, s.events(), target, pool());
-        prop_assert_eq!(&lazy_m, &serial_matches);
     }
 
     #[test]

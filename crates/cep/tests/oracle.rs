@@ -18,16 +18,15 @@ use dlacep_cep::pattern::ast::{Pattern, PatternExpr, TypeSet};
 use dlacep_cep::pattern::condition::{Expr, Predicate};
 use dlacep_cep::plan::{CostModel, Plan};
 use dlacep_cep::program::Program;
-use dlacep_cep::{run_sharded, CepEngine, Match, NfaConfig, NfaEngine, PatternSet, TreeEngine};
+use dlacep_cep::{CepEngine, Match, NfaConfig, NfaEngine, PatternSet, TreeEngine};
 use dlacep_core::stage::MarkStage;
 use dlacep_core::{AssemblerConfig, Filter, GuardConfig};
 use dlacep_events::{EventId, PrimitiveEvent, TypeId, WindowSpec};
 use dlacep_obs::Histogram;
-use dlacep_par::ThreadPool;
 use proptest::prelude::*;
 use rand::Rng;
 use std::collections::BTreeSet;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Where a negation's gap starts.
 #[derive(Clone, Copy)]
@@ -442,7 +441,6 @@ fn relayed(events: &[PrimitiveEvent], filter: RandomFilter, w: u64) -> Vec<Primi
         GuardConfig::default(),
         assembler,
         None,
-        1,
         Histogram::disabled(),
     );
     stage.admit(events.len());
@@ -451,11 +449,6 @@ fn relayed(events: &[PrimitiveEvent], filter: RandomFilter, w: u64) -> Vec<Primi
         .filter(|(_, keep)| *keep)
         .map(|(e, _)| e.clone())
         .collect()
-}
-
-fn pool() -> &'static ThreadPool {
-    static POOL: OnceLock<ThreadPool> = OnceLock::new();
-    POOL.get_or_init(|| ThreadPool::new(2))
 }
 
 /// What `engine` emits, event by event.
@@ -553,9 +546,8 @@ proptest! {
     // Every way of running a compilable pattern reports exactly the oracle's
     // matches: the NFA in step order, in the order the static model picks
     // and in reverse step order (the same sequence, event by event), the
-    // tree engine where
-    // it applies, the shared plan with attribution (alone and de-duplicated
-    // against a copy of itself), sharded runs, and the NFA over what
+    // tree engine where it applies, the shared plan with attribution (alone
+    // and de-duplicated against a copy of itself), and the NFA over what
     // `MarkStage` relays under a random filter — which, without negation,
     // is a subset of the exact matches (§4.4: relayed events keep their
     // ids, so the window still binds).
@@ -566,7 +558,6 @@ proptest! {
         vals in prop::collection::vec(-3i8..4, 14),
         gaps in prop::collection::vec(0u8..3, 14),
         seed in 0u64..1_000,
-        target in 2usize..6,
     ) {
         if Plan::compile(&p).is_err() {
             return Ok(());
@@ -598,8 +589,6 @@ proptest! {
                 prop_assert_eq!(canon(&per), want.clone(), "shared plan on {:?}", p);
             }
         }
-        let (sharded, _) = run_sharded(|| NfaEngine::new(&p).unwrap(), p.window, &events, target, pool());
-        prop_assert_eq!(canon(&sharded), want.clone(), "sharded on {:?}", p);
 
         let kept = relayed(&events, RandomFilter(seed), p.window_size());
         let filtered = canon(&NfaEngine::new(&p).unwrap().run(&kept));

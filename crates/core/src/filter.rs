@@ -24,7 +24,7 @@ pub type WindowMarks = (Vec<bool>, Option<Vec<f32>>);
 /// a fifth up to 4–8 windows per pass — the recurrent weights are then read
 /// from L2 once per pass instead of once per window — and is flat beyond;
 /// at shapes whose weights fit L1 batching changes nothing. 8 also leaves
-/// the pooled paths enough chunks to balance.
+/// pooled marking enough chunks to balance.
 pub const MARK_BATCH: usize = 8;
 
 /// Marks the events of one assembler window that should survive filtration.

@@ -7,7 +7,6 @@ use crate::guard::GuardConfig;
 use crate::stage::MarkStage;
 use dlacep_cep::engine::CepEngine;
 use dlacep_cep::plan::{CompileError, Plan};
-use dlacep_cep::sharded::run_sharded_traced;
 use dlacep_cep::{EngineStats, Match, NfaConfig, Pattern, PatternError, PatternSet, SharedPlan};
 use dlacep_events::PrimitiveEvent;
 use dlacep_obs::{Counter, Histogram, MetricsSnapshot, Registry, TraceBuilder, Tracer};
@@ -135,7 +134,6 @@ struct PipelineObs {
     mark_nanos: Histogram,
     filter_stage_nanos: Histogram,
     cep_stage_nanos: Histogram,
-    shard_nanos: Histogram,
     cep: CepCounters,
 }
 
@@ -151,7 +149,6 @@ impl PipelineObs {
             mark_nanos: registry.histogram("pipeline.mark_nanos"),
             filter_stage_nanos: registry.histogram("pipeline.filter_stage_nanos"),
             cep_stage_nanos: registry.histogram("pipeline.cep_stage_nanos"),
-            shard_nanos: registry.histogram("cep.shard_extract_nanos"),
             cep: CepCounters::new(&registry),
             registry,
         }
@@ -308,7 +305,7 @@ impl<F: Filter> Dlacep<F> {
         assembler.validate(patterns.window().size())?;
         let shared = patterns.compile()?;
         let obs = PipelineObs::new(registry.unwrap_or_else(dlacep_obs::global));
-        let pool = par.build_pool_with_obs(&obs.registry);
+        let pool = par.build_pool(&obs.registry);
         Ok(Self {
             patterns,
             shared,
@@ -371,16 +368,12 @@ impl<F: Filter> Dlacep<F> {
     /// never recall, and never unwinds through `run`.
     ///
     /// With a multi-thread [`Parallelism`] config, window marking is batched
-    /// onto the pool and large filtered streams are evaluated as CEP shards;
-    /// matches and marks are identical to the serial path (see
-    /// `dlacep_par`'s determinism contract), and `extractor_stats` is
-    /// identical whenever the filtered stream is below the sharding
-    /// threshold (sharded runs re-process window-overlap events once per
-    /// shard, so work counters legitimately differ there — deterministically
-    /// so for a fixed `shard_events`).
+    /// onto the pool; extraction is one engine over the filtered stream
+    /// either way. The report — matches, marks and `extractor_stats` — is
+    /// identical to the serial path (see `dlacep_par`'s determinism
+    /// contract); only `pool` differs.
     #[must_use = "the report carries the emitted matches"]
     pub fn run(&self, events: &[PrimitiveEvent]) -> DlacepReport {
-        let pool = self.pool.as_ref();
         self.obs.events_total.add(events.len() as u64);
         let tracer = self.obs.registry.tracer();
         let traces = begin_pipeline_traces(&tracer, events);
@@ -394,7 +387,6 @@ impl<F: Filter> Dlacep<F> {
             GuardConfig::default(),
             self.assembler,
             self.pool.clone(),
-            self.par.min_batch_windows,
             self.obs.mark_nanos.clone(),
         );
         stage.admit(events.len());
@@ -425,22 +417,12 @@ impl<F: Filter> Dlacep<F> {
             .record(u64::try_from(filter_time.as_nanos()).unwrap_or(u64::MAX));
 
         let cep_start = Instant::now();
-        let new_engine = || self.shared.engine(NfaConfig::default());
-        let (matches, extractor_stats) = match pool {
-            Some(pool) if filtered.len() >= 2 * self.par.shard_events => run_sharded_traced(
-                new_engine,
-                self.shared.plan().window,
-                &filtered,
-                self.par.shard_events,
-                pool.as_ref(),
-                &obs.shard_nanos,
-                &tracer,
-            ),
-            _ => {
-                let mut extractor = new_engine();
-                let matches = extractor.run(&filtered);
-                (matches, *extractor.stats())
-            }
+        // The engine and its partial-match state are dropped here, inside
+        // the CEP stage, before attribution allocates the per-pattern sets.
+        let (matches, extractor_stats) = {
+            let mut extractor = self.shared.engine(NfaConfig::default());
+            let matches = extractor.run(&filtered);
+            (matches, *extractor.stats())
         };
         let cep_time = cep_start.elapsed();
         let t_c1 = tracer.now_nanos();
@@ -474,7 +456,7 @@ impl<F: Filter> Dlacep<F> {
             },
             extractor_stats,
             filter_faults,
-            pool: pool.map(|p| p.stats()),
+            pool: stage.pool_stats(),
             obs: (obs.registry.is_enabled()).then(|| obs.registry.snapshot()),
         }
     }
@@ -673,15 +655,8 @@ mod tests {
             .unwrap()
             .run(s.events());
 
-        // Below the shard threshold the full report matches, extractor
-        // stats included.
-        let par = Parallelism {
-            threads: 4,
-            min_batch_windows: 1,
-            shard_events: 10_000,
-        };
-        let pooled = Dlacep::builder(p.clone(), OracleFilter::new(p.clone()))
-            .parallelism(par)
+        let pooled = Dlacep::builder(p.clone(), OracleFilter::new(p))
+            .parallelism(Parallelism::with_threads(4))
             .build()
             .unwrap()
             .run(s.events());
@@ -690,19 +665,5 @@ mod tests {
         assert_eq!(pooled.filter_faults, serial.filter_faults);
         assert_eq!(pooled.extractor_stats, serial.extractor_stats);
         assert!(pooled.pool.is_some(), "pooled run reports pool stats");
-
-        // With sharded CEP the match set and marks are still identical.
-        let par = Parallelism {
-            threads: 4,
-            min_batch_windows: 1,
-            shard_events: 8,
-        };
-        let sharded = Dlacep::builder(p.clone(), OracleFilter::new(p))
-            .parallelism(par)
-            .build()
-            .unwrap()
-            .run(s.events());
-        assert_eq!(sharded.matches, serial.matches);
-        assert_eq!(sharded.events_relayed, serial.events_relayed);
     }
 }

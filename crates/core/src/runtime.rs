@@ -48,7 +48,7 @@ use dlacep_events::{AttrValue, EventId, OutOfOrderPolicy, PrimitiveEvent, Stream
 use dlacep_obs::{
     Counter, FieldValue, Histogram, Journal, MetricsSnapshot, Registry, TraceBuilder, Tracer,
 };
-use dlacep_par::{Parallelism, PoolStats, ThreadPool};
+use dlacep_par::{Parallelism, PoolStats};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -454,8 +454,6 @@ struct WindowNotes {
 /// window is guard → drift → retrain.
 struct Supervisor<F: Filter> {
     pattern: Pattern,
-    /// Runs the training job (shared with the stage).
-    pool: Option<Arc<ThreadPool>>,
     drift: Option<DriftMonitor>,
     drift_fallback: bool,
     retrain_signaled: bool,
@@ -547,25 +545,15 @@ impl<F: Filter> Supervisor<F> {
                 train_slice.len() + holdout.len()
             ))
         } else {
-            // Dispatch the training job onto the work-stealing pool. The
-            // panic fence sits *inside* the closure: the pool re-raises
-            // task panics on join, and a crashed trainer must surface as a
-            // retryable verdict, not tear down the runtime.
-            let (pattern, trainer, train_ref) = (&self.pattern, rr.trainer.as_ref(), &train_slice);
-            let job = move || {
-                catch_unwind(AssertUnwindSafe(|| {
-                    trainer.retrain(pattern, train_ref, u64::from(attempt))
-                }))
-                .map_err(|_| "training job panicked".to_string())
-                .and_then(|r| r)
-            };
-            match &self.pool {
-                Some(pool) => pool
-                    .parallel_map(&[()], 1, move |_, _| job())
-                    .pop()
-                    .expect("one item in, one out"),
-                None => job(),
-            }
+            // Train on the ingest thread, behind a panic fence: a crashed
+            // trainer must surface as a retryable verdict, not tear down
+            // the runtime.
+            catch_unwind(AssertUnwindSafe(|| {
+                rr.trainer
+                    .retrain(&self.pattern, &train_slice, u64::from(attempt))
+            }))
+            .map_err(|_| "training job panicked".to_string())
+            .and_then(|r| r)
         };
         let verdict: Result<(F, GateReport), String> = candidate.and_then(|cand| {
             let _span = self.obs.retrain_gate_nanos.span();
@@ -920,21 +908,13 @@ impl<F: Filter> StreamingDlacep<F> {
             },
         );
         let obs = RuntimeObs::new(registry.unwrap_or_else(dlacep_obs::global));
-        let pool = config.parallelism.build_pool_with_obs(&obs.registry);
+        let pool = config.parallelism.build_pool(&obs.registry);
         let tracer = obs.registry.tracer();
         Ok(Self {
             config,
-            stage: MarkStage::new(
-                filter,
-                config.guard,
-                assembler,
-                pool.clone(),
-                config.parallelism.min_batch_windows,
-                Histogram::disabled(),
-            ),
+            stage: MarkStage::new(filter, config.guard, assembler, pool, Histogram::disabled()),
             sup: Supervisor {
                 pattern,
-                pool,
                 drift: config.drift.map(DriftMonitor::new),
                 drift_fallback: false,
                 retrain_signaled: false,
@@ -1485,7 +1465,7 @@ impl<F: Filter> StreamingDlacep<F> {
                 models_accepted: r.next_version - 1,
             }),
             extractor_stats: *self.engine.stats(),
-            pool: sup.pool.as_ref().map(|p| p.stats()),
+            pool: self.stage.pool_stats(),
             obs: sup.obs.snapshot_if_enabled(),
         }
     }
@@ -1751,6 +1731,30 @@ mod tests {
                 assert_eq!(report.pool.is_some(), threads > 1, "a pool iff pooled");
             }
         }
+
+        // The pool forks iff one call completes two or more `MARK_BATCH`
+        // chunks of windows. At W = 8 a window ends every 8 events from the
+        // 16th on, so a call of `MARK_BATCH + 2` window steps completes more
+        // than `MARK_BATCH` windows and one of `MARK_BATCH` steps at most
+        // that many.
+        let (p, s) = (seq_ab(8), noisy_stream(400));
+        let mut serial = StreamingDlacep::new(p.clone(), OracleFilter::new(p.clone())).unwrap();
+        serial.ingest_all(s.events()).unwrap();
+        let serial_report = serial.finish();
+        let batch = crate::filter::MARK_BATCH;
+        for (call, forks) in [((batch + 2) * 8, true), (batch * 8, false)] {
+            let mut rt = StreamingDlacep::builder(p.clone(), OracleFilter::new(p.clone()))
+                .parallelism(Parallelism::with_threads(2))
+                .build()
+                .unwrap();
+            for chunk in s.events().chunks(call) {
+                rt.ingest_batch(chunk).unwrap();
+            }
+            let report = rt.finish();
+            assert_reports_equal(&report, &serial_report, &format!("calls of {call}"));
+            let jobs = report.pool.expect("a pooled run").jobs;
+            assert_eq!(jobs > 0, forks, "calls of {call} events: {jobs} jobs");
+        }
     }
 
     #[test]
@@ -1801,11 +1805,7 @@ mod tests {
     fn pooled_speculation_runs_one_pass_per_window_with_score_validation() {
         use crate::guard::OnePass;
         let cfg = RuntimeConfig {
-            parallelism: Parallelism {
-                threads: 3,
-                min_batch_windows: 1,
-                shard_events: 512,
-            },
+            parallelism: Parallelism::with_threads(3),
             guard: GuardConfig {
                 validate_scores: true,
                 ..Default::default()

@@ -15,10 +15,10 @@
 //!
 //! Marking is **speculative, then replayed**: the windows of one
 //! [`MarkStage::settle`] call are handed to [`Filter::mark_batch`] in
-//! chunks of [`MARK_BATCH`] — on the pool when there is one and the batch
-//! is large enough, inline otherwise — behind a panic fence, and the raw
-//! results then pass through the guard serially, in window order. Guard
-//! state, the observer's verdicts and every counter are therefore a
+//! chunks of [`MARK_BATCH`] — on the pool when there is one and the call
+//! has at least two chunks, inline otherwise — behind a panic fence, and
+//! the raw results then pass through the guard serially, in window order.
+//! Guard state, the observer's verdicts and every counter are therefore a
 //! function of the window sequence alone, never of how the stream was cut
 //! into calls or of the thread count. Speculation is skipped while the
 //! breaker is not Closed or the observer bypasses (the guard then decides
@@ -33,7 +33,7 @@ use crate::guard::{
 };
 use dlacep_events::PrimitiveEvent;
 use dlacep_obs::Histogram;
-use dlacep_par::ThreadPool;
+use dlacep_par::{PoolStats, ThreadPool};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -100,7 +100,6 @@ pub struct MarkStage<F> {
     assembler: AssemblerConfig,
     guard: FilterGuard<F>,
     pool: Option<Arc<ThreadPool>>,
-    min_batch_windows: usize,
     /// Per-window share of each `mark_batch` call's wall time.
     mark_nanos: Histogram,
     /// Keep flags of the positions `[base, admitted)`.
@@ -116,22 +115,20 @@ pub struct MarkStage<F> {
 
 impl<F: Filter> MarkStage<F> {
     /// A stage at stream position 0. `assembler` must already be validated
-    /// against the pattern window. Batches of at least `min_batch_windows`
-    /// windows are marked on `pool`, smaller ones (and all of them without
-    /// a pool) inline.
+    /// against the pattern window. A call that completes more than
+    /// [`MARK_BATCH`] windows marks its chunks on `pool`; smaller calls (and
+    /// every call without a pool) mark inline.
     pub fn new(
         filter: F,
         guard: GuardConfig,
         assembler: AssemblerConfig,
         pool: Option<Arc<ThreadPool>>,
-        min_batch_windows: usize,
         mark_nanos: Histogram,
     ) -> Self {
         Self {
             assembler,
             guard: FilterGuard::new(filter, guard),
             pool,
-            min_batch_windows,
             mark_nanos,
             keep: VecDeque::new(),
             base: 0,
@@ -161,6 +158,11 @@ impl<F: Filter> MarkStage<F> {
     /// Windows evaluated so far.
     pub fn windows_evaluated(&self) -> usize {
         self.windows_evaluated
+    }
+
+    /// Scheduling counters of the marking pool; `None` without one.
+    pub fn pool_stats(&self) -> Option<PoolStats> {
+        self.pool.as_ref().map(|p| p.stats())
     }
 
     /// Replace the guarded filter (see [`FilterGuard::swap_filter`]).
@@ -286,11 +288,10 @@ impl<F: Filter> MarkStage<F> {
             raws
         };
         let chunks: Vec<&[&[PrimitiveEvent]]> = windows.chunks(MARK_BATCH).collect();
+        // The pool forks only for two or more chunks; one runs inline.
         let marked = match &self.pool {
-            Some(pool) if windows.len() >= self.min_batch_windows => {
-                pool.parallel_map(&chunks, 1, |_, chunk| invoke_chunk(chunk))
-            }
-            _ => chunks.iter().map(invoke_chunk).collect(),
+            Some(pool) => pool.parallel_map(&chunks, 1, |_, chunk| invoke_chunk(chunk)),
+            None => chunks.iter().map(invoke_chunk).collect(),
         };
         marked.into_iter().flatten().collect()
     }
@@ -406,14 +407,6 @@ mod tests {
         }
     }
 
-    fn pool_config(threads: usize) -> Parallelism {
-        Parallelism {
-            threads,
-            min_batch_windows: 1,
-            shard_events: 10_000,
-        }
-    }
-
     /// Cut `events` into calls of the drawn sizes, the last size repeating.
     fn cut<'a>(events: &'a [PrimitiveEvent], sizes: &'a [usize]) -> Vec<&'a [PrimitiveEvent]> {
         let mut rest = events;
@@ -471,7 +464,6 @@ mod tests {
                 GuardConfig::default(),
                 assembler,
                 None,
-                1,
                 Histogram::disabled(),
             );
             let mut got = Vec::new();
@@ -501,7 +493,7 @@ mod tests {
                 for threads in [1, 4] {
                     let batch = Dlacep::builder(seq_ab(w), WindowKeyed)
                         .assembler(assembler)
-                        .parallelism(pool_config(threads))
+                        .parallelism(Parallelism::with_threads(threads))
                         .build()
                         .unwrap()
                         .run(events);
@@ -511,7 +503,7 @@ mod tests {
 
                     let cfg = RuntimeConfig {
                         assembler: Some(assembler),
-                        parallelism: pool_config(threads),
+                        parallelism: Parallelism::with_threads(threads),
                         ..RuntimeConfig::default()
                     };
                     let mut per_event = StreamingDlacep::builder(seq_ab(w), WindowKeyed)
@@ -549,7 +541,6 @@ mod tests {
             GuardConfig::default(),
             AssemblerConfig::paper_default(4),
             None,
-            1,
             Histogram::disabled(),
         );
         stage.admit(5);

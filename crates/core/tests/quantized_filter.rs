@@ -289,11 +289,7 @@ fn marks_and_scores_are_independent_of_batching() {
 fn pooled_chunking_matches_serial_for_batch_and_streaming() {
     let (_, quant, eval) = trained_pair();
     let pattern = seq_pattern(&[0, 1], 8);
-    let par = Parallelism {
-        threads: 3,
-        min_batch_windows: 1,
-        shard_events: 100_000,
-    };
+    let par = Parallelism::with_threads(3);
 
     let serial = Dlacep::builder(pattern.clone(), quant.clone())
         .build()

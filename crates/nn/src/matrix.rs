@@ -4,13 +4,7 @@
 //! straightforward cache-friendly `gemm` with an unrolled inner loop over the
 //! shared dimension is sufficient; no SIMD intrinsics or BLAS dependency.
 
-use dlacep_par::{SendPtr, ThreadPool};
 use serde::{Deserialize, Serialize};
-
-/// Minimum `rows * inner * cols` product before a kernel is dispatched to
-/// the ambient pool; smaller products run the serial loop (the fork cost
-/// would dominate).
-pub const PAR_MIN_FLOPS: usize = 32 * 1024;
 
 /// Dimension mismatch for a binary matrix kernel, carrying both operand
 /// shapes so the failure is diagnosable from the message alone.
@@ -37,27 +31,6 @@ impl std::fmt::Display for ShapeError {
 }
 
 impl std::error::Error for ShapeError {}
-
-/// Pool to use for a kernel of `rows * inner * cols` flops, if any: the
-/// ambient pool when one is installed and the product clears
-/// [`PAR_MIN_FLOPS`] with at least two rows to split.
-fn kernel_pool(rows: usize, inner: usize, cols: usize) -> Option<&'static ThreadPool> {
-    if rows < 2 {
-        return None;
-    }
-    let flops = rows.checked_mul(inner)?.checked_mul(cols)?;
-    if flops < PAR_MIN_FLOPS {
-        return None;
-    }
-    dlacep_par::ambient()
-}
-
-/// Row chunk size for a pool kernel. Only affects which thread computes
-/// which rows — each output row's arithmetic is identical to the serial
-/// loop, so results are bitwise equal for any chunking.
-fn row_chunk(rows: usize, pool: &ThreadPool) -> usize {
-    rows.div_ceil(pool.threads() * 4).max(1)
-}
 
 /// A dense row-major matrix of `f32`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -223,45 +196,7 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// One output row of `self · rhs`, accumulated into `out_row`. Shared
-    /// by the serial and row-blocked parallel kernels so both produce
-    /// bitwise-identical results (per-row arithmetic order is the same).
-    #[inline]
-    fn matmul_row_into(&self, rhs: &Matrix, i: usize, out_row: &mut [f32]) {
-        // k-j loop order: the inner loop walks both `rhs` and `out` rows
-        // contiguously, which is the cache-friendly arrangement for
-        // row-major data.
-        let a_row = self.row(i);
-        for (k, &a) in a_row.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            let b_row = rhs.row(k);
-            for (o, &b) in out_row.iter_mut().zip(b_row) {
-                *o += a * b;
-            }
-        }
-    }
-
-    /// One output row of `self · rhsᵀ`, written into `out_row`.
-    #[inline]
-    fn matmul_transpose_rhs_row_into(&self, rhs: &Matrix, i: usize, out_row: &mut [f32]) {
-        let a_row = self.row(i);
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let b_row = rhs.row(j);
-            let mut acc = 0.0;
-            for (&a, &b) in a_row.iter().zip(b_row) {
-                acc += a * b;
-            }
-            *o = acc;
-        }
-    }
-
     /// Matrix product `self · rhs`.
-    ///
-    /// Dispatches to the row-blocked parallel kernel when an ambient pool
-    /// is installed (see `dlacep_par::ambient`) and the shape clears
-    /// [`PAR_MIN_FLOPS`]; output is bitwise identical either way.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch, naming both shapes.
@@ -279,53 +214,25 @@ impl Matrix {
                 requirement: "lhs.cols must equal rhs.rows",
             });
         }
-        if let Some(pool) = kernel_pool(self.rows, self.cols, rhs.cols) {
-            return Ok(self.par_matmul(pool, rhs));
-        }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         for i in 0..self.rows {
             let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            self.matmul_row_into(rhs, i, out_row);
+            // k-j loop order: the inner loop walks both `rhs` and `out` rows
+            // contiguously, which is the cache-friendly arrangement for
+            // row-major data.
+            for (k, &a) in self.row(i).iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                for (o, &b) in out_row.iter_mut().zip(rhs.row(k)) {
+                    *o += a * b;
+                }
+            }
         }
         Ok(out)
     }
 
-    /// Row-blocked `self · rhs` on an explicit pool, regardless of shape
-    /// thresholds. Bitwise identical to the serial kernel.
-    ///
-    /// # Panics
-    /// Panics on inner-dimension mismatch, naming both shapes.
-    pub fn par_matmul(&self, pool: &ThreadPool, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols,
-            rhs.rows,
-            "{}",
-            ShapeError {
-                op: "matmul",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-                requirement: "lhs.cols must equal rhs.rows",
-            }
-        );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        let cols = rhs.cols;
-        let ptr = SendPtr::new(out.data.as_mut_ptr());
-        pool.parallel_for(self.rows, row_chunk(self.rows, pool), |range| {
-            for i in range {
-                // SAFETY: row chunks are disjoint, so each output row is
-                // written by exactly one task; `out` outlives the blocking
-                // `parallel_for` call.
-                let out_row =
-                    unsafe { std::slice::from_raw_parts_mut(ptr.get().add(i * cols), cols) };
-                self.matmul_row_into(rhs, i, out_row);
-            }
-        });
-        out
-    }
-
-    /// `self · rhsᵀ` without materializing the transpose. Parallel above
-    /// [`PAR_MIN_FLOPS`] when an ambient pool is installed, like
-    /// [`Matrix::matmul`].
+    /// `self · rhsᵀ` without materializing the transpose.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch, naming both shapes.
@@ -344,46 +251,19 @@ impl Matrix {
                 requirement: "lhs.cols must equal rhs.cols",
             });
         }
-        if let Some(pool) = kernel_pool(self.rows, self.cols, rhs.rows) {
-            return Ok(self.par_matmul_transpose_rhs(pool, rhs));
-        }
         let mut out = Matrix::zeros(self.rows, rhs.rows);
         for i in 0..self.rows {
+            let a_row = self.row(i);
             let out_row = &mut out.data[i * rhs.rows..(i + 1) * rhs.rows];
-            self.matmul_transpose_rhs_row_into(rhs, i, out_row);
+            for (j, o) in out_row.iter_mut().enumerate() {
+                let mut acc = 0.0;
+                for (&a, &b) in a_row.iter().zip(rhs.row(j)) {
+                    acc += a * b;
+                }
+                *o = acc;
+            }
         }
         Ok(out)
-    }
-
-    /// Row-blocked `self · rhsᵀ` on an explicit pool. Bitwise identical to
-    /// the serial kernel.
-    ///
-    /// # Panics
-    /// Panics on inner-dimension mismatch, naming both shapes.
-    pub fn par_matmul_transpose_rhs(&self, pool: &ThreadPool, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols,
-            rhs.cols,
-            "{}",
-            ShapeError {
-                op: "matmul_transpose_rhs",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-                requirement: "lhs.cols must equal rhs.cols",
-            }
-        );
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        let cols = rhs.rows;
-        let ptr = SendPtr::new(out.data.as_mut_ptr());
-        pool.parallel_for(self.rows, row_chunk(self.rows, pool), |range| {
-            for i in range {
-                // SAFETY: disjoint output rows, buffer outlives the call.
-                let out_row =
-                    unsafe { std::slice::from_raw_parts_mut(ptr.get().add(i * cols), cols) };
-                self.matmul_transpose_rhs_row_into(rhs, i, out_row);
-            }
-        });
-        out
     }
 
     /// `selfᵀ · rhs` without materializing the transpose.
@@ -681,26 +561,5 @@ mod tests {
             msg.contains("lhs is 2x3") && msg.contains("rhs is 4x6"),
             "{msg}"
         );
-    }
-
-    #[test]
-    fn par_kernels_match_serial_bitwise() {
-        let pool = ThreadPool::new(4);
-        // Irrational-ish values so any reassociation would show up.
-        let a = Matrix::from_fn(37, 23, |r, c| ((r * 31 + c * 7) as f32 * 0.137).sin());
-        let b = Matrix::from_fn(23, 29, |r, c| ((r * 13 + c * 17) as f32 * 0.291).cos());
-        assert_eq!(a.par_matmul(&pool, &b), a.matmul(&b));
-        let bt = Matrix::from_fn(29, 23, |r, c| ((r * 5 + c * 3) as f32 * 0.173).sin());
-        assert_eq!(
-            a.par_matmul_transpose_rhs(&pool, &bt),
-            a.matmul_transpose_rhs(&bt)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "matmul dimension mismatch")]
-    fn par_matmul_shape_checked() {
-        let pool = ThreadPool::new(2);
-        let _ = Matrix::zeros(2, 3).par_matmul(&pool, &Matrix::zeros(2, 3));
     }
 }

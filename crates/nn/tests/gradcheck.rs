@@ -1,27 +1,16 @@
-//! Gradient regression tests for the parallel kernels.
+//! Gradient regression tests for the matmul kernels.
 //!
-//! The row-blocked matmul fast paths must be bitwise-identical to the serial
-//! kernels, and the gradients flowing *through* them (graph backward, CRF
-//! forward–backward) must agree with central finite differences — a wrong
-//! chunk boundary or a dropped row in the parallel kernel shows up here as a
-//! gradient mismatch long before it corrupts a training run.
+//! `Matrix::matmul` / `matmul_transpose_rhs` must be bitwise-identical to a
+//! naive triple loop, and the gradients flowing *through* them (graph
+//! backward, CRF forward–backward) must agree with central finite
+//! differences — a wrong row offset or a dropped accumulation in a kernel
+//! shows up here as a gradient mismatch long before it corrupts a training
+//! run.
 
 use dlacep_nn::crf::{BiCrf, Crf};
-use dlacep_nn::matrix::PAR_MIN_FLOPS;
 use dlacep_nn::{Graph, Initializer, Matrix, ParamStore};
 
-const N: usize = 48; // 48³ = 110_592 flops, comfortably above PAR_MIN_FLOPS
-
-/// Every test goes through here so whichever runs first installs the pool;
-/// later calls are no-ops against the already-initialized ambient slot.
-fn ensure_pool() {
-    dlacep_par::install_ambient(4);
-    assert!(
-        dlacep_par::ambient().is_some(),
-        "tests must run with an ambient pool (DLACEP_THREADS=1 in the \
-         environment would defeat the point of this suite)"
-    );
-}
+const N: usize = 48;
 
 /// Deterministic non-zero test values in roughly [-0.6, 0.6].
 fn mat(rows: usize, cols: usize, salt: u64) -> Matrix {
@@ -35,7 +24,7 @@ fn mat(rows: usize, cols: usize, salt: u64) -> Matrix {
     })
 }
 
-/// Naive reference with the exact float-op order of `matmul_row_into`
+/// Naive reference with the exact float-op order of `Matrix::matmul`
 /// (accumulate over k in increasing order), so equality can be bitwise.
 fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(a.rows(), b.cols());
@@ -80,14 +69,7 @@ fn assert_bitwise_equal(a: &Matrix, b: &Matrix, ctx: &str) {
 }
 
 #[test]
-fn parallel_matmul_is_bitwise_equal_to_serial_kernel() {
-    ensure_pool();
-    const {
-        assert!(
-            N * N * N >= PAR_MIN_FLOPS,
-            "test sizes must cross the threshold"
-        )
-    };
+fn matmul_is_bitwise_equal_to_naive_kernel() {
     let a = mat(N, N, 1);
     let b = mat(N, N, 2);
     assert_bitwise_equal(&a.matmul(&b), &naive_matmul(&a, &b), "matmul");
@@ -96,20 +78,19 @@ fn parallel_matmul_is_bitwise_equal_to_serial_kernel() {
         &naive_matmul_transpose_rhs(&a, &b),
         "matmul_transpose_rhs",
     );
-    // Ragged shape: rows not divisible by any plausible chunk size.
+    // Ragged shape: no dimension equal to another.
     let a = mat(37, 53, 3);
     let b = mat(53, 41, 4);
     assert_bitwise_equal(&a.matmul(&b), &naive_matmul(&a, &b), "ragged matmul");
 }
 
 #[test]
-fn parallel_matmul_backward_matches_finite_differences() {
-    ensure_pool();
+fn matmul_backward_matches_finite_differences() {
     let a = mat(N, N, 5);
     let b = mat(N, N, 6);
 
     // Seed the product with all-ones: d(Σ_j C[i,j]) / dA[i,k] lands in
-    // grad(a), flowing backward through the parallel kernels.
+    // grad(a), flowing backward through `matmul_transpose_rhs`.
     let mut graph = Graph::new();
     let va = graph.input(a.clone());
     let vb = graph.input(b.clone());
@@ -162,7 +143,6 @@ fn crf_gold(t: usize, l: usize) -> Vec<usize> {
 
 #[test]
 fn crf_forward_backward_matches_finite_differences() {
-    ensure_pool();
     let (t, l) = (7, 3);
     let mut store = ParamStore::new();
     let mut init = Initializer::seeded(11);
@@ -218,7 +198,6 @@ fn crf_forward_backward_matches_finite_differences() {
 
 #[test]
 fn bicrf_forward_backward_matches_finite_differences_on_emissions() {
-    ensure_pool();
     let (t, l) = (6, 2);
     let mut store = ParamStore::new();
     let mut init = Initializer::seeded(13);

@@ -7,7 +7,7 @@
 //! loss visible. Timestamps are nanoseconds since the registry's epoch
 //! (monotonic, `Instant`-based) and are the *only* nondeterministic part of
 //! an entry: sequence numbers, kinds, and fields must be identical across
-//! `DLACEP_THREADS` settings for everything outside the `pool.` namespace.
+//! thread counts for everything outside the `pool.` namespace.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};

@@ -21,7 +21,7 @@
 //!
 //! Counter values and journal `(kind, fields)` sequences outside the
 //! `pool.` namespace are pure functions of the workload and config — never
-//! of `DLACEP_THREADS` or scheduling. Timing data (histograms, gauges,
+//! of the thread count or scheduling. Timing data (histograms, gauges,
 //! `at_nanos`, `seq` after `pool.` filtering) is exempt.
 //! [`MetricsSnapshot::deterministic_view`] extracts exactly the covered
 //! subset; `tests/obs_determinism.rs` in the workspace root enforces it.
@@ -241,7 +241,7 @@ impl Default for Registry {
 static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
 
 /// The process-wide registry, used by instrumentation sites with no config
-/// plumbing of their own (the ambient kernel pool, trainers). Enabled
+/// plumbing of their own (trainers). Enabled
 /// unless `DLACEP_OBS` is set to `0`, `off`, or `false`. Components that
 /// need an isolated registry (tests, the determinism suite) construct their
 /// own [`Registry`] and inject it via the various `set_obs` hooks instead.

@@ -10,7 +10,7 @@
 //! Because the sampling decision is a pure function of the sequence number,
 //! the *set* of sampled events — and, by the workspace determinism
 //! contract, each sampled event's stage-span structure — is identical
-//! across `DLACEP_THREADS` and shard counts. [`TraceSnapshot::deterministic_view`]
+//! across thread and shard counts. [`TraceSnapshot::deterministic_view`]
 //! extracts exactly that scheduling-independent subset (stages, causal
 //! parents, annotations; no timing), and `tests/trace_determinism.rs`
 //! enforces it. Span timestamps are monotonic nanoseconds since the
@@ -295,7 +295,7 @@ pub struct TraceSnapshot {
 impl TraceSnapshot {
     /// The scheduling-independent projection: one line per span, traces
     /// sorted by id, spans in creation order, timing stripped. Two runs of
-    /// the same workload under different `DLACEP_THREADS` / shard counts
+    /// the same workload under different thread / shard counts
     /// must produce byte-identical views (ring eviction aside — size the
     /// ring to the workload when comparing).
     pub fn deterministic_view(&self) -> Vec<String> {

@@ -5,31 +5,24 @@
 //!
 //! Two layers:
 //! - [`ThreadPool`]: a fixed-size work-stealing pool with chunked
-//!   [`ThreadPool::parallel_for`] / [`ThreadPool::parallel_map`] primitives
-//!   and a deterministic index-ordered [`ThreadPool::parallel_map_reduce`].
+//!   [`ThreadPool::parallel_for`] / [`ThreadPool::parallel_map`] primitives.
 //! - [`Parallelism`]: the user-facing knob threaded through
-//!   `Dlacep` / `StreamingDlacep` — thread count plus the minimum work
-//!   sizes below which each hot path stays serial.
+//!   `Dlacep` / `StreamingDlacep` — a thread count. Its one user is the
+//!   filter stage, which marks batches of windows on the pool.
 //!
 //! Determinism contract: work decomposition (chunk boundaries, window
-//! batches, CEP shards) is always a pure function of the *config*, never of
-//! the thread count or runtime scheduling. Results are written to per-index
-//! slots and reduced in index order. Consequently the pipeline output is
-//! bitwise identical for any `threads >= 1`, and `threads = 1` takes the
-//! untouched serial code path.
+//! batches) is always a pure function of the input, never of the thread
+//! count or runtime scheduling, and results are written to per-index
+//! slots. Consequently the pipeline output is bitwise identical for any
+//! `threads >= 1`, and `threads = 1` takes the untouched serial code path.
 
 mod pool;
 
-pub use pool::{on_worker_thread, PoolStats, SendPtr, ThreadPool};
+pub use pool::{PoolStats, ThreadPool};
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-
-/// Environment variable consulted by [`Parallelism::from_env`] and the
-/// ambient kernel pool: total thread count (`0` = auto-detect, `1` =
-/// serial, absent = serial).
-pub const THREADS_ENV: &str = "DLACEP_THREADS";
 
 /// Parallel execution configuration, threaded through `Dlacep` and
 /// `StreamingDlacep`. The default is fully serial (`threads = 1`), which is
@@ -39,47 +32,17 @@ pub struct Parallelism {
     /// Total threads (the submitting thread counts as one). `1` = serial,
     /// `0` = auto-detect from `std::thread::available_parallelism`.
     pub threads: usize,
-    /// Minimum number of assembled windows in a batch before filter
-    /// inference is dispatched to the pool; smaller batches run serially.
-    pub min_batch_windows: usize,
-    /// Target number of filtered events per CEP shard. Sharding only kicks
-    /// in once the filtered stream holds at least two shards' worth of
-    /// events; the shard layout depends only on this value, never on the
-    /// thread count.
-    pub shard_events: usize,
 }
 
 impl Parallelism {
     /// Fully serial configuration (the default).
     pub fn serial() -> Self {
-        Parallelism {
-            threads: 1,
-            min_batch_windows: 4,
-            shard_events: 512,
-        }
+        Self::with_threads(1)
     }
 
-    /// Serial thresholds with an explicit thread count.
+    /// An explicit thread count.
     pub fn with_threads(threads: usize) -> Self {
-        Parallelism {
-            threads,
-            ..Self::serial()
-        }
-    }
-
-    /// Auto-detected thread count (`threads = 0`).
-    pub fn auto() -> Self {
-        Self::with_threads(0)
-    }
-
-    /// Read the thread count from `DLACEP_THREADS` (absent, unparsable, or
-    /// `1` → serial; `0` → auto).
-    pub fn from_env() -> Self {
-        let threads = std::env::var(THREADS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(1);
-        Self::with_threads(threads)
+        Parallelism { threads }
     }
 
     /// Resolve `threads = 0` to the machine's available parallelism.
@@ -92,16 +55,9 @@ impl Parallelism {
         }
     }
 
-    /// Build a pool for this config, or `None` when it resolves to serial.
-    /// The pool reports into the process-wide obs registry; use
-    /// [`Parallelism::build_pool_with_obs`] to target a specific one.
-    pub fn build_pool(&self) -> Option<Arc<ThreadPool>> {
-        self.build_pool_with_obs(&dlacep_obs::global())
-    }
-
     /// Build a pool reporting its `pool.*` metrics into `registry`, or
     /// `None` when the config resolves to serial.
-    pub fn build_pool_with_obs(&self, registry: &dlacep_obs::Registry) -> Option<Arc<ThreadPool>> {
+    pub fn build_pool(&self, registry: &dlacep_obs::Registry) -> Option<Arc<ThreadPool>> {
         let threads = self.effective_threads();
         if threads <= 1 {
             None
@@ -117,37 +73,6 @@ impl Default for Parallelism {
     }
 }
 
-static AMBIENT: OnceLock<Option<ThreadPool>> = OnceLock::new();
-
-/// Process-wide pool used by kernels that have no config plumbing of their
-/// own (the `nn::matrix` fast paths). Initialized lazily from
-/// `DLACEP_THREADS`; `None` when the environment resolves to serial.
-pub fn ambient() -> Option<&'static ThreadPool> {
-    AMBIENT
-        .get_or_init(|| {
-            let threads = Parallelism::from_env().effective_threads();
-            if threads > 1 {
-                Some(ThreadPool::new(threads))
-            } else {
-                None
-            }
-        })
-        .as_ref()
-}
-
-/// Install the ambient pool explicitly (test binaries use this instead of
-/// the environment). Returns `false` if the ambient pool was already
-/// initialized — by a prior call or a prior [`ambient`] lookup — in which
-/// case the existing pool stays in place.
-pub fn install_ambient(threads: usize) -> bool {
-    let pool = if threads > 1 {
-        Some(ThreadPool::new(threads))
-    } else {
-        None
-    };
-    AMBIENT.set(pool).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,28 +82,26 @@ mod tests {
         let p = Parallelism::default();
         assert_eq!(p.threads, 1);
         assert_eq!(p.effective_threads(), 1);
-        assert!(p.build_pool().is_none());
+        assert!(p.build_pool(&dlacep_obs::global()).is_none());
     }
 
     #[test]
     fn auto_resolves_to_at_least_one_thread() {
-        assert!(Parallelism::auto().effective_threads() >= 1);
+        assert!(Parallelism::with_threads(0).effective_threads() >= 1);
     }
 
     #[test]
     fn build_pool_matches_thread_count() {
         let p = Parallelism::with_threads(3);
-        let pool = p.build_pool().expect("threads=3 must build a pool");
+        let pool = p
+            .build_pool(&dlacep_obs::global())
+            .expect("threads=3 must build a pool");
         assert_eq!(pool.threads(), 3);
     }
 
     #[test]
     fn parallelism_round_trips_through_serde() {
-        let p = Parallelism {
-            threads: 4,
-            min_batch_windows: 2,
-            shard_events: 128,
-        };
+        let p = Parallelism::with_threads(4);
         let json = serde_json::to_string(&p).unwrap();
         let back: Parallelism = serde_json::from_str(&json).unwrap();
         assert_eq!(p, back);

@@ -32,9 +32,9 @@ use dlacep_obs::{Counter, Gauge, Histogram, Journal, Registry};
 use serde::{Deserialize, Serialize};
 
 /// How often a `pool.queue_depth` journal sample is recorded: one entry per
-/// this many forked jobs (the gauge is updated on every job). Keeps kernel
-/// workloads that submit thousands of jobs from flushing runtime events out
-/// of the bounded journal ring.
+/// this many forked jobs (the gauge is updated on every job). Keeps long
+/// runs that submit thousands of jobs from flushing runtime events out of
+/// the bounded journal ring.
 const QUEUE_DEPTH_SAMPLE_EVERY: u64 = 64;
 
 thread_local! {
@@ -43,7 +43,7 @@ thread_local! {
 
 /// True when the current thread is a pool worker. Nested `parallel_for`
 /// calls from inside a task run inline to avoid deadlocking the pool.
-pub fn on_worker_thread() -> bool {
+fn on_worker_thread() -> bool {
     IN_POOL_WORKER.with(|c| c.get())
 }
 
@@ -325,29 +325,6 @@ impl ThreadPool {
         let mut out = std::mem::ManuallyDrop::new(out);
         unsafe { Vec::from_raw_parts(out.as_mut_ptr().cast::<R>(), n, out.capacity()) }
     }
-
-    /// Map `f` over `items` in parallel, then fold the results **in item
-    /// order** on the calling thread. The fixed fold order is what keeps
-    /// reductions (stats merges, match concatenation) bitwise-independent
-    /// of thread count.
-    pub fn parallel_map_reduce<T, R, A, F, G>(
-        &self,
-        items: &[T],
-        chunk: usize,
-        f: F,
-        init: A,
-        fold: G,
-    ) -> A
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-        G: FnMut(A, R) -> A,
-    {
-        self.parallel_map(items, chunk, f)
-            .into_iter()
-            .fold(init, fold)
-    }
 }
 
 impl Drop for ThreadPool {
@@ -375,7 +352,7 @@ impl std::fmt::Debug for ThreadPool {
 /// of one buffer from multiple pool tasks. The caller is responsible for
 /// ensuring tasks touch non-overlapping regions and the buffer outlives
 /// the job (which `parallel_for`'s blocking guarantees).
-pub struct SendPtr<T>(*mut T);
+struct SendPtr<T>(*mut T);
 
 // Manual impls: the derives would add an unwanted `T: Copy` bound.
 impl<T> Clone for SendPtr<T> {
@@ -386,11 +363,11 @@ impl<T> Clone for SendPtr<T> {
 impl<T> Copy for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
-    pub fn new(ptr: *mut T) -> Self {
+    fn new(ptr: *mut T) -> Self {
         SendPtr(ptr)
     }
 
-    pub fn get(self) -> *mut T {
+    fn get(self) -> *mut T {
         self.0
     }
 }
@@ -496,24 +473,6 @@ mod tests {
             let expect: Vec<usize> = items.iter().map(|&x| x * 2 + 1).collect();
             assert_eq!(out, expect);
         }
-    }
-
-    #[test]
-    fn map_reduce_folds_in_index_order() {
-        let pool = ThreadPool::new(4);
-        let items: Vec<u64> = (1..=50).collect();
-        let digits = pool.parallel_map_reduce(
-            &items,
-            4,
-            |_, &x| x.to_string(),
-            String::new(),
-            |mut acc, s| {
-                acc.push_str(&s);
-                acc
-            },
-        );
-        let expect: String = (1..=50).map(|x: u64| x.to_string()).collect();
-        assert_eq!(digits, expect);
     }
 
     #[test]

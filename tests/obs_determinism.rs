@@ -36,17 +36,6 @@ fn stock_stream(n: usize) -> EventStream {
     stream
 }
 
-/// Keep the CEP stage serial so extractor counters are thread-independent
-/// (sharded CEP deliberately recounts overlap work; it is covered by the
-/// pooled-vs-pooled test below).
-fn serial_cep(threads: usize) -> Parallelism {
-    Parallelism {
-        threads,
-        min_batch_windows: 1,
-        shard_events: usize::MAX / 2,
-    }
-}
-
 /// Faults keyed on window *content* (first event id), so the injection is a
 /// pure function of the workload and identical no matter how many threads
 /// speculatively mark windows.
@@ -80,7 +69,7 @@ fn pipeline_obs_deterministic_across_thread_counts() {
     let mut views: Vec<(usize, DeterministicView)> = Vec::new();
     for t in THREADS {
         let dl = Dlacep::builder(pattern.clone(), OracleFilter::new(pattern.clone()))
-            .parallelism(serial_cep(t))
+            .parallelism(Parallelism::with_threads(t))
             .obs(Arc::new(Registry::enabled()))
             .build()
             .unwrap();
@@ -102,41 +91,6 @@ fn pipeline_obs_deterministic_across_thread_counts() {
 }
 
 #[test]
-fn sharded_pipeline_obs_deterministic_across_pool_sizes() {
-    let pattern = seq_pattern(&[0, 1, 2], 12);
-    let stream = stock_stream(4_000);
-
-    // Sharded CEP counters may legitimately differ from the serial run
-    // (overlap events are reprocessed per shard), but they must be equal
-    // for every pool size since the shard layout ignores the thread count.
-    let mut baseline: Option<DeterministicView> = None;
-    for t in [2, 4, 8] {
-        let par = Parallelism {
-            threads: t,
-            min_batch_windows: 1,
-            shard_events: 64,
-        };
-        let dl = Dlacep::builder(pattern.clone(), OracleFilter::new(pattern.clone()))
-            .parallelism(par)
-            .obs(Arc::new(Registry::enabled()))
-            .build()
-            .unwrap();
-        let report = dl.run(stream.events());
-        let view = report
-            .obs
-            .expect("registry is enabled")
-            .deterministic_view(&["pool."]);
-        match &baseline {
-            None => baseline = Some(view),
-            Some(b) => assert_eq!(
-                &view, b,
-                "threads = {t}: sharded counters must not depend on pool size"
-            ),
-        }
-    }
-}
-
-#[test]
 fn streaming_runtime_obs_deterministic_across_thread_counts() {
     let pattern = seq_pattern(&[0, 1, 2], 12);
     let stream = stock_stream(2_500);
@@ -144,7 +98,7 @@ fn streaming_runtime_obs_deterministic_across_thread_counts() {
     let mut views: Vec<(usize, DeterministicView)> = Vec::new();
     for t in THREADS {
         let cfg = RuntimeConfig {
-            parallelism: serial_cep(t),
+            parallelism: Parallelism::with_threads(t),
             ..Default::default()
         };
         let mut rt = StreamingDlacep::builder(pattern.clone(), OracleFilter::new(pattern.clone()))
@@ -181,7 +135,7 @@ fn faulting_runtime_obs_deterministic_across_thread_counts() {
     let mut views: Vec<(usize, DeterministicView)> = Vec::new();
     for t in THREADS {
         let cfg = RuntimeConfig {
-            parallelism: serial_cep(t),
+            parallelism: Parallelism::with_threads(t),
             guard: GuardConfig {
                 fault_threshold: 2,
                 cooldown_windows: 4,
@@ -293,7 +247,7 @@ fn retrain_lifecycle_obs_deterministic_across_thread_counts() {
     let mut views: Vec<(usize, DeterministicView)> = Vec::new();
     for t in THREADS {
         let cfg = RuntimeConfig {
-            parallelism: serial_cep(t),
+            parallelism: Parallelism::with_threads(t),
             drift: Some(DriftConfig {
                 baseline_rate: 0.5,
                 tolerance: 0.8,
@@ -302,9 +256,9 @@ fn retrain_lifecycle_obs_deterministic_across_thread_counts() {
             }),
             ..Default::default()
         };
-        // Attempt 0 panics inside the pool-dispatched training job; the
-        // retry (attempt 1) heals. Both transitions must journal at the
-        // same window index under every thread count.
+        // Attempt 0 panics inside the training job; the retry (attempt 1)
+        // heals. Both transitions must journal at the same window index
+        // under every thread count.
         let trainer = ChaosTrainer::new(Box::new(Healer {
             pattern: pattern.clone(),
         }))

@@ -117,6 +117,7 @@ fn assert_runtime_reports_equal(a: &RuntimeReport, b: &RuntimeReport, ctx: &str)
 fn pipeline_marks_and_matches_identical_across_thread_counts() {
     for (name, pattern, stream) in [
         ("stock", seq_pattern(&[0, 1, 2], 12), stock_stream(3_000)),
+        ("stock 4k", seq_pattern(&[0, 1, 2], 12), stock_stream(4_000)),
         (
             "synthetic",
             seq_pattern(&[0, 1], 8),
@@ -134,18 +135,13 @@ fn pipeline_marks_and_matches_identical_across_thread_counts() {
         let baseline_marks = baseline.filter().seen.lock().unwrap().clone();
 
         for t in THREADS {
-            // Large shard target: CEP stays serial, so every counter —
-            // including the extractor's — must match the baseline exactly.
-            let par = Parallelism {
-                threads: t,
-                min_batch_windows: 1,
-                shard_events: usize::MAX / 2,
-            };
+            // Extraction is one engine at every thread count, so every
+            // counter — the extractor's included — matches the baseline.
             let dl = Dlacep::builder(
                 pattern.clone(),
                 MarkRecorder::new(OracleFilter::new(pattern.clone())),
             )
-            .parallelism(par)
+            .parallelism(Parallelism::with_threads(t))
             .build()
             .unwrap();
             let report = dl.run(stream.events());
@@ -157,48 +153,6 @@ fn pipeline_marks_and_matches_identical_across_thread_counts() {
                 "{ctx}: per-window marks"
             );
             assert_eq!(report.pool.is_some(), t > 1, "{ctx}: pool reporting");
-        }
-    }
-}
-
-#[test]
-fn sharded_pipeline_matches_identical_across_thread_counts() {
-    let pattern = seq_pattern(&[0, 1, 2], 12);
-    let stream = stock_stream(4_000);
-    let baseline = Dlacep::new(pattern.clone(), OracleFilter::new(pattern.clone()))
-        .unwrap()
-        .run(stream.events());
-    assert!(!baseline.matches.is_empty());
-
-    let mut sharded_stats = None;
-    for t in THREADS {
-        // Small shard target: the CEP stage runs sharded on the pool. Shard
-        // layout depends only on `shard_events`, so matches equal the serial
-        // emission exactly, and the merged stats are identical across thread
-        // counts (though they may differ from serial via overlap work).
-        let par = Parallelism {
-            threads: t,
-            min_batch_windows: 1,
-            shard_events: 64,
-        };
-        let dl = Dlacep::builder(pattern.clone(), OracleFilter::new(pattern.clone()))
-            .parallelism(par)
-            .build()
-            .unwrap();
-        let report = dl.run(stream.events());
-        assert_eq!(
-            report.matches, baseline.matches,
-            "threads = {t}: sharded matches (values and order)"
-        );
-        assert_eq!(report.events_relayed, baseline.events_relayed);
-        if t > 1 {
-            match &sharded_stats {
-                None => sharded_stats = Some(report.extractor_stats),
-                Some(prev) => assert_eq!(
-                    report.extractor_stats, *prev,
-                    "threads = {t}: sharded stats must not depend on thread count"
-                ),
-            }
         }
     }
 }
@@ -221,11 +175,7 @@ fn streaming_runtime_identical_across_thread_counts() {
 
         for t in THREADS {
             let cfg = RuntimeConfig {
-                parallelism: Parallelism {
-                    threads: t,
-                    min_batch_windows: 1,
-                    shard_events: usize::MAX / 2,
-                },
+                parallelism: Parallelism::with_threads(t),
                 ..Default::default()
             };
             let mut rt =

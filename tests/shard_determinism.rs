@@ -56,11 +56,7 @@ fn run_fleet(shards: u32, threads: usize, pattern: &Pattern, stream: &EventStrea
         // matchable inside one key.
         key_extractor: KeyExtractor::ByTypeGroup(4),
         runtime: RuntimeConfig {
-            parallelism: Parallelism {
-                threads,
-                min_batch_windows: 1,
-                shard_events: usize::MAX / 2,
-            },
+            parallelism: Parallelism::with_threads(threads),
             ..RuntimeConfig::default()
         },
         obs: true,

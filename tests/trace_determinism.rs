@@ -3,7 +3,7 @@
 //! Trace *structure* — which sequence numbers are sampled, the stages and
 //! parent links of their spans, and every annotation value — is part of
 //! the determinism contract: it is a pure function of the workload and
-//! configuration, never of `DLACEP_THREADS` or the shard count. Only the
+//! configuration, never of the thread count or the shard count. Only the
 //! nanosecond timestamps are scheduling-dependent, and
 //! [`TraceSnapshot::deterministic_view`] strips exactly those. These tests
 //! run the streaming runtime (healthy and fault-injected) and the sharded
@@ -50,16 +50,6 @@ fn stock_stream(n: usize) -> EventStream {
     stream
 }
 
-/// Serial CEP so extractor work (and thus relay timing) cannot reshard
-/// with the thread count; window *marking* still fans out across the pool.
-fn serial_cep(threads: usize) -> Parallelism {
-    Parallelism {
-        threads,
-        min_batch_windows: 1,
-        shard_events: usize::MAX / 2,
-    }
-}
-
 /// Faults keyed on window *content* (first event id) — a pure function of
 /// the workload, so breaker trips and degraded stretches land on the same
 /// windows under every thread count.
@@ -104,7 +94,7 @@ fn run_streaming<F: Filter>(
 ) -> (Vec<String>, RuntimeReport) {
     let tracer = Tracer::new(SAMPLE_EVERY, RING);
     let cfg = RuntimeConfig {
-        parallelism: serial_cep(threads),
+        parallelism: Parallelism::with_threads(threads),
         guard: GuardConfig {
             fault_threshold: 2,
             cooldown_windows: 4,
@@ -217,7 +207,7 @@ fn run_fleet_traces<F: Filter>(
         shards,
         key_extractor: KeyExtractor::ByTypeGroup(4),
         runtime: RuntimeConfig {
-            parallelism: serial_cep(threads),
+            parallelism: Parallelism::with_threads(threads),
             guard: GuardConfig {
                 fault_threshold: 2,
                 cooldown_windows: 4,
