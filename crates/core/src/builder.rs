@@ -323,12 +323,13 @@ impl<F: Filter + std::fmt::Debug, S: Store + std::fmt::Debug> std::fmt::Debug
 }
 
 impl<F: Filter, S: Store> DurableBuilder<F, S> {
-    /// Start a durable runtime on a fresh store. For a store that may
-    /// already hold a log (i.e. after a crash), use
+    /// Start a durable runtime on an empty store (a store that holds
+    /// anything is refused with [`DurError::NotEmpty`]). For a store that
+    /// may already hold a log (i.e. after a crash), use
     /// [`DurableBuilder::recover`] — it handles the empty store as a cold
     /// start, so it is always safe to call instead.
     pub fn build(self) -> Result<DurableDlacep<F, S>, DurError> {
-        DurableDlacep::new_with_trainer(
+        DurableDlacep::new(
             self.inner.pattern,
             self.inner.filter,
             self.inner.config,
@@ -342,7 +343,7 @@ impl<F: Filter, S: Store> DurableBuilder<F, S> {
     /// Recover from whatever the store holds (latest checkpoint + WAL
     /// replay), or cold-start on an empty store.
     pub fn recover(self) -> Result<(DurableDlacep<F, S>, RecoveryReport), DurError> {
-        DurableDlacep::recover_with_trainer(
+        DurableDlacep::recover(
             self.inner.pattern,
             self.inner.filter,
             self.inner.config,

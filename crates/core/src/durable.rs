@@ -1,33 +1,17 @@
 //! Durable streaming runtime: write-ahead event log + checkpoint/restore.
 //!
-//! [`DurableDlacep`] wraps a [`StreamingDlacep`] with the `dlacep-dur`
-//! persistence primitives so a crash at *any* byte of *any* write loses no
-//! acknowledged state:
-//!
-//! * every **offered** event is appended to a [`Wal`] *before* it reaches the
-//!   runtime — admission (out-of-order policy, id stamping) is deterministic,
-//!   so replaying the log re-derives it exactly;
-//! * [`DurableDlacep::checkpoint_now`] syncs the WAL, appends the matches
-//!   emitted since the previous checkpoint to the store's [`EmitLog`] and
-//!   syncs it, captures the live runtime trajectory ([`RuntimeCheckpoint`]:
-//!   state plus an [`EmittedMark`], not the output) and publishes it
-//!   atomically (tmp + fsync + rename) together with the log's byte offset,
-//!   then prunes checkpoints and fully-covered WAL segments;
-//! * [`DurableDlacep::recover`] loads the newest *valid* checkpoint (corrupt
-//!   or torn ones are skipped), cuts the emit log back to that checkpoint's
-//!   offset, restores the runtime with the log's matches as its emitted
-//!   prefix, and replays the WAL suffix. The result is byte-identical —
-//!   matches, counters, timeline, journal sequence — to a run that never
-//!   crashed, which `tests/crash_sweep.rs` proves for every possible crash
-//!   point.
-//!
-//! The recovery protocol relies on three orderings, all enforced here: a
-//! checkpoint is written only after the WAL is synced (so its sequence number
-//! is always ≤ the durable log end) and only after the emit log is synced
-//! (so its offset is always ≤ the durable emit log end — whatever lies beyond
-//! it is re-derived by replay and appended again), and WAL segments are
-//! pruned only below the oldest *retained* checkpoint (so recovery always
-//! finds the suffix it needs).
+//! [`DurableDlacep`] keeps a [`StreamingDlacep`] in a [`StoreLog`] so a
+//! crash at *any* byte of *any* write loses no acknowledged state: every
+//! **offered** event is appended to the WAL *before* it reaches the runtime
+//! (admission is deterministic, so replay re-derives it exactly), and
+//! checkpoints and recovery follow the store log's write and recovery
+//! orders. This tier supplies the checkpoint payload (`emit_offset |`
+//! [`RuntimeCheckpoint`] — live state plus an [`EmittedMark`], not the
+//! output), its matches as `(key 0, match)` emit records, and the retrain
+//! supervisor's models, published to the store's registry. A recovered run
+//! is byte-identical — matches, counters, timeline, journal sequence — to a
+//! run that never crashed, which `tests/crash_sweep.rs` proves for every
+//! possible crash point.
 //!
 //! What is **not** covered: the filter model itself (persist it with
 //! [`crate::persist`] and pass the reloaded filter to `recover`), and output
@@ -46,9 +30,8 @@ use crate::{BreakerState, GuardStats};
 use crate::{DriftMonitorState, GuardState};
 use dlacep_cep::{Match, Pattern};
 use dlacep_dur::{
-    load_latest_checkpoint, load_latest_model, prune_checkpoints, prune_models, publish_checkpoint,
-    publish_model, CodecError, Dec, Decoder, EmitError, EmitLog, Enc, Encoder, Store, Wal,
-    WalConfig, WalError, CKPT_MAGIC, CKPT_VERSION,
+    load_latest_model, prune_models, publish_model, CodecError, Dec, Decoder, EmitError, Enc,
+    Encoder, NotEmpty, Store, StoreLog, WalConfig, WalError,
 };
 use dlacep_events::{AttrValue, EventId, TypeId};
 use dlacep_obs::{Counter, Registry};
@@ -72,13 +55,6 @@ pub struct DurConfig {
     /// Take a checkpoint every N offered events; `0` = only on explicit
     /// [`DurableDlacep::checkpoint_now`] calls.
     pub checkpoint_every_events: u64,
-    /// Checkpoints retained after each new one (at least two are). Older
-    /// checkpoints, and once two exist the WAL segments below the oldest
-    /// retained one, are pruned.
-    pub keep_checkpoints: usize,
-    /// Registry models retained after each publication (≥ 1). Models below
-    /// the newest `keep_models` versions are pruned.
-    pub keep_models: usize,
 }
 
 impl Default for DurConfig {
@@ -86,8 +62,6 @@ impl Default for DurConfig {
         Self {
             wal: WalConfig::default(),
             checkpoint_every_events: 1024,
-            keep_checkpoints: 2,
-            keep_models: 2,
         }
     }
 }
@@ -111,6 +85,9 @@ pub enum DurError {
     /// The emit log is damaged, or ends before the checkpoint that covers
     /// it.
     Emit(EmitError),
+    /// [`DurableDlacep::new`] was handed a store that already holds a run;
+    /// [`DurableDlacep::recover`] it instead.
+    NotEmpty(NotEmpty),
 }
 
 impl std::fmt::Display for DurError {
@@ -121,6 +98,7 @@ impl std::fmt::Display for DurError {
             DurError::Corrupt(e) => write!(f, "checkpoint payload: {e}"),
             DurError::Runtime(e) => write!(f, "runtime: {e}"),
             DurError::Emit(e) => write!(f, "{e}"),
+            DurError::NotEmpty(e) => write!(f, "{e}"),
         }
     }
 }
@@ -148,6 +126,18 @@ impl From<RuntimeError> for DurError {
 impl From<EmitError> for DurError {
     fn from(e: EmitError) -> Self {
         DurError::Emit(e)
+    }
+}
+
+impl From<CodecError> for DurError {
+    fn from(e: CodecError) -> Self {
+        DurError::Corrupt(e)
+    }
+}
+
+impl From<NotEmpty> for DurError {
+    fn from(e: NotEmpty) -> Self {
+        DurError::NotEmpty(e)
     }
 }
 
@@ -224,13 +214,9 @@ pub fn decode_offer(payload: &[u8]) -> Result<(TypeId, u64, Vec<AttrValue>), Cod
 /// Crash-recoverable [`StreamingDlacep`]. See the [module docs](self).
 pub struct DurableDlacep<F: Filter, S: Store> {
     rt: StreamingDlacep<F>,
-    wal: Wal,
-    emit: EmitLog,
+    log: StoreLog<S>,
     /// How many of the runtime's matches the emit log already holds.
     logged: usize,
-    /// The checkpoint frame under construction, reused across checkpoints.
-    frame: Encoder,
-    store: S,
     cfg: DurConfig,
     offered_since_ckpt: u64,
     ckpt_bytes: Counter,
@@ -240,13 +226,10 @@ pub struct DurableDlacep<F: Filter, S: Store> {
 }
 
 impl<F: Filter, S: Store> DurableDlacep<F, S> {
-    /// Start a durable runtime on `store`. For a store that may already hold
-    /// a log (i.e. after a crash), use [`DurableDlacep::recover`] — it
-    /// handles the empty store as a cold start, so it is always safe to call
-    /// instead of `new`.
-    ///
-    /// When `registry` is `Some`, runtime metrics and journal land there
-    /// from the first entry (the initial mode included).
+    /// Start a durable runtime on an empty `store`: [`recover`](Self::recover)
+    /// of a store that holds nothing, which is always safe to call instead.
+    /// A store that holds anything is refused with [`DurError::NotEmpty`]
+    /// and left as found.
     pub fn new(
         pattern: Pattern,
         filter: F,
@@ -254,68 +237,31 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
         dur: DurConfig,
         store: S,
         registry: Option<Arc<Registry>>,
-    ) -> Result<Self, DurError> {
-        Self::new_with_trainer(pattern, filter, config, dur, store, registry, None)
-    }
-
-    /// [`DurableDlacep::new`] with a retrain trainer attached. Required
-    /// whenever [`RuntimeConfig::retrain`] is set: accepted models are
-    /// published to the store's versioned registry as they are swapped in.
-    pub fn new_with_trainer(
-        pattern: Pattern,
-        filter: F,
-        config: RuntimeConfig,
-        dur: DurConfig,
-        mut store: S,
-        registry: Option<Arc<Registry>>,
         trainer: Option<Box<dyn ModelTrainer<F>>>,
     ) -> Result<Self, DurError> {
-        let (wal, _) = Wal::open(&mut store, dur.wal)?;
-        // A fresh runtime has emitted nothing: the log starts empty.
-        let (emit, _) = EmitLog::open_at(&mut store, 0, |_| Ok(()))?;
-        let rt = StreamingDlacep::with_config_obs_trainer(
-            pattern,
-            filter,
-            config,
-            registry.clone(),
-            trainer,
-        )?;
-        let reg = registry.unwrap_or_else(dlacep_obs::global);
-        Ok(Self::assemble(rt, wal, emit, 0, store, dur, &reg))
+        StoreLog::check_empty::<DurError>(&store)?;
+        let (this, _) = Self::recover(pattern, filter, config, dur, store, registry, trainer)?;
+        Ok(this)
     }
 
-    fn assemble(
-        rt: StreamingDlacep<F>,
-        wal: Wal,
-        emit: EmitLog,
-        logged: usize,
-        store: S,
-        cfg: DurConfig,
-        registry: &Registry,
-    ) -> Self {
-        Self {
-            rt,
-            wal,
-            emit,
-            logged,
-            frame: Encoder::new(),
-            store,
-            cfg,
-            offered_since_ckpt: 0,
-            ckpt_bytes: registry.counter("dur.checkpoint.bytes"),
-            wal_replayed: registry.counter("dur.wal.replayed"),
-            recovery_truncated: registry.counter("dur.recovery.truncated_tail"),
-            model_bytes: registry.counter("dur.model.bytes"),
-        }
-    }
-
-    /// Rebuild from whatever `store` holds: open the WAL (truncating a torn
-    /// tail), load the newest valid checkpoint, open the emit log at that
-    /// checkpoint's offset (cutting what lies beyond), restore the runtime
-    /// with the log's matches as its emitted prefix, replay the WAL suffix.
-    /// An empty store is a cold start. `pattern`, `filter` and `config` must
-    /// be what the original runtime ran with; a configuration mismatch is a
+    /// Rebuild from whatever `store` holds ([`StoreLog::open`]): restore the
+    /// newest valid checkpoint with the emit log's matches as the runtime's
+    /// emitted prefix, then replay the WAL suffix. An empty store is a cold
+    /// start. `pattern`, `filter`, `config` and `trainer` must be what the
+    /// original runtime ran with; a configuration mismatch is a
     /// [`RuntimeError::Restore`] error.
+    ///
+    /// When `registry` is `Some`, runtime metrics and journal land there
+    /// from the first entry (the initial mode included). A `trainer` is
+    /// required whenever [`RuntimeConfig::retrain`] is set: accepted models
+    /// are published to the store's versioned registry as they are swapped
+    /// in.
+    ///
+    /// With retraining configured the trainer decodes the checkpointed
+    /// active model (so marking resumes on the same weights) and an
+    /// interrupted in-flight retrain resumes at its checkpointed schedule
+    /// during WAL replay. Models accepted during replay that the crashed run
+    /// had already published are re-published idempotently.
     ///
     /// Replayed events that the original run rejected (out-of-order under
     /// [`Reject`](dlacep_events::OutOfOrderPolicy::Reject)) are rejected
@@ -328,54 +274,17 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
         dur: DurConfig,
         store: S,
         registry: Option<Arc<Registry>>,
-    ) -> Result<(Self, RecoveryReport), DurError> {
-        Self::recover_with_trainer(pattern, filter, config, dur, store, registry, None)
-    }
-
-    /// [`DurableDlacep::recover`] with a retrain trainer attached. Required
-    /// whenever [`RuntimeConfig::retrain`] is set: the trainer decodes the
-    /// checkpointed active model (so marking resumes on the same weights)
-    /// and an interrupted in-flight retrain resumes at its checkpointed
-    /// schedule during WAL replay. Models accepted during replay that the
-    /// crashed run had already published are re-published idempotently.
-    pub fn recover_with_trainer(
-        pattern: Pattern,
-        filter: F,
-        config: RuntimeConfig,
-        dur: DurConfig,
-        mut store: S,
-        registry: Option<Arc<Registry>>,
         trainer: Option<Box<dyn ModelTrainer<F>>>,
     ) -> Result<(Self, RecoveryReport), DurError> {
-        let (wal, wal_report) = Wal::open(&mut store, dur.wal)?;
-        let scan = load_latest_checkpoint(&store)?;
-        let checkpoints_skipped = scan.skipped;
-        let reg = match &registry {
-            Some(r) => r.clone(),
-            None => dlacep_obs::global(),
-        };
-
-        let restored = match scan.latest {
-            Some((seq, payload)) => {
-                let (emit_offset, ckpt) =
-                    decode_durable_payload(scan.version, &payload).map_err(DurError::Corrupt)?;
-                Some((seq, emit_offset, ckpt))
-            }
-            None => None,
-        };
-        // The emit log is cut at the checkpoint's offset (all of it goes on
-        // a cold start): what lay beyond is re-derived by the replay below.
-        let emit_offset = restored.as_ref().map_or(0, |r| r.1);
         let mut from_log: Vec<Match> = Vec::new();
-        let (emit, emit_truncated_bytes) = EmitLog::open_at(&mut store, emit_offset, |record| {
-            let mut d = Decoder::new(record);
-            let _key = d.take_u64()?;
-            from_log.push(d.get()?);
-            d.finish()
-        })?;
+        let (log, found) =
+            StoreLog::open::<_, _, DurError>(store, dur.wal, decode_durable_payload, |_, m| {
+                from_log.push(m)
+            })?;
         let logged = from_log.len();
-        let (rt, checkpoint_seq, journal_watermark) = match restored {
-            Some((seq, _, mut ckpt)) => {
+        let reg = registry.clone().unwrap_or_else(dlacep_obs::global);
+        let (rt, checkpoint_seq, journal_watermark) = match found.checkpoint {
+            Some((seq, mut ckpt)) => {
                 // A version-1 checkpoint brings its matches embedded and
                 // covers no log; they reach it at the next checkpoint.
                 ckpt.emitted_prefix.append(&mut from_log);
@@ -392,17 +301,24 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
                 (rt, None, 0)
             }
         };
-        let from_seq = checkpoint_seq.unwrap_or(0);
 
-        let mut this = Self::assemble(rt, wal, emit, logged, store, dur, &reg);
-        if wal_report.truncated_bytes > 0 || wal_report.removed_segments > 0 {
+        let mut this = Self {
+            rt,
+            log,
+            logged,
+            cfg: dur,
+            offered_since_ckpt: 0,
+            ckpt_bytes: reg.counter("dur.checkpoint.bytes"),
+            wal_replayed: reg.counter("dur.wal.replayed"),
+            recovery_truncated: reg.counter("dur.recovery.truncated_tail"),
+            model_bytes: reg.counter("dur.model.bytes"),
+        };
+        if found.wal.truncated_bytes > 0 || found.wal.removed_segments > 0 {
             this.recovery_truncated.inc();
         }
-
-        let suffix = Wal::replay(&this.store, from_seq)?;
         let mut replayed = 0u64;
-        for (_seq, payload) in &suffix {
-            let (type_id, ts, attrs) = decode_offer(payload).map_err(DurError::Corrupt)?;
+        for (_seq, payload) in &found.suffix {
+            let (type_id, ts, attrs) = decode_offer(payload)?;
             match this.rt.ingest(type_id, ts, attrs) {
                 Ok(_) => {}
                 // The original run saw the same rejection and carried on.
@@ -417,17 +333,17 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
         // original publication and the covering checkpoint only causes a
         // harmless re-publish here.
         this.publish_pending_models()?;
-        let resume_seq = this.wal.next_seq();
-        this.offered_since_ckpt = resume_seq - from_seq;
+        let resume_seq = this.log.next_seq();
+        this.offered_since_ckpt = resume_seq - checkpoint_seq.unwrap_or(0);
 
-        let models_skipped = load_latest_model(&this.store)?.skipped;
+        let models_skipped = load_latest_model(this.log.store())?.skipped;
         let report = RecoveryReport {
             checkpoint_seq,
-            checkpoints_skipped,
+            checkpoints_skipped: found.checkpoints_skipped,
             wal_replayed: replayed,
-            truncated_bytes: wal_report.truncated_bytes,
-            removed_segments: wal_report.removed_segments,
-            emit_truncated_bytes,
+            truncated_bytes: found.wal.truncated_bytes,
+            removed_segments: found.wal.removed_segments,
+            emit_truncated_bytes: found.emit_truncated_bytes,
             resume_seq,
             journal_watermark,
             model_version: this.rt.active_model_version(),
@@ -443,7 +359,7 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
 
     /// Next WAL sequence number == offered events durably loggable so far.
     pub fn wal_next_seq(&self) -> u64 {
-        self.wal.next_seq()
+        self.log.next_seq()
     }
 
     /// Offer one event: logged to the WAL first, then ingested. A rejected
@@ -455,8 +371,7 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
         ts: u64,
         attrs: Vec<AttrValue>,
     ) -> Result<Option<EventId>, DurError> {
-        self.wal
-            .append_with(&mut self.store, |e| put_offer(e, type_id, ts, &attrs))?;
+        self.log.append(|e| put_offer(e, type_id, ts, &attrs))?;
         self.offered_since_ckpt += 1;
         let id = self.rt.ingest(type_id, ts, attrs);
         // Publish freshly accepted models before any covering checkpoint:
@@ -479,48 +394,35 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
             return Ok(());
         }
         for (version, bytes) in &pending {
-            let n = publish_model(&mut self.store, *version, bytes)?;
+            let n = publish_model(self.log.store_mut(), *version, bytes)?;
             self.model_bytes.add(n);
         }
-        prune_models(&mut self.store, self.cfg.keep_models)?;
+        prune_models(self.log.store_mut())?;
         Ok(())
     }
 
     /// Force the WAL to stable storage without checkpointing.
     pub fn sync(&mut self) -> Result<(), DurError> {
-        self.wal.sync(&mut self.store).map_err(DurError::from)
+        self.log.sync().map_err(DurError::from)
     }
 
-    /// Sync the WAL, append the matches emitted since the last checkpoint to
-    /// the emit log and sync it, publish a checkpoint of the current state
-    /// (with the log's offset) atomically, and prune old checkpoints plus
-    /// fully-covered WAL segments. Returns the checkpoint's sequence number
-    /// (== offered events logged).
+    /// Publish pending models, then checkpoint through [`StoreLog`]: the
+    /// matches emitted since the last checkpoint go to the emit log, the
+    /// payload is `emit_offset | runtime checkpoint`. Returns the
+    /// checkpoint's sequence number (== offered events logged).
     pub fn checkpoint_now(&mut self) -> Result<u64, DurError> {
         self.publish_pending_models()?;
-        self.wal.sync(&mut self.store)?;
-        let seq = self.wal.next_seq();
         let matches = self.rt.matches_so_far();
         for m in &matches[self.logged..] {
-            self.emit.stage(|e| {
-                e.put_u64(0); // key: a single runtime has one stream
-                e.put(m);
-            });
+            self.log.stage(0, m); // key: a single runtime has one stream
         }
-        self.emit.append(&mut self.store)?;
         self.logged = matches.len();
-        self.emit.sync(&mut self.store)?;
-        let (emit_offset, ckpt) = (self.emit.offset(), self.rt.checkpoint());
-        self.frame.clear();
-        self.frame.put_frame(CKPT_MAGIC, CKPT_VERSION, |e| {
+        let rt = &self.rt;
+        let (seq, bytes) = self.log.checkpoint::<DurError>(|e, emit_offset| {
             e.put_u64(emit_offset);
-            e.put(&ckpt);
-        });
-        publish_checkpoint(&mut self.store, seq, self.frame.bytes())?;
-        self.ckpt_bytes.add(self.frame.len() as u64);
-        if let Some(oldest_kept) = prune_checkpoints(&mut self.store, self.cfg.keep_checkpoints)? {
-            self.wal.prune_below(&mut self.store, oldest_kept)?;
-        }
+            e.put(&rt.checkpoint());
+        })?;
+        self.ckpt_bytes.add(bytes as u64);
         self.offered_since_ckpt = 0;
         Ok(seq)
     }
@@ -535,7 +437,7 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
     /// Tear down into the backing store (tests use this to inspect or crash
     /// it).
     pub fn into_store(self) -> S {
-        self.store
+        self.log.into_store()
     }
 }
 
@@ -945,6 +847,7 @@ mod tests {
             DurConfig::default(),
             MemStore::new(),
             None,
+            None,
         )
         .unwrap();
         assert_eq!(report.checkpoint_seq, None);
@@ -976,6 +879,7 @@ mod tests {
             },
             MemStore::new(),
             None,
+            None,
         )
         .unwrap();
         for i in 0..25u64 {
@@ -991,6 +895,7 @@ mod tests {
             RuntimeConfig::default(),
             DurConfig::default(),
             store,
+            None,
             None,
         )
         .unwrap();
@@ -1021,7 +926,6 @@ mod tests {
                 sync_every: 1, // every offer durable immediately
                 ..WalConfig::default()
             },
-            ..DurConfig::default()
         };
         let mut dur = DurableDlacep::new(
             p.clone(),
@@ -1029,6 +933,7 @@ mod tests {
             RuntimeConfig::default(),
             dur_cfg,
             MemStore::new(),
+            None,
             None,
         )
         .unwrap();
@@ -1042,6 +947,7 @@ mod tests {
             RuntimeConfig::default(),
             dur_cfg,
             store,
+            None,
             None,
         )
         .unwrap();

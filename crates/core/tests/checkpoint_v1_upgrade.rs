@@ -11,19 +11,33 @@
 //! its first checkpoint on write version-2 frames and an emit log that a
 //! second recovery reads back. The stores' WAL segments double as the pin
 //! that the in-place record framing writes the parent's bytes.
+//!
+//! The `*_pr22` fixtures are the same two stores, recorded with the helpers
+//! below (every runtime journaling into a registry of its own, so the bytes
+//! do not depend on what else ran in the process) by the last commit before
+//! one `dur::StoreLog` took over both tiers' write and recovery orders —
+//! version-2 frames, two checkpoints each, a non-empty emit log and a WAL
+//! suffix past the newest checkpoint. This build must write every one of
+//! their files byte for byte for the same offers, and recover each to the
+//! uninterrupted run.
 
 use dlacep_cep::{Match, Pattern, PatternExpr, TypeSet};
-use dlacep_core::durable::{decode_checkpoint, encode_checkpoint, DurConfig, DurableDlacep};
+use dlacep_core::durable::{
+    decode_checkpoint, encode_checkpoint, DurConfig, DurableDlacep, RecoveryReport,
+};
 use dlacep_core::filter::PassthroughFilter;
 use dlacep_core::runtime::{EmittedMark, RuntimeConfig, StreamingDlacep};
 use dlacep_dur::{load_latest_checkpoint, MemStore, Store, WalConfig, CKPT_VERSION, EMIT_LOG_NAME};
 use dlacep_events::{AttrValue, KeyExtractor, TypeId, WindowSpec};
-use dlacep_serve::{FleetConfig, ShardedDlacep};
+use dlacep_obs::Registry;
+use dlacep_serve::{FleetConfig, FleetReport, ShardedDlacep};
 use std::sync::Arc;
 
 const RUNTIME_V1: &str = include_str!("fixtures/runtime_checkpoint_pr19.hex");
 const DURABLE_STORE_V1: &str = include_str!("fixtures/durable_store_pr19.txt");
 const SHARD_STORE_V1: &str = include_str!("fixtures/shard_store_pr19.txt");
+const DURABLE_STORE_V2: &str = include_str!("fixtures/durable_store_pr22.txt");
+const SHARD_STORE_V2: &str = include_str!("fixtures/shard_store_pr22.txt");
 
 const SPLIT: usize = 50;
 
@@ -69,8 +83,6 @@ fn dur_config() -> DurConfig {
             sync_every: 4,
         },
         checkpoint_every_events: 20,
-        keep_checkpoints: 2,
-        keep_models: 2,
     }
 }
 
@@ -84,8 +96,17 @@ fn fleet_config() -> FleetConfig {
         },
         sync_every_events: 8,
         checkpoint_every_events: 20,
+        // Each key runtime journals into its own registry, so what a
+        // checkpoint records does not depend on other tests in the process.
+        obs: true,
         ..FleetConfig::default()
     }
+}
+
+/// A registry of the runtime's own (the global one's journal position
+/// depends on what else ran in the process, and checkpoints record it).
+fn registry() -> Option<Arc<Registry>> {
+    Some(Arc::new(Registry::with_journal_capacity(64)))
 }
 
 fn from_hex(hex: &str) -> Vec<u8> {
@@ -112,9 +133,25 @@ fn durable(store: MemStore) -> DurableDlacep<PassthroughFilter, MemStore> {
         RuntimeConfig::default(),
         dur_config(),
         store,
+        registry(),
         None,
     )
     .unwrap()
+}
+
+fn recover_durable(
+    store: MemStore,
+) -> (DurableDlacep<PassthroughFilter, MemStore>, RecoveryReport) {
+    DurableDlacep::recover(
+        pattern(),
+        PassthroughFilter,
+        RuntimeConfig::default(),
+        dur_config(),
+        store,
+        registry(),
+        None,
+    )
+    .expect("the store recovers")
 }
 
 fn fleet(store: MemStore) -> ShardedDlacep<PassthroughFilter, MemStore> {
@@ -161,21 +198,40 @@ fn reference_matches() -> Vec<Match> {
     matches
 }
 
-/// Every `wal-*.seg` of `fixture` is byte for byte what this build wrote.
-fn assert_wal_bytes_equal(fixture: &MemStore, rebuilt: &MemStore, ctx: &str) {
-    let segments: Vec<String> = fixture
-        .list()
-        .unwrap()
-        .into_iter()
-        .filter(|n| n.starts_with("wal-"))
-        .collect();
-    assert!(segments.len() >= 2, "{ctx}: the fixture holds WAL segments");
-    for name in segments {
+/// Every file of `fixture` whose name starts with `prefix` is byte for byte
+/// what this build wrote, and this build wrote no other such file.
+fn assert_bytes_equal(fixture: &MemStore, rebuilt: &MemStore, prefix: &str, ctx: &str) {
+    let names = |store: &MemStore| -> Vec<String> {
+        let all = store.list().unwrap().into_iter();
+        all.filter(|n| n.starts_with(prefix)).collect()
+    };
+    let files = names(fixture);
+    assert!(files.len() >= 2, "{ctx}: the fixture holds {prefix}* files");
+    assert_eq!(names(rebuilt), files, "{ctx}: the same files");
+    for name in files {
         assert_eq!(
             rebuilt.read(&name).unwrap(),
             fixture.read(&name).unwrap(),
             "{ctx}: {name} differs from the parent's encoding"
         );
+    }
+}
+
+/// The uninterrupted fleet over all of [`offers`].
+fn reference_fleet() -> FleetReport {
+    let mut fleet = fleet(MemStore::new());
+    feed_fleet(&mut fleet, &offers());
+    let report = fleet.finish();
+    assert!(report.totals.matches > 4 && report.keys.len() == 2);
+    report
+}
+
+fn assert_fleet_equal(got: &FleetReport, want: &FleetReport) {
+    assert_eq!(got.totals.matches, want.totals.matches);
+    for (got, want) in got.keys.iter().zip(&want.keys) {
+        assert_eq!(got.key, want.key);
+        assert_eq!(got.report.matches, want.report.matches, "key {}", got.key);
+        assert_eq!(got.report.extractor_stats, want.report.extractor_stats);
     }
 }
 
@@ -215,20 +271,9 @@ fn v1_durable_store_upgrades_in_place() {
     let mut rebuilt = durable(MemStore::new());
     feed_durable(&mut rebuilt, &input[..SPLIT]);
     rebuilt.sync().unwrap();
-    assert_wal_bytes_equal(&fixture, &rebuilt.into_store(), "durable");
+    assert_bytes_equal(&fixture, &rebuilt.into_store(), "wal-", "durable");
 
-    let recover = |store| {
-        DurableDlacep::recover(
-            pattern(),
-            PassthroughFilter,
-            RuntimeConfig::default(),
-            dur_config(),
-            store,
-            None,
-        )
-        .expect("the store recovers")
-    };
-    let (mut dur, report) = recover(fixture);
+    let (mut dur, report) = recover_durable(fixture);
     assert_eq!(report.checkpoint_seq, Some(40));
     assert_eq!((report.wal_replayed, report.resume_seq), (10, 50));
     let emitted_before = dur.runtime().matches_so_far().len();
@@ -252,7 +297,7 @@ fn v1_durable_store_upgrades_in_place() {
     );
 
     // A second recovery reads the prefix from the log, not the checkpoint.
-    let (mut dur, report) = recover(upgraded);
+    let (mut dur, report) = recover_durable(upgraded);
     assert_eq!(report.checkpoint_seq, Some(60));
     assert_eq!(report.emit_truncated_bytes, 0);
     assert!(dur.runtime().matches_so_far().len() >= emitted_before);
@@ -270,14 +315,7 @@ fn v1_shard_store_upgrades_in_place() {
     let mut rebuilt = fleet(MemStore::new());
     feed_fleet(&mut rebuilt, &input[..SPLIT]);
     rebuilt.sync().unwrap();
-    assert_wal_bytes_equal(&fixture, &rebuilt.into_stores()[0], "fleet shard");
-
-    let reference = {
-        let mut fleet = fleet(MemStore::new());
-        feed_fleet(&mut fleet, &input);
-        fleet.finish()
-    };
-    assert!(reference.totals.matches > 4 && reference.keys.len() == 2);
+    assert_bytes_equal(&fixture, &rebuilt.into_stores()[0], "wal-", "fleet shard");
 
     let (mut recovered, resume_seq) = recover_fleet(fixture);
     assert_eq!(resume_seq, SPLIT as u64 + 1);
@@ -299,13 +337,71 @@ fn v1_shard_store_upgrades_in_place() {
     let (mut recovered, resume_seq) = recover_fleet(upgraded);
     assert_eq!(resume_seq, 71);
     feed_fleet(&mut recovered, &input[70..]);
-    let report = recovered.finish();
-    assert_eq!(report.totals.matches, reference.totals.matches);
-    for (got, want) in report.keys.iter().zip(&reference.keys) {
-        assert_eq!(got.key, want.key);
-        assert_eq!(got.report.matches, want.report.matches, "key {}", got.key);
-        assert_eq!(got.report.extractor_stats, want.report.extractor_stats);
-    }
+    assert_fleet_equal(&recovered.finish(), &reference_fleet());
+}
+
+/// A `*_pr22` image: version-2 checkpoints, two of them, and an emit log
+/// they point into.
+fn assert_v2_image(fixture: &MemStore) {
+    let names = fixture.list().unwrap();
+    assert_eq!(names.iter().filter(|n| n.ends_with(".ck")).count(), 2);
+    assert_eq!(
+        load_latest_checkpoint(fixture).unwrap().version,
+        CKPT_VERSION
+    );
+    assert!(fixture.len(EMIT_LOG_NAME).unwrap() > 0);
+}
+
+#[test]
+fn v2_durable_store_is_written_byte_for_byte_and_recovers() {
+    let input = offers();
+    let fixture = load_store(DURABLE_STORE_V2);
+    assert_v2_image(&fixture);
+
+    let mut rebuilt = durable(MemStore::new());
+    feed_durable(&mut rebuilt, &input[..SPLIT]);
+    rebuilt.sync().unwrap();
+    assert_bytes_equal(&fixture, &rebuilt.into_store(), "", "durable");
+
+    let (mut dur, report) = recover_durable(fixture);
+    assert_eq!(report.checkpoint_seq, Some(40));
+    assert_eq!((report.wal_replayed, report.resume_seq), (10, 50));
+    assert_eq!(report.emit_truncated_bytes, 0);
+    assert!(!dur.runtime().matches_so_far().is_empty());
+    feed_durable(&mut dur, &input[SPLIT..]);
+    assert_eq!(dur.finish().matches, reference_matches());
+}
+
+#[test]
+fn v2_shard_store_is_written_byte_for_byte_and_recovers() {
+    let input = offers();
+    let fixture = load_store(SHARD_STORE_V2);
+    assert_v2_image(&fixture);
+
+    let mut rebuilt = fleet(MemStore::new());
+    feed_fleet(&mut rebuilt, &input[..SPLIT]);
+    rebuilt.sync().unwrap();
+    assert_bytes_equal(&fixture, &rebuilt.into_stores()[0], "", "fleet shard");
+
+    let (fleet, report) = ShardedDlacep::recover(
+        pattern(),
+        fleet_config(),
+        Arc::new(|| PassthroughFilter),
+        Arc::new(|| None),
+        vec![fixture],
+    )
+    .expect("the store recovers");
+    let shard = &report.shards[0];
+    assert_eq!((shard.checkpoint_seq, shard.keys_restored), (Some(40), 2));
+    assert_eq!(
+        (shard.wal_replayed, report.resume_seq),
+        (10, SPLIT as u64 + 1)
+    );
+    assert_eq!(shard.emit_truncated_bytes, 0);
+    let mut recovered = fleet;
+    assert!(recovered.stats().matches > 0);
+    feed_fleet(&mut recovered, &input[SPLIT..]);
+    assert_fleet_equal(&recovered.finish(), &reference_fleet());
 }
 
 /// The fixture pins rows the step-order pass stores: an edit of the cost

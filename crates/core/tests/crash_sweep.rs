@@ -77,8 +77,6 @@ fn dur_config() -> DurConfig {
             sync_every: 4,
         },
         checkpoint_every_events: 12,
-        keep_checkpoints: 2,
-        keep_models: 2,
     }
 }
 
@@ -143,7 +141,7 @@ where
     /// The uninterrupted run: reference matches, report, and journal.
     fn reference(&self) -> (RuntimeReport, Arc<Registry>) {
         let reg = Arc::new(Registry::with_journal_capacity(8192));
-        let mut dur = DurableDlacep::new_with_trainer(
+        let mut dur = DurableDlacep::new(
             self.pattern.clone(),
             (self.mk_filter)(),
             self.config,
@@ -162,7 +160,7 @@ where
     fn crashed_disk_image(&self, crash_tick: u64) -> Option<MemStore> {
         let store = FailingStore::crash_at(MemStore::new(), crash_tick);
         let reg = Arc::new(Registry::with_journal_capacity(8192));
-        let mut dur = DurableDlacep::new_with_trainer(
+        let mut dur = DurableDlacep::new(
             self.pattern.clone(),
             (self.mk_filter)(),
             self.config,
@@ -188,7 +186,7 @@ where
     fn total_ticks(&self) -> u64 {
         let store = FailingStore::new(MemStore::new(), Schedule::never());
         let reg = Arc::new(Registry::with_journal_capacity(8192));
-        let mut dur = DurableDlacep::new_with_trainer(
+        let mut dur = DurableDlacep::new(
             self.pattern.clone(),
             (self.mk_filter)(),
             self.config,
@@ -217,6 +215,10 @@ where
         );
         let total = self.total_ticks();
         assert!(total > 100, "workload too small to be a meaningful sweep");
+        // Printed so a change to the durability layer can show it asks the
+        // store for the same work (`--nocapture`).
+        let test = std::thread::current();
+        println!("{}: total_ticks {total}", test.name().unwrap_or("sweep"));
 
         let mut with_checkpoint = 0u64;
         let mut cold_starts = 0u64;
@@ -228,7 +230,7 @@ where
             };
             let disk = damage(disk);
             let rec_reg = Arc::new(Registry::with_journal_capacity(8192));
-            let (mut rec, report) = DurableDlacep::recover_with_trainer(
+            let (mut rec, report) = DurableDlacep::recover(
                 self.pattern.clone(),
                 (self.mk_filter)(),
                 self.config,
@@ -570,7 +572,6 @@ fn fleet_config() -> FleetConfig {
         // sweep's tick count (and wall-clock) almost by itself. Four
         // checkpoints still straddle the whole retrain trajectory.
         checkpoint_every_events: 36,
-        keep_checkpoints: 2,
         ..FleetConfig::default()
     }
 }
@@ -731,6 +732,7 @@ fn fleet_crash_sweep_multi_shard_with_mid_retrain_shard() {
     };
     let create_ticks = probe(false);
     let total_ticks = probe(true);
+    println!("fleet sweep: create_ticks {create_ticks:?}, total_ticks {total_ticks:?} per shard");
 
     let mut with_checkpoint = 0u64;
     let mut replay_only = 0u64;

@@ -6,13 +6,17 @@
 //! checkpoint marks — fails recovery with a typed error instead of resuming
 //! on output nobody emitted. And a store's first checkpoint, while it is the
 //! only one, leaves the WAL whole: when it rots, recovery replays the run
-//! from its first event.
+//! from its first event. Starting fresh on a store that already holds a run
+//! is refused and leaves every file as it was — a fresh start would cut the
+//! emit log the run's checkpoints point into.
 
 use dlacep_cep::{Match, Pattern, PatternExpr, Predicate, TypeSet};
 use dlacep_core::durable::{encode_checkpoint, DurConfig, DurError, DurableDlacep};
 use dlacep_core::filter::PassthroughFilter;
 use dlacep_core::runtime::{RuntimeConfig, RuntimeError, StreamingDlacep};
-use dlacep_dur::{Decoder, EmitError, EmitLog, MemStore, Store, WalConfig, EMIT_LOG_NAME};
+use dlacep_dur::{
+    Decoder, DirStore, EmitError, EmitLog, MemStore, Store, WalConfig, EMIT_LOG_NAME,
+};
 use dlacep_events::{EventId, KeyExtractor, TypeId, WindowSpec};
 use dlacep_serve::{FleetConfig, FleetError, ShardedDlacep};
 use std::sync::Arc;
@@ -111,6 +115,7 @@ fn durable_store() -> (MemStore, Vec<Match>) {
         dur_config(),
         MemStore::new(),
         None,
+        None,
     )
     .unwrap();
     for i in 0..64u64 {
@@ -122,15 +127,14 @@ fn durable_store() -> (MemStore, Vec<Match>) {
     (dur.into_store(), emitted)
 }
 
-fn recover_durable(
-    store: MemStore,
-) -> Result<DurableDlacep<PassthroughFilter, MemStore>, DurError> {
+fn recover_durable<S: Store>(store: S) -> Result<DurableDlacep<PassthroughFilter, S>, DurError> {
     DurableDlacep::recover(
         seq_ab(),
         PassthroughFilter,
         RuntimeConfig::default(),
         dur_config(),
         store,
+        None,
         None,
     )
     .map(|(dur, _)| dur)
@@ -292,7 +296,6 @@ fn a_corrupted_lone_durable_checkpoint_falls_back_to_the_whole_wal() {
     let cfg = || DurConfig {
         wal: SMALL_SEGMENTS,
         checkpoint_every_events: 24,
-        ..DurConfig::default()
     };
     let open = || {
         let (pattern, config) = (seq_ab(), RuntimeConfig::default());
@@ -302,6 +305,7 @@ fn a_corrupted_lone_durable_checkpoint_falls_back_to_the_whole_wal() {
             config,
             cfg(),
             MemStore::new(),
+            None,
             None,
         )
         .unwrap()
@@ -321,7 +325,7 @@ fn a_corrupted_lone_durable_checkpoint_falls_back_to_the_whole_wal() {
     corrupt_lone_checkpoint(&mut store);
     let (pattern, config) = (seq_ab(), RuntimeConfig::default());
     let (mut rec, report) =
-        DurableDlacep::recover(pattern, PassthroughFilter, config, cfg(), store, None)
+        DurableDlacep::recover(pattern, PassthroughFilter, config, cfg(), store, None, None)
             .expect("the WAL still covers the run from its first event");
     assert_eq!(
         (report.checkpoint_seq, report.checkpoints_skipped),
@@ -376,4 +380,68 @@ fn a_corrupted_lone_shard_checkpoint_falls_back_to_the_whole_wal() {
         rec.ingest(t, i, vec![i as f64]).unwrap();
     }
     assert_eq!(matches(rec), reference);
+}
+
+/// Every file of a directory store, by name.
+fn files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let store = DirStore::open(dir).unwrap();
+    let names = store.list().unwrap();
+    names
+        .into_iter()
+        .map(|n| {
+            let bytes = store.read(&n).unwrap();
+            (n, bytes)
+        })
+        .collect()
+}
+
+#[test]
+fn starting_fresh_on_a_store_that_holds_a_run_is_refused_and_touches_nothing() {
+    let dir = std::env::temp_dir().join(format!("dlacep-emit-log-fresh-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || DirStore::open(&dir).unwrap();
+    let start = |store| {
+        let (pattern, config) = (seq_ab(), RuntimeConfig::default());
+        DurableDlacep::new(
+            pattern,
+            PassthroughFilter,
+            config,
+            dur_config(),
+            store,
+            None,
+            None,
+        )
+    };
+    let mut dur = start(open()).unwrap();
+    for i in 0..40u64 {
+        dur.ingest(TypeId((i % 3) as u32), i, vec![i as f64])
+            .unwrap();
+    }
+    dur.sync().unwrap();
+    let emitted = dur.runtime().matches_so_far().to_vec();
+    drop(dur); // the process ends
+    let image = files(&dir);
+    assert!(image
+        .iter()
+        .any(|(n, b)| n == EMIT_LOG_NAME && !b.is_empty()));
+
+    // A second run started fresh on the same directory.
+    match start(open()) {
+        Err(DurError::NotEmpty(refusal)) => {
+            let names: Vec<&String> = image.iter().map(|(n, _)| n).collect();
+            assert_eq!(refusal.names.iter().collect::<Vec<_>>(), names);
+        }
+        Err(e) => panic!("expected DurError::NotEmpty, got {e}"),
+        Ok(_) => panic!("a store holding a run must not start fresh"),
+    }
+    let built = StreamingDlacep::builder(seq_ab(), PassthroughFilter)
+        .durable(dur_config(), open())
+        .build();
+    assert!(matches!(built, Err(DurError::NotEmpty(_))));
+    assert_eq!(files(&dir), image, "every file as it was");
+
+    // The run is still there to recover.
+    let recovered = recover_durable(open()).expect("the run recovers");
+    assert_eq!(recovered.runtime().matches_so_far(), emitted);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -6,17 +6,13 @@
 //! in the store's [emit log](crate::emit) and the payload opens with the
 //! log's byte offset at the checkpoint. Version-1 files (whole output
 //! embedded, no offset) still load; [`CheckpointScan::version`] tells the
-//! caller which payload it holds. Publication follows the
-//! classic protocol: write `ckpt-{seq:016x}.tmp`, fsync it, rename to
-//! `ckpt-{seq:016x}.ck`, so a crash at any point leaves either the old
-//! checkpoint set or the old set plus a complete new file — never a
-//! half-written published checkpoint. [`load_latest_checkpoint`] walks
-//! published files newest-first and returns the first that decodes, so a
-//! torn or bit-rotted file is skipped (and counted), not fatal.
+//! caller which payload it holds. Files are `ckpt-{seq:016x}.ck`, published
+//! and loaded newest-valid-first by the [generations](crate::generations)
+//! protocol.
 
 use std::io;
 
-use crate::codec::{self, CodecError};
+use crate::generations::Generations;
 use crate::store::Store;
 
 /// Magic tag of checkpoint frames.
@@ -24,35 +20,15 @@ pub const CKPT_MAGIC: [u8; 4] = *b"DCKP";
 /// Current checkpoint container version.
 pub const CKPT_VERSION: u16 = 2;
 
-fn checkpoint_name(seq: u64) -> String {
-    format!("ckpt-{seq:016x}.ck")
-}
-
-fn tmp_name(seq: u64) -> String {
-    format!("ckpt-{seq:016x}.tmp")
-}
-
-fn parse_checkpoint_name(name: &str) -> Option<u64> {
-    let hex = name.strip_prefix("ckpt-")?.strip_suffix(".ck")?;
-    if hex.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(hex, 16).ok()
-}
-
-/// Atomically publish `frame` — a whole `CKPT_MAGIC` / [`CKPT_VERSION`]
-/// frame, built by the caller (in a buffer it reuses) with
-/// [`Encoder::put_frame`](crate::Encoder::put_frame) — as the checkpoint
-/// for WAL position `seq`.
-pub fn publish_checkpoint<S: Store>(store: &mut S, seq: u64, frame: &[u8]) -> io::Result<()> {
-    let tmp = tmp_name(seq);
-    if store.exists(&tmp)? {
-        store.remove(&tmp)?; // stale tmp from an earlier crashed attempt
-    }
-    store.append(&tmp, frame)?;
-    store.sync(&tmp)?;
-    store.rename(&tmp, &checkpoint_name(seq))
-}
+/// Checkpoint files: `ckpt-{seq:016x}.ck`, `seq` the WAL position covered.
+/// The frame published is built by the caller (in a buffer it reuses) with
+/// [`Encoder::put_frame`](crate::Encoder::put_frame).
+pub(crate) const CHECKPOINTS: Generations = Generations {
+    prefix: "ckpt",
+    ext: "ck",
+    magic: CKPT_MAGIC,
+    version: CKPT_VERSION,
+};
 
 /// Result of scanning the store for the newest usable checkpoint.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -68,69 +44,40 @@ pub struct CheckpointScan {
 /// Find the newest checkpoint whose frame validates. Unreadable newer
 /// files are skipped and counted; only store I/O errors are fatal.
 pub fn load_latest_checkpoint<S: Store>(store: &S) -> io::Result<CheckpointScan> {
-    let mut seqs: Vec<(u64, String)> = store
-        .list()?
-        .into_iter()
-        .filter_map(|name| parse_checkpoint_name(&name).map(|seq| (seq, name)))
-        .collect();
-    seqs.sort();
-    let mut scan = CheckpointScan::default();
-    for (seq, name) in seqs.into_iter().rev() {
-        let bytes = store.read(&name)?;
-        match codec::decode_frame(CKPT_MAGIC, CKPT_VERSION, &bytes) {
-            Ok((version, payload)) => {
-                scan.latest = Some((seq, payload.to_vec()));
-                scan.version = version;
-                return Ok(scan);
-            }
-            Err(CodecError::Truncated { .. })
-            | Err(CodecError::ChecksumMismatch { .. })
-            | Err(CodecError::BadMagic { .. })
-            | Err(CodecError::UnsupportedVersion { .. })
-            | Err(CodecError::Malformed(_))
-            | Err(CodecError::TrailingBytes { .. }) => scan.skipped += 1,
-        }
-    }
-    Ok(scan)
+    let (latest, skipped) = CHECKPOINTS.load_latest(store)?;
+    let version = latest.as_ref().map_or(0, |(_, version, _)| *version);
+    let latest = latest.map(|(seq, _, payload)| (seq, payload));
+    Ok(CheckpointScan {
+        latest,
+        version,
+        skipped,
+    })
 }
 
-/// Delete all but the `keep` newest published checkpoints — never fewer
-/// than two, so the newest has a fallback — and any stale `.tmp` leftovers.
-/// Returns the seq of the oldest kept checkpoint once at least two are
-/// kept: the WAL can be pruned below it. While a store holds a single
-/// checkpoint the WAL from the first event is that checkpoint's fallback,
-/// and nothing may be pruned.
-pub fn prune_checkpoints<S: Store>(store: &mut S, keep: usize) -> io::Result<Option<u64>> {
-    let names = store.list()?;
-    let mut published: Vec<(u64, String)> = names
-        .iter()
-        .filter_map(|name| parse_checkpoint_name(name).map(|seq| (seq, name.clone())))
-        .collect();
-    published.sort();
-    let cut = published.len().saturating_sub(keep.max(2));
-    for (_, name) in &published[..cut] {
-        store.remove(name)?;
-    }
-    for name in &names {
-        if name
-            .strip_prefix("ckpt-")
-            .is_some_and(|rest| rest.ends_with(".tmp"))
-        {
-            store.remove(name)?;
-        }
-    }
-    Ok((published.len() - cut >= 2).then(|| published[cut].0))
+/// Delete all but the [`KEEP_GENERATIONS`](crate::KEEP_GENERATIONS) newest
+/// published checkpoints and any stale `.tmp` leftovers. Returns the seq of
+/// the oldest kept checkpoint once two are kept: the WAL can be pruned
+/// below it. While a store holds a single checkpoint the WAL from the first
+/// event is that checkpoint's fallback, and nothing may be pruned.
+pub(crate) fn prune_checkpoints<S: Store>(store: &mut S) -> io::Result<Option<u64>> {
+    let kept = CHECKPOINTS.prune(store)?;
+    Ok((kept.len() >= 2).then(|| kept[0]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec;
     use crate::store::MemStore;
     use crate::torn::FailingStore;
 
+    fn checkpoint_name(seq: u64) -> String {
+        CHECKPOINTS.name(seq)
+    }
+
     fn write_checkpoint<S: Store>(store: &mut S, seq: u64, payload: &[u8]) -> io::Result<()> {
         let frame = codec::encode_frame(CKPT_MAGIC, CKPT_VERSION, payload);
-        publish_checkpoint(store, seq, &frame)
+        CHECKPOINTS.publish(store, seq, &frame)
     }
 
     #[test]
@@ -177,26 +124,25 @@ mod tests {
         for seq in [2u64, 4, 6, 8] {
             write_checkpoint(&mut store, seq, b"s").unwrap();
         }
-        store.append(&tmp_name(10), b"half").unwrap();
-        let oldest_kept = prune_checkpoints(&mut store, 2).unwrap();
+        store.append(&CHECKPOINTS.tmp_name(10), b"half").unwrap();
+        let oldest_kept = prune_checkpoints(&mut store).unwrap();
         assert_eq!(oldest_kept, Some(6));
         assert_eq!(
             store.list().unwrap(),
             vec![checkpoint_name(6), checkpoint_name(8)]
         );
-        // A newest checkpoint always keeps a fallback.
-        assert_eq!(prune_checkpoints(&mut store, 1).unwrap(), Some(6));
+        assert_eq!(prune_checkpoints(&mut store).unwrap(), Some(6));
         assert_eq!(store.list().unwrap().len(), 2);
     }
 
     #[test]
     fn a_lone_checkpoint_leaves_the_wal_whole() {
         let mut store = MemStore::new();
-        assert_eq!(prune_checkpoints(&mut store, 2).unwrap(), None);
+        assert_eq!(prune_checkpoints(&mut store).unwrap(), None);
         write_checkpoint(&mut store, 4, b"s").unwrap();
-        assert_eq!(prune_checkpoints(&mut store, 2).unwrap(), None);
+        assert_eq!(prune_checkpoints(&mut store).unwrap(), None);
         write_checkpoint(&mut store, 9, b"s").unwrap();
-        assert_eq!(prune_checkpoints(&mut store, 2).unwrap(), Some(4));
+        assert_eq!(prune_checkpoints(&mut store).unwrap(), Some(4));
     }
 
     #[test]

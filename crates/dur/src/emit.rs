@@ -9,25 +9,19 @@
 //! runtimes above log `(key, match)`. A store that has emitted nothing has
 //! no file, and its log offset is 0.
 //!
-//! ## Write order
+//! ## Write order and recovery
 //!
-//! A checkpoint that records log offset `o` is published only after bytes
-//! `..o` are synced ([`EmitLog::append`], [`EmitLog::sync`], then the
-//! checkpoint). The log may therefore run *ahead* of the newest checkpoint
-//! — a crash between its sync and the publish, or a fallback to an older
-//! retained checkpoint — but never behind it.
-//!
-//! ## Recovery
-//!
-//! [`EmitLog::open_at`] takes the offset the restored checkpoint recorded
-//! (0 when there is none), verifies and hands back the records below it,
-//! and cuts the log there — the only way the log ever shrinks. What lay
-//! beyond, torn or whole, was never covered by a checkpoint: WAL replay
-//! re-derives it and the next checkpoint appends it again, so the tail needs
-//! no scan to be dropped. Below the offset every byte was synced before the
-//! checkpoint was published, so damage there — a bad CRC, a record cut
-//! short — is [`EmitError::Corrupt`], and a log that ends before the offset
-//! has lost acknowledged output: [`EmitError::Short`], never a silent gap.
+//! [`crate::StoreLog`] drives the log: it appends and syncs the staged
+//! records before publishing the checkpoint that records the offset, so the
+//! log may run *ahead* of the newest checkpoint but never behind it. On
+//! recovery [`EmitLog::open_at`] takes the restored checkpoint's offset (0
+//! when there is none), verifies and hands back the records below it, and
+//! cuts the log there — the only way the log ever shrinks; what lay beyond
+//! is re-derived by WAL replay, so the tail needs no scan to be dropped.
+//! Below the offset every byte was synced before the checkpoint was
+//! published, so damage there is [`EmitError::Corrupt`], and a log that ends
+//! before the offset has lost acknowledged output: [`EmitError::Short`],
+//! never a silent gap.
 
 use std::fmt;
 use std::io;

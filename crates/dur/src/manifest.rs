@@ -18,6 +18,7 @@
 use std::io;
 
 use crate::codec::{self, CodecError, Dec, Decoder, Enc, Encoder};
+use crate::generations::publish;
 use crate::store::Store;
 
 /// Magic tag of manifest frames.
@@ -108,12 +109,7 @@ pub fn write_manifest<S: Store>(store: &mut S, manifest: &FleetManifest) -> io::
     payload.put(manifest);
     let frame = codec::encode_frame(MANIFEST_MAGIC, MANIFEST_VERSION, payload.bytes());
     let tmp = format!("{MANIFEST_NAME}.tmp");
-    if store.exists(&tmp)? {
-        store.remove(&tmp)?;
-    }
-    store.append(&tmp, &frame)?;
-    store.sync(&tmp)?;
-    store.rename(&tmp, MANIFEST_NAME)?;
+    publish(store, &tmp, MANIFEST_NAME, &frame)?;
     Ok(frame.len() as u64)
 }
 

@@ -2,18 +2,16 @@
 //!
 //! Each accepted model (the retrain supervisor's validated candidate) is one
 //! frame (`magic "DMRG"`, version, CRC32) whose payload is the model's own
-//! wire format — the registry treats it as opaque bytes. Publication uses
-//! the same protocol as checkpoints: write `model-{version:016x}.tmp`,
-//! fsync, rename to `model-{version:016x}.mdl`, so a crash at any byte
-//! leaves either the old registry or the old registry plus one complete new
-//! file. [`load_latest_model`] walks published versions newest-first and
-//! returns the first that decodes, so a torn or bit-rotted model is skipped
-//! (and counted), never fatal — recovery falls back to the previous
-//! generation instead of refusing to start.
+//! wire format — the registry treats it as opaque bytes. Files are
+//! `model-{version:016x}.mdl`, published and loaded by the same
+//! [generations](crate::generations) protocol as checkpoints, so a torn or
+//! bit-rotted model is skipped (and counted), never fatal — recovery falls
+//! back to the previous generation instead of refusing to start.
 
 use std::io;
 
-use crate::codec::{self, CodecError};
+use crate::codec;
+use crate::generations::Generations;
 use crate::store::Store;
 
 /// Magic tag of model registry frames.
@@ -21,35 +19,20 @@ pub const MODEL_MAGIC: [u8; 4] = *b"DMRG";
 /// Current model container version.
 pub const MODEL_VERSION: u16 = 1;
 
-fn model_name(version: u64) -> String {
-    format!("model-{version:016x}.mdl")
-}
-
-fn tmp_name(version: u64) -> String {
-    format!("model-{version:016x}.tmp")
-}
-
-fn parse_model_name(name: &str) -> Option<u64> {
-    let hex = name.strip_prefix("model-")?.strip_suffix(".mdl")?;
-    if hex.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(hex, 16).ok()
-}
+const MODELS: Generations = Generations {
+    prefix: "model",
+    ext: "mdl",
+    magic: MODEL_MAGIC,
+    version: MODEL_VERSION,
+};
 
 /// Write and atomically publish model `version`. Returns the number of
 /// bytes written (frame included). Re-publishing an existing version
 /// overwrites it (publication is idempotent so crash-recovery can safely
 /// re-drain a pending model it already published).
 pub fn publish_model<S: Store>(store: &mut S, version: u64, payload: &[u8]) -> io::Result<u64> {
-    let tmp = tmp_name(version);
-    if store.exists(&tmp)? {
-        store.remove(&tmp)?; // stale tmp from an earlier crashed attempt
-    }
     let frame = codec::encode_frame(MODEL_MAGIC, MODEL_VERSION, payload);
-    store.append(&tmp, &frame)?;
-    store.sync(&tmp)?;
-    store.rename(&tmp, &model_name(version))?;
+    MODELS.publish(store, version, &frame)?;
     Ok(frame.len() as u64)
 }
 
@@ -65,65 +48,22 @@ pub struct ModelScan {
 /// Find the newest model whose frame validates. Unreadable newer files are
 /// skipped and counted; only store I/O errors are fatal.
 pub fn load_latest_model<S: Store>(store: &S) -> io::Result<ModelScan> {
-    let mut versions: Vec<(u64, String)> = store
-        .list()?
-        .into_iter()
-        .filter_map(|name| parse_model_name(&name).map(|v| (v, name)))
-        .collect();
-    versions.sort();
-    let mut scan = ModelScan::default();
-    for (version, name) in versions.into_iter().rev() {
-        let bytes = store.read(&name)?;
-        match codec::decode_frame(MODEL_MAGIC, MODEL_VERSION, &bytes) {
-            Ok((_, payload)) => {
-                scan.latest = Some((version, payload.to_vec()));
-                return Ok(scan);
-            }
-            Err(CodecError::Truncated { .. })
-            | Err(CodecError::ChecksumMismatch { .. })
-            | Err(CodecError::BadMagic { .. })
-            | Err(CodecError::UnsupportedVersion { .. })
-            | Err(CodecError::Malformed(_))
-            | Err(CodecError::TrailingBytes { .. }) => scan.skipped += 1,
-        }
-    }
-    Ok(scan)
+    let (latest, skipped) = MODELS.load_latest(store)?;
+    let latest = latest.map(|(version, _, payload)| (version, payload));
+    Ok(ModelScan { latest, skipped })
 }
 
 /// Published model versions, ascending. Torn files are included (they are
 /// published names); use [`load_latest_model`] to find a *usable* one.
 pub fn list_models<S: Store>(store: &S) -> io::Result<Vec<u64>> {
-    let mut versions: Vec<u64> = store
-        .list()?
-        .into_iter()
-        .filter_map(|name| parse_model_name(&name))
-        .collect();
-    versions.sort_unstable();
-    Ok(versions)
+    Ok(MODELS.list(store)?.into_iter().map(|(v, _)| v).collect())
 }
 
-/// Delete all but the `keep` newest published models (and any stale `.tmp`
-/// leftovers). Returns the oldest kept version, if any.
-pub fn prune_models<S: Store>(store: &mut S, keep: usize) -> io::Result<Option<u64>> {
-    let names = store.list()?;
-    let mut published: Vec<(u64, String)> = names
-        .iter()
-        .filter_map(|name| parse_model_name(name).map(|v| (v, name.clone())))
-        .collect();
-    published.sort();
-    let cut = published.len().saturating_sub(keep.max(1));
-    for (_, name) in &published[..cut] {
-        store.remove(name)?;
-    }
-    for name in &names {
-        if name
-            .strip_prefix("model-")
-            .is_some_and(|rest| rest.ends_with(".tmp"))
-        {
-            store.remove(name)?;
-        }
-    }
-    Ok(published.get(cut).map(|(v, _)| *v))
+/// Delete all but the [`KEEP_GENERATIONS`](crate::KEEP_GENERATIONS) newest
+/// published models (and any stale `.tmp` leftovers). Returns the oldest
+/// kept version, if any.
+pub fn prune_models<S: Store>(store: &mut S) -> io::Result<Option<u64>> {
+    Ok(MODELS.prune(store)?.first().copied())
 }
 
 #[cfg(test)]
@@ -131,6 +71,10 @@ mod tests {
     use super::*;
     use crate::store::MemStore;
     use crate::torn::FailingStore;
+
+    fn model_name(version: u64) -> String {
+        MODELS.name(version)
+    }
 
     #[test]
     fn publish_and_load_newest_valid() {
@@ -172,8 +116,8 @@ mod tests {
         for v in [1u64, 2, 3, 4] {
             publish_model(&mut store, v, b"w").unwrap();
         }
-        store.append(&tmp_name(5), b"half").unwrap();
-        let oldest_kept = prune_models(&mut store, 2).unwrap();
+        store.append(&MODELS.tmp_name(5), b"half").unwrap();
+        let oldest_kept = prune_models(&mut store).unwrap();
         assert_eq!(oldest_kept, Some(3));
         assert_eq!(store.list().unwrap(), vec![model_name(3), model_name(4)]);
     }

@@ -4,7 +4,9 @@
 //! the skip counted; and a single flipped bit anywhere in a published frame
 //! is detected — the damaged file is skipped, never served as weights.
 
-use dlacep_dur::{list_models, load_latest_model, prune_models, publish_model, MemStore, Store};
+use dlacep_dur::{
+    list_models, load_latest_model, prune_models, publish_model, MemStore, Store, KEEP_GENERATIONS,
+};
 use proptest::prelude::*;
 
 /// Publish `(version, payload)` pairs in order; later publishes of the same
@@ -38,7 +40,6 @@ proptest! {
     #[test]
     fn publish_scan_round_trip(
         payloads in prop::collection::vec(prop::collection::vec(0u8..255, 1..48), 1..16),
-        keep in 1usize..6,
     ) {
         let models: Vec<(u64, Vec<u8>)> = payloads
             .into_iter()
@@ -57,11 +58,11 @@ proptest! {
         distinct.dedup();
         prop_assert_eq!(list_models(&store).unwrap(), distinct.clone());
 
-        // Pruning keeps the newest `keep` versions and never changes which
-        // model the scan serves.
-        prune_models(&mut store, keep).unwrap();
+        // Pruning keeps the newest `KEEP_GENERATIONS` versions and never
+        // changes which model the scan serves.
+        prune_models(&mut store).unwrap();
         let kept = list_models(&store).unwrap();
-        prop_assert_eq!(kept.len(), distinct.len().min(keep));
+        prop_assert_eq!(kept.len(), distinct.len().min(KEEP_GENERATIONS));
         prop_assert_eq!(load_latest_model(&store).unwrap().latest, Some((top, payload)));
     }
 

@@ -15,23 +15,21 @@
 //! ## Durability model
 //!
 //! Each shard owns one [`Store`] (directory `shard-{idx:04}/` under the
-//! fleet root when backed by `DirStore`s) holding its own WAL, emit log,
-//! checkpoint chain, and fleet manifest. An event is WAL-logged **before**
-//! its runtime sees it, as `g | key | offer` where `offer` is the exact
-//! [`dlacep_core::encode_offer`] encoding of the durable single-runtime
-//! tier. A checkpoint first appends the `(key, match)` records emitted
-//! since the previous one to the shard's [`EmitLog`] and syncs it, then
-//! snapshots the live state of every key runtime of the shard plus the
-//! log's byte offset and the shard's fleet *high-water mark* — the last
-//! global sequence number whose effects the shard has durably applied. Its
-//! size follows the shard's live state, not how long the fleet has run.
+//! fleet root when backed by `DirStore`s) holding its fleet manifest and a
+//! [`StoreLog`] — WAL, emit log and checkpoint chain, written and recovered
+//! in the same orders as the durable single-runtime tier. An event is
+//! WAL-logged **before** its runtime sees it, as `g | key | offer` where
+//! `offer` is the exact [`dlacep_core::encode_offer`] encoding of that
+//! tier; emit records are `(key, match)`; a checkpoint holds the live state
+//! of every key runtime of the shard and the shard's fleet *high-water
+//! mark* — the last global sequence number whose effects the shard has
+//! durably applied.
 //!
 //! ## Recovery model
 //!
-//! [`ShardedDlacep::recover`] restores every shard independently
-//! (checkpoint, emit log cut back to the checkpoint's offset and handed to
-//! the key runtimes as their emitted prefixes, then the WAL suffix replayed
-//! in per-key batches), then reports
+//! [`ShardedDlacep::recover`] restores every shard independently (each key
+//! gets its logged matches as its emitted prefix; the WAL suffix is
+//! replayed in per-key batches), then reports
 //! `resume_seq = min(high_water) + 1`: the fleet position from which the
 //! source must re-offer events. Re-offered events that a given shard
 //! already applied (`g <= high_water`) are counted as `refeed_skipped` and
@@ -59,10 +57,7 @@ use dlacep_core::{
 };
 use dlacep_dur::codec::{CodecError, Decoder, Encoder};
 use dlacep_dur::manifest::{load_manifest, write_manifest, FleetManifest, ManifestError};
-use dlacep_dur::{
-    load_latest_checkpoint, prune_checkpoints, publish_checkpoint, EmitError, EmitLog, Store, Wal,
-    WalConfig, WalError, CKPT_MAGIC, CKPT_VERSION,
-};
+use dlacep_dur::{EmitError, NotEmpty, Store, StoreLog, WalConfig, WalError};
 use dlacep_events::{AttrValue, KeyExtractor, PrimitiveEvent, TypeId};
 use dlacep_obs::{json_field, json_string, Registry, Tracer, DEFAULT_TRACE_CAPACITY};
 use std::collections::BTreeMap;
@@ -105,9 +100,6 @@ pub struct FleetConfig {
     /// Fleet-level checkpoint cadence in offered events (0 = only explicit
     /// [`ShardedDlacep::checkpoint_now`] calls).
     pub checkpoint_every_events: u64,
-    /// Checkpoints retained per shard after a new one lands (at least two
-    /// are; see `dur::prune_checkpoints`).
-    pub keep_checkpoints: usize,
     /// Attach a metrics [`Registry`] to every key runtime.
     pub obs: bool,
     /// Journal capacity for per-key registries when `obs` is on.
@@ -129,7 +121,6 @@ impl Default for FleetConfig {
             },
             sync_every_events: 32,
             checkpoint_every_events: 256,
-            keep_checkpoints: 2,
             obs: false,
             journal_capacity: 256,
         }
@@ -216,6 +207,11 @@ impl From<ManifestError> for FleetError {
         FleetError::Manifest(e)
     }
 }
+impl From<NotEmpty> for FleetError {
+    fn from(e: NotEmpty) -> Self {
+        FleetError::Refused(format!("{e}; use recover() for existing fleets"))
+    }
+}
 
 /// Per-shard durability/routing counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -292,47 +288,12 @@ struct KeyRuntime<F: Filter> {
 }
 
 struct Shard<F: Filter, S: Store> {
-    store: S,
-    wal: Wal,
-    emit: EmitLog,
-    /// The checkpoint frame under construction, reused across checkpoints.
-    frame: Encoder,
+    log: StoreLog<S>,
     /// Last fleet-global sequence number durably applied by this shard.
     /// 0 = none; global sequence numbers start at 1.
     high_water: u64,
     runtimes: BTreeMap<u64, KeyRuntime<F>>,
     stats: ShardStats,
-}
-
-impl<F: Filter, S: Store> Shard<F, S> {
-    /// Open `store`'s WAL and its emit log at `emit_offset`, the bytes of
-    /// it the restored checkpoint covers (0 for a fresh store). Every
-    /// `(key, match)` record below the offset goes to `logged`; the bytes
-    /// cut beyond it are counted in the second return value.
-    fn open(
-        mut store: S,
-        wal_cfg: WalConfig,
-        emit_offset: u64,
-        mut logged: impl FnMut(u64, Match),
-    ) -> Result<(Self, u64), FleetError> {
-        let (wal, _) = Wal::open(&mut store, wal_cfg)?;
-        let (emit, cut) = EmitLog::open_at(&mut store, emit_offset, |record| {
-            let mut d = Decoder::new(record);
-            let key = d.take_u64()?;
-            logged(key, d.get()?);
-            d.finish()
-        })?;
-        let shard = Shard {
-            store,
-            wal,
-            emit,
-            frame: Encoder::new(),
-            high_water: 0,
-            runtimes: BTreeMap::new(),
-            stats: ShardStats::default(),
-        };
-        Ok((shard, cut))
-    }
 }
 
 /// A bucket of one key's events and their fleet-global sequence numbers.
@@ -357,10 +318,11 @@ pub struct ShardedDlacep<F: Filter, S: Store> {
 }
 
 impl<F: Filter, S: Store> ShardedDlacep<F, S> {
-    /// Start a fresh fleet over `stores` (one per shard, all empty).
-    /// Writes each shard's manifest immediately so even a fleet that
-    /// crashes before its first checkpoint recovers with its routing
-    /// fingerprint intact.
+    /// Start a fresh fleet over `stores` (one per shard, all empty; a store
+    /// that holds anything is refused before any is written):
+    /// [`recover`](Self::recover) of empty stores, which writes each shard's
+    /// manifest immediately so even a fleet that crashes before its first
+    /// checkpoint recovers with its routing fingerprint intact.
     pub fn create(
         pattern: Pattern,
         cfg: FleetConfig,
@@ -369,29 +331,11 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
         stores: Vec<S>,
     ) -> Result<Self, FleetError> {
         Self::validate(&cfg, &stores)?;
-        for (i, store) in stores.iter().enumerate() {
-            if !store.list()?.is_empty() {
-                return Err(FleetError::Refused(format!(
-                    "shard {i} store is not empty; use recover() for existing fleets"
-                )));
-            }
+        for store in &stores {
+            StoreLog::check_empty::<FleetError>(store)?;
         }
-        let mut shards = Vec::with_capacity(stores.len());
-        for (i, mut store) in stores.into_iter().enumerate() {
-            write_manifest(&mut store, &Self::manifest(&cfg, i as u32))?;
-            shards.push(Shard::open(store, cfg.wal, 0, |_, _| {})?.0);
-        }
-        Ok(ShardedDlacep {
-            pattern,
-            cfg,
-            mk_filter,
-            mk_trainer,
-            shards,
-            next_global: 0,
-            since_sync: 0,
-            since_ckpt: 0,
-            tracer: Tracer::from_env(DEFAULT_TRACE_CAPACITY),
-        })
+        let (fleet, _) = Self::recover(pattern, cfg, mk_filter, mk_trainer, stores)?;
+        Ok(fleet)
     }
 
     /// Recover a fleet from `stores`. Every shard is restored from its
@@ -447,42 +391,40 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
                     true
                 }
             };
-            let scan = load_latest_checkpoint(&store)?;
+            let mut emitted: BTreeMap<u64, Vec<Match>> = BTreeMap::new();
+            let (log, found) = StoreLog::open::<_, _, FleetError>(
+                store,
+                fleet.cfg.wal,
+                decode_shard_checkpoint,
+                |key, m| emitted.entry(key).or_default().push(m),
+            )?;
+            let mut shard = Shard {
+                log,
+                high_water: 0,
+                runtimes: BTreeMap::new(),
+                stats: ShardStats::default(),
+            };
             let mut report = ShardRecovery {
                 index,
-                checkpoint_seq: None,
+                checkpoint_seq: found.checkpoint.as_ref().map(|(seq, _)| *seq),
                 keys_restored: 0,
                 wal_replayed: 0,
-                emit_truncated_bytes: 0,
+                emit_truncated_bytes: found.emit_truncated_bytes,
                 fresh,
                 high_water: 0,
             };
-            let mut replay_from = 0;
-            let mut ckpt = ShardCheckpoint::default();
-            if let Some((seq, payload)) = &scan.latest {
-                ckpt = decode_shard_checkpoint(scan.version, payload)?;
-                report.checkpoint_seq = Some(*seq);
-                replay_from = *seq;
-            }
-            // Whatever the emit log holds past the checkpoint's offset (all
-            // of it when there is no checkpoint) is cut: the replay below
-            // re-derives it and the next checkpoint appends it again.
-            let mut emitted: BTreeMap<u64, Vec<Match>> = BTreeMap::new();
-            let (mut shard, cut) =
-                Shard::open(store, fleet.cfg.wal, ckpt.emit_offset, |key, m| {
-                    emitted.entry(key).or_default().push(m)
-                })?;
-            report.emit_truncated_bytes = cut;
-            shard.high_water = ckpt.high_water;
-            for (key, mut rt_ckpt) in ckpt.keys {
-                // A version-1 checkpoint brings its matches embedded and
-                // covers no log; they reach it at the next checkpoint.
-                let mut from_log = emitted.remove(&key).unwrap_or_default();
-                let logged = from_log.len();
-                rt_ckpt.emitted_prefix.append(&mut from_log);
-                let rt = fleet.restore_runtime(rt_ckpt)?;
-                shard.runtimes.insert(key, KeyRuntime { rt, logged });
-                report.keys_restored += 1;
+            if let Some((_, ckpt)) = found.checkpoint {
+                shard.high_water = ckpt.high_water;
+                for (key, mut rt_ckpt) in ckpt.keys {
+                    // A version-1 checkpoint brings its matches embedded and
+                    // covers no log; they reach it at the next checkpoint.
+                    let mut from_log = emitted.remove(&key).unwrap_or_default();
+                    let logged = from_log.len();
+                    rt_ckpt.emitted_prefix.append(&mut from_log);
+                    let rt = fleet.restore_runtime(rt_ckpt)?;
+                    shard.runtimes.insert(key, KeyRuntime { rt, logged });
+                    report.keys_restored += 1;
+                }
             }
             if let Some(key) = emitted.keys().next() {
                 return Err(FleetError::Corrupt(CodecError::Malformed(format!(
@@ -491,7 +433,7 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
                 ))));
             }
             let mut buckets: BTreeMap<u64, Bucket> = BTreeMap::new();
-            for (_, payload) in Wal::replay(&shard.store, replay_from)? {
+            for (_, payload) in found.suffix {
                 let (g, key, type_id, ts, attrs) = decode_offer_record(&payload)?;
                 if g <= shard.high_water {
                     continue; // covered by the checkpoint
@@ -677,9 +619,9 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
             self.shards[si].stats.refeed_skipped += 1;
         } else {
             let shard = &mut self.shards[si];
-            shard.wal.append_with(&mut shard.store, |e| {
-                put_offer_record(e, g, key, type_id, ts, &attrs)
-            })?;
+            shard
+                .log
+                .append(|e| put_offer_record(e, g, key, type_id, ts, &attrs))?;
             shard.stats.wal_appends += 1;
             match self
                 .key_runtime(si, key)?
@@ -714,9 +656,9 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
                 shard.stats.refeed_skipped += 1;
                 continue;
             }
-            shard.wal.append_with(&mut shard.store, |e| {
-                put_offer_record(e, g, key, ev.type_id, ev.ts.0, &ev.attrs)
-            })?;
+            shard
+                .log
+                .append(|e| put_offer_record(e, g, key, ev.type_id, ev.ts.0, &ev.attrs))?;
             shard.stats.wal_appends += 1;
             shard.high_water = g;
             shard.stats.events_routed += 1;
@@ -752,63 +694,41 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
     /// Fsync every shard's WAL.
     pub fn sync(&mut self) -> Result<(), FleetError> {
         for shard in &mut self.shards {
-            shard.wal.sync(&mut shard.store)?;
+            shard.log.sync()?;
             shard.stats.wal_syncs += 1;
         }
         self.since_sync = 0;
         Ok(())
     }
 
-    /// Checkpoint every shard: drain accepted models, sync the WALs, then
-    /// per shard append the matches emitted since its last checkpoint to
-    /// its emit log and sync it, write the shard's checkpoint — the live
-    /// state of every key, stamped with the current fleet position and the
-    /// log's offset — prune old checkpoints, and drop covered WAL segments.
-    /// A crash anywhere inside leaves the previous checkpoint + WAL suffix
-    /// fully covering; an emit-log tail it never got to cover is cut at
-    /// recovery and re-derived by the replay.
+    /// Checkpoint every shard's [`StoreLog`]: drain accepted models, stage
+    /// the matches emitted since the last checkpoint, and write the live
+    /// state of every key stamped with the current fleet position.
     pub fn checkpoint_now(&mut self) -> Result<(), FleetError> {
         let g = self.next_global;
         for shard in &mut self.shards {
-            for entry in shard.runtimes.values_mut() {
+            for (key, entry) in shard.runtimes.iter_mut() {
                 shard.stats.models_drained += entry.rt.take_pending_models().len() as u64;
-            }
-            shard.wal.sync(&mut shard.store)?;
-            shard.stats.wal_syncs += 1;
-        }
-        for shard in &mut self.shards {
-            for (key, entry) in &shard.runtimes {
-                for m in &entry.rt.matches_so_far()[entry.logged..] {
-                    shard.emit.stage(|e| {
-                        e.put_u64(*key);
-                        e.put(m);
-                    });
+                let matches = entry.rt.matches_so_far();
+                for m in &matches[entry.logged..] {
+                    shard.log.stage(*key, m);
                 }
+                entry.logged = matches.len();
             }
-            shard.emit.append(&mut shard.store)?;
-            for entry in shard.runtimes.values_mut() {
-                entry.logged = entry.rt.matches_so_far().len();
-            }
-            shard.emit.sync(&mut shard.store)?;
             // Every key is encoded where it will be written from: one
             // per-shard buffer, each key's length filled in behind it.
-            let emit_offset = shard.emit.offset();
-            shard.frame.clear();
-            shard.frame.put_frame(CKPT_MAGIC, CKPT_VERSION, |e| {
+            let runtimes = &shard.runtimes;
+            shard.log.checkpoint::<FleetError>(|e, emit_offset| {
                 e.put_u64(g);
                 e.put_u64(emit_offset);
-                e.put_u64(shard.runtimes.len() as u64);
-                for (key, entry) in &shard.runtimes {
+                e.put_u64(runtimes.len() as u64);
+                for (key, entry) in runtimes {
                     e.put_u64(*key);
                     e.put_len_prefixed(|e| e.put(&entry.rt.checkpoint()));
                 }
-            });
-            let seq = shard.wal.next_seq();
-            publish_checkpoint(&mut shard.store, seq, shard.frame.bytes())?;
-            if let Some(oldest) = prune_checkpoints(&mut shard.store, self.cfg.keep_checkpoints)? {
-                shard.wal.prune_below(&mut shard.store, oldest)?;
-            }
+            })?;
             shard.high_water = g;
+            shard.stats.wal_syncs += 1;
             shard.stats.checkpoints += 1;
         }
         self.since_ckpt = 0;
@@ -1022,7 +942,10 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
     /// Tear down without finishing, returning the shard stores (e.g. the
     /// crashed disk images in a recovery test).
     pub fn into_stores(self) -> Vec<S> {
-        self.shards.into_iter().map(|s| s.store).collect()
+        self.shards
+            .into_iter()
+            .map(|s| s.log.into_store())
+            .collect()
     }
 }
 
@@ -1033,18 +956,19 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
 /// A decoded shard checkpoint. Written in place by
 /// [`ShardedDlacep::checkpoint_now`] as
 /// `high_water | emit_offset | n | n × (key | len | runtime checkpoint)`.
-#[derive(Default)]
 struct ShardCheckpoint {
     high_water: u64,
-    /// Bytes of the shard's emit log the checkpoint covers.
-    emit_offset: u64,
     keys: Vec<(u64, RuntimeCheckpoint)>,
 }
 
-/// Decode a shard checkpoint frame's payload. Version 1 has no
-/// `emit_offset` (it covers no log: its runtime checkpoints embed their
-/// matches) and is otherwise laid out the same.
-fn decode_shard_checkpoint(version: u16, payload: &[u8]) -> Result<ShardCheckpoint, CodecError> {
+/// Decode a shard checkpoint frame's payload into the emit-log offset it
+/// covers and the shard's state. Version 1 has no `emit_offset` (it covers
+/// no log: its runtime checkpoints embed their matches) and is otherwise
+/// laid out the same.
+fn decode_shard_checkpoint(
+    version: u16,
+    payload: &[u8],
+) -> Result<(u64, ShardCheckpoint), CodecError> {
     let mut d = Decoder::new(payload);
     let high_water = d.take_u64()?;
     let emit_offset = if version >= 2 { d.take_u64()? } else { 0 };
@@ -1056,11 +980,7 @@ fn decode_shard_checkpoint(version: u16, payload: &[u8]) -> Result<ShardCheckpoi
         keys.push((key, dlacep_core::decode_checkpoint(d.take_bytes(len)?)?));
     }
     d.finish()?;
-    Ok(ShardCheckpoint {
-        high_water,
-        emit_offset,
-        keys,
-    })
+    Ok((emit_offset, ShardCheckpoint { high_water, keys }))
 }
 
 /// WAL record: `g | key | offer`, where `offer` is the durable tier's

@@ -7,8 +7,10 @@
 //! WAL-suffix replay — re-feeds the source from `resume_seq`, and verifies
 //! the final match set is identical to an uninterrupted reference run.
 //!
-//! The durability directory defaults to a fresh temp dir; set
-//! `DLACEP_DUR_DIR` to use (and keep) a real one:
+//! The durability directory defaults to a fresh temp dir, removed at the
+//! end; set `DLACEP_DUR_DIR` to keep the stores: each run then starts in a
+//! fresh `run-N` subdirectory of it, so running the example again leaves
+//! the earlier runs' stores exactly as they were.
 //!
 //! ```bash
 //! cargo run --release --example checkpoint_recovery
@@ -21,6 +23,8 @@ use dlacep::core::{OracleFilter, RuntimeConfig, StreamingDlacep};
 use dlacep::dur::{DirStore, WalConfig};
 use dlacep::events::{AttrValue, TypeId, WindowSpec};
 use dlacep::obs::Registry;
+use std::io::ErrorKind;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// SEQ(A, B) WITHIN 6 over types 0/1 with a filler type 2.
@@ -50,6 +54,26 @@ fn source(n: usize) -> Vec<(TypeId, u64, Vec<AttrValue>)> {
         .collect()
 }
 
+/// This run's durability directory: the first `run-N` under
+/// `$DLACEP_DUR_DIR` that does not exist yet (claimed by creating it), or a
+/// temp dir.
+fn run_dir() -> PathBuf {
+    let Some(root) = dur_dir_from_env() else {
+        let dir = std::env::temp_dir().join(format!("dlacep-ckpt-example-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create durability dir");
+        return dir;
+    };
+    std::fs::create_dir_all(&root).expect("create durability dir");
+    (1..)
+        .map(|n| root.join(format!("run-{n}")))
+        .find(|dir| match std::fs::create_dir(dir) {
+            Ok(()) => true,
+            Err(e) if e.kind() == ErrorKind::AlreadyExists => false,
+            Err(e) => panic!("create {}: {e}", dir.display()),
+        })
+        .expect("a free run-N directory")
+}
+
 fn main() {
     let p = pattern();
     let input = source(300);
@@ -59,8 +83,6 @@ fn main() {
             sync_every: 8,
         },
         checkpoint_every_events: 64,
-        keep_checkpoints: 2,
-        keep_models: 2,
     };
 
     // Reference: the same stream, never interrupted.
@@ -73,11 +95,7 @@ fn main() {
     }
     let expected = reference.finish();
 
-    // Durability directory: $DLACEP_DUR_DIR or a fresh temp dir.
-    let dir = dur_dir_from_env().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("dlacep-ckpt-example-{}", std::process::id()))
-    });
-    std::fs::create_dir_all(&dir).expect("create durability dir");
+    let dir = run_dir();
     println!("durability dir : {}", dir.display());
 
     // ---- First life: ingest 180 of 300 events, then "crash". -------------
@@ -90,6 +108,7 @@ fn main() {
         dur_cfg,
         store,
         Some(registry),
+        None,
     )
     .expect("fresh durable runtime");
     for (t, ts, attrs) in &input[..180] {
@@ -111,6 +130,7 @@ fn main() {
         dur_cfg,
         store,
         Some(registry.clone()),
+        None,
     )
     .expect("recovery");
     println!(
