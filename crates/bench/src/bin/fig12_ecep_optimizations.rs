@@ -12,9 +12,15 @@
 //! Shape to reproduce: the optimizations beat plain ECEP mildly; DLACEP far
 //! outpaces both (it removes partial matches rather than reordering their
 //! construction), with a small recall loss.
+//!
+//! Two more rows, `Q_A5` (banded single steps, then Kleene closures) under a
+//! tight and a wide band, show the order reaching a pattern with a closure:
+//! the NFA in step order and in the chosen order, partial matches created
+//! and seconds each. The tree engine does not run closures, and the learned
+//! rows are left to the three patterns above.
 
 use dlacep_bench::harness::{split_stream, ReplayFilter};
-use dlacep_bench::queries::real::{q_a11, q_a12, SeqOrConj};
+use dlacep_bench::queries::real::{q_a11, q_a12, q_a5, SeqOrConj};
 use dlacep_bench::ExpConfig;
 use dlacep_cep::engine::CepEngine;
 use dlacep_cep::plan::{CostModel, Plan};
@@ -37,6 +43,8 @@ struct Entry {
     gain: f64,
     recall: f64,
     partials: u64,
+    /// Seconds over the evaluation stream.
+    secs: f64,
 }
 
 /// Time an alternative exact engine; returns (gain over NFA, recall, partials).
@@ -94,17 +102,21 @@ fn main() {
         let truth: std::collections::BTreeSet<_> =
             ecep_matches.iter().map(|m| m.event_ids.clone()).collect();
         let ecep_secs = ecep_time.as_secs_f64();
+        let mut push = |system: &str, gain: f64, recall: f64, partials: u64| {
+            entries.push(Entry {
+                pattern: (*name).into(),
+                system: system.into(),
+                gain,
+                recall,
+                partials,
+                secs: ecep_secs / gain,
+            });
+        };
         println!(
             "{:<14} gain {:>7.2}  recall {:>5.3}  partials {:>10}",
             "ecep(nfa)", 1.0, 1.0, ecep_stats.partial_matches_created
         );
-        entries.push(Entry {
-            pattern: (*name).into(),
-            system: "ecep-nfa".into(),
-            gain: 1.0,
-            recall: 1.0,
-            partials: ecep_stats.partial_matches_created,
-        });
+        push("ecep-nfa", 1.0, 1.0, ecep_stats.partial_matches_created);
 
         // The NFA as built by default: in the order the static cost model
         // picks, knowing nothing of the stream.
@@ -115,13 +127,7 @@ fn main() {
             "{:<14} gain {:>7.2}  recall {:>5.3}  partials {:>10}",
             "nfa-ordered", gain, 1.0, partials
         );
-        entries.push(Entry {
-            pattern: (*name).into(),
-            system: "nfa-ordered".into(),
-            gain,
-            recall: 1.0,
-            partials,
-        });
+        push("nfa-ordered", gain, 1.0, partials);
 
         // ZStream: DP plan over a cost model measured on a training sample.
         let sample = &train_stream.events()[..train_stream.len().min(4000)];
@@ -133,13 +139,7 @@ fn main() {
             "{:<14} gain {:>7.2}  recall {:>5.3}  partials {:>10}",
             "zstream", gain, recall, partials
         );
-        entries.push(Entry {
-            pattern: (*name).into(),
-            system: "zstream".into(),
-            gain,
-            recall,
-            partials,
-        });
+        push("zstream", gain, recall, partials);
 
         // Lazy evaluation: each branch in the order the model measured on the
         // same sample picks.
@@ -150,13 +150,7 @@ fn main() {
             "{:<14} gain {:>7.2}  recall {:>5.3}  partials {:>10}",
             "lazy", gain, recall, partials
         );
-        entries.push(Entry {
-            pattern: (*name).into(),
-            system: "lazy".into(),
-            gain,
-            recall,
-            partials,
-        });
+        push("lazy", gain, recall, partials);
 
         // DLACEP with perfect marks at neural-inference cost: the
         // fully-converged-model upper bound the paper's trained networks
@@ -180,13 +174,12 @@ fn main() {
                 "{:<14} gain {:>7.2}  recall {:>5.3}  partials {:>10}",
                 "dlacep-perfect", cmp.throughput_gain, cmp.recall, cmp.acep_partials
             );
-            entries.push(Entry {
-                pattern: (*name).into(),
-                system: "dlacep-perfect".into(),
-                gain: cmp.throughput_gain,
-                recall: cmp.recall,
-                partials: cmp.acep_partials,
-            });
+            push(
+                "dlacep-perfect",
+                cmp.throughput_gain,
+                cmp.recall,
+                cmp.acep_partials,
+            );
         }
 
         // DLACEP with the trained event-network (extra epochs: these
@@ -205,13 +198,43 @@ fn main() {
             cmp.acep_partials,
             out.test.f1()
         );
-        entries.push(Entry {
-            pattern: (*name).into(),
-            system: "dlacep".into(),
-            gain: cmp.throughput_gain,
-            recall: cmp.recall,
-            partials: cmp.acep_partials,
-        });
+        push("dlacep", cmp.throughput_gain, cmp.recall, cmp.acep_partials);
+    }
+
+    // Q_A5: the NFA in step order, then in the order the static model
+    // picks — the single steps last first, the closures absorbed after —
+    // with multiquery16's tight band and Fig. 12's wide one.
+    for (name, (alpha, beta)) in [("Q_A5(0.9,1.1)", (0.9, 1.1)), ("Q_A5(0.5,2)", (0.5, 2.0))] {
+        println!("\n== Fig 12: {name} ==");
+        let plan = Plan::compile(&q_a5(2, 8, 2, alpha, beta, 24)).expect("compiles");
+        let step_order = Program::lower_with(&plan, |b| CostModel::uniform(b.steps.len()));
+        let mut step_secs = 0.0;
+        for (system, program) in [
+            ("ecep-nfa", step_order),
+            ("nfa-ordered", Program::lower(&plan)),
+        ] {
+            let mut nfa = NfaEngine::from_program(Arc::new(program), NfaConfig::default());
+            let start = Instant::now();
+            let matches = nfa.run(&eval);
+            let secs = start.elapsed().as_secs_f64();
+            if system == "ecep-nfa" {
+                step_secs = secs;
+            }
+            let partials = nfa.stats().partial_matches_created;
+            println!(
+                "{system:<14} gain {:>7.2}  secs {secs:>7.3}  partials {partials:>10}  matches {}",
+                step_secs / secs,
+                matches.len()
+            );
+            entries.push(Entry {
+                pattern: name.into(),
+                system: system.into(),
+                gain: step_secs / secs,
+                recall: 1.0,
+                partials,
+                secs,
+            });
+        }
     }
 
     let _ = std::fs::create_dir_all("results");

@@ -14,7 +14,8 @@
 //! `nfa_golden_pr13.json` was written by running [`cases`] on the parent of
 //! PR 14, `nfa_golden_ordered.json` by running it on the commit that made
 //! the order a property of the program (from a throwaway `#[path]` module,
-//! hence the `pub`s).
+//! hence the `pub`s). Its `q_a5` row was re-recorded when branches whose
+//! Kleene steps follow every single step got an order; no other row moved.
 
 use dlacep_bench::queries::real::*;
 use dlacep_bench::queries::synth::{q_b1, q_b2, q_b3};
@@ -238,6 +239,51 @@ pub fn cases(step_order: bool) -> Vec<Case> {
         out.push(run(name, &p, &operators, step_order));
     }
     out
+}
+
+/// The banded shapes of the benchmark's `multiquery16` and `serve_frontdoor`
+/// lower to the orders they had before Kleene-suffix branches were ordered
+/// (recorded on that commit); `Q_A5` alone moves, to its single steps last
+/// first and its closures after them.
+#[test]
+fn banded_shapes_keep_their_orders() {
+    let rare_seq2 = Pattern::new(
+        seq([leaf(40, "a"), leaf(41, "b")]),
+        vec![Predicate::band(0.8, ("a", 0), ("b", 0), 1.25, ("a", 0))],
+        WindowSpec::Count(8),
+    );
+    let (w, n, t) = (12, (0.9, 1.1), (0.95, 1.05));
+    let cases: [(Pattern, &[&[usize]]); 10] = [
+        (q_a1(4, 6, &[1, 2, 3], n.0, n.1, w), &[&[3, 2, 1, 0]]),
+        (q_a1(4, 6, &[1, 2], n.0, n.1, w), &[&[3, 1, 0, 2]]),
+        (q_a1(3, 6, &[1, 2], n.0, n.1, w), &[&[2, 1, 0]]),
+        (
+            q_a4(4, 6, &[1, 2], 1, 3, n.0, n.1, t.0, t.1, w),
+            &[&[3, 0, 2, 1]],
+        ),
+        (
+            q_a4(4, 6, &[1, 3], 2, 3, n.0, n.1, n.0, n.1, w),
+            &[&[3, 2, 1, 0]],
+        ),
+        (
+            q_a4(4, 4, &[1, 2], 1, 2, n.0, n.1, t.0, t.1, w),
+            &[&[3, 1, 0, 2]],
+        ),
+        (
+            q_a9(4, 6, 12, n.0, n.1, n.0, n.1, w),
+            &[&[3, 2, 1, 0], &[3, 2, 1, 0]],
+        ),
+        (
+            q_a9(3, 6, 12, n.0, n.1, n.0, n.1, w),
+            &[&[2, 1, 0], &[2, 1, 0]],
+        ),
+        (rare_seq2, &[&[0, 1]]),
+        (q_a5(2, 6, 2, n.0, n.1, w), &[&[4, 3, 2, 1, 0, 5, 6]]),
+    ];
+    for (p, want) in &cases {
+        let program = Program::lower(&Plan::compile(p).expect("golden patterns compile"));
+        assert_eq!(&program.orders().collect::<Vec<_>>(), want, "{p:?}");
+    }
 }
 
 #[test]

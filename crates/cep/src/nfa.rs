@@ -25,6 +25,16 @@
 //! step every condition mentions first stores nothing between events. The
 //! matches an event completes are emitted in the sequence the step-order
 //! pass would have emitted them ([`emission_key`]).
+//!
+//! Kleene steps come last in an order (the cost model orders only branches
+//! whose closures follow every single step). A row that binds every single
+//! step is stored as a step-order row of that suffix: its Kleene steps stay
+//! open, it absorbs under the step-order rules and completes through
+//! [`Pass::try_emit`]. Rows completing the single steps at one event are
+//! stored in the step-order pass's sequence among the rows the event
+//! extended ([`Pass::precedes`]), so the suffix rows sit in the order the
+//! step-order engine keeps them, and later completions emit exactly as
+//! its would.
 
 use crate::engine::{CepEngine, EngineStats, EventArena, Match};
 use crate::pattern::ast::Pattern;
@@ -63,14 +73,19 @@ impl KleenePool {
         }
     }
 
-    /// The newest `n` ids of the chain ending at `head`, oldest first.
-    fn tail(&self, mut head: u64, n: usize, out: &mut Vec<EventId>) {
-        out.clear();
-        for _ in 0..n {
+    /// The newest `n` ids of the chain ending at `head`, newest first.
+    fn chain(&self, mut head: u64, n: usize) -> impl Iterator<Item = EventId> + '_ {
+        (0..n).map(move |_| {
             let (id, prev) = self.nodes[(head - self.base) as usize];
-            out.push(id);
             head = prev;
-        }
+            id
+        })
+    }
+
+    /// The newest `n` ids of the chain ending at `head`, oldest first.
+    fn tail(&self, head: u64, n: usize, out: &mut Vec<EventId>) {
+        out.clear();
+        out.extend(self.chain(head, n));
         out.reverse();
     }
 }
@@ -113,7 +128,8 @@ pub struct NfaEngine {
     /// Reused buffers: rows created by the current event (the last one
     /// doubles as the candidate under test), ids walked out of a Kleene
     /// chain, `(min_id, branch)` of every stored row while shedding, where
-    /// in `created` the rows an ordered pass completed start.
+    /// in `created` the rows that bind every single step of an ordered
+    /// branch start.
     created: Vec<u64>,
     ids: Vec<EventId>,
     ages: Vec<(u64, usize)>,
@@ -316,9 +332,13 @@ fn restore_row(
 }
 
 /// Does a row binding `bound` wait for a future event under `bp`'s order:
-/// it binds a proper prefix of the order, and its next step need not
-/// precede any step it binds?
+/// it binds a proper prefix of the order's single steps, and its next step
+/// need not precede any step it binds — or it binds them all and has
+/// Kleene steps to absorb into?
 fn waits(bp: &BranchProgram, bound: u64) -> bool {
+    if bound & bp.singles() == bp.singles() {
+        return bp.kleene_mask != 0;
+    }
     let k = bound.count_ones() as usize;
     let prefix = bp.order[..k.min(bp.order.len())]
         .iter()
@@ -326,16 +346,24 @@ fn waits(bp: &BranchProgram, bound: u64) -> bool {
     k < bp.order.len() && bound == prefix && bp.steps[bp.order[k]].after & bound == 0
 }
 
-/// Where a completed row of an ordered branch falls in the step-order
-/// pass's emission sequence. That pass extends stored rows in creation
+/// Does `row` bind every single step and nothing else: did the current
+/// event's ordered pass complete its single steps?
+fn binds_only_singles(bp: &BranchProgram, row: &[u64]) -> bool {
+    row[BOUND] == bp.singles() && row[bp.iters_at..bp.known_at].iter().all(|&n| n == 0)
+}
+
+/// Where a row of an ordered branch that binds only its single steps falls
+/// in the step-order pass's sequence (of emission, or of storage when a
+/// Kleene suffix follows). That pass extends stored rows in creation
 /// order, each at its steps in index order, then the empty row; so a row
 /// ranks by its newest event, then by its parent (the row without that
 /// event), then by the step that event binds. For rows of one length that
 /// is: ids newest first, then the steps they bind from the oldest event's.
-/// (Ordered branches have at most [`MAX_ORDERED_STEPS`] steps, so the key
-/// fits on the stack; the words past `2·steps` are zero for every row.)
+/// (The single steps of an ordered branch are its first steps, at most
+/// [`MAX_ORDERED_STEPS`], so the key fits on the stack; the words past
+/// `2·singles` are zero for every row.)
 fn emission_key(bp: &BranchProgram, row: &[u64]) -> [u64; 2 * MAX_ORDERED_STEPS] {
-    let n = bp.steps.len();
+    let n = bp.steps.len() - bp.kleene.len();
     let mut bound = [(0, 0); MAX_ORDERED_STEPS];
     for (s, b) in bound[..n].iter_mut().enumerate() {
         *b = (row[IDS + s], s as u64);
@@ -518,44 +546,100 @@ impl<'a> Pass<'a> {
         if accept & bp.open(0) != 0 {
             self.extend(&bp.blank, accept & bp.open(0), created);
         }
+        self.done.clear();
         if bp.ordered {
             self.pull_and_emit(created);
         }
+        // A row that completed its single steps at this event goes in just
+        // before the first suffix row absorbing the event that the
+        // step-order pass would have stored after it; every other row goes
+        // in as created.
+        let fresh = std::mem::take(self.done);
+        let mut f = 0;
+        let mut store = |row: &[u64]| {
+            oldest = oldest.min(row[key]);
+            rows.extend_from_slice(row);
+        };
         for row in created.chunks(stride) {
-            if !bp.ordered || waits(bp, row[BOUND]) {
-                oldest = oldest.min(row[key]);
-                rows.extend_from_slice(row);
+            if bp.ordered {
+                if !waits(bp, row[BOUND]) || binds_only_singles(bp, row) {
+                    continue;
+                }
+                let absorbed = row[BOUND] & bp.singles() == bp.singles();
+                while absorbed
+                    && f < fresh.len()
+                    && self.precedes(&created[fresh[f]..][..stride], row)
+                {
+                    store(&created[fresh[f]..][..stride]);
+                    f += 1;
+                }
             }
+            store(row);
         }
+        for &at in &fresh[f..] {
+            store(&created[at..at + stride]);
+        }
+        *self.done = fresh;
         created.clear();
         oldest
     }
 
-    /// Under an order: bind each new row's next step to every past event
-    /// of the window that fits it (rows this appends are walked in turn),
-    /// then emit the completed rows in step-order sequence.
+    /// Under an order: bind each new row's next single step to every past
+    /// event of the window that fits it (rows this appends are walked in
+    /// turn), then sort the rows that bind every single step into
+    /// step-order sequence — and emit them, unless a Kleene suffix follows,
+    /// in which case they are left in `done` for [`Pass::run`] to store.
     fn pull_and_emit(&mut self, created: &mut Vec<u64>) {
         let (bp, stride) = (self.bp, self.bp.stride);
         let mut at = 0;
         while at < created.len() {
-            let next = bp.open(created[at + BOUND]);
+            let next = bp.open(created[at + BOUND]) & !bp.kleene_mask;
             if next != 0 {
                 self.pull(created, at, next.trailing_zeros() as usize);
             }
             at += stride;
         }
         let mut done = std::mem::take(self.done);
-        done.clear();
         done.extend(
             (0..created.len())
                 .step_by(stride)
-                .filter(|&at| created[at + BOUND] == bp.full_mask),
+                .filter(|&at| binds_only_singles(bp, &created[at..at + stride])),
         );
         done.sort_unstable_by_key(|&at| emission_key(bp, &created[at..at + stride]));
-        for &at in &done {
-            self.try_emit(&created[at..at + stride]);
+        if bp.kleene_mask == 0 {
+            for &at in &done {
+                self.try_emit(&created[at..at + stride]);
+            }
+            done.clear();
         }
         *self.done = done;
+    }
+
+    /// Does `fresh`, a row that bound its last single step at this event,
+    /// come before `row`, a row of the Kleene suffix that absorbed it, in
+    /// the step-order pass's storage sequence? That sequence ranks rows by
+    /// their ids newest first (see [`emission_key`]): the first id that
+    /// differs decides, and where `fresh`'s ids all lead `row`'s it ranks
+    /// after — its shorter chain of parents ends at the empty row, which
+    /// the pass extends last.
+    fn precedes(&mut self, fresh: &[u64], row: &[u64]) -> bool {
+        let bp = self.bp;
+        self.ids.clear();
+        for (s, step) in bp.steps.iter().enumerate() {
+            match &step.kind {
+                StepProgram::Single => self.ids.push(EventId(row[IDS + s])),
+                StepProgram::Kleene { ord, .. } => {
+                    let absorbed = row[bp.iters_at + ord] as usize;
+                    self.ids.extend(self.pool.chain(row[IDS + s], absorbed));
+                }
+            }
+        }
+        self.ids.sort_unstable_by(|a, b| b.cmp(a));
+        let key = emission_key(bp, fresh);
+        let singles = bp.steps.len() - bp.kleene.len();
+        (key[..singles].iter().zip(self.ids.iter()))
+            .find(|(a, b)| **a != b.0)
+            .is_some_and(|(a, b)| *a < b.0)
     }
 
     /// Append to `created` the row at `at` with step `s` bound to each past
@@ -609,7 +693,10 @@ impl<'a> Pass<'a> {
             let step = &bp.steps[s];
             // Under an order the event is the newest: it follows whatever
             // is bound, and a stored row precedes nothing it binds next.
-            if !bp.ordered && step.preds & parent[BOUND] != step.preds {
+            // A Kleene step, open only once every single step is bound,
+            // checks its predecessors as in step order.
+            let checked = !bp.ordered || bp.kleene_mask >> s & 1 == 1;
+            if checked && step.preds & parent[BOUND] != step.preds {
                 continue;
             }
             let at = created.len();

@@ -180,6 +180,19 @@ impl Branch {
             .collect()
     }
 
+    /// Per step, the steps that must precede it, transitively.
+    pub(crate) fn before_masks(&self) -> Vec<u64> {
+        // Predecessors have lower indices: their closures are known.
+        let mut before: Vec<u64> = Vec::with_capacity(self.steps.len());
+        for step in &self.steps {
+            let m = (0..before.len())
+                .filter(|p| step.preds >> p & 1 == 1)
+                .fold(step.preds, |m, p| m | before[p]);
+            before.push(m);
+        }
+        before
+    }
+
     /// Bitmask of steps that (directly) require step `s` to precede them.
     pub fn successor_mask(&self, s: usize) -> u64 {
         let mut m = 0u64;
@@ -762,12 +775,21 @@ impl CostModel {
     /// sum to the least. Ties go to step order, so a model that cannot tell
     /// orders apart keeps arrival order; between other orders of equal cost
     /// the later step is bound first (the earlier ones are then already in
-    /// the window to pull). A branch with a Kleene step, or longer than the
+    /// the window to pull).
+    ///
+    /// Kleene steps are never pulled from the window. When every Kleene step
+    /// must follow every single step (`SEQ(s1..s5, KC(k))`, `Q_A5`), the
+    /// search runs over the single steps — the lowest indices, as each one
+    /// precedes every closure — and the Kleene steps follow in step order:
+    /// a row that binds every single step absorbs as in step order. Any
+    /// other branch with a Kleene step (a leading closure, or an inner one
+    /// like `SEQ(a, KC(b), c)`), or one with more single steps than the
     /// search bound, keeps step order.
     pub(crate) fn order(&self, branch: &Branch, w: f64) -> Vec<usize> {
-        let n = branch.steps.len();
-        let identity: Vec<usize> = (0..n).collect();
-        if n > MAX_ORDERED_STEPS || self.rates.len() != n || !branch.kleene_steps().is_empty() {
+        let identity: Vec<usize> = (0..branch.steps.len()).collect();
+        // The search runs over the single steps, the first `n`.
+        let n = identity.len() - branch.kleene_steps().len();
+        if n > MAX_ORDERED_STEPS || self.rates.len() != identity.len() || !kleene_suffix(branch) {
             return identity;
         }
         // Over step subsets: the cardinality of each, and the cheapest sum
@@ -796,15 +818,26 @@ impl CostModel {
         if in_step_order <= best[full] * (1.0 + 1e-9) {
             return identity;
         }
-        let mut order = Vec::with_capacity(n);
+        let mut order = Vec::with_capacity(identity.len());
         let mut set = full;
         while set != 0 {
             order.push(last[set]);
             set &= !(1 << last[set]);
         }
         order.reverse();
+        order.extend(n..identity.len());
         order
     }
+}
+
+/// Does every Kleene step of `branch` come after every single step — the
+/// single steps being then exactly the first ones, since a step's
+/// predecessors have lower indices? (Vacuously true without a closure.)
+fn kleene_suffix(branch: &Branch) -> bool {
+    let kleene = branch.kleene_steps();
+    let singles = branch.full_mask() & !mask_of(&kleene);
+    let before = branch.before_masks();
+    kleene.iter().all(|&k| before[k] & singles == singles)
 }
 
 /// Every pair `(i, j)`, `i < j`, of steps in `mask`.
@@ -1097,6 +1130,57 @@ mod tests {
         .unwrap();
         let b = &kleene.branches[0];
         assert_eq!(CostModel::static_for(b).order(b, 20.0), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn order_binds_the_single_steps_before_a_closure_that_follows_them_all() {
+        // Q_A5's shape: banded single steps, then two closures.
+        let conds = ["a", "b", "c"].map(|x| Predicate::lt(Expr::attr(x, 0), Expr::attr("d", 0)));
+        let kc = |t, b| PatternExpr::Kleene(Box::new(leaf(t, b)));
+        let steps = vec![
+            leaf(0, "a"),
+            leaf(1, "b"),
+            leaf(2, "c"),
+            leaf(3, "d"),
+            kc(4, "k"),
+            kc(5, "m"),
+        ];
+        let suffix = compile(PatternExpr::Seq(steps), conds.to_vec()).unwrap();
+        let b = &suffix.branches[0];
+        assert_eq!(
+            CostModel::static_for(b).order(b, 20.0),
+            vec![3, 2, 1, 0, 4, 5]
+        );
+        // Two closures after every single step, unordered between them.
+        let both = PatternExpr::Conj(vec![kc(4, "k"), kc(5, "m")]);
+        let steps = vec![leaf(0, "a"), leaf(1, "b"), leaf(2, "c"), leaf(3, "d"), both];
+        let conj = compile(PatternExpr::Seq(steps), conds.to_vec()).unwrap();
+        let b = &conj.branches[0];
+        assert_eq!(
+            CostModel::static_for(b).order(b, 20.0),
+            vec![3, 2, 1, 0, 4, 5]
+        );
+        // A closure beside a single step, or before one, keeps step order.
+        for steps in [
+            vec![
+                leaf(0, "a"),
+                leaf(1, "b"),
+                leaf(2, "c"),
+                PatternExpr::Conj(vec![leaf(3, "d"), kc(4, "k")]),
+            ],
+            vec![
+                kc(4, "k"),
+                leaf(0, "a"),
+                leaf(1, "b"),
+                leaf(2, "c"),
+                leaf(3, "d"),
+            ],
+        ] {
+            let plan = compile(PatternExpr::Seq(steps), conds.to_vec()).unwrap();
+            let b = &plan.branches[0];
+            let identity: Vec<usize> = (0..b.steps.len()).collect();
+            assert_eq!(CostModel::static_for(b).order(b, 20.0), identity);
+        }
     }
 
     #[test]

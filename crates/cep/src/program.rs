@@ -19,8 +19,11 @@
 //! Each branch also carries its evaluation order, chosen by a
 //! [`CostModel`] when the program is lowered. In step order a row binds
 //! steps as their events arrive; under any other order a row binds a prefix
-//! of the order, and the engine pulls the rest from the window (see
-//! [`crate::nfa`]).
+//! of the order's single steps, and the engine pulls the rest from the
+//! window (see [`crate::nfa`]). Kleene steps are never pulled: an order
+//! holds them only after every single step, and a row that has bound every
+//! single step is a step-order row of that suffix — its Kleene steps stay
+//! open, and it absorbs and completes as in step order.
 
 use crate::pattern::ast::TypeSet;
 use crate::pattern::condition::CompiledPred;
@@ -95,7 +98,8 @@ pub(crate) struct BranchProgram {
     pub roots: u64,
     /// The evaluation order (step indices, first bound first), and whether
     /// it differs from step order. Under an order, `next[k]` is the bit of
-    /// the step a row binding `k` steps binds next (0 once full).
+    /// the single step a row binding `k` steps binds next; once every single
+    /// step is bound, the Kleene steps (0 for a branch without one).
     pub order: Vec<usize>,
     pub ordered: bool,
     next: Vec<u64>,
@@ -130,6 +134,7 @@ impl BranchProgram {
         let (mut kleene_mask, mut roots) = (0u64, 0u64);
         let mut accepts: Vec<(TypeId, u64)> = Vec::new();
         let mut steps: Vec<Step> = Vec::with_capacity(branch.steps.len());
+        let before_masks = branch.before_masks();
         for (s, step) in branch.steps.iter().enumerate() {
             let (kind, names, types): (_, _, Vec<&TypeSet>) = match &step.kind {
                 StepKind::Single { types, binding } => {
@@ -164,10 +169,7 @@ impl BranchProgram {
             if step.preds == 0 {
                 roots |= 1 << s;
             }
-            // Predecessors have lower indices: their closures are known.
-            let before = (0..s)
-                .filter(|p| step.preds >> p & 1 == 1)
-                .fold(step.preds, |m, p| m | steps[p].before);
+            let before = before_masks[s];
             for p in (0..s).filter(|p| before >> p & 1 == 1) {
                 steps[p].after |= 1 << s;
             }
@@ -214,10 +216,13 @@ impl BranchProgram {
         blank[MIN_ID] = u64::MAX;
         blank[MIN_TS] = u64::MAX;
         let ordered = order.iter().enumerate().any(|(k, s)| k != *s);
+        let singles = order.len() - kleene.len();
         Self {
             kleene_mask,
             roots,
-            next: order.iter().map(|s| 1 << s).chain([0]).collect(),
+            next: (order[..singles].iter().map(|s| 1 << s))
+                .chain(std::iter::repeat_n(kleene_mask, kleene.len() + 1))
+                .collect(),
             order,
             ordered,
             full_mask: branch.full_mask(),
@@ -239,7 +244,8 @@ impl BranchProgram {
     /// Steps a row binding `bound` may bind the current event at: in step
     /// order a root, or any step not yet bound (a Kleene step may absorb
     /// more) whose predecessors the engine still checks; under an order,
-    /// the row's next step.
+    /// the row's next single step, or once it binds them all, its Kleene
+    /// steps (checked as in step order).
     #[inline]
     pub fn open(&self, bound: u64) -> u64 {
         match (self.ordered, bound) {
@@ -247,6 +253,11 @@ impl BranchProgram {
             (false, 0) => self.roots,
             (false, _) => self.kleene_mask | !bound,
         }
+    }
+
+    /// The single steps' bits.
+    pub fn singles(&self) -> u64 {
+        self.full_mask & !self.kleene_mask
     }
 
     /// Steps an event of type `t` could bind or extend (0: none — the

@@ -121,8 +121,10 @@ pub struct ShareReport {
     pub units: usize,
     /// Branches eliminated by structural sharing.
     pub branches_merged: usize,
-    /// Total step-prefix overlap between each unit and its best-matching
-    /// predecessor — how much a prefix-merging evaluator could still save.
+    /// Total overlap between each unit and its best-matching predecessor
+    /// of the prefixes their evaluation orders bind
+    /// ([`Program::orders`]) — how much a prefix-merging evaluator could
+    /// still save.
     pub shared_prefix_steps: usize,
     /// Aggregate rewrite-rule applications across the set.
     pub rewrites: RewriteStats,
@@ -176,12 +178,6 @@ impl SharedPlan {
         }
         report.units = units.len();
         report.branches_merged = report.branches_total - report.units;
-        for k in 1..canon_branches.len() {
-            report.shared_prefix_steps += (0..k)
-                .map(|j| prefix_overlap(&canon_branches[j], &canon_branches[k]))
-                .max()
-                .unwrap_or(0);
-        }
 
         // Prefix each unit's canonical names with `u<k>.` so binding names
         // are unique across the fused plan and identify the emitting unit.
@@ -199,8 +195,17 @@ impl SharedPlan {
             branches: fused_branches,
             window: set.window(),
         };
+        let program = Arc::new(Program::lower(&fused));
+        let units_in_order: Vec<(&Branch, &[usize])> =
+            canon_branches.iter().zip(program.orders()).collect();
+        for k in 1..units_in_order.len() {
+            report.shared_prefix_steps += (0..k)
+                .map(|j| prefix_overlap(units_in_order[j], units_in_order[k]))
+                .max()
+                .unwrap_or(0);
+        }
         Ok(SharedPlan {
-            program: Arc::new(Program::lower(&fused)),
+            program,
             fused,
             units,
             unit_of_binding,
@@ -388,12 +393,19 @@ fn rename_pred(p: &Predicate, f: &dyn Fn(&str) -> String) -> Predicate {
     }
 }
 
-/// Length of the common step prefix of two canonical branches.
-fn prefix_overlap(a: &Branch, b: &Branch) -> usize {
-    a.steps
-        .iter()
-        .zip(b.steps.iter())
-        .take_while(|(x, y)| x == y)
+/// Length of the common prefix of two canonical branches in their
+/// evaluation orders: the steps bound at each position match in kind and
+/// in the positions of the steps they must follow.
+fn prefix_overlap((a, oa): (&Branch, &[usize]), (b, ob): (&Branch, &[usize])) -> usize {
+    let preds = |branch: &Branch, order: &[usize], s: usize| {
+        (order.iter().enumerate())
+            .filter(|(_, q)| branch.steps[s].preds >> **q & 1 == 1)
+            .fold(0u64, |m, (k, _)| m | 1 << k)
+    };
+    (oa.iter().zip(ob))
+        .take_while(|(&x, &y)| {
+            a.steps[x].kind == b.steps[y].kind && preds(a, oa, x) == preds(b, ob, y)
+        })
         .count()
 }
 
@@ -508,5 +520,24 @@ mod tests {
         let shared = PatternSet::new(vec![p1, p2]).unwrap().compile().unwrap();
         assert_eq!(shared.report().units, 2);
         assert_eq!(shared.report().shared_prefix_steps, 2);
+    }
+
+    #[test]
+    fn prefix_overlap_follows_the_evaluation_order() {
+        // Banded to their last step, both bind it first: they share the
+        // last two steps of step order, not the first two.
+        let banded = |first: u32, last: u32| {
+            let conds = ["a", "b"].map(|x| Predicate::lt(Expr::attr(x, 0), Expr::attr("c", 0)));
+            let steps = seq([ev(first, "a"), ev(1, "b"), ev(last, "c")]);
+            Pattern::new(steps, conds.to_vec(), w(8))
+        };
+        let set = |p, q| PatternSet::new(vec![p, q]).unwrap().compile().unwrap();
+        let shared = set(banded(0, 2), banded(5, 2));
+        assert!(shared.program.orders().all(|o| o == [2, 1, 0]));
+        assert_eq!(shared.report().shared_prefix_steps, 2);
+        assert_eq!(
+            set(banded(0, 2), banded(0, 3)).report().shared_prefix_steps,
+            0
+        );
     }
 }

@@ -350,17 +350,13 @@ impl Strategy for PatternStrategy {
         let mut next = 0;
         let expr = gen_expr(rng, 2, &mut next);
         let names: Vec<String> = expr.bindings().iter().map(|s| s.to_string()).collect();
-        let r = rng.rng();
         let mut conditions = Vec::new();
-        for _ in 0..r.gen_range(0..3usize) {
-            let a = Expr::attr(names[r.gen_range(0..names.len())].clone(), 0);
-            let b = Expr::attr(names[r.gen_range(0..names.len())].clone(), 0);
-            conditions.push(match r.gen_range(0..3u8) {
-                0 => Predicate::lt(a, b),
-                1 => Predicate::gt(a, b),
-                _ => Predicate::lt(a, Expr::Add(Box::new(b), Box::new(Expr::Const(2.0)))),
-            });
+        for _ in 0..rng.rng().gen_range(0..3usize) {
+            let a = &names[rng.rng().gen_range(0..names.len())];
+            let b = &names[rng.rng().gen_range(0..names.len())];
+            conditions.push(link(rng, a, b));
         }
+        let r = rng.rng();
         let window = match r.gen_range(0..3u8) {
             0 => WindowSpec::Time(r.gen_range(2..9u64)),
             _ => WindowSpec::Count(r.gen_range(2..9u64)),
@@ -402,6 +398,63 @@ fn gen_expr(rng: &mut proptest::TestRng, depth: u8, next: &mut usize) -> Pattern
             };
             PatternExpr::Kleene(Box::new(body))
         }
+    }
+}
+
+/// A condition between two bindings, one of the three shapes
+/// [`PatternStrategy`] draws.
+fn link(rng: &mut proptest::TestRng, a: &str, b: &str) -> Predicate {
+    let (a, b) = (Expr::attr(a, 0), Expr::attr(b, 0));
+    match rng.rng().gen_range(0..3u8) {
+        0 => Predicate::lt(a, b),
+        1 => Predicate::gt(a, b),
+        _ => Predicate::lt(a, Expr::Add(Box::new(b), Box::new(Expr::Const(2.0)))),
+    }
+}
+
+/// The shape the cost model orders although it holds a Kleene step: a SEQ
+/// of 2–5 single leaves whose last one conditions link to earlier ones,
+/// then 1–2 closures of a 1- or 2-leaf body, some with an iteration
+/// condition that reads a single step. Three types, so one event often fits
+/// a single step and a closure both; a count or time window.
+struct KleeneSuffixStrategy;
+
+impl Strategy for KleeneSuffixStrategy {
+    type Value = Pattern;
+
+    fn generate(&self, rng: &mut proptest::TestRng) -> Pattern {
+        let mut next = 0;
+        let mut leaf = |rng: &mut proptest::TestRng| {
+            next += 1;
+            let t = TypeId(rng.rng().gen_range(0..3u32));
+            PatternExpr::event(TypeSet::single(t), format!("b{next}"))
+        };
+        let singles = rng.rng().gen_range(2..6usize);
+        let mut children: Vec<PatternExpr> = (0..singles).map(|_| leaf(rng)).collect();
+        let name = |s: usize| format!("b{}", s + 1);
+        let mut conditions = Vec::new();
+        for s in 0..singles - 1 {
+            if s == 0 || rng.rng().gen_range(0..2u8) == 0 {
+                conditions.push(link(rng, &name(s), &name(singles - 1)));
+            }
+        }
+        for _ in 0..rng.rng().gen_range(1..3u8) {
+            let body = match rng.rng().gen_range(0..3u8) {
+                0 => PatternExpr::Seq(vec![leaf(rng), leaf(rng)]),
+                _ => leaf(rng),
+            };
+            if rng.rng().gen_range(0..2u8) == 0 {
+                let elem = body.bindings()[0].to_string();
+                let single = name(rng.rng().gen_range(0..singles));
+                conditions.push(link(rng, &elem, &single));
+            }
+            children.push(PatternExpr::Kleene(Box::new(body)));
+        }
+        let window = match rng.rng().gen_range(0..2u8) {
+            0 => WindowSpec::Time(rng.rng().gen_range(2..9u64)),
+            _ => WindowSpec::Count(rng.rng().gen_range(3..10u64)),
+        };
+        Pattern::new(PatternExpr::Seq(children), conditions, window)
     }
 }
 
@@ -573,7 +626,8 @@ proptest! {
         let chosen = per_event(NfaEngine::new(&p).unwrap(), &events);
         prop_assert_eq!(&chosen, &step_order, "the chosen order's sequence on {:?}", p);
         // Rates falling with the step index reorder every branch of two or
-        // more steps without a Kleene step: last step first.
+        // more single steps whose Kleene steps (if any) follow them all:
+        // last single step first.
         let reversed = Program::lower_with(&plan, |b| CostModel {
             rates: (0..b.steps.len()).map(|s| 1.0 / (1.0 + s as f64)).collect(),
             ..CostModel::uniform(b.steps.len())
@@ -596,5 +650,51 @@ proptest! {
         if !has_neg(&p.expr) {
             prop_assert!(filtered.is_subset(&want), "filtered ⊄ exact on {:?}", p);
         }
+    }
+
+    // A branch whose closures all follow its single steps is ordered over
+    // the single steps and absorbs in step order: the chosen order, step
+    // order and reverse step order report the oracle's matches in the same
+    // sequence, event by event — and, under a Kleene iteration cap the
+    // oracle does not model, the chosen order still emits what step order
+    // does.
+    #[test]
+    fn kleene_suffix_orders_report_the_oracles_matches(
+        p in KleeneSuffixStrategy,
+        types in prop::collection::vec(0u8..3, 1..15),
+        vals in prop::collection::vec(-3i8..4, 14),
+        gaps in prop::collection::vec(0u8..3, 14),
+    ) {
+        let events = stream(&types, &vals, &gaps);
+        let want = Oracle { events: &events, window: p.window }.matches(&p);
+        let plan = Plan::compile(&p).unwrap();
+        let n = plan.branches[0].steps.len();
+        let lowered = |model: &dyn Fn(usize) -> CostModel, config| {
+            let program = Program::lower_with(&plan, |b| model(b.steps.len()));
+            per_event(NfaEngine::from_program(Arc::new(program), config), &events)
+        };
+        let uniform = |n| CostModel::uniform(n);
+        let falling = |n| CostModel {
+            rates: (0..n).map(|s| 1.0 / (1.0 + s as f64)).collect(),
+            ..CostModel::uniform(n)
+        };
+        let reversed = Program::lower_with(&plan, |b| falling(b.steps.len()));
+        let singles = n - plan.branches[0].kleene_steps().len();
+        let order: Vec<usize> = (0..singles).rev().chain(singles..n).collect();
+        prop_assert_eq!(reversed.orders().next().unwrap(), &order[..]);
+
+        let step_order = lowered(&uniform, NfaConfig::default());
+        prop_assert_eq!(canon(&step_order.concat()), want, "step-order NFA on {:?}", p);
+        let chosen = per_event(NfaEngine::new(&p).unwrap(), &events);
+        prop_assert_eq!(&chosen, &step_order, "the chosen order's sequence on {:?}", p);
+        let reversed = lowered(&falling, NfaConfig::default());
+        prop_assert_eq!(&reversed, &step_order, "the reversed order's sequence on {:?}", p);
+
+        let capped = NfaConfig { max_kleene_iters: Some(1), ..NfaConfig::default() };
+        let step_order = lowered(&uniform, capped);
+        let chosen = per_event(NfaEngine::with_config(&p, capped).unwrap(), &events);
+        prop_assert_eq!(&chosen, &step_order, "the chosen order, capped, on {:?}", p);
+        let reversed = lowered(&falling, capped);
+        prop_assert_eq!(&reversed, &step_order, "the reversed order, capped, on {:?}", p);
     }
 }

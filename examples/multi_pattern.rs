@@ -56,7 +56,7 @@ fn main() {
     let shared = set.compile().expect("pattern set compiles");
     let sr = shared.report();
     println!(
-        "pattern set: {} patterns, {} branches -> {} fused units ({} merged, {} shared prefix steps)",
+        "pattern set: {} patterns, {} branches -> {} fused units ({} merged, {} steps shared by evaluation-order prefixes)",
         sr.patterns, sr.branches_total, sr.units, sr.branches_merged, sr.shared_prefix_steps
     );
 
