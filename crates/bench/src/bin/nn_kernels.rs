@@ -5,24 +5,84 @@
 //! `dlacep_core::MARK_BATCH` is chosen from. Per shape it also splits the
 //! single-window int8 time into the encoder, the emission layer and the
 //! BI-CRF head, and times the fused LSTM cell update on its own at every
-//! kernel level the CPU has. Dumps `results/BENCH_nn_kernels.json`.
+//! kernel level the CPU has. It also times one event-network training step
+//! (`B = 32` windows of `T = 32` events, as `trainer::fit` runs it) with
+//! its heap allocations. Dumps `results/BENCH_nn_kernels.json`.
 //!
 //! ```bash
 //! cargo run --release -p dlacep-bench --bin nn_kernels
 //! ```
 
-use dlacep_core::model::{EventNetwork, NetworkConfig};
+use dlacep_core::model::{EventNetwork, NetworkConfig, TrainWorkspace};
 use dlacep_core::quantized::{simd_level, QuantizedEventNetwork};
 use dlacep_core::MARK_BATCH;
 use dlacep_nn::quant::{time_cell_update, ScratchArena, UNIT_SCALE};
 use dlacep_nn::{
-    Initializer, Linear, ParamStore, QuantizedLinear, QuantizedStackedBiLstm, StackedBiLstm,
+    Adam, Initializer, Linear, ParamStore, QuantizedLinear, QuantizedStackedBiLstm, StackedBiLstm,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+/// Heap allocations (and reallocations) made by the process.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting allocations for the train-step rows.
+struct CountingAlloc;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a statistic and
+// publishes no other data.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same layout the caller handed us.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator with `layout`; forwarded.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Windows per training batch and events per window of the train rows.
+const TRAIN_BATCH: usize = 32;
+const TRAIN_T: usize = 32;
+
+/// One event-network training step: forward, BPTT, BI-CRF head, Adam.
+#[derive(Debug, Serialize)]
+struct TrainRow {
+    scenario: String,
+    input_dim: usize,
+    hidden: usize,
+    layers: usize,
+    batch: usize,
+    t_len: usize,
+    steps_timed: usize,
+    millis_per_step: f64,
+    allocs_per_step: f64,
+}
+
+/// Everything the binary measures.
+#[derive(Debug, Serialize)]
+struct Report {
+    marking: Vec<KernelRow>,
+    train_step: Vec<TrainRow>,
+}
 
 /// Windows per batched forward pass tried by the sweep.
 const BATCH_SWEEP: [usize; 6] = [1, 2, 4, 8, 16, 32];
@@ -228,7 +288,66 @@ fn bench_shape(
     }
 }
 
+/// Best-of-[`ROUNDS`] milliseconds per training step, `steps` steps a
+/// round, in one workspace kept across steps as `trainer::fit` keeps it.
+fn bench_train(
+    scenario: &str,
+    input_dim: usize,
+    hidden: usize,
+    layers: usize,
+    steps: usize,
+) -> TrainRow {
+    let mut net = EventNetwork::new(NetworkConfig {
+        input_dim,
+        hidden,
+        layers,
+        seed: 7,
+    });
+    let mut rng = StdRng::seed_from_u64(13);
+    let wins = windows(&mut rng, TRAIN_BATCH, TRAIN_T, input_dim);
+    let labels: Vec<Vec<bool>> = (0..TRAIN_BATCH)
+        .map(|_| (0..TRAIN_T).map(|_| rng.gen_bool(0.2)).collect())
+        .collect();
+    let batch: Vec<(&[Vec<f32>], &[bool])> = wins
+        .iter()
+        .zip(&labels)
+        .map(|(w, l)| (w.as_slice(), l.as_slice()))
+        .collect();
+    let mut opt = Adam::new(1e-3);
+    let mut ws = TrainWorkspace::default();
+    // Warm-up: sizes the workspace.
+    net.train_batch_with(&mut ws, &batch, &mut opt, 5.0);
+    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    let millis = (0..ROUNDS)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..steps {
+                std::hint::black_box(net.train_batch_with(&mut ws, &batch, &mut opt, 5.0));
+            }
+            start.elapsed().as_secs_f64() * 1e3 / steps as f64
+        })
+        .fold(f64::INFINITY, f64::min);
+    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    TrainRow {
+        scenario: scenario.to_string(),
+        input_dim,
+        hidden,
+        layers,
+        batch: TRAIN_BATCH,
+        t_len: TRAIN_T,
+        steps_timed: ROUNDS * steps,
+        millis_per_step: millis,
+        allocs_per_step: allocs as f64 / (ROUNDS * steps) as f64,
+    }
+}
+
 fn main() {
+    let train = vec![
+        // `stock_int8`'s training shape: the quick config on a 4-wide embedding.
+        bench_train("stock_train", 4, 16, 1, 20),
+        // The paper's encoder (§4.3): 3 stacked BiLSTM layers, hidden 75.
+        bench_train("paper_train", 4, 75, 3, 3),
+    ];
     let rows = vec![
         // DLACEP_FULL training scale: 48 hidden units, 2 BiLSTM layers.
         bench_shape("full_train", 16, 48, 2, 32),
@@ -300,10 +419,22 @@ fn main() {
         println!("{:<12} H={:<4} {}", r.scenario, r.hidden, cells.join("  "));
     }
 
+    println!("\ntrain step, B = {TRAIN_BATCH} windows of T = {TRAIN_T}:");
+    for r in &train {
+        println!(
+            "{:<12} in={} H={:<3} L={} {:>9.2} ms/step {:>9.1} allocs/step",
+            r.scenario, r.input_dim, r.hidden, r.layers, r.millis_per_step, r.allocs_per_step
+        );
+    }
+
     let dir = std::path::Path::new("results");
     std::fs::create_dir_all(dir).expect("create results/");
     let path = dir.join("BENCH_nn_kernels.json");
-    let json = serde_json::to_string_pretty(&rows).expect("rows serialize");
+    let report = Report {
+        marking: rows,
+        train_step: train,
+    };
+    let json = serde_json::to_string_pretty(&report).expect("rows serialize");
     let mut f = std::fs::File::create(&path).expect("create BENCH_nn_kernels.json");
     f.write_all(json.as_bytes()).expect("write rows");
     println!("[saved {}]", path.display());

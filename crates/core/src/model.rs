@@ -9,7 +9,7 @@
 use dlacep_nn::graph::{Graph, Var};
 use dlacep_nn::matrix::Matrix;
 use dlacep_nn::optim::Optimizer;
-use dlacep_nn::{BiCrf, Initializer, Linear, ParamStore, StackedBiLstm, TrainStep};
+use dlacep_nn::{BiCrf, CrfWorkspace, Initializer, Linear, ParamStore, StackedBiLstm, TrainStep};
 use serde::{Deserialize, Serialize};
 
 /// Architecture hyperparameters.
@@ -47,22 +47,34 @@ impl NetworkConfig {
     }
 }
 
-fn window_inputs(g: &mut Graph, batch: &[&[Vec<f32>]]) -> Vec<Var> {
-    let t_len = batch[0].len();
-    debug_assert!(
-        batch.iter().all(|w| w.len() == t_len),
-        "uniform sequence length"
-    );
-    let dim = batch[0][0].len();
-    (0..t_len)
-        .map(|t| {
-            let mut m = Matrix::zeros(batch.len(), dim);
-            for (b, w) in batch.iter().enumerate() {
-                m.row_mut(b).copy_from_slice(&w[t]);
-            }
-            g.input(m)
-        })
-        .collect()
+/// Buffers a training loop reuses from step to step: the autodiff tape
+/// (cleared, not freed, between steps), the BI-CRF head's trellises and the
+/// batch's gold labels. Sized by batch × window × hidden on the first step
+/// and freed with the loop; never serialised.
+#[derive(Default)]
+pub struct TrainWorkspace {
+    graph: Graph,
+    crf: CrfWorkspace,
+    gold: Vec<usize>,
+}
+
+/// The batch's windows (each `steps` rows of `dim`) as one time-major tape
+/// input: row `t·B + b` is step `t` of window `b`.
+fn time_major_input<'a>(
+    g: &mut Graph,
+    windows: impl ExactSizeIterator<Item = &'a [Vec<f32>]>,
+    steps: usize,
+    dim: usize,
+) -> Var {
+    let batch = windows.len();
+    let mut x = g.zeros(steps * batch, dim);
+    for (b, window) in windows.enumerate() {
+        assert_eq!(window.len(), steps, "uniform sequence length");
+        for (t, row) in window.iter().enumerate() {
+            x.row_mut(t * batch + b).copy_from_slice(row);
+        }
+    }
+    g.input(x)
 }
 
 /// The event-network: per-event labeling via BI-CRF.
@@ -110,13 +122,6 @@ impl EventNetwork {
         (&self.store, &self.encoder, &self.emit, &self.crf)
     }
 
-    fn emissions(&self, g: &mut Graph, xs: &[Var]) -> Vec<Var> {
-        let hs = self.encoder.forward(g, &self.store, xs);
-        hs.into_iter()
-            .map(|h| self.emit.forward(g, &self.store, h))
-            .collect()
-    }
-
     fn infer_emissions(&self, window: &[Vec<f32>]) -> Matrix {
         let mut xs = Matrix::zeros(window.len(), self.config.input_dim);
         for (t, row) in window.iter().enumerate() {
@@ -160,34 +165,44 @@ impl EventNetwork {
         opt: &mut dyn Optimizer,
         grad_clip: f32,
     ) -> TrainStep {
+        self.train_batch_with(&mut TrainWorkspace::default(), batch, opt, grad_clip)
+    }
+
+    /// [`EventNetwork::train_batch`] in `ws`'s buffers, which a training
+    /// loop keeps across its steps.
+    pub fn train_batch_with(
+        &mut self,
+        ws: &mut TrainWorkspace,
+        batch: &[(&[Vec<f32>], &[bool])],
+        opt: &mut dyn Optimizer,
+        grad_clip: f32,
+    ) -> TrainStep {
         assert!(!batch.is_empty());
-        let t_len = batch[0].0.len();
+        let steps = batch[0].0.len();
         let b_len = batch.len();
         self.store.zero_grads();
-        let mut g = Graph::with_capacity(t_len * 24 * self.config.layers * 2);
-        let windows: Vec<&[Vec<f32>]> = batch.iter().map(|(w, _)| *w).collect();
-        let xs = window_inputs(&mut g, &windows);
-        let em_vars = self.emissions(&mut g, &xs);
+        let g = &mut ws.graph;
+        g.clear();
+        let windows = batch.iter().map(|(w, _)| *w);
+        let x = time_major_input(g, windows, steps, self.config.input_dim);
+        let h = self.encoder.forward(g, &self.store, x, steps);
+        let em = self.emit.forward_steps(g, &self.store, h, steps);
+        ws.gold.clear();
+        for (_, labels) in batch {
+            assert_eq!(labels.len(), steps, "labels match window length");
+            ws.gold.extend(labels.iter().map(|&x| usize::from(x)));
+        }
         // Per-sequence CRF loss + analytic emission gradients.
         let scale = 1.0 / b_len as f32;
-        let mut seeds: Vec<Matrix> = (0..t_len).map(|_| Matrix::zeros(b_len, 2)).collect();
-        let mut total_nll = 0.0;
-        for (b, (_, labels)) in batch.iter().enumerate() {
-            assert_eq!(labels.len(), t_len, "labels match window length");
-            let emissions = Matrix::from_fn(t_len, 2, |t, l| g.value(em_vars[t]).get(b, l));
-            let gold: Vec<usize> = labels.iter().map(|&x| usize::from(x)).collect();
-            let (nll, de) = self
-                .crf
-                .nll_backward(&mut self.store, &emissions, &gold, scale);
-            total_nll += nll;
-            for (t, seed) in seeds.iter_mut().enumerate().take(t_len) {
-                for l in 0..2 {
-                    *seed.get_mut(b, l) += de.get(t, l);
-                }
-            }
-        }
-        let seed_pairs: Vec<(Var, Matrix)> = em_vars.into_iter().zip(seeds).collect();
-        g.backward_seeded(&seed_pairs, &mut self.store);
+        let total_nll = self.crf.nll_backward_batch(
+            &mut self.store,
+            g.value(em),
+            &ws.gold,
+            steps,
+            scale,
+            &mut ws.crf,
+        );
+        g.backward_seeded(&[(em, ws.crf.d_emissions())], &mut self.store);
         let grad_norm = self.store.clip_grad_norm(grad_clip);
         opt.step(&mut self.store);
         TrainStep {
@@ -233,14 +248,16 @@ impl WindowNetwork {
         self.store.num_scalars()
     }
 
-    fn logits(&self, g: &mut Graph, xs: &[Var]) -> Var {
-        let hs = self.encoder.forward(g, &self.store, xs);
-        // Mean-pool the per-timestep encodings.
-        let mut acc = hs[0];
-        for h in &hs[1..] {
-            acc = g.add(acc, *h);
+    fn logits(&self, g: &mut Graph, x: Var, steps: usize) -> Var {
+        let hs = self.encoder.forward(g, &self.store, x, steps);
+        // Mean-pool the per-step encodings.
+        let batch = g.value(hs).rows() / steps;
+        let mut acc = g.slice_rows(hs, 0, batch);
+        for t in 1..steps {
+            let h = g.slice_rows(hs, t * batch, batch);
+            acc = g.add(acc, h);
         }
-        let pooled = g.scale(acc, 1.0 / hs.len() as f32);
+        let pooled = g.scale(acc, 1.0 / steps as f32);
         self.head.forward(g, &self.store, pooled)
     }
 
@@ -275,12 +292,26 @@ impl WindowNetwork {
         opt: &mut dyn Optimizer,
         grad_clip: f32,
     ) -> TrainStep {
+        self.train_batch_with(&mut TrainWorkspace::default(), batch, opt, grad_clip)
+    }
+
+    /// [`WindowNetwork::train_batch`] in `ws`'s buffers, which a training
+    /// loop keeps across its steps.
+    pub fn train_batch_with(
+        &mut self,
+        ws: &mut TrainWorkspace,
+        batch: &[(&[Vec<f32>], bool)],
+        opt: &mut dyn Optimizer,
+        grad_clip: f32,
+    ) -> TrainStep {
         assert!(!batch.is_empty());
+        let steps = batch[0].0.len();
         self.store.zero_grads();
-        let mut g = Graph::new();
-        let windows: Vec<&[Vec<f32>]> = batch.iter().map(|(w, _)| *w).collect();
-        let xs = window_inputs(&mut g, &windows);
-        let logits = self.logits(&mut g, &xs);
+        let g = &mut ws.graph;
+        g.clear();
+        let windows = batch.iter().map(|(w, _)| *w);
+        let x = time_major_input(g, windows, steps, self.config.input_dim);
+        let logits = self.logits(g, x, steps);
         let targets = Matrix::from_fn(batch.len(), 1, |b, _| if batch[b].1 { 1.0 } else { 0.0 });
         let loss = g.bce_with_logits(logits, targets);
         let out = g.value(loss).get(0, 0);

@@ -313,18 +313,27 @@ pub struct QuantizedEventNetwork {
 impl QuantizedEventNetwork {
     /// Quantize a trained network, calibrating the input activation scale
     /// from `calibration` (embedded sample windows — typically a few dozen
-    /// windows of the training stream). Fails on an empty calibration set,
-    /// non-finite weights, or a non-binary CRF head.
+    /// windows of the training stream). A window holding a NaN or infinite
+    /// value is skipped. Fails on an empty calibration set, one with no
+    /// finite window, non-finite weights, or a non-binary CRF head.
     pub fn quantize<'a, I>(network: &EventNetwork, calibration: I) -> Result<Self, QuantizeError>
     where
         I: IntoIterator<Item = &'a [Vec<f32>]>,
     {
         let (store, encoder, emit, crf) = network.parts();
-        let input_scale = calibrate_input_scale(
-            calibration
-                .into_iter()
-                .flat_map(|w| w.iter().map(Vec::as_slice)),
-        )?;
+        let mut skipped = 0usize;
+        let finite = calibration.into_iter().filter(|w| {
+            let finite = w.iter().flatten().all(|v| v.is_finite());
+            skipped += usize::from(!finite);
+            finite
+        });
+        let scale = calibrate_input_scale(finite.flat_map(|w| w.iter().map(Vec::as_slice)));
+        let input_scale = match scale {
+            Err(QuantError::EmptyCalibration) if skipped > 0 => Err(QuantError::NonFinite {
+                what: "calibration sample",
+            }),
+            scale => scale,
+        }?;
         Ok(Self::assemble(
             network.config.input_dim,
             QuantizedStackedBiLstm::quantize(store, encoder, input_scale)?,
@@ -763,6 +772,19 @@ mod tests {
         let q = QuantizedFilter::quantize(&filter, &[&events[..4]]).unwrap();
         assert!(q.mark(&[]).is_empty());
         assert!(q.scores(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn calibration_skips_non_finite_windows() {
+        let (filter, mut events) = setup();
+        let clean = QuantizedFilter::quantize(&filter, &[&events[8..16]]).unwrap();
+        events[3].attrs[0] = f64::NAN;
+        let skipped = QuantizedFilter::quantize(&filter, &[&events[..8], &events[8..16]]).unwrap();
+        assert_eq!(skipped, clean, "the NaN window does not move the scale");
+        assert!(matches!(
+            QuantizedFilter::quantize(&filter, &[&events[..8]]),
+            Err(QuantizeError::Quant(QuantError::NonFinite { .. }))
+        ));
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::persist::{
     decode_event_filter, decode_quantized_filter, encode_event_filter, encode_quantized_filter,
 };
 use crate::quantized::QuantizedFilter;
-use crate::trainer::{fit_event_network, oversample, Sample, TrainConfig};
+use crate::trainer::{drop_non_finite, fit_event_network, oversample, Sample, TrainConfig};
 use dlacep_cep::plan::Plan;
 use dlacep_cep::Pattern;
 use dlacep_events::PrimitiveEvent;
@@ -346,6 +346,12 @@ pub fn train_on_windows(
             (embedder.embed_window(w, w.len()), labels, positive)
         })
         .collect();
+    // A replay window holding a NaN or infinite attribute would poison the
+    // whole run; train on the rest.
+    drop_non_finite(&mut samples);
+    if samples.is_empty() {
+        return Err("every replay window holds a non-finite attribute".into());
+    }
     if cfg.oversample_positives {
         oversample(&mut samples, None);
     }
@@ -595,6 +601,24 @@ mod tests {
         let retry = train_on_windows(&p, &ws, &cfg, 1).unwrap();
         let _ = retry; // different seed; no behavioural assertion needed
         assert!(train_on_windows(&p, &[], &cfg, 0).is_err());
+    }
+
+    #[test]
+    fn a_non_finite_replay_window_does_not_fail_the_retrain() {
+        let p = pattern();
+        let mut ws = windows(32);
+        for w in ws.iter_mut().step_by(7) {
+            w[3].attrs[0] = f64::NAN;
+        }
+        let mut cfg = TrainConfig::quick();
+        cfg.max_epochs = 3;
+        let q = QuantizedRetrainer { train: cfg.clone() };
+        let cand = q.retrain(&p, &ws, 0).expect("NaN windows are skipped");
+        assert_eq!(cand.mark(&ws[1]).len(), ws[1].len());
+        for w in &mut ws {
+            w[0].attrs[0] = f64::INFINITY;
+        }
+        assert!(train_on_windows(&p, &ws, &cfg, 0).is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use crate::embed::EventEmbedder;
 use crate::filter::{EventNetFilter, WindowNetFilter};
-use crate::model::{EventNetwork, NetworkConfig, WindowNetwork};
+use crate::model::{EventNetwork, NetworkConfig, TrainWorkspace, WindowNetwork};
 use crate::pipeline::DlacepError;
 use dlacep_cep::plan::Plan;
 use dlacep_cep::{Pattern, PatternSet};
@@ -110,6 +110,7 @@ struct Prepared {
     train: Vec<Sample>,
     test: Vec<Sample>,
     dropped_short: usize,
+    dropped_non_finite: usize,
 }
 
 /// Label `stream` in 2W-sized samples against `patterns` (labels OR-ed),
@@ -126,7 +127,7 @@ fn prepare(
     let embedder = EventEmbedder::for_plan(plan, num_attrs);
     let sample_len = (2 * plan.window.size()) as usize;
     let samples = label_stream_multi(patterns, stream, sample_len);
-    let embedded: Vec<Sample> = samples
+    let mut embedded: Vec<Sample> = samples
         .iter()
         .filter(|s| s.len == sample_len)
         .map(|s| {
@@ -139,6 +140,7 @@ fn prepare(
         })
         .collect();
     let dropped_short = samples.len() - embedded.len();
+    let dropped_non_finite = drop_non_finite(&mut embedded);
     let (mut train, test) = train_test_split(embedded, cfg.train_fraction, cfg.seed);
     if cfg.data_fraction < 1.0 {
         let keep = ((train.len() as f64) * cfg.data_fraction).ceil().max(1.0) as usize;
@@ -154,7 +156,17 @@ fn prepare(
         train,
         test,
         dropped_short,
+        dropped_non_finite,
     }
+}
+
+/// Drop the samples whose embedding holds a NaN or an infinity — one such
+/// attribute would turn every loss and gradient of the run into NaN — and
+/// return how many there were.
+pub(crate) fn drop_non_finite(samples: &mut Vec<Sample>) -> usize {
+    let before = samples.len();
+    samples.retain(|(window, _, _)| window.iter().flatten().all(|v| v.is_finite()));
+    before - samples.len()
 }
 
 /// Duplicate the match-containing samples until the classes are roughly
@@ -182,14 +194,16 @@ pub(crate) fn oversample(samples: &mut Vec<Sample>, shuffle_seed: Option<u64>) {
 /// sampler → one `step` per batch → `record_epoch` into the *global* obs
 /// registry (so per-run registries stay deterministic across thread
 /// counts) → convergence check. An empty sample set trains zero epochs.
+/// Every step runs in one [`TrainWorkspace`], freed when the loop ends.
 pub(crate) fn fit(
     samples: &[Sample],
     cfg: &TrainConfig,
     seed: u64,
-    mut step: impl FnMut(&[&Sample], &mut Adam) -> TrainStep,
+    mut step: impl FnMut(&[&Sample], &mut Adam, &mut TrainWorkspace) -> TrainStep,
 ) -> TrainReport {
     let obs = dlacep_obs::global();
     let mut opt = Adam::new(cfg.lr.lr_at(0));
+    let mut workspace = TrainWorkspace::default();
     let mut sampler = BatchSampler::new(samples.len(), seed);
     let mut detector =
         ConvergenceDetector::new(cfg.convergence_threshold, cfg.convergence_patience);
@@ -203,7 +217,7 @@ pub(crate) fn fit(
         let (mut loss, mut grad_norm, mut batches) = (0.0, 0.0, 0);
         for idx in sampler.epoch(cfg.batch.at(epoch)) {
             let batch: Vec<&Sample> = idx.iter().map(|&i| &samples[i]).collect();
-            let done = step(&batch, &mut opt);
+            let done = step(&batch, &mut opt, &mut workspace);
             loss += done.loss;
             grad_norm += done.grad_norm;
             batches += 1;
@@ -242,12 +256,12 @@ pub(crate) fn fit_event_network(
         layers: cfg.layers,
         seed,
     });
-    let report = fit(samples, cfg, seed, |batch, opt| {
+    let report = fit(samples, cfg, seed, |batch, opt, ws| {
         let batch: Vec<(&[Vec<f32>], &[bool])> = batch
             .iter()
             .map(|(w, labels, _)| (w.as_slice(), labels.as_slice()))
             .collect();
-        net.train_batch(&batch, opt, cfg.grad_clip)
+        net.train_batch_with(ws, &batch, opt, cfg.grad_clip)
     });
     (net, report)
 }
@@ -262,6 +276,8 @@ pub struct EventNetTraining {
     pub test: Confusion,
     /// Samples dropped for being shorter than 2W (stream tail).
     pub dropped_short: usize,
+    /// Samples dropped for a NaN or infinite attribute in their window.
+    pub dropped_non_finite: usize,
 }
 
 /// Train on `prepared.train`, score on `prepared.test`.
@@ -284,6 +300,7 @@ fn train_event_network(prepared: Prepared, cfg: &TrainConfig) -> EventNetTrainin
         report,
         test,
         dropped_short: prepared.dropped_short,
+        dropped_non_finite: prepared.dropped_non_finite,
     }
 }
 
@@ -329,6 +346,8 @@ pub struct WindowNetTraining {
     pub test: Confusion,
     /// Samples dropped for being shorter than 2W.
     pub dropped_short: usize,
+    /// Samples dropped for a NaN or infinite attribute in their window.
+    pub dropped_non_finite: usize,
 }
 
 /// Train the window-network filter for one pattern.
@@ -345,12 +364,12 @@ pub fn train_window_filter(
         layers: cfg.layers,
         seed: cfg.seed,
     });
-    let report = fit(&prepared.train, cfg, cfg.seed, |batch, opt| {
+    let report = fit(&prepared.train, cfg, cfg.seed, |batch, opt, ws| {
         let batch: Vec<(&[Vec<f32>], bool)> = batch
             .iter()
             .map(|(w, _, label)| (w.as_slice(), *label))
             .collect();
-        net.train_batch(&batch, opt, cfg.grad_clip)
+        net.train_batch_with(ws, &batch, opt, cfg.grad_clip)
     });
     let mut test = Confusion::new();
     for (w, _, label) in &prepared.test {
@@ -364,6 +383,7 @@ pub fn train_window_filter(
         report,
         test,
         dropped_short: prepared.dropped_short,
+        dropped_non_finite: prepared.dropped_non_finite,
     }
 }
 
@@ -427,6 +447,34 @@ mod tests {
             "filtering ratio {}",
             r.filtering_ratio
         );
+    }
+
+    #[test]
+    fn non_finite_attributes_are_dropped_before_training() {
+        // A NaN attribute at every 97th event: training on those windows
+        // made every epoch loss NaN and int8 calibration then failed.
+        let p = pattern();
+        let mut s = EventStream::new();
+        for (i, e) in stream(1200, 5).events().iter().enumerate() {
+            let attr = if i % 97 == 0 { f64::NAN } else { e.attrs[0] };
+            s.push(e.type_id, i as u64, vec![attr]);
+        }
+        let cfg = TrainConfig {
+            max_epochs: 4,
+            ..TrainConfig::quick()
+        };
+        let out = train_event_filter(&p, &s, &cfg);
+        assert!(out.dropped_non_finite > 0);
+        let losses = &out.report.epoch_losses;
+        assert!(
+            !losses.is_empty() && losses.iter().all(|l| l.is_finite()),
+            "{losses:?}"
+        );
+        let windows: Vec<&[dlacep_events::PrimitiveEvent]> = s.events().chunks(8).collect();
+        crate::quantized::QuantizedFilter::quantize(&out.filter, &windows)
+            .expect("calibration skips the windows holding a NaN");
+        let clean = train_event_filter(&p, &stream(1200, 5), &cfg);
+        assert_eq!(clean.dropped_non_finite, 0);
     }
 
     #[test]

@@ -65,55 +65,72 @@ impl Crf {
         s + end.get(0, path[path.len() - 1])
     }
 
-    fn forward_alphas(&self, store: &ParamStore, emissions: &Matrix) -> Matrix {
+    fn forward_alphas(
+        &self,
+        store: &ParamStore,
+        emissions: &Matrix,
+        alpha: &mut Matrix,
+        scratch: &mut Vec<f32>,
+    ) {
         let (t_len, l) = emissions.shape();
         let trans = store.value(self.trans);
         let start = store.value(self.start);
-        let mut alpha = Matrix::zeros(t_len, l);
+        alpha.reset(t_len, l);
         for j in 0..l {
             alpha.set(0, j, start.get(0, j) + emissions.get(0, j));
         }
-        let mut scratch = vec![0.0_f32; l];
+        scratch.clear();
+        scratch.resize(l, 0.0);
         for t in 1..t_len {
             for j in 0..l {
                 for (i, s) in scratch.iter_mut().enumerate() {
                     *s = alpha.get(t - 1, i) + trans.get(i, j);
                 }
-                alpha.set(t, j, log_sum_exp(&scratch) + emissions.get(t, j));
+                alpha.set(t, j, log_sum_exp(scratch) + emissions.get(t, j));
             }
         }
-        alpha
     }
 
-    fn backward_betas(&self, store: &ParamStore, emissions: &Matrix) -> Matrix {
+    fn backward_betas(
+        &self,
+        store: &ParamStore,
+        emissions: &Matrix,
+        beta: &mut Matrix,
+        scratch: &mut Vec<f32>,
+    ) {
         let (t_len, l) = emissions.shape();
         let trans = store.value(self.trans);
         let end = store.value(self.end);
-        let mut beta = Matrix::zeros(t_len, l);
+        beta.reset(t_len, l);
         for i in 0..l {
             beta.set(t_len - 1, i, end.get(0, i));
         }
-        let mut scratch = vec![0.0_f32; l];
+        scratch.clear();
+        scratch.resize(l, 0.0);
         for t in (0..t_len - 1).rev() {
             for i in 0..l {
                 for (j, s) in scratch.iter_mut().enumerate() {
                     *s = trans.get(i, j) + emissions.get(t + 1, j) + beta.get(t + 1, j);
                 }
-                beta.set(t, i, log_sum_exp(&scratch));
+                beta.set(t, i, log_sum_exp(scratch));
             }
         }
-        beta
+    }
+
+    /// `log Z` from a filled forward trellis.
+    fn log_z_from(&self, store: &ParamStore, alpha: &Matrix, scratch: &mut Vec<f32>) -> f32 {
+        let end = store.value(self.end);
+        let t_last = alpha.rows() - 1;
+        scratch.clear();
+        scratch.extend((0..self.num_labels).map(|l| alpha.get(t_last, l) + end.get(0, l)));
+        log_sum_exp(scratch)
     }
 
     /// Log partition function.
     pub fn log_z(&self, store: &ParamStore, emissions: &Matrix) -> f32 {
-        let alpha = self.forward_alphas(store, emissions);
-        let end = store.value(self.end);
-        let t_last = emissions.rows() - 1;
-        let finals: Vec<f32> = (0..self.num_labels)
-            .map(|l| alpha.get(t_last, l) + end.get(0, l))
-            .collect();
-        log_sum_exp(&finals)
+        let mut tr = Trellis::default();
+        self.forward_alphas(store, emissions, &mut tr.alpha, &mut tr.scratch);
+        self.log_z_from(store, &tr.alpha, &mut tr.scratch)
     }
 
     /// Negative log-likelihood of the gold path.
@@ -123,19 +140,13 @@ impl Crf {
 
     /// Posterior unary marginals `P(y_t = l)` as a `T×L` matrix.
     pub fn marginals(&self, store: &ParamStore, emissions: &Matrix) -> Matrix {
-        let alpha = self.forward_alphas(store, emissions);
-        let beta = self.backward_betas(store, emissions);
-        let logz = {
-            let end = store.value(self.end);
-            let t_last = emissions.rows() - 1;
-            let finals: Vec<f32> = (0..self.num_labels)
-                .map(|l| alpha.get(t_last, l) + end.get(0, l))
-                .collect();
-            log_sum_exp(&finals)
-        };
+        let mut tr = Trellis::default();
+        self.forward_alphas(store, emissions, &mut tr.alpha, &mut tr.scratch);
+        self.backward_betas(store, emissions, &mut tr.beta, &mut tr.scratch);
+        let logz = self.log_z_from(store, &tr.alpha, &mut tr.scratch);
         let (t_len, l) = emissions.shape();
         Matrix::from_fn(t_len, l, |t, j| {
-            (alpha.get(t, j) + beta.get(t, j) - logz).exp()
+            (tr.alpha.get(t, j) + tr.beta.get(t, j) - logz).exp()
         })
     }
 
@@ -150,71 +161,83 @@ impl Crf {
         gold: &[usize],
         scale: f32,
     ) -> (f32, Matrix) {
+        let mut de = Matrix::default();
+        let nll = self.nll_backward_into(
+            store,
+            emissions,
+            gold,
+            scale,
+            &mut de,
+            &mut Trellis::default(),
+        );
+        (nll, de)
+    }
+
+    /// [`Crf::nll_backward`] with the emission gradient written into `de`
+    /// and the intermediates kept in `tr`.
+    fn nll_backward_into(
+        &self,
+        store: &mut ParamStore,
+        emissions: &Matrix,
+        gold: &[usize],
+        scale: f32,
+        de: &mut Matrix,
+        tr: &mut Trellis,
+    ) -> f32 {
         let (t_len, l) = emissions.shape();
         assert_eq!(gold.len(), t_len, "gold length mismatch");
         assert!(gold.iter().all(|&g| g < l), "gold label out of range");
-        let alpha = self.forward_alphas(store, emissions);
-        let beta = self.backward_betas(store, emissions);
-        let end_v = store.value(self.end).clone();
-        let trans_v = store.value(self.trans).clone();
-        let t_last = t_len - 1;
-        let finals: Vec<f32> = (0..l)
-            .map(|j| alpha.get(t_last, j) + end_v.get(0, j))
-            .collect();
-        let logz = log_sum_exp(&finals);
+        self.forward_alphas(store, emissions, &mut tr.alpha, &mut tr.scratch);
+        self.backward_betas(store, emissions, &mut tr.beta, &mut tr.scratch);
+        let logz = self.log_z_from(store, &tr.alpha, &mut tr.scratch);
         let nll = logz - self.path_score(store, emissions, gold);
+        let (alpha, beta) = (&tr.alpha, &tr.beta);
+        let marginal = |t: usize, j: usize| (alpha.get(t, j) + beta.get(t, j) - logz).exp();
 
         // d logZ / d e[t][j] = P(y_t = j); subtract gold indicators.
-        let mut de = Matrix::from_fn(t_len, l, |t, j| {
-            (alpha.get(t, j) + beta.get(t, j) - logz).exp()
-        });
+        de.reset(t_len, l);
+        for t in 0..t_len {
+            for j in 0..l {
+                de.set(t, j, marginal(t, j));
+            }
+        }
         for (t, &g) in gold.iter().enumerate() {
             *de.get_mut(t, g) -= 1.0;
         }
         de.map_inplace(|v| v * scale);
 
         // Transition gradient via pairwise marginals.
-        {
-            let mut dtrans = Matrix::zeros(l, l);
-            for t in 0..t_len - 1 {
-                for i in 0..l {
-                    for j in 0..l {
-                        let p = (alpha.get(t, i)
-                            + trans_v.get(i, j)
-                            + emissions.get(t + 1, j)
-                            + beta.get(t + 1, j)
-                            - logz)
-                            .exp();
-                        *dtrans.get_mut(i, j) += p;
-                    }
+        let trans = store.value(self.trans);
+        tr.dtrans.reset(l, l);
+        for t in 0..t_len - 1 {
+            for i in 0..l {
+                for j in 0..l {
+                    let p = (alpha.get(t, i)
+                        + trans.get(i, j)
+                        + emissions.get(t + 1, j)
+                        + beta.get(t + 1, j)
+                        - logz)
+                        .exp();
+                    *tr.dtrans.get_mut(i, j) += p;
                 }
-                *dtrans.get_mut(gold[t], gold[t + 1]) -= 1.0;
             }
-            store.grad_mut(self.trans).axpy(scale, &dtrans);
+            *tr.dtrans.get_mut(gold[t], gold[t + 1]) -= 1.0;
         }
-        // Start gradient: P(y_0 = l) - indicator.
-        {
-            let mut dstart = Matrix::zeros(1, l);
-            for j in 0..l {
-                dstart.set(0, j, (alpha.get(0, j) + beta.get(0, j) - logz).exp());
-            }
-            *dstart.get_mut(0, gold[0]) -= 1.0;
-            store.grad_mut(self.start).axpy(scale, &dstart);
+        // Start and end gradients: P(y_0 = l), P(y_{T-1} = l) minus the
+        // indicators.
+        let t_last = t_len - 1;
+        tr.dstart.reset(1, l);
+        tr.dend.reset(1, l);
+        for j in 0..l {
+            tr.dstart.set(0, j, marginal(0, j));
+            tr.dend.set(0, j, marginal(t_last, j));
         }
-        // End gradient: P(y_{T-1} = l) - indicator.
-        {
-            let mut dend = Matrix::zeros(1, l);
-            for j in 0..l {
-                dend.set(
-                    0,
-                    j,
-                    (alpha.get(t_last, j) + beta.get(t_last, j) - logz).exp(),
-                );
-            }
-            *dend.get_mut(0, gold[t_last]) -= 1.0;
-            store.grad_mut(self.end).axpy(scale, &dend);
-        }
-        (nll, de)
+        *tr.dstart.get_mut(0, gold[0]) -= 1.0;
+        *tr.dend.get_mut(0, gold[t_last]) -= 1.0;
+        store.grad_mut(self.trans).axpy(scale, &tr.dtrans);
+        store.grad_mut(self.start).axpy(scale, &tr.dstart);
+        store.grad_mut(self.end).axpy(scale, &tr.dend);
+        nll
     }
 
     /// Most probable label path (Viterbi).
@@ -262,6 +285,40 @@ impl Crf {
             path[t - 1] = best;
         }
         path
+    }
+}
+
+/// One sequence's forward–backward buffers, reused from sequence to
+/// sequence.
+#[derive(Debug, Default)]
+struct Trellis {
+    alpha: Matrix,
+    beta: Matrix,
+    dtrans: Matrix,
+    dstart: Matrix,
+    dend: Matrix,
+    scratch: Vec<f32>,
+}
+
+/// Buffers [`BiCrf::nll_backward_batch`] reuses from call to call: one
+/// sequence's emissions in both directions, their trellis and gradients,
+/// and the batch's emission gradient.
+#[derive(Debug, Default)]
+pub struct CrfWorkspace {
+    trellis: Trellis,
+    seq: Matrix,
+    rev: Matrix,
+    gold_rev: Vec<usize>,
+    de: Matrix,
+    de_rev: Matrix,
+    d_emissions: Matrix,
+}
+
+impl CrfWorkspace {
+    /// The emission gradient of the last [`BiCrf::nll_backward_batch`],
+    /// laid out like its emissions.
+    pub fn d_emissions(&self) -> &Matrix {
+        &self.d_emissions
     }
 }
 
@@ -314,12 +371,70 @@ impl BiCrf {
         gold: &[usize],
         scale: f32,
     ) -> (f32, Matrix) {
-        let (nf, mut de) = self.fwd.nll_backward(store, emissions, gold, scale);
-        let rev_gold: Vec<usize> = gold.iter().rev().copied().collect();
-        let rev_e = reverse_rows(emissions);
-        let (nb, de_rev) = self.bwd.nll_backward(store, &rev_e, &rev_gold, scale);
-        de.axpy(1.0, &reverse_rows(&de_rev));
-        (nf + nb, de)
+        let mut ws = CrfWorkspace::default();
+        let nll = self.nll_backward_batch(store, emissions, gold, emissions.rows(), scale, &mut ws);
+        (nll, ws.d_emissions)
+    }
+
+    /// Summed NLL of a batch of `B` sequences of `steps` positions, with the
+    /// emissions time-major (`steps · B × L`, row `t·B + b`) and `gold`
+    /// sequence after sequence (`gold[b·steps + t]`). Each sequence runs as
+    /// [`BiCrf::nll_backward`] would, in batch order: CRF-parameter
+    /// gradients accumulate into the store scaled by `scale`, and the
+    /// emission gradient (also scaled) lands in
+    /// [`CrfWorkspace::d_emissions`].
+    pub fn nll_backward_batch(
+        &self,
+        store: &mut ParamStore,
+        emissions: &Matrix,
+        gold: &[usize],
+        steps: usize,
+        scale: f32,
+        ws: &mut CrfWorkspace,
+    ) -> f32 {
+        let (rows, l) = emissions.shape();
+        assert_eq!(gold.len(), rows, "one gold label per emission row");
+        let batch = rows.checked_div(steps).unwrap_or(0);
+        assert_eq!(batch * steps, rows, "a sequence has steps × batch rows");
+        ws.d_emissions.reset(rows, l);
+        ws.seq.reset(steps, l);
+        ws.rev.reset(steps, l);
+        let mut total = 0.0_f32;
+        for b in 0..batch {
+            for t in 0..steps {
+                let row = emissions.row(t * batch + b);
+                ws.seq.row_mut(t).copy_from_slice(row);
+                ws.rev.row_mut(steps - 1 - t).copy_from_slice(row);
+            }
+            let gold = &gold[b * steps..(b + 1) * steps];
+            ws.gold_rev.clear();
+            ws.gold_rev.extend(gold.iter().rev());
+            let nf = self.fwd.nll_backward_into(
+                store,
+                &ws.seq,
+                gold,
+                scale,
+                &mut ws.de,
+                &mut ws.trellis,
+            );
+            let nb = self.bwd.nll_backward_into(
+                store,
+                &ws.rev,
+                &ws.gold_rev,
+                scale,
+                &mut ws.de_rev,
+                &mut ws.trellis,
+            );
+            for t in 0..steps {
+                let out = ws.d_emissions.row_mut(t * batch + b);
+                let both = ws.de.row(t).iter().zip(ws.de_rev.row(steps - 1 - t));
+                for (o, (&f, &r)) in out.iter_mut().zip(both) {
+                    *o = f + r;
+                }
+            }
+            total += nf + nb;
+        }
+        total
     }
 
     /// Decode by combining posterior marginals of both directions and taking

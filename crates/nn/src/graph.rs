@@ -5,17 +5,21 @@
 //! CRF in [`crate::crf`]) replays it in reverse, accumulating parameter
 //! gradients into a [`ParamStore`].
 //!
-//! The tape is rebuilt per training step — natural for recurrent models where
-//! the unrolled graph depends on the sequence length.
+//! The tape is rebuilt per training step. A recurrent layer is one node per
+//! direction over a whole time-major sequence ([`Graph::lstm`]; its forward
+//! and its analytic backward live in [`crate::lstm`]), so a step records a
+//! handful of nodes. [`Graph::clear`] drops them but keeps their buffers,
+//! which the next step's nodes reuse.
 
-use crate::matrix::Matrix;
+use crate::lstm::{LstmLayer, LstmTape};
+use crate::matrix::{gemm, gemm_tn, sum_rows_into, Matrix};
 use crate::params::{ParamId, ParamStore};
+use std::borrow::Borrow;
 
 /// Handle to a node on the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Var(usize);
 
-#[derive(Debug, Clone)]
 enum Op {
     /// External input; no gradient propagation.
     Input,
@@ -23,20 +27,22 @@ enum Op {
     Param(ParamId),
     MatMul(Var, Var),
     Add(Var, Var),
-    Sub(Var, Var),
-    Hadamard(Var, Var),
     Scale(Var, f32),
     AddRowBroadcast(Var, Var),
-    Sigmoid(Var),
-    Tanh(Var),
-    Relu(Var),
     ConcatCols(Var, Var),
-    SliceCols(Var, usize, usize),
     SliceRows(Var, usize, usize),
-    MeanAll(Var),
     /// Binary cross-entropy with logits against fixed targets; produces the
     /// mean loss as a 1×1 matrix.
     BceWithLogits(Var, Matrix),
+    /// One LSTM direction over the time-major sequence in the `Var`.
+    Lstm(Var, Box<LstmTape>),
+    /// `x·W + b` on every row of a time-major sequence of `steps` steps.
+    StepLinear {
+        x: Var,
+        w: ParamId,
+        b: ParamId,
+        steps: usize,
+    },
 }
 
 struct Node {
@@ -45,10 +51,58 @@ struct Node {
     grad: Option<Matrix>,
 }
 
+/// Buffers of cleared tapes, handed back out to the next step's nodes.
+#[derive(Default)]
+pub(crate) struct Pool {
+    spare: Vec<Vec<f32>>,
+    /// Buffers handed out since the last [`Pool::trim`].
+    taken: usize,
+}
+
+impl Pool {
+    /// A zeroed `rows × cols` matrix in the smallest spare buffer that holds
+    /// it, or else in the largest one, grown.
+    pub(crate) fn zeros(&mut self, rows: usize, cols: usize) -> Matrix {
+        let len = rows * cols;
+        let spare = self.spare.iter().enumerate();
+        let fits = spare
+            .clone()
+            .filter(|(_, v)| v.capacity() >= len)
+            .min_by_key(|(_, v)| v.capacity());
+        let pick = fits.or_else(|| spare.max_by_key(|(_, v)| v.capacity()));
+        let mut data = match pick.map(|(i, _)| i) {
+            Some(i) => self.spare.swap_remove(i),
+            None => Vec::new(),
+        };
+        self.taken += 1;
+        data.clear();
+        data.resize(len, 0.0);
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    /// Keep `m`'s buffer for reuse.
+    pub(crate) fn give(&mut self, m: Matrix) {
+        self.spare.push(m.into_vec());
+    }
+
+    /// Keep no more spare buffers than were handed out since the last trim
+    /// (the largest ones), so buffers that enter from outside — the results
+    /// of the small generic ops — do not pile up from step to step.
+    fn trim(&mut self) {
+        if self.spare.len() > self.taken {
+            self.spare
+                .sort_unstable_by_key(|v| std::cmp::Reverse(v.capacity()));
+            self.spare.truncate(self.taken);
+        }
+        self.taken = 0;
+    }
+}
+
 /// The autodiff tape.
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
+    pool: Pool,
 }
 
 impl Graph {
@@ -57,11 +111,26 @@ impl Graph {
         Self::default()
     }
 
-    /// Tape with node capacity reserved (`3 layers × T timesteps × ~20 ops`).
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            nodes: Vec::with_capacity(cap),
+    /// Drop every node, keeping its buffers for the next step's nodes.
+    pub fn clear(&mut self) {
+        for node in self.nodes.drain(..) {
+            self.pool.give(node.value);
+            if let Some(g) = node.grad {
+                self.pool.give(g);
+            }
+            match node.op {
+                Op::Lstm(_, tape) => tape.release(&mut self.pool),
+                Op::BceWithLogits(_, targets) => self.pool.give(targets),
+                _ => {}
+            }
         }
+        self.pool.trim();
+    }
+
+    /// A zeroed matrix in one of the tape's recycled buffers, e.g. for an
+    /// [`Graph::input`] that every step rebuilds.
+    pub fn zeros(&mut self, rows: usize, cols: usize) -> Matrix {
+        self.pool.zeros(rows, cols)
     }
 
     fn push(&mut self, op: Op, value: Matrix) -> Var {
@@ -101,7 +170,9 @@ impl Graph {
     /// Record a parameter read. The value is copied onto the tape once; reuse
     /// the returned `Var` for all uses within this graph.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        let value = store.value(id).clone();
+        let src = store.value(id);
+        let mut value = self.pool.zeros(src.rows(), src.cols());
+        value.as_mut_slice().copy_from_slice(src.as_slice());
         self.push(Op::Param(id), value)
     }
 
@@ -117,23 +188,6 @@ impl Graph {
         self.push(Op::Add(a, b), value)
     }
 
-    /// `a - b` (same shape).
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let value = {
-            let (va, vb) = (self.value(a), self.value(b));
-            let mut out = va.clone();
-            out.axpy(-1.0, vb);
-            out
-        };
-        self.push(Op::Sub(a, b), value)
-    }
-
-    /// Elementwise product.
-    pub fn hadamard(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).hadamard(self.value(b));
-        self.push(Op::Hadamard(a, b), value)
-    }
-
     /// `c * a`.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
         let value = self.value(a).map(|v| c * v);
@@ -146,46 +200,23 @@ impl Graph {
         self.push(Op::AddRowBroadcast(a, bias), value)
     }
 
-    /// Elementwise logistic sigmoid.
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|v| 1.0 / (1.0 + (-v).exp()));
-        self.push(Op::Sigmoid(a), value)
-    }
-
-    /// Elementwise tanh.
-    pub fn tanh(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(f32::tanh);
-        self.push(Op::Tanh(a), value)
-    }
-
-    /// Elementwise ReLU.
-    pub fn relu(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|v| v.max(0.0));
-        self.push(Op::Relu(a), value)
-    }
-
     /// Horizontal concatenation `[a | b]`.
     pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).concat_cols(self.value(b));
+        let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+        assert_eq!(va.rows(), vb.rows(), "concat_cols row mismatch");
+        let mut value = self.pool.zeros(va.rows(), va.cols() + vb.cols());
+        for r in 0..va.rows() {
+            let (left, right) = value.row_mut(r).split_at_mut(va.cols());
+            left.copy_from_slice(va.row(r));
+            right.copy_from_slice(vb.row(r));
+        }
         self.push(Op::ConcatCols(a, b), value)
-    }
-
-    /// Copy of columns `[start, start+len)`.
-    pub fn slice_cols(&mut self, a: Var, start: usize, len: usize) -> Var {
-        let value = self.value(a).slice_cols(start, len);
-        self.push(Op::SliceCols(a, start, len), value)
     }
 
     /// Copy of rows `[start, start+len)`.
     pub fn slice_rows(&mut self, a: Var, start: usize, len: usize) -> Var {
         let value = self.value(a).slice_rows(start, len);
         self.push(Op::SliceRows(a, start, len), value)
-    }
-
-    /// Mean of all elements as a 1×1 matrix.
-    pub fn mean_all(&mut self, a: Var) -> Var {
-        let value = Matrix::from_vec(1, 1, vec![self.value(a).mean()]);
-        self.push(Op::MeanAll(a), value)
     }
 
     /// Mean binary cross-entropy between `sigmoid(logits)` and fixed
@@ -205,12 +236,75 @@ impl Graph {
         self.push(Op::BceWithLogits(logits, targets), value)
     }
 
+    /// One LSTM direction over the time-major sequence `x` (`steps · B ×
+    /// input_dim`, row `t·B + b` is step `t` of sequence `b`); the hidden
+    /// states come back in the same layout. See [`LstmLayer::forward`].
+    pub fn lstm(
+        &mut self,
+        store: &ParamStore,
+        layer: &LstmLayer,
+        x: Var,
+        steps: usize,
+        reverse: bool,
+    ) -> Var {
+        let x_value = &self.nodes[x.0].value;
+        let (tape, h) = LstmTape::forward(store, layer, x_value, steps, reverse, &mut self.pool);
+        self.push(Op::Lstm(x, Box::new(tape)), h)
+    }
+
+    /// `x·W + b` for the parameters `(W, b)` on every row of the time-major
+    /// sequence `x` of `steps` steps: one GEMM over all rows forward; the
+    /// weight gradient is summed one step at a time, last step first, as a
+    /// layer applied per step would sum it.
+    pub fn step_linear(
+        &mut self,
+        store: &ParamStore,
+        (w, b): (ParamId, ParamId),
+        x: Var,
+        steps: usize,
+    ) -> Var {
+        let xv = &self.nodes[x.0].value;
+        let (wv, bv) = (store.value(w), store.value(b));
+        assert_eq!(xv.cols(), wv.rows(), "step_linear input width");
+        let batch = xv.rows().checked_div(steps).unwrap_or(0);
+        assert_eq!(
+            batch * steps,
+            xv.rows(),
+            "a sequence has steps × batch rows"
+        );
+        let mut y = self.pool.zeros(xv.rows(), wv.cols());
+        gemm(
+            xv.as_slice(),
+            xv.cols(),
+            wv.as_slice(),
+            wv.cols(),
+            y.as_mut_slice(),
+        );
+        for r in 0..y.rows() {
+            for (o, &bias) in y.row_mut(r).iter_mut().zip(bv.as_slice()) {
+                *o += bias;
+            }
+        }
+        self.push(Op::StepLinear { x, w, b, steps }, y)
+    }
+
     fn accumulate(&mut self, v: Var, delta: &Matrix) {
         let node = &mut self.nodes[v.0];
         match &mut node.grad {
             Some(g) => g.axpy(1.0, delta),
-            None => node.grad = Some(delta.clone()),
+            None => {
+                let mut g = self.pool.zeros(delta.rows(), delta.cols());
+                g.as_mut_slice().copy_from_slice(delta.as_slice());
+                node.grad = Some(g);
+            }
         }
+    }
+
+    /// `v`'s gradient, zeroed if nothing has reached it yet.
+    fn grad_buf(&mut self, v: Var) -> &mut Matrix {
+        let node = &mut self.nodes[v.0];
+        let (rows, cols) = node.value.shape();
+        node.grad.get_or_insert_with(|| self.pool.zeros(rows, cols))
     }
 
     /// Backward pass from a scalar (1×1) loss node. Parameter gradients are
@@ -228,8 +322,13 @@ impl Graph {
     /// Backward pass from explicit gradient seeds. Used by heads whose
     /// gradient is computed analytically outside the tape (the CRF layer
     /// seeds the emission nodes directly).
-    pub fn backward_seeded(&mut self, seeds: &[(Var, Matrix)], store: &mut ParamStore) {
+    pub fn backward_seeded<M: Borrow<Matrix>>(
+        &mut self,
+        seeds: &[(Var, M)],
+        store: &mut ParamStore,
+    ) {
         for (v, g) in seeds {
+            let g = g.borrow();
             assert_eq!(
                 self.value(*v).shape(),
                 g.shape(),
@@ -241,136 +340,129 @@ impl Graph {
             let Some(g) = self.nodes[idx].grad.take() else {
                 continue;
             };
-            let op = self.nodes[idx].op.clone();
-            // Put the gradient back so callers can inspect it afterwards.
-            self.nodes[idx].grad = Some(g.clone());
-            match op {
-                Op::Input => {}
-                Op::Param(id) => store.grad_mut(id).axpy(1.0, &g),
-                Op::MatMul(a, b) => {
-                    let ga = g.matmul_transpose_rhs(self.value(b));
-                    let gb = self.value(a).transpose_matmul(&g);
-                    self.accumulate(a, &ga);
-                    self.accumulate(b, &gb);
-                }
-                Op::Add(a, b) => {
-                    self.accumulate(a, &g);
-                    self.accumulate(b, &g);
-                }
-                Op::Sub(a, b) => {
-                    self.accumulate(a, &g);
-                    let neg = g.map(|v| -v);
-                    self.accumulate(b, &neg);
-                }
-                Op::Hadamard(a, b) => {
-                    let ga = g.hadamard(self.value(b));
-                    let gb = g.hadamard(self.value(a));
-                    self.accumulate(a, &ga);
-                    self.accumulate(b, &gb);
-                }
-                Op::Scale(a, c) => {
-                    let ga = g.map(|v| c * v);
-                    self.accumulate(a, &ga);
-                }
-                Op::AddRowBroadcast(a, bias) => {
-                    self.accumulate(a, &g);
-                    let gb = g.sum_rows();
-                    self.accumulate(bias, &gb);
-                }
-                Op::Sigmoid(a) => {
-                    let y = &self.nodes[idx].value;
-                    let ga = Matrix::from_vec(
-                        y.rows(),
-                        y.cols(),
-                        y.as_slice()
-                            .iter()
-                            .zip(g.as_slice())
-                            .map(|(&y, &g)| g * y * (1.0 - y))
-                            .collect(),
-                    );
-                    self.accumulate(a, &ga);
-                }
-                Op::Tanh(a) => {
-                    let y = &self.nodes[idx].value;
-                    let ga = Matrix::from_vec(
-                        y.rows(),
-                        y.cols(),
-                        y.as_slice()
-                            .iter()
-                            .zip(g.as_slice())
-                            .map(|(&y, &g)| g * (1.0 - y * y))
-                            .collect(),
-                    );
-                    self.accumulate(a, &ga);
-                }
-                Op::Relu(a) => {
-                    let x = self.value(a);
-                    let ga = Matrix::from_vec(
-                        x.rows(),
-                        x.cols(),
-                        x.as_slice()
-                            .iter()
-                            .zip(g.as_slice())
-                            .map(|(&x, &g)| if x > 0.0 { g } else { 0.0 })
-                            .collect(),
-                    );
-                    self.accumulate(a, &ga);
-                }
-                Op::ConcatCols(a, b) => {
-                    let ac = self.value(a).cols();
-                    let bc = self.value(b).cols();
-                    let ga = g.slice_cols(0, ac);
-                    let gb = g.slice_cols(ac, bc);
-                    self.accumulate(a, &ga);
-                    self.accumulate(b, &gb);
-                }
-                Op::SliceCols(a, start, len) => {
-                    let src = self.value(a);
-                    let mut ga = Matrix::zeros(src.rows(), src.cols());
-                    for r in 0..g.rows() {
-                        let dst = &mut ga.row_mut(r)[start..start + len];
-                        for (d, &s) in dst.iter_mut().zip(g.row(r)) {
-                            *d += s;
-                        }
+            let op = std::mem::replace(&mut self.nodes[idx].op, Op::Input);
+            self.backprop(idx, &op, &g, store);
+            // Put both back: callers may inspect the gradient, and `clear`
+            // recycles the buffers.
+            let node = &mut self.nodes[idx];
+            node.op = op;
+            node.grad = Some(g);
+        }
+    }
+
+    /// Propagate node `idx`'s gradient `g` through its `op`.
+    fn backprop(&mut self, idx: usize, op: &Op, g: &Matrix, store: &mut ParamStore) {
+        match *op {
+            Op::Input => {}
+            Op::Param(id) => store.grad_mut(id).axpy(1.0, g),
+            Op::MatMul(a, b) => {
+                // `bᵀ` materialised so the product runs the k-j kernel.
+                let ga = g.matmul(&self.value(b).transpose());
+                let gb = self.value(a).transpose_matmul(g);
+                self.accumulate(a, &ga);
+                self.accumulate(b, &gb);
+            }
+            Op::Add(a, b) => {
+                self.accumulate(a, g);
+                self.accumulate(b, g);
+            }
+            Op::Scale(a, c) => {
+                let ga = g.map(|v| c * v);
+                self.accumulate(a, &ga);
+            }
+            Op::AddRowBroadcast(a, bias) => {
+                self.accumulate(a, g);
+                let gb = g.sum_rows();
+                self.accumulate(bias, &gb);
+            }
+            Op::ConcatCols(a, b) => {
+                let ac = self.value(a).cols();
+                add_cols(self.grad_buf(a), g, 0);
+                add_cols(self.grad_buf(b), g, ac);
+            }
+            Op::SliceRows(a, start, len) => {
+                let ga = self.grad_buf(a);
+                for r in 0..len {
+                    for (d, &s) in ga.row_mut(start + r).iter_mut().zip(g.row(r)) {
+                        *d += s;
                     }
-                    self.accumulate(a, &ga);
-                }
-                Op::SliceRows(a, start, len) => {
-                    let src = self.value(a);
-                    let mut ga = Matrix::zeros(src.rows(), src.cols());
-                    for r in 0..len {
-                        let dst = ga.row_mut(start + r);
-                        for (d, &s) in dst.iter_mut().zip(g.row(r)) {
-                            *d += s;
-                        }
-                    }
-                    self.accumulate(a, &ga);
-                }
-                Op::MeanAll(a) => {
-                    let src = self.value(a);
-                    let scale = g.get(0, 0) / src.len().max(1) as f32;
-                    let ga = Matrix::full(src.rows(), src.cols(), scale);
-                    self.accumulate(a, &ga);
-                }
-                Op::BceWithLogits(a, ref targets) => {
-                    let x = self.value(a);
-                    let n = x.len().max(1) as f32;
-                    let scale = g.get(0, 0) / n;
-                    let ga = Matrix::from_vec(
-                        x.rows(),
-                        x.cols(),
-                        x.as_slice()
-                            .iter()
-                            .zip(targets.as_slice())
-                            .map(|(&xi, &ti)| {
-                                let y = 1.0 / (1.0 + (-xi).exp());
-                                scale * (y - ti)
-                            })
-                            .collect(),
-                    );
-                    self.accumulate(a, &ga);
                 }
             }
+            Op::BceWithLogits(a, ref targets) => {
+                let x = self.value(a);
+                let n = x.len().max(1) as f32;
+                let scale = g.get(0, 0) / n;
+                let ga = Matrix::from_vec(
+                    x.rows(),
+                    x.cols(),
+                    x.as_slice()
+                        .iter()
+                        .zip(targets.as_slice())
+                        .map(|(&xi, &ti)| {
+                            let y = 1.0 / (1.0 + (-xi).exp());
+                            scale * (y - ti)
+                        })
+                        .collect(),
+                );
+                self.accumulate(a, &ga);
+            }
+            Op::Lstm(x, ref tape) => {
+                // An `Input` needs no gradient: skip the `dz · Wxᵀ` products.
+                let mut dx = (!matches!(self.nodes[x.0].op, Op::Input)).then(|| {
+                    let node = &mut self.nodes[x.0];
+                    let (rows, cols) = node.value.shape();
+                    node.grad
+                        .take()
+                        .unwrap_or_else(|| self.pool.zeros(rows, cols))
+                });
+                let (xv, h) = (&self.nodes[x.0].value, &self.nodes[idx].value);
+                tape.backward(store, xv, h, g, dx.as_mut(), &mut self.pool);
+                if let Some(dx) = dx {
+                    self.nodes[x.0].grad = Some(dx);
+                }
+            }
+            Op::StepLinear { x, w, b, steps } => {
+                let (rows, n) = g.shape();
+                let batch = rows.checked_div(steps).unwrap_or(0);
+                let in_dim = self.value(x).cols();
+                let mut part_w = self.pool.zeros(in_dim, n);
+                let mut part_b = self.pool.zeros(1, n);
+                let xv = &self.nodes[x.0].value;
+                let (gw, xw) = (batch * n, batch * in_dim);
+                for t in (0..steps).rev() {
+                    let g_t = &g.as_slice()[t * gw..(t + 1) * gw];
+                    sum_rows_into(g_t, n, part_b.as_mut_slice());
+                    store.grad_mut(b).axpy(1.0, &part_b);
+                    let x_t = &xv.as_slice()[t * xw..(t + 1) * xw];
+                    gemm_tn(x_t, in_dim, g_t, n, part_w.as_mut_slice());
+                    store.grad_mut(w).axpy(1.0, &part_w);
+                }
+                self.pool.give(part_w);
+                self.pool.give(part_b);
+                if !matches!(self.nodes[x.0].op, Op::Input) {
+                    let mut wt = self.pool.zeros(0, 0);
+                    store.value(w).transpose_into(&mut wt);
+                    let mut dx = self.pool.zeros(rows, in_dim);
+                    gemm(g.as_slice(), n, wt.as_slice(), in_dim, dx.as_mut_slice());
+                    self.grad_buf(x).axpy(1.0, &dx);
+                    self.pool.give(dx);
+                    self.pool.give(wt);
+                }
+            }
+        }
+    }
+}
+
+/// `dst[r] += src[r][start .. start + dst.cols]` for every row.
+fn add_cols(dst: &mut Matrix, src: &Matrix, start: usize) {
+    let cols = dst.cols();
+    for r in 0..src.rows() {
+        for (d, &s) in dst
+            .row_mut(r)
+            .iter_mut()
+            .zip(&src.row(r)[start..start + cols])
+        {
+            *d += s;
         }
     }
 }
@@ -421,61 +513,46 @@ mod tests {
     }
 
     #[test]
-    fn grad_matmul_sigmoid_mean() {
+    fn grad_matmul_bce() {
         let x = Matrix::from_vec(2, 2, vec![0.5, -1.0, 2.0, 0.3]);
+        let targets = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
         check_all(
             &move |g, store, id| {
                 let p = g.param(store, id);
                 let xin = g.input(x.clone());
                 let y = g.matmul(xin, p);
-                let s = g.sigmoid(y);
-                g.mean_all(s)
+                g.bce_with_logits(y, targets.clone())
             },
             Matrix::from_vec(2, 2, vec![0.1, -0.2, 0.4, 0.7]),
         );
     }
 
     #[test]
-    fn grad_tanh_hadamard() {
-        let x = Matrix::from_vec(1, 3, vec![0.5, -1.0, 2.0]);
-        check_all(
-            &move |g, store, id| {
-                let p = g.param(store, id);
-                let xin = g.input(x.clone());
-                let t = g.tanh(p);
-                let h = g.hadamard(t, xin);
-                g.mean_all(h)
-            },
-            Matrix::from_vec(1, 3, vec![0.3, 0.6, -0.9]),
-        );
-    }
-
-    #[test]
     fn grad_concat_slice() {
-        let x = Matrix::from_vec(1, 2, vec![1.0, -2.0]);
+        let x = Matrix::from_vec(2, 2, vec![1.0, -2.0, 0.5, 0.25]);
+        let targets = Matrix::from_vec(1, 4, vec![1.0, 0.0, 1.0, 0.0]);
         check_all(
             &move |g, store, id| {
                 let p = g.param(store, id);
                 let xin = g.input(x.clone());
                 let cat = g.concat_cols(p, xin);
-                let sl = g.slice_cols(cat, 1, 2);
-                let t = g.tanh(sl);
-                g.mean_all(t)
+                let sl = g.slice_rows(cat, 1, 1);
+                g.bce_with_logits(sl, targets.clone())
             },
-            Matrix::from_vec(1, 2, vec![0.2, 0.4]),
+            Matrix::from_vec(2, 2, vec![0.2, 0.4, -0.3, 0.6]),
         );
     }
 
     #[test]
     fn grad_bias_broadcast() {
         let x = Matrix::from_vec(3, 2, vec![0.1, 0.2, -0.3, 0.4, 0.5, -0.6]);
+        let targets = Matrix::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
         check_all(
             &move |g, store, id| {
                 let p = g.param(store, id);
                 let xin = g.input(x.clone());
                 let y = g.add_row_broadcast(xin, p);
-                let s = g.sigmoid(y);
-                g.mean_all(s)
+                g.bce_with_logits(y, targets.clone())
             },
             Matrix::from_vec(1, 2, vec![0.05, -0.15]),
         );
@@ -494,16 +571,16 @@ mod tests {
     }
 
     #[test]
-    fn grad_sub_scale_relu() {
+    fn grad_add_scale() {
         let x = Matrix::from_vec(1, 3, vec![0.5, 1.0, -0.2]);
+        let targets = Matrix::from_vec(1, 3, vec![0.0, 1.0, 1.0]);
         check_all(
             &move |g, store, id| {
                 let p = g.param(store, id);
                 let xin = g.input(x.clone());
-                let d = g.sub(p, xin);
-                let r = g.relu(d);
-                let s = g.scale(r, 2.0);
-                g.mean_all(s)
+                let d = g.add(p, xin);
+                let s = g.scale(d, 2.0);
+                g.bce_with_logits(s, targets.clone())
             },
             Matrix::from_vec(1, 3, vec![1.0, 0.5, -0.5]),
         );
@@ -511,12 +588,12 @@ mod tests {
 
     #[test]
     fn grad_slice_rows() {
+        let targets = Matrix::from_vec(1, 2, vec![1.0, 0.0]);
         check_all(
             &move |g, store, id| {
                 let p = g.param(store, id);
                 let top = g.slice_rows(p, 0, 1);
-                let s = g.sigmoid(top);
-                g.mean_all(s)
+                g.bce_with_logits(top, targets.clone())
             },
             Matrix::from_vec(2, 2, vec![0.1, 0.2, 0.3, 0.4]),
         );
@@ -524,16 +601,17 @@ mod tests {
 
     #[test]
     fn param_reused_accumulates_grads() {
-        // loss = mean(p + p) => dloss/dp = 2/len
+        // loss = bce(p + p, t) => dloss/dp = 2 · (σ(2p) − t) / len
         let mut store = ParamStore::new();
         let id = store.register(Matrix::from_vec(1, 2, vec![1.0, 2.0]));
         let mut g = Graph::new();
         let p = g.param(&store, id);
         let s = g.add(p, p);
-        let loss = g.mean_all(s);
+        let loss = g.bce_with_logits(s, Matrix::from_vec(1, 2, vec![1.0, 0.0]));
         g.backward(loss, &mut store);
-        assert!((store.grad(id).get(0, 0) - 1.0).abs() < 1e-6);
-        assert!((store.grad(id).get(0, 1) - 1.0).abs() < 1e-6);
+        let sigmoid = |v: f32| 1.0 / (1.0 + (-v).exp());
+        assert!((store.grad(id).get(0, 0) - (sigmoid(2.0) - 1.0)).abs() < 1e-6);
+        assert!((store.grad(id).get(0, 1) - sigmoid(4.0)).abs() < 1e-6);
     }
 
     #[test]
@@ -543,5 +621,29 @@ mod tests {
         let loss = g.bce_with_logits(logits, Matrix::from_vec(1, 1, vec![1.0]));
         // -ln(sigmoid(0)) = ln 2
         assert!((g.value(loss).get(0, 0) - std::f32::consts::LN_2).abs() < 1e-6);
+    }
+
+    #[test]
+    fn clear_recycles_buffers_across_steps() {
+        let mut store = ParamStore::new();
+        let id = store.register(Matrix::from_vec(2, 2, vec![0.1, -0.2, 0.4, 0.7]));
+        let mut g = Graph::new();
+        let (mut grads, mut spare) = (Vec::new(), Vec::new());
+        for _ in 0..4 {
+            g.clear();
+            spare.push(g.pool.spare.len());
+            store.zero_grads();
+            let mut x = g.zeros(1, 2);
+            x.as_mut_slice().copy_from_slice(&[0.5, -1.0]);
+            let xin = g.input(x);
+            let p = g.param(&store, id);
+            let y = g.matmul(xin, p);
+            let loss = g.bce_with_logits(y, Matrix::from_vec(1, 2, vec![1.0, 0.0]));
+            g.backward(loss, &mut store);
+            grads.push(store.grad(id).clone());
+        }
+        assert!(grads.windows(2).all(|w| w[0] == w[1]));
+        // The spare list reaches a steady size instead of growing per step.
+        assert_eq!(spare[2], spare[3], "{spare:?}");
     }
 }

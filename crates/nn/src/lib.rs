@@ -35,7 +35,7 @@ pub mod params;
 pub mod quant;
 pub mod train;
 
-pub use crf::{BiCrf, Crf};
+pub use crf::{BiCrf, Crf, CrfWorkspace};
 pub use graph::{Graph, Var};
 pub use init::Initializer;
 pub use linear::Linear;

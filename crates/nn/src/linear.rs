@@ -42,6 +42,13 @@ impl Linear {
         g.add_row_broadcast(xw, b)
     }
 
+    /// Forward pass over the time-major sequence `x` of `steps` steps
+    /// (`steps · B × in`): the rows [`Linear::forward`] gives at each step,
+    /// as one [`Graph::step_linear`] node that reads `W` once.
+    pub fn forward_steps(&self, g: &mut Graph, store: &ParamStore, x: Var, steps: usize) -> Var {
+        g.step_linear(store, (self.w, self.b), x, steps)
+    }
+
     /// Parameter handles `(weight, bias)`, e.g. for regularization.
     pub fn params(&self) -> (ParamId, ParamId) {
         (self.w, self.b)

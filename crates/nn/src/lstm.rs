@@ -1,12 +1,18 @@
 //! LSTM, BiLSTM and stacked-BiLSTM layers (paper §2.2, Fig. 7).
 //!
-//! Sequences are presented as one `Var` per timestep, each a `batch × dim`
-//! matrix; the recurrence is unrolled onto the autodiff tape so BPTT is just
-//! [`crate::graph::Graph::backward`].
+//! Training presents a batch of `B` sequences of `T` steps time-major: one
+//! `T·B × dim` matrix whose row `t·B + b` is step `t` of sequence `b`, the
+//! layout of the int8 `infer_batch`. Each direction is one tape node
+//! ([`Graph::lstm`]): its forward computes `x·Wx` for every row in one GEMM,
+//! then runs the recurrence, keeping every step's gate activations and cell
+//! state; its backward ([`LstmTape::backward`]) is BPTT written out. Both
+//! perform the float operations of the per-op composition they replaced, in
+//! its order, so training is bitwise what it was (DESIGN.md, "Training
+//! kernel"). [`LstmLayer::infer`] is the tape-free f32 inference path.
 
-use crate::graph::{Graph, Var};
+use crate::graph::{Graph, Pool, Var};
 use crate::init::Initializer;
-use crate::matrix::Matrix;
+use crate::matrix::{gemm, gemm_tn, sum_rows_into, Matrix};
 use crate::params::{ParamId, ParamStore};
 use serde::{Deserialize, Serialize};
 
@@ -43,54 +49,19 @@ impl LstmLayer {
         }
     }
 
-    /// Run over the sequence; `reverse` scans right-to-left but returns the
-    /// hidden states re-aligned to input order (so `out[t]` always describes
-    /// timestep `t`).
+    /// Run over the time-major sequence `x` (`steps · B × input_dim`) and
+    /// return the hidden states (`steps · B × hidden`); `reverse` scans
+    /// right-to-left but keeps the input's row order (row `t·B + b` always
+    /// describes step `t`).
     pub fn forward(
         &self,
         g: &mut Graph,
         store: &ParamStore,
-        xs: &[Var],
+        x: Var,
+        steps: usize,
         reverse: bool,
-    ) -> Vec<Var> {
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        let batch = g.value(xs[0]).rows();
-        let wx = g.param(store, self.wx);
-        let wh = g.param(store, self.wh);
-        let b = g.param(store, self.b);
-        let mut h = g.input(Matrix::zeros(batch, self.hidden));
-        let mut c = g.input(Matrix::zeros(batch, self.hidden));
-
-        let order: Vec<usize> = if reverse {
-            (0..xs.len()).rev().collect()
-        } else {
-            (0..xs.len()).collect()
-        };
-        let mut out = vec![h; xs.len()];
-        for &t in &order {
-            let xz = g.matmul(xs[t], wx);
-            let hz = g.matmul(h, wh);
-            let zsum = g.add(xz, hz);
-            let z = g.add_row_broadcast(zsum, b);
-            let hsz = self.hidden;
-            let zi = g.slice_cols(z, 0, hsz);
-            let zf = g.slice_cols(z, hsz, hsz);
-            let zg = g.slice_cols(z, 2 * hsz, hsz);
-            let zo = g.slice_cols(z, 3 * hsz, hsz);
-            let i = g.sigmoid(zi);
-            let f = g.sigmoid(zf);
-            let gt = g.tanh(zg);
-            let o = g.sigmoid(zo);
-            let fc = g.hadamard(f, c);
-            let ig = g.hadamard(i, gt);
-            c = g.add(fc, ig);
-            let ct = g.tanh(c);
-            h = g.hadamard(o, ct);
-            out[t] = h;
-        }
-        out
+    ) -> Var {
+        g.lstm(store, self, x, steps, reverse)
     }
 
     /// Parameter handles `(Wx, Wh, b)`.
@@ -130,14 +101,12 @@ impl BiLstmLayer {
         2 * self.fwd.hidden
     }
 
-    /// Run both directions and concatenate per timestep.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, xs: &[Var]) -> Vec<Var> {
-        let f = self.fwd.forward(g, store, xs, false);
-        let b = self.bwd.forward(g, store, xs, true);
-        f.into_iter()
-            .zip(b)
-            .map(|(hf, hb)| g.concat_cols(hf, hb))
-            .collect()
+    /// Run both directions over the time-major `x` and concatenate per
+    /// row: `steps · B × 2H`.
+    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var, steps: usize) -> Var {
+        let f = self.fwd.forward(g, store, x, steps, false);
+        let b = self.bwd.forward(g, store, x, steps, true);
+        g.concat_cols(f, b)
     }
 }
 
@@ -187,13 +156,266 @@ impl StackedBiLstm {
         self.layers.last().expect("non-empty").out_dim()
     }
 
-    /// Run the full stack.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, xs: &[Var]) -> Vec<Var> {
-        let mut cur: Vec<Var> = xs.to_vec();
-        for layer in &self.layers {
-            cur = layer.forward(g, store, &cur);
+    /// Run the full stack over the time-major `x` (`steps · B × input`).
+    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: Var, steps: usize) -> Var {
+        self.layers
+            .iter()
+            .fold(x, |cur, layer| layer.forward(g, store, cur, steps))
+    }
+}
+
+fn sigmoid(v: f32) -> f32 {
+    1.0 / (1.0 + (-v).exp())
+}
+
+/// Step `t`'s rows of a time-major buffer whose steps are `width` apart.
+fn step_rows(m: &Matrix, t: usize, width: usize) -> &[f32] {
+    &m.as_slice()[t * width..(t + 1) * width]
+}
+
+/// Block `a` (read) and block `b` (written) of the `len`-element blocks of
+/// `data`, `a != b`.
+fn block_pair(data: &mut [f32], len: usize, a: usize, b: usize) -> (&[f32], &mut [f32]) {
+    if a < b {
+        let (lo, hi) = data.split_at_mut(b * len);
+        (&lo[a * len..(a + 1) * len], &mut hi[..len])
+    } else {
+        let (lo, hi) = data.split_at_mut(a * len);
+        (&hi[..len], &mut lo[b * len..(b + 1) * len])
+    }
+}
+
+/// What one direction's forward pass over a time-major sequence keeps for
+/// its backward, per row: the gate activations `[i | f | g | o]`, the cell
+/// state and its tanh.
+pub(crate) struct LstmTape {
+    params: (ParamId, ParamId, ParamId),
+    steps: usize,
+    reverse: bool,
+    gates: Matrix,
+    c: Matrix,
+    tc: Matrix,
+}
+
+impl LstmTape {
+    /// The step the scan visits `s`-th.
+    fn at(&self, s: usize) -> usize {
+        if self.reverse {
+            self.steps - 1 - s
+        } else {
+            s
         }
-        cur
+    }
+
+    /// Run `layer` over `x`; returns the tape and the hidden states.
+    pub(crate) fn forward(
+        store: &ParamStore,
+        layer: &LstmLayer,
+        x: &Matrix,
+        steps: usize,
+        reverse: bool,
+        pool: &mut Pool,
+    ) -> (Self, Matrix) {
+        let (rows, hid) = (x.rows(), layer.hidden);
+        let g4 = 4 * hid;
+        let batch = rows.checked_div(steps).unwrap_or(0);
+        assert_eq!(batch * steps, rows, "a sequence has steps × batch rows");
+        assert_eq!(x.cols(), layer.input_dim, "LSTM input width");
+        assert!(hid > 0, "LSTM hidden width");
+        let (wx, wh, bias) = (
+            store.value(layer.wx),
+            store.value(layer.wh),
+            store.value(layer.b),
+        );
+        let mut tape = Self {
+            params: layer.params(),
+            steps,
+            reverse,
+            gates: pool.zeros(rows, g4),
+            c: pool.zeros(rows, hid),
+            tc: pool.zeros(rows, hid),
+        };
+        let mut h = pool.zeros(rows, hid);
+        let mut hz = pool.zeros(batch, g4);
+        let c0 = pool.zeros(batch, hid);
+        // `x·Wx` for every step at once; each step then adds its recurrent
+        // product and the bias, in that order: `z = (x·Wx + h·Wh) + b`.
+        gemm(
+            x.as_slice(),
+            x.cols(),
+            wx.as_slice(),
+            g4,
+            tape.gates.as_mut_slice(),
+        );
+        let (zw, sw) = (batch * g4, batch * hid);
+        for s in 0..steps {
+            let t = tape.at(s);
+            let prev = s.checked_sub(1).map(|p| tape.at(p));
+            let z = &mut tape.gates.as_mut_slice()[t * zw..(t + 1) * zw];
+            if let Some(p) = prev {
+                let h_prev = &h.as_slice()[p * sw..(p + 1) * sw];
+                gemm(h_prev, hid, wh.as_slice(), g4, hz.as_mut_slice());
+                for (zi, &hi) in z.iter_mut().zip(hz.as_slice()) {
+                    *zi += hi;
+                }
+            }
+            let (c_prev, c) = match prev {
+                Some(p) => block_pair(tape.c.as_mut_slice(), sw, p, t),
+                None => (
+                    c0.as_slice(),
+                    &mut tape.c.as_mut_slice()[t * sw..(t + 1) * sw],
+                ),
+            };
+            let tc = &mut tape.tc.as_mut_slice()[t * sw..(t + 1) * sw];
+            let h_t = &mut h.as_mut_slice()[t * sw..(t + 1) * sw];
+            let state = c.chunks_exact_mut(hid).zip(tc.chunks_exact_mut(hid));
+            let rows_t = z.chunks_exact_mut(g4).zip(c_prev.chunks_exact(hid));
+            for ((z, c_prev), ((c, tc), h)) in rows_t.zip(state.zip(h_t.chunks_exact_mut(hid))) {
+                for (zi, &bi) in z.iter_mut().zip(bias.as_slice()) {
+                    *zi += bi;
+                }
+                let (i_f, g_o) = z.split_at_mut(2 * hid);
+                let (g, o) = g_o.split_at_mut(hid);
+                for v in i_f.iter_mut().chain(o.iter_mut()) {
+                    *v = sigmoid(*v);
+                }
+                for v in g.iter_mut() {
+                    *v = v.tanh();
+                }
+                let (i, f) = i_f.split_at(hid);
+                for j in 0..hid {
+                    c[j] = f[j] * c_prev[j] + i[j] * g[j];
+                    tc[j] = c[j].tanh();
+                    h[j] = o[j] * tc[j];
+                }
+            }
+        }
+        pool.give(hz);
+        pool.give(c0);
+        (tape, h)
+    }
+
+    /// BPTT through the forward that took `x` to `h`, given `dh_out`, the
+    /// gradient of `h` from the nodes above. Weight gradients accumulate
+    /// into `store` one step at a time, in reverse scan order; `dx`, when
+    /// given, has the input gradient added onto what it holds.
+    pub(crate) fn backward(
+        &self,
+        store: &mut ParamStore,
+        x: &Matrix,
+        h: &Matrix,
+        dh_out: &Matrix,
+        mut dx: Option<&mut Matrix>,
+        pool: &mut Pool,
+    ) {
+        let (wx_id, wh_id, b_id) = self.params;
+        let (rows, hid) = h.shape();
+        let (in_dim, g4, steps) = (x.cols(), 4 * hid, self.steps);
+        let batch = rows.checked_div(steps).unwrap_or(0);
+        let (zw, sw, xw) = (batch * g4, batch * hid, batch * in_dim);
+        // Both transposes once per pass, so every product below runs the
+        // k-j kernel.
+        let mut wht = pool.zeros(0, 0);
+        store.value(wh_id).transpose_into(&mut wht);
+        let mut wxt = pool.zeros(0, 0);
+        if dx.is_some() {
+            store.value(wx_id).transpose_into(&mut wxt);
+        }
+        let mut dz = pool.zeros(batch, g4);
+        // Zero until a later step writes them: at the last step the
+        // recurrent and carried gradients add nothing (`x + 0.0 == x` for
+        // every gradient that can reach a parameter), so one branch-free
+        // loop serves every step.
+        let mut dh_rec = pool.zeros(batch, hid);
+        let mut dc_carry = pool.zeros(batch, hid);
+        let c0 = pool.zeros(batch, hid);
+        let mut part_x = pool.zeros(in_dim, g4);
+        let mut part_h = pool.zeros(hid, g4);
+        let mut part_b = pool.zeros(1, g4);
+        let mut dx_t = pool.zeros(batch, in_dim);
+        for s in (0..steps).rev() {
+            let t = self.at(s);
+            let prev = s.checked_sub(1).map(|p| self.at(p));
+            let c_prev = match prev {
+                Some(p) => &self.c.as_slice()[p * sw..(p + 1) * sw],
+                None => c0.as_slice(),
+            };
+            let gates = &self.gates.as_slice()[t * zw..(t + 1) * zw];
+            let rows_in = gates
+                .chunks_exact(g4)
+                .zip(step_rows(&self.tc, t, sw).chunks_exact(hid));
+            let rows_in = rows_in.zip(
+                step_rows(dh_out, t, sw)
+                    .chunks_exact(hid)
+                    .zip(c_prev.chunks_exact(hid)),
+            );
+            let rows_rec = dh_rec.as_slice().chunks_exact(hid);
+            let rows_out = dz.as_mut_slice().chunks_exact_mut(g4);
+            let rows_out = rows_out.zip(dc_carry.as_mut_slice().chunks_exact_mut(hid));
+            for (((z, tc), (d_out, c_prev)), (dh_rec, (dz, dc_carry))) in
+                rows_in.zip(rows_rec.zip(rows_out))
+            {
+                let (i, f, g, o) = (
+                    &z[..hid],
+                    &z[hid..2 * hid],
+                    &z[2 * hid..3 * hid],
+                    &z[3 * hid..4 * hid],
+                );
+                let (tc, d_out, c_prev) = (&tc[..hid], &d_out[..hid], &c_prev[..hid]);
+                let (dh_rec, dc_carry) = (&dh_rec[..hid], &mut dc_carry[..hid]);
+                let (dzi, rest) = dz.split_at_mut(hid);
+                let (dzf, rest) = rest.split_at_mut(hid);
+                let (dzg, dzo) = rest.split_at_mut(hid);
+                let dzo = &mut dzo[..hid];
+                for j in 0..hid {
+                    // The per-op tape's accumulation order: the output
+                    // gradient first, then the recurrent one; the cell
+                    // gradient carried from the next step first, then the
+                    // one through tanh(c). Products multiply left to right
+                    // as each op's backward did.
+                    let dh = d_out[j] + dh_rec[j];
+                    let dc = dc_carry[j] + dh * o[j] * (1.0 - tc[j] * tc[j]);
+                    dc_carry[j] = dc * f[j];
+                    dzi[j] = dc * g[j] * i[j] * (1.0 - i[j]);
+                    dzf[j] = dc * c_prev[j] * f[j] * (1.0 - f[j]);
+                    dzg[j] = dc * i[j] * (1.0 - g[j] * g[j]);
+                    dzo[j] = dh * tc[j] * o[j] * (1.0 - o[j]);
+                }
+            }
+            let dz_t = dz.as_slice();
+            sum_rows_into(dz_t, g4, part_b.as_mut_slice());
+            store.grad_mut(b_id).axpy(1.0, &part_b);
+            let x_t = &x.as_slice()[t * xw..(t + 1) * xw];
+            gemm_tn(x_t, in_dim, dz_t, g4, part_x.as_mut_slice());
+            store.grad_mut(wx_id).axpy(1.0, &part_x);
+            // The first step's `h_prev` is zero: no `Wh` partial, and no
+            // recurrent gradient to pass on.
+            if let Some(p) = prev {
+                let h_prev = &h.as_slice()[p * sw..(p + 1) * sw];
+                gemm_tn(h_prev, hid, dz_t, g4, part_h.as_mut_slice());
+                store.grad_mut(wh_id).axpy(1.0, &part_h);
+                gemm(dz_t, g4, wht.as_slice(), hid, dh_rec.as_mut_slice());
+            }
+            if let Some(dx) = dx.as_deref_mut() {
+                gemm(dz_t, g4, wxt.as_slice(), in_dim, dx_t.as_mut_slice());
+                let dx_rows = &mut dx.as_mut_slice()[t * xw..(t + 1) * xw];
+                for (d, &v) in dx_rows.iter_mut().zip(dx_t.as_slice()) {
+                    *d += v;
+                }
+            }
+        }
+        for m in [
+            wht, wxt, dz, dh_rec, dc_carry, c0, part_x, part_h, part_b, dx_t,
+        ] {
+            pool.give(m);
+        }
+    }
+
+    /// Hand the kept buffers back to `pool`.
+    pub(crate) fn release(self, pool: &mut Pool) {
+        for m in [self.gates, self.c, self.tc] {
+            pool.give(m);
+        }
     }
 }
 
@@ -202,10 +424,10 @@ mod tests {
     use super::*;
     use crate::optim::{Adam, Optimizer};
 
-    fn seq_inputs(g: &mut Graph, data: &[Vec<f32>]) -> Vec<Var> {
-        data.iter()
-            .map(|row| g.input(Matrix::from_vec(1, row.len(), row.clone())))
-            .collect()
+    /// One sequence (`B = 1`) as a time-major input: a row per step.
+    fn seq_input(g: &mut Graph, data: &[Vec<f32>]) -> Var {
+        let cols = data.first().map_or(0, Vec::len);
+        g.input(Matrix::from_vec(data.len(), cols, data.concat()))
     }
 
     #[test]
@@ -214,10 +436,9 @@ mod tests {
         let mut init = Initializer::seeded(0);
         let lstm = LstmLayer::new(&mut store, &mut init, 3, 5);
         let mut g = Graph::new();
-        let xs = seq_inputs(&mut g, &[vec![0.1, 0.2, 0.3], vec![0.4, 0.5, 0.6]]);
-        let hs = lstm.forward(&mut g, &store, &xs, false);
-        assert_eq!(hs.len(), 2);
-        assert_eq!(g.value(hs[0]).shape(), (1, 5));
+        let x = seq_input(&mut g, &[vec![0.1, 0.2, 0.3], vec![0.4, 0.5, 0.6]]);
+        let h = lstm.forward(&mut g, &store, x, 2, false);
+        assert_eq!(g.value(h).shape(), (2, 5));
     }
 
     #[test]
@@ -226,7 +447,9 @@ mod tests {
         let mut init = Initializer::seeded(0);
         let lstm = LstmLayer::new(&mut store, &mut init, 3, 5);
         let mut g = Graph::new();
-        assert!(lstm.forward(&mut g, &store, &[], false).is_empty());
+        let x = g.input(Matrix::zeros(0, 3));
+        let h = lstm.forward(&mut g, &store, x, 0, false);
+        assert!(g.value(h).is_empty());
     }
 
     #[test]
@@ -238,17 +461,17 @@ mod tests {
         let lstm = LstmLayer::new(&mut store, &mut init, 2, 4);
         let data = vec![vec![0.5, -0.5], vec![1.0, 0.0], vec![0.5, -0.5]];
         let mut g = Graph::new();
-        let xs = seq_inputs(&mut g, &data);
-        let fwd = lstm.forward(&mut g, &store, &xs, false);
+        let x = seq_input(&mut g, &data);
+        let fwd = lstm.forward(&mut g, &store, x, 3, false);
         let mut g2 = Graph::new();
         let rev_data: Vec<_> = data.iter().rev().cloned().collect();
-        let xs2 = seq_inputs(&mut g2, &rev_data);
-        let bwd = lstm.forward(&mut g2, &store, &xs2, true);
+        let x2 = seq_input(&mut g2, &rev_data);
+        let bwd = lstm.forward(&mut g2, &store, x2, 3, true);
         // bwd on reversed input, re-aligned, equals fwd on original, reversed.
-        for (t, v) in fwd.iter().enumerate() {
-            let expect = g.value(*v);
-            let got = g2.value(bwd[bwd.len() - 1 - t]);
-            for (a, b) in expect.as_slice().iter().zip(got.as_slice()) {
+        for t in 0..3 {
+            let expect = g.value(fwd).row(t);
+            let got = g2.value(bwd).row(2 - t);
+            for (a, b) in expect.iter().zip(got) {
                 assert!((a - b).abs() < 1e-6);
             }
         }
@@ -261,10 +484,9 @@ mod tests {
         let bi = BiLstmLayer::new(&mut store, &mut init, 3, 4);
         assert_eq!(bi.out_dim(), 8);
         let mut g = Graph::new();
-        let xs = seq_inputs(&mut g, &vec![vec![0.1, 0.2, 0.3]; 4]);
-        let hs = bi.forward(&mut g, &store, &xs);
-        assert_eq!(hs.len(), 4);
-        assert_eq!(g.value(hs[0]).shape(), (1, 8));
+        let x = seq_input(&mut g, &vec![vec![0.1, 0.2, 0.3]; 4]);
+        let h = bi.forward(&mut g, &store, x, 4);
+        assert_eq!(g.value(h).shape(), (4, 8));
     }
 
     #[test]
@@ -275,10 +497,9 @@ mod tests {
         assert_eq!(stack.num_layers(), 3);
         assert_eq!(stack.out_dim(), 8);
         let mut g = Graph::new();
-        let xs = seq_inputs(&mut g, &vec![vec![0.1, 0.2, 0.3]; 5]);
-        let hs = stack.forward(&mut g, &store, &xs);
-        assert_eq!(hs.len(), 5);
-        assert_eq!(g.value(hs[4]).shape(), (1, 8));
+        let x = seq_input(&mut g, &vec![vec![0.1, 0.2, 0.3]; 5]);
+        let h = stack.forward(&mut g, &store, x, 5);
+        assert_eq!(g.value(h).shape(), (5, 8));
     }
 
     #[test]
@@ -298,32 +519,26 @@ mod tests {
             (vec![0.9, 0.1, -0.4], 0.0),
             (vec![-0.1, -0.7, 0.6], 1.0),
         ];
+        // The four sequences as one time-major batch: row `t·4 + b`.
+        let batch = seqs.len();
+        let x = Matrix::from_fn(3 * batch, 1, |r, _| seqs[r % batch].0[r / batch]);
+        let targets = Matrix::from_fn(batch, 1, |b, _| seqs[b].1);
         let mut first = 0.0;
         let mut last = 0.0;
         for step in 0..300 {
             store.zero_grads();
             let mut g = Graph::new();
-            let mut total = None;
-            for (xs, t) in &seqs {
-                let vars: Vec<Var> = xs
-                    .iter()
-                    .map(|&v| g.input(Matrix::from_vec(1, 1, vec![v])))
-                    .collect();
-                let hs = lstm.forward(&mut g, &store, &vars, false);
-                let logit = head.forward(&mut g, &store, *hs.last().unwrap());
-                let loss = g.bce_with_logits(logit, Matrix::from_vec(1, 1, vec![*t]));
-                total = Some(match total {
-                    None => loss,
-                    Some(acc) => g.add(acc, loss),
-                });
-            }
-            let total = total.unwrap();
-            let loss_val = g.value(total).get(0, 0) / seqs.len() as f32;
+            let xin = g.input(x.clone());
+            let hs = lstm.forward(&mut g, &store, xin, 3, false);
+            let h_last = g.slice_rows(hs, 2 * batch, batch);
+            let logit = head.forward(&mut g, &store, h_last);
+            let loss = g.bce_with_logits(logit, targets.clone());
+            let loss_val = g.value(loss).get(0, 0);
             if step == 0 {
                 first = loss_val;
             }
             last = loss_val;
-            g.backward(total, &mut store);
+            g.backward(loss, &mut store);
             store.clip_grad_norm(5.0);
             opt.step(&mut store);
         }
@@ -430,16 +645,13 @@ mod infer_tests {
             .collect();
         // Graph path (batch = 1).
         let mut g = Graph::new();
-        let xs: Vec<Var> = data
-            .iter()
-            .map(|row| g.input(Matrix::from_vec(1, 3, row.clone())))
-            .collect();
-        let hs = stack.forward(&mut g, &store, &xs);
+        let x = g.input(to_matrix(&data));
+        let hs = stack.forward(&mut g, &store, x, 7);
         // Fast path.
         let fast = stack.infer(&store, &to_matrix(&data));
         assert_eq!(fast.shape(), (7, 10));
-        for (t, h) in hs.iter().enumerate() {
-            for (a, b) in g.value(*h).row(0).iter().zip(fast.row(t)) {
+        for t in 0..7 {
+            for (a, b) in g.value(hs).row(t).iter().zip(fast.row(t)) {
                 assert!((a - b).abs() < 1e-5, "t={t}: {a} vs {b}");
             }
         }

@@ -1,8 +1,12 @@
 //! Dense row-major `f32` matrices and the small kernel set the network needs.
 //!
 //! The DLACEP models are small (3 stacked BiLSTM layers, hidden 75), so a
-//! straightforward cache-friendly `gemm` with an unrolled inner loop over the
-//! shared dimension is sufficient; no SIMD intrinsics or BLAS dependency.
+//! straightforward cache-friendly k-j `gemm` is sufficient; no SIMD
+//! intrinsics or BLAS dependency. The loops vectorise across output columns
+//! (and are instantiated once more under `avx2`), never across the summed
+//! dimension: every output element is a sum over `k` in ascending order that
+//! starts at +0.0, with multiply and add rounded separately — the order the
+//! training pins depend on (DESIGN.md, "Training kernel").
 
 use serde::{Deserialize, Serialize};
 
@@ -33,7 +37,7 @@ impl std::fmt::Display for ShapeError {
 impl std::error::Error for ShapeError {}
 
 /// A dense row-major matrix of `f32`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -215,20 +219,7 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            // k-j loop order: the inner loop walks both `rhs` and `out` rows
-            // contiguously, which is the cache-friendly arrangement for
-            // row-major data.
-            for (k, &a) in self.row(i).iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                for (o, &b) in out_row.iter_mut().zip(rhs.row(k)) {
-                    *o += a * b;
-                }
-            }
-        }
+        gemm(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
         Ok(out)
     }
 
@@ -270,31 +261,39 @@ impl Matrix {
     pub fn transpose_matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.rows, rhs.rows, "transpose_matmul dimension mismatch");
         let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for k in 0..self.rows {
-            let a_row = self.row(k);
-            let b_row = rhs.row(k);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
+        gemm_tn(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
         out
     }
 
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
+        let mut out = Matrix::default();
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Write `selfᵀ` into `out`, reusing its allocation.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.reset(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {
                 out.data[c * self.rows + r] = self.data[r * self.cols + c];
             }
         }
-        out
+    }
+
+    /// Reshape to `rows × cols` with every element zero, keeping the
+    /// allocation (for buffers reused from one training step to the next).
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// The row-major data vector.
+    pub(crate) fn into_vec(self) -> Vec<f32> {
+        self.data
     }
 
     /// Elementwise in-place map.
@@ -340,22 +339,6 @@ impl Matrix {
         }
     }
 
-    /// Elementwise product (Hadamard).
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "hadamard shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| a * b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
     /// Add a 1×cols row vector to every row.
     pub fn add_row_broadcast(&self, bias: &Matrix) -> Matrix {
         assert_eq!(bias.rows, 1, "bias must be a row vector");
@@ -372,11 +355,7 @@ impl Matrix {
     /// Sum over rows into a 1×cols vector.
     pub fn sum_rows(&self) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for (o, &v) in out.data.iter_mut().zip(self.row(r)) {
-                *o += v;
-            }
-        }
+        sum_rows_into(&self.data, self.cols, &mut out.data);
         out
     }
 
@@ -449,6 +428,178 @@ impl Matrix {
     pub fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0_f32, |m, v| m.max(v.abs()))
     }
+}
+
+/// `out = a · b` for row-major `a` (`m × k`, `m = out.len() / n`) and `b`
+/// (`k × n`): each output element sums over `k` in ascending order from
+/// +0.0, lanes across output columns (the k-j order walks `b` and `out`
+/// rows contiguously). A zero `a` element is skipped: its `±0` products
+/// would leave a sum that started at +0.0 bit for bit as it was.
+pub(crate) fn gemm(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    out.fill(0.0);
+    if k == 0 || n == 0 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, checked on the line above.
+        return unsafe { gemm_avx2(a, k, b, n, out) };
+    }
+    gemm_rows(a, k, b, n, out);
+}
+
+/// `out = aᵀ · b` for row-major `a` (`r × m`) and `b` (`r × n`): each
+/// output element sums over the `r` rows in order from +0.0, skipping zero
+/// `a` elements like [`gemm`].
+pub(crate) fn gemm_tn(a: &[f32], m: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    out.fill(0.0);
+    if m == 0 || n == 0 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, checked on the line above.
+        return unsafe { gemm_tn_avx2(a, m, b, n, out) };
+    }
+    gemm_tn_rows(a, m, b, n, out);
+}
+
+/// `out = Σ` of the `cols`-wide rows of `data`, in row order from +0.0.
+pub(crate) fn sum_rows_into(data: &[f32], cols: usize, out: &mut [f32]) {
+    out.fill(0.0);
+    if cols == 0 {
+        return;
+    }
+    for row in data.chunks_exact(cols) {
+        for (o, &v) in out.iter_mut().zip(row) {
+            *o += v;
+        }
+    }
+}
+
+/// [`gemm`] past its checks; inlined into each instantiation. Output
+/// columns go in register-sized blocks whose sums stay in a local array for
+/// the whole `k` loop; the last `n % 8` columns, and narrow products, go in
+/// plain k-j order. Either way every sum keeps its order.
+#[inline(always)]
+fn gemm_rows(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    let tail = n - n % 8;
+    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+        column_blocks(tail, |col, width| match width {
+            32 => gemm_block::<32>(a_row, b, n, col, out_row),
+            16 => gemm_block::<16>(a_row, b, n, col, out_row),
+            _ => gemm_block::<8>(a_row, b, n, col, out_row),
+        });
+        if tail < n {
+            for (&av, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+                if av == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in out_row[tail..].iter_mut().zip(&b_row[tail..]) {
+                    *o += av * bv;
+                }
+            }
+        }
+    }
+}
+
+/// Walk `0..n` (a multiple of 8) in blocks of 32, then at most one of 16
+/// and one of 8: `visit(first column, width)`.
+#[inline(always)]
+fn column_blocks(n: usize, mut visit: impl FnMut(usize, usize)) {
+    let mut col = 0;
+    for width in [32, 16, 8] {
+        while col + width <= n {
+            visit(col, width);
+            col += width;
+            if width < 32 {
+                break;
+            }
+        }
+    }
+}
+
+/// Columns `col .. col + W` of one output row of [`gemm`].
+#[inline(always)]
+fn gemm_block<const W: usize>(a_row: &[f32], b: &[f32], n: usize, col: usize, out: &mut [f32]) {
+    let mut acc = [0.0_f32; W];
+    for (&av, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+        if av == 0.0 {
+            continue;
+        }
+        let b_block = &b_row[col..col + W];
+        for (o, &bv) in acc.iter_mut().zip(b_block) {
+            *o += av * bv;
+        }
+    }
+    out[col..col + W].copy_from_slice(&acc);
+}
+
+/// [`gemm_tn`] past its checks; inlined into each instantiation, blocked
+/// like [`gemm_rows`].
+#[inline(always)]
+fn gemm_tn_rows(a: &[f32], m: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    let tail = n - n % 8;
+    if tail > 0 {
+        for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+            column_blocks(tail, |col, width| match width {
+                32 => gemm_tn_block::<32>(a, m, i, b, n, col, out_row),
+                16 => gemm_tn_block::<16>(a, m, i, b, n, col, out_row),
+                _ => gemm_tn_block::<8>(a, m, i, b, n, col, out_row),
+            });
+        }
+    }
+    if tail < n {
+        for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
+            for (&av, out_row) in a_row.iter().zip(out.chunks_exact_mut(n)) {
+                if av == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in out_row[tail..].iter_mut().zip(&b_row[tail..]) {
+                    *o += av * bv;
+                }
+            }
+        }
+    }
+}
+
+/// Columns `col .. col + W` of output row `i` of [`gemm_tn`].
+#[inline(always)]
+fn gemm_tn_block<const W: usize>(
+    a: &[f32],
+    m: usize,
+    i: usize,
+    b: &[f32],
+    n: usize,
+    col: usize,
+    out: &mut [f32],
+) {
+    let mut acc = [0.0_f32; W];
+    for (a_row, b_row) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
+        let av = a_row[i];
+        if av == 0.0 {
+            continue;
+        }
+        let b_block = &b_row[col..col + W];
+        for (o, &bv) in acc.iter_mut().zip(b_block) {
+            *o += av * bv;
+        }
+    }
+    out[col..col + W].copy_from_slice(&acc);
+}
+
+/// The AVX2 instantiation of [`gemm`]: 8-lane multiplies and adds, no FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    gemm_rows(a, k, b, n, out);
+}
+
+/// The AVX2 instantiation of [`gemm_tn`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_tn_avx2(a: &[f32], m: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    gemm_tn_rows(a, m, b, n, out);
 }
 
 #[cfg(test)]

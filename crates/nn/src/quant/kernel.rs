@@ -85,14 +85,23 @@ pub(crate) fn simd_level() -> SimdLevel {
 /// `i16`; NaN maps to 0.
 ///
 /// Written without `f32::round`, which is a libm call the loop vectoriser
-/// cannot see through: after the clamp `t = trunc(x)` is an `as` cast and
-/// fits, `x − t` is exact (the fraction of an f32 below 2²³ is
-/// representable), and comparing it with ±½ reproduces every tie. NaN
-/// survives the clamp, casts to 0 and fails both comparisons.
+/// cannot see through: after the NaN select and the clamp `t = trunc(x)`
+/// fits an `i32`, `x − t` is exact (the fraction of an f32 below 2²³ is
+/// representable), and comparing it with ±½ reproduces every tie. The
+/// truncation is unchecked because the value is known to fit: a saturating
+/// `as` cast keeps its NaN/overflow fix-ups lane by lane, which costs about
+/// as much as the rest of the cell update.
 #[inline(always)]
 pub(crate) fn quantize(x: f32) -> i16 {
-    let x = x.clamp(-127.0, 127.0);
-    let t = x as i32;
+    let x = if x.is_nan() {
+        0.0
+    } else {
+        x.clamp(-127.0, 127.0)
+    };
+    // SAFETY: `x` is finite and within ±127 (NaN was replaced by 0, the
+    // clamp bounds everything else, infinities included), so its truncation
+    // is representable in `i32`.
+    let t = unsafe { x.to_int_unchecked::<i32>() };
     let frac = x - t as f32;
     (t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)) as i16
 }

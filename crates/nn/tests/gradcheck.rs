@@ -1,14 +1,14 @@
-//! Gradient regression tests for the matmul kernels.
+//! Gradient regression tests for the matmul kernels and the fused LSTM op.
 //!
-//! `Matrix::matmul` / `matmul_transpose_rhs` must be bitwise-identical to a
-//! naive triple loop, and the gradients flowing *through* them (graph
-//! backward, CRF forward–backward) must agree with central finite
-//! differences — a wrong row offset or a dropped accumulation in a kernel
-//! shows up here as a gradient mismatch long before it corrupts a training
-//! run.
+//! `Matrix::matmul` / `transpose_matmul` / `matmul_transpose_rhs` must be
+//! bitwise-identical to a naive triple loop, and the gradients flowing
+//! *through* them (graph backward, the LSTM op's BPTT, CRF forward–backward)
+//! must agree with central finite differences — a wrong row offset or a
+//! dropped accumulation in a kernel shows up here as a gradient mismatch
+//! long before it corrupts a training run.
 
 use dlacep_nn::crf::{BiCrf, Crf};
-use dlacep_nn::{Graph, Initializer, Matrix, ParamStore};
+use dlacep_nn::{Graph, Initializer, Matrix, ParamStore, StackedBiLstm};
 
 const N: usize = 48;
 
@@ -53,6 +53,18 @@ fn naive_matmul_transpose_rhs(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
+fn naive_transpose_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.cols(), b.cols());
+    for k in 0..a.rows() {
+        for i in 0..a.cols() {
+            for j in 0..b.cols() {
+                out.set(i, j, out.get(i, j) + a.get(k, i) * b.get(k, j));
+            }
+        }
+    }
+    out
+}
+
 fn assert_bitwise_equal(a: &Matrix, b: &Matrix, ctx: &str) {
     assert_eq!(a.shape(), b.shape(), "{ctx}: shape");
     for i in 0..a.rows() {
@@ -78,10 +90,82 @@ fn matmul_is_bitwise_equal_to_naive_kernel() {
         &naive_matmul_transpose_rhs(&a, &b),
         "matmul_transpose_rhs",
     );
-    // Ragged shape: no dimension equal to another.
-    let a = mat(37, 53, 3);
+    assert_bitwise_equal(
+        &a.transpose_matmul(&b),
+        &naive_transpose_matmul(&a, &b),
+        "transpose_matmul",
+    );
+    // Ragged shapes (no dimension equal to another, none a multiple of a
+    // vector width), with zeros the kernels skip.
+    let mut a = mat(37, 53, 3);
+    for k in (0..53).step_by(5) {
+        a.set(k % 37, k, 0.0);
+    }
     let b = mat(53, 41, 4);
     assert_bitwise_equal(&a.matmul(&b), &naive_matmul(&a, &b), "ragged matmul");
+    let c = mat(37, 13, 7);
+    assert_bitwise_equal(
+        &a.transpose_matmul(&c),
+        &naive_transpose_matmul(&a, &c),
+        "ragged transpose_matmul",
+    );
+}
+
+/// Central finite differences of `L = Σ R ⊙ h` through two stacked BiLSTM
+/// layers — both directions of the fused op — whose input is a parameter:
+/// every weight of both layers, and the input gradient the lower layer
+/// passes down (both directions' contributions summed), at `T = 1` and
+/// `T = 4`.
+#[test]
+fn lstm_op_matches_finite_differences() {
+    let batch = 2;
+    for steps in [1, 4] {
+        let mut store = ParamStore::new();
+        let mut init = Initializer::seeded(21);
+        let stack = StackedBiLstm::new(&mut store, &mut init, 3, 4, 2);
+        let x_id = store.register(mat(steps * batch, 3, 31));
+        let r = mat(steps * batch, stack.out_dim(), 41);
+        let loss = |store: &ParamStore| -> f64 {
+            let mut g = Graph::new();
+            let x = g.param(store, x_id);
+            let h = stack.forward(&mut g, store, x, steps);
+            let h = g.value(h).as_slice().iter().zip(r.as_slice());
+            h.map(|(&a, &b)| f64::from(a) * f64::from(b)).sum()
+        };
+
+        store.zero_grads();
+        let mut g = Graph::new();
+        let x = g.param(&store, x_id);
+        let h = stack.forward(&mut g, &store, x, steps);
+        g.backward_seeded(&[(h, &r)], &mut store);
+
+        let eps = 1e-2_f32;
+        let params: Vec<_> = store.iter().map(|(id, v, _)| (id, v.shape())).collect();
+        assert_eq!(
+            params.len(),
+            13,
+            "2 layers × 2 directions × 3 tensors + input"
+        );
+        for (id, (rows, cols)) in params {
+            let analytic = store.grad(id).clone();
+            for i in 0..rows {
+                for j in 0..cols {
+                    let orig = store.value(id).get(i, j);
+                    store.value_mut(id).set(i, j, orig + eps);
+                    let up = loss(&store);
+                    store.value_mut(id).set(i, j, orig - eps);
+                    let down = loss(&store);
+                    store.value_mut(id).set(i, j, orig);
+                    let fd = (up - down) / (2.0 * f64::from(eps));
+                    let an = f64::from(analytic.get(i, j));
+                    assert!(
+                        (fd - an).abs() <= 5e-3 + 2e-2 * an.abs(),
+                        "T = {steps}, param {id:?} [{i}][{j}]: finite-diff {fd} vs backward {an}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
