@@ -7,9 +7,9 @@
 //! checkpoints and recovery follow the store log's write and recovery
 //! orders. This tier supplies the checkpoint payload (`emit_offset |`
 //! [`RuntimeCheckpoint`] — live state plus an [`EmittedMark`], not the
-//! output), its matches as `(key 0, match)` emit records, and the retrain
-//! supervisor's models, published to the store's registry. A recovered run
-//! is byte-identical — matches, counters, timeline, journal sequence — to a
+//! output; a retrained model rides in it as the active model) and its
+//! matches as `(key 0, match)` emit records. A recovered run is
+//! byte-identical — matches, counters, timeline, journal sequence — to a
 //! run that never crashed, which `tests/crash_sweep.rs` proves for every
 //! possible crash point.
 //!
@@ -30,8 +30,8 @@ use crate::{BreakerState, GuardStats};
 use crate::{DriftMonitorState, GuardState};
 use dlacep_cep::{Match, Pattern};
 use dlacep_dur::{
-    load_latest_model, prune_models, publish_model, CodecError, Dec, Decoder, EmitError, Enc,
-    Encoder, NotEmpty, Store, StoreLog, WalConfig, WalError,
+    CodecError, Dec, Decoder, EmitError, Enc, Encoder, NotEmpty, Store, StoreLog, WalConfig,
+    WalError,
 };
 use dlacep_events::{AttrValue, EventId, TypeId};
 use dlacep_obs::{Counter, Registry};
@@ -169,9 +169,6 @@ pub struct RecoveryReport {
     /// plus WAL replay); `None` when no validated swap has happened yet or
     /// retraining is not configured.
     pub model_version: Option<u64>,
-    /// Torn/corrupt registry files skipped while scanning for the newest
-    /// published model.
-    pub models_skipped: u64,
 }
 
 /// One WAL record: the offered event's payload. The id is *not* logged —
@@ -222,7 +219,6 @@ pub struct DurableDlacep<F: Filter, S: Store> {
     ckpt_bytes: Counter,
     wal_replayed: Counter,
     recovery_truncated: Counter,
-    model_bytes: Counter,
 }
 
 impl<F: Filter, S: Store> DurableDlacep<F, S> {
@@ -253,15 +249,13 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
     ///
     /// When `registry` is `Some`, runtime metrics and journal land there
     /// from the first entry (the initial mode included). A `trainer` is
-    /// required whenever [`RuntimeConfig::retrain`] is set: accepted models
-    /// are published to the store's versioned registry as they are swapped
-    /// in.
+    /// required whenever [`RuntimeConfig::retrain`] is set.
     ///
     /// With retraining configured the trainer decodes the checkpointed
     /// active model (so marking resumes on the same weights) and an
     /// interrupted in-flight retrain resumes at its checkpointed schedule
-    /// during WAL replay. Models accepted during replay that the crashed run
-    /// had already published are re-published idempotently.
+    /// during WAL replay; a model the crashed run accepted after its last
+    /// checkpoint is re-derived by that replay.
     ///
     /// Replayed events that the original run rejected (out-of-order under
     /// [`Reject`](dlacep_events::OutOfOrderPolicy::Reject)) are rejected
@@ -311,7 +305,6 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
             ckpt_bytes: reg.counter("dur.checkpoint.bytes"),
             wal_replayed: reg.counter("dur.wal.replayed"),
             recovery_truncated: reg.counter("dur.recovery.truncated_tail"),
-            model_bytes: reg.counter("dur.model.bytes"),
         };
         if found.wal.truncated_bytes > 0 || found.wal.removed_segments > 0 {
             this.recovery_truncated.inc();
@@ -328,15 +321,9 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
             replayed += 1;
         }
         this.wal_replayed.add(replayed);
-        // Models the checkpoint held as unpublished, plus any accepted
-        // during replay. Publication is idempotent, so a crash between the
-        // original publication and the covering checkpoint only causes a
-        // harmless re-publish here.
-        this.publish_pending_models()?;
         let resume_seq = this.log.next_seq();
         this.offered_since_ckpt = resume_seq - checkpoint_seq.unwrap_or(0);
 
-        let models_skipped = load_latest_model(this.log.store())?.skipped;
         let report = RecoveryReport {
             checkpoint_seq,
             checkpoints_skipped: found.checkpoints_skipped,
@@ -347,7 +334,6 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
             resume_seq,
             journal_watermark,
             model_version: this.rt.active_model_version(),
-            models_skipped,
         };
         Ok((this, report))
     }
@@ -374,10 +360,6 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
         self.log.append(|e| put_offer(e, type_id, ts, &attrs))?;
         self.offered_since_ckpt += 1;
         let id = self.rt.ingest(type_id, ts, attrs);
-        // Publish freshly accepted models before any covering checkpoint:
-        // once a checkpoint records them as drained, the registry must
-        // already hold them.
-        self.publish_pending_models()?;
         if self.cfg.checkpoint_every_events > 0
             && self.offered_since_ckpt >= self.cfg.checkpoint_every_events
         {
@@ -386,32 +368,16 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
         id.map_err(DurError::from)
     }
 
-    /// Drain models accepted by the retrain supervisor into the versioned
-    /// registry (tmp + fsync + rename per model), then prune old versions.
-    fn publish_pending_models(&mut self) -> Result<(), DurError> {
-        let pending = self.rt.take_pending_models();
-        if pending.is_empty() {
-            return Ok(());
-        }
-        for (version, bytes) in &pending {
-            let n = publish_model(self.log.store_mut(), *version, bytes)?;
-            self.model_bytes.add(n);
-        }
-        prune_models(self.log.store_mut())?;
-        Ok(())
-    }
-
     /// Force the WAL to stable storage without checkpointing.
     pub fn sync(&mut self) -> Result<(), DurError> {
         self.log.sync().map_err(DurError::from)
     }
 
-    /// Publish pending models, then checkpoint through [`StoreLog`]: the
-    /// matches emitted since the last checkpoint go to the emit log, the
-    /// payload is `emit_offset | runtime checkpoint`. Returns the
-    /// checkpoint's sequence number (== offered events logged).
+    /// Checkpoint through [`StoreLog`]: the matches emitted since the last
+    /// checkpoint go to the emit log, the payload is `emit_offset | runtime
+    /// checkpoint`. Returns the checkpoint's sequence number (== offered
+    /// events logged).
     pub fn checkpoint_now(&mut self) -> Result<u64, DurError> {
-        self.publish_pending_models()?;
         let matches = self.rt.matches_so_far();
         for m in &matches[self.logged..] {
             self.log.stage(0, m); // key: a single runtime has one stream
@@ -680,10 +646,7 @@ impl Enc for RetrainCheckpoint {
             }
             None => e.put_u8(0),
         }
-        e.put_u64(self.pending_models.len() as u64);
-        for m in &self.pending_models {
-            enc_model(e, m);
-        }
+        e.put_u64(0); // retired slot, see `dec`
         e.put(&self.baseline_override);
     }
 }
@@ -698,18 +661,17 @@ impl Dec for RetrainCheckpoint {
             1 => Some(dec_model(d)?),
             t => return Err(CodecError::Malformed(format!("active model tag {t}"))),
         };
-        let n = usize::try_from(d.take_u64()?)
-            .map_err(|_| CodecError::Malformed("pending model count exceeds usize".into()))?;
-        let mut pending_models = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            pending_models.push(dec_model(d)?);
+        // A retired slot (pending_models: accepted models awaiting a model
+        // registry) that both durable tiers always wrote empty. Written as
+        // a constant 0; any models found in it are read and discarded.
+        for _ in 0..d.take_u64()? {
+            dec_model(d)?;
         }
         Ok(RetrainCheckpoint {
             state,
             replay,
             next_version,
             active_model,
-            pending_models,
             baseline_override: d.get()?,
         })
     }
@@ -836,6 +798,29 @@ mod tests {
         let ckpt = rt.checkpoint();
         let back = decode_checkpoint(&encode_checkpoint(&ckpt)).unwrap();
         assert_eq!(back, ckpt);
+    }
+
+    #[test]
+    fn models_in_the_retired_slot_are_read_and_discarded() {
+        let ck = RetrainCheckpoint {
+            state: RetrainState::Idle,
+            replay: vec![],
+            next_version: 2,
+            active_model: Some((1, vec![7])),
+            baseline_override: Some(0.25),
+        };
+        let mut e = Encoder::new();
+        e.put(&ck.state);
+        e.put(&ck.replay);
+        e.put_u64(ck.next_version);
+        e.put_u8(1);
+        enc_model(&mut e, &(1, vec![7]));
+        e.put_u64(1);
+        enc_model(&mut e, &(1, vec![7]));
+        e.put(&ck.baseline_override);
+        let mut d = Decoder::new(e.bytes());
+        assert_eq!(d.get::<RetrainCheckpoint>().unwrap(), ck);
+        d.finish().unwrap();
     }
 
     #[test]

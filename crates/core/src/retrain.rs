@@ -126,10 +126,12 @@ pub trait ModelTrainer<F: Filter>: Send + Sync {
         attempt: u64,
     ) -> Result<F, String>;
 
-    /// Serialize an accepted filter for the model registry / checkpoint.
+    /// Serialize an accepted filter: the bytes the checkpoint carries as
+    /// the active model, the only durable copy of a retrained filter.
     fn encode(&self, filter: &F) -> Vec<u8>;
 
-    /// Reconstruct a filter from registry / checkpoint bytes.
+    /// Reconstruct a filter from [`encode`](Self::encode)'s bytes when a
+    /// runtime is restored from a checkpoint.
     fn decode(&self, bytes: &[u8]) -> Result<F, String>;
 }
 
@@ -153,7 +155,7 @@ pub enum RetrainState {
 }
 
 /// Everything the supervisor needs to survive a crash: state machine
-/// position, the replay buffer, model lineage. Carried inside
+/// position, the replay buffer, the deployed model. Carried inside
 /// [`crate::runtime::RuntimeCheckpoint`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetrainCheckpoint {
@@ -165,8 +167,6 @@ pub struct RetrainCheckpoint {
     pub next_version: u64,
     /// Currently deployed retrained model, if any: `(version, bytes)`.
     pub active_model: Option<(u64, Vec<u8>)>,
-    /// Accepted models not yet published to the durable registry.
-    pub pending_models: Vec<(u64, Vec<u8>)>,
     /// Effective drift baseline after the last accepted swap.
     /// [`crate::drift::DriftMonitor::rebaseline`] mutates the monitor's
     /// *config*, which `DriftMonitorState` deliberately excludes — so the
@@ -199,7 +199,6 @@ pub(crate) struct RetrainRuntime<F> {
     pub(crate) replay: VecDeque<Vec<PrimitiveEvent>>,
     pub(crate) next_version: u64,
     pub(crate) active_model: Option<(u64, Vec<u8>)>,
-    pub(crate) pending_models: Vec<(u64, Vec<u8>)>,
     pub(crate) baseline_override: Option<f64>,
 }
 
@@ -209,10 +208,11 @@ impl<F: Filter> RetrainRuntime<F> {
             cfg,
             trainer,
             state: RetrainState::Idle,
-            replay: VecDeque::with_capacity(cfg.replay_windows),
+            // Grows to `replay_windows`; reserving that up front would let
+            // a large configured cap abort the build.
+            replay: VecDeque::new(),
             next_version: 1,
             active_model: None,
-            pending_models: Vec::new(),
             baseline_override: None,
         }
     }
@@ -246,18 +246,39 @@ impl<F: Filter> RetrainRuntime<F> {
             replay: self.replay.iter().cloned().collect(),
             next_version: self.next_version,
             active_model: self.active_model.clone(),
-            pending_models: self.pending_models.clone(),
             baseline_override: self.baseline_override,
         }
     }
 
-    pub(crate) fn import(&mut self, ck: RetrainCheckpoint) {
+    /// Take over a checkpointed position, refusing one no run can reach:
+    /// model versions start at 1, the replay ring never outgrows its cap,
+    /// and the active model got its version before `next_version` moved
+    /// past it.
+    pub(crate) fn import(&mut self, ck: RetrainCheckpoint) -> Result<(), String> {
+        if ck.next_version == 0 {
+            return Err("retrain next_version is 0; model versions start at 1".into());
+        }
+        if ck.replay.len() > self.cfg.replay_windows {
+            return Err(format!(
+                "retrain replay ring holds {} windows, its cap is {}",
+                ck.replay.len(),
+                self.cfg.replay_windows
+            ));
+        }
+        if let Some((version, _)) = &ck.active_model {
+            if *version >= ck.next_version {
+                return Err(format!(
+                    "active model v{version} is not below next_version {}",
+                    ck.next_version
+                ));
+            }
+        }
         self.state = ck.state;
         self.replay = ck.replay.into();
         self.next_version = ck.next_version;
         self.active_model = ck.active_model;
-        self.pending_models = ck.pending_models;
         self.baseline_override = ck.baseline_override;
+        Ok(())
     }
 }
 

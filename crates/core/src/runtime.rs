@@ -518,7 +518,7 @@ impl<F: Filter> Supervisor<F> {
         if self.retrain_signaled && rr.state == RetrainState::Idle {
             // Defer by one backoff period so the replay ring captures some
             // post-drift windows before the first attempt trains on them.
-            let resume_at = we + rr.cfg.backoff_base_windows;
+            let resume_at = we.saturating_add(rr.cfg.backoff_base_windows);
             rr.state = RetrainState::Waiting {
                 resume_at,
                 attempt: 0,
@@ -571,9 +571,7 @@ impl<F: Filter> Supervisor<F> {
             Ok((cand, gate)) => {
                 let version = rr.next_version;
                 rr.next_version += 1;
-                let bytes = rr.trainer.encode(&cand);
-                rr.active_model = Some((version, bytes.clone()));
-                rr.pending_models.push((version, bytes));
+                rr.active_model = Some((version, rr.trainer.encode(&cand)));
                 rr.state = RetrainState::Idle;
                 // Floor the rebaseline so a sparse holdout cannot produce a
                 // zero baseline (which would make every later rate "in
@@ -629,7 +627,10 @@ impl<F: Filter> Supervisor<F> {
                         &[("verdict", "permanent-degraded".into())],
                     );
                 } else {
-                    let resume_at = we + (cfg.backoff_base_windows << next_attempt.min(16));
+                    let backoff = cfg
+                        .backoff_base_windows
+                        .saturating_mul(1 << next_attempt.min(16));
+                    let resume_at = we.saturating_add(backoff);
                     rr.state = RetrainState::Waiting {
                         resume_at,
                         attempt: next_attempt,
@@ -1003,18 +1004,6 @@ impl<F: Filter> StreamingDlacep<F> {
         active.map(|(v, _)| *v)
     }
 
-    /// Drain accepted models not yet persisted to a durable registry, as
-    /// `(version, encoded bytes)` pairs. The durability layer publishes
-    /// these after each ingestion step; callers without a durability layer
-    /// can ignore them (the active model still rides in the checkpoint).
-    pub fn take_pending_models(&mut self) -> Vec<(u64, Vec<u8>)> {
-        self.sup
-            .retrain
-            .as_mut()
-            .map(|r| std::mem::take(&mut r.pending_models))
-            .unwrap_or_default()
-    }
-
     /// Partial matches currently stored by the extractor (bounded by
     /// [`RuntimeConfig::max_partials`] when set).
     pub fn stored_partials(&self) -> usize {
@@ -1164,7 +1153,7 @@ impl<F: Filter> StreamingDlacep<F> {
         let us = |v, what| checked_usize(v, what).map_err(RuntimeError::Restore);
         match (rt.sup.retrain.as_mut(), ckpt.retrain) {
             (Some(rr), Some(rck)) => {
-                rr.import(rck);
+                rr.import(rck).map_err(RuntimeError::Restore)?;
                 // Redeploy the checkpointed model so marking continues with
                 // the same weights. This runs *before* the guard state
                 // import below: `swap_filter` clears the consecutive-fault
@@ -1912,5 +1901,146 @@ mod tests {
             }]
         );
         assert_eq!(report.degraded_fraction(), 0.0);
+    }
+
+    /// Silent until a retrain hands it the oracle: drift trips on the first
+    /// window, and the first attempt heals it.
+    struct Healing(Option<OracleFilter>);
+
+    impl Filter for Healing {
+        fn mark(&self, window: &[PrimitiveEvent]) -> Vec<bool> {
+            match &self.0 {
+                Some(oracle) => oracle.mark(window),
+                None => vec![false; window.len()],
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            "healing"
+        }
+    }
+
+    struct Healer;
+
+    impl ModelTrainer<Healing> for Healer {
+        fn retrain(
+            &self,
+            p: &Pattern,
+            _: &[Vec<PrimitiveEvent>],
+            _: u64,
+        ) -> Result<Healing, String> {
+            Ok(Healing(Some(OracleFilter::new(p.clone()))))
+        }
+
+        fn encode(&self, filter: &Healing) -> Vec<u8> {
+            vec![u8::from(filter.0.is_some())]
+        }
+
+        fn decode(&self, bytes: &[u8]) -> Result<Healing, String> {
+            Ok(Healing(
+                (bytes == [1]).then(|| OracleFilter::new(seq_ab(6))),
+            ))
+        }
+    }
+
+    fn healing(retrain: RetrainConfig) -> Result<StreamingDlacep<Healing>, RuntimeError> {
+        let config = RuntimeConfig {
+            drift: Some(crate::DriftConfig {
+                baseline_rate: 0.5,
+                tolerance: 0.8,
+                alpha: 1.0,
+                patience: 1,
+            }),
+            ..Default::default()
+        };
+        let b = StreamingDlacep::builder(seq_ab(6), Healing(None)).config(config);
+        b.retrain(retrain, Box::new(Healer)).build()
+    }
+
+    /// A and B in every window, so the healed filter marks at a steady rate.
+    fn feed_ab(rt: &mut StreamingDlacep<Healing>, range: std::ops::Range<u64>) {
+        for i in range {
+            let t = [A, C, B, C][i as usize % 4];
+            rt.ingest(t, i, vec![i as f64]).unwrap();
+        }
+    }
+
+    fn quick_retrain() -> RetrainConfig {
+        RetrainConfig {
+            backoff_base_windows: 1,
+            replay_windows: 8,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn a_backoff_past_the_window_count_waits_forever() {
+        let mut rt = healing(RetrainConfig {
+            backoff_base_windows: u64::MAX,
+            ..quick_retrain()
+        })
+        .unwrap();
+        feed_ab(&mut rt, 0..80);
+        assert!(rt.retrain_signaled());
+        let waiting = RetrainState::Waiting {
+            resume_at: u64::MAX,
+            attempt: 0,
+        };
+        assert_eq!(rt.retrain_state(), Some(waiting));
+        assert_eq!(rt.active_model_version(), None);
+    }
+
+    #[test]
+    fn a_huge_replay_cap_builds_and_heals() {
+        let mut rt = healing(RetrainConfig {
+            replay_windows: usize::MAX,
+            ..quick_retrain()
+        })
+        .unwrap();
+        feed_ab(&mut rt, 0..80);
+        assert_eq!(rt.active_model_version(), Some(1));
+    }
+
+    /// Restore a post-swap checkpoint after `edit` changed its retrain
+    /// state on the way through the codec. The unedited bytes restore.
+    fn restore_edited(edit: impl FnOnce(&mut RetrainCheckpoint)) -> RuntimeError {
+        let mut rt = healing(quick_retrain()).unwrap();
+        feed_ab(&mut rt, 0..80);
+        assert_eq!(rt.active_model_version(), Some(1));
+        let restore = |bytes: &[u8]| {
+            let mut ckpt = crate::durable::decode_checkpoint(bytes).unwrap();
+            ckpt.emitted_prefix = rt.matches_so_far().to_vec();
+            let b = StreamingDlacep::builder(seq_ab(6), Healing(None)).config(rt.config);
+            b.retrain(quick_retrain(), Box::new(Healer)).restore(ckpt)
+        };
+        let bytes = crate::durable::encode_checkpoint(&rt.checkpoint());
+        assert!(restore(&bytes).is_ok(), "the unedited checkpoint restores");
+        let mut ckpt = crate::durable::decode_checkpoint(&bytes).unwrap();
+        edit(ckpt.retrain.as_mut().unwrap());
+        let edited = crate::durable::encode_checkpoint(&ckpt);
+        restore(&edited)
+            .err()
+            .expect("the edited checkpoint is refused")
+    }
+
+    #[test]
+    fn restore_refuses_a_next_version_of_zero() {
+        let e = restore_edited(|r| r.next_version = 0);
+        assert!(matches!(e, RuntimeError::Restore(_)), "{e}");
+    }
+
+    #[test]
+    fn restore_refuses_a_replay_ring_past_its_cap() {
+        let e = restore_edited(|r| {
+            let oldest = r.replay[0].clone();
+            r.replay.resize(9, oldest);
+        });
+        assert!(matches!(e, RuntimeError::Restore(_)), "{e}");
+    }
+
+    #[test]
+    fn restore_refuses_an_active_model_not_below_next_version() {
+        let e = restore_edited(|r| r.active_model.as_mut().unwrap().0 = r.next_version);
+        assert!(matches!(e, RuntimeError::Restore(_)), "{e}");
     }
 }

@@ -20,7 +20,20 @@
 //! suffix past the newest checkpoint. This build must write every one of
 //! their files byte for byte for the same offers, and recover each to the
 //! uninterrupted run.
+//!
+//! The `*_retrain_pr27` fixtures were recorded by the last commit that
+//! published accepted models to a per-store model registry: the crash
+//! sweep's active-retrain workload (`common`), stopped at the first
+//! checkpoint after the validated swap, on a `DurableDlacep` store (its
+//! `model-*.mdl` file included) and on a two-shard fleet (one
+//! `shard-NNNN/name hex` line per entry). Nothing reads or writes a model
+//! file any more: this build must write every other file of both stores
+//! byte for byte, redeploy model v1 from the checkpoint alone, leave the
+//! model file as it found it, and finish equal to the uninterrupted run.
 
+mod common;
+
+use common::SweepFilter;
 use dlacep_cep::{Match, Pattern, PatternExpr, TypeSet};
 use dlacep_core::durable::{
     decode_checkpoint, encode_checkpoint, DurConfig, DurableDlacep, RecoveryReport,
@@ -30,7 +43,7 @@ use dlacep_core::runtime::{EmittedMark, RuntimeConfig, StreamingDlacep};
 use dlacep_dur::{load_latest_checkpoint, MemStore, Store, WalConfig, CKPT_VERSION, EMIT_LOG_NAME};
 use dlacep_events::{AttrValue, KeyExtractor, TypeId, WindowSpec};
 use dlacep_obs::Registry;
-use dlacep_serve::{FleetConfig, FleetReport, ShardedDlacep};
+use dlacep_serve::{FleetConfig, FleetReport, ShardRecovery, ShardedDlacep};
 use std::sync::Arc;
 
 const RUNTIME_V1: &str = include_str!("fixtures/runtime_checkpoint_pr19.hex");
@@ -38,6 +51,8 @@ const DURABLE_STORE_V1: &str = include_str!("fixtures/durable_store_pr19.txt");
 const SHARD_STORE_V1: &str = include_str!("fixtures/shard_store_pr19.txt");
 const DURABLE_STORE_V2: &str = include_str!("fixtures/durable_store_pr22.txt");
 const SHARD_STORE_V2: &str = include_str!("fixtures/shard_store_pr22.txt");
+const DURABLE_STORE_RETRAIN: &str = include_str!("fixtures/durable_store_retrain_pr27.txt");
+const SHARD_STORE_RETRAIN: &str = include_str!("fixtures/shard_store_retrain_pr27.txt");
 
 const SPLIT: usize = 50;
 
@@ -411,4 +426,172 @@ fn fixture_pattern_keeps_step_order() {
     let program = dlacep_cep::Program::lower(&dlacep_cep::Plan::compile(&pattern()).unwrap());
     let step_order = |o: &[usize]| o.iter().enumerate().all(|(k, s)| k == *s);
     assert!(program.orders().all(step_order));
+}
+
+/// The durable fixture's stop: the swap lands at event 90, the next
+/// checkpoint at 96.
+const RETRAIN_STOP: usize = 96;
+/// The fleet fixture's stop: key 0 swaps by event 112, the fleet
+/// checkpoints at 144.
+const FLEET_RETRAIN_STOP: usize = 144;
+
+fn model_files(store: &MemStore) -> Vec<(String, Vec<u8>)> {
+    let names = store.list().unwrap().into_iter();
+    let models = names.filter(|n| n.starts_with("model-"));
+    models
+        .map(|n| {
+            let bytes = store.read(&n).unwrap();
+            (n, bytes)
+        })
+        .collect()
+}
+
+/// Every file of `fixture` but its model files is byte for byte what this
+/// build wrote, and this build wrote nothing else.
+fn assert_bytes_equal_but_models(fixture: &MemStore, rebuilt: &MemStore, ctx: &str) {
+    let mut names = fixture.list().unwrap();
+    names.retain(|n| !n.starts_with("model-"));
+    assert_eq!(rebuilt.list().unwrap(), names, "{ctx}: the same files");
+    for name in names {
+        assert_eq!(
+            rebuilt.read(&name).unwrap(),
+            fixture.read(&name).unwrap(),
+            "{ctx}: {name} differs from the parent's encoding"
+        );
+    }
+}
+
+fn retrain_durable(store: MemStore) -> (DurableDlacep<SweepFilter, MemStore>, RecoveryReport) {
+    let pattern = common::seq_ab(6);
+    DurableDlacep::recover(
+        pattern.clone(),
+        common::sweep_filter(&pattern),
+        common::retrain_config(),
+        common::dur_config(),
+        store,
+        Some(Arc::new(Registry::with_journal_capacity(8192))),
+        Some(common::sweep_trainer(&pattern)),
+    )
+    .expect("the store recovers")
+}
+
+fn feed_retrain(dur: &mut DurableDlacep<SweepFilter, MemStore>, input: &[common::Offer]) {
+    for (t, ts, attrs) in input {
+        dur.ingest(*t, *ts, attrs.clone()).unwrap();
+    }
+}
+
+#[test]
+fn retrain_durable_store_redeploys_from_the_checkpoint_and_keeps_its_model_file() {
+    let input = common::offers(120, 0.0, 7);
+    let fixture = load_store(DURABLE_STORE_RETRAIN);
+    let models = model_files(&fixture);
+    let names: Vec<&str> = models.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, ["model-0000000000000001.mdl"]);
+
+    let (mut rebuilt, _) = retrain_durable(MemStore::new());
+    feed_retrain(&mut rebuilt, &input[..RETRAIN_STOP]);
+    rebuilt.sync().unwrap();
+    assert_bytes_equal_but_models(&fixture, &rebuilt.into_store(), "durable");
+
+    let reference = {
+        let (mut dur, _) = retrain_durable(MemStore::new());
+        feed_retrain(&mut dur, &input);
+        dur.finish()
+    };
+    let (mut dur, report) = retrain_durable(fixture);
+    assert_eq!(report.checkpoint_seq, Some(RETRAIN_STOP as u64));
+    assert_eq!((report.wal_replayed, report.model_version), (0, Some(1)));
+    feed_retrain(&mut dur, &input[RETRAIN_STOP..]);
+    let got = dur.finish();
+    assert_eq!(got.matches, reference.matches);
+    assert_eq!(got.timeline, reference.timeline);
+    assert_eq!(got.extractor_stats, reference.extractor_stats);
+    let retrain = got.retrain.expect("a supervisor runs");
+    assert_eq!(Some(retrain), reference.retrain);
+    assert_eq!(
+        (retrain.active_version, retrain.models_accepted),
+        (Some(1), 1)
+    );
+
+    let (mut dur, _) = retrain_durable(load_store(DURABLE_STORE_RETRAIN));
+    feed_retrain(&mut dur, &input[RETRAIN_STOP..]);
+    dur.checkpoint_now().unwrap();
+    assert_eq!(
+        model_files(&dur.into_store()),
+        models,
+        "model files untouched"
+    );
+}
+
+/// A fleet fixture: `shard-NNNN/name hex` lines.
+fn load_shards(dump: &str) -> Vec<MemStore> {
+    let mut stores = vec![MemStore::new(); common::FLEET_SHARDS as usize];
+    for line in dump.lines() {
+        let (shard, entry) = line.split_once('/').expect("`shard/name hex` lines");
+        let index: usize = shard.strip_prefix("shard-").unwrap().parse().unwrap();
+        let (name, hex) = entry.split_once(' ').expect("`name hex` lines");
+        stores[index].append(name, &from_hex(hex)).unwrap();
+    }
+    stores
+}
+
+fn retrain_fleet(
+    stores: Vec<MemStore>,
+) -> (ShardedDlacep<SweepFilter, MemStore>, Vec<ShardRecovery>) {
+    let (p, pt) = (common::seq_ab(6), common::seq_ab(6));
+    let (fleet, report) = ShardedDlacep::recover(
+        common::seq_ab(6),
+        FleetConfig {
+            obs: true,
+            ..common::fleet_config()
+        },
+        Arc::new(move || common::sweep_filter(&p)),
+        Arc::new(move || Some(common::sweep_trainer(&pt))),
+        stores,
+    )
+    .expect("the stores recover");
+    (fleet, report.shards)
+}
+
+#[test]
+fn retrain_shard_stores_redeploy_from_the_checkpoint() {
+    let input = common::fleet_offers();
+    let fixture = load_shards(SHARD_STORE_RETRAIN);
+    assert!(fixture.iter().all(|s| model_files(s).is_empty()));
+
+    let (mut rebuilt, _) = retrain_fleet(vec![MemStore::new(), MemStore::new()]);
+    for (t, ts, attrs) in &input[..FLEET_RETRAIN_STOP] {
+        rebuilt.ingest(*t, *ts, attrs.clone()).unwrap();
+    }
+    rebuilt.sync().unwrap();
+    for (i, store) in rebuilt.into_stores().iter().enumerate() {
+        assert_bytes_equal_but_models(&fixture[i], store, &format!("shard {i}"));
+    }
+
+    // Recovered with nothing replayed, key 0 already marks with model v1.
+    let (fleet, shards) = retrain_fleet(fixture.clone());
+    assert!(shards
+        .iter()
+        .all(|s| s.checkpoint_seq.is_some() && s.wal_replayed == 0));
+    let key0 = fleet.finish().keys.remove(0);
+    let retrain = key0.report.retrain.expect("key 0 runs a supervisor");
+    assert_eq!((key0.key, retrain.active_version), (0, Some(1)));
+
+    let reference = {
+        let (mut fleet, _) = retrain_fleet(vec![MemStore::new(), MemStore::new()]);
+        for (t, ts, attrs) in &input {
+            fleet.ingest(*t, *ts, attrs.clone()).unwrap();
+        }
+        fleet.finish()
+    };
+    let (mut fleet, _) = retrain_fleet(fixture);
+    for (t, ts, attrs) in &input[FLEET_RETRAIN_STOP..] {
+        fleet.ingest(*t, *ts, attrs.clone()).unwrap();
+    }
+    let got = fleet.finish();
+    assert_fleet_equal(&got, &reference);
+    for (got, want) in got.keys.iter().zip(&reference.keys) {
+        assert_eq!(got.report.retrain, want.report.retrain, "key {}", got.key);
+    }
 }

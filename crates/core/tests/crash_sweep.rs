@@ -22,63 +22,23 @@
 //! published checkpoint corrupted, so recovery falls back to the older one
 //! and to its earlier emit-log offset.
 
-use dlacep_cep::{Pattern, PatternExpr, TypeSet};
-use dlacep_core::chaos::{
-    out_of_order_timestamps, ChaosFault, ChaosFilter, ChaosTrainer, TrainFault,
+mod common;
+
+use common::{
+    dur_config, fleet_config, fleet_offers, offers, retrain_config, seq_ab, sweep_filter,
+    sweep_trainer, Offer, SweepFilter, FLEET_SHARDS,
 };
-use dlacep_core::durable::{DurConfig, DurError, DurableDlacep};
+use dlacep_cep::Pattern;
+use dlacep_core::chaos::{ChaosFault, ChaosFilter};
+use dlacep_core::durable::{DurError, DurableDlacep};
 use dlacep_core::filter::{Filter, OracleFilter, PassthroughFilter};
 use dlacep_core::guard::GuardConfig;
-use dlacep_core::retrain::{ModelTrainer, RetrainConfig};
+use dlacep_core::retrain::ModelTrainer;
 use dlacep_core::runtime::{RuntimeConfig, RuntimeError, RuntimeReport};
-use dlacep_core::DriftConfig;
-use dlacep_dur::{FailingStore, MemStore, Schedule, Store, WalConfig, WalError};
-use dlacep_events::PrimitiveEvent;
-use dlacep_events::{AttrValue, OutOfOrderPolicy, TypeId, WindowSpec};
+use dlacep_dur::{FailingStore, MemStore, Schedule, Store, WalError};
+use dlacep_events::OutOfOrderPolicy;
 use dlacep_obs::{FieldValue, Registry};
 use std::sync::Arc;
-
-const A: TypeId = TypeId(0);
-const B: TypeId = TypeId(1);
-
-fn seq_ab(w: u64) -> Pattern {
-    Pattern::new(
-        PatternExpr::Seq(vec![
-            PatternExpr::event(TypeSet::single(A), "a"),
-            PatternExpr::event(TypeSet::single(B), "b"),
-        ]),
-        vec![],
-        WindowSpec::Count(w),
-    )
-}
-
-type Offer = (TypeId, u64, Vec<AttrValue>);
-
-fn offers(n: usize, disorder: f64, seed: u64) -> Vec<Offer> {
-    let ts = out_of_order_timestamps(n, disorder, 3, seed);
-    (0..n)
-        .map(|i| {
-            let t = match i % 4 {
-                1 => A,
-                3 => B,
-                _ => TypeId(2),
-            };
-            (t, ts[i], vec![i as f64])
-        })
-        .collect()
-}
-
-fn dur_config() -> DurConfig {
-    DurConfig {
-        // Small segments and a short sync cadence: the sweep crosses many
-        // rotations, fsync batches, checkpoints, and prunes.
-        wal: WalConfig {
-            segment_max_bytes: 384,
-            sync_every: 4,
-        },
-        checkpoint_every_events: 12,
-    }
-}
 
 fn journal_tail(reg: &Registry, from_seq: u64) -> Vec<(String, Vec<(String, FieldValue)>)> {
     reg.journal()
@@ -373,127 +333,23 @@ fn crash_sweep_degraded_fault_injected_stream() {
 // ---------------------------------------------------------------------------
 // Scenario 3: crash at every tick of an *active retrain* — drift signal,
 // backoff schedule, panicked attempt, gate-rejected attempt, validated swap,
-// and the registry writes publishing the accepted model. The recovered run
-// must replay the supervisor to the identical trajectory.
+// and the checkpoints that carry the accepted model. The recovered run must
+// replay the supervisor to the identical trajectory.
 // ---------------------------------------------------------------------------
 
-/// Silently-dying filter keyed by window content (first event id), so a
-/// recovered run re-draws the same drift the original saw.
-enum SweepFilter {
-    Broken {
-        oracle: OracleFilter,
-        silent_from: u64,
-    },
-    Healed(OracleFilter),
-}
-
-impl Filter for SweepFilter {
-    fn mark(&self, window: &[PrimitiveEvent]) -> Vec<bool> {
-        match self {
-            Self::Broken {
-                oracle,
-                silent_from,
-            } => {
-                if window.first().is_some_and(|e| e.id.0 >= *silent_from) {
-                    vec![false; window.len()]
-                } else {
-                    oracle.mark(window)
-                }
-            }
-            Self::Healed(oracle) => oracle.mark(window),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "sweep-heal"
-    }
-}
-
-/// Deterministic healer with a one-byte model encoding: the registry and
-/// checkpoint redeploy paths both round-trip through it.
-struct SweepTrainer {
-    pattern: Pattern,
-}
-
-impl ModelTrainer<SweepFilter> for SweepTrainer {
-    fn retrain(
-        &self,
-        pattern: &Pattern,
-        _windows: &[Vec<PrimitiveEvent>],
-        _attempt: u64,
-    ) -> Result<SweepFilter, String> {
-        Ok(SweepFilter::Healed(OracleFilter::new(pattern.clone())))
-    }
-
-    fn encode(&self, filter: &SweepFilter) -> Vec<u8> {
-        match filter {
-            SweepFilter::Broken { .. } => vec![0],
-            SweepFilter::Healed(_) => vec![1],
-        }
-    }
-
-    fn decode(&self, bytes: &[u8]) -> Result<SweepFilter, String> {
-        match bytes {
-            [1] => Ok(SweepFilter::Healed(OracleFilter::new(self.pattern.clone()))),
-            // A Broken candidate can legitimately pass the gate on a key
-            // whose windows hold no matches (nothing to recall, nothing
-            // marked — the fleet sweep's quiet key); it must round-trip so
-            // recovery can redeploy it.
-            [0] => Ok(SweepFilter::Broken {
-                oracle: OracleFilter::new(self.pattern.clone()),
-                silent_from: 0,
-            }),
-            other => Err(format!("unknown model encoding: {other:?}")),
-        }
-    }
-}
-
 #[test]
-fn crash_sweep_active_retrain_with_registry_writes() {
+fn crash_sweep_active_retrain() {
     let pattern = seq_ab(6);
     let p = pattern.clone();
     let pt = pattern.clone();
     Scenario {
         pattern,
-        config: RuntimeConfig {
-            // First silent window trips the signal: drift at window 6,
-            // attempt 0 (panic) at 7, attempt 1 (gate-flaky) at 9, attempt
-            // 2 validates and swaps at 13 — the sweep kills at every
-            // durability tick across that whole trajectory, including the
-            // registry publish of the accepted model.
-            drift: Some(DriftConfig {
-                baseline_rate: 0.5,
-                tolerance: 0.8,
-                alpha: 1.0,
-                patience: 1,
-            }),
-            retrain: Some(RetrainConfig {
-                backoff_base_windows: 1,
-                max_retries: 3,
-                replay_windows: 16,
-                holdout_every: 4,
-                ..Default::default()
-            }),
-            ..Default::default()
-        },
-        mk_filter: move || SweepFilter::Broken {
-            oracle: OracleFilter::new(p.clone()),
-            silent_from: 36,
-        },
-        mk_trainer: move || {
-            let flaky = pt.clone();
-            Some(Box::new(
-                ChaosTrainer::new(Box::new(SweepTrainer {
-                    pattern: pt.clone(),
-                }))
-                .fault_at(0, TrainFault::Panic)
-                .fault_at(1, TrainFault::Flaky)
-                .flaky_candidates(move || SweepFilter::Broken {
-                    oracle: OracleFilter::new(flaky.clone()),
-                    silent_from: 0,
-                }),
-            ))
-        },
+        // The sweep kills at every durability tick across the whole
+        // trajectory (`common::retrain_config`), including the checkpoints
+        // after the swap that carry the accepted model.
+        config: retrain_config(),
+        mk_filter: move || sweep_filter(&p),
+        mk_trainer: move || Some(sweep_trainer(&pt)),
         input: offers(120, 0.0, 7),
     }
     .sweep();
@@ -514,92 +370,14 @@ use dlacep_serve::{
     shard_of, FleetConfig, FleetError, FleetReport, ShardedDlacep, DEFAULT_HASH_SEED,
 };
 
-const FLEET_SHARDS: u32 = 2;
-
-/// Key-0 traffic is exactly the scenario-3 stream (types 0..3, so key 0
-/// under `ByTypeGroup(4)`), preserving its retrain trajectory event for
-/// event; after every fourth key-0 event one key-1 event (types 4..7)
-/// rides along on its own timeline.
-fn fleet_offers() -> Vec<Offer> {
-    let key0 = offers(120, 0.0, 7);
-    let mut out = Vec::with_capacity(150);
-    let mut j = 0u64;
-    for (i, o) in key0.into_iter().enumerate() {
-        out.push(o);
-        if i % 4 == 3 {
-            let t = match j % 4 {
-                1 => TypeId(4),
-                3 => TypeId(5),
-                _ => TypeId(6),
-            };
-            out.push((t, j, vec![1_000.0 + j as f64]));
-            j += 1;
-        }
-    }
-    out
-}
-
-fn fleet_config() -> FleetConfig {
-    FleetConfig {
-        shards: FLEET_SHARDS,
-        key_extractor: dlacep_events::KeyExtractor::ByTypeGroup(4),
-        runtime: RuntimeConfig {
-            drift: Some(DriftConfig {
-                baseline_rate: 0.5,
-                tolerance: 0.8,
-                alpha: 1.0,
-                patience: 1,
-            }),
-            retrain: Some(RetrainConfig {
-                backoff_base_windows: 1,
-                max_retries: 3,
-                // Half the scenario-3 ring: the replay buffer is serialized
-                // into every shard checkpoint, and checkpoint bytes are
-                // durability ticks — i.e. sweep iterations.
-                replay_windows: 8,
-                holdout_every: 4,
-                ..Default::default()
-            }),
-            ..Default::default()
-        },
-        wal: WalConfig {
-            segment_max_bytes: 384,
-            sync_every: 4,
-        },
-        sync_every_events: 16,
-        // Coarser than scenario 3 (12): every fleet checkpoint writes a
-        // full per-key state image on *each* shard, so the cadence sets the
-        // sweep's tick count (and wall-clock) almost by itself. Four
-        // checkpoints still straddle the whole retrain trajectory.
-        checkpoint_every_events: 36,
-        ..FleetConfig::default()
-    }
-}
-
 type FilterFactory = Arc<dyn Fn() -> SweepFilter + Send + Sync>;
 type TrainerFactory = Arc<dyn Fn() -> Option<Box<dyn ModelTrainer<SweepFilter>>> + Send + Sync>;
 
 fn fleet_factories(pattern: &Pattern) -> (FilterFactory, TrainerFactory) {
     let p = pattern.clone();
-    let mk_filter: FilterFactory = Arc::new(move || SweepFilter::Broken {
-        oracle: OracleFilter::new(p.clone()),
-        silent_from: 36,
-    });
+    let mk_filter: FilterFactory = Arc::new(move || sweep_filter(&p));
     let pt = pattern.clone();
-    let mk_trainer: TrainerFactory = Arc::new(move || {
-        let flaky = pt.clone();
-        Some(Box::new(
-            ChaosTrainer::new(Box::new(SweepTrainer {
-                pattern: pt.clone(),
-            }))
-            .fault_at(0, TrainFault::Panic)
-            .fault_at(1, TrainFault::Flaky)
-            .flaky_candidates(move || SweepFilter::Broken {
-                oracle: OracleFilter::new(flaky.clone()),
-                silent_from: 0,
-            }),
-        ) as Box<dyn ModelTrainer<SweepFilter>>)
-    });
+    let mk_trainer: TrainerFactory = Arc::new(move || Some(sweep_trainer(&pt)));
     (mk_filter, mk_trainer)
 }
 

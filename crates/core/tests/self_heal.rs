@@ -101,7 +101,7 @@ impl Filter for HealFilter {
 }
 
 /// Trainer producing a healed (oracle-equivalent) model; encode/decode is a
-/// one-byte tag so registry persistence and checkpoint redeploy round-trip.
+/// one-byte tag so checkpoint redeploy round-trips.
 struct HealTrainer {
     pattern: Pattern,
 }

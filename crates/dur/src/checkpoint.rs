@@ -6,13 +6,19 @@
 //! in the store's [emit log](crate::emit) and the payload opens with the
 //! log's byte offset at the checkpoint. Version-1 files (whole output
 //! embedded, no offset) still load; [`CheckpointScan::version`] tells the
-//! caller which payload it holds. Files are `ckpt-{seq:016x}.ck`, published
-//! and loaded newest-valid-first by the [generations](crate::generations)
-//! protocol.
+//! caller which payload it holds.
+//!
+//! Checkpoint `seq` (the WAL position it covers) is written as
+//! `ckpt-{seq:016x}.tmp`, fsynced, and renamed to `ckpt-{seq:016x}.ck`, so
+//! a crash at any point leaves either the old set or the old set plus one
+//! complete new file — never a half-written published one. Loading walks
+//! the published files newest-first and returns the first whose frame
+//! validates, so a torn or bit-rotted file is skipped (and counted), never
+//! fatal.
 
 use std::io;
 
-use crate::generations::Generations;
+use crate::codec::{self, CodecError};
 use crate::store::Store;
 
 /// Magic tag of checkpoint frames.
@@ -20,15 +26,61 @@ pub const CKPT_MAGIC: [u8; 4] = *b"DCKP";
 /// Current checkpoint container version.
 pub const CKPT_VERSION: u16 = 2;
 
-/// Checkpoint files: `ckpt-{seq:016x}.ck`, `seq` the WAL position covered.
-/// The frame published is built by the caller (in a buffer it reuses) with
-/// [`Encoder::put_frame`](crate::Encoder::put_frame).
-pub(crate) const CHECKPOINTS: Generations = Generations {
-    prefix: "ckpt",
-    ext: "ck",
-    magic: CKPT_MAGIC,
-    version: CKPT_VERSION,
-};
+/// Checkpoints retained after each publication: the newest and one
+/// fallback for when it does not decode.
+pub const KEEP_GENERATIONS: usize = 2;
+
+/// Write `bytes` to `tmp`, fsync it and rename it to `name`: a crash leaves
+/// either the old `name` or the new one.
+pub(crate) fn publish<S: Store>(
+    store: &mut S,
+    tmp: &str,
+    name: &str,
+    bytes: &[u8],
+) -> io::Result<()> {
+    if store.exists(tmp)? {
+        store.remove(tmp)?; // stale tmp from an earlier crashed attempt
+    }
+    store.append(tmp, bytes)?;
+    store.sync(tmp)?;
+    store.rename(tmp, name)
+}
+
+fn checkpoint_name(seq: u64) -> String {
+    format!("ckpt-{seq:016x}.ck")
+}
+
+fn tmp_name(seq: u64) -> String {
+    format!("ckpt-{seq:016x}.tmp")
+}
+
+/// Published checkpoints as `(seq, name)`, ascending. Torn files are
+/// included: they are published names.
+fn published(names: &[String]) -> Vec<(u64, String)> {
+    let mut published: Vec<(u64, String)> = names
+        .iter()
+        .filter_map(|name| {
+            let hex = name.strip_prefix("ckpt-")?.strip_suffix(".ck")?;
+            if hex.len() != 16 {
+                return None;
+            }
+            Some((u64::from_str_radix(hex, 16).ok()?, name.clone()))
+        })
+        .collect();
+    published.sort();
+    published
+}
+
+/// Atomically publish `frame` as checkpoint `seq`, replacing an existing
+/// one (publication is idempotent). The frame is built by the caller, in a
+/// buffer it reuses, with [`Encoder::put_frame`](crate::Encoder::put_frame).
+pub(crate) fn publish_checkpoint<S: Store>(
+    store: &mut S,
+    seq: u64,
+    frame: &[u8],
+) -> io::Result<()> {
+    publish(store, &tmp_name(seq), &checkpoint_name(seq), frame)
+}
 
 /// Result of scanning the store for the newest usable checkpoint.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -44,24 +96,45 @@ pub struct CheckpointScan {
 /// Find the newest checkpoint whose frame validates. Unreadable newer
 /// files are skipped and counted; only store I/O errors are fatal.
 pub fn load_latest_checkpoint<S: Store>(store: &S) -> io::Result<CheckpointScan> {
-    let (latest, skipped) = CHECKPOINTS.load_latest(store)?;
-    let version = latest.as_ref().map_or(0, |(_, version, _)| *version);
-    let latest = latest.map(|(seq, _, payload)| (seq, payload));
-    Ok(CheckpointScan {
-        latest,
-        version,
-        skipped,
-    })
+    let mut scan = CheckpointScan::default();
+    for (seq, name) in published(&store.list()?).into_iter().rev() {
+        let bytes = store.read(&name)?;
+        match codec::decode_frame(CKPT_MAGIC, CKPT_VERSION, &bytes) {
+            Ok((version, payload)) => {
+                scan.latest = Some((seq, payload.to_vec()));
+                scan.version = version;
+                break;
+            }
+            Err(CodecError::Truncated { .. })
+            | Err(CodecError::ChecksumMismatch { .. })
+            | Err(CodecError::BadMagic { .. })
+            | Err(CodecError::UnsupportedVersion { .. })
+            | Err(CodecError::Malformed(_))
+            | Err(CodecError::TrailingBytes { .. }) => scan.skipped += 1,
+        }
+    }
+    Ok(scan)
 }
 
-/// Delete all but the [`KEEP_GENERATIONS`](crate::KEEP_GENERATIONS) newest
-/// published checkpoints and any stale `.tmp` leftovers. Returns the seq of
-/// the oldest kept checkpoint once two are kept: the WAL can be pruned
-/// below it. While a store holds a single checkpoint the WAL from the first
-/// event is that checkpoint's fallback, and nothing may be pruned.
+/// Delete all but the [`KEEP_GENERATIONS`] newest published checkpoints
+/// and any stale `.tmp` leftovers. Returns the seq of the oldest kept
+/// checkpoint once two are kept: the WAL can be pruned below it. While a
+/// store holds a single checkpoint the WAL from the first event is that
+/// checkpoint's fallback, and nothing may be pruned.
 pub(crate) fn prune_checkpoints<S: Store>(store: &mut S) -> io::Result<Option<u64>> {
-    let kept = CHECKPOINTS.prune(store)?;
-    Ok((kept.len() >= 2).then(|| kept[0]))
+    let names = store.list()?;
+    let published = published(&names);
+    let cut = published.len().saturating_sub(KEEP_GENERATIONS);
+    for (_, name) in &published[..cut] {
+        store.remove(name)?;
+    }
+    for name in &names {
+        if name.starts_with("ckpt-") && name.ends_with(".tmp") {
+            store.remove(name)?;
+        }
+    }
+    let kept = &published[cut..];
+    Ok((kept.len() >= 2).then(|| kept[0].0))
 }
 
 #[cfg(test)]
@@ -71,13 +144,9 @@ mod tests {
     use crate::store::MemStore;
     use crate::torn::FailingStore;
 
-    fn checkpoint_name(seq: u64) -> String {
-        CHECKPOINTS.name(seq)
-    }
-
     fn write_checkpoint<S: Store>(store: &mut S, seq: u64, payload: &[u8]) -> io::Result<()> {
         let frame = codec::encode_frame(CKPT_MAGIC, CKPT_VERSION, payload);
-        CHECKPOINTS.publish(store, seq, &frame)
+        publish_checkpoint(store, seq, &frame)
     }
 
     #[test]
@@ -124,7 +193,7 @@ mod tests {
         for seq in [2u64, 4, 6, 8] {
             write_checkpoint(&mut store, seq, b"s").unwrap();
         }
-        store.append(&CHECKPOINTS.tmp_name(10), b"half").unwrap();
+        store.append(&tmp_name(10), b"half").unwrap();
         let oldest_kept = prune_checkpoints(&mut store).unwrap();
         assert_eq!(oldest_kept, Some(6));
         assert_eq!(

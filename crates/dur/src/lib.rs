@@ -15,16 +15,12 @@
 //!   atomic-write helper ([`atomic_write_file`]).
 //! - **wal** ([`Wal`]): an append-only segmented write-ahead log with fsync
 //!   batching, size-based rotation, and corrupt-tail truncation on open.
-//! - **generations**: numbered files published tmp + fsync + rename, read
-//!   back newest-valid-first, the newest [`KEEP_GENERATIONS`] kept — the one
-//!   protocol under checkpoints and registry models.
-//! - **checkpoint**: atomically-published checkpoint files.
+//! - **checkpoint**: checkpoint files published tmp + fsync + rename, read
+//!   back newest-valid-first, the newest [`KEEP_GENERATIONS`] kept.
 //! - **emit** ([`EmitLog`]): the append-only log of output already emitted
 //!   — the WAL's record framing, cut on recovery at the restored
 //!   checkpoint's offset — so a checkpoint carries live state plus an
 //!   offset into it, not the whole output.
-//! - **registry**: atomically-published versioned model files — the retrain
-//!   supervisor's durable model lineage.
 //! - **store_log** ([`StoreLog`]): one store's WAL, emit log and
 //!   checkpoint chain under the one write order and the one recovery order
 //!   every durable tier shares; each tier lays out only its own payload.
@@ -46,22 +42,20 @@
 pub mod checkpoint;
 pub mod codec;
 pub mod emit;
-pub mod generations;
 pub mod manifest;
-pub mod registry;
 pub mod store;
 pub mod store_log;
 pub mod torn;
 pub mod wal;
 
-pub use checkpoint::{load_latest_checkpoint, CheckpointScan, CKPT_MAGIC, CKPT_VERSION};
+pub use checkpoint::{
+    load_latest_checkpoint, CheckpointScan, CKPT_MAGIC, CKPT_VERSION, KEEP_GENERATIONS,
+};
 pub use codec::{
     crc32, decode_frame, encode_frame, scan_frame, CodecError, Dec, Decoder, Enc, Encoder,
 };
 pub use emit::{EmitError, EmitLog, EMIT_LOG_NAME};
-pub use generations::KEEP_GENERATIONS;
 pub use manifest::{load_manifest, shard_dir_name, write_manifest, FleetManifest, ManifestError};
-pub use registry::{list_models, load_latest_model, prune_models, publish_model, ModelScan};
 pub use store::{atomic_write_file, DirStore, MemStore, Store};
 pub use store_log::{LogError, NotEmpty, Recovered, StoreLog};
 pub use torn::{FailingStore, Schedule, Trigger};

@@ -17,8 +17,8 @@
 
 use std::io;
 
+use crate::checkpoint::publish;
 use crate::codec::{self, CodecError, Dec, Decoder, Enc, Encoder};
-use crate::generations::publish;
 use crate::store::Store;
 
 /// Magic tag of manifest frames.

@@ -32,7 +32,7 @@ use std::fmt;
 use std::io;
 
 use crate::checkpoint::{
-    load_latest_checkpoint, prune_checkpoints, CHECKPOINTS, CKPT_MAGIC, CKPT_VERSION,
+    load_latest_checkpoint, prune_checkpoints, publish_checkpoint, CKPT_MAGIC, CKPT_VERSION,
 };
 use crate::codec::{CodecError, Dec, Decoder, Enc, Encoder};
 use crate::emit::{EmitError, EmitLog};
@@ -195,22 +195,16 @@ impl<S: Store> StoreLog<S> {
         self.frame.clear();
         self.frame
             .put_frame(CKPT_MAGIC, CKPT_VERSION, |e| write(e, emit_offset));
-        CHECKPOINTS.publish(&mut self.store, seq, self.frame.bytes())?;
+        publish_checkpoint(&mut self.store, seq, self.frame.bytes())?;
         if let Some(oldest_kept) = prune_checkpoints(&mut self.store)? {
             self.wal.prune_below(&mut self.store, oldest_kept)?;
         }
         Ok((seq, self.frame.len()))
     }
 
-    /// The backing store (its other tenants — model registry, manifest —
-    /// belong to the tier above).
+    /// The backing store.
     pub fn store(&self) -> &S {
         &self.store
-    }
-
-    /// Mutable access to the backing store, for those other tenants.
-    pub fn store_mut(&mut self) -> &mut S {
-        &mut self.store
     }
 
     /// Tear down into the backing store.

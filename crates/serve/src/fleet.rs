@@ -21,9 +21,9 @@
 //! WAL-logged **before** its runtime sees it, as `g | key | offer` where
 //! `offer` is the exact [`dlacep_core::encode_offer`] encoding of that
 //! tier; emit records are `(key, match)`; a checkpoint holds the live state
-//! of every key runtime of the shard and the shard's fleet *high-water
-//! mark* — the last global sequence number whose effects the shard has
-//! durably applied.
+//! of every key runtime of the shard (a retrained model included, as the
+//! runtime's active model) and the shard's fleet *high-water mark* — the
+//! last global sequence number whose effects the shard has durably applied.
 //!
 //! ## Recovery model
 //!
@@ -38,15 +38,6 @@
 //! stores whose manifest disagrees with the fleet configuration (shard
 //! count, hash seed, hash revision, partitioner, shard order) — a
 //! mis-assembled fleet would silently misroute keys otherwise.
-//!
-//! ## Model registry
-//!
-//! Retrained models accepted by a key runtime are *drained* (and counted)
-//! at checkpoint time rather than published to the per-shard model
-//! registry: the registry namespace is flat per store, and independent key
-//! runtimes produce colliding version numbers. Lineage survives anyway —
-//! each key's active model travels inside its runtime checkpoint and is
-//! redeployed on restore.
 
 use crate::hash::{shard_of, DEFAULT_HASH_SEED, HASH_REVISION};
 use dlacep_cep::Match;
@@ -226,9 +217,6 @@ pub struct ShardStats {
     pub checkpoints: u64,
     /// Re-offered events dropped as already applied.
     pub refeed_skipped: u64,
-    /// Accepted retrained models drained at checkpoints (see the
-    /// [module docs](self) on the registry decision).
-    pub models_drained: u64,
 }
 
 /// Live fleet counters (also what a wire `Flush` reports back).
@@ -701,14 +689,13 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
         Ok(())
     }
 
-    /// Checkpoint every shard's [`StoreLog`]: drain accepted models, stage
-    /// the matches emitted since the last checkpoint, and write the live
-    /// state of every key stamped with the current fleet position.
+    /// Checkpoint every shard's [`StoreLog`]: stage the matches emitted
+    /// since the last checkpoint, and write the live state of every key
+    /// stamped with the current fleet position.
     pub fn checkpoint_now(&mut self) -> Result<(), FleetError> {
         let g = self.next_global;
         for shard in &mut self.shards {
             for (key, entry) in shard.runtimes.iter_mut() {
-                shard.stats.models_drained += entry.rt.take_pending_models().len() as u64;
                 let matches = entry.rt.matches_so_far();
                 for m in &matches[entry.logged..] {
                     shard.log.stage(*key, m);
@@ -799,7 +786,6 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
                 c.insert("serve_wal_syncs".into(), shard.stats.wal_syncs);
                 c.insert("serve_checkpoints".into(), shard.stats.checkpoints);
                 c.insert("serve_refeed_skipped".into(), shard.stats.refeed_skipped);
-                c.insert("serve_models_drained".into(), shard.stats.models_drained);
                 c.insert("serve_keys".into(), shard.runtimes.len() as u64);
                 for entry in shard.runtimes.values() {
                     if let Some(obs) = entry.rt.obs_snapshot() {
@@ -841,7 +827,7 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
             out.push_str(&format!(
                 "{{\"shard\":{si},\"keys\":{},\"high_water\":{},\"lag\":{},\"matches\":{matches},\
                  \"events_routed\":{},\"wal_appends\":{},\"wal_syncs\":{},\"checkpoints\":{},\
-                 \"refeed_skipped\":{},\"models_drained\":{},\"modes\":{{",
+                 \"refeed_skipped\":{},\"modes\":{{",
                 shard.runtimes.len(),
                 shard.high_water,
                 self.next_global - shard.high_water.min(self.next_global),
@@ -850,7 +836,6 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
                 shard.stats.wal_syncs,
                 shard.stats.checkpoints,
                 shard.stats.refeed_skipped,
-                shard.stats.models_drained,
             ));
             for (mi, (mode, n)) in modes.iter().enumerate() {
                 if mi > 0 {

@@ -140,7 +140,6 @@ impl FleetReport {
                 c.insert("serve_wal_syncs".into(), s.stats.wal_syncs);
                 c.insert("serve_checkpoints".into(), s.stats.checkpoints);
                 c.insert("serve_refeed_skipped".into(), s.stats.refeed_skipped);
-                c.insert("serve_models_drained".into(), s.stats.models_drained);
                 c.insert("serve_keys".into(), s.keys);
                 snap
             })
