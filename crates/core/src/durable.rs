@@ -13,6 +13,14 @@
 //! run that never crashed, which `tests/crash_sweep.rs` proves for every
 //! possible crash point.
 //!
+//! The logged output lives here once, as the bytes that were logged
+//! ([`LoggedMatches`]): each checkpoint drains the runtime's new matches
+//! into the emit log and that buffer, and recovery keeps the emit log's
+//! records as they are, folding each into the emitted mark that restore
+//! checks instead of decoding it. [`DurableDlacep::matches`] and
+//! [`DurableDlacep::finish`] decode the buffer ahead of the runtime's live
+//! tail.
+//!
 //! What is **not** covered: the filter model itself (persist it with
 //! [`crate::persist`] and pass the reloaded filter to `recover`), and output
 //! already handed to a downstream consumer — use the emitted mark's count
@@ -208,12 +216,52 @@ pub fn decode_offer(payload: &[u8]) -> Result<(TypeId, u64, Vec<AttrValue>), Cod
     Ok((type_id, ts, attrs))
 }
 
+/// The matches a durable tier has logged for one runtime, kept as the bytes
+/// its emit log holds for them: their encodings back to back, oldest first.
+/// Recovery checks each record as it keeps it
+/// ([`recover`](Self::recover)); a checkpoint adds the matches the runtime
+/// emitted since the last one ([`log`](Self::log)). The bytes decode only
+/// when the output is read.
+#[derive(Debug, Default)]
+pub struct LoggedMatches(Encoder);
+
+impl LoggedMatches {
+    /// Keep the emit record `record` found by recovery, folding the match
+    /// it encodes into `mark` ([`EmittedMark::push_encoded`]). A record that
+    /// is not one match's encoding is refused and not kept.
+    pub fn recover(&mut self, mark: &mut EmittedMark, record: &[u8]) -> Result<(), CodecError> {
+        mark.push_encoded(record)?;
+        self.0.put_bytes(record);
+        Ok(())
+    }
+
+    /// Keep the newly emitted `m`; returns its encoding, the emit record to
+    /// stage for it.
+    pub fn log(&mut self, m: &Match) -> &[u8] {
+        let start = self.0.len();
+        self.0.put(m);
+        &self.0.bytes()[start..]
+    }
+
+    /// Every logged match, then `tail`.
+    pub fn ahead_of(&self, mut tail: Vec<Match>) -> Vec<Match> {
+        let mut d = Decoder::new(self.0.bytes());
+        let mut out = Vec::new();
+        while d.remaining() > 0 {
+            // Every record was checked by `recover` or encoded by `log`.
+            out.push(d.get().expect("logged bytes are match encodings"));
+        }
+        out.append(&mut tail);
+        out
+    }
+}
+
 /// Crash-recoverable [`StreamingDlacep`]. See the [module docs](self).
 pub struct DurableDlacep<F: Filter, S: Store> {
     rt: StreamingDlacep<F>,
     log: StoreLog<S>,
-    /// How many of the runtime's matches the emit log already holds.
-    logged: usize,
+    /// The matches the emit log holds; `rt` holds only those emitted since.
+    logged: LoggedMatches,
     cfg: DurConfig,
     offered_since_ckpt: u64,
     ckpt_bytes: Counter,
@@ -242,10 +290,11 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
 
     /// Rebuild from whatever `store` holds ([`StoreLog::open`]): restore the
     /// newest valid checkpoint with the emit log's matches as the runtime's
-    /// emitted prefix, then replay the WAL suffix. An empty store is a cold
-    /// start. `pattern`, `filter`, `config` and `trainer` must be what the
-    /// original runtime ran with; a configuration mismatch is a
-    /// [`RuntimeError::Restore`] error.
+    /// emitted prefix (kept as logged bytes, checked by their mark), then
+    /// replay the WAL suffix. An empty store is a cold start. `pattern`,
+    /// `filter`, `config` and `trainer` must be what the original runtime
+    /// ran with; a configuration mismatch is a [`RuntimeError::Restore`]
+    /// error.
     ///
     /// When `registry` is `Some`, runtime metrics and journal land there
     /// from the first entry (the initial mode included). A `trainer` is
@@ -270,18 +319,17 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
         registry: Option<Arc<Registry>>,
         trainer: Option<Box<dyn ModelTrainer<F>>>,
     ) -> Result<(Self, RecoveryReport), DurError> {
-        let mut from_log: Vec<Match> = Vec::new();
+        let (mut mark, mut logged) = (EmittedMark::default(), LoggedMatches::default());
         let (log, found) =
-            StoreLog::open::<_, _, DurError>(store, dur.wal, decode_durable_payload, |_, m| {
-                from_log.push(m)
+            StoreLog::open::<_, DurError>(store, dur.wal, decode_durable_payload, |_, record| {
+                logged.recover(&mut mark, record)
             })?;
-        let logged = from_log.len();
         let reg = registry.clone().unwrap_or_else(dlacep_obs::global);
         let (rt, checkpoint_seq, journal_watermark) = match found.checkpoint {
             Some((seq, mut ckpt)) => {
                 // A version-1 checkpoint brings its matches embedded and
                 // covers no log; they reach it at the next checkpoint.
-                ckpt.emitted_prefix.append(&mut from_log);
+                ckpt.emitted_logged = mark;
                 let watermark = ckpt.journal_next_seq;
                 let rt = StreamingDlacep::restore_with_trainer(
                     pattern, filter, config, registry, ckpt, trainer,
@@ -338,9 +386,16 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
         Ok((this, report))
     }
 
-    /// The wrapped runtime.
+    /// The wrapped runtime. It holds only the matches emitted since the
+    /// last checkpoint; [`matches`](Self::matches) is the whole output.
     pub fn runtime(&self) -> &StreamingDlacep<F> {
         &self.rt
+    }
+
+    /// Every match emitted so far, oldest first: the logged ones, decoded,
+    /// ahead of those the runtime emitted since the last checkpoint.
+    pub fn matches(&self) -> Vec<Match> {
+        self.logged.ahead_of(self.rt.matches_so_far().to_vec())
     }
 
     /// Next WAL sequence number == offered events durably loggable so far.
@@ -374,15 +429,14 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
     }
 
     /// Checkpoint through [`StoreLog`]: the matches emitted since the last
-    /// checkpoint go to the emit log, the payload is `emit_offset | runtime
-    /// checkpoint`. Returns the checkpoint's sequence number (== offered
-    /// events logged).
+    /// checkpoint move from the runtime to the emit log and the logged
+    /// bytes, the payload is `emit_offset | runtime checkpoint`. Returns the
+    /// checkpoint's sequence number (== offered events logged).
     pub fn checkpoint_now(&mut self) -> Result<u64, DurError> {
-        let matches = self.rt.matches_so_far();
-        for m in &matches[self.logged..] {
-            self.log.stage(0, m); // key: a single runtime has one stream
+        for m in self.rt.drain_matches() {
+            // Key: a single runtime has one stream.
+            self.log.stage(0, self.logged.log(&m));
         }
-        self.logged = matches.len();
         let rt = &self.rt;
         let (seq, bytes) = self.log.checkpoint::<DurError>(|e, emit_offset| {
             e.put_u64(emit_offset);
@@ -393,11 +447,14 @@ impl<F: Filter, S: Store> DurableDlacep<F, S> {
         Ok(seq)
     }
 
-    /// Flush trailing windows and produce the final report. Purely
+    /// Flush trailing windows and produce the final report, its matches
+    /// the whole output (the logged ones decoded ahead of the rest). Purely
     /// in-memory — take a [`checkpoint`](Self::checkpoint_now) first if the
     /// stream may resume later.
     pub fn finish(self) -> RuntimeReport {
-        self.rt.finish()
+        let mut report = self.rt.finish();
+        report.matches = self.logged.ahead_of(report.matches);
+        report
     }
 
     /// Tear down into the backing store (tests use this to inspect or crash
@@ -755,6 +812,7 @@ impl Dec for RuntimeCheckpoint {
                     hash: d.take_u64()?,
                 }
             },
+            emitted_logged: EmittedMark::default(),
             emitted_prefix,
             journaled_sheds: d.take_u64()?,
             journal_next_seq: d.take_u64()?,
@@ -943,7 +1001,7 @@ mod tests {
         );
         assert_eq!(report.wal_replayed, 7, "events 20..27 replayed");
         assert_eq!(report.resume_seq, 27);
-        assert_eq!(recovered.runtime().matches_so_far().len() as u64, {
+        assert_eq!(recovered.runtime().match_seq(), {
             // 27 alternating A/B events in a count-4 window produce matches;
             // just sanity-check against a fresh run.
             let mut fresh = StreamingDlacep::new(seq_ab(4), PassthroughFilter).unwrap();

@@ -73,7 +73,7 @@ pub use dlacep_par::{Parallelism, PoolStats};
 pub use drift::{DriftConfig, DriftMonitor, DriftMonitorState, DriftState};
 pub use durable::{
     decode_checkpoint, decode_offer, dur_dir_from_env, encode_checkpoint, encode_offer, put_offer,
-    DurConfig, DurError, DurableDlacep, RecoveryReport, DUR_DIR_ENV,
+    DurConfig, DurError, DurableDlacep, LoggedMatches, RecoveryReport, DUR_DIR_ENV,
 };
 pub use embed::EventEmbedder;
 pub use filter::{

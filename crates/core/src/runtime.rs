@@ -44,6 +44,7 @@ use crate::stage::{checked_usize, MarkStage, StageState, WindowObserver};
 use dlacep_cep::engine::CepEngine;
 use dlacep_cep::plan::Plan;
 use dlacep_cep::{EngineStats, Match, NfaConfig, NfaEngine, Pattern};
+use dlacep_dur::{CodecError, Decoder};
 use dlacep_events::{AttrValue, EventId, OutOfOrderPolicy, PrimitiveEvent, StreamError, TypeId};
 use dlacep_obs::{
     Counter, FieldValue, Histogram, Journal, MetricsSnapshot, Registry, TraceBuilder, Tracer,
@@ -181,6 +182,29 @@ pub struct EmittedMark {
     pub hash: u64,
 }
 
+/// The running hash of an [`EmittedMark`], fed one match at a time: the
+/// match's id count and ids, its binding count, then each binding's name
+/// length, name bytes, id count and ids. Those are the words of a match's
+/// encoding (`Enc for Match`) in the order it lays them out, which is what
+/// lets [`EmittedMark::push_encoded`] hash the encoding without decoding it.
+struct Mixer(u64);
+
+impl Mixer {
+    fn word(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn ids(&mut self, ids: &[EventId]) {
+        self.word(ids.len() as u64);
+        ids.iter().for_each(|id| self.word(id.0));
+    }
+
+    fn name(&mut self, name: &[u8]) {
+        self.word(name.len() as u64);
+        name.iter().for_each(|&b| self.word(u64::from(b)));
+    }
+}
+
 impl EmittedMark {
     /// The mark of a whole emitted sequence.
     pub fn of(matches: &[Match]) -> Self {
@@ -191,23 +215,48 @@ impl EmittedMark {
 
     /// Advance the mark over one more emitted match.
     pub fn push(&mut self, m: &Match) {
-        fn mix(h: u64, word: u64) -> u64 {
-            (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
-        }
-        fn mix_ids(h: u64, ids: &[EventId]) -> u64 {
-            ids.iter()
-                .fold(mix(h, ids.len() as u64), |h, id| mix(h, id.0))
-        }
-        let mut h = mix_ids(self.hash, &m.event_ids);
-        h = mix(h, m.bindings.len() as u64);
+        let mut h = Mixer(self.hash);
+        h.ids(&m.event_ids);
+        h.word(m.bindings.len() as u64);
         for (name, bound) in &m.bindings {
-            h = name
-                .bytes()
-                .fold(mix(h, name.len() as u64), |h, b| mix(h, u64::from(b)));
-            h = mix_ids(h, bound);
+            h.name(name.as_bytes());
+            h.ids(bound);
         }
         self.count += 1;
-        self.hash = h;
+        self.hash = h.0;
+    }
+
+    /// [`push`](Self::push) the match `record` encodes, walking the
+    /// encoding in place: no `Match` is built and nothing is allocated.
+    /// `record` must be exactly one match's encoding; the bytes decoding
+    /// would refuse are refused here with the same kind of [`CodecError`]
+    /// — a cut-short or over-long record, a string that is not UTF-8 — and
+    /// leave the mark as it was.
+    pub fn push_encoded(&mut self, record: &[u8]) -> Result<(), CodecError> {
+        fn ids(h: &mut Mixer, d: &mut Decoder<'_>) -> Result<(), CodecError> {
+            let n = d.take_u64()?;
+            h.word(n);
+            for _ in 0..n {
+                h.word(d.take_u64()?);
+            }
+            Ok(())
+        }
+        let mut d = Decoder::new(record);
+        let mut h = Mixer(self.hash);
+        ids(&mut h, &mut d)?;
+        let bindings = d.take_u64()?;
+        h.word(bindings);
+        for _ in 0..bindings {
+            let len = d.get::<usize>()?;
+            let name = d.take_bytes(len)?;
+            std::str::from_utf8(name).map_err(|_| CodecError::InvalidUtf8)?;
+            h.name(name);
+            ids(&mut h, &mut d)?;
+        }
+        d.finish()?;
+        self.count += 1;
+        self.hash = h.0;
+        Ok(())
     }
 }
 
@@ -275,11 +324,19 @@ pub struct RuntimeCheckpoint {
     pub timeline: Vec<ModeTransition>,
     /// Count and running hash of the matches emitted up to the checkpoint.
     pub emitted: EmittedMark,
+    /// Restore-side input, never captured and never encoded: the mark of
+    /// the emitted matches that whoever logged them keeps instead of
+    /// handing them back. The durability layer folds it from its emit
+    /// log's bytes ([`EmittedMark::push_encoded`]) and holds those bytes as
+    /// the runtime's output. The default (nothing) when every emitted match
+    /// comes back in [`emitted_prefix`](Self::emitted_prefix).
+    pub emitted_logged: EmittedMark,
     /// Restore-side input, never captured and never encoded: the emitted
-    /// matches themselves, handed back by whoever kept the output (the
-    /// durability layer reads them from its emit log; decoding a version-1
-    /// payload fills it from the matches that format embedded). Restore
-    /// checks it against [`emitted`](Self::emitted) and seeds
+    /// matches after those [`emitted_logged`](Self::emitted_logged) marks,
+    /// handed back to the runtime (decoding a version-1 payload fills it
+    /// from the matches that format embedded; a caller that keeps its own
+    /// output puts it here). Restore continues the logged mark over it,
+    /// checks the result against [`emitted`](Self::emitted), and seeds
     /// [`StreamingDlacep::matches_so_far`] with it.
     pub emitted_prefix: Vec<Match>,
     /// Extractor shed count already journaled (per-event delta bookkeeping).
@@ -1010,16 +1067,28 @@ impl<F: Filter> StreamingDlacep<F> {
         self.engine.stored_partials()
     }
 
-    /// Matches emitted so far.
+    /// The emitted matches this runtime still holds: every match it has
+    /// emitted (those a restore was handed back included), less any taken
+    /// with [`drain_matches`](Self::drain_matches). A durable tier drains
+    /// at every checkpoint, so the runtime it wraps holds only the output
+    /// not yet logged; read the whole output from the tier
+    /// ([`DurableDlacep::matches`](crate::durable::DurableDlacep::matches)).
     pub fn matches_so_far(&self) -> &[Match] {
         &self.matches
+    }
+
+    /// Take the matches [`matches_so_far`](Self::matches_so_far) holds,
+    /// oldest first. The emitted mark, and with it
+    /// [`match_seq`](Self::match_seq), still counts them.
+    pub fn drain_matches(&mut self) -> std::vec::Drain<'_, Match> {
+        self.matches.drain(..)
     }
 
     /// Emitted-match watermark: how many matches this runtime has produced.
     /// Checkpointed (as [`EmittedMark::count`]), so a consumer that records
     /// it can deduplicate output across a crash/restore cycle exactly.
     pub fn match_seq(&self) -> u64 {
-        self.matches.len() as u64
+        self.emitted.count
     }
 
     /// Canonical encoding of the semantic configuration, used to pair
@@ -1096,6 +1165,7 @@ impl<F: Filter> StreamingDlacep<F> {
             windows_degraded: self.sup.windows_degraded as u64,
             timeline: self.sup.timeline.clone(),
             emitted: self.emitted,
+            emitted_logged: EmittedMark::default(),
             emitted_prefix: Vec::new(),
             journaled_sheds: self.journaled_sheds,
             journal_next_seq: self.sup.obs.journal.next_seq(),
@@ -1113,8 +1183,10 @@ impl<F: Filter> StreamingDlacep<F> {
     /// [`journal watermark`](RuntimeCheckpoint::journal_next_seq).
     ///
     /// The matches emitted before the checkpoint are not in it: put them in
-    /// [`RuntimeCheckpoint::emitted_prefix`] first. A prefix whose count or
-    /// hash disagrees with the checkpoint's mark is a
+    /// [`RuntimeCheckpoint::emitted_prefix`] first, or, for output the
+    /// caller keeps as logged bytes, their mark in
+    /// [`RuntimeCheckpoint::emitted_logged`]. An emitted prefix whose count
+    /// or hash disagrees with the checkpoint's mark is a
     /// [`RuntimeError::Restore`].
     ///
     /// After restore, ingesting the same events the original runtime would
@@ -1239,7 +1311,8 @@ impl<F: Filter> StreamingDlacep<F> {
         rt.events_relayed = us(ckpt.events_relayed, "events_relayed")?;
         rt.sup.windows_degraded = us(ckpt.windows_degraded, "windows_degraded")?;
         rt.sup.timeline = ckpt.timeline;
-        let handed = EmittedMark::of(&ckpt.emitted_prefix);
+        let mut handed = ckpt.emitted_logged;
+        ckpt.emitted_prefix.iter().for_each(|m| handed.push(m));
         if handed != ckpt.emitted {
             return Err(RuntimeError::Restore(format!(
                 "emitted prefix holds {} matches hashing to {:#018x}, \

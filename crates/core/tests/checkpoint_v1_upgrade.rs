@@ -30,6 +30,16 @@
 //! file any more: this build must write every other file of both stores
 //! byte for byte, redeploy model v1 from the checkpoint alone, leave the
 //! model file as it found it, and finish equal to the uninterrupted run.
+//!
+//! The `*_emit_pr28` fixtures were recorded by the last commit whose
+//! recovery decoded every logged match: a `DurableDlacep` store and a
+//! two-shard fleet (three keys that each match) killed at the rename that
+//! would have published their third checkpoint (the fleet's on its last
+//! shard) — two published checkpoints, the third's complete `.tmp`, and an
+//! emit log whose synced tail lies past the newest checkpoint. This build
+//! must write every file of both images byte for byte at the same crash
+//! tick, recover each with the parent's report (the same tail cut), and
+//! finish equal to the uninterrupted run.
 
 mod common;
 
@@ -40,7 +50,10 @@ use dlacep_core::durable::{
 };
 use dlacep_core::filter::PassthroughFilter;
 use dlacep_core::runtime::{EmittedMark, RuntimeConfig, StreamingDlacep};
-use dlacep_dur::{load_latest_checkpoint, MemStore, Store, WalConfig, CKPT_VERSION, EMIT_LOG_NAME};
+use dlacep_dur::{
+    load_latest_checkpoint, FailingStore, MemStore, Schedule, Store, WalConfig, CKPT_VERSION,
+    EMIT_LOG_NAME,
+};
 use dlacep_events::{AttrValue, KeyExtractor, TypeId, WindowSpec};
 use dlacep_obs::Registry;
 use dlacep_serve::{FleetConfig, FleetReport, ShardRecovery, ShardedDlacep};
@@ -53,6 +66,8 @@ const DURABLE_STORE_V2: &str = include_str!("fixtures/durable_store_pr22.txt");
 const SHARD_STORE_V2: &str = include_str!("fixtures/shard_store_pr22.txt");
 const DURABLE_STORE_RETRAIN: &str = include_str!("fixtures/durable_store_retrain_pr27.txt");
 const SHARD_STORE_RETRAIN: &str = include_str!("fixtures/shard_store_retrain_pr27.txt");
+const DURABLE_STORE_EMIT: &str = include_str!("fixtures/durable_store_emit_pr28.txt");
+const SHARD_STORE_EMIT: &str = include_str!("fixtures/shard_store_emit_pr28.txt");
 
 const SPLIT: usize = 50;
 
@@ -291,7 +306,7 @@ fn v1_durable_store_upgrades_in_place() {
     let (mut dur, report) = recover_durable(fixture);
     assert_eq!(report.checkpoint_seq, Some(40));
     assert_eq!((report.wal_replayed, report.resume_seq), (10, 50));
-    let emitted_before = dur.runtime().matches_so_far().len();
+    let emitted_before = dur.runtime().match_seq();
     assert!(emitted_before > 0, "the embedded matches came back");
 
     // Ten more offers cross the cadence: the first version-2 checkpoint.
@@ -315,7 +330,7 @@ fn v1_durable_store_upgrades_in_place() {
     let (mut dur, report) = recover_durable(upgraded);
     assert_eq!(report.checkpoint_seq, Some(60));
     assert_eq!(report.emit_truncated_bytes, 0);
-    assert!(dur.runtime().matches_so_far().len() >= emitted_before);
+    assert!(dur.runtime().match_seq() >= emitted_before);
     feed_durable(&mut dur, &input[60..]);
     assert_eq!(dur.finish().matches, reference_matches());
 }
@@ -382,7 +397,7 @@ fn v2_durable_store_is_written_byte_for_byte_and_recovers() {
     assert_eq!(report.checkpoint_seq, Some(40));
     assert_eq!((report.wal_replayed, report.resume_seq), (10, 50));
     assert_eq!(report.emit_truncated_bytes, 0);
-    assert!(!dur.runtime().matches_so_far().is_empty());
+    assert!(!dur.matches().is_empty());
     feed_durable(&mut dur, &input[SPLIT..]);
     assert_eq!(dur.finish().matches, reference_matches());
 }
@@ -594,4 +609,235 @@ fn retrain_shard_stores_redeploy_from_the_checkpoint() {
     for (got, want) in got.keys.iter().zip(&reference.keys) {
         assert_eq!(got.report.retrain, want.report.retrain, "key {}", got.key);
     }
+}
+
+/// The `*_emit_pr28` pattern: `SEQ(a, b)` with `a` any of types 0, 4, 8 and
+/// `b` any of 1, 5, 9 — under `ByTypeGroup(4)` keys 0, 1 and 2 each match
+/// on their own.
+fn emit_pattern() -> Pattern {
+    let types = |ts: [u32; 3]| TypeSet::new(ts.into_iter().map(TypeId).collect());
+    Pattern::new(
+        PatternExpr::Seq(vec![
+            PatternExpr::event(types([0, 4, 8]), "a"),
+            PatternExpr::event(types([1, 5, 9]), "b"),
+        ]),
+        vec![],
+        WindowSpec::Count(6),
+    )
+}
+
+/// 96 offers from a fixed LCG over types 0..12.
+fn emit_offers() -> Vec<Offer> {
+    let mut state = 0x0e_a1_7a_11_u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        state >> 33
+    };
+    (0..96u64)
+        .map(|i| {
+            (
+                TypeId((next() % 12) as u32),
+                i * 10,
+                vec![(next() % 100) as f64],
+            )
+        })
+        .collect()
+}
+
+/// Checkpoints at offers 24, 48 and 72.
+fn emit_dur_config() -> DurConfig {
+    DurConfig {
+        wal: WalConfig {
+            segment_max_bytes: 512,
+            sync_every: 4,
+        },
+        checkpoint_every_events: 24,
+    }
+}
+
+fn emit_fleet_config() -> FleetConfig {
+    FleetConfig {
+        shards: common::FLEET_SHARDS,
+        key_extractor: KeyExtractor::ByTypeGroup(4),
+        wal: WalConfig {
+            segment_max_bytes: 512,
+            sync_every: 0,
+        },
+        sync_every_events: 8,
+        checkpoint_every_events: 24,
+        obs: true,
+        ..FleetConfig::default()
+    }
+}
+
+/// The third checkpoint falls on the last offer the crash images feed.
+const EMIT_STOP: usize = 72;
+
+/// The durable store of a run that dies at durability tick `tick`.
+fn durable_crash_image(tick: u64) -> MemStore {
+    let store = FailingStore::crash_at(MemStore::new(), tick);
+    let mut dur = DurableDlacep::new(
+        emit_pattern(),
+        PassthroughFilter,
+        RuntimeConfig::default(),
+        emit_dur_config(),
+        store,
+        registry(),
+        None,
+    )
+    .unwrap();
+    for (t, ts, attrs) in emit_offers().into_iter().take(EMIT_STOP) {
+        if dur.ingest(t, ts, attrs).is_err() {
+            break;
+        }
+    }
+    dur.into_store().into_durable()
+}
+
+/// The shard stores of a fleet whose last shard dies at tick `tick`.
+fn fleet_crash_image(tick: u64) -> Vec<MemStore> {
+    let last = common::FLEET_SHARDS as usize - 1;
+    let stores = (0..=last)
+        .map(|i| {
+            let schedule = if i == last {
+                Schedule::never().at(tick)
+            } else {
+                Schedule::never()
+            };
+            FailingStore::new(MemStore::new(), schedule)
+        })
+        .collect();
+    let mut fleet = ShardedDlacep::create(
+        emit_pattern(),
+        emit_fleet_config(),
+        Arc::new(|| PassthroughFilter),
+        Arc::new(|| None),
+        stores,
+    )
+    .unwrap();
+    for (t, ts, attrs) in emit_offers().into_iter().take(EMIT_STOP) {
+        if fleet.ingest(t, ts, attrs).is_err() {
+            break;
+        }
+    }
+    let stores = fleet.into_stores();
+    stores.into_iter().map(FailingStore::into_durable).collect()
+}
+
+/// The tick of the durable fixture's crash, found by the recording commit:
+/// the rename that would publish checkpoint 72.
+const DURABLE_EMIT_CRASH: u64 = 7073;
+/// The tick of the fleet fixture's crash on its last shard: the rename that
+/// would publish that shard's third checkpoint.
+const FLEET_EMIT_CRASH: u64 = 3759;
+
+/// Two published checkpoints, the third's unpublished `.tmp`, and an emit
+/// log.
+fn assert_emit_tail_image(store: &MemStore, tmp: &str) {
+    let names = store.list().unwrap();
+    assert_eq!(names.iter().filter(|n| n.ends_with(".ck")).count(), 2);
+    assert!(store.exists(tmp).unwrap(), "{names:?}");
+    assert!(store.len(EMIT_LOG_NAME).unwrap() > 0);
+}
+
+fn emit_durable(store: MemStore) -> (DurableDlacep<PassthroughFilter, MemStore>, RecoveryReport) {
+    DurableDlacep::recover(
+        emit_pattern(),
+        PassthroughFilter,
+        RuntimeConfig::default(),
+        emit_dur_config(),
+        store,
+        registry(),
+        None,
+    )
+    .expect("the store recovers")
+}
+
+#[test]
+fn emit_tail_durable_store_is_written_byte_for_byte_and_recovers() {
+    let input = emit_offers();
+    let fixture = load_store(DURABLE_STORE_EMIT);
+    assert_emit_tail_image(&fixture, "ckpt-0000000000000048.tmp");
+    let rebuilt = durable_crash_image(DURABLE_EMIT_CRASH);
+    assert_bytes_equal(&fixture, &rebuilt, "", "durable");
+
+    let reference = {
+        let (mut dur, _) = emit_durable(MemStore::new());
+        feed_durable(&mut dur, &input);
+        dur.finish()
+    };
+    assert_eq!(reference.matches.len(), 25, "the parent's output");
+    let mut plain = StreamingDlacep::new(emit_pattern(), PassthroughFilter).unwrap();
+    for (t, ts, attrs) in &input {
+        plain.ingest(*t, *ts, attrs.clone()).unwrap();
+    }
+    assert_eq!(plain.finish().matches, reference.matches);
+
+    // The parent's report: checkpoint 48 restored, the tail past it cut,
+    // offers 48..72 replayed.
+    let (mut dur, report) = emit_durable(fixture);
+    assert_eq!(report.checkpoint_seq, Some(48));
+    assert_eq!((report.wal_replayed, report.resume_seq), (24, 72));
+    assert_eq!(report.emit_truncated_bytes, 196);
+    let emitted = dur.runtime().match_seq() as usize;
+    assert!(
+        dur.runtime().matches_so_far().len() < emitted,
+        "the logged output stays with the durable tier"
+    );
+    assert_eq!(dur.matches(), reference.matches[..emitted]);
+    feed_durable(&mut dur, &input[EMIT_STOP..]);
+    let got = dur.finish();
+    assert_eq!(got.matches, reference.matches);
+    assert_eq!(got.extractor_stats, reference.extractor_stats);
+    assert_eq!(got.timeline, reference.timeline);
+}
+
+#[test]
+fn emit_tail_shard_stores_are_written_byte_for_byte_and_recover() {
+    let input = emit_offers();
+    let fixture = load_shards(SHARD_STORE_EMIT);
+    assert_emit_tail_image(&fixture[1], "ckpt-0000000000000011.tmp");
+    let rebuilt = fleet_crash_image(FLEET_EMIT_CRASH);
+    for (i, (want, got)) in fixture.iter().zip(&rebuilt).enumerate() {
+        assert_bytes_equal(want, got, "", &format!("shard {i}"));
+    }
+
+    let create = |stores| {
+        let (filter, trainer) = (Arc::new(|| PassthroughFilter), Arc::new(|| None));
+        ShardedDlacep::recover(emit_pattern(), emit_fleet_config(), filter, trainer, stores)
+            .expect("the stores recover")
+    };
+    let reference = {
+        let (mut fleet, _) = create(vec![MemStore::new(), MemStore::new()]);
+        feed_fleet(&mut fleet, &input);
+        fleet.finish()
+    };
+    let per_key: Vec<(u64, u32, usize)> = reference
+        .keys
+        .iter()
+        .map(|k| (k.key, k.shard, k.report.matches.len()))
+        .collect();
+    assert_eq!(per_key, [(0, 0, 3), (1, 1, 5), (2, 0, 13)], "the parent's");
+
+    // The parent's report: shard 0 published its third checkpoint, shard 1
+    // cut the tail past its second and replays what followed.
+    let (mut fleet, report) = create(fixture);
+    let shards: Vec<_> = report
+        .shards
+        .iter()
+        .map(|s| {
+            let replay = (s.keys_restored, s.wal_replayed, s.emit_truncated_bytes);
+            (s.checkpoint_seq, replay, s.high_water)
+        })
+        .collect();
+    assert_eq!(
+        shards,
+        [(Some(55), (2, 0, 0), 72), (Some(8), (1, 9, 210), 72)]
+    );
+    assert_eq!(report.resume_seq, EMIT_STOP as u64 + 1);
+    assert_eq!(fleet.stats().matches, 14);
+    feed_fleet(&mut fleet, &input[EMIT_STOP..]);
+    assert_fleet_equal(&fleet.finish(), &reference);
 }

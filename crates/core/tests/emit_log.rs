@@ -122,7 +122,7 @@ fn durable_store() -> (MemStore, Vec<Match>) {
         dur.ingest(TypeId((i % 3) as u32), i, vec![i as f64])
             .unwrap();
     }
-    let emitted = dur.runtime().matches_so_far().to_vec();
+    let emitted = dur.matches();
     assert!(emitted.len() > 8);
     (dur.into_store(), emitted)
 }
@@ -208,7 +208,7 @@ fn forge_first_match(store: &mut MemStore) {
 fn recovery_reads_the_emitted_prefix_from_the_log() {
     let (store, emitted) = durable_store();
     let dur = recover_durable(store).expect("an intact store recovers");
-    assert_eq!(dur.runtime().matches_so_far(), emitted);
+    assert_eq!(dur.matches(), emitted);
     assert_eq!(recover_fleet(shard_store()).unwrap(), emitted.len() as u64);
 }
 
@@ -418,7 +418,7 @@ fn starting_fresh_on_a_store_that_holds_a_run_is_refused_and_touches_nothing() {
             .unwrap();
     }
     dur.sync().unwrap();
-    let emitted = dur.runtime().matches_so_far().to_vec();
+    let emitted = dur.matches();
     drop(dur); // the process ends
     let image = files(&dir);
     assert!(image
@@ -442,6 +442,6 @@ fn starting_fresh_on_a_store_that_holds_a_run_is_refused_and_touches_nothing() {
 
     // The run is still there to recover.
     let recovered = recover_durable(open()).expect("the run recovers");
-    assert_eq!(recovered.runtime().matches_so_far(), emitted);
+    assert_eq!(recovered.matches(), emitted);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -110,6 +110,7 @@ pub fn load_latest_checkpoint<S: Store>(store: &S) -> io::Result<CheckpointScan>
             | Err(CodecError::BadMagic { .. })
             | Err(CodecError::UnsupportedVersion { .. })
             | Err(CodecError::Malformed(_))
+            | Err(CodecError::InvalidUtf8)
             | Err(CodecError::TrailingBytes { .. }) => scan.skipped += 1,
         }
     }

@@ -44,6 +44,9 @@ pub enum CodecError {
     ChecksumMismatch { expected: u32, got: u32 },
     /// Structurally invalid payload (bad enum tag, impossible length, …).
     Malformed(String),
+    /// A string's bytes are not UTF-8. Its own variant, so that decoders
+    /// which must not allocate can refuse it.
+    InvalidUtf8,
     /// Decoding succeeded but left unconsumed bytes where none belong.
     TrailingBytes { remaining: usize },
 }
@@ -73,6 +76,7 @@ impl fmt::Display for CodecError {
                 )
             }
             CodecError::Malformed(msg) => write!(f, "malformed payload: {msg}"),
+            CodecError::InvalidUtf8 => write!(f, "malformed payload: invalid utf-8 in string"),
             CodecError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} trailing bytes after payload")
             }
@@ -441,8 +445,7 @@ impl Dec for String {
     fn dec(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let len = d.get::<usize>()?;
         let bytes = d.take_bytes(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| CodecError::Malformed("invalid utf-8 in string".into()))
+        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::InvalidUtf8)
     }
 }
 

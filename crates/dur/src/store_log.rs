@@ -18,10 +18,13 @@
 //!
 //! **Recovery order** ([`StoreLog::open`]): WAL open (torn tail cut) →
 //! newest valid checkpoint, decoded by the caller, which names the emit
-//! offset it covers → emit log cut at that offset, the records below it
-//! handed to the caller → WAL suffix from the checkpoint's sequence number.
-//! The caller restores with the logged records as its emitted prefix and
-//! replays the suffix.
+//! offset it covers → emit log cut at that offset, each record below it
+//! CRC-checked and handed to the caller as its key and raw payload → WAL
+//! suffix from the checkpoint's sequence number. Nothing is decoded into
+//! values on the way: the callers verify each payload in place (folding it
+//! into the key's emitted mark), keep it as the bytes that were logged, and
+//! restore with the folded mark checked against the checkpoint's before
+//! they replay the suffix.
 //!
 //! **A fresh start** ([`StoreLog::check_empty`]) refuses a store that holds
 //! anything ([`NotEmpty`]) before a byte is written: a fresh emit log starts
@@ -34,7 +37,7 @@ use std::io;
 use crate::checkpoint::{
     load_latest_checkpoint, prune_checkpoints, publish_checkpoint, CKPT_MAGIC, CKPT_VERSION,
 };
-use crate::codec::{CodecError, Dec, Decoder, Enc, Encoder};
+use crate::codec::{CodecError, Decoder, Encoder};
 use crate::emit::{EmitError, EmitLog};
 use crate::store::Store;
 use crate::wal::{Wal, WalConfig, WalError, WalOpenReport};
@@ -113,13 +116,15 @@ impl<S: Store> StoreLog<S> {
     /// [module docs](self). `decode` turns the newest valid checkpoint's
     /// payload (and its container version) into the caller's state and the
     /// emit-log offset it covers; `logged` receives every emit record below
-    /// that offset as `(key, record)`, oldest first. An empty store is a
-    /// cold start.
-    pub fn open<P, T: Dec, E: LogError>(
+    /// that offset as `(key, record)`, oldest first, the record as the raw
+    /// bytes [`stage`](Self::stage)d for it. An error from `logged` fails
+    /// the open as [`EmitError::Corrupt`] at that record. An empty store is
+    /// a cold start.
+    pub fn open<P, E: LogError>(
         mut store: S,
         wal: WalConfig,
         decode: impl FnOnce(u16, &[u8]) -> Result<(u64, P), CodecError>,
-        mut logged: impl FnMut(u64, T),
+        mut logged: impl FnMut(u64, &[u8]) -> Result<(), CodecError>,
     ) -> Result<(Self, Recovered<P>), E> {
         let (wal, wal_report) = Wal::open(&mut store, wal)?;
         let scan = load_latest_checkpoint(&store)?;
@@ -133,8 +138,7 @@ impl<S: Store> StoreLog<S> {
         let (emit, emit_truncated_bytes) = EmitLog::open_at(&mut store, emit_offset, |record| {
             let mut d = Decoder::new(record);
             let key = d.take_u64()?;
-            logged(key, d.get()?);
-            d.finish()
+            logged(key, d.take_bytes(d.remaining())?)
         })?;
         let suffix = Wal::replay(&store, checkpoint.as_ref().map_or(0, |(seq, _)| *seq))?;
         let log = StoreLog {
@@ -169,13 +173,14 @@ impl<S: Store> StoreLog<S> {
         self.wal.next_seq()
     }
 
-    /// Stage the emit record `key | record`. Staged records reach the emit
-    /// log with the next [`checkpoint`](Self::checkpoint), and stay staged
-    /// until an append of them succeeds.
-    pub fn stage<T: Enc>(&mut self, key: u64, record: &T) {
+    /// Stage the emit record `key | record`, `record` already encoded.
+    /// Staged records reach the emit log with the next
+    /// [`checkpoint`](Self::checkpoint), and stay staged until an append of
+    /// them succeeds.
+    pub fn stage(&mut self, key: u64, record: &[u8]) {
         self.emit.stage(|e| {
             e.put_u64(key);
-            e.put(record);
+            e.put_bytes(record);
         });
     }
 
@@ -243,7 +248,7 @@ mod tests {
         for i in 0..records {
             log.append(|e| e.put_u64(i)).unwrap();
             if (i + 1) % every == 0 {
-                log.stage(i % 2, &i);
+                log.stage(i % 2, &i.to_le_bytes());
                 log.checkpoint::<Failed>(|e, offset| {
                     e.put_u64(offset);
                     e.put_u64(i + 1);
@@ -255,7 +260,7 @@ mod tests {
 
     fn open(store: MemStore) -> (StoreLog<MemStore>, Recovered<u64>, Vec<(u64, u64)>) {
         let mut logged = Vec::new();
-        let (log, found) = StoreLog::open::<u64, u64, Failed>(
+        let (log, found) = StoreLog::open::<u64, Failed>(
             store,
             cfg(),
             |_, payload| {
@@ -263,7 +268,11 @@ mod tests {
                 let (offset, seq) = (d.take_u64()?, d.take_u64()?);
                 d.finish().map(|_| (offset, seq))
             },
-            |key, record| logged.push((key, record)),
+            |key, record| {
+                let mut d = Decoder::new(record);
+                logged.push((key, d.take_u64()?));
+                d.finish()
+            },
         )
         .unwrap();
         (log, found, logged)
@@ -305,6 +314,25 @@ mod tests {
             (found.emit_truncated_bytes, logged),
             (9, vec![(0, 4), (1, 9)])
         );
+    }
+
+    #[test]
+    fn a_record_the_caller_refuses_fails_the_open_as_corrupt() {
+        let (mut log, _, _) = open(MemStore::new());
+        run(&mut log, 10, 5);
+        let refused = StoreLog::open::<u64, Failed>(
+            log.into_store(),
+            cfg(),
+            |_, payload| Decoder::new(payload).take_u64().map(|offset| (offset, 0)),
+            |key, _| match key {
+                1 => Err(CodecError::InvalidUtf8),
+                _ => Ok(()),
+            },
+        );
+        let Err(Failed(msg)) = refused else {
+            panic!("a refused record must fail the open");
+        };
+        assert!(msg.starts_with("emit log corrupt at emit.log+"), "{msg}");
     }
 
     #[test]

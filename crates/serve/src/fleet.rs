@@ -28,7 +28,8 @@
 //! ## Recovery model
 //!
 //! [`ShardedDlacep::recover`] restores every shard independently (each key
-//! gets its logged matches as its emitted prefix; the WAL suffix is
+//! gets its logged matches as its emitted prefix — kept as the bytes that
+//! were logged, checked by the mark folded from them; the WAL suffix is
 //! replayed in per-key batches), then reports
 //! `resume_seq = min(high_water) + 1`: the fleet position from which the
 //! source must re-offer events. Re-offered events that a given shard
@@ -40,11 +41,10 @@
 //! mis-assembled fleet would silently misroute keys otherwise.
 
 use crate::hash::{shard_of, DEFAULT_HASH_SEED, HASH_REVISION};
-use dlacep_cep::Match;
 use dlacep_cep::Pattern;
 use dlacep_core::{
-    decode_offer, put_offer, Filter, ModelTrainer, RuntimeCheckpoint, RuntimeConfig, RuntimeError,
-    StreamingDlacep,
+    decode_offer, put_offer, EmittedMark, Filter, LoggedMatches, ModelTrainer, RuntimeCheckpoint,
+    RuntimeConfig, RuntimeError, StreamingDlacep,
 };
 use dlacep_dur::codec::{CodecError, Decoder, Encoder};
 use dlacep_dur::manifest::{load_manifest, write_manifest, FleetManifest, ManifestError};
@@ -268,11 +268,12 @@ pub struct FleetRecoveryReport {
     pub resume_seq: u64,
 }
 
-/// One partition key's runtime and its durability bookkeeping.
+/// One partition key's runtime and its logged output.
 struct KeyRuntime<F: Filter> {
     rt: StreamingDlacep<F>,
-    /// How many of `rt`'s matches the shard's emit log already holds.
-    logged: usize,
+    /// The key's matches the shard's emit log holds; `rt` holds only those
+    /// emitted since.
+    logged: LoggedMatches,
 }
 
 struct Shard<F: Filter, S: Store> {
@@ -379,12 +380,15 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
                     true
                 }
             };
-            let mut emitted: BTreeMap<u64, Vec<Match>> = BTreeMap::new();
-            let (log, found) = StoreLog::open::<_, _, FleetError>(
+            let mut emitted: BTreeMap<u64, (EmittedMark, LoggedMatches)> = BTreeMap::new();
+            let (log, found) = StoreLog::open::<_, FleetError>(
                 store,
                 fleet.cfg.wal,
                 decode_shard_checkpoint,
-                |key, m| emitted.entry(key).or_default().push(m),
+                |key, record| {
+                    let (mark, logged) = emitted.entry(key).or_default();
+                    logged.recover(mark, record)
+                },
             )?;
             let mut shard = Shard {
                 log,
@@ -406,9 +410,8 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
                 for (key, mut rt_ckpt) in ckpt.keys {
                     // A version-1 checkpoint brings its matches embedded and
                     // covers no log; they reach it at the next checkpoint.
-                    let mut from_log = emitted.remove(&key).unwrap_or_default();
-                    let logged = from_log.len();
-                    rt_ckpt.emitted_prefix.append(&mut from_log);
+                    let (mark, logged) = emitted.remove(&key).unwrap_or_default();
+                    rt_ckpt.emitted_logged = mark;
                     let rt = fleet.restore_runtime(rt_ckpt)?;
                     shard.runtimes.insert(key, KeyRuntime { rt, logged });
                     report.keys_restored += 1;
@@ -553,9 +556,10 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
     fn key_runtime(&mut self, si: usize, key: u64) -> Result<&mut StreamingDlacep<F>, FleetError> {
         if !self.shards[si].runtimes.contains_key(&key) {
             let rt = self.fresh_runtime()?;
+            let logged = LoggedMatches::default();
             self.shards[si]
                 .runtimes
-                .insert(key, KeyRuntime { rt, logged: 0 });
+                .insert(key, KeyRuntime { rt, logged });
         }
         let entry = self.shards[si].runtimes.get_mut(&key);
         Ok(&mut entry.expect("inserted above").rt)
@@ -689,18 +693,17 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
         Ok(())
     }
 
-    /// Checkpoint every shard's [`StoreLog`]: stage the matches emitted
-    /// since the last checkpoint, and write the live state of every key
+    /// Checkpoint every shard's [`StoreLog`]: move the matches emitted
+    /// since the last checkpoint from each key runtime to the emit log and
+    /// the key's logged bytes, and write the live state of every key
     /// stamped with the current fleet position.
     pub fn checkpoint_now(&mut self) -> Result<(), FleetError> {
         let g = self.next_global;
         for shard in &mut self.shards {
-            for (key, entry) in shard.runtimes.iter_mut() {
-                let matches = entry.rt.matches_so_far();
-                for m in &matches[entry.logged..] {
-                    shard.log.stage(*key, m);
+            for (key, KeyRuntime { rt, logged }) in shard.runtimes.iter_mut() {
+                for m in rt.drain_matches() {
+                    shard.log.stage(*key, logged.log(&m));
                 }
-                entry.logged = matches.len();
             }
             // Every key is encoded where it will be written from: one
             // per-shard buffer, each key's length filled in behind it.
@@ -909,8 +912,9 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
                 matches: 0,
                 stats: shard.stats,
             };
-            for (key, entry) in shard.runtimes {
-                let report = entry.rt.finish();
+            for (key, KeyRuntime { rt, logged }) in shard.runtimes {
+                let mut report = rt.finish();
+                report.matches = logged.ahead_of(report.matches);
                 summary.matches += report.matches.len() as u64;
                 keys.push(KeyReport {
                     key,

@@ -116,7 +116,7 @@ fn main() {
             .ingest(*t, *ts, attrs.clone())
             .expect("in-order source");
     }
-    let matches_before = durable.runtime().matches_so_far().len();
+    let matches_before = durable.runtime().match_seq();
     println!("first life     : 180/300 events, {matches_before} matches, then crash");
     drop(durable); // power cut: all in-memory state is gone
 
