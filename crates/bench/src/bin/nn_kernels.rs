@@ -4,10 +4,12 @@
 //! windows stacked into one batched forward pass — the sweep
 //! `dlacep_core::MARK_BATCH` is chosen from. Per shape it also splits the
 //! single-window int8 time into the encoder, the emission layer and the
-//! BI-CRF head, and times the fused LSTM cell update on its own at every
-//! kernel level the CPU has. It also times one event-network training step
-//! (`B = 32` windows of `T = 32` events, as `trainer::fit` runs it) with
-//! its heap allocations. Dumps `results/BENCH_nn_kernels.json`.
+//! BI-CRF head, and times one step of a layer's lockstep recurrence (both
+//! directions' recurrent GEMMs and cell updates) and the lockstep cell
+//! update on its own at every kernel level the CPU has. It also times one
+//! event-network training step (`B = 32` windows of `T = 32` events, as
+//! `trainer::fit` runs it) with its heap allocations. Dumps
+//! `results/BENCH_nn_kernels.json`.
 //!
 //! ```bash
 //! cargo run --release -p dlacep-bench --bin nn_kernels
@@ -16,7 +18,7 @@
 use dlacep_core::model::{EventNetwork, NetworkConfig, TrainWorkspace};
 use dlacep_core::quantized::{simd_level, QuantizedEventNetwork};
 use dlacep_core::MARK_BATCH;
-use dlacep_nn::quant::{time_cell_update, ScratchArena, UNIT_SCALE};
+use dlacep_nn::quant::{time_recurrence, ScratchArena, UNIT_SCALE};
 use dlacep_nn::{
     Adam, Initializer, Linear, ParamStore, QuantizedLinear, QuantizedStackedBiLstm, StackedBiLstm,
 };
@@ -94,9 +96,10 @@ struct SweepPoint {
     int8_nanos_per_window: f64,
 }
 
-/// The fused cell update alone: one step over `rows × hidden` units.
+/// One step of the lockstep recurrence driver over `rows` windows, at one
+/// kernel level.
 #[derive(Debug, Serialize)]
-struct CellPoint {
+struct StepPoint {
     simd_level: String,
     rows: usize,
     nanos_per_step: f64,
@@ -106,6 +109,8 @@ struct CellPoint {
 #[derive(Debug, Serialize)]
 struct KernelRow {
     scenario: String,
+    /// What the shape stands for.
+    note: &'static str,
     t_len: usize,
     input_dim: usize,
     hidden: usize,
@@ -122,8 +127,13 @@ struct KernelRow {
     emission_nanos_per_window: f64,
     /// …and the rest: the BI-CRF head and the decode.
     crf_head_nanos_per_window: f64,
-    /// One cell-update step at one row and at `MARK_BATCH` rows, per level.
-    cell_update: Vec<CellPoint>,
+    /// One recurrence step — both directions' recurrent GEMMs and cell
+    /// updates, as the driver runs them — at one row and at `MARK_BATCH`
+    /// rows, per level.
+    recurrence_step: Vec<StepPoint>,
+    /// The lockstep cell update alone (both directions, no recurrent
+    /// product), at the same row counts and levels.
+    cell_update: Vec<StepPoint>,
     speedup: f64,
     /// `MARK_BATCH` windows per forward pass, as the pipelines run it.
     mark_batch: usize,
@@ -161,8 +171,32 @@ fn time_per_window(reps: usize, windows_per_pass: usize, mut pass: impl FnMut())
         .fold(f64::INFINITY, f64::min)
 }
 
+/// Best-of-[`ROUNDS`] nanoseconds per step of the lockstep recurrence over
+/// `t_len` steps (`t_len = 1`: the cell update alone), at one row and at
+/// `MARK_BATCH` rows, for every kernel level.
+fn driver_points(hidden: usize, t_len: usize, reps: usize) -> Vec<StepPoint> {
+    [1, MARK_BATCH]
+        .into_iter()
+        .flat_map(|rows| {
+            let best = (0..ROUNDS)
+                .map(|_| time_recurrence(rows, hidden, t_len, reps))
+                .reduce(|best, round| {
+                    let faster = best.iter().zip(round);
+                    faster.map(|(b, r)| (b.0, b.1.min(r.1))).collect()
+                })
+                .expect("at least one round");
+            best.into_iter().map(move |(level, nanos)| StepPoint {
+                simd_level: level.to_string(),
+                rows,
+                nanos_per_step: nanos,
+            })
+        })
+        .collect()
+}
+
 fn bench_shape(
     scenario: &str,
+    note: &'static str,
     input_dim: usize,
     hidden: usize,
     layers: usize,
@@ -247,26 +281,12 @@ fn bench_shape(
         }
     });
 
-    let cell_update = [1, MARK_BATCH]
-        .into_iter()
-        .flat_map(|rows| {
-            let best = (0..ROUNDS)
-                .map(|_| time_cell_update(rows, hidden, 2_000))
-                .reduce(|best, round| {
-                    let faster = best.iter().zip(round);
-                    faster.map(|(b, r)| (b.0, b.1.min(r.1))).collect()
-                })
-                .expect("at least one round");
-            best.into_iter().map(move |(level, nanos)| CellPoint {
-                simd_level: level.to_string(),
-                rows,
-                nanos_per_step: nanos,
-            })
-        })
-        .collect();
+    let recurrence_step = driver_points(hidden, t_len, 200);
+    let cell_update = driver_points(hidden, 1, 2_000);
 
     KernelRow {
         scenario: scenario.to_string(),
+        note,
         t_len,
         input_dim,
         hidden,
@@ -278,6 +298,7 @@ fn bench_shape(
         encoder_nanos_per_window: encoder_nanos,
         emission_nanos_per_window: emission_nanos,
         crf_head_nanos_per_window: (int8_nanos - encoder_nanos - emission_nanos).max(0.0),
+        recurrence_step,
         cell_update,
         speedup: f32_nanos / int8_nanos,
         mark_batch: MARK_BATCH,
@@ -349,14 +370,46 @@ fn main() {
         bench_train("paper_train", 4, 75, 3, 3),
     ];
     let rows = vec![
-        // DLACEP_FULL training scale: 48 hidden units, 2 BiLSTM layers.
-        bench_shape("full_train", 16, 48, 2, 32),
-        // Stock-stream scale: the Fig. 8/9 embedder dims with a mid network.
-        bench_shape("stock", 24, 64, 1, 32),
-        // Paper scale: 150 hidden units, 2 BiLSTM layers (Table 3).
-        bench_shape("paper", 30, 150, 2, 32),
-        // Long marking window: assembler MarkSize = 2W for W = 32.
-        bench_shape("long_window", 24, 64, 1, 64),
+        bench_shape(
+            "stock_int8",
+            "the benchmark's stock_int8 filter: a 4-wide embedding, H 16, one layer, T = 2W = 32",
+            4,
+            16,
+            1,
+            32,
+        ),
+        bench_shape(
+            "full_train",
+            "DLACEP_FULL training scale: 48 hidden units, 2 BiLSTM layers",
+            16,
+            48,
+            2,
+            32,
+        ),
+        bench_shape(
+            "stock",
+            "the Fig. 8/9 embedder width with a mid network; not the shape the benchmark trains",
+            24,
+            64,
+            1,
+            32,
+        ),
+        bench_shape(
+            "paper",
+            "paper scale: 150 hidden units, 2 BiLSTM layers (Table 3)",
+            30,
+            150,
+            2,
+            32,
+        ),
+        bench_shape(
+            "long_window",
+            "long marking window: assembler MarkSize = 2W for W = 32",
+            24,
+            64,
+            1,
+            64,
+        ),
     ];
 
     println!(
@@ -409,14 +462,20 @@ fn main() {
         println!("{:<12} {}", r.scenario, sweep.join("  "));
     }
 
-    println!("\ncell update, ns per step of rows x H_pad:");
+    println!("\nlockstep recurrence, ns per step (both directions) of rows x H:");
     for r in &rows {
-        let cells: Vec<String> = r
-            .cell_update
-            .iter()
-            .map(|p| format!("{} B={} {:.0}", p.simd_level, p.rows, p.nanos_per_step))
-            .collect();
-        println!("{:<12} H={:<4} {}", r.scenario, r.hidden, cells.join("  "));
+        for (what, points) in [("step", &r.recurrence_step), ("cell", &r.cell_update)] {
+            let cells: Vec<String> = points
+                .iter()
+                .map(|p| format!("{} B={} {:.0}", p.simd_level, p.rows, p.nanos_per_step))
+                .collect();
+            println!(
+                "{:<12} H={:<4} {what} {}",
+                r.scenario,
+                r.hidden,
+                cells.join("  ")
+            );
+        }
     }
 
     println!("\ntrain step, B = {TRAIN_BATCH} windows of T = {TRAIN_T}:");

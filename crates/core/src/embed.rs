@@ -9,33 +9,49 @@
 use dlacep_cep::plan::Plan;
 use dlacep_cep::TypeSet;
 use dlacep_events::{PrimitiveEvent, TypeId};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 
 /// A fitted embedder mapping events to fixed-width vectors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventEmbedder {
-    /// Relevant type → one-hot slot.
-    slots: HashMap<TypeId, usize>,
+    /// Relevant type → one-hot slot, one entry per type, sorted by type:
+    /// [`EventEmbedder::slot`] bisects it, so embedding an event costs a
+    /// few comparisons instead of a SipHash.
+    slots: Vec<(TypeId, usize)>,
     /// Slot count for types (relevant types + 1 "other" slot).
     type_slots: usize,
     /// Number of numeric attributes appended.
     num_attrs: usize,
 }
 
+/// `(type, slot)` entries as a map keeps them: sorted by type, and of two
+/// entries for one type the later one.
+fn by_type(entries: impl IntoIterator<Item = (TypeId, usize)>) -> Vec<(TypeId, usize)> {
+    let mut slots: Vec<_> = entries.into_iter().collect();
+    slots.reverse();
+    slots.sort_by_key(|&(t, _)| t);
+    slots.dedup_by_key(|&mut (t, _)| t);
+    slots
+}
+
 impl EventEmbedder {
     /// Build from the set of pattern-relevant types.
     pub fn new(relevant: &TypeSet, num_attrs: usize) -> Self {
-        let slots: HashMap<TypeId, usize> = relevant
-            .types()
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, i))
-            .collect();
+        let slots = by_type(relevant.types().iter().enumerate().map(|(i, &t)| (t, i)));
         Self {
             type_slots: slots.len() + 1,
             slots,
             num_attrs,
+        }
+    }
+
+    /// The one-hot slot of an event type: its own for a relevant type, the
+    /// shared "other" slot for every other type.
+    fn slot(&self, type_id: TypeId) -> usize {
+        match self.slots.binary_search_by_key(&type_id, |&(t, _)| t) {
+            Ok(i) => self.slots[i].1,
+            Err(_) => self.type_slots - 1,
         }
     }
 
@@ -53,12 +69,7 @@ impl EventEmbedder {
     /// Embed one event.
     pub fn embed(&self, ev: &PrimitiveEvent) -> Vec<f32> {
         let mut v = vec![0.0_f32; self.dim()];
-        let slot = self
-            .slots
-            .get(&ev.type_id)
-            .copied()
-            .unwrap_or(self.type_slots - 1);
-        v[slot] = 1.0;
+        v[self.slot(ev.type_id)] = 1.0;
         for (i, a) in ev.attrs.iter().take(self.num_attrs).enumerate() {
             v[self.type_slots + i] = *a as f32;
         }
@@ -74,12 +85,7 @@ impl EventEmbedder {
     pub fn embed_into(&self, ev: &PrimitiveEvent, out: &mut [f32]) {
         assert_eq!(out.len(), self.dim(), "embed_into buffer width mismatch");
         out.fill(0.0);
-        let slot = self
-            .slots
-            .get(&ev.type_id)
-            .copied()
-            .unwrap_or(self.type_slots - 1);
-        out[slot] = 1.0;
+        out[self.slot(ev.type_id)] = 1.0;
         for (i, a) in ev.attrs.iter().take(self.num_attrs).enumerate() {
             out[self.type_slots + i] = *a as f32;
         }
@@ -96,12 +102,39 @@ impl EventEmbedder {
     }
 }
 
-// Binary codec (quantized-filter bundles): the slot map is encoded as a
-// slot-sorted entry list so the byte stream is deterministic regardless of
-// hash order.
+// The JSON form is the one a derive over a `slots` map wrote: the map's
+// entries keyed by type, in the order the map serializer sorts them.
+impl Serialize for EventEmbedder {
+    fn to_value(&self) -> Value {
+        let slots: HashMap<TypeId, usize> = self.slots.iter().copied().collect();
+        Value::Map(vec![
+            ("slots".into(), slots.to_value()),
+            ("type_slots".into(), self.type_slots.to_value()),
+            ("num_attrs".into(), self.num_attrs.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for EventEmbedder {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let m = v
+            .as_map()
+            .ok_or_else(|| DeError::new("expected map for EventEmbedder"))?;
+        let slots: HashMap<TypeId, usize> = serde::field(m, "slots")?;
+        Ok(Self {
+            slots: by_type(slots),
+            type_slots: serde::field(m, "type_slots")?,
+            num_attrs: serde::field(m, "num_attrs")?,
+        })
+    }
+}
+
+// Binary codec (quantized-filter bundles): the slots are encoded as an
+// entry list sorted by slot, the order the format was defined with when
+// they were kept in a hash map.
 impl dlacep_dur::Enc for EventEmbedder {
     fn enc(&self, e: &mut dlacep_dur::Encoder) {
-        let mut entries: Vec<(TypeId, usize)> = self.slots.iter().map(|(&t, &s)| (t, s)).collect();
+        let mut entries = self.slots.clone();
         entries.sort_by_key(|&(_, s)| s);
         e.put(&(entries.len() as u64));
         for (t, s) in entries {
@@ -116,12 +149,13 @@ impl dlacep_dur::Enc for EventEmbedder {
 impl dlacep_dur::Dec for EventEmbedder {
     fn dec(d: &mut dlacep_dur::Decoder<'_>) -> Result<Self, dlacep_dur::CodecError> {
         let n: u64 = d.get()?;
-        let mut slots = HashMap::new();
+        let mut slots = Vec::new();
         for _ in 0..n {
             let t: TypeId = d.get()?;
             let s: usize = d.get()?;
-            slots.insert(t, s);
+            slots.push((t, s));
         }
+        let slots = by_type(slots);
         let type_slots: usize = d.get()?;
         let num_attrs: usize = d.get()?;
         if type_slots != slots.len() + 1 {
@@ -184,6 +218,45 @@ mod tests {
         let e = embedder();
         let v = e.embed(&ev(3, vec![]));
         assert_eq!(v[3], 0.0);
+    }
+
+    #[test]
+    fn slot_table_equals_the_map() {
+        let types = [TypeId(40), TypeId(3), TypeId(7), TypeId(0)];
+        let relevant = TypeSet::new(types.to_vec());
+        let e = EventEmbedder::new(&relevant, 2);
+        // The map the embedder used to look types up in.
+        let map: HashMap<TypeId, usize> = relevant
+            .types()
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (t, i))
+            .collect();
+        let by_map = |t: TypeId| map.get(&t).copied().unwrap_or(e.type_slots - 1);
+        // Relevant types, irrelevant types between and below them, and
+        // types beyond the largest relevant one.
+        let beyond = [41, 1_000, u32::MAX - 1, u32::MAX];
+        for t in (0..=45).chain(beyond).map(TypeId) {
+            assert_eq!(e.slot(t), by_map(t), "{t:?}");
+            let v = e.embed(&ev(t.0, vec![0.5, -1.0]));
+            assert_eq!(v[by_map(t)], 1.0, "{t:?}");
+            assert_eq!(v[..e.type_slots].iter().sum::<f32>(), 1.0, "{t:?}");
+        }
+        for (i, t) in types.into_iter().enumerate() {
+            assert_eq!(e.slot(t), map[&t]);
+            assert!(
+                e.slot(t) < types.len(),
+                "relevant type {i} has its own slot"
+            );
+        }
+        // Decoding either form gives the same embedder back.
+        let mut en = dlacep_dur::Encoder::new();
+        en.put(&e);
+        let bytes = en.into_bytes();
+        let back: EventEmbedder = dlacep_dur::Decoder::new(&bytes).get().unwrap();
+        let json: EventEmbedder =
+            serde_json::from_str(&serde_json::to_string(&e).unwrap()).unwrap();
+        assert_eq!((&back, &json), (&e, &e));
     }
 
     #[test]

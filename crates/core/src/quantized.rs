@@ -17,10 +17,11 @@
 //!   (derived, never persisted), one `exp` per position on the clamped
 //!   emission difference shared by both directions, `α̂` renormalised at
 //!   every step, and a backward sweep that reuses those normalisers and
-//!   writes each marginal as it passes instead of storing a trellis. The
-//!   derivation and its error bounds are in DESIGN.md, "Quantized
-//!   inference"; the decode rule and its tie behaviour (ties mark) are
-//!   `BiCrf::decode`'s.
+//!   produces each marginal as it passes instead of storing a trellis. The
+//!   two directions run in lockstep: one loop takes both forward sweeps,
+//!   one both backward sweeps. The derivation and its error bounds are in
+//!   DESIGN.md, "Quantized inference"; the decode rule and its tie
+//!   behaviour (ties mark) are `BiCrf::decode`'s.
 //! * **Scratch** lives in a small pool of [`ScratchArena`]s (one per
 //!   in-flight batch), so concurrent marking under the parallel batch
 //!   path shares nothing and steady-state marking allocates nothing.
@@ -144,48 +145,44 @@ impl CrfDir {
         })
     }
 
-    /// Scaled forward–backward over one window of a time-step-major batch,
-    /// adding this direction's posterior marginals into `out`.
-    ///
-    /// Position `k` of this direction's chain is window step `k`, or
-    /// `t_len - 1 - k` when `rev`; window step `t` has emission potentials
-    /// `(1, u[t])` and lives at index `2 · t · stride` of `out`, so a
-    /// window is addressed in place. `alpha` is scratch for `3 · t_len`
-    /// values: per position the renormalised `α̂` and the reciprocal of its
-    /// normaliser. Applied to the `β` recursion the same factor keeps
-    /// `Σⱼ α̂(j)·β̂(j)` constant along the chain, so `β̂` needs neither a
-    /// normaliser nor a trellis of its own: the backward sweep carries it
-    /// in two variables and writes each marginal as it passes.
-    fn accumulate_marginals(
-        &self,
-        t_len: usize,
-        stride: usize,
-        rev: bool,
-        u: &[f32],
-        alpha: &mut [f32],
-        out: &mut [f32],
-    ) {
-        let step = |k: usize| if rev { t_len - 1 - k } else { k };
-        let [t00, t01, t10, t11] = self.pot_trans;
-        let (mut a0, mut a1) = (self.pot_start[0], self.pot_start[1] * u[step(0)]);
-        for (k, cell) in alpha[..3 * t_len].chunks_exact_mut(3).enumerate() {
-            if k > 0 {
-                (a0, a1) = (a0 * t00 + a1 * t10, (a0 * t01 + a1 * t11) * u[step(k)]);
-            }
-            let r = 1.0 / (a0 + a1);
-            (a0, a1) = (a0 * r, a1 * r);
-            cell.copy_from_slice(&[a0, a1, r]);
-        }
-        let (mut b0, mut b1) = (self.pot_end[0], self.pot_end[1]);
-        for (k, cell) in alpha[..3 * t_len].chunks_exact(3).enumerate().rev() {
-            let (m0, m1) = (cell[0] * b0, cell[1] * b1);
-            let (o, sum) = (2 * stride * step(k), m0 + m1);
-            out[o] += m0 / sum;
-            out[o + 1] += m1 / sum;
-            let (w0, w1) = (b0 * cell[2], b1 * u[step(k)] * cell[2]);
-            (b0, b1) = (t00 * w0 + t01 * w1, t10 * w0 + t11 * w1);
-        }
+    /// `α̂` at the first position of this direction's chain, whose emission
+    /// potentials are `(1, u)`, before renormalisation.
+    #[inline(always)]
+    fn alpha_start(&self, u: f32) -> [f32; 2] {
+        [self.pot_start[0], self.pot_start[1] * u]
     }
+
+    /// One step of the forward recursion onto a position with emission
+    /// potentials `(1, u)`, before renormalisation.
+    #[inline(always)]
+    fn alpha_step(&self, [a0, a1]: [f32; 2], u: f32) -> [f32; 2] {
+        let [t00, t01, t10, t11] = self.pot_trans;
+        [a0 * t00 + a1 * t10, (a0 * t01 + a1 * t11) * u]
+    }
+
+    /// One step of the backward recursion from a position with emission
+    /// potentials `(1, u)` whose forward normaliser's reciprocal is `r`.
+    #[inline(always)]
+    fn beta_step(&self, [b0, b1]: [f32; 2], u: f32, r: f32) -> [f32; 2] {
+        let [t00, t01, t10, t11] = self.pot_trans;
+        let (w0, w1) = (b0 * r, b1 * u * r);
+        [t00 * w0 + t01 * w1, t10 * w0 + t11 * w1]
+    }
+}
+
+/// `α̂` renormalised, and the reciprocal of its normaliser.
+#[inline(always)]
+fn renormalise([a0, a1]: [f32; 2]) -> [f32; 3] {
+    let r = 1.0 / (a0 + a1);
+    [a0 * r, a1 * r, r]
+}
+
+/// A position's two posterior marginals from its `α̂` cell and `β̂`.
+#[inline(always)]
+fn marginals(cell: &[f32], [b0, b1]: [f32; 2]) -> [f32; 2] {
+    let (m0, m1) = (cell[0] * b0, cell[1] * b1);
+    let sum = m0 + m1;
+    [m0 / sum, m1 / sum]
 }
 
 impl Serialize for CrfDir {
@@ -245,7 +242,7 @@ impl CrfHead {
 
     /// Sum of both directions' posterior marginals for every window of a
     /// time-step-major batch: `em` and `out` are `t_len · batch × 2`
-    /// (`out` is overwritten), `scratch` holds `4 · t_len` values. The
+    /// (`out` is overwritten), `scratch` holds `7 · t_len` values. The
     /// decode rule downstream — mark when `out[2r+1] >= out[2r]` — matches
     /// `BiCrf::decode`'s per-position argmax including its tie behaviour
     /// (ties go to label 1).
@@ -254,6 +251,21 @@ impl CrfHead {
     /// difference, so one `exp` per position serves both directions. A
     /// non-finite emission is a broken model, not a saturated one: it
     /// poisons its window's marginals with NaN for the guard to see.
+    ///
+    /// The two directions run in lockstep, so their serial chains overlap:
+    /// one loop takes both forward sweeps (the forward direction's chain
+    /// visits window step `k` at iteration `k`, the backward one's step
+    /// `t_len − 1 − k`), each writing its trellis of renormalised `α̂` and
+    /// normaliser reciprocals, three values per position; one loop then
+    /// takes both backward sweeps. Applied to the `β` recursion the same
+    /// normalisers keep `Σⱼ α̂(j)·β̂(j)` constant along the chain, so `β̂`
+    /// needs neither a normaliser nor a trellis of its own: each sweep
+    /// carries it in two variables and produces each marginal as it
+    /// passes. The forward direction's marginals go straight into `out`;
+    /// the backward one's wait in its trellis cells (each cell is read for
+    /// the last time at that iteration) and are added after the loop, so
+    /// every position still sums exactly its forward then its backward
+    /// term onto zero.
     fn combined_marginals(
         &self,
         t_len: usize,
@@ -264,7 +276,9 @@ impl CrfHead {
     ) {
         let rows = t_len * batch;
         out[..2 * rows].fill(0.0);
-        let (u, alpha) = scratch.split_at_mut(t_len);
+        let (u, trellis) = scratch[..7 * t_len].split_at_mut(t_len);
+        let (alpha_f, alpha_b) = trellis.split_at_mut(3 * t_len);
+        let (fwd, bwd, last) = (&self.fwd, &self.bwd, t_len.saturating_sub(1));
         for b in 0..batch {
             for (t, u) in u.iter_mut().enumerate() {
                 let e = &em[2 * (t * batch + b)..][..2];
@@ -275,11 +289,36 @@ impl CrfHead {
                     f32::NAN
                 };
             }
+            let cells = alpha_f.chunks_exact_mut(3).zip(alpha_b.chunks_exact_mut(3));
+            let (mut af, mut ab) = ([0.0; 2], [0.0; 2]);
+            for (k, (cell_f, cell_b)) in cells.enumerate() {
+                (af, ab) = if k == 0 {
+                    (fwd.alpha_start(u[0]), bwd.alpha_start(u[last]))
+                } else {
+                    (fwd.alpha_step(af, u[k]), bwd.alpha_step(ab, u[last - k]))
+                };
+                let (nf, nb) = (renormalise(af), renormalise(ab));
+                cell_f.copy_from_slice(&nf);
+                cell_b.copy_from_slice(&nb);
+                (af, ab) = ([nf[0], nf[1]], [nb[0], nb[1]]);
+            }
             let out = &mut out[2 * b..2 * rows];
-            self.fwd
-                .accumulate_marginals(t_len, batch, false, u, alpha, out);
-            self.bwd
-                .accumulate_marginals(t_len, batch, true, u, alpha, out);
+            let cells = alpha_f.chunks_exact(3).zip(alpha_b.chunks_exact_mut(3));
+            let (mut bf, mut bb) = (fwd.pot_end, bwd.pot_end);
+            for (k, (cell_f, cell_b)) in cells.enumerate().rev() {
+                let (mf, mb) = (marginals(cell_f, bf), marginals(cell_b, bb));
+                let o = 2 * batch * k;
+                out[o] += mf[0];
+                out[o + 1] += mf[1];
+                bf = fwd.beta_step(bf, u[k], cell_f[2]);
+                bb = bwd.beta_step(bb, u[last - k], cell_b[2]);
+                cell_b[..2].copy_from_slice(&mb);
+            }
+            for (k, cell_b) in alpha_b.chunks_exact(3).enumerate() {
+                let o = 2 * batch * (last - k);
+                out[o] += cell_b[0];
+                out[o + 1] += cell_b[1];
+            }
         }
     }
 }
@@ -385,7 +424,7 @@ impl QuantizedEventNetwork {
         let rows = t_len * batch;
         self.encoder.infer_batch(t_len, batch, arena);
         self.emit.infer_quantized(rows, &arena.xq, &mut arena.emit);
-        ensure(&mut arena.crf, t_len * 4);
+        ensure(&mut arena.crf, t_len * 7);
         ensure(&mut arena.probs, rows * 2);
         self.crf
             .combined_marginals(t_len, batch, &arena.emit, &mut arena.crf, &mut arena.probs);
@@ -847,7 +886,7 @@ mod tests {
                 stacked[2 * (t * batch + b)..][..2].copy_from_slice(&em(b, t));
             }
         }
-        let mut scratch = vec![0.0; 4 * t_len];
+        let mut scratch = vec![0.0; 7 * t_len];
         let mut out = vec![f32::NAN; 2 * t_len * batch];
         head.combined_marginals(t_len, batch, &stacked, &mut scratch, &mut out);
         out

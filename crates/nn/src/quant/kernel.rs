@@ -1,6 +1,8 @@
 //! The int8 forward-pass kernels: a broadcast-accumulate integer GEMM with
-//! scalar, SSE2 and AVX2 instantiations, the rational gate activations and
-//! the fused LSTM cell update.
+//! scalar, SSE2 and AVX2 instantiations, the rational gate activations, the
+//! fused LSTM cell update, and the BiLSTM recurrence driver that runs both
+//! directions of a layer in lockstep (scalar, SSE2 and AVX2
+//! instantiations).
 //!
 //! **Integer GEMM.** Quantized operands are `i16` holding int8-range values
 //! (±127). Weights are packed as *k-pairs × channels*: for every pair of
@@ -10,17 +12,26 @@
 //! vector of such pairs yields `a[2p]·W[2p][j] + a[2p+1]·W[2p+1][j]` for
 //! 4 (SSE2) or 8 (AVX2) channels at once, so a dot product is finished by
 //! plain lane-wise `i32` adds over `p` — there is no horizontal reduction.
-//! The driver tiles channels in the outer loop and activation rows in the
-//! inner one: a channel tile's weights stay in L1 while every row of the
-//! batch streams over them, which is where stacking windows pays when the
-//! whole matrix does not fit in L1.
+//! The drivers tile channels in the outer loop and activation
+//! rows in the inner one: a channel tile's weights stay in L1 while every
+//! row of the batch streams over them, which is where stacking windows
+//! pays when the whole matrix does not fit in L1.
+//!
+//! **Recurrence.** A layer's input GEMMs (`x·Wx + b` for every step of
+//! every window) are one [`qgemm`] per direction; the recurrence is one
+//! [`bilstm_recurrence`] call, which advances the forward direction over
+//! `t = 0, 1, …` and the backward one over `t = T−1, T−2, …` at the same
+//! time: per step one k-pair loop accumulates both directions' recurrent
+//! products, then one pass runs both directions' cell updates. Its size
+//! and CPU-feature checks are made once per layer, not once per step.
 //!
 //! **Bit identity.** Integer accumulation is exact, the epilogue is one
 //! `cvt → mul → add` per lane in that order on every path, and the gate
 //! math is one piece of code in per-lane IEEE `add`/`mul`/`div`/`min`/`max`
 //! (Rust never contracts to FMA or reassociates, so however the compiler
-//! vectorises it the lanes compute the same values). The scalar, SSE2 and
-//! AVX2 forward passes therefore produce identical bytes.
+//! vectorises it the lanes compute the same values). Every level's forward
+//! pass therefore produces identical bytes, and running the directions in
+//! lockstep changes no operation any lane performs, only when.
 
 use std::sync::OnceLock;
 
@@ -34,7 +45,7 @@ pub(crate) fn pad_to(n: usize, to: usize) -> usize {
     n.div_ceil(to) * to
 }
 
-/// Which integer-GEMM instantiation runs. Chosen once per process by
+/// Which kernel instantiations run. Chosen once per process by
 /// [`simd_level`]; tests call each level directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SimdLevel {
@@ -142,99 +153,56 @@ pub(crate) fn sigmoid_approx(x: f32) -> f32 {
     0.5 + 0.5 * tanh_approx(0.5 * x)
 }
 
-/// Where [`lstm_cells`] leaves a step's hidden state for the layer above:
-/// row `r`'s first `hid` lanes go to `[r · stride ..]` of both buffers,
-/// as f32 and re-quantized at the unit scale. The slices start at the
-/// direction's column of the step's first row.
-pub(crate) struct LayerOut<'a> {
-    pub(crate) f32s: &'a mut [f32],
-    pub(crate) q: &'a mut [i16],
-    pub(crate) stride: usize,
-}
-
-/// The fused LSTM cell update for `rows` sequences at one time step.
+/// One row of the fused LSTM cell update at one time step.
 ///
-/// `z` holds the gate pre-activations, `rows × 4·hp` laid out
+/// `z` holds the row's gate pre-activations, `4·hp` values laid out
 /// `[i | f | g | o]` with every gate block padded to `hp` lanes (`hid`
-/// rounded up to [`CH_PAD`]); `c` and `hq` are `rows × hp`. One pass per
-/// row applies the activations, updates the cell, and writes the new hidden
-/// state re-quantized at the unit scale into `hq` (the next step's GEMM
-/// operand, padding included) and its first `hid` lanes straight into the
-/// layer's output rows. Padded lanes see `z = 0`, which keeps their `c` and `hq`
-/// at zero.
+/// rounded up to [`CH_PAD`]); `c` and `hq` are the row's `hp` lanes of
+/// state. One pass applies the activations, updates the cell, and writes
+/// the new hidden state re-quantized at the unit scale into `hq` (the next
+/// step's GEMM operand, padding included) and its first `hid` lanes
+/// straight into the layer's output row, as f32 and as the int8-range
+/// values the next layer reads. Padded lanes see `z = 0`, which keeps
+/// their `c` and `hq` at zero.
 ///
 /// **Lane contract.** The update is one body over whole [`CH_PAD`]-lane
 /// groups, each lane an independent chain of IEEE `add`/`mul`/`div`/`min`/
 /// `max`/`cvt` — no call, no branch, no cross-lane operation — so every
 /// instantiation computes the same bits however it is vectorised, and the
 /// vectoriser does turn a group's activations and state update into one
-/// 256-bit or two 128-bit operations per step of the chain (the saturating
-/// float → int cast of the re-quantization is the one step this toolchain
-/// still emits lane by lane). It is instantiated twice: for the x86-64
-/// baseline (which [`SimdLevel::Scalar`] and [`SimdLevel::Sse2`] share) and
-/// under `avx2`.
-pub(crate) fn lstm_cells(
-    level: SimdLevel,
-    rows: usize,
-    hid: usize,
-    z: &[f32],
-    c: &mut [f32],
-    hq: &mut [i16],
-    out: LayerOut<'_>,
-) {
-    assert!(hid > 0, "hidden width");
-    let hp = pad_to(hid, CH_PAD);
-    assert!(z.len() >= rows * 4 * hp && c.len() >= rows * hp && hq.len() >= rows * hp);
-    let out_len = rows.saturating_sub(1) * out.stride + hid;
-    assert!(out.stride >= hid && out.f32s.len() >= out_len && out.q.len() >= out_len);
-    #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::Avx2 {
-        assert!(
-            std::arch::is_x86_feature_detected!("avx2"),
-            "AVX2 kernels requested on a CPU without AVX2"
-        );
-        // SAFETY: the CPU supports AVX2, checked on the line above.
-        return unsafe { x86::lstm_cells_avx2(rows, hid, z, c, hq, out) };
-    }
-    let _ = level;
-    lstm_cells_rows(rows, hid, z, c, hq, out);
-}
-
-/// [`lstm_cells`] past its checks; inlined into each instantiation.
+/// 256-bit or two 128-bit operations per step of the chain. It is inlined
+/// into each instantiation of the recurrence driver: the x86-64 baseline
+/// (which [`SimdLevel::Scalar`] and [`SimdLevel::Sse2`] share) and `avx2`.
 #[inline(always)]
-fn lstm_cells_rows(
-    rows: usize,
+fn cell_row(
     hid: usize,
     z: &[f32],
     c: &mut [f32],
     hq: &mut [i16],
-    out: LayerOut<'_>,
+    out_f32: &mut [f32],
+    out_q: &mut [i16],
 ) {
-    let hp = pad_to(hid, CH_PAD);
-    let state = c.chunks_exact_mut(hp).zip(hq.chunks_exact_mut(hp));
-    for (r, (z, (c, hq))) in z.chunks_exact(4 * hp).zip(state).take(rows).enumerate() {
-        let (zi, rest) = z.split_at(hp);
-        let (zf, rest) = rest.split_at(hp);
-        let (zg, zo) = rest.split_at(hp);
-        let gates = zi.as_chunks().0.iter().zip(zf.as_chunks().0);
-        let gates = gates.zip(zg.as_chunks().0.iter().zip(zo.as_chunks().0));
-        let state = c.as_chunks_mut().0.iter_mut().zip(hq.as_chunks_mut().0);
-        let out_f32 = &mut out.f32s[r * out.stride..][..hid];
-        let out_q = &mut out.q[r * out.stride..][..hid];
-        for (v, (((zi, zf), (zg, zo)), (c, hq))) in gates.zip(state).enumerate() {
-            let h = cell_lanes(zi, zf, zg, zo, c, hq);
-            let at = v * CH_PAD;
-            match (
-                out_f32[at..].first_chunk_mut(),
-                out_q[at..].first_chunk_mut(),
-            ) {
-                (Some(f32s), Some(q)) => (*f32s, *q) = (h, *hq),
-                // The last group of a width that is not a whole number of
-                // groups: its padded lanes belong to the neighbouring column.
-                _ => {
-                    out_f32[at..].copy_from_slice(&h[..hid - at]);
-                    out_q[at..].copy_from_slice(&hq[..hid - at]);
-                }
+    let hp = c.len();
+    let (zi, rest) = z.split_at(hp);
+    let (zf, rest) = rest.split_at(hp);
+    let (zg, zo) = rest.split_at(hp);
+    let gates = zi.as_chunks().0.iter().zip(zf.as_chunks().0);
+    let gates = gates.zip(zg.as_chunks().0.iter().zip(zo.as_chunks().0));
+    let state = c.as_chunks_mut().0.iter_mut().zip(hq.as_chunks_mut().0);
+    let (out_f32, out_q) = (&mut out_f32[..hid], &mut out_q[..hid]);
+    for (v, (((zi, zf), (zg, zo)), (c, hq))) in gates.zip(state).enumerate() {
+        let h = cell_lanes(zi, zf, zg, zo, c, hq);
+        let at = v * CH_PAD;
+        match (
+            out_f32[at..].first_chunk_mut(),
+            out_q[at..].first_chunk_mut(),
+        ) {
+            (Some(f32s), Some(q)) => (*f32s, *q) = (h, *hq),
+            // The last group of a width that is not a whole number of
+            // groups: its padded lanes belong to the neighbouring column.
+            _ => {
+                out_f32[at..].copy_from_slice(&h[..hid - at]);
+                out_q[at..].copy_from_slice(&hq[..hid - at]);
             }
         }
     }
@@ -366,10 +334,10 @@ pub(crate) fn qgemm(
 ) {
     assert!(a.len() >= m * w.k_pad, "activation rows");
     assert!(out.len() >= m * w.n, "output rows");
-    #[cfg(target_arch = "x86_64")]
     assert!(
-        level != SimdLevel::Avx2 || std::arch::is_x86_feature_detected!("avx2"),
-        "AVX2 kernels requested on a CPU without AVX2"
+        SimdLevel::available().contains(&level),
+        "{} kernels requested on a CPU without them",
+        level.name()
     );
     // SAFETY: the asserts above bound every row the drivers touch and
     // confirm the CPU feature the AVX2 driver needs; `PackedWeights::pack`
@@ -570,9 +538,215 @@ unsafe fn gemm_tile<L: Lanes, const MR: usize, const NV: usize>(
     }
 }
 
+// ---------------------------------------------------------------------------
+// BiLSTM recurrence driver
+// ---------------------------------------------------------------------------
+
+/// One BiLSTM layer's recurrence over a time-step-major batch of `batch`
+/// windows of `t_len` steps, after the input GEMMs.
+///
+/// Buffers are laid out direction-major, `[fwd, bwd]`: `gates` holds each
+/// direction's gate pre-activations (`t_len · batch` rows of `4·hp`, `hp` =
+/// `hid` rounded up to [`CH_PAD`]) with `x·Wx + b` already in them; `c` and
+/// `hq` hold each direction's cell state and quantized hidden state
+/// (`batch` rows of `hp`). The driver writes step `t` of window `b` to row
+/// `t · batch + b` of `out_f32`/`out_q`, rows `stride` apart: the forward
+/// direction's `hid` values from column 0, the backward one's from column
+/// `hid`.
+pub(crate) struct BiRecurrence<'a> {
+    pub(crate) t_len: usize,
+    pub(crate) batch: usize,
+    pub(crate) hid: usize,
+    /// `[fwd, bwd]` recurrent weights, rows of `hp` values at the unit
+    /// scale, gate blocks padded to `hp`.
+    pub(crate) wh: [&'a PackedWeights; 2],
+    pub(crate) gates: &'a mut [f32],
+    pub(crate) c: &'a mut [f32],
+    pub(crate) hq: &'a mut [i16],
+    pub(crate) out_f32: &'a mut [f32],
+    pub(crate) out_q: &'a mut [i16],
+    pub(crate) stride: usize,
+}
+
+/// Run a layer's recurrence with both directions in lockstep: at step `s`
+/// the forward direction advances row `t = s` and the backward one row
+/// `t = t_len − 1 − s`. One k-pair loop accumulates both directions'
+/// recurrent products, each against its own `Wh` — two independent
+/// dependency chains per tile, for every `batch` — and one pass over
+/// `c`/`hq` then runs both directions' cell updates ([`cell_row`]).
+///
+/// Every size relation the unsafe tiles rely on and the CPU features the
+/// level needs are checked here, once per layer call.
+/// Integer accumulation is exact and each output element still gets one
+/// `cvt → mul → add` epilogue onto its input-GEMM value, so the result is
+/// bit for bit what running the directions one after the other gives.
+pub(crate) fn bilstm_recurrence(level: SimdLevel, r: BiRecurrence<'_>) {
+    let (rows, hid) = (r.t_len * r.batch, r.hid);
+    assert!(hid > 0, "hidden width");
+    let hp = pad_to(hid, CH_PAD);
+    for wh in r.wh {
+        assert!(
+            wh.k_pad == hp && wh.n == 4 * hp && wh.n_pad == wh.n,
+            "recurrent weights of another hidden width"
+        );
+    }
+    assert!(r.gates.len() >= 2 * rows * 4 * hp, "gate rows");
+    assert!(r.c.len() >= 2 * r.batch * hp && r.hq.len() >= 2 * r.batch * hp);
+    assert!(r.stride >= 2 * hid, "output row width");
+    assert!(r.out_f32.len() >= rows * r.stride && r.out_q.len() >= rows * r.stride);
+    if rows == 0 {
+        return;
+    }
+    assert!(
+        SimdLevel::available().contains(&level),
+        "{} kernels requested on a CPU without them",
+        level.name()
+    );
+    // SAFETY: the asserts above are `recurrence`'s contract, and the CPU
+    // supports every level `available` lists.
+    unsafe {
+        match level {
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Sse2 => recurrence::<x86::Sse2Lanes>(r),
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => x86::bilstm_recurrence_avx2(r),
+            _ => recurrence::<ScalarLanes>(r),
+        }
+    }
+}
+
+/// The recurrence past [`bilstm_recurrence`]'s checks.
+///
+/// # Safety
+/// The size relations [`bilstm_recurrence`] asserts must hold and `L`'s
+/// instructions must be available.
+#[inline(always)]
+unsafe fn recurrence<L: Lanes>(r: BiRecurrence<'_>) {
+    let (t_len, batch, hid, stride) = (r.t_len, r.batch, r.hid, r.stride);
+    let hp = pad_to(hid, CH_PAD);
+    let gate_w = 4 * hp;
+    let (gates_f, gates_b) = r.gates.split_at_mut(t_len * batch * gate_w);
+    let mut gates = [gates_f, gates_b];
+    let state = 2 * batch * hp;
+    let (c, hq) = (&mut r.c[..state], &mut r.hq[..state]);
+    c.fill(0.0);
+    for s in 0..t_len {
+        let t = [s, t_len - 1 - s];
+        if s > 0 {
+            let z = [0, 1].map(|d| gates[d][t[d] * batch * gate_w..].as_mut_ptr());
+            // SAFETY: `hq` holds `2 · batch` rows of `hp = wh.k_pad`
+            // values and each direction's step `t[d]` has `batch` rows of
+            // `gate_w = wh.n_pad` values left in its gate buffer.
+            unsafe { recurrent_step::<L>(batch, r.wh, hq.as_ptr(), z) };
+        }
+        let dirs = c
+            .chunks_exact_mut(batch * hp)
+            .zip(hq.chunks_exact_mut(batch * hp));
+        for (d, (c, hq)) in dirs.enumerate() {
+            let state = c.chunks_exact_mut(hp).zip(hq.chunks_exact_mut(hp));
+            for (b, (c, hq)) in state.enumerate() {
+                let row = t[d] * batch + b;
+                let at = row * stride + d * hid;
+                let z = &gates[d][row * gate_w..][..gate_w];
+                cell_row(hid, z, c, hq, &mut r.out_f32[at..], &mut r.out_q[at..]);
+            }
+        }
+    }
+}
+
+/// One step's recurrent products for both directions: `z[d][b] += hq[d][b]
+/// · Wh[d]`, channel tiles outside (a tile's weights stay in L1 while the
+/// batch's rows stream over them), rows inside, both directions in every
+/// tile: rows in pairs over two channel vectors, a last odd row over four,
+/// eight accumulators either way. `Wh` has `4·hp` channels, `hp` a
+/// multiple of [`CH_PAD`], so its channel vectors come in whole tiles.
+///
+/// # Safety
+/// `hq` must be readable for `2 · batch` rows of `wh[d].k_pad` values
+/// (forward rows first), `z[d]` readable and writable for `batch` rows of
+/// `wh[d].n` values, both matrices of one shape with `n == n_pad` a
+/// multiple of `TILE_VECS · CH`, and `L`'s instructions available.
+#[inline(always)]
+unsafe fn recurrent_step<L: Lanes>(
+    batch: usize,
+    wh: [&PackedWeights; 2],
+    hq: *const i16,
+    z: [*mut f32; 2],
+) {
+    const HALF: usize = TILE_VECS / 2;
+    let vecs = wh[0].n_pad / L::CH;
+    // SAFETY: forwarded from the caller; every tile's channel vectors end
+    // at or before `vecs` and its rows below `batch`.
+    unsafe {
+        for v in (0..vecs).step_by(TILE_VECS) {
+            let mut b = 0;
+            while b + 2 <= batch {
+                recurrent_tile::<L, 2, HALF>(batch, wh, hq, z, b, v);
+                recurrent_tile::<L, 2, HALF>(batch, wh, hq, z, b, v + HALF);
+                b += 2;
+            }
+            if b < batch {
+                recurrent_tile::<L, 1, TILE_VECS>(batch, wh, hq, z, b, v);
+            }
+        }
+    }
+}
+
+/// Rows `b .. b + MR` of both directions × `NV` channel vectors: accumulate
+/// over every k-pair, the two directions interleaved, then add the
+/// products onto the gate rows.
+///
+/// # Safety
+/// As [`recurrent_step`], with `b + MR <= batch` and channel vectors
+/// `v .. v + NV` below `n_pad / CH`.
+#[inline(always)]
+unsafe fn recurrent_tile<L: Lanes, const MR: usize, const NV: usize>(
+    batch: usize,
+    wh: [&PackedWeights; 2],
+    hq: *const i16,
+    z: [*mut f32; 2],
+    b: usize,
+    v: usize,
+) {
+    let (k_pad, n, n_pad) = (wh[0].k_pad, wh[0].n, wh[0].n_pad);
+    let ch0 = v * L::CH;
+    // SAFETY: `pack` sized each `w` to `k_pad · n_pad` and `deq` to
+    // `n_pad`; with `p < k_pad / 2` and `ch0 + NV · CH <= n_pad` the
+    // weight reads end at `(p · n_pad + n_pad) · 2 <= k_pad · n_pad`. Rows
+    // `d · batch + b + r` of `hq` and rows `b + r` of `z[d]` are in bounds
+    // by the caller's contract, and `n == n_pad` makes every vector a full
+    // one.
+    unsafe {
+        let a = [0, 1].map(|d| hq.add((d * batch + b) * k_pad));
+        let w = [0, 1].map(|d| wh[d].w.as_ptr().add(ch0 * 2));
+        let mut acc = [[[L::zero(); NV]; MR]; 2];
+        for p in 0..k_pad / 2 {
+            for (d, acc_d) in acc.iter_mut().enumerate() {
+                let w_p = w[d].add(p * n_pad * 2);
+                for (r, acc_dr) in acc_d.iter_mut().enumerate() {
+                    let a_p = a[d].add(r * k_pad + 2 * p);
+                    for (c, acc_drc) in acc_dr.iter_mut().enumerate() {
+                        *acc_drc = L::madd(*acc_drc, a_p, w_p.add(c * L::CH * 2));
+                    }
+                }
+            }
+        }
+        for (d, acc_d) in acc.iter().enumerate() {
+            let deq = wh[d].deq.as_ptr().add(ch0);
+            for (r, acc_dr) in acc_d.iter().enumerate() {
+                let z_row = z[d].add((b + r) * n + ch0);
+                for (c, &acc_drc) in acc_dr.iter().enumerate() {
+                    let at = c * L::CH;
+                    L::finish(acc_drc, deq.add(at), z_row.add(at), z_row.add(at));
+                }
+            }
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{gemm, lstm_cells_rows, Lanes, LayerOut, PackedWeights, CH_PAD};
+    use super::{gemm, recurrence, BiRecurrence, Lanes, PackedWeights, CH_PAD};
     use std::arch::x86_64::*;
 
     pub(super) struct Sse2Lanes;
@@ -624,7 +798,7 @@ mod x86 {
 
         #[inline(always)]
         unsafe fn zero() -> __m256i {
-            // SAFETY: reached only through `gemm_avx2`.
+            // SAFETY: reached only through the `avx2` drivers.
             unsafe { _mm256_setzero_si256() }
         }
 
@@ -657,17 +831,16 @@ mod x86 {
         }
     }
 
-    /// The AVX2 instantiation of the cell update.
+    /// The AVX2 instantiation of the recurrence driver; the generic code
+    /// (the cell update included) is inlined here, so the tiles use 256-bit
+    /// registers and the cell update is vectorised at 8 lanes.
+    ///
+    /// # Safety
+    /// As [`recurrence`], and the CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub(super) fn lstm_cells_avx2(
-        rows: usize,
-        hid: usize,
-        z: &[f32],
-        c: &mut [f32],
-        hq: &mut [i16],
-        out: LayerOut<'_>,
-    ) {
-        lstm_cells_rows(rows, hid, z, c, hq, out);
+    pub(super) unsafe fn bilstm_recurrence_avx2(r: BiRecurrence<'_>) {
+        // SAFETY: forwarded from the caller.
+        unsafe { recurrence::<Avx2Lanes>(r) }
     }
 
     /// The AVX2 instantiation of the driver; the generic code is inlined
@@ -685,6 +858,80 @@ mod x86 {
     ) {
         // SAFETY: forwarded from the caller.
         unsafe { gemm::<Avx2Lanes>(m, a, w, accumulate, out) }
+    }
+}
+
+/// The per-direction recurrence step the lockstep driver replaced — the
+/// fused cell update over one direction's rows, a call per step — kept as
+/// the oracle the driver's tests compare against, never as a product path.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{cell_row, pad_to, SimdLevel, CH_PAD};
+
+    /// Where [`lstm_cells`] leaves a step's hidden state for the layer
+    /// above: row `r`'s first `hid` lanes go to `[r · stride ..]` of both
+    /// buffers. The slices start at the direction's column of the step's
+    /// first row.
+    pub(crate) struct LayerOut<'a> {
+        pub(crate) f32s: &'a mut [f32],
+        pub(crate) q: &'a mut [i16],
+        pub(crate) stride: usize,
+    }
+
+    /// The fused LSTM cell update of one direction for `rows` sequences at
+    /// one time step; `z` is `rows × 4·hp`, `c` and `hq` are `rows × hp`.
+    pub(crate) fn lstm_cells(
+        level: SimdLevel,
+        rows: usize,
+        hid: usize,
+        z: &[f32],
+        c: &mut [f32],
+        hq: &mut [i16],
+        out: LayerOut<'_>,
+    ) {
+        assert!(hid > 0, "hidden width");
+        let hp = pad_to(hid, CH_PAD);
+        assert!(z.len() >= rows * 4 * hp && c.len() >= rows * hp && hq.len() >= rows * hp);
+        let out_len = rows.saturating_sub(1) * out.stride + hid;
+        assert!(out.stride >= hid && out.f32s.len() >= out_len && out.q.len() >= out_len);
+        #[cfg(target_arch = "x86_64")]
+        if level == SimdLevel::Avx2 {
+            assert!(std::arch::is_x86_feature_detected!("avx2"));
+            // SAFETY: the CPU supports AVX2, checked on the line above.
+            return unsafe { lstm_cells_avx2(rows, hid, z, c, hq, out) };
+        }
+        let _ = level;
+        lstm_cells_rows(rows, hid, z, c, hq, out);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn lstm_cells_avx2(
+        rows: usize,
+        hid: usize,
+        z: &[f32],
+        c: &mut [f32],
+        hq: &mut [i16],
+        out: LayerOut<'_>,
+    ) {
+        lstm_cells_rows(rows, hid, z, c, hq, out);
+    }
+
+    #[inline(always)]
+    fn lstm_cells_rows(
+        rows: usize,
+        hid: usize,
+        z: &[f32],
+        c: &mut [f32],
+        hq: &mut [i16],
+        out: LayerOut<'_>,
+    ) {
+        let hp = pad_to(hid, CH_PAD);
+        let state = c.chunks_exact_mut(hp).zip(hq.chunks_exact_mut(hp));
+        for (r, (z, (c, hq))) in z.chunks_exact(4 * hp).zip(state).take(rows).enumerate() {
+            let at = r * out.stride;
+            cell_row(hid, z, c, hq, &mut out.f32s[at..], &mut out.q[at..]);
+        }
     }
 }
 
@@ -864,64 +1111,109 @@ mod tests {
         }
     }
 
-    /// Gate pre-activations and cell state for `rows × hid` units padded to
-    /// `hp` lanes, spanning both saturation tails.
-    fn cell_inputs(rows: usize, hid: usize, hp: usize) -> (Vec<f32>, Vec<f32>) {
+    /// Gate pre-activations for `rows × hid` units padded to `hp` lanes,
+    /// spanning both saturation tails; `seed` varies them per step and
+    /// direction.
+    fn cell_inputs(rows: usize, hid: usize, hp: usize, seed: usize) -> Vec<f32> {
         let mut z = vec![0.0_f32; rows * 4 * hp];
-        let mut c = vec![0.0_f32; rows * hp];
         for r in 0..rows {
             for j in 0..hid {
-                c[r * hp + j] = ((r * 7 + j) as f32 * 0.37).sin() * 1.5;
                 for g in 0..4 {
-                    z[r * 4 * hp + g * hp + j] = ((r * 11 + g * 5 + j) as f32 * 0.91).cos() * 7.0;
+                    let phase = (r * 11 + g * 5 + j + seed * 3) as f32;
+                    z[r * 4 * hp + g * hp + j] = (phase * 0.91).cos() * 7.0;
                 }
             }
         }
-        (z, c)
+        z
+    }
+
+    /// The cell update of one row by the formula: `(c, h)` per lane.
+    fn formula(z: &[f32], c: &[f32], hp: usize) -> (Vec<f32>, Vec<f32>) {
+        (0..hp)
+            .map(|j| {
+                let c = sigmoid_approx(z[hp + j]) * c[j]
+                    + sigmoid_approx(z[j]) * tanh_approx(z[2 * hp + j]);
+                (c, sigmoid_approx(z[3 * hp + j]) * tanh_approx(c))
+            })
+            .unzip()
     }
 
     #[test]
     fn lstm_cells_match_the_scalar_formula_at_every_level() {
+        // Two steps of both directions under zero recurrent weights: the
+        // second step's update starts from the first one's cell state, and
+        // the recurrent products add exactly nothing.
+        let t_len = 2;
         for hid in [1, 7, 16, 75, 150] {
             for rows in [1, 3, 8] {
                 let hp = pad_to(hid, CH_PAD);
-                // Two directions' worth of output columns: the update owns
-                // `hid` of them, starting at column `hid`.
-                let (stride, col) = (2 * hid, hid);
-                let (z, c0) = cell_inputs(rows, hid, hp);
+                let zero = vec![0_i8; 4 * hid * hid];
+                let wh = PackedWeights::pack(
+                    &zero,
+                    hid,
+                    hp,
+                    &vec![1.0; 4 * hid],
+                    1.0 / 127.0,
+                    None,
+                    hid,
+                    hp,
+                );
+                // Three columns past both directions' outputs stay untouched.
+                let stride = 2 * hid + 3;
+                let gate_rows = t_len * rows * 4 * hp;
+                let z: Vec<f32> = (0..2 * t_len)
+                    .flat_map(|seed| cell_inputs(rows, hid, hp, seed))
+                    .collect();
                 let mut reference = None;
                 for &level in SimdLevel::available() {
-                    let mut c = c0.clone();
-                    let mut hq = vec![9_i16; rows * hp];
-                    let mut out = vec![9.0_f32; rows * stride];
-                    let mut out_q = vec![9_i16; rows * stride];
-                    let layer_out = LayerOut {
-                        f32s: &mut out[col..],
-                        q: &mut out_q[col..],
+                    let (mut gates, mut c, mut hq) =
+                        (z.clone(), vec![7.0; 2 * rows * hp], vec![9; 2 * rows * hp]);
+                    let mut out = vec![9.0_f32; t_len * rows * stride];
+                    let mut out_q = vec![9_i16; t_len * rows * stride];
+                    let pass = BiRecurrence {
+                        t_len,
+                        batch: rows,
+                        hid,
+                        wh: [&wh, &wh],
+                        gates: &mut gates,
+                        c: &mut c,
+                        hq: &mut hq,
+                        out_f32: &mut out,
+                        out_q: &mut out_q,
                         stride,
                     };
-                    lstm_cells(level, rows, hid, &z, &mut c, &mut hq, layer_out);
-                    for r in 0..rows {
-                        let zr = &z[r * 4 * hp..];
-                        for j in 0..hp {
-                            let want_c = sigmoid_approx(zr[hp + j]) * c0[r * hp + j]
-                                + sigmoid_approx(zr[j]) * tanh_approx(zr[2 * hp + j]);
-                            let want_h = sigmoid_approx(zr[3 * hp + j]) * tanh_approx(want_c);
-                            assert_eq!(c[r * hp + j].to_bits(), want_c.to_bits());
-                            assert_eq!(hq[r * hp + j], quantize(want_h * 127.0));
-                            if j < hid {
-                                let at = r * stride + col + j;
-                                assert_eq!(out[at].to_bits(), want_h.to_bits());
-                                assert_eq!(out_q[at], hq[r * hp + j]);
-                                assert_eq!(
-                                    (out[at - col], out_q[at - col]),
-                                    (9.0, 9),
-                                    "the other direction's columns"
-                                );
-                            } else {
-                                assert_eq!((c[r * hp + j], hq[r * hp + j]), (0.0, 0), "padding");
+                    bilstm_recurrence(level, pass);
+                    assert_eq!(gates, z, "zero recurrent weights add nothing");
+                    for d in 0..2 {
+                        // The forward direction visits t = 0 then 1, the
+                        // backward one t = 1 then 0.
+                        let order = if d == 0 { [0, 1] } else { [1, 0] };
+                        for r in 0..rows {
+                            let mut state = vec![0.0; hp];
+                            for t in order {
+                                let zr = &z[d * gate_rows + (t * rows + r) * 4 * hp..][..4 * hp];
+                                let (want_c, want_h) = formula(zr, &state, hp);
+                                let at = (t * rows + r) * stride + d * hid;
+                                for j in 0..hid {
+                                    assert_eq!(out[at + j].to_bits(), want_h[j].to_bits());
+                                    assert_eq!(out_q[at + j], quantize(want_h[j] * 127.0));
+                                }
+                                state = want_c;
+                                if t == order[1] {
+                                    let s = (d * rows + r) * hp;
+                                    for j in 0..hp {
+                                        assert_eq!(c[s + j].to_bits(), state[j].to_bits());
+                                        assert_eq!(hq[s + j], quantize(want_h[j] * 127.0));
+                                        if j >= hid {
+                                            assert_eq!((c[s + j], hq[s + j]), (0.0, 0), "padding");
+                                        }
+                                    }
+                                }
                             }
                         }
+                    }
+                    for row in out.chunks_exact(stride) {
+                        assert_eq!(row[2 * hid..], [9.0; 3], "columns past the layer's");
                     }
                     let bytes: Vec<u32> = c.iter().chain(&out).map(|v| v.to_bits()).collect();
                     hq.extend(&out_q);

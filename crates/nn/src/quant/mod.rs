@@ -15,11 +15,15 @@
 //!   calibration from sample windows (see
 //!   [`calibrate_input_scale`]).
 //! * **One batched kernel**: `B` windows of equal length are stacked
-//!   time-step-major, so every LSTM step is one `[B × k]·[k × 4H]` integer
-//!   GEMM followed by one fused, vectorised cell update (see
-//!   [`kernel`](self)). A single window is the `B = 1` call of the same
-//!   code, and a window's output does not depend on `B` or on its position
-//!   in the batch: rows never mix.
+//!   time-step-major, and a layer is one input GEMM per direction plus one
+//!   call of the recurrence driver, which runs the two directions in
+//!   lockstep — the forward one at `t = s`, the backward one at
+//!   `t = T−1−s` — so every step is one `[B × H]·[H × 4H]` integer product
+//!   per direction, accumulated in the same loop, followed by one fused,
+//!   vectorised cell update over both (see [`kernel`](self)). A single
+//!   window is the `B = 1` call of the same code, and a window's output
+//!   does not depend on `B` or on its position in the batch: rows never
+//!   mix.
 //! * **Quantized once, where produced**: the cell update writes a step's
 //!   hidden state straight into the layer's output rows, as f32 and as the
 //!   int8-range values the next GEMM reads — the recurrence's, the next
@@ -41,7 +45,9 @@ use crate::lstm::{BiLstmLayer, LstmLayer, StackedBiLstm};
 use crate::matrix::{Matrix, ShapeError};
 use crate::params::ParamStore;
 use dlacep_dur::{CodecError, Dec, Decoder, Enc, Encoder};
-use kernel::{lstm_cells, pad_to, qgemm, quantize_row, LayerOut, PackedWeights, SimdLevel, CH_PAD};
+use kernel::{
+    bilstm_recurrence, pad_to, qgemm, quantize_row, BiRecurrence, PackedWeights, SimdLevel, CH_PAD,
+};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// The integer-kernel instantiation this process dispatches to, detected
@@ -51,33 +57,57 @@ pub fn simd_level() -> &'static str {
     kernel::simd_level().name()
 }
 
-/// For the `nn_kernels` report only: mean nanoseconds of one fused LSTM
-/// cell update over `rows × hidden` units, `steps` updates on synthetic
-/// pre-activations, at every kernel level this CPU has (`"scalar"` and
-/// `"sse2"` share the cell's baseline instantiation).
+/// For the `nn_kernels` report only: mean nanoseconds of one step of a
+/// BiLSTM layer's recurrence over `rows` windows of `hidden` units per
+/// direction — both directions' recurrent GEMMs and cell updates, as the
+/// lockstep driver runs them — averaged over `t_len` steps and `reps`
+/// passes on synthetic weights and pre-activations, at every kernel level
+/// this CPU has. With `t_len = 1` a pass is one lockstep cell update and
+/// nothing else (`"scalar"` and `"sse2"` share the cell's baseline
+/// instantiation).
 #[doc(hidden)]
-pub fn time_cell_update(rows: usize, hidden: usize, steps: usize) -> Vec<(&'static str, f64)> {
-    let hp = pad_to(hidden, CH_PAD);
-    let z: Vec<f32> = (0..rows * 4 * hp)
+pub fn time_recurrence(
+    rows: usize,
+    hidden: usize,
+    t_len: usize,
+    reps: usize,
+) -> Vec<(&'static str, f64)> {
+    let (hp, gates) = (pad_to(hidden, CH_PAD), 4 * hidden);
+    let weights: Vec<i8> = (0..gates * hidden)
+        .map(|i| ((i * 37 % 255) as i32 - 127) as i8)
+        .collect();
+    let scales = vec![0.02 / hidden as f32; gates];
+    let wh = PackedWeights::pack(&weights, hidden, hp, &scales, UNIT_SCALE, None, hidden, hp);
+    let z: Vec<f32> = (0..2 * t_len * rows * 4 * hp)
         .map(|i| (i as f32 * 0.37).sin() * 3.0)
         .collect();
-    let (mut c, mut hq) = (vec![0.0; rows * hp], vec![0; rows * hp]);
-    let (mut f32s, mut q) = (vec![0.0; rows * hidden], vec![0; rows * hidden]);
+    let (mut c, mut hq) = (vec![0.0; 2 * rows * hp], vec![0; 2 * rows * hp]);
+    let (mut f32s, mut q) = (
+        vec![0.0; t_len * rows * 2 * hidden],
+        vec![0; t_len * rows * 2 * hidden],
+    );
     SimdLevel::available()
         .iter()
         .map(|&level| {
+            let mut gates = z.clone();
             let start = std::time::Instant::now();
-            for _ in 0..steps {
-                let out = LayerOut {
-                    f32s: &mut f32s,
-                    q: &mut q,
-                    stride: hidden,
+            for _ in 0..reps {
+                let pass = BiRecurrence {
+                    t_len,
+                    batch: rows,
+                    hid: hidden,
+                    wh: [&wh, &wh],
+                    gates: std::hint::black_box(&mut gates),
+                    c: &mut c,
+                    hq: &mut hq,
+                    out_f32: &mut f32s,
+                    out_q: &mut q,
+                    stride: 2 * hidden,
                 };
-                let z = std::hint::black_box(&z);
-                lstm_cells(level, rows, hidden, z, &mut c, &mut hq, out);
-                std::hint::black_box(&mut hq);
+                bilstm_recurrence(level, pass);
+                std::hint::black_box(&mut q);
             }
-            let nanos = start.elapsed().as_nanos() as f64 / steps.max(1) as f64;
+            let nanos = start.elapsed().as_nanos() as f64 / (reps * t_len).max(1) as f64;
             (level.name(), nanos)
         })
         .collect()
@@ -150,8 +180,8 @@ pub struct ScratchArena {
     /// The layer being computed writes its quantized output rows here;
     /// swapped with `xq` when the layer is done.
     pub xq_b: Vec<i16>,
-    /// Quantized hidden state of the current step, the recurrent GEMM's
-    /// operand (`B × H_pad`, padding zero).
+    /// Quantized hidden state of the current step, the recurrent GEMMs'
+    /// operand (`2 × B × H_pad`, direction-major, padding zero).
     pub hq: Vec<i16>,
     /// Layer input/output ping-pong buffers (`T·B × width`): the caller
     /// loads `io_a`, the cell update writes each step's hidden state
@@ -159,18 +189,19 @@ pub struct ScratchArena {
     pub io_a: Vec<f32>,
     /// Second half of the ping-pong pair.
     pub io_b: Vec<f32>,
-    /// Gate pre-activations of one direction (`T·B × 4·H_pad`): filled by
-    /// the input GEMM, accumulated into by the recurrent one.
+    /// Gate pre-activations of both directions (`2 × T·B × 4·H_pad`,
+    /// direction-major): filled by the input GEMMs, accumulated into by the
+    /// recurrent ones.
     pub gates: Vec<f32>,
-    /// LSTM cell state (`B × H_pad`).
+    /// LSTM cell state of both directions (`2 × B × H_pad`).
     pub c: Vec<f32>,
     /// Emission scores (`T·B × L`).
     pub emit: Vec<f32>,
     /// Per-position combined label marginals (`T·B × L`).
     pub probs: Vec<f32>,
-    /// CRF head scratch of one window (`T × 4`): the emission potentials,
-    /// then the forward trellis with its per-step normalisers. The backward
-    /// sweep keeps its state in registers.
+    /// CRF head scratch of one window (`T × 7`): the emission potentials,
+    /// then both directions' forward trellises with their per-step
+    /// normalisers. The backward sweeps keep their state in registers.
     pub crf: Vec<f32>,
 }
 
@@ -766,35 +797,33 @@ impl QuantizedStackedBiLstm {
         let (w_in, inv_scale) = (self.input_dim(), 1.0 / self.input_scale);
         let k_in = first.wx.k_pad();
         quantize_rows(&arena.io_a, rows, w_in, inv_scale, k_in, &mut arena.xq);
-        for (layer, dirs) in self.layers.iter().zip(&self.packed) {
+        for (layer, [fwd, bwd]) in self.layers.iter().zip(&self.packed) {
             let (w_out, hid) = (layer.out_dim(), layer.fwd.hidden);
             let hp = pad_to(hid, CH_PAD);
-            let gate_w = 4 * hp;
+            let gate_rows = rows * 4 * hp;
             ensure(&mut arena.io_b, rows * w_out);
             ensure(&mut arena.xq_b, rows * w_out);
-            ensure(&mut arena.gates, rows * gate_w);
-            ensure(&mut arena.hq, batch * hp);
-            ensure(&mut arena.c, batch * hp);
-            for (dir, reverse) in dirs.iter().zip([false, true]) {
-                // One GEMM computes x·Wx + b for every step of every window.
-                qgemm(level, rows, &arena.xq, &dir.wx, false, &mut arena.gates);
-                arena.c[..batch * hp].fill(0.0);
-                let col = if reverse { hid } else { 0 };
-                for step in 0..t_len {
-                    let t = if reverse { t_len - 1 - step } else { step };
-                    let z = &mut arena.gates[t * batch * gate_w..(t + 1) * batch * gate_w];
-                    if step > 0 {
-                        qgemm(level, batch, &arena.hq, &dir.wh, true, z);
-                    }
-                    let step_rows = t * batch * w_out + col..(t + 1) * batch * w_out;
-                    let out = LayerOut {
-                        f32s: &mut arena.io_b[step_rows.clone()],
-                        q: &mut arena.xq_b[step_rows],
-                        stride: w_out,
-                    };
-                    lstm_cells(level, batch, hid, z, &mut arena.c, &mut arena.hq, out);
-                }
-            }
+            ensure(&mut arena.gates, 2 * gate_rows);
+            ensure(&mut arena.hq, 2 * batch * hp);
+            ensure(&mut arena.c, 2 * batch * hp);
+            // One GEMM per direction computes x·Wx + b for every step of
+            // every window; the recurrence then runs both directions at once.
+            let (gates_f, gates_b) = arena.gates.split_at_mut(gate_rows);
+            qgemm(level, rows, &arena.xq, &fwd.wx, false, gates_f);
+            qgemm(level, rows, &arena.xq, &bwd.wx, false, gates_b);
+            let recurrence = BiRecurrence {
+                t_len,
+                batch,
+                hid,
+                wh: [&fwd.wh, &bwd.wh],
+                gates: &mut arena.gates,
+                c: &mut arena.c,
+                hq: &mut arena.hq,
+                out_f32: &mut arena.io_b,
+                out_q: &mut arena.xq_b,
+                stride: w_out,
+            };
+            bilstm_recurrence(level, recurrence);
             std::mem::swap(&mut arena.io_a, &mut arena.io_b);
             std::mem::swap(&mut arena.xq, &mut arena.xq_b);
         }
@@ -1013,6 +1042,163 @@ mod tests {
                     "{} differs from scalar at {shape:?} T={t_len} B={batch}",
                     level.name()
                 );
+            }
+        }
+    }
+
+    fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            w.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    type PinRow = ((usize, usize, usize), usize, usize, u64);
+
+    /// `((input, hidden, layers), T, B, FNV-1a)` of the encoder's f32 output
+    /// bits followed by its quantized output rows, recorded by the commit
+    /// before the two directions ran in lockstep: stock_int8's shape and a
+    /// two-layer stack whose hidden width leaves a partial lane group, at an
+    /// odd and an even `T`, one window and eight.
+    #[rustfmt::skip]
+    const ENCODER_PIN: [PinRow; 8] = [
+        ((4, 16, 1), 31, 1, 0x4dbb0ee79d789460),
+        ((4, 16, 1), 31, 8, 0x1f51c58b463d18e5),
+        ((4, 16, 1), 32, 1, 0xbefc526b802a98cc),
+        ((4, 16, 1), 32, 8, 0x6878f9ce8708ca7f),
+        ((7, 7, 2), 31, 1, 0x9dce89ffef31d7cb),
+        ((7, 7, 2), 31, 8, 0x454cd56214ec1585),
+        ((7, 7, 2), 32, 1, 0x2b504004cd557b4e),
+        ((7, 7, 2), 32, 8, 0xcf5d6d1fe14368a8),
+    ];
+
+    #[test]
+    fn quant_pin_encoder_bytes_at_every_level() {
+        for (shape, t_len, batch, want) in ENCODER_PIN {
+            let (q, input) = stack_and_input(shape, t_len, batch, |b| b);
+            let rows = t_len * batch * q.out_dim();
+            for &level in SimdLevel::available() {
+                let mut arena = ScratchArena::new();
+                ensure(&mut arena.io_a, input.len());
+                arena.io_a[..input.len()].copy_from_slice(&input);
+                q.infer_batch_at(level, t_len, batch, &mut arena);
+                let f32s = arena.io_a[..rows].iter().map(|v| v.to_bits());
+                let qs = arena.xq[..rows].iter().map(|&v| u32::from(v as u16));
+                let hash = fnv1a(f32s.chain(qs));
+                assert_eq!(hash, want, "{} {shape:?} T={t_len} B={batch}", level.name());
+            }
+        }
+    }
+
+    /// The per-direction loop the lockstep driver replaced, as the oracle:
+    /// each direction runs its input GEMM, then one recurrent `qgemm` and
+    /// one fused cell update per step, the forward direction first.
+    fn one_direction_at_a_time(
+        q: &QuantizedStackedBiLstm,
+        level: SimdLevel,
+        t_len: usize,
+        batch: usize,
+        arena: &mut ScratchArena,
+    ) {
+        use kernel::oracle::{lstm_cells, LayerOut};
+        let rows = t_len * batch;
+        let Some([first, _]) = q.packed.first() else {
+            return;
+        };
+        let (w_in, inv_scale) = (q.input_dim(), 1.0 / q.input_scale);
+        quantize_rows(
+            &arena.io_a,
+            rows,
+            w_in,
+            inv_scale,
+            first.wx.k_pad(),
+            &mut arena.xq,
+        );
+        for (layer, dirs) in q.layers.iter().zip(&q.packed) {
+            let (w_out, hid) = (layer.out_dim(), layer.fwd.hidden);
+            let hp = pad_to(hid, CH_PAD);
+            let gate_w = 4 * hp;
+            ensure(&mut arena.io_b, rows * w_out);
+            ensure(&mut arena.xq_b, rows * w_out);
+            ensure(&mut arena.gates, rows * gate_w);
+            ensure(&mut arena.hq, batch * hp);
+            ensure(&mut arena.c, batch * hp);
+            for (dir, reverse) in dirs.iter().zip([false, true]) {
+                qgemm(level, rows, &arena.xq, &dir.wx, false, &mut arena.gates);
+                arena.c[..batch * hp].fill(0.0);
+                let col = if reverse { hid } else { 0 };
+                for step in 0..t_len {
+                    let t = if reverse { t_len - 1 - step } else { step };
+                    let z = &mut arena.gates[t * batch * gate_w..(t + 1) * batch * gate_w];
+                    if step > 0 {
+                        qgemm(level, batch, &arena.hq, &dir.wh, true, z);
+                    }
+                    let step_rows = t * batch * w_out + col..(t + 1) * batch * w_out;
+                    let out = LayerOut {
+                        f32s: &mut arena.io_b[step_rows.clone()],
+                        q: &mut arena.xq_b[step_rows],
+                        stride: w_out,
+                    };
+                    lstm_cells(level, batch, hid, z, &mut arena.c, &mut arena.hq, out);
+                }
+            }
+            std::mem::swap(&mut arena.io_a, &mut arena.io_b);
+            std::mem::swap(&mut arena.xq, &mut arena.xq_b);
+        }
+    }
+
+    /// The encoder's f32 output bits and quantized output rows after
+    /// `pass` over `input`.
+    fn encoded(
+        q: &QuantizedStackedBiLstm,
+        t_len: usize,
+        batch: usize,
+        input: &[f32],
+        pass: impl FnOnce(&mut ScratchArena),
+    ) -> (Vec<u32>, Vec<i16>) {
+        let mut arena = ScratchArena::new();
+        ensure(&mut arena.io_a, input.len());
+        arena.io_a[..input.len()].copy_from_slice(input);
+        pass(&mut arena);
+        let n = t_len * batch * q.out_dim();
+        let bits = arena.io_a[..n].iter().map(|v| v.to_bits()).collect();
+        (bits, arena.xq[..n].to_vec())
+    }
+
+    #[test]
+    fn lockstep_equals_one_direction_at_a_time() {
+        // Hidden widths around the lane group and the tile, T = 1 (no
+        // recurrent product), odd T (both directions meet on the middle
+        // step), one row and several, one layer and a stack. A debug build
+        // neither inlines nor vectorises the kernels and takes minutes over
+        // the wide, long cases; those run in the release build, where the
+        // bit-identity claim is about the code the benchmark executes.
+        for hidden in [1, 7, 16, 75, 150] {
+            for layers in [1, 2] {
+                for t_len in [1, 2, 3, 32, 33] {
+                    if cfg!(debug_assertions) && hidden > 16 && t_len > 3 {
+                        continue;
+                    }
+                    for batch in [1, 3, 8] {
+                        let (q, input) = stack_and_input((5, hidden, layers), t_len, batch, |b| b);
+                        for &level in SimdLevel::available() {
+                            let want = encoded(&q, t_len, batch, &input, |arena| {
+                                one_direction_at_a_time(&q, level, t_len, batch, arena)
+                            });
+                            let got = encoded(&q, t_len, batch, &input, |arena| {
+                                q.infer_batch_at(level, t_len, batch, arena)
+                            });
+                            assert!(want.0.iter().any(|&bits| bits != 0));
+                            assert_eq!(
+                                got,
+                                want,
+                                "{} H={hidden} layers={layers} T={t_len} B={batch}",
+                                level.name()
+                            );
+                        }
+                    }
+                }
             }
         }
     }
