@@ -17,6 +17,9 @@
 //! Patterns combine SEQ, CONJ, DISJ, Kleene closure and negation with an
 //! arithmetic predicate DSL and count- or time-based windows; see
 //! [`pattern`] and [`plan`].
+
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod nfa;
 pub mod pattern;

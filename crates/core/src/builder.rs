@@ -6,15 +6,14 @@
 //!
 //! * [`DlacepBuilder`] — the batch pipeline ([`Dlacep`]);
 //! * [`StreamingBuilder`] — the supervised streaming runtime
-//!   ([`StreamingDlacep`]), reached from the batch chain via
-//!   [`DlacepBuilder::streaming`] or directly;
+//!   ([`StreamingDlacep`]);
 //! * [`DurableBuilder`] — the crash-recoverable runtime
 //!   ([`DurableDlacep`]), reached via [`StreamingBuilder::durable`].
 //!
 //! Every option is applied at construction: the obs registry is installed
 //! before the first journal entry (so a custom registry's journal is
-//! self-contained from entry zero) and the pool is built against the final
-//! registry (so `pool.*` metrics land with the pipeline's own).
+//! self-contained from entry zero) and the marking lanes are set up against
+//! the final registry (so `pool.*` metrics land with the pipeline's own).
 //!
 //! ```
 //! use dlacep_core::prelude::*;
@@ -44,11 +43,11 @@ use crate::guard::GuardConfig;
 use crate::pipeline::{Dlacep, DlacepError};
 use crate::retrain::{ModelTrainer, RetrainConfig};
 use crate::runtime::{RuntimeCheckpoint, RuntimeConfig, RuntimeError, StreamingDlacep};
+use crate::stage::Parallelism;
 use dlacep_cep::{Pattern, PatternSet};
 use dlacep_dur::Store;
 use dlacep_events::OutOfOrderPolicy;
 use dlacep_obs::Registry;
-use dlacep_par::Parallelism;
 use std::sync::Arc;
 
 /// Builder for the batch pipeline ([`Dlacep`]).
@@ -119,22 +118,6 @@ impl<F: Filter> DlacepBuilder<F> {
         self
     }
 
-    /// Carry the accumulated pattern/filter/assembler/parallelism/obs into
-    /// a [`StreamingBuilder`] for the supervised streaming runtime. The
-    /// streaming runtime monitors a single pattern; if extra patterns were
-    /// registered via [`DlacepBuilder::patterns`], the streaming build
-    /// reports a config error.
-    pub fn streaming(self) -> StreamingBuilder<F> {
-        let mut patterns = self.patterns.into_iter();
-        let first = patterns.next().expect("builder always holds one pattern");
-        let mut b = StreamingBuilder::new(first, self.filter);
-        b.extra_patterns = patterns.count();
-        b.config.assembler = self.assembler;
-        b.config.parallelism = self.parallelism;
-        b.obs = self.obs;
-        b
-    }
-
     /// Validate and construct the pipeline.
     pub fn build(self) -> Result<Dlacep<F>, DlacepError> {
         let set = PatternSet::new(self.patterns)?;
@@ -157,9 +140,6 @@ pub struct StreamingBuilder<F: Filter> {
     config: RuntimeConfig,
     obs: Option<Arc<Registry>>,
     trainer: Option<Box<dyn ModelTrainer<F>>>,
-    /// Patterns beyond the first carried over from a multi-pattern batch
-    /// chain; the streaming runtime cannot serve them, so `build` rejects.
-    extra_patterns: usize,
 }
 
 impl<F: Filter + std::fmt::Debug> std::fmt::Debug for StreamingBuilder<F> {
@@ -186,7 +166,6 @@ impl<F: Filter> StreamingBuilder<F> {
             config: RuntimeConfig::default(),
             obs: None,
             trainer: None,
-            extra_patterns: 0,
         }
     }
 
@@ -261,21 +240,8 @@ impl<F: Filter> StreamingBuilder<F> {
         }
     }
 
-    fn reject_extra_patterns(&self) -> Result<(), RuntimeError> {
-        if self.extra_patterns > 0 {
-            return Err(RuntimeError::Config(format!(
-                "streaming runtime monitors a single pattern; {} extra pattern(s) \
-                 registered via DlacepBuilder::patterns are not supported — use the \
-                 batch pipeline (DlacepBuilder::build) for multi-pattern sets",
-                self.extra_patterns
-            )));
-        }
-        Ok(())
-    }
-
     /// Validate and construct the runtime.
     pub fn build(self) -> Result<StreamingDlacep<F>, RuntimeError> {
-        self.reject_extra_patterns()?;
         StreamingDlacep::with_config_obs_trainer(
             self.pattern,
             self.filter,
@@ -289,7 +255,6 @@ impl<F: Filter> StreamingBuilder<F> {
     /// cold start. Pattern, filter kind, config (and trainer, when retrain
     /// is enabled) must match what the checkpointed runtime ran with.
     pub fn restore(self, ckpt: RuntimeCheckpoint) -> Result<StreamingDlacep<F>, RuntimeError> {
-        self.reject_extra_patterns()?;
         StreamingDlacep::restore_with_trainer(
             self.pattern,
             self.filter,
@@ -434,18 +399,6 @@ mod tests {
             snap.counters.get("pipeline.windows_marked_f32")
         );
         assert_eq!(snap.counters.get("pipeline.windows_marked_quant"), Some(&0));
-    }
-
-    #[test]
-    fn streaming_chain_from_batch_builder() {
-        let p = seq_ab(8);
-        let mut rt = Dlacep::builder(p, PassthroughFilter)
-            .parallelism(Parallelism::default())
-            .streaming()
-            .max_partials(64)
-            .build()
-            .unwrap();
-        rt.ingest_all(stream(40).events()).unwrap();
     }
 
     #[test]

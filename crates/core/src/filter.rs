@@ -29,9 +29,10 @@ pub const MARK_BATCH: usize = 8;
 
 /// Marks the events of one assembler window that should survive filtration.
 ///
-/// `Send + Sync` is a supertrait so the runtime can evaluate independent
-/// windows on a `dlacep-par` pool; filters needing interior mutability must
-/// use atomics or locks rather than `Cell`/`RefCell`.
+/// `Send + Sync` is a supertrait so pooled marking can hand chunks of
+/// independent windows to scoped helper threads (see [`crate::stage`]),
+/// each sharing `&self`; filters needing interior mutability must use
+/// atomics or locks rather than `Cell`/`RefCell`.
 pub trait Filter: Send + Sync {
     /// One mark per event; `true` = relay to the CEP extractor.
     fn mark(&self, window: &[PrimitiveEvent]) -> Vec<bool>;

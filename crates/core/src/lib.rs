@@ -47,6 +47,8 @@
 //! assert!(!report.matches.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod assembler;
 pub mod builder;
 pub mod chaos;
@@ -69,7 +71,6 @@ pub mod trainer;
 pub use assembler::{AssemblerConfig, AssemblerError};
 pub use builder::{DlacepBuilder, DurableBuilder, StreamingBuilder};
 pub use chaos::{out_of_order_timestamps, ChaosFault, ChaosFilter, ChaosTrainer, TrainFault};
-pub use dlacep_par::{Parallelism, PoolStats};
 pub use drift::{DriftConfig, DriftMonitor, DriftMonitorState, DriftState};
 pub use durable::{
     decode_checkpoint, decode_offer, dur_dir_from_env, encode_checkpoint, encode_offer, put_offer,
@@ -98,6 +99,7 @@ pub use runtime::{
     EmittedMark, ModeCause, ModeTransition, RetrainReport, RuntimeCheckpoint, RuntimeConfig,
     RuntimeError, RuntimeMode, RuntimeReport, StreamingDlacep,
 };
+pub use stage::{Parallelism, PoolStats};
 pub use trainer::{
     train_event_filter, train_multi_pattern, train_window_filter, EventNetTraining, TrainConfig,
     WindowNetTraining,
@@ -123,6 +125,6 @@ pub mod prelude {
     pub use crate::runtime::{
         RuntimeConfig, RuntimeError, RuntimeMode, RuntimeReport, StreamingDlacep,
     };
+    pub use crate::stage::Parallelism;
     pub use crate::trainer::{train_event_filter, train_window_filter, TrainConfig};
-    pub use dlacep_par::Parallelism;
 }

@@ -4,13 +4,12 @@
 use crate::assembler::{AssemblerConfig, AssemblerError};
 use crate::filter::Filter;
 use crate::guard::GuardConfig;
-use crate::stage::MarkStage;
+use crate::stage::{MarkLanes, MarkStage, Parallelism, PoolStats};
 use dlacep_cep::engine::CepEngine;
 use dlacep_cep::plan::{CompileError, Plan};
 use dlacep_cep::{EngineStats, Match, NfaConfig, Pattern, PatternError, PatternSet, SharedPlan};
 use dlacep_events::PrimitiveEvent;
 use dlacep_obs::{Counter, Histogram, MetricsSnapshot, Registry, TraceBuilder, Tracer};
-use dlacep_par::{Parallelism, PoolStats, ThreadPool};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -90,7 +89,7 @@ pub struct DlacepReport {
     /// breaker (see [`crate::guard`]), which relays further windows in full
     /// without invoking the filter.
     pub filter_faults: usize,
-    /// Cumulative scheduling counters of the pipeline's pool; `None` on the
+    /// Cumulative counters of the pipeline's pooled marking; `None` on the
     /// serial path.
     pub pool: Option<PoolStats>,
     /// Snapshot of the pipeline's obs registry taken as the run finished;
@@ -265,7 +264,7 @@ pub struct Dlacep<F: Filter> {
     assembler: AssemblerConfig,
     filter: F,
     par: Parallelism,
-    pool: Option<Arc<ThreadPool>>,
+    lanes: Option<Arc<MarkLanes>>,
     obs: PipelineObs,
 }
 
@@ -293,8 +292,8 @@ impl<F: Filter> Dlacep<F> {
     /// Shared construction path behind [`Dlacep::builder`]: validates the
     /// assembler against the set's `W`, compiles the shared plan once
     /// (per-run extractors are instantiated from it, so `run` cannot fail),
-    /// resolves obs handles, and builds the pool so its `pool.*` metrics
-    /// land in the same registry.
+    /// resolves obs handles, and sets up the marking lanes so their `pool.*`
+    /// metrics land in the same registry.
     pub(crate) fn construct(
         patterns: PatternSet,
         filter: F,
@@ -305,14 +304,14 @@ impl<F: Filter> Dlacep<F> {
         assembler.validate(patterns.window().size())?;
         let shared = patterns.compile()?;
         let obs = PipelineObs::new(registry.unwrap_or_else(dlacep_obs::global));
-        let pool = par.build_pool(&obs.registry);
+        let lanes = par.lanes(&obs.registry);
         Ok(Self {
             patterns,
             shared,
             assembler,
             filter,
             par,
-            pool,
+            lanes,
             obs,
         })
     }
@@ -368,10 +367,10 @@ impl<F: Filter> Dlacep<F> {
     /// never recall, and never unwinds through `run`.
     ///
     /// With a multi-thread [`Parallelism`] config, window marking is batched
-    /// onto the pool; extraction is one engine over the filtered stream
+    /// onto scoped lanes; extraction is one engine over the filtered stream
     /// either way. The report — matches, marks and `extractor_stats` — is
-    /// identical to the serial path (see `dlacep_par`'s determinism
-    /// contract); only `pool` differs.
+    /// identical to the serial path (see [`crate::stage`]); only `pool`
+    /// differs.
     #[must_use = "the report carries the emitted matches"]
     pub fn run(&self, events: &[PrimitiveEvent]) -> DlacepReport {
         self.obs.events_total.add(events.len() as u64);
@@ -386,7 +385,7 @@ impl<F: Filter> Dlacep<F> {
             &self.filter,
             GuardConfig::default(),
             self.assembler,
-            self.pool.clone(),
+            self.lanes.clone(),
             self.obs.mark_nanos.clone(),
         );
         stage.admit(events.len());

@@ -48,7 +48,6 @@ use dlacep_nn::{BiCrf, Crf, ParamStore};
 /// The integer-kernel level the int8 filter dispatches to on this CPU
 /// (`"avx2"`, `"sse2"` or `"scalar"`), for telemetry and report headers.
 pub use dlacep_nn::quant::simd_level;
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::sync::Mutex;
 
 /// Arenas kept warm in the pool. Marking uses one arena per in-flight
@@ -185,30 +184,6 @@ fn marginals(cell: &[f32], [b0, b1]: [f32; 2]) -> [f32; 2] {
     [m0 / sum, m1 / sum]
 }
 
-impl Serialize for CrfDir {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("trans".into(), self.trans.to_value()),
-            ("start".into(), self.start.to_value()),
-            ("end".into(), self.end.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for CrfDir {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| DeError::new("CrfDir: expected map"))?;
-        Self::assemble(
-            serde::field(m, "trans")?,
-            serde::field(m, "start")?,
-            serde::field(m, "end")?,
-        )
-        .map_err(DeError::new)
-    }
-}
-
 impl Enc for CrfDir {
     fn enc(&self, e: &mut Encoder) {
         e.put(&self.trans);
@@ -225,7 +200,7 @@ impl Dec for CrfDir {
 
 /// The BI-CRF head of the quantized network: scaled probability-domain
 /// 2-label forward–backward over both directions, allocation-free.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct CrfHead {
     fwd: CrfDir,
     bwd: CrfDir,
@@ -517,32 +492,6 @@ impl Dec for QuantizedEventNetwork {
     fn dec(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Self::assemble(d.get()?, d.get()?, d.get()?, d.get()?)
             .map_err(|e| CodecError::Malformed(e.into()))
-    }
-}
-
-impl Serialize for QuantizedEventNetwork {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("input_dim".into(), self.input_dim.to_value()),
-            ("encoder".into(), self.encoder.to_value()),
-            ("emit".into(), self.emit.to_value()),
-            ("crf".into(), self.crf.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for QuantizedEventNetwork {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| DeError::new("QuantizedEventNetwork: expected map"))?;
-        Self::assemble(
-            serde::field(m, "input_dim")?,
-            serde::field(m, "encoder")?,
-            serde::field(m, "emit")?,
-            serde::field(m, "crf")?,
-        )
-        .map_err(DeError::new)
     }
 }
 
@@ -1089,13 +1038,6 @@ mod tests {
                 Err(CodecError::Malformed(_))
             ));
         }
-        let json = serde_json::to_string(net).unwrap();
-        assert_eq!(
-            &serde_json::from_str::<QuantizedEventNetwork>(&json).unwrap(),
-            net
-        );
-        let bad = json.replacen("\"input_dim\":", "\"input_dim\":1", 1);
-        assert!(serde_json::from_str::<QuantizedEventNetwork>(&bad).is_err());
     }
 
     #[test]

@@ -40,7 +40,7 @@ use crate::retrain::{
     validate_candidate, GateReport, ModelTrainer, RetrainCheckpoint, RetrainConfig, RetrainRuntime,
     RetrainState,
 };
-use crate::stage::{checked_usize, MarkStage, StageState, WindowObserver};
+use crate::stage::{checked_usize, MarkStage, Parallelism, PoolStats, StageState, WindowObserver};
 use dlacep_cep::engine::CepEngine;
 use dlacep_cep::plan::Plan;
 use dlacep_cep::{EngineStats, Match, NfaConfig, NfaEngine, Pattern};
@@ -49,7 +49,6 @@ use dlacep_events::{AttrValue, EventId, OutOfOrderPolicy, PrimitiveEvent, Stream
 use dlacep_obs::{
     Counter, FieldValue, Histogram, Journal, MetricsSnapshot, Registry, TraceBuilder, Tracer,
 };
-use dlacep_par::{Parallelism, PoolStats};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -116,9 +115,9 @@ pub struct RuntimeConfig {
     pub max_partials: Option<usize>,
     /// Drift detection; `None` disables the drift-triggered fallback.
     pub drift: Option<DriftConfig>,
-    /// Parallel execution of batched window marking
-    /// ([`StreamingDlacep::ingest_batch`]); the default is serial, which is
-    /// byte-identical to the pre-parallel runtime.
+    /// Threads marking the windows of one batch
+    /// ([`StreamingDlacep::ingest_batch`]) under `std::thread::scope`; the
+    /// default is serial. Output is the serial output at any thread count.
     pub parallelism: Parallelism,
     /// Self-healing drift recovery; `None` (the default) keeps the manual
     /// `rebaseline` workflow. Requires a model trainer attached via
@@ -263,7 +262,7 @@ impl EmittedMark {
 /// Full mutable state of a [`StreamingDlacep`], captured by
 /// [`StreamingDlacep::checkpoint`] and re-injected by
 /// [`StreamingDlacep::restore`]. Everything derived from the pattern and
-/// configuration (compiled plan, guard wiring, pool) is rebuilt by the
+/// configuration (compiled plan, guard wiring, marking lanes) is rebuilt by the
 /// constructors; the checkpoint carries only the trajectory: admission
 /// cursors, the un-relayed buffer, breaker/drift state, the extractor's
 /// partial matches, the emitted mark, and the observability watermark —
@@ -400,7 +399,7 @@ pub struct RuntimeReport {
     pub retrain: Option<RetrainReport>,
     /// Extractor work counters (includes `partials_shed` under a budget).
     pub extractor_stats: EngineStats,
-    /// Cumulative scheduling counters of the runtime's pool; `None` under a
+    /// Cumulative counters of the runtime's pooled marking; `None` under a
     /// serial [`Parallelism`] config.
     pub pool: Option<PoolStats>,
     /// Snapshot of the runtime's obs registry taken at
@@ -910,8 +909,8 @@ impl<F: Filter> StreamingDlacep<F> {
     /// Shared construction path of the builder and
     /// [`StreamingDlacep::restore`]. Does *not* record the initial mode —
     /// a restored runtime continues its checkpointed timeline and journal
-    /// sequence instead of starting a fresh one. The pool is built against
-    /// the final registry so its `pool.*` metrics land there.
+    /// sequence instead of starting a fresh one. The marking lanes are set
+    /// up against the final registry so their `pool.*` metrics land there.
     fn build(
         pattern: Pattern,
         filter: F,
@@ -966,7 +965,7 @@ impl<F: Filter> StreamingDlacep<F> {
             },
         );
         let obs = RuntimeObs::new(registry.unwrap_or_else(dlacep_obs::global));
-        let pool = config.parallelism.build_pool(&obs.registry);
+        let pool = config.parallelism.lanes(&obs.registry);
         let tracer = obs.registry.tracer();
         Ok(Self {
             config,
@@ -1455,8 +1454,9 @@ impl<F: Filter> StreamingDlacep<F> {
     /// Ingest a slice of events as one batch. Every event is offered and
     /// judged by the out-of-order policy on its own (ids are re-stamped by
     /// arrival; dropped and rejected events consume none), then the windows
-    /// the batch completes are marked together — in chunks, on the pool
-    /// when the [`Parallelism`] config has one — and replayed through
+    /// the batch completes are marked together — in chunks, spread over
+    /// scoped lanes under a multi-thread [`Parallelism`] config — and
+    /// replayed through
     /// guard, drift monitor and retrain supervisor in window order (see
     /// [`crate::stage`]). Matches, counters, timeline and journal are those
     /// of offering the same events one [`StreamingDlacep::ingest`] at a

@@ -15,15 +15,15 @@
 //!
 //! Marking is **speculative, then replayed**: the windows of one
 //! [`MarkStage::settle`] call are handed to [`Filter::mark_batch`] in
-//! chunks of [`MARK_BATCH`] — on the pool when there is one and the call
-//! has at least two chunks, inline otherwise — behind a panic fence, and
-//! the raw results then pass through the guard serially, in window order.
-//! Guard state, the observer's verdicts and every counter are therefore a
-//! function of the window sequence alone, never of how the stream was cut
-//! into calls or of the thread count. Speculation is skipped while the
-//! breaker is not Closed or the observer bypasses (the guard then decides
-//! live whether the filter runs at all), and dropped for the rest of the
-//! call once the observer swaps the filter.
+//! chunks of [`MARK_BATCH`] — spread over [`MarkLanes`] when the stage has
+//! them and the call has at least two chunks, inline otherwise — behind a
+//! panic fence, and the raw results then pass through the guard serially,
+//! in window order. Guard state, the observer's verdicts and every counter
+//! are therefore a function of the window sequence alone, never of how the
+//! stream was cut into calls or of the thread count. Speculation is skipped
+//! while the breaker is not Closed or the observer bypasses (the guard then
+//! decides live whether the filter runs at all), and dropped for the rest
+//! of the call once the observer swaps the filter.
 
 use crate::assembler::AssemblerConfig;
 use crate::filter::{Filter, MARK_BATCH};
@@ -32,13 +32,141 @@ use crate::guard::{
     SpeculativeInvocation,
 };
 use dlacep_events::PrimitiveEvent;
-use dlacep_obs::Histogram;
-use dlacep_par::{PoolStats, ThreadPool};
+use dlacep_obs::{Counter, Histogram, Registry};
+use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
+
+/// Parallel execution configuration of a `Dlacep` or `StreamingDlacep`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Parallelism {
+    /// Marking lanes, the calling thread counting as one. `1` (the
+    /// default) = serial, `0` = `std::thread::available_parallelism`.
+    pub threads: usize,
+}
+
+impl Parallelism {
+    /// Fully serial configuration (the default).
+    pub fn serial() -> Self {
+        Self::with_threads(1)
+    }
+
+    /// An explicit thread count.
+    pub fn with_threads(threads: usize) -> Self {
+        Parallelism { threads }
+    }
+
+    /// Resolve `threads = 0` to the machine's available parallelism.
+    pub fn effective_threads(&self) -> usize {
+        match self.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        }
+    }
+
+    /// Lanes reporting `pool.*` metrics into `registry`; `None` when serial.
+    pub(crate) fn lanes(&self, registry: &Registry) -> Option<Arc<MarkLanes>> {
+        let threads = self.effective_threads();
+        (threads > 1).then(|| {
+            Arc::new(MarkLanes {
+                stats: Mutex::new(PoolStats {
+                    threads,
+                    ..PoolStats::default()
+                }),
+                jobs: registry.counter("pool.jobs"),
+                tasks_executed: registry.counter("pool.tasks_executed"),
+                tasks_stolen: registry.counter("pool.tasks_stolen"),
+                task_nanos: registry.histogram("pool.task_nanos"),
+            })
+        })
+    }
+}
+
+impl Default for Parallelism {
+    fn default() -> Self {
+        Self::serial()
+    }
+}
+
+/// Cumulative counters of one pipeline's or runtime's pooled marking.
+/// `jobs` and `tasks_executed` are a function of the input alone.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PoolStats {
+    /// Lane budget (helper threads + the calling thread).
+    pub threads: usize,
+    /// Calls that forked (two or more chunks).
+    pub jobs: u64,
+    /// Chunks those calls ran, on any lane.
+    pub tasks_executed: u64,
+    /// Chunks a helper thread ran rather than the calling thread.
+    pub tasks_stolen: u64,
+}
+
+/// The marking lanes of one pipeline or runtime: the lane budget, its
+/// [`PoolStats`] and `pool.*` metrics. Threads live only inside a fork.
+#[derive(Debug)]
+pub struct MarkLanes {
+    stats: Mutex<PoolStats>,
+    jobs: Counter,
+    tasks_executed: Counter,
+    tasks_stolen: Counter,
+    task_nanos: Histogram,
+}
+
+impl MarkLanes {
+    /// The counters so far.
+    pub(crate) fn stats(&self) -> PoolStats {
+        *self.stats.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// `f` over `items` in item order. Two or more items fork onto at most
+    /// `threads` lanes under [`std::thread::scope`], the caller being one;
+    /// each lane claims the next unclaimed item, and results are put back by
+    /// item index. Fewer items run inline, uncounted. A panic in `f` reaches
+    /// the caller once every lane has stopped.
+    fn map<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        let lanes = self.stats().threads.min(items.len());
+        if lanes < 2 {
+            return items.iter().map(f).collect();
+        }
+        let next = AtomicUsize::new(0);
+        let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < items.len());
+        let run = |i: usize| {
+            let _span = self.task_nanos.span();
+            (i, f(&items[i]))
+        };
+        let lane = || std::iter::from_fn(claim).map(run).collect::<Vec<_>>();
+        let (own, mut done) = std::thread::scope(|s| {
+            // A helper the OS refuses to start leaves its share to the others.
+            let helpers: Vec<_> = (1..lanes)
+                .filter_map(|_| std::thread::Builder::new().spawn_scoped(s, lane).ok())
+                .collect();
+            let own = lane();
+            let helped: Vec<_> = helpers
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                .collect();
+            (own, helped)
+        });
+        let (executed, stolen) = (items.len() as u64, done.len() as u64);
+        {
+            let mut stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
+            stats.jobs += 1;
+            stats.tasks_executed += executed;
+            stats.tasks_stolen += stolen;
+        }
+        self.jobs.inc();
+        self.tasks_executed.add(executed);
+        self.tasks_stolen.add(stolen);
+        done.extend(own);
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
+    }
+}
 
 /// Per-window hooks into the guard replay, called in window order:
 /// `begin` → guard → `marked` → keep-map → `settled`. The streaming runtime
@@ -76,7 +204,7 @@ pub trait WindowObserver<F: Filter> {
 impl<F: Filter> WindowObserver<F> for () {}
 
 /// The checkpointable part of a [`MarkStage`]: everything but the filter,
-/// the pool and the geometry, which the driver rebuilds.
+/// the lanes and the geometry, which the driver rebuilds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageState {
     /// Breaker trajectory.
@@ -99,7 +227,7 @@ pub struct StageState {
 pub struct MarkStage<F> {
     assembler: AssemblerConfig,
     guard: FilterGuard<F>,
-    pool: Option<Arc<ThreadPool>>,
+    lanes: Option<Arc<MarkLanes>>,
     /// Per-window share of each `mark_batch` call's wall time.
     mark_nanos: Histogram,
     /// Keep flags of the positions `[base, admitted)`.
@@ -116,19 +244,19 @@ pub struct MarkStage<F> {
 impl<F: Filter> MarkStage<F> {
     /// A stage at stream position 0. `assembler` must already be validated
     /// against the pattern window. A call that completes more than
-    /// [`MARK_BATCH`] windows marks its chunks on `pool`; smaller calls (and
-    /// every call without a pool) mark inline.
+    /// [`MARK_BATCH`] windows marks its chunks on `lanes`; smaller calls (and
+    /// every call without lanes) mark inline.
     pub fn new(
         filter: F,
         guard: GuardConfig,
         assembler: AssemblerConfig,
-        pool: Option<Arc<ThreadPool>>,
+        lanes: Option<Arc<MarkLanes>>,
         mark_nanos: Histogram,
     ) -> Self {
         Self {
             assembler,
             guard: FilterGuard::new(filter, guard),
-            pool,
+            lanes,
             mark_nanos,
             keep: VecDeque::new(),
             base: 0,
@@ -160,9 +288,9 @@ impl<F: Filter> MarkStage<F> {
         self.windows_evaluated
     }
 
-    /// Scheduling counters of the marking pool; `None` without one.
+    /// Counters of the marking lanes; `None` without them.
     pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.pool.as_ref().map(|p| p.stats())
+        self.lanes.as_ref().map(|l| l.stats())
     }
 
     /// Replace the guarded filter (see [`FilterGuard::swap_filter`]).
@@ -288,9 +416,9 @@ impl<F: Filter> MarkStage<F> {
             raws
         };
         let chunks: Vec<&[&[PrimitiveEvent]]> = windows.chunks(MARK_BATCH).collect();
-        // The pool forks only for two or more chunks; one runs inline.
-        let marked = match &self.pool {
-            Some(pool) => pool.parallel_map(&chunks, 1, |_, chunk| invoke_chunk(chunk)),
+        // The lanes fork only for two or more chunks; one runs inline.
+        let marked = match &self.lanes {
+            Some(lanes) => lanes.map(&chunks, invoke_chunk),
             None => chunks.iter().map(invoke_chunk).collect(),
         };
         marked.into_iter().flatten().collect()
@@ -354,7 +482,6 @@ mod tests {
     use dlacep_cep::engine::CepEngine;
     use dlacep_cep::{Match, NfaEngine, Pattern, PatternExpr, TypeSet};
     use dlacep_events::{EventStream, TypeId, WindowSpec};
-    use dlacep_par::Parallelism;
     use std::collections::BTreeMap;
 
     const A: TypeId = TypeId(0);
@@ -548,5 +675,148 @@ mod tests {
         assert!(stage.import_state(state.clone()).is_ok());
         state.marks.pop();
         assert!(stage.import_state(state).is_err());
+    }
+
+    fn lanes(threads: usize, registry: &Registry) -> Arc<MarkLanes> {
+        Parallelism::with_threads(threads).lanes(registry).unwrap()
+    }
+
+    #[test]
+    fn parallel_map_preserves_item_order() {
+        for threads in [2, 3, 8] {
+            for n in [2usize, 9, 257] {
+                let lanes = lanes(threads, &Registry::disabled());
+                let items: Vec<usize> = (0..n).collect();
+                let out = lanes.map(&items, |&x| x * 2 + 1);
+                let want: Vec<usize> = items.iter().map(|&x| x * 2 + 1).collect();
+                assert_eq!(out, want, "{threads} threads, {n} items");
+                assert_eq!(lanes.stats().jobs, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_single_chunk_inputs() {
+        let lanes = lanes(4, &Registry::disabled());
+        let out: Vec<u8> = lanes.map(&[], |_: &u8| panic!("must not run"));
+        assert!(out.is_empty());
+        assert_eq!(lanes.map(&[9u8], |&x| x), vec![9]);
+        assert_eq!(lanes.stats().jobs, 0);
+    }
+
+    #[test]
+    fn fewer_than_two_items_run_inline() {
+        let registry = Registry::enabled();
+        let lanes = lanes(4, &registry);
+        let caller = std::thread::current().id();
+        for items in [vec![], vec![7u32]] {
+            let out = lanes.map(&items, |&x| {
+                assert_eq!(std::thread::current().id(), caller);
+                x + 1
+            });
+            assert_eq!(out, items.iter().map(|x| x + 1).collect::<Vec<_>>());
+        }
+        let idle = PoolStats {
+            threads: 4,
+            ..PoolStats::default()
+        };
+        assert_eq!(lanes.stats(), idle, "no fork, no count");
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["pool.jobs"], 0);
+        assert_eq!(snap.histograms["pool.task_nanos"].count, 0);
+    }
+
+    #[test]
+    fn stats_count_chunks_deterministically() {
+        let lanes = lanes(3, &Registry::disabled());
+        let items: Vec<u32> = (0..10).collect();
+        lanes.map(&items, |_| ());
+        lanes.map(&items, |_| ());
+        let stats = lanes.stats();
+        assert_eq!(stats.threads, 3);
+        assert_eq!(stats.jobs, 2);
+        assert_eq!(stats.tasks_executed, 20);
+        assert!(stats.tasks_stolen <= stats.tasks_executed);
+    }
+
+    #[test]
+    fn task_panic_propagates_to_caller() {
+        let lanes = lanes(4, &Registry::disabled());
+        let items: Vec<u32> = (0..64).collect();
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            lanes.map(&items, |&x| assert_ne!(x, 13, "boom"));
+        }))
+        .unwrap_err();
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("the panic's own payload");
+        assert!(message.contains("boom"), "{message}");
+        // The lanes stay usable after a panicked call.
+        assert_eq!(lanes.map(&[5u8, 6], |&x| x), vec![5, 6]);
+    }
+
+    #[test]
+    fn obs_registry_sees_pool_activity() {
+        let registry = Registry::enabled();
+        let lanes = lanes(3, &registry);
+        let items: Vec<u32> = (0..10).collect();
+        lanes.map(&items, |_| ());
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["pool.jobs"], 1);
+        assert_eq!(snap.counters["pool.tasks_executed"], 10);
+        assert_eq!(
+            snap.counters["pool.tasks_stolen"],
+            lanes.stats().tasks_stolen
+        );
+        assert_eq!(snap.histograms["pool.task_nanos"].count, 10);
+    }
+
+    #[test]
+    fn disabled_obs_registry_stays_empty() {
+        let registry = Registry::disabled();
+        let lanes = lanes(2, &registry);
+        let items: Vec<u32> = (0..16).collect();
+        lanes.map(&items, |_| ());
+        let snap = registry.snapshot();
+        assert!(snap.counters.is_empty());
+        assert!(snap.histograms.is_empty());
+        assert_eq!(lanes.stats().jobs, 1, "the counters do not need obs");
+    }
+
+    #[test]
+    fn default_parallelism_is_serial() {
+        let p = Parallelism::default();
+        assert_eq!(p.threads, 1);
+        assert_eq!(p.effective_threads(), 1);
+        assert!(p.lanes(&Registry::disabled()).is_none());
+    }
+
+    #[test]
+    fn auto_resolves_to_at_least_one_thread() {
+        let auto = Parallelism::with_threads(0);
+        let threads = auto.effective_threads();
+        assert!(threads >= 1);
+        let lanes = auto.lanes(&Registry::disabled());
+        assert_eq!(
+            lanes.map(|l| l.stats().threads),
+            (threads > 1).then_some(threads)
+        );
+    }
+
+    #[test]
+    fn lanes_match_thread_count() {
+        let lanes = Parallelism::with_threads(3)
+            .lanes(&Registry::disabled())
+            .expect("threads=3 must have lanes");
+        assert_eq!(lanes.stats().threads, 3);
+    }
+
+    #[test]
+    fn parallelism_round_trips_through_serde() {
+        let p = Parallelism::with_threads(4);
+        let json = serde_json::to_string(&p).unwrap();
+        assert_eq!(json, r#"{"threads":4}"#);
+        let back: Parallelism = serde_json::from_str(&json).unwrap();
+        assert_eq!(p, back);
     }
 }

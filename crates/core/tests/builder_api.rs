@@ -266,17 +266,3 @@ fn builder_patterns_appends_to_the_registered_set() {
     assert_eq!(via_append.matches, via_set.matches);
     assert_eq!(via_append.per_pattern, via_set.per_pattern);
 }
-
-#[test]
-fn streaming_build_rejects_extra_patterns() {
-    let err = Dlacep::builder(seq_ab(6), PassthroughFilter)
-        .patterns([seq_bc(6)])
-        .streaming()
-        .build()
-        .err()
-        .expect("streaming runtime must reject multi-pattern sets");
-    assert!(
-        matches!(err, RuntimeError::Config(ref m) if m.contains("extra pattern")),
-        "got: {err:?}"
-    );
-}

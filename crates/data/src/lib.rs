@@ -15,6 +15,8 @@
 //! engine over 2W-sized samples (paper §4.3), including the negation-aware
 //! labeling fix of §4.4.
 
+#![forbid(unsafe_code)]
+
 pub mod label;
 pub mod split;
 pub mod standardize;

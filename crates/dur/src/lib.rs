@@ -39,6 +39,8 @@
 //! replaying the WAL suffix into a restored checkpoint reproduces the
 //! uninterrupted run's outputs bit for bit, for every crash point.
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod codec;
 pub mod emit;

@@ -16,6 +16,8 @@
 //! * [`window`] — overlapping count-based and time-based window iterators
 //!   (paper Fig. 3).
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod durcodec;
 pub mod event;

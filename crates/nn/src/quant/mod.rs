@@ -33,10 +33,10 @@
 //!   [`ScratchArena`] that grows to the high-water mark of the batches it
 //!   has seen and is then reused verbatim.
 //!
-//! Quantized layers serialize through both `serde` (model bundles) and the
-//! `dlacep-dur` binary codec (checkpoint-grade round-trips): the canonical
-//! form is the `i8` tensor plus per-channel scales; the packed inference
-//! layout is derived data, rebuilt on load.
+//! Quantized layers persist through the `dlacep-dur` binary codec only
+//! (`DMQ8` model files, checkpoint-grade round-trips): the canonical form
+//! is the `i8` tensor plus per-channel scales; the packed inference layout
+//! is derived data, rebuilt on load.
 
 mod kernel;
 
@@ -48,7 +48,6 @@ use dlacep_dur::{CodecError, Dec, Decoder, Enc, Encoder};
 use kernel::{
     bilstm_recurrence, pad_to, qgemm, quantize_row, BiRecurrence, PackedWeights, SimdLevel, CH_PAD,
 };
-use serde::{DeError, Deserialize, Serialize, Value};
 
 /// The integer-kernel instantiation this process dispatches to, detected
 /// once from the CPU: `"avx2"`, `"sse2"` or `"scalar"`. All three produce
@@ -336,38 +335,6 @@ impl QuantizedMatrix {
     }
 }
 
-impl Serialize for QuantizedMatrix {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("out_dim".into(), self.out_dim.to_value()),
-            ("in_dim".into(), self.in_dim.to_value()),
-            ("data".into(), self.data.to_value()),
-            ("scales".into(), self.scales.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for QuantizedMatrix {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| DeError::new("QuantizedMatrix: expected map"))?;
-        let out_dim: usize = serde::field(m, "out_dim")?;
-        let in_dim: usize = serde::field(m, "in_dim")?;
-        let data: Vec<i8> = serde::field(m, "data")?;
-        let scales: Vec<f32> = serde::field(m, "scales")?;
-        if out_dim.checked_mul(in_dim) != Some(data.len()) || scales.len() != out_dim {
-            return Err(DeError::new("QuantizedMatrix: shape/data mismatch"));
-        }
-        Ok(Self {
-            out_dim,
-            in_dim,
-            data,
-            scales,
-        })
-    }
-}
-
 impl Enc for QuantizedMatrix {
     fn enc(&self, e: &mut Encoder) {
         e.put(&self.out_dim);
@@ -515,30 +482,6 @@ impl QuantizedLinear {
     }
 }
 
-impl Serialize for QuantizedLinear {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("w".into(), self.w.to_value()),
-            ("bias".into(), self.bias.to_value()),
-            ("in_scale".into(), self.in_scale.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for QuantizedLinear {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| DeError::new("QuantizedLinear: expected map"))?;
-        Self::assemble(
-            serde::field(m, "w")?,
-            serde::field(m, "bias")?,
-            serde::field(m, "in_scale")?,
-        )
-        .map_err(DeError::new)
-    }
-}
-
 impl Enc for QuantizedLinear {
     fn enc(&self, e: &mut Encoder) {
         e.put(&self.w);
@@ -558,7 +501,7 @@ impl Dec for QuantizedLinear {
 // ---------------------------------------------------------------------------
 
 /// One LSTM direction with int8 `Wx`/`Wh` (canonical form).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedLstmLayer {
     input_dim: usize,
     hidden: usize,
@@ -637,7 +580,7 @@ impl Dec for QuantizedLstmLayer {
 }
 
 /// Both directions of one BiLSTM layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedBiLstmLayer {
     fwd: QuantizedLstmLayer,
     bwd: QuantizedLstmLayer,
@@ -827,25 +770,6 @@ impl QuantizedStackedBiLstm {
             std::mem::swap(&mut arena.io_a, &mut arena.io_b);
             std::mem::swap(&mut arena.xq, &mut arena.xq_b);
         }
-    }
-}
-
-impl Serialize for QuantizedStackedBiLstm {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("layers".into(), self.layers.to_value()),
-            ("input_scale".into(), self.input_scale.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for QuantizedStackedBiLstm {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| DeError::new("QuantizedStackedBiLstm: expected map"))?;
-        Self::assemble(serde::field(m, "layers")?, serde::field(m, "input_scale")?)
-            .map_err(DeError::new)
     }
 }
 
@@ -1266,10 +1190,6 @@ mod tests {
             Decoder::new(&bytes).get::<QuantizedStackedBiLstm>(),
             Err(CodecError::Malformed(_))
         ));
-        let json = serde_json::to_string(&qa)
-            .unwrap()
-            .replace("\"hidden\":4", "\"hidden\":3");
-        assert!(serde_json::from_str::<QuantizedStackedBiLstm>(&json).is_err());
     }
 
     #[test]
@@ -1281,17 +1201,6 @@ mod tests {
         let mut arena = ScratchArena::new();
         q.infer_in_place(0, &mut arena);
         assert!(arena.io_a.is_empty());
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_inference() {
-        let mut store = ParamStore::new();
-        let mut init = Initializer::seeded(5);
-        let stack = StackedBiLstm::new(&mut store, &mut init, 3, 4, 2);
-        let q = QuantizedStackedBiLstm::quantize(&store, &stack, 0.01).unwrap();
-        let json = serde_json::to_string(&q).unwrap();
-        let back: QuantizedStackedBiLstm = serde_json::from_str(&json).unwrap();
-        assert_eq!(q, back);
     }
 
     #[test]

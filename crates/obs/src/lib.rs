@@ -26,6 +26,8 @@
 //! [`MetricsSnapshot::deterministic_view`] extracts exactly the covered
 //! subset; `tests/obs_determinism.rs` in the workspace root enforces it.
 
+#![forbid(unsafe_code)]
+
 mod journal;
 mod metrics;
 mod prom;

@@ -39,6 +39,8 @@
 //!
 //! [`StreamingDlacep`]: dlacep_core::StreamingDlacep
 
+#![forbid(unsafe_code)]
+
 pub mod channel;
 pub mod chaos;
 pub mod client;

@@ -108,8 +108,8 @@ impl FleetReport {
 
     /// Per-key deterministic metric views (requires the fleet to have run
     /// with `obs: true`; keys whose runtime had no registry are absent).
-    /// Pool metrics are excluded — worker scheduling is the one
-    /// intentionally nondeterministic dimension.
+    /// Pool metrics are excluded — which thread marks which chunk is the
+    /// one intentionally nondeterministic dimension.
     pub fn deterministic_views(&self) -> BTreeMap<u64, DeterministicView> {
         self.keys
             .iter()

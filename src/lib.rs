@@ -8,10 +8,10 @@
 //! * [`events`] — primitive events, schemas, streams, windows;
 //! * [`cep`] — the exact CEP engine substrate (NFA, ZStream tree, lazy) and
 //!   the pattern language;
-//! * [`par`] — the work-stealing thread pool and `Parallelism` config;
 //! * [`nn`] — the from-scratch neural-network substrate (BiLSTM, CRF, Adam);
 //! * [`data`] — synthetic datasets and exact-CEP labeling;
-//! * [`core`] — the DLACEP framework: assembler, filters, pipeline, trainer;
+//! * [`core`] — the DLACEP framework: assembler, filters, pipeline, trainer,
+//!   and the `Parallelism` config for marking windows on scoped threads;
 //! * [`obs`] — zero-dependency metrics, spans, and the event journal;
 //! * [`dur`] — durability primitives: binary codec, write-ahead log,
 //!   checkpoints, and crash injection;
@@ -22,6 +22,8 @@
 //! See the `examples/` directory for runnable end-to-end scenarios and the
 //! `dlacep-bench` crate for the paper's experiments.
 
+#![forbid(unsafe_code)]
+
 pub use dlacep_cep as cep;
 pub use dlacep_core as core;
 pub use dlacep_data as data;
@@ -29,7 +31,6 @@ pub use dlacep_dur as dur;
 pub use dlacep_events as events;
 pub use dlacep_nn as nn;
 pub use dlacep_obs as obs;
-pub use dlacep_par as par;
 pub use dlacep_serve as serve;
 
 /// One-stop glob import for applications: the core prelude (pipeline,
