@@ -52,8 +52,11 @@ fn main() {
     let report = dl.run(&eval);
     let truth = ground_truth_matches(&pattern, &eval);
 
-    let found: BTreeSet<Vec<EventId>> =
-        report.matches.iter().map(|m| m.event_ids.clone()).collect();
+    let found: BTreeSet<Vec<EventId>> = report
+        .matches()
+        .iter()
+        .map(|m| m.event_ids.clone())
+        .collect();
     let by_id: HashMap<u64, &PrimitiveEvent> = eval.iter().map(|e| (e.id.0, e)).collect();
 
     let mut detected = Vec::new();

@@ -244,17 +244,13 @@ impl SharedPlan {
     /// one match list per registered pattern (registration order), with the
     /// pattern's original binding names restored. A match from a unit with
     /// several owners is attributed to each of them.
-    pub fn attribute(&self, matches: &[Match]) -> Vec<Vec<Match>> {
-        self.attribute_all(matches).per_pattern
-    }
-
-    /// Like [`SharedPlan::attribute`], but also returns the attributed
-    /// matches as one union list preserving engine emission order (the shape
-    /// single-pattern callers expect).
-    pub fn attribute_all(&self, matches: &[Match]) -> AttributedMatches {
+    ///
+    /// Consumes the engine's matches: each match's unit is looked up once,
+    /// the unit's last owner takes the match itself with its binding names
+    /// overwritten in place, and every other owner gets one copy.
+    pub fn attribute(&self, matches: Vec<Match>) -> Vec<Vec<Match>> {
         let mut per: Vec<Vec<Match>> = vec![Vec::new(); self.n_patterns];
-        let mut union = Vec::with_capacity(matches.len());
-        for m in matches {
+        for mut m in matches {
             let Some(&k) = m
                 .bindings
                 .first()
@@ -262,22 +258,36 @@ impl SharedPlan {
             else {
                 continue;
             };
-            for owner in &self.units[k].owners {
-                debug_assert_eq!(owner.bindings.len(), m.bindings.len());
-                let bindings: Vec<(String, Vec<dlacep_events::EventId>)> = owner
-                    .bindings
-                    .iter()
-                    .cloned()
-                    .zip(m.bindings.iter().map(|(_, ids)| ids.clone()))
-                    .collect();
-                let attributed = Match::from_bindings(bindings);
-                per[owner.pattern].push(attributed.clone());
-                union.push(attributed);
+            let (last, others) = self.units[k]
+                .owners
+                .split_last()
+                .expect("every unit has an owner");
+            for owner in others {
+                let mut copy = m.clone();
+                owner.rename(&mut copy);
+                per[owner.pattern].push(copy);
             }
+            last.rename(&mut m);
+            per[last.pattern].push(m);
         }
+        per
+    }
+
+    /// [`SharedPlan::attribute`] over borrowed matches (copies them first).
+    pub fn attribute_all(&self, matches: &[Match]) -> AttributedMatches {
         AttributedMatches {
-            union,
-            per_pattern: per,
+            per_pattern: self.attribute(matches.to_vec()),
+        }
+    }
+}
+
+impl Owner {
+    /// Give a match of this owner's unit the owner's binding names.
+    fn rename(&self, m: &mut Match) {
+        debug_assert_eq!(self.bindings.len(), m.bindings.len());
+        for ((name, _), own) in m.bindings.iter_mut().zip(&self.bindings) {
+            name.clear();
+            name.push_str(own);
         }
     }
 }
@@ -285,9 +295,6 @@ impl SharedPlan {
 /// Fused-plan matches attributed back to their source patterns.
 #[derive(Debug, Clone)]
 pub struct AttributedMatches {
-    /// Every attributed match in engine emission order (one entry per
-    /// match × owner).
-    pub union: Vec<Match>,
     /// Matches per source pattern, in registration order.
     pub per_pattern: Vec<Vec<Match>>,
 }
@@ -439,6 +446,88 @@ mod tests {
         WindowSpec::Count(n)
     }
 
+    /// The attribution `SharedPlan::attribute` replaced: rebuild every
+    /// owner's match from the engine's and clone it into its pattern's list.
+    fn attribute_by_rebuild(shared: &SharedPlan, matches: &[Match]) -> Vec<Vec<Match>> {
+        let mut per: Vec<Vec<Match>> = vec![Vec::new(); shared.n_patterns];
+        for m in matches {
+            let Some(&k) = m
+                .bindings
+                .first()
+                .and_then(|(name, _)| shared.unit_of_binding.get(name))
+            else {
+                continue;
+            };
+            for owner in &shared.units[k].owners {
+                let bindings: Vec<(String, Vec<EventId>)> = owner
+                    .bindings
+                    .iter()
+                    .cloned()
+                    .zip(m.bindings.iter().map(|(_, ids)| ids.clone()))
+                    .collect();
+                per[owner.pattern].push(Match::from_bindings(bindings));
+            }
+        }
+        per
+    }
+
+    /// A random pattern set from `genes`: up to three shapes (a `SEQ` of
+    /// two or three events, some ending in a Kleene closure, some with a
+    /// disjunctive step), each registered once or twice under fresh binding
+    /// names — short ones and ones longer than the fused `u<k>.…` names.
+    fn random_set(genes: &[u32]) -> PatternSet {
+        let mut g = genes.iter().copied().cycle();
+        let mut next = move |n: u32| g.next().unwrap_or(0) % n;
+        let mut names = 0;
+        let mut name = |long: bool| {
+            names += 1;
+            if long {
+                format!("a_binding_name_longer_than_any_fused_one_{names}")
+            } else {
+                format!("b{names}")
+            }
+        };
+        let mut patterns = Vec::new();
+        for _ in 0..=next(3) {
+            let (len, kleene, disj_at) = (2 + next(2) as usize, next(2) == 0, next(4) as usize);
+            let types: Vec<u32> = (0..len + 1).map(|_| next(3)).collect();
+            for _ in 0..=next(2) {
+                let long = next(2) == 0;
+                let mut elems: Vec<_> = (0..len)
+                    .map(|i| match i == disj_at {
+                        true => disj([ev(types[i], &name(long)), ev(types[len], &name(long))]),
+                        false => ev(types[i], &name(long)),
+                    })
+                    .collect();
+                if kleene {
+                    elems.push(crate::pattern::dsl::kleene(ev(3, &name(long))));
+                }
+                patterns.push(Pattern::new(seq(elems), vec![], w(6)));
+            }
+        }
+        PatternSet::new(patterns).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn owning_attribution_equals_the_clone_and_rebuild_oracle(
+            genes in proptest::prop::collection::vec(0u32..1_000, 32),
+            types in proptest::prop::collection::vec(0u32..4, 10..40),
+        ) {
+            let set = random_set(&genes);
+            let shared = set.compile().unwrap();
+            let fused = shared.engine(NfaConfig::default()).run(&stream(&types));
+            let want = attribute_by_rebuild(&shared, &fused);
+            let got = shared.attribute(fused);
+            proptest::prop_assert_eq!(got.len(), set.len());
+            for (p, (got, want)) in got.iter().zip(&want).enumerate() {
+                proptest::prop_assert_eq!(got, want, "pattern {} of {:?}", p, set);
+            }
+        }
+    }
+
     #[test]
     fn rejects_empty_and_mixed_windows() {
         assert_eq!(PatternSet::new(vec![]).unwrap_err(), PatternError::EmptySet);
@@ -464,7 +553,7 @@ mod tests {
         let evs = stream(&[0, 1, 0, 1]);
         let mut eng = shared.engine(NfaConfig::default());
         let matches = eng.run(&evs);
-        let per = shared.attribute(&matches);
+        let per = shared.attribute(matches);
         assert_eq!(per.len(), 2);
         assert_eq!(per[0].len(), per[1].len());
         assert!(!per[0].is_empty());
@@ -496,7 +585,7 @@ mod tests {
         let direct = NfaEngine::new(&p).unwrap().run(&evs);
         let shared = PatternSet::single(p).compile().unwrap();
         let fused = shared.engine(NfaConfig::default()).run(&evs);
-        let per = shared.attribute(&fused);
+        let per = shared.attribute(fused);
         assert_eq!(per.len(), 1);
         assert_eq!(per[0], direct);
     }

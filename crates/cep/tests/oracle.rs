@@ -639,7 +639,7 @@ proptest! {
         }
         if let Ok(shared) = PatternSet::new(vec![p.clone(), p.clone()]).unwrap().compile() {
             let fused = shared.engine(Default::default()).run(&events);
-            for per in shared.attribute(&fused) {
+            for per in shared.attribute(fused) {
                 prop_assert_eq!(canon(&per), want.clone(), "shared plan on {:?}", p);
             }
         }

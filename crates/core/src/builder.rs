@@ -362,7 +362,7 @@ mod tests {
         let legacy = Dlacep::new(p.clone(), OracleFilter::new(p))
             .unwrap()
             .run(s.events());
-        assert_eq!(built.matches, legacy.matches);
+        assert_eq!(built.matches(), legacy.matches());
         assert_eq!(built.events_relayed, legacy.events_relayed);
     }
 

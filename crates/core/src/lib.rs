@@ -44,7 +44,7 @@
 //! // upper bound any trained network approaches.
 //! let dlacep = Dlacep::new(pattern.clone(), OracleFilter::new(pattern.clone())).unwrap();
 //! let report = dlacep.run(stream.events());
-//! assert!(!report.matches.is_empty());
+//! assert!(!report.matches().is_empty());
 //! ```
 
 #![forbid(unsafe_code)]

@@ -70,7 +70,7 @@ pub fn compare_runs(
     acep: &DlacepReport,
 ) -> ComparisonReport {
     let truth = keyset(ecep_matches);
-    let ours = keyset(&acep.matches);
+    let ours = keyset(&acep.matches());
     let common = truth.intersection(&ours).count();
     let recall = if truth.is_empty() {
         1.0
@@ -204,8 +204,7 @@ mod tests {
         cep_time: Duration,
     ) -> DlacepReport {
         DlacepReport {
-            per_pattern: vec![matches.clone()],
-            matches,
+            per_pattern: vec![matches],
             events_total: 10,
             events_relayed: 0,
             filter_time,

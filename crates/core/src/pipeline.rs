@@ -10,6 +10,7 @@ use dlacep_cep::plan::{CompileError, Plan};
 use dlacep_cep::{EngineStats, Match, NfaConfig, Pattern, PatternError, PatternSet, SharedPlan};
 use dlacep_events::PrimitiveEvent;
 use dlacep_obs::{Counter, Histogram, MetricsSnapshot, Registry, TraceBuilder, Tracer};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -65,11 +66,10 @@ impl From<PatternError> for DlacepError {
 /// Outcome of one DLACEP run over a stream prefix.
 #[derive(Debug, Clone)]
 pub struct DlacepReport {
-    /// Matches emitted by the CEP extractor on the filtered stream (the
-    /// union across registered patterns, in emission order).
-    pub matches: Vec<Match>,
-    /// Matches attributed to each registered pattern, in registration
-    /// order. For a single-pattern pipeline `per_pattern[0] == matches`.
+    /// Matches emitted by the CEP extractor on the relayed events,
+    /// attributed to each registered pattern (registration order; emission
+    /// order within a pattern). The report's only match storage: see
+    /// [`DlacepReport::matches`] for all of them in one list.
     pub per_pattern: Vec<Vec<Match>>,
     /// Events fed to the pipeline.
     pub events_total: usize,
@@ -100,6 +100,17 @@ pub struct DlacepReport {
 }
 
 impl DlacepReport {
+    /// Every attributed match: for a single-pattern pipeline the pattern's
+    /// own list (borrowed), for a set the per-pattern lists concatenated in
+    /// registration order.
+    #[must_use]
+    pub fn matches(&self) -> Cow<'_, [Match]> {
+        match self.per_pattern.as_slice() {
+            [one] => Cow::Borrowed(one),
+            many => Cow::Owned(many.concat()),
+        }
+    }
+
     /// Total processing time (filtering + extraction).
     #[must_use]
     pub fn total_time(&self) -> Duration {
@@ -184,8 +195,10 @@ impl CepCounters {
     }
 }
 
-/// One sampled batch-pipeline trace: event id, builder, and root span.
+/// One sampled batch-pipeline trace: the event's position in the run's
+/// slice, its id, builder, and root span.
 struct PipeTrace {
+    pos: usize,
     id: u64,
     builder: TraceBuilder,
     root: u32,
@@ -198,13 +211,14 @@ fn begin_pipeline_traces(tracer: &Tracer, events: &[PrimitiveEvent]) -> Vec<Pipe
     if !tracer.is_enabled() {
         return out;
     }
-    for ev in events {
+    for (pos, ev) in events.iter().enumerate() {
         if let Some(mut b) = tracer.begin(ev.id.0) {
             let root = b.start("ingest", None);
             b.annotate(root, "event_id", ev.id.0.into());
             b.annotate(root, "type_id", u64::from(ev.type_id.0).into());
             b.end(root);
             out.push(PipeTrace {
+                pos,
                 id: ev.id.0,
                 builder: b,
                 root,
@@ -217,11 +231,12 @@ fn begin_pipeline_traces(tracer: &Tracer, events: &[PrimitiveEvent]) -> Vec<Pipe
 /// Attach the stage spans (mark → cep → emit/filtered) to every sampled
 /// trace and publish them. The batch pipeline marks whole stages, so all
 /// traces of one run share the stage timestamps; causality per event comes
-/// from the relayed/matched annotations.
+/// from the relayed/matched annotations; `keep` holds the relay decision of
+/// every position of the run's slice.
 fn finish_pipeline_traces(
     traces: Vec<PipeTrace>,
     windows_marked: u64,
-    filtered: &[PrimitiveEvent],
+    keep: &[bool],
     matches: &[Match],
     t_mark: (u64, u64),
     t_cep: (u64, u64),
@@ -234,8 +249,7 @@ fn finish_pipeline_traces(
         .flat_map(|m| m.event_ids.iter().map(|id| id.0))
         .collect();
     for mut t in traces {
-        // `filtered` keeps stream order, which is ascending ids.
-        let relayed = filtered.binary_search_by_key(&t.id, |ev| ev.id.0).is_ok();
+        let relayed = keep[t.pos];
         let m = t.builder.span_at("mark", Some(t.root), t_mark.0, t_mark.1);
         t.builder.annotate(m, "windows", windows_marked.into());
         t.builder.annotate(m, "relayed", u64::from(relayed).into());
@@ -390,12 +404,8 @@ impl<F: Filter> Dlacep<F> {
         );
         stage.admit(events.len());
         stage.settle(events, true, &mut ());
-        let filtered: Vec<PrimitiveEvent> = events
-            .iter()
-            .zip(stage.drain_finalized())
-            .filter(|(_, keep)| *keep)
-            .map(|(ev, _)| ev.clone())
-            .collect();
+        let keep: Vec<bool> = stage.drain_finalized().collect();
+        let relayed = keep.iter().filter(|k| **k).count();
         let windows_marked = stage.windows_evaluated() as u64;
         let filter_faults = stage.guard().stats().faults_total as usize;
         let filter_time = filter_start.elapsed();
@@ -411,16 +421,21 @@ impl<F: Filter> Dlacep<F> {
             obs.windows_marked_f32.add(windows_marked);
         }
         obs.filter_faults.add(filter_faults as u64);
-        obs.events_relayed.add(filtered.len() as u64);
+        obs.events_relayed.add(relayed as u64);
         obs.filter_stage_nanos
             .record(u64::try_from(filter_time.as_nanos()).unwrap_or(u64::MAX));
 
         let cep_start = Instant::now();
-        // The engine and its partial-match state are dropped here, inside
-        // the CEP stage, before attribution allocates the per-pattern sets.
+        // Relay the kept events straight from the caller's slice. The engine
+        // and its partial-match state are dropped here, inside the CEP
+        // stage, before attribution takes over its matches.
         let (matches, extractor_stats) = {
             let mut extractor = self.shared.engine(NfaConfig::default());
-            let matches = extractor.run(&filtered);
+            let mut matches = Vec::new();
+            for (ev, _) in events.iter().zip(&keep).filter(|(_, k)| **k) {
+                extractor.process(ev);
+                matches.append(&mut extractor.drain_matches());
+            }
             (matches, *extractor.stats())
         };
         let cep_time = cep_start.elapsed();
@@ -431,27 +446,24 @@ impl<F: Filter> Dlacep<F> {
         finish_pipeline_traces(
             traces,
             windows_marked,
-            &filtered,
+            &keep,
             &matches,
             (t_f0, t_f1),
             (t_f1, t_c1),
         );
 
-        // The engine emitted fused-plan matches (unit binding names);
-        // attribute them back to their source patterns with the original
-        // names restored.
-        let attributed = self.shared.attribute_all(&matches);
+        // The engine emitted fused-plan matches (unit binding names); hand
+        // them to their source patterns with the original names restored.
         DlacepReport {
-            matches: attributed.union,
-            per_pattern: attributed.per_pattern,
+            per_pattern: self.shared.attribute(matches),
             events_total: events.len(),
-            events_relayed: filtered.len(),
+            events_relayed: relayed,
             filter_time,
             cep_time,
             filtering_ratio: if events.is_empty() {
                 0.0
             } else {
-                1.0 - filtered.len() as f64 / events.len() as f64
+                1.0 - relayed as f64 / events.len() as f64
             },
             extractor_stats,
             filter_faults,
@@ -510,7 +522,7 @@ mod tests {
         assert!(!truth.is_empty());
         let dl = Dlacep::new(p.clone(), OracleFilter::new(p)).unwrap();
         let report = dl.run(s.events());
-        assert_eq!(keys(&report.matches), keys(&truth));
+        assert_eq!(keys(&report.matches()), keys(&truth));
         assert!(
             report.filtering_ratio > 0.5,
             "ratio {}",
@@ -528,8 +540,8 @@ mod tests {
         let pass = Dlacep::new(p.clone(), PassthroughFilter)
             .unwrap()
             .run(s.events());
-        assert!(keys(&pass.matches).is_subset(&truth));
-        assert_eq!(keys(&pass.matches), truth, "passthrough loses nothing");
+        assert!(keys(&pass.matches()).is_subset(&truth));
+        assert_eq!(keys(&pass.matches()), truth, "passthrough loses nothing");
     }
 
     #[test]
@@ -609,7 +621,7 @@ mod tests {
         // counted, no panic.
         assert!(report.filter_faults > 0);
         assert_eq!(report.events_relayed, report.events_total);
-        assert_eq!(keys(&report.matches), keys(&truth));
+        assert_eq!(keys(&report.matches()), keys(&truth));
     }
 
     #[test]
@@ -633,7 +645,7 @@ mod tests {
         // again, the last four bypass. Nothing unwinds, nothing is lost.
         assert_eq!(report.filter_faults, 4);
         assert_eq!(report.events_relayed, report.events_total);
-        assert_eq!(keys(&report.matches), keys(&truth));
+        assert_eq!(keys(&report.matches()), keys(&truth));
     }
 
     #[test]
@@ -642,8 +654,59 @@ mod tests {
         let report = Dlacep::new(p.clone(), OracleFilter::new(p))
             .unwrap()
             .run(&[]);
-        assert!(report.matches.is_empty());
+        assert!(report.matches().is_empty());
         assert_eq!(report.filtering_ratio, 0.0);
+    }
+
+    #[test]
+    fn batch_traces_annotate_the_keep_decision_and_the_matched_ids() {
+        // Ids start past zero and skip every other value, so a trace's
+        // position in the slice and its event id differ.
+        let events: Vec<PrimitiveEvent> = noisy_stream(300)
+            .events()
+            .iter()
+            .map(|ev| PrimitiveEvent::new(1_000 + 2 * ev.id.0, ev.type_id, ev.ts.0, vec![0.0]))
+            .collect();
+        // Keeps `a`, `b` and every fifth noise event, in every window.
+        struct KeepSome;
+        impl Filter for KeepSome {
+            fn mark(&self, window: &[PrimitiveEvent]) -> Vec<bool> {
+                (window.iter())
+                    .map(|ev| ev.type_id != C || ev.id.0 % 5 == 0)
+                    .collect()
+            }
+            fn name(&self) -> &'static str {
+                "keep-some"
+            }
+        }
+        let tracer = Tracer::new(1, events.len());
+        let report = Dlacep::builder(seq_ab(16), KeepSome)
+            .obs(Arc::new(Registry::with_tracer(256, tracer.clone())))
+            .build()
+            .unwrap()
+            .run(&events);
+
+        let matched: BTreeSet<u64> = (report.matches().iter())
+            .flat_map(|m| m.event_ids.iter().map(|id| id.0))
+            .collect();
+        assert!(!matched.is_empty());
+        let traces = tracer.snapshot().traces;
+        assert_eq!(traces.len(), events.len(), "every event is sampled");
+        let (mut relayed, mut emitted) = (0, BTreeSet::new());
+        for t in &traces {
+            let ev = events.iter().find(|ev| ev.id.0 == t.trace_id).unwrap();
+            let keep = ev.type_id != C || ev.id.0 % 5 == 0;
+            let mark = t.spans.iter().find(|s| s.stage == "mark").unwrap();
+            let field = |k: &str| mark.fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
+            assert_eq!(field("relayed"), Some(&u64::from(keep).into()), "{t:?}");
+            relayed += usize::from(keep);
+            if t.spans.iter().any(|s| s.stage == "emit") {
+                assert!(keep, "{t:?}");
+                emitted.insert(t.trace_id);
+            }
+        }
+        assert_eq!(relayed, report.events_relayed);
+        assert_eq!(emitted, matched);
     }
 
     #[test]
@@ -659,7 +722,7 @@ mod tests {
             .build()
             .unwrap()
             .run(s.events());
-        assert_eq!(pooled.matches, serial.matches);
+        assert_eq!(pooled.per_pattern, serial.per_pattern);
         assert_eq!(pooled.events_relayed, serial.events_relayed);
         assert_eq!(pooled.filter_faults, serial.filter_faults);
         assert_eq!(pooled.extractor_stats, serial.extractor_stats);

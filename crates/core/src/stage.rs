@@ -624,7 +624,7 @@ mod tests {
                         .build()
                         .unwrap()
                         .run(events);
-                    proptest::prop_assert_eq!(&batch.matches, &want_matches);
+                    proptest::prop_assert_eq!(&batch.matches(), &want_matches);
                     proptest::prop_assert_eq!(batch.events_relayed, want.len());
                     proptest::prop_assert_eq!(batch.filter_faults as u64, want_stats.faults_total);
 

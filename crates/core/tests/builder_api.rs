@@ -3,6 +3,7 @@
 //! must agree byte-for-byte with the direct construction entry points that
 //! remain, and invalid option combinations must be rejected at `build()`.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use dlacep_cep::{Match, Pattern, PatternExpr, PatternSet, TypeSet};
@@ -77,7 +78,7 @@ fn batch_builder_options_are_order_independent() {
         .unwrap()
         .run(s.events());
 
-    assert_eq!(report_a.matches, report_b.matches);
+    assert_eq!(report_a.matches(), report_b.matches());
     assert_eq!(report_a.events_total, report_b.events_total);
     assert_eq!(report_a.events_relayed, report_b.events_relayed);
     assert_eq!(reg_a.snapshot().counters, reg_b.snapshot().counters);
@@ -220,21 +221,25 @@ fn multi_per_pattern_attribution_agrees_with_independent_runs() {
 
     assert_eq!(multi.per_pattern.len(), 2);
     assert!(
-        !solo1.matches.is_empty() && !solo2.matches.is_empty(),
+        !solo1.matches().is_empty() && !solo2.matches().is_empty(),
         "workload must exercise both patterns"
     );
     assert_eq!(
         match_keys(&multi.per_pattern[0]),
-        match_keys(&solo1.matches)
+        match_keys(&solo1.matches())
     );
     assert_eq!(
         match_keys(&multi.per_pattern[1]),
-        match_keys(&solo2.matches)
+        match_keys(&solo2.matches())
     );
-    // The union report covers exactly the attributed matches.
+    // The union report covers exactly the attributed matches: the
+    // per-pattern lists concatenated in registration order.
     let mut union = match_keys(&multi.per_pattern[0]);
     union.extend(match_keys(&multi.per_pattern[1]));
-    assert_eq!(match_keys(&multi.matches), union);
+    assert_eq!(match_keys(&multi.matches()), union);
+    let all = multi.matches();
+    assert!(matches!(all, Cow::Owned(_)));
+    assert_eq!(*all, multi.per_pattern.concat());
 }
 
 #[test]
@@ -244,7 +249,11 @@ fn single_pattern_report_attributes_everything_to_that_pattern() {
         .unwrap()
         .run(stream(160).events());
     assert_eq!(report.per_pattern.len(), 1);
-    assert_eq!(report.per_pattern[0], report.matches);
+    assert!(!report.per_pattern[0].is_empty());
+    // One pattern: the report holds one copy, and `matches()` lends it.
+    let all = report.matches();
+    assert!(matches!(all, Cow::Borrowed(_)));
+    assert!(std::ptr::eq(&*all, report.per_pattern[0].as_slice()));
 }
 
 #[test]
@@ -263,6 +272,6 @@ fn builder_patterns_appends_to_the_registered_set() {
         .unwrap()
         .run(s.events());
 
-    assert_eq!(via_append.matches, via_set.matches);
+    assert_eq!(via_append.matches(), via_set.matches());
     assert_eq!(via_append.per_pattern, via_set.per_pattern);
 }

@@ -123,18 +123,18 @@ fn quantized_filter_drops_into_pipeline_and_tracks_f32() {
     let report = dl.run(&eval);
     let truth_keys: std::collections::BTreeSet<_> =
         truth.iter().map(|m| m.event_ids.clone()).collect();
-    for m in &report.matches {
+    for m in report.matches().iter() {
         assert!(truth_keys.contains(&m.event_ids), "spurious match");
     }
 
     let dl32 = Dlacep::builder(pattern, f32_filter).build().unwrap();
     let report32 = dl32.run(&eval);
-    let delta = report.matches.len().abs_diff(report32.matches.len());
+    let delta = report.matches().len().abs_diff(report32.matches().len());
     assert!(
-        delta <= 1 + report32.matches.len() / 10,
+        delta <= 1 + report32.matches().len() / 10,
         "quantized found {} matches vs f32 {}",
-        report.matches.len(),
-        report32.matches.len()
+        report.matches().len(),
+        report32.matches().len()
     );
 }
 
@@ -300,7 +300,7 @@ fn pooled_chunking_matches_serial_for_batch_and_streaming() {
         .build()
         .unwrap()
         .run(&eval);
-    assert_eq!(pooled.matches, serial.matches);
+    assert_eq!(pooled.matches(), serial.matches());
     assert_eq!(pooled.events_relayed, serial.events_relayed);
     assert_eq!(pooled.extractor_stats, serial.extractor_stats);
 

@@ -106,7 +106,7 @@ fn main() {
     let r = dl.run(live.events());
     println!(
         "\nDlacep::multi (oracle filter): {} union matches = {} (p1) + {} (p2)",
-        r.matches.len(),
+        r.matches().len(),
         r.per_pattern[0].len(),
         r.per_pattern[1].len()
     );

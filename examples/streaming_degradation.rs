@@ -49,7 +49,7 @@ fn main() {
     let batch = Dlacep::new(pattern.clone(), OracleFilter::new(pattern.clone()))
         .expect("paper-default assembler config is valid")
         .run(live.events());
-    println!("batch oracle matches          : {}", batch.matches.len());
+    println!("batch oracle matches          : {}", batch.matches().len());
 
     // 1. Healthy streaming run — must agree with the batch pipeline.
     let mut rt = StreamingDlacep::new(pattern.clone(), OracleFilter::new(pattern.clone()))
@@ -120,7 +120,7 @@ fn main() {
             );
         }
     }
-    assert_eq!(stormy.matches.len(), batch.matches.len());
+    assert_eq!(stormy.matches.len(), batch.matches().len());
 
     // 3. Out-of-order feed under the Drop policy: timestamp regressions are
     // shed instead of panicking the stream.

@@ -34,8 +34,11 @@ fn oracle_pipeline_is_lossless_on_stock_data() {
     let report = dl.run(stream.events());
     let truth_keys: std::collections::BTreeSet<_> =
         truth.iter().map(|m| m.event_ids.clone()).collect();
-    let found: std::collections::BTreeSet<_> =
-        report.matches.iter().map(|m| m.event_ids.clone()).collect();
+    let found: std::collections::BTreeSet<_> = report
+        .matches()
+        .iter()
+        .map(|m| m.event_ids.clone())
+        .collect();
     assert_eq!(truth_keys, found);
 }
 
@@ -99,7 +102,7 @@ fn parsed_pattern_flows_through_whole_stack() {
     assert!(!truth.is_empty());
     let dl = Dlacep::new(pattern.clone(), OracleFilter::new(pattern)).unwrap();
     let report = dl.run(stream.events());
-    assert_eq!(report.matches.len(), truth.len());
+    assert_eq!(report.matches().len(), truth.len());
 }
 
 #[test]
@@ -128,7 +131,7 @@ fn negation_pattern_pipeline_has_no_spurious_matches_when_negator_kept() {
     let report = dl.run(stream.events());
     let truth_keys: std::collections::BTreeSet<_> =
         truth.iter().map(|m| m.event_ids.clone()).collect();
-    for m in &report.matches {
+    for m in report.matches().iter() {
         assert!(
             truth_keys.contains(&m.event_ids),
             "spurious match {:?}",
@@ -136,7 +139,7 @@ fn negation_pattern_pipeline_has_no_spurious_matches_when_negator_kept() {
         );
     }
     assert_eq!(
-        report.matches.len(),
+        report.matches().len(),
         truth.len(),
         "oracle negation pipeline is lossless"
     );

@@ -1,11 +1,12 @@
 //! Determinism harness for the parallel execution layer.
 //!
-//! The `dlacep-par` contract is that thread count is a pure throughput knob:
-//! marks, matches (values *and* order) and every report counter must be
-//! bitwise-identical across `threads ∈ {1, 2, 4, 8}` and equal to the serial
-//! baseline, on both the batch pipeline and the streaming runtime, for
-//! synthetic and stock-derived streams. A scheduler that let work-stealing
-//! order leak into results would fail these within a few runs.
+//! The contract of `core::stage`'s marking lanes is that thread count is a
+//! pure throughput knob: marks, matches (values *and* order) and every
+//! report counter must be bitwise-identical across `threads ∈ {1, 2, 4, 8}`
+//! and equal to the serial baseline, on both the batch pipeline and the
+//! streaming runtime, for synthetic and stock-derived streams. Lanes that
+//! let their completion order leak into results would fail these within a
+//! few runs.
 
 use dlacep::cep::{Pattern, PatternExpr, TypeSet};
 use dlacep::core::prelude::*;
@@ -82,7 +83,11 @@ impl<F: Filter> Filter for MarkRecorder<F> {
 /// `DlacepReport` comparison with bitwise float equality. Pool counters and
 /// wall-clock times are the only fields allowed to differ.
 fn assert_pipeline_reports_equal(a: &DlacepReport, b: &DlacepReport, ctx: &str) {
-    assert_eq!(a.matches, b.matches, "{ctx}: matches (values and order)");
+    assert_eq!(
+        a.matches(),
+        b.matches(),
+        "{ctx}: matches (values and order)"
+    );
     assert_eq!(a.events_total, b.events_total, "{ctx}: events_total");
     assert_eq!(a.events_relayed, b.events_relayed, "{ctx}: events_relayed");
     assert_eq!(
@@ -128,7 +133,7 @@ fn pipeline_marks_and_matches_identical_across_thread_counts() {
         let baseline = Dlacep::new(pattern.clone(), baseline_filter).unwrap();
         let baseline_report = baseline.run(stream.events());
         assert!(
-            !baseline_report.matches.is_empty(),
+            !baseline_report.matches().is_empty(),
             "{name}: pattern must match the stream for the test to mean anything"
         );
         assert!(baseline_report.pool.is_none(), "{name}: baseline is serial");
