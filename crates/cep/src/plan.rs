@@ -292,16 +292,6 @@ impl Plan {
             window: pattern.window,
         })
     }
-
-    /// Total positive single-event pattern length of the longest branch
-    /// (used by cost estimators).
-    pub fn max_branch_len(&self) -> usize {
-        self.branches
-            .iter()
-            .map(|b| b.steps.len())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Distribute DISJ to the top level.

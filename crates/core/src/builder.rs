@@ -12,8 +12,9 @@
 //!
 //! Every option is applied at construction: the obs registry is installed
 //! before the first journal entry (so a custom registry's journal is
-//! self-contained from entry zero) and the marking lanes are set up against
-//! the final registry (so `pool.*` metrics land with the pipeline's own).
+//! self-contained from entry zero) and the batch pipeline's marking lanes
+//! are set up against the final registry (so `pool.*` metrics land with the
+//! pipeline's own).
 //!
 //! ```
 //! use dlacep_core::prelude::*;
@@ -179,12 +180,6 @@ impl<F: Filter> StreamingBuilder<F> {
     /// Assembler geometry (default: `MarkSize = 2W`, `StepSize = W`).
     pub fn assembler(mut self, assembler: AssemblerConfig) -> Self {
         self.config.assembler = Some(assembler);
-        self
-    }
-
-    /// Parallel execution of batched window marking (default: serial).
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.config.parallelism = parallelism;
         self
     }
 

@@ -46,15 +46,6 @@ use dlacep_obs::{Counter, Registry};
 use std::io;
 use std::sync::Arc;
 
-/// Environment variable naming the durability directory (see the README).
-pub const DUR_DIR_ENV: &str = "DLACEP_DUR_DIR";
-
-/// The durability directory configured via [`DUR_DIR_ENV`], if set.
-/// Typically fed to [`dlacep_dur::DirStore::open`].
-pub fn dur_dir_from_env() -> Option<std::path::PathBuf> {
-    std::env::var_os(DUR_DIR_ENV).map(std::path::PathBuf::from)
-}
-
 /// Durability tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct DurConfig {

@@ -73,8 +73,8 @@ pub use builder::{DlacepBuilder, DurableBuilder, StreamingBuilder};
 pub use chaos::{out_of_order_timestamps, ChaosFault, ChaosFilter, ChaosTrainer, TrainFault};
 pub use drift::{DriftConfig, DriftMonitor, DriftMonitorState, DriftState};
 pub use durable::{
-    decode_checkpoint, decode_offer, dur_dir_from_env, encode_checkpoint, encode_offer, put_offer,
-    DurConfig, DurError, DurableDlacep, LoggedMatches, RecoveryReport, DUR_DIR_ENV,
+    decode_checkpoint, decode_offer, encode_checkpoint, encode_offer, put_offer, DurConfig,
+    DurError, DurableDlacep, LoggedMatches, RecoveryReport,
 };
 pub use embed::EventEmbedder;
 pub use filter::{

@@ -446,23 +446,6 @@ impl QuantizedEventNetwork {
             out.extend(window_probs(&arena.probs, t_len, batch, b).map(|[p0, p1]| p1 >= p0));
         }
     }
-
-    /// Quantized counterpart of [`EventNetwork::marginals`]: posterior
-    /// probability of the positive label per event.
-    pub fn marginals_into(
-        &self,
-        window: &[Vec<f32>],
-        arena: &mut ScratchArena,
-        out: &mut Vec<f32>,
-    ) {
-        out.clear();
-        if window.is_empty() {
-            return;
-        }
-        self.load_windows(&[window], arena);
-        self.combined_into(window.len(), 1, arena);
-        out.extend(window_probs(&arena.probs, window.len(), 1, 0).map(|[_, p1]| 0.5 * p1));
-    }
 }
 
 /// The `[label 0, label 1]` combined marginal sums of window `b` of a

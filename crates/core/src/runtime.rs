@@ -40,7 +40,7 @@ use crate::retrain::{
     validate_candidate, GateReport, ModelTrainer, RetrainCheckpoint, RetrainConfig, RetrainRuntime,
     RetrainState,
 };
-use crate::stage::{checked_usize, MarkStage, Parallelism, PoolStats, StageState, WindowObserver};
+use crate::stage::{checked_usize, MarkStage, StageState, WindowObserver};
 use dlacep_cep::engine::CepEngine;
 use dlacep_cep::plan::Plan;
 use dlacep_cep::{EngineStats, Match, NfaConfig, NfaEngine, Pattern};
@@ -115,10 +115,6 @@ pub struct RuntimeConfig {
     pub max_partials: Option<usize>,
     /// Drift detection; `None` disables the drift-triggered fallback.
     pub drift: Option<DriftConfig>,
-    /// Threads marking the windows of one batch
-    /// ([`StreamingDlacep::ingest_batch`]) under `std::thread::scope`; the
-    /// default is serial. Output is the serial output at any thread count.
-    pub parallelism: Parallelism,
     /// Self-healing drift recovery; `None` (the default) keeps the manual
     /// `rebaseline` workflow. Requires a model trainer attached via
     /// [`crate::builder::StreamingBuilder::retrain`].
@@ -262,7 +258,7 @@ impl EmittedMark {
 /// Full mutable state of a [`StreamingDlacep`], captured by
 /// [`StreamingDlacep::checkpoint`] and re-injected by
 /// [`StreamingDlacep::restore`]. Everything derived from the pattern and
-/// configuration (compiled plan, guard wiring, marking lanes) is rebuilt by the
+/// configuration (compiled plan, guard wiring) is rebuilt by the
 /// constructors; the checkpoint carries only the trajectory: admission
 /// cursors, the un-relayed buffer, breaker/drift state, the extractor's
 /// partial matches, the emitted mark, and the observability watermark —
@@ -277,7 +273,6 @@ pub struct RuntimeCheckpoint {
     /// out-of-order policy, guard, budget, drift). Restore refuses a
     /// checkpoint whose fingerprint differs from the target runtime's —
     /// resuming under different semantics would silently diverge.
-    /// Parallelism is deliberately excluded: it never changes output.
     pub config_fingerprint: Vec<u8>,
     /// Extractor state (arena, partials, pending matches, counters).
     pub engine: dlacep_cep::NfaEngineState,
@@ -399,9 +394,6 @@ pub struct RuntimeReport {
     pub retrain: Option<RetrainReport>,
     /// Extractor work counters (includes `partials_shed` under a budget).
     pub extractor_stats: EngineStats,
-    /// Cumulative counters of the runtime's pooled marking; `None` under a
-    /// serial [`Parallelism`] config.
-    pub pool: Option<PoolStats>,
     /// Snapshot of the runtime's obs registry taken at
     /// [`StreamingDlacep::finish`]; `None` when the registry is disabled.
     /// Its journal subsumes `timeline` (every `ModeTransition` is mirrored
@@ -884,8 +876,7 @@ impl<F: Filter> StreamingDlacep<F> {
     }
 
     /// Start a fluent builder — the one construction surface for every
-    /// non-default option (assembler, guard, drift, parallelism, obs,
-    /// durability).
+    /// non-default option (assembler, guard, drift, obs, durability).
     pub fn builder(pattern: Pattern, filter: F) -> crate::builder::StreamingBuilder<F> {
         crate::builder::StreamingBuilder::new(pattern, filter)
     }
@@ -909,8 +900,7 @@ impl<F: Filter> StreamingDlacep<F> {
     /// Shared construction path of the builder and
     /// [`StreamingDlacep::restore`]. Does *not* record the initial mode —
     /// a restored runtime continues its checkpointed timeline and journal
-    /// sequence instead of starting a fresh one. The marking lanes are set
-    /// up against the final registry so their `pool.*` metrics land there.
+    /// sequence instead of starting a fresh one.
     fn build(
         pattern: Pattern,
         filter: F,
@@ -965,11 +955,10 @@ impl<F: Filter> StreamingDlacep<F> {
             },
         );
         let obs = RuntimeObs::new(registry.unwrap_or_else(dlacep_obs::global));
-        let pool = config.parallelism.lanes(&obs.registry);
         let tracer = obs.registry.tracer();
         Ok(Self {
             config,
-            stage: MarkStage::new(filter, config.guard, assembler, pool, Histogram::disabled()),
+            stage: MarkStage::new(filter, config.guard, assembler, None, Histogram::disabled()),
             sup: Supervisor {
                 pattern,
                 drift: config.drift.map(DriftMonitor::new),
@@ -1016,11 +1005,6 @@ impl<F: Filter> StreamingDlacep<F> {
     /// Current effective mode.
     pub fn mode(&self) -> RuntimeMode {
         self.sup.mode(self.stage.guard())
-    }
-
-    /// Current breaker state of the filter guard.
-    pub fn breaker_state(&self) -> BreakerState {
-        self.stage.guard().state()
     }
 
     /// Live snapshot of this runtime's obs registry (`None` when obs is
@@ -1454,10 +1438,9 @@ impl<F: Filter> StreamingDlacep<F> {
     /// Ingest a slice of events as one batch. Every event is offered and
     /// judged by the out-of-order policy on its own (ids are re-stamped by
     /// arrival; dropped and rejected events consume none), then the windows
-    /// the batch completes are marked together — in chunks, spread over
-    /// scoped lanes under a multi-thread [`Parallelism`] config — and
-    /// replayed through
-    /// guard, drift monitor and retrain supervisor in window order (see
+    /// the batch completes are marked together — in chunks of
+    /// [`crate::filter::MARK_BATCH`] windows — and replayed through guard,
+    /// drift monitor and retrain supervisor in window order (see
     /// [`crate::stage`]). Matches, counters, timeline and journal are those
     /// of offering the same events one [`StreamingDlacep::ingest`] at a
     /// time, for any filter whose output depends only on the window (the
@@ -1527,7 +1510,6 @@ impl<F: Filter> StreamingDlacep<F> {
                 models_accepted: r.next_version - 1,
             }),
             extractor_stats: *self.engine.stats(),
-            pool: self.stage.pool_stats(),
             obs: sup.obs.snapshot_if_enabled(),
         }
     }
@@ -1744,8 +1726,8 @@ mod tests {
         assert!(report.extractor_stats.peak_partial_matches <= budget as u64);
     }
 
-    /// Everything except `pool` (which legitimately differs between a
-    /// serial and a pooled run) must match field-for-field.
+    /// Everything but the obs snapshot and the retrain summary must match
+    /// field-for-field.
     fn assert_reports_equal(a: &RuntimeReport, b: &RuntimeReport, ctx: &str) {
         assert_eq!(a.matches, b.matches, "{ctx}: matches");
         assert_eq!(a.events_offered, b.events_offered, "{ctx}: offered");
@@ -1775,47 +1757,31 @@ mod tests {
             let mut serial = StreamingDlacep::new(p.clone(), OracleFilter::new(p.clone())).unwrap();
             serial.ingest_all(s.events()).unwrap();
             let serial_report = serial.finish();
-            assert!(serial_report.pool.is_none());
 
-            // Inline chunks under a serial config, pool tasks under a
-            // pooled one: the same answer either way.
-            for threads in [1, 4] {
-                let mut batched = StreamingDlacep::builder(p.clone(), OracleFilter::new(p.clone()))
-                    .parallelism(Parallelism::with_threads(threads))
-                    .build()
-                    .unwrap();
-                // Feed in uneven chunks so batches end mid-window.
-                for chunk in s.events().chunks(37) {
-                    batched.ingest_batch(chunk).unwrap();
-                }
-                let report = batched.finish();
-                assert_reports_equal(&report, &serial_report, &format!("n = {n}, {threads}t"));
-                assert_eq!(report.pool.is_some(), threads > 1, "a pool iff pooled");
+            let mut batched =
+                StreamingDlacep::new(p.clone(), OracleFilter::new(p.clone())).unwrap();
+            // Feed in uneven chunks so batches end mid-window.
+            for chunk in s.events().chunks(37) {
+                batched.ingest_batch(chunk).unwrap();
             }
+            assert_reports_equal(&batched.finish(), &serial_report, &format!("n = {n}"));
         }
 
-        // The pool forks iff one call completes two or more `MARK_BATCH`
-        // chunks of windows. At W = 8 a window ends every 8 events from the
-        // 16th on, so a call of `MARK_BATCH + 2` window steps completes more
-        // than `MARK_BATCH` windows and one of `MARK_BATCH` steps at most
-        // that many.
+        // At W = 8 a window ends every 8 events from the 16th on, so a call
+        // of `MARK_BATCH + 2` window steps completes more than one
+        // `MARK_BATCH` chunk of windows and one of `MARK_BATCH` steps at
+        // most one.
         let (p, s) = (seq_ab(8), noisy_stream(400));
         let mut serial = StreamingDlacep::new(p.clone(), OracleFilter::new(p.clone())).unwrap();
         serial.ingest_all(s.events()).unwrap();
         let serial_report = serial.finish();
         let batch = crate::filter::MARK_BATCH;
-        for (call, forks) in [((batch + 2) * 8, true), (batch * 8, false)] {
-            let mut rt = StreamingDlacep::builder(p.clone(), OracleFilter::new(p.clone()))
-                .parallelism(Parallelism::with_threads(2))
-                .build()
-                .unwrap();
+        for call in [(batch + 2) * 8, batch * 8] {
+            let mut rt = StreamingDlacep::new(p.clone(), OracleFilter::new(p.clone())).unwrap();
             for chunk in s.events().chunks(call) {
                 rt.ingest_batch(chunk).unwrap();
             }
-            let report = rt.finish();
-            assert_reports_equal(&report, &serial_report, &format!("calls of {call}"));
-            let jobs = report.pool.expect("a pooled run").jobs;
-            assert_eq!(jobs > 0, forks, "calls of {call} events: {jobs} jobs");
+            assert_reports_equal(&rt.finish(), &serial_report, &format!("calls of {call}"));
         }
     }
 
@@ -1842,20 +1808,13 @@ mod tests {
         serial.ingest_all(s.events()).unwrap();
         let serial_report = serial.finish();
 
-        let cfg = RuntimeConfig {
-            parallelism: Parallelism::with_threads(4),
-            ..Default::default()
-        };
-        let mut pooled = StreamingDlacep::builder(p, AlwaysPanics)
-            .config(cfg)
-            .build()
-            .unwrap();
+        let mut batched = StreamingDlacep::new(p, AlwaysPanics).unwrap();
         for chunk in s.events().chunks(53) {
-            pooled.ingest_batch(chunk).unwrap();
+            batched.ingest_batch(chunk).unwrap();
         }
-        let pooled_report = pooled.finish();
+        let batched_report = batched.finish();
 
-        assert_reports_equal(&pooled_report, &serial_report, "faulty filter");
+        assert_reports_equal(&batched_report, &serial_report, "faulty filter");
         assert!(
             serial_report.guard.faults_total > 0,
             "the broken filter must actually fault"
@@ -1867,7 +1826,6 @@ mod tests {
     fn pooled_speculation_runs_one_pass_per_window_with_score_validation() {
         use crate::guard::OnePass;
         let cfg = RuntimeConfig {
-            parallelism: Parallelism::with_threads(3),
             guard: GuardConfig {
                 validate_scores: true,
                 ..Default::default()
@@ -1893,9 +1851,9 @@ mod tests {
 
     #[test]
     fn a_panic_in_a_pooled_chunk_faults_only_its_own_window() {
-        // The window starting at event 64 panics. On the pool it shares a
+        // The window starting at event 64 panics. Batched, it shares a
         // `mark_batch` call with its chunk neighbours, which must still be
-        // marked by the filter: the guard sees one fault, as serially.
+        // marked by the filter: the guard sees one fault, as per event.
         struct PanicsAt64;
         impl Filter for PanicsAt64 {
             fn mark(&self, window: &[PrimitiveEvent]) -> Vec<bool> {
@@ -1914,16 +1872,9 @@ mod tests {
         let serial_report = serial.finish();
         assert_eq!(serial_report.guard.faults_total, 1);
 
-        let cfg = RuntimeConfig {
-            parallelism: Parallelism::with_threads(4),
-            ..Default::default()
-        };
-        let mut pooled = StreamingDlacep::builder(p, PanicsAt64)
-            .config(cfg)
-            .build()
-            .unwrap();
-        pooled.ingest_batch(s.events()).unwrap();
-        assert_reports_equal(&pooled.finish(), &serial_report, "one poisoned window");
+        let mut batched = StreamingDlacep::new(p, PanicsAt64).unwrap();
+        batched.ingest_batch(s.events()).unwrap();
+        assert_reports_equal(&batched.finish(), &serial_report, "one poisoned window");
     }
 
     #[test]
@@ -1946,18 +1897,9 @@ mod tests {
         assert_eq!(errors.len(), 2);
         assert_eq!(serial_report.events_admitted, 38);
 
-        for threads in [1, 2] {
-            let cfg = RuntimeConfig {
-                parallelism: Parallelism::with_threads(threads),
-                ..Default::default()
-            };
-            let mut batched = StreamingDlacep::builder(p.clone(), PassthroughFilter)
-                .config(cfg)
-                .build()
-                .unwrap();
-            assert_eq!(batched.ingest_batch(&events).unwrap_err(), errors[0]);
-            assert_reports_equal(&batched.finish(), &serial_report, "mid-batch rejections");
-        }
+        let mut batched = StreamingDlacep::new(p, PassthroughFilter).unwrap();
+        assert_eq!(batched.ingest_batch(&events).unwrap_err(), errors[0]);
+        assert_reports_equal(&batched.finish(), &serial_report, "mid-batch rejections");
     }
 
     #[test]

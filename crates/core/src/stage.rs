@@ -16,7 +16,8 @@
 //! Marking is **speculative, then replayed**: the windows of one
 //! [`MarkStage::settle`] call are handed to [`Filter::mark_batch`] in
 //! chunks of [`MARK_BATCH`] — spread over [`MarkLanes`] when the stage has
-//! them and the call has at least two chunks, inline otherwise — behind a
+//! them (the batch pipeline under a multi-thread [`Parallelism`]) and the
+//! call has at least two chunks, inline otherwise — behind a
 //! panic fence, and the raw results then pass through the guard serially,
 //! in window order. Guard state, the observer's verdicts and every counter
 //! are therefore a function of the window sequence alone, never of how the
@@ -41,7 +42,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-/// Parallel execution configuration of a `Dlacep` or `StreamingDlacep`.
+/// Parallel execution configuration of the batch pipeline (`Dlacep`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Parallelism {
     /// Marking lanes, the calling thread counting as one. `1` (the
@@ -92,7 +93,7 @@ impl Default for Parallelism {
     }
 }
 
-/// Cumulative counters of one pipeline's or runtime's pooled marking.
+/// Cumulative counters of one pipeline's pooled marking.
 /// `jobs` and `tasks_executed` are a function of the input alone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PoolStats {
@@ -106,7 +107,7 @@ pub struct PoolStats {
     pub tasks_stolen: u64,
 }
 
-/// The marking lanes of one pipeline or runtime: the lane budget, its
+/// The marking lanes of one pipeline: the lane budget, its
 /// [`PoolStats`] and `pool.*` metrics. Threads live only inside a fork.
 #[derive(Debug)]
 pub struct MarkLanes {
@@ -478,7 +479,7 @@ pub(crate) fn checked_usize(v: u64, what: &str) -> Result<usize, String> {
 mod tests {
     use super::*;
     use crate::pipeline::Dlacep;
-    use crate::runtime::{RuntimeConfig, StreamingDlacep};
+    use crate::runtime::StreamingDlacep;
     use dlacep_cep::engine::CepEngine;
     use dlacep_cep::{Match, NfaEngine, Pattern, PatternExpr, TypeSet};
     use dlacep_events::{EventStream, TypeId, WindowSpec};
@@ -556,9 +557,9 @@ mod tests {
         // The reference is the paper's loop spelled out: the assembler's
         // window iterator, one guarded filter call per window, an id-keyed
         // dedupe map, an exact engine over what it relays. The stage fed in
-        // arbitrary cuts, the batch pipeline, and the streaming runtime fed
-        // per event and in arbitrary batches must all reproduce it, serial
-        // and pooled.
+        // arbitrary cuts, the batch pipeline (serial and pooled), and the
+        // streaming runtime fed per event and in arbitrary batches must all
+        // reproduce it.
         #[test]
         fn every_driver_equals_the_id_keyed_loop(
             n in 0usize..160,
@@ -627,35 +628,30 @@ mod tests {
                     proptest::prop_assert_eq!(&batch.matches(), &want_matches);
                     proptest::prop_assert_eq!(batch.events_relayed, want.len());
                     proptest::prop_assert_eq!(batch.filter_faults as u64, want_stats.faults_total);
+                }
 
-                    let cfg = RuntimeConfig {
-                        assembler: Some(assembler),
-                        parallelism: Parallelism::with_threads(threads),
-                        ..RuntimeConfig::default()
-                    };
-                    let mut per_event = StreamingDlacep::builder(seq_ab(w), WindowKeyed)
-                        .config(cfg)
+                let streaming = || {
+                    StreamingDlacep::builder(seq_ab(w), WindowKeyed)
+                        .assembler(assembler)
                         .build()
-                        .unwrap();
-                    for ev in events {
-                        per_event.ingest(ev.type_id, ev.ts.0, ev.attrs.clone()).unwrap();
+                        .unwrap()
+                };
+                let mut per_event = streaming();
+                for ev in events {
+                    per_event.ingest(ev.type_id, ev.ts.0, ev.attrs.clone()).unwrap();
+                }
+                let mut batched = streaming();
+                for call in &calls {
+                    match call {
+                        [ev] => drop(batched.ingest(ev.type_id, ev.ts.0, ev.attrs.clone()).unwrap()),
+                        _ => batched.ingest_batch(call).unwrap(),
                     }
-                    let mut batched = StreamingDlacep::builder(seq_ab(w), WindowKeyed)
-                        .config(cfg)
-                        .build()
-                        .unwrap();
-                    for call in &calls {
-                        match call {
-                            [ev] => drop(batched.ingest(ev.type_id, ev.ts.0, ev.attrs.clone()).unwrap()),
-                            _ => batched.ingest_batch(call).unwrap(),
-                        }
-                    }
-                    for report in [per_event.finish(), batched.finish()] {
-                        proptest::prop_assert_eq!(&report.matches, &want_matches);
-                        proptest::prop_assert_eq!(report.events_relayed, want.len());
-                        proptest::prop_assert_eq!(report.guard, want_stats);
-                        proptest::prop_assert_eq!(report.windows_evaluated, want_windows);
-                    }
+                }
+                for report in [per_event.finish(), batched.finish()] {
+                    proptest::prop_assert_eq!(&report.matches, &want_matches);
+                    proptest::prop_assert_eq!(report.events_relayed, want.len());
+                    proptest::prop_assert_eq!(report.guard, want_stats);
+                    proptest::prop_assert_eq!(report.windows_evaluated, want_windows);
                 }
             }
         }

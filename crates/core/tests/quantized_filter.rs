@@ -283,8 +283,9 @@ fn marks_and_scores_are_independent_of_batching() {
     }
 }
 
-/// Pooled chunking — batch pipeline and streaming `ingest_batch` — yields
-/// what the serial paths yield, marks included.
+/// Chunked marking — the batch pipeline on a pool, streaming
+/// `ingest_batch` — yields what the serial, one-event-at-a-time paths
+/// yield.
 #[test]
 fn pooled_chunking_matches_serial_for_batch_and_streaming() {
     let (_, quant, eval) = trained_pair();
@@ -309,14 +310,7 @@ fn pooled_chunking_matches_serial_for_batch_and_streaming() {
         .unwrap();
     one_by_one.ingest_all(&eval).unwrap();
     let one_by_one = one_by_one.finish();
-    let cfg = RuntimeConfig {
-        parallelism: par,
-        ..Default::default()
-    };
-    let mut batched = StreamingDlacep::builder(pattern, quant)
-        .config(cfg)
-        .build()
-        .unwrap();
+    let mut batched = StreamingDlacep::builder(pattern, quant).build().unwrap();
     for chunk in eval.chunks(300) {
         batched.ingest_batch(chunk).unwrap();
     }

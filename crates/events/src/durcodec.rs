@@ -1,6 +1,6 @@
 //! Binary durability codec impls ([`dlacep_dur::Enc`]/[`Dec`]) for the
-//! event model, used by the WAL and checkpoint layers. Distinct from
-//! [`crate::codec`], which is the human-facing CSV codec.
+//! event model, used by the WAL and checkpoint layers. JSON comes from the
+//! serde derives on [`crate::EventStream`] itself.
 //!
 //! Floats round-trip through raw bits (see `dlacep-dur`), so a replayed
 //! event is bit-identical to the original — a precondition for the

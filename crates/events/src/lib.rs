@@ -18,7 +18,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod codec;
 pub mod durcodec;
 pub mod event;
 pub mod key;

@@ -171,11 +171,6 @@ impl EventStream {
     pub fn slice(&self, range: std::ops::Range<usize>) -> &[PrimitiveEvent] {
         &self.events[range]
     }
-
-    /// Consume into the underlying vector.
-    pub fn into_events(self) -> Vec<PrimitiveEvent> {
-        self.events
-    }
 }
 
 impl<'a> IntoIterator for &'a EventStream {
@@ -197,6 +192,17 @@ impl IntoIterator for EventStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_roundtrip_via_serde() {
+        let mut s = EventStream::new();
+        s.push(TypeId(2), 10, vec![1.5, -0.25]);
+        s.push(TypeId(0), 11, vec![0.0, 3.0]);
+        s.push(TypeId(7), 11, vec![2.25, 1.0]);
+        let json = serde_json::to_string(&s).unwrap();
+        let back: EventStream = serde_json::from_str(&json).unwrap();
+        assert_eq!(s, back);
+    }
 
     #[test]
     fn push_stamps_increasing_ids() {

@@ -172,22 +172,6 @@ impl Matrix {
         }
     }
 
-    /// Bounds-checked [`Matrix::set`]; see [`Matrix::try_get`].
-    #[inline]
-    pub fn try_set(&mut self, r: usize, c: usize, v: f32) -> Result<(), ShapeError> {
-        if r < self.rows && c < self.cols {
-            self.data[r * self.cols + c] = v;
-            Ok(())
-        } else {
-            Err(ShapeError {
-                op: "set",
-                lhs: self.shape(),
-                rhs: (r, c),
-                requirement: "index must be within matrix bounds",
-            })
-        }
-    }
-
     /// A row as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {

@@ -46,11 +46,6 @@ impl ConvergenceDetector {
         }
         self.stable >= self.patience
     }
-
-    /// Epochs the loss has currently been stable.
-    pub fn stable_epochs(&self) -> usize {
-        self.stable
-    }
 }
 
 /// The paper's batch-size schedule: 512 for the first half of training,

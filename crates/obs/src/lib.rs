@@ -43,7 +43,7 @@ pub use prom::{
 pub use snapshot::{DeterministicView, HistogramSnapshot, MetricsSnapshot};
 pub use trace::{
     json_field, json_string, Trace, TraceBuilder, TraceSnapshot, TraceSpan, Tracer,
-    DEFAULT_TRACE_CAPACITY, TRACE_SAMPLE_ENV,
+    DEFAULT_TRACE_CAPACITY,
 };
 
 use std::collections::BTreeMap;
@@ -51,11 +51,6 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use metrics::HistogramCore;
-
-/// Environment variable consulted by [`global`]: set `DLACEP_OBS=0` (or
-/// `off`/`false`) to disable the process-wide registry, turning every
-/// instrumentation site into a near-no-op.
-pub const OBS_ENV: &str = "DLACEP_OBS";
 
 #[derive(Default)]
 struct Maps {
@@ -88,11 +83,10 @@ impl Registry {
         Self::with_journal_capacity(DEFAULT_JOURNAL_CAPACITY)
     }
 
-    /// An enabled registry with an explicit journal ring capacity. The
-    /// tracer is taken from the environment ([`TRACE_SAMPLE_ENV`]) —
-    /// disabled unless `DLACEP_TRACE_SAMPLE` is a positive integer.
+    /// An enabled registry with an explicit journal ring capacity and a
+    /// disabled tracer; [`with_tracer`](Self::with_tracer) attaches one.
     pub fn with_journal_capacity(capacity: usize) -> Self {
-        Self::with_tracer(capacity, Tracer::from_env(DEFAULT_TRACE_CAPACITY))
+        Self::with_tracer(capacity, Tracer::disabled())
     }
 
     /// An enabled registry with an explicit tracer. A fleet of per-shard
@@ -174,7 +168,7 @@ impl Registry {
     }
 
     /// A cloneable handle on this registry's tracer (disabled unless the
-    /// registry was built with one or `DLACEP_TRACE_SAMPLE` is set).
+    /// registry was built [`with_tracer`](Self::with_tracer)).
     pub fn tracer(&self) -> Tracer {
         self.tracer.clone()
     }
@@ -243,31 +237,12 @@ impl Default for Registry {
 static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
 
 /// The process-wide registry, used by instrumentation sites with no config
-/// plumbing of their own (trainers). Enabled
-/// unless `DLACEP_OBS` is set to `0`, `off`, or `false`. Components that
-/// need an isolated registry (tests, the determinism suite) construct their
-/// own [`Registry`] and inject it via the various `set_obs` hooks instead.
+/// plumbing of their own (trainers): always [`Registry::enabled`], with a
+/// disabled tracer. Components that need an isolated registry (tests, the
+/// determinism suite) construct their own [`Registry`] and inject it via
+/// the various `set_obs` hooks instead.
 pub fn global() -> Arc<Registry> {
-    Arc::clone(GLOBAL.get_or_init(|| {
-        let disabled = std::env::var(OBS_ENV)
-            .map(|v| {
-                let v = v.trim().to_ascii_lowercase();
-                v == "0" || v == "off" || v == "false"
-            })
-            .unwrap_or(false);
-        Arc::new(if disabled {
-            Registry::disabled()
-        } else {
-            Registry::enabled()
-        })
-    }))
-}
-
-/// Install the global registry explicitly (wins over the environment if it
-/// runs before the first [`global`] lookup). Returns `false` if a global
-/// registry was already installed, in which case it stays in place.
-pub fn install_global(registry: Arc<Registry>) -> bool {
-    GLOBAL.set(registry).is_ok()
+    Arc::clone(GLOBAL.get_or_init(|| Arc::new(Registry::enabled())))
 }
 
 #[cfg(test)]

@@ -24,11 +24,6 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Environment variable holding the sampling period: `DLACEP_TRACE_SAMPLE=N`
-/// samples one trace per `N` fleet-global sequence numbers. Unset, `0`, or
-/// unparsable disables tracing entirely.
-pub const TRACE_SAMPLE_ENV: &str = "DLACEP_TRACE_SAMPLE";
-
 /// Default capacity of the completed-trace ring.
 pub const DEFAULT_TRACE_CAPACITY: usize = 512;
 
@@ -113,15 +108,6 @@ impl Tracer {
                 dropped: 0,
             }),
         })))
-    }
-
-    /// Build from [`TRACE_SAMPLE_ENV`]: unset, `0`, or unparsable disables.
-    pub fn from_env(capacity: usize) -> Self {
-        let sample_every = std::env::var(TRACE_SAMPLE_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(0);
-        Tracer::new(sample_every, capacity)
     }
 
     pub fn is_enabled(&self) -> bool {
@@ -503,8 +489,7 @@ mod tests {
 
     #[test]
     fn env_parse_rejects_garbage() {
-        // from_env reads the process environment; exercise the parse path
-        // through Tracer::new semantics instead of mutating global env.
+        // A zero period is the "off" setting callers pass through.
         assert!(!Tracer::new(0, 8).is_enabled());
         assert!(Tracer::new(1, 8).is_enabled());
         assert_eq!(Tracer::new(3, 8).sample_every(), 3);

@@ -57,19 +57,6 @@ use std::sync::Arc;
 
 use crate::report::{FleetReport, KeyReport, ShardSummary};
 
-/// Environment variable read by [`FleetConfig::default`] for the shard
-/// count.
-pub const SHARDS_ENV: &str = "DLACEP_SHARDS";
-
-/// Shard count from `DLACEP_SHARDS`, or `default` when unset/invalid.
-pub fn shards_from_env(default: u32) -> u32 {
-    std::env::var(SHARDS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
 /// Fleet-level configuration. Everything that decides *routing* (shard
 /// count, hash seed, key extractor) is fingerprinted into each shard's
 /// manifest; recovery under a different fingerprint is refused.
@@ -95,12 +82,17 @@ pub struct FleetConfig {
     pub obs: bool,
     /// Journal capacity for per-key registries when `obs` is on.
     pub journal_capacity: usize,
+    /// Trace one event in every N fleet-global sequence numbers into the
+    /// fleet-wide ring ([`ShardedDlacep::tracer`]); 0 (the default) traces
+    /// nothing. Every key runtime, restored or new, records into it when
+    /// `obs` is on.
+    pub trace_sample_every: u64,
 }
 
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
-            shards: shards_from_env(4),
+            shards: 4,
             hash_seed: DEFAULT_HASH_SEED,
             key_extractor: KeyExtractor::ByType,
             runtime: RuntimeConfig::default(),
@@ -114,6 +106,7 @@ impl Default for FleetConfig {
             checkpoint_every_events: 256,
             obs: false,
             journal_capacity: 256,
+            trace_sample_every: 0,
         }
     }
 }
@@ -342,6 +335,7 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
         stores: Vec<S>,
     ) -> Result<(Self, FleetRecoveryReport), FleetError> {
         Self::validate(&cfg, &stores)?;
+        let tracer = Tracer::new(cfg.trace_sample_every, DEFAULT_TRACE_CAPACITY);
         let mut fleet = ShardedDlacep {
             pattern,
             cfg,
@@ -351,7 +345,7 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
             next_global: 0,
             since_sync: 0,
             since_ckpt: 0,
-            tracer: Tracer::from_env(DEFAULT_TRACE_CAPACITY),
+            tracer,
         };
         let mut reports = Vec::with_capacity(stores.len());
         for (i, mut store) in stores.into_iter().enumerate() {
@@ -634,8 +628,9 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
 
     /// Offer a batch. Routing, logging, and high-water advancement happen
     /// per event in arrival order; runtime application is batched per key
-    /// (in key order per shard), which admits pooled window marking while
-    /// producing the same per-key event order as serial ingest.
+    /// (in key order per shard), so each key runtime marks its windows in
+    /// chunks, while producing the same per-key event order as serial
+    /// ingest.
     pub fn ingest_batch(&mut self, events: &[PrimitiveEvent]) -> Result<(), FleetError> {
         let mut buckets: BTreeMap<(usize, u64), Bucket> = BTreeMap::new();
         for ev in events {
@@ -748,28 +743,15 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
         s
     }
 
-    /// Per-shard counters, in shard order.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards.iter().map(|s| s.stats).collect()
-    }
-
     /// Last offered fleet-global sequence number.
     pub fn position(&self) -> u64 {
         self.next_global
     }
 
     /// A cloneable handle on the fleet-wide tracer (disabled unless
-    /// `DLACEP_TRACE_SAMPLE` was set when the fleet was built).
+    /// [`FleetConfig::trace_sample_every`] is positive).
     pub fn tracer(&self) -> Tracer {
         self.tracer.clone()
-    }
-
-    /// Replace the fleet-wide tracer. Call right after
-    /// [`create`](Self::create), before any event is offered: key runtimes
-    /// capture the tracer when they are first built, so a later swap only
-    /// reaches keys that have not appeared yet.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
     }
 
     /// One live Prometheus scrape for the whole fleet, without finishing

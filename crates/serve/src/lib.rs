@@ -34,7 +34,7 @@
 //!
 //! Live telemetry rides two transports while the fleet ingests: the
 //! `Tele` verb on the wire protocol, and the [`tele`] HTTP scrape
-//! listener (`DLACEP_TELE_ADDR`) serving `/metrics`, `/healthz`,
+//! listener serving `/metrics`, `/healthz`,
 //! `/traces`, and `/journal` off the same pump.
 //!
 //! [`StreamingDlacep`]: dlacep_core::StreamingDlacep
@@ -55,17 +55,16 @@ pub use channel::{spawn, ServeError, ServeHandle, ServePump, TeleKind};
 pub use chaos::{ChaosPlan, ChaosProxy, ChaosStats, MAX_DUP_BYTES};
 pub use client::{ClientConfig, ClientError, ClientStats, ResilientClient};
 pub use fleet::{
-    shards_from_env, FilterFactory, FleetConfig, FleetError, FleetRecoveryReport, FleetStats,
-    ShardRecovery, ShardStats, ShardedDlacep, TrainerFactory, SHARDS_ENV,
+    FilterFactory, FleetConfig, FleetError, FleetRecoveryReport, FleetStats, ShardRecovery,
+    ShardStats, ShardedDlacep, TrainerFactory,
 };
 pub use hash::{fx_hash64, shard_of, DEFAULT_HASH_SEED, HASH_REVISION};
 pub use report::{FleetReport, FleetTotals, KeyReport, ShardSummary};
 pub use server::{
-    serve_addr_from_env, RunningServer, ServerConfig, ServerReport, ShutdownHandle, WireClient,
-    WireServer, DRAIN_ENV, IDLE_TIMEOUT_ENV, MAX_CONNS_ENV, READ_TIMEOUT_ENV, SERVE_ADDR_ENV,
-    SHED_HIGH_WATER_ENV, SHED_RETRY_AFTER_ENV, TELE_TRUNCATION_MARKER,
+    RunningServer, ServerConfig, ServerReport, ShutdownHandle, WireClient, WireServer,
+    TELE_TRUNCATION_MARKER,
 };
-pub use tele::{tele_addr_from_env, TeleServer, TELE_ADDR_ENV};
+pub use tele::TeleServer;
 pub use wire::{
     encode_msg, write_msg, FrameReader, WireError, WireMsg, MAX_WIRE_PAYLOAD, WIRE_MAGIC,
     WIRE_VERSION,

@@ -10,14 +10,13 @@
 //! ## Connection lifecycle
 //!
 //! Every accepted socket gets read/write timeouts
-//! ([`ServerConfig::read_timeout`], env `DLACEP_SERVE_READ_TIMEOUT_MS`);
-//! the read timeout doubles as the poll tick on which a connection
-//! notices shutdown. A connection that stays silent past
-//! [`ServerConfig::idle_timeout`] is *reaped* — told why with a
-//! best-effort [`WireMsg::Error`], then closed. The
-//! [`ServerConfig::max_conns`] cap (env `DLACEP_SERVE_MAX_CONNS`)
-//! refuses the (N+1)th connection with a typed [`WireMsg::Error`]
-//! instead of letting accept backlog grow unbounded.
+//! ([`ServerConfig::read_timeout`]); the read timeout doubles as the poll
+//! tick on which a connection notices shutdown. A connection that stays
+//! silent past [`ServerConfig::idle_timeout`] is *reaped* — told why with
+//! a best-effort [`WireMsg::Error`], then closed. The
+//! [`ServerConfig::max_conns`] cap refuses the (N+1)th connection with a
+//! typed [`WireMsg::Error`] instead of letting accept backlog grow
+//! unbounded.
 //!
 //! ## Overload shedding
 //!
@@ -60,38 +59,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Environment variable naming the TCP listen address.
-pub const SERVE_ADDR_ENV: &str = "DLACEP_SERVE_ADDR";
-/// Environment variable for [`ServerConfig::max_conns`].
-pub const MAX_CONNS_ENV: &str = "DLACEP_SERVE_MAX_CONNS";
-/// Environment variable for [`ServerConfig::read_timeout`] (milliseconds).
-pub const READ_TIMEOUT_ENV: &str = "DLACEP_SERVE_READ_TIMEOUT_MS";
-/// Environment variable for [`ServerConfig::idle_timeout`] (milliseconds).
-pub const IDLE_TIMEOUT_ENV: &str = "DLACEP_SERVE_IDLE_TIMEOUT_MS";
-/// Environment variable for [`ServerConfig::drain_deadline`] (milliseconds).
-pub const DRAIN_ENV: &str = "DLACEP_SERVE_DRAIN_MS";
-/// Environment variable for [`ServerConfig::shed_high_water`].
-pub const SHED_HIGH_WATER_ENV: &str = "DLACEP_SERVE_SHED_HIGH_WATER";
-/// Environment variable for [`ServerConfig::shed_retry_after_ms`].
-pub const SHED_RETRY_AFTER_ENV: &str = "DLACEP_SERVE_RETRY_AFTER_MS";
-
-/// Listen address from `DLACEP_SERVE_ADDR`, or `default` when unset/empty.
-pub fn serve_addr_from_env(default: &str) -> String {
-    std::env::var(SERVE_ADDR_ENV)
-        .ok()
-        .filter(|v| !v.trim().is_empty())
-        .unwrap_or_else(|| default.to_string())
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(default)
-}
-
-/// Front-door tuning. Every knob has an environment override (see the
-/// `DLACEP_SERVE_*` constants) read by [`ServerConfig::from_env`].
+/// Front-door tuning, passed to [`WireServer::bind_with`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
     /// Connections served concurrently; the (N+1)th is refused with a
@@ -123,29 +91,6 @@ impl Default for ServerConfig {
             drain_deadline: Duration::from_secs(5),
             shed_high_water: 1024,
             shed_retry_after_ms: 50,
-        }
-    }
-}
-
-impl ServerConfig {
-    /// Defaults with every `DLACEP_SERVE_*` environment override applied.
-    pub fn from_env() -> Self {
-        let d = ServerConfig::default();
-        ServerConfig {
-            max_conns: env_u64(MAX_CONNS_ENV, d.max_conns as u64).max(1) as usize,
-            read_timeout: Duration::from_millis(
-                env_u64(READ_TIMEOUT_ENV, d.read_timeout.as_millis() as u64).max(1),
-            ),
-            idle_timeout: Duration::from_millis(env_u64(
-                IDLE_TIMEOUT_ENV,
-                d.idle_timeout.as_millis() as u64,
-            )),
-            drain_deadline: Duration::from_millis(env_u64(
-                DRAIN_ENV,
-                d.drain_deadline.as_millis() as u64,
-            )),
-            shed_high_water: env_u64(SHED_HIGH_WATER_ENV, d.shed_high_water),
-            shed_retry_after_ms: env_u64(SHED_RETRY_AFTER_ENV, d.shed_retry_after_ms),
         }
     }
 }
@@ -294,9 +239,9 @@ pub struct WireServer {
 
 impl WireServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral test port) with
-    /// [`ServerConfig::from_env`].
+    /// [`ServerConfig::default`].
     pub fn bind(addr: impl ToSocketAddrs, handle: ServeHandle) -> io::Result<WireServer> {
-        Self::bind_with(addr, handle, ServerConfig::from_env())
+        Self::bind_with(addr, handle, ServerConfig::default())
     }
 
     /// Bind with an explicit configuration.

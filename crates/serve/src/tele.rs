@@ -17,8 +17,8 @@
 //! | `/traces`   | `application/json`        | sampled trace ring as Chrome trace-event JSON |
 //! | `/journal`  | `application/json`        | bounded tail of every key runtime's journal |
 //!
-//! Listen address comes from [`TELE_ADDR_ENV`] (`DLACEP_TELE_ADDR`);
-//! bind port 0 for an ephemeral test port.
+//! The caller passes the listen address to [`TeleServer::bind`]; bind
+//! port 0 for an ephemeral test port.
 
 use crate::channel::{ServeError, ServeHandle};
 use crate::server::tele_kind;
@@ -28,18 +28,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Environment variable naming the telemetry HTTP listen address.
-pub const TELE_ADDR_ENV: &str = "DLACEP_TELE_ADDR";
-
-/// Telemetry listen address from `DLACEP_TELE_ADDR`, or `None` when
-/// unset/empty (telemetry over HTTP stays off by default).
-pub fn tele_addr_from_env() -> Option<String> {
-    std::env::var(TELE_ADDR_ENV)
-        .ok()
-        .map(|v| v.trim().to_string())
-        .filter(|v| !v.is_empty())
-}
 
 /// Cap on the request head read from a scrape connection; anything
 /// longer is answered 400 without further buffering.

@@ -18,7 +18,7 @@
 //! ```
 
 use dlacep::cep::{Pattern, PatternExpr, TypeSet};
-use dlacep::core::durable::{dur_dir_from_env, DurConfig, DurableDlacep};
+use dlacep::core::durable::{DurConfig, DurableDlacep};
 use dlacep::core::{OracleFilter, RuntimeConfig, StreamingDlacep};
 use dlacep::dur::{DirStore, WalConfig};
 use dlacep::events::{AttrValue, TypeId, WindowSpec};
@@ -54,11 +54,16 @@ fn source(n: usize) -> Vec<(TypeId, u64, Vec<AttrValue>)> {
         .collect()
 }
 
+/// The stores' root, `$DLACEP_DUR_DIR`, if set.
+fn dur_root() -> Option<PathBuf> {
+    std::env::var_os("DLACEP_DUR_DIR").map(PathBuf::from)
+}
+
 /// This run's durability directory: the first `run-N` under
 /// `$DLACEP_DUR_DIR` that does not exist yet (claimed by creating it), or a
 /// temp dir.
 fn run_dir() -> PathBuf {
-    let Some(root) = dur_dir_from_env() else {
+    let Some(root) = dur_root() else {
         let dir = std::env::temp_dir().join(format!("dlacep-ckpt-example-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create durability dir");
         return dir;
@@ -172,7 +177,7 @@ fn main() {
     }
     println!("crash-recovery equivalence holds ✓");
 
-    if dur_dir_from_env().is_none() {
+    if dur_root().is_none() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

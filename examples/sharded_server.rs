@@ -11,27 +11,25 @@
 //! then drains the pump and prints the merged fleet report plus the single
 //! Prometheus scrape covering every shard.
 //!
-//! Knobs (see README):
+//! The example reads two settings of its own from the environment (see
+//! README) and passes them to the library as arguments:
 //!
 //! ```bash
 //! cargo run --release --example sharded_server
-//! DLACEP_SHARDS=8 cargo run --release --example sharded_server
-//! # trace 1 in 10 events, serve live telemetry on a fixed port:
-//! DLACEP_TRACE_SAMPLE=10 DLACEP_TELE_ADDR=127.0.0.1:9900 cargo run ...
+//! # trace 1 in 3 events (default 10), serve live telemetry on a fixed port:
+//! DLACEP_TRACE_SAMPLE=3 DLACEP_TELE_ADDR=127.0.0.1:9900 cargo run ...
 //! ```
 //!
-//! (The example always binds an ephemeral telemetry port and self-scrapes
-//! it, so the endpoints are exercised even with the env knobs unset.)
+//! (Without `DLACEP_TELE_ADDR` the example binds an ephemeral telemetry
+//! port; it self-scrapes either way, so the endpoints are always
+//! exercised.)
 
 use dlacep::cep::{Pattern, PatternExpr, TypeSet};
 use dlacep::core::OracleFilter;
 use dlacep::data::StockConfig;
 use dlacep::dur::MemStore;
 use dlacep::events::{KeyExtractor, TypeId, WindowSpec};
-use dlacep::obs::{Tracer, DEFAULT_TRACE_CAPACITY};
-use dlacep::serve::{
-    shards_from_env, spawn, tele_addr_from_env, FleetConfig, ShardedDlacep, TeleServer,
-};
+use dlacep::serve::{spawn, FleetConfig, ShardedDlacep, TeleServer};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -63,8 +61,22 @@ fn pattern() -> Pattern {
     )
 }
 
+/// `name`'s value, if set and not blank.
+fn setting(name: &str) -> Option<String> {
+    std::env::var(name)
+        .ok()
+        .map(|v| v.trim().to_string())
+        .filter(|v| !v.is_empty())
+}
+
 fn main() {
-    let shards = shards_from_env(4);
+    // Trace 1 in 10 events unless DLACEP_TRACE_SAMPLE says otherwise, so
+    // the /traces endpoint has content to show.
+    let trace_sample_every = setting("DLACEP_TRACE_SAMPLE").map_or(10, |v| {
+        v.parse()
+            .expect("DLACEP_TRACE_SAMPLE must be a non-negative integer")
+    });
+    let shards = FleetConfig::default().shards;
     let (_, stream) = StockConfig {
         num_events: 5_000,
         ..Default::default()
@@ -80,10 +92,11 @@ fn main() {
         obs: true,
         sync_every_events: 64,
         checkpoint_every_events: 1_024,
+        trace_sample_every,
         ..FleetConfig::default()
     };
     let pat = pattern();
-    let mut fleet = ShardedDlacep::create(
+    let fleet = ShardedDlacep::create(
         pattern(),
         cfg,
         Arc::new(move || OracleFilter::new(pat.clone())),
@@ -91,16 +104,11 @@ fn main() {
         (0..shards).map(|_| MemStore::new()).collect(),
     )
     .expect("fresh fleet");
-    // Trace 1 in 10 events unless DLACEP_TRACE_SAMPLE already says
-    // otherwise, so the /traces endpoint has content to show.
-    if !fleet.tracer().is_enabled() {
-        fleet.set_tracer(Tracer::new(10, DEFAULT_TRACE_CAPACITY));
-    }
 
     // Bounded channel: 256 in-flight commands of backpressure.
     let (handle, pump) = spawn(fleet, 256);
     // Live telemetry: DLACEP_TELE_ADDR or an ephemeral port.
-    let tele_addr = tele_addr_from_env().unwrap_or_else(|| "127.0.0.1:0".into());
+    let tele_addr = setting("DLACEP_TELE_ADDR").unwrap_or_else(|| "127.0.0.1:0".into());
     let tele = TeleServer::bind(tele_addr.as_str(), handle.clone()).expect("bind telemetry");
     println!(
         "telemetry: http://{}/metrics (+ /healthz /traces /journal)",

@@ -3,10 +3,11 @@
 //! The `dlacep-obs` contract (DESIGN.md "Observability") is that counter
 //! values and journal `(kind, fields)` sequences outside the `pool.`
 //! namespace are pure functions of the workload and configuration — never
-//! of the thread count. These tests run the batch pipeline and the
-//! streaming runtime (healthy and fault-injected) against fresh registries
-//! under `threads ∈ {1, 4}` and require the deterministic views to be
-//! exactly equal.
+//! of the thread count or of how the stream was cut into calls. These
+//! tests run the batch pipeline under `threads ∈ {1, 4}`, and the streaming
+//! runtime (healthy, fault-injected and retraining) fed one event per call
+//! and in 97-event batches, against fresh registries, and require the
+//! deterministic views to be exactly equal.
 
 use dlacep::cep::{Pattern, PatternExpr, TypeSet};
 use dlacep::core::prelude::*;
@@ -17,6 +18,9 @@ use dlacep::obs::{DeterministicView, Registry};
 use std::sync::Arc;
 
 const THREADS: [usize; 2] = [1, 4];
+/// Streaming call sizes: one event per `ingest_batch`, then uneven chunks
+/// whose boundaries fall mid-window.
+const CHUNKS: [usize; 2] = [1, 97];
 
 fn seq_pattern(types: &[u32], w: u64) -> Pattern {
     let leaves = types
@@ -37,8 +41,8 @@ fn stock_stream(n: usize) -> EventStream {
 }
 
 /// Faults keyed on window *content* (first event id), so the injection is a
-/// pure function of the workload and identical no matter how many threads
-/// speculatively mark windows.
+/// pure function of the workload and identical however the stream is cut
+/// into calls.
 struct IdKeyedFaults {
     inner: OracleFilter,
 }
@@ -96,33 +100,27 @@ fn streaming_runtime_obs_deterministic_across_thread_counts() {
     let stream = stock_stream(2_500);
 
     let mut views: Vec<(usize, DeterministicView)> = Vec::new();
-    for t in THREADS {
-        let cfg = RuntimeConfig {
-            parallelism: Parallelism::with_threads(t),
-            ..Default::default()
-        };
+    for c in CHUNKS {
         let mut rt = StreamingDlacep::builder(pattern.clone(), OracleFilter::new(pattern.clone()))
-            .config(cfg)
             .obs(Arc::new(Registry::enabled()))
             .build()
             .unwrap();
-        // Uneven chunks so batch boundaries fall mid-window.
-        for chunk in stream.events().chunks(97) {
+        for chunk in stream.events().chunks(c) {
             rt.ingest_batch(chunk).unwrap();
         }
         let report = rt.finish();
         let snap = report.obs.expect("registry is enabled");
-        views.push((t, snap.deterministic_view(&["pool."])));
+        views.push((c, snap.deterministic_view(&["pool."])));
     }
     let (_, baseline) = &views[0];
     assert!(
         baseline.journal.iter().any(|(kind, _)| kind == "mode"),
         "journal must record the initial mode"
     );
-    for (t, view) in &views[1..] {
+    for (c, view) in &views[1..] {
         assert_eq!(
             view, baseline,
-            "threads = {t}: runtime counters/journal must not depend on thread count"
+            "chunks of {c}: runtime counters/journal must not depend on call size"
         );
     }
 }
@@ -133,9 +131,8 @@ fn faulting_runtime_obs_deterministic_across_thread_counts() {
     let stream = stock_stream(2_500);
 
     let mut views: Vec<(usize, DeterministicView)> = Vec::new();
-    for t in THREADS {
+    for c in CHUNKS {
         let cfg = RuntimeConfig {
-            parallelism: Parallelism::with_threads(t),
             guard: GuardConfig {
                 fault_threshold: 2,
                 cooldown_windows: 4,
@@ -151,33 +148,33 @@ fn faulting_runtime_obs_deterministic_across_thread_counts() {
             .obs(Arc::new(Registry::enabled()))
             .build()
             .unwrap();
-        for chunk in stream.events().chunks(97) {
+        for chunk in stream.events().chunks(c) {
             rt.ingest_batch(chunk).unwrap();
         }
         let report = rt.finish();
         assert!(
             report.guard.faults_total > 0,
-            "threads = {t}: faults must actually fire"
+            "chunks of {c}: faults must actually fire"
         );
         let snap = report.obs.expect("registry is enabled");
-        views.push((t, snap.deterministic_view(&["pool."])));
+        views.push((c, snap.deterministic_view(&["pool."])));
     }
     let (_, baseline) = &views[0];
     assert!(
         baseline.journal.iter().any(|(kind, _)| kind == "breaker"),
         "journal must record breaker transitions"
     );
-    for (t, view) in &views[1..] {
+    for (c, view) in &views[1..] {
         assert_eq!(
             view, baseline,
-            "threads = {t}: fault/breaker counters and journal must not depend on thread count"
+            "chunks of {c}: fault/breaker counters and journal must not depend on call size"
         );
     }
 }
 
 /// A filter that silently dies once the stream passes `silent_from` —
 /// keyed on window content (first event id), so drift fires at the same
-/// window under any thread count.
+/// window however the stream is cut into calls.
 struct SilentFrom {
     oracle: OracleFilter,
     silent_from: u64,
@@ -245,9 +242,8 @@ fn retrain_lifecycle_obs_deterministic_across_thread_counts() {
     }
 
     let mut views: Vec<(usize, DeterministicView)> = Vec::new();
-    for t in THREADS {
+    for c in CHUNKS {
         let cfg = RuntimeConfig {
-            parallelism: Parallelism::with_threads(t),
             drift: Some(DriftConfig {
                 baseline_rate: 0.5,
                 tolerance: 0.8,
@@ -258,7 +254,7 @@ fn retrain_lifecycle_obs_deterministic_across_thread_counts() {
         };
         // Attempt 0 panics inside the training job; the retry (attempt 1)
         // heals. Both transitions must journal at the same window index
-        // under every thread count.
+        // under every call size.
         let trainer = ChaosTrainer::new(Box::new(Healer {
             pattern: pattern.clone(),
         }))
@@ -281,7 +277,7 @@ fn retrain_lifecycle_obs_deterministic_across_thread_counts() {
             .obs(Arc::new(Registry::enabled()))
             .build()
             .unwrap();
-        for chunk in stream.events().chunks(97) {
+        for chunk in stream.events().chunks(c) {
             rt.ingest_batch(chunk).unwrap();
         }
         let report = rt.finish();
@@ -289,10 +285,10 @@ fn retrain_lifecycle_obs_deterministic_across_thread_counts() {
         assert_eq!(
             retrain.active_version,
             Some(1),
-            "threads = {t}: the retried attempt must swap in"
+            "chunks of {c}: the retried attempt must swap in"
         );
         let snap = report.obs.expect("registry is enabled");
-        views.push((t, snap.deterministic_view(&["pool."])));
+        views.push((c, snap.deterministic_view(&["pool."])));
     }
     let (_, baseline) = &views[0];
     assert!(
@@ -306,10 +302,10 @@ fn retrain_lifecycle_obs_deterministic_across_thread_counts() {
             .any(|(kind, fields)| kind == "mode" && format!("{fields:?}").contains("Swapped")),
         "journal must record the hot swap as a mode transition"
     );
-    for (t, view) in &views[1..] {
+    for (c, view) in &views[1..] {
         assert_eq!(
             view, baseline,
-            "threads = {t}: retrain counters/journal must not depend on thread count"
+            "chunks of {c}: retrain counters/journal must not depend on call size"
         );
     }
 }

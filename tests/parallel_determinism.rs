@@ -1,12 +1,14 @@
-//! Determinism harness for the parallel execution layer.
+//! Determinism harness for the batch pipeline's parallel marking.
 //!
 //! The contract of `core::stage`'s marking lanes is that thread count is a
 //! pure throughput knob: marks, matches (values *and* order) and every
-//! report counter must be bitwise-identical across `threads ∈ {1, 2, 4, 8}`
-//! and equal to the serial baseline, on both the batch pipeline and the
-//! streaming runtime, for synthetic and stock-derived streams. Lanes that
-//! let their completion order leak into results would fail these within a
-//! few runs.
+//! report counter of `Dlacep::run` must be bitwise-identical across
+//! `threads ∈ {1, 2, 4, 8}` and equal to the serial baseline, for
+//! synthetic and stock-derived streams. Lanes that let their completion
+//! order leak into results would fail these within a few runs.
+//!
+//! The streaming runtime marks serially; its batched ingest, cut into
+//! chunks that end mid-window, must equal per-event ingest.
 
 use dlacep::cep::{Pattern, PatternExpr, TypeSet};
 use dlacep::core::prelude::*;
@@ -178,22 +180,13 @@ fn streaming_runtime_identical_across_thread_counts() {
         let baseline = serial.finish();
         assert!(!baseline.matches.is_empty(), "{name}: stream must match");
 
-        for t in THREADS {
-            let cfg = RuntimeConfig {
-                parallelism: Parallelism::with_threads(t),
-                ..Default::default()
-            };
-            let mut rt =
-                StreamingDlacep::builder(pattern.clone(), OracleFilter::new(pattern.clone()))
-                    .config(cfg)
-                    .build()
-                    .unwrap();
-            // Uneven chunks so batch boundaries fall mid-window.
-            for chunk in stream.events().chunks(97) {
-                rt.ingest_batch(chunk).unwrap();
-            }
-            let report = rt.finish();
-            assert_runtime_reports_equal(&report, &baseline, &format!("{name}, threads = {t}"));
+        let mut rt =
+            StreamingDlacep::new(pattern.clone(), OracleFilter::new(pattern.clone())).unwrap();
+        // Uneven chunks so batch boundaries fall mid-window.
+        for chunk in stream.events().chunks(97) {
+            rt.ingest_batch(chunk).unwrap();
         }
+        let report = rt.finish();
+        assert_runtime_reports_equal(&report, &baseline, &format!("{name}, batched"));
     }
 }

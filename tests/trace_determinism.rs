@@ -3,28 +3,32 @@
 //! Trace *structure* — which sequence numbers are sampled, the stages and
 //! parent links of their spans, and every annotation value — is part of
 //! the determinism contract: it is a pure function of the workload and
-//! configuration, never of the thread count or the shard count. Only the
-//! nanosecond timestamps are scheduling-dependent, and
-//! [`TraceSnapshot::deterministic_view`] strips exactly those. These tests
-//! run the streaming runtime (healthy and fault-injected) and the sharded
-//! fleet under `threads ∈ {1, 4}` × `shards ∈ {1, 4}` and require the
-//! views to be byte-identical.
+//! configuration, never of how the stream was cut into calls or of the
+//! shard count. Only the nanosecond timestamps are scheduling-dependent,
+//! and [`TraceSnapshot::deterministic_view`] strips exactly those. These
+//! tests run the streaming runtime (healthy and fault-injected) fed one
+//! event per call and in 97-event batches, and the sharded fleet under
+//! `shards ∈ {1, 4}`, and require the views to be byte-identical. A fleet
+//! recovered from its stores traces its restored keys as it traces new
+//! ones.
 //!
 //! [`TraceSnapshot::deterministic_view`]:
 //! dlacep::obs::TraceSnapshot::deterministic_view
 
 use dlacep::cep::{Pattern, PatternExpr, TypeSet};
 use dlacep::core::prelude::*;
-use dlacep::core::{GuardConfig, Parallelism};
+use dlacep::core::GuardConfig;
 use dlacep::data::StockConfig;
 use dlacep::dur::MemStore;
 use dlacep::events::{EventStream, KeyExtractor, PrimitiveEvent, TypeId, WindowSpec};
 use dlacep::obs::{Registry, Tracer};
 use dlacep::serve::{FilterFactory, FleetConfig, ShardedDlacep};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-const THREADS: [usize; 2] = [1, 4];
+/// Streaming call sizes: one event per `ingest_batch`, then uneven chunks
+/// whose boundaries fall mid-window.
+const CHUNKS: [usize; 2] = [1, 97];
 const SHARDS: [u32; 2] = [1, 4];
 const SAMPLE_EVERY: u64 = 5;
 /// Ample ring: every sampled trace of the workload must survive eviction,
@@ -52,7 +56,7 @@ fn stock_stream(n: usize) -> EventStream {
 
 /// Faults keyed on window *content* (first event id) — a pure function of
 /// the workload, so breaker trips and degraded stretches land on the same
-/// windows under every thread count.
+/// windows however the stream is cut into calls.
 struct IdKeyedFaults {
     inner: OracleFilter,
 }
@@ -75,6 +79,14 @@ impl Filter for IdKeyedFaults {
     }
 }
 
+fn guard() -> GuardConfig {
+    GuardConfig {
+        fault_threshold: 2,
+        cooldown_windows: 4,
+        ..GuardConfig::default()
+    }
+}
+
 /// Group view lines (`"<trace_id> <stage> ..."`) by trace id.
 fn stages_by_trace(view: &[String]) -> BTreeMap<u64, Vec<&str>> {
     let mut out: BTreeMap<u64, Vec<&str>> = BTreeMap::new();
@@ -87,29 +99,19 @@ fn stages_by_trace(view: &[String]) -> BTreeMap<u64, Vec<&str>> {
 }
 
 fn run_streaming<F: Filter>(
-    threads: usize,
+    chunk: usize,
     filter: F,
     pattern: &Pattern,
     stream: &EventStream,
 ) -> (Vec<String>, RuntimeReport) {
     let tracer = Tracer::new(SAMPLE_EVERY, RING);
-    let cfg = RuntimeConfig {
-        parallelism: Parallelism::with_threads(threads),
-        guard: GuardConfig {
-            fault_threshold: 2,
-            cooldown_windows: 4,
-            ..GuardConfig::default()
-        },
-        ..Default::default()
-    };
     let mut rt = StreamingDlacep::builder(pattern.clone(), filter)
-        .config(cfg)
+        .guard(guard())
         .obs(Arc::new(Registry::with_tracer(256, tracer.clone())))
         .build()
         .unwrap();
-    // Uneven chunks so batch boundaries fall mid-window.
-    for chunk in stream.events().chunks(97) {
-        rt.ingest_batch(chunk).unwrap();
+    for events in stream.events().chunks(chunk) {
+        rt.ingest_batch(events).unwrap();
     }
     let report = rt.finish();
     let snap = tracer.snapshot();
@@ -124,14 +126,14 @@ fn streaming_traces_deterministic_across_thread_counts() {
     let stream = stock_stream(2_500);
 
     let mut views: Vec<(usize, Vec<String>)> = Vec::new();
-    for t in THREADS {
+    for c in CHUNKS {
         let (view, report) =
-            run_streaming(t, OracleFilter::new(pattern.clone()), &pattern, &stream);
+            run_streaming(c, OracleFilter::new(pattern.clone()), &pattern, &stream);
         assert!(
             !report.matches.is_empty(),
-            "threads = {t}: the pattern must match for emit spans to exist"
+            "chunks of {c}: the pattern must match for emit spans to exist"
         );
-        views.push((t, view));
+        views.push((c, view));
     }
 
     let (_, baseline) = &views[0];
@@ -145,10 +147,10 @@ fn streaming_traces_deterministic_across_thread_counts() {
         full_chain.is_some(),
         "some sampled trace must span ingest→assemble→mark→cep→emit:\n{baseline:#?}"
     );
-    for (t, view) in &views[1..] {
+    for (c, view) in &views[1..] {
         assert_eq!(
             view, baseline,
-            "threads = {t}: trace structure must not depend on thread count"
+            "chunks of {c}: trace structure must not depend on call size"
         );
     }
 }
@@ -159,16 +161,16 @@ fn faulting_traces_deterministic_and_annotate_degraded_windows() {
     let stream = stock_stream(2_500);
 
     let mut views: Vec<(usize, Vec<String>)> = Vec::new();
-    for t in THREADS {
+    for c in CHUNKS {
         let filter = IdKeyedFaults {
             inner: OracleFilter::new(pattern.clone()),
         };
-        let (view, report) = run_streaming(t, filter, &pattern, &stream);
+        let (view, report) = run_streaming(c, filter, &pattern, &stream);
         assert!(
             report.guard.faults_total > 0,
-            "threads = {t}: faults must actually fire"
+            "chunks of {c}: faults must actually fire"
         );
-        views.push((t, view));
+        views.push((c, view));
     }
 
     let (_, baseline) = &views[0];
@@ -188,43 +190,46 @@ fn faulting_traces_deterministic_and_annotate_degraded_windows() {
         baseline.iter().any(|l| l.contains(" mode ")),
         "mode transitions inside a sampled window must become spans:\n{baseline:#?}"
     );
-    for (t, view) in &views[1..] {
+    for (c, view) in &views[1..] {
         assert_eq!(
             view, baseline,
-            "threads = {t}: degraded-run trace structure must not depend on thread count"
+            "chunks of {c}: degraded-run trace structure must not depend on call size"
         );
     }
 }
 
-fn run_fleet_traces<F: Filter>(
-    shards: u32,
-    threads: usize,
-    pattern: &Pattern,
-    stream: &EventStream,
-    mk_filter: FilterFactory<F>,
-) -> Vec<String> {
-    let cfg = FleetConfig {
+fn fleet_config(shards: u32) -> FleetConfig {
+    FleetConfig {
         shards,
         key_extractor: KeyExtractor::ByTypeGroup(4),
         runtime: RuntimeConfig {
-            parallelism: Parallelism::with_threads(threads),
-            guard: GuardConfig {
-                fault_threshold: 2,
-                cooldown_windows: 4,
-                ..GuardConfig::default()
-            },
+            guard: guard(),
             ..RuntimeConfig::default()
         },
         obs: true,
         sync_every_events: 16,
         checkpoint_every_events: 640,
+        trace_sample_every: SAMPLE_EVERY,
         ..FleetConfig::default()
-    };
+    }
+}
+
+fn run_fleet_traces<F: Filter>(
+    shards: u32,
+    pattern: &Pattern,
+    stream: &EventStream,
+    mk_filter: FilterFactory<F>,
+) -> Vec<String> {
     let stores: Vec<MemStore> = (0..shards).map(|_| MemStore::new()).collect();
-    let mut fleet =
-        ShardedDlacep::create(pattern.clone(), cfg, mk_filter, Arc::new(|| None), stores).unwrap();
-    let tracer = Tracer::new(SAMPLE_EVERY, RING);
-    fleet.set_tracer(tracer.clone());
+    let mut fleet = ShardedDlacep::create(
+        pattern.clone(),
+        fleet_config(shards),
+        mk_filter,
+        Arc::new(|| None),
+        stores,
+    )
+    .unwrap();
+    let tracer = fleet.tracer();
     for chunk in stream.events().chunks(97) {
         fleet.ingest_batch(chunk).unwrap();
     }
@@ -243,19 +248,13 @@ fn fleet_traces_deterministic_across_shard_and_thread_counts() {
 
     let pat = pattern.clone();
     let mk: FilterFactory<OracleFilter> = Arc::new(move || OracleFilter::new(pat.clone()));
-    let baseline = run_fleet_traces(1, 1, &pattern, &stream, Arc::clone(&mk));
-    for shards in SHARDS {
-        for threads in THREADS {
-            if (shards, threads) == (1, 1) {
-                continue;
-            }
-            let got = run_fleet_traces(shards, threads, &pattern, &stream, Arc::clone(&mk));
-            assert_eq!(
-                got, baseline,
-                "shards={shards} threads={threads}: fleet trace structure must be \
-                 a pure function of the workload"
-            );
-        }
+    let baseline = run_fleet_traces(SHARDS[0], &pattern, &stream, Arc::clone(&mk));
+    for shards in &SHARDS[1..] {
+        let got = run_fleet_traces(*shards, &pattern, &stream, Arc::clone(&mk));
+        assert_eq!(
+            got, baseline,
+            "shards={shards}: fleet trace structure must be a pure function of the workload"
+        );
     }
 }
 
@@ -268,7 +267,7 @@ fn degraded_fleet_traces_deterministic_across_shard_counts() {
     let mk: FilterFactory<IdKeyedFaults> = Arc::new(move || IdKeyedFaults {
         inner: OracleFilter::new(pat.clone()),
     });
-    let baseline = run_fleet_traces(SHARDS[0], 1, &pattern, &stream, Arc::clone(&mk));
+    let baseline = run_fleet_traces(SHARDS[0], &pattern, &stream, Arc::clone(&mk));
     assert!(
         baseline
             .iter()
@@ -276,10 +275,95 @@ fn degraded_fleet_traces_deterministic_across_shard_counts() {
         "the fault injection must reach sampled traces:\n{baseline:#?}"
     );
     for shards in &SHARDS[1..] {
-        let got = run_fleet_traces(*shards, 1, &pattern, &stream, Arc::clone(&mk));
+        let got = run_fleet_traces(*shards, &pattern, &stream, Arc::clone(&mk));
         assert_eq!(
             got, baseline,
             "shards={shards}: degraded fleet trace structure must not depend on placement"
         );
     }
+}
+
+/// A recovered fleet hands its tracer to the keys it restores from the
+/// checkpoint as well as to the keys it creates afterwards: every sampled
+/// sequence number from `resume_seq` on publishes a trace.
+#[test]
+fn recovered_fleet_traces_restored_and_new_keys() {
+    let pattern = seq_pattern(&[0, 1, 2], 12);
+    let extractor = KeyExtractor::ByTypeGroup(4);
+    // Before the crash only types 0..4 (key group 0) arrive; afterwards
+    // every type does, so the re-feed reaches restored and new keys.
+    const HEAD: usize = 400;
+    let stock = stock_stream(1_500);
+    let head = stock
+        .events()
+        .iter()
+        .filter(|ev| ev.type_id.0 < 4)
+        .take(HEAD);
+    let events: Vec<PrimitiveEvent> = head
+        .chain(stock.events())
+        .enumerate()
+        .map(|(i, ev)| PrimitiveEvent::new(i as u64, ev.type_id, i as u64, ev.attrs.clone()))
+        .collect();
+
+    let pat = pattern.clone();
+    let mk: FilterFactory<OracleFilter> = Arc::new(move || OracleFilter::new(pat.clone()));
+    let stores: Vec<MemStore> = (0..2).map(|_| MemStore::new()).collect();
+    let mut fleet = ShardedDlacep::create(
+        pattern.clone(),
+        fleet_config(2),
+        Arc::clone(&mk),
+        Arc::new(|| None),
+        stores,
+    )
+    .unwrap();
+    fleet.ingest_batch(&events[..HEAD]).unwrap();
+    fleet.checkpoint_now().unwrap();
+    let restored: BTreeSet<u64> = events[..HEAD]
+        .iter()
+        .map(|ev| extractor.key_of(ev.type_id, &ev.attrs))
+        .collect();
+
+    let (mut recovered, report) = ShardedDlacep::recover(
+        pattern.clone(),
+        fleet_config(2),
+        mk,
+        Arc::new(|| None),
+        fleet.into_stores(),
+    )
+    .unwrap();
+    assert_eq!(report.resume_seq, HEAD as u64 + 1);
+    assert!(report.shards.iter().map(|s| s.keys_restored).sum::<u64>() > 0);
+    let tracer = recovered.tracer();
+    let resume_at = report.resume_seq as usize - 1;
+    for chunk in events[resume_at..].chunks(97) {
+        recovered.ingest_batch(chunk).unwrap();
+    }
+    recovered.finish();
+
+    let snap = tracer.snapshot();
+    assert_eq!(snap.dropped, 0, "ring must hold every sampled trace");
+    let traced: BTreeSet<u64> = snap.traces.iter().map(|t| t.trace_id).collect();
+    let mut keys_traced = (false, false);
+    for (i, ev) in events.iter().enumerate().skip(resume_at) {
+        let g = i as u64 + 1;
+        if !tracer.sampled(g) {
+            continue;
+        }
+        let key = extractor.key_of(ev.type_id, &ev.attrs);
+        assert!(
+            traced.contains(&g),
+            "sampled seq {g} (key {key}, restored: {}) has no trace",
+            restored.contains(&key)
+        );
+        if restored.contains(&key) {
+            keys_traced.0 = true;
+        } else {
+            keys_traced.1 = true;
+        }
+    }
+    assert_eq!(
+        keys_traced,
+        (true, true),
+        "restored and new keys both traced"
+    );
 }
