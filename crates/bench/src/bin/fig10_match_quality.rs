@@ -55,7 +55,7 @@ fn main() {
     let found: BTreeSet<Vec<EventId>> = report
         .matches()
         .iter()
-        .map(|m| m.event_ids.clone())
+        .map(|m| m.event_ids.to_vec())
         .collect();
     let by_id: HashMap<u64, &PrimitiveEvent> = eval.iter().map(|e| (e.id.0, e)).collect();
 
@@ -63,7 +63,7 @@ fn main() {
     let mut undetected = Vec::new();
     for m in &truth {
         let var = volume_variance(&m.event_ids, &by_id);
-        if found.contains(&m.event_ids) {
+        if found.contains(m.key()) {
             detected.push(var);
         } else {
             undetected.push(var);

@@ -58,7 +58,7 @@ fn run_alternative(
     let matches = engine.run(events);
     let secs = start.elapsed().as_secs_f64();
     let found: std::collections::BTreeSet<_> =
-        matches.iter().map(|m| m.event_ids.clone()).collect();
+        matches.iter().map(|m| m.event_ids.to_vec()).collect();
     let common = truth.intersection(&found).count();
     let recall = if truth.is_empty() {
         1.0
@@ -100,7 +100,7 @@ fn main() {
         let ecep_matches = nfa.run(&eval);
         let (ecep_time, ecep_stats) = (start.elapsed(), *nfa.stats());
         let truth: std::collections::BTreeSet<_> =
-            ecep_matches.iter().map(|m| m.event_ids.clone()).collect();
+            ecep_matches.iter().map(|m| m.event_ids.to_vec()).collect();
         let ecep_secs = ecep_time.as_secs_f64();
         let mut push = |system: &str, gain: f64, recall: f64, partials: u64| {
             entries.push(Entry {

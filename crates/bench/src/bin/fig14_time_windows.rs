@@ -122,7 +122,7 @@ fn run_mw(mw: usize, cfg: &ExpConfig, stream_events: &[PrimitiveEvent]) -> Point
     for chunk in &eval_chunks {
         let mut engine = NfaEngine::new(&pattern).expect("compiles");
         for m in engine.run(chunk) {
-            truth.insert(m.event_ids);
+            truth.insert(m.event_ids.to_vec());
         }
     }
     let ecep_secs = ecep_start.elapsed().as_secs_f64();
@@ -146,7 +146,7 @@ fn run_mw(mw: usize, cfg: &ExpConfig, stream_events: &[PrimitiveEvent]) -> Point
         }
         let mut engine = NfaEngine::new(&pattern).expect("compiles");
         for m in engine.run(&filtered) {
-            found.insert(m.event_ids);
+            found.insert(m.event_ids.to_vec());
         }
     }
     let acep_secs = acep_start.elapsed().as_secs_f64();

@@ -52,7 +52,7 @@ fn sequence_hash(matches: &[Match]) -> u64 {
         for id in &m.event_ids {
             fnv(&mut h, &id.0.to_le_bytes());
         }
-        for (name, ids) in &m.bindings {
+        for (name, ids) in m.bindings() {
             fnv(&mut h, name.as_bytes());
             fnv(&mut h, &(ids.len() as u64).to_le_bytes());
             for id in ids {

@@ -4,19 +4,142 @@
 use dlacep_events::{EventId, PrimitiveEvent};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
+
+/// The binding names every match of one compiled branch shares, in emission
+/// order, with which of them are Kleene bindings (any number of ids; every
+/// other binding holds exactly one). A compiled branch builds its schema
+/// once and each match it emits holds a handle to it, so a name is stored
+/// once per branch, not once per match — the complex event of the CEP
+/// literature: a map from the pattern's variables to stream positions.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MatchSchema {
+    names: Vec<String>,
+    kleene: Vec<bool>,
+    kleene_count: usize,
+    /// The index of the plan branch that emits these matches (in a shared
+    /// plan's fused plan, the evaluation unit); `None` for a schema built
+    /// from a match's own bindings.
+    branch: Option<usize>,
+}
+
+impl MatchSchema {
+    /// A schema of `(name, is_kleene)` bindings emitted by `branch`.
+    pub(crate) fn new(
+        bindings: impl IntoIterator<Item = (String, bool)>,
+        branch: Option<usize>,
+    ) -> Self {
+        let (names, kleene): (Vec<String>, Vec<bool>) = bindings.into_iter().unzip();
+        let kleene_count = kleene.iter().filter(|k| **k).count();
+        Self {
+            names,
+            kleene,
+            kleene_count,
+            branch,
+        }
+    }
+
+    /// The binding names, in emission order.
+    pub fn names(&self) -> &[String] {
+        &self.names
+    }
+
+    /// The plan branch that emits matches of this schema, if a compiled
+    /// branch built it.
+    pub(crate) fn branch(&self) -> Option<usize> {
+        self.branch
+    }
+}
+
+/// A match's event ids, sorted and deduplicated — and the match's one heap
+/// allocation: behind the sorted ids it holds every binding's ids in
+/// binding order, then the end of each Kleene binding's run. It reads as
+/// the slice of sorted ids.
+#[derive(Clone, Default)]
+pub struct MatchIds {
+    /// `sorted ids | ids in binding order | Kleene binding ends`.
+    words: Box<[EventId]>,
+    sorted: usize,
+}
+
+impl Deref for MatchIds {
+    type Target = [EventId];
+
+    fn deref(&self) -> &[EventId] {
+        &self.words[..self.sorted]
+    }
+}
+
+impl DerefMut for MatchIds {
+    fn deref_mut(&mut self) -> &mut [EventId] {
+        &mut self.words[..self.sorted]
+    }
+}
+
+impl PartialEq for MatchIds {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for MatchIds {}
+
+impl<'a> IntoIterator for &'a MatchIds {
+    type Item = &'a EventId;
+    type IntoIter = std::slice::Iter<'a, EventId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialOrd for MatchIds {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for MatchIds {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+impl std::hash::Hash for MatchIds {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl PartialEq<Vec<EventId>> for MatchIds {
+    fn eq(&self, other: &Vec<EventId>) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for MatchIds {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
 
 /// A full pattern match: the events (by id) bound to each binding name, plus
 /// the sorted id set that identifies the match.
 ///
 /// Matches store event *ids*, not event copies — experiments keep the source
 /// stream around, and id sets are what recall comparisons operate on (§5.1:
-/// the two returned match sets are compared).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// the two returned match sets are compared). A match is one heap
+/// allocation ([`MatchIds`]) plus a handle to the [`MatchSchema`] of the
+/// branch that emitted it, which names its bindings; read them with
+/// [`bindings`](Self::bindings) or [`binding`](Self::binding). Two matches
+/// are equal when their ids and their `(name, ids)` bindings are, whatever
+/// schema they hold.
+#[derive(Clone)]
 pub struct Match {
     /// Sorted ids of every event participating in the match.
-    pub event_ids: Vec<EventId>,
-    /// Per-binding event ids (Kleene bindings may hold several).
-    pub bindings: Vec<(String, Vec<EventId>)>,
+    pub event_ids: MatchIds,
+    schema: Arc<MatchSchema>,
 }
 
 impl Match {
@@ -28,23 +151,189 @@ impl Match {
             .collect();
         ids.sort_unstable();
         ids.dedup();
-        Self {
-            event_ids: ids,
-            bindings,
+        Self::from_parts(&ids, bindings)
+    }
+
+    /// A match with exactly these `event_ids` (taken as given, not derived)
+    /// and these bindings, under a schema of its own — how a decoded match
+    /// is rebuilt.
+    pub fn from_parts(event_ids: &[EventId], bindings: Vec<(String, Vec<EventId>)>) -> Self {
+        let mut builder = MatchBuilder::default();
+        let mut names = Vec::with_capacity(bindings.len());
+        for (name, ids) in bindings {
+            let kleene = ids.len() != 1;
+            match kleene {
+                true => builder.kleene(ids),
+                false => builder.single(ids[0]),
+            }
+            names.push((name, kleene));
         }
+        let schema = Arc::new(MatchSchema::new(names, None));
+        builder.finish_with(event_ids, &schema)
     }
 
     /// Ids bound to `binding`, if present.
     pub fn binding(&self, name: &str) -> Option<&[EventId]> {
-        self.bindings
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_slice())
+        self.bindings()
+            .find(|(n, _)| *n == name)
+            .map(|(_, ids)| ids)
+    }
+
+    /// Every binding's name and ids, in emission order.
+    pub fn bindings(&self) -> Bindings<'_> {
+        let words = &self.event_ids.words;
+        let ends = words.len() - self.schema.kleene_count;
+        Bindings {
+            names: self.schema.names.iter(),
+            kleene: self.schema.kleene.iter(),
+            bound: &words[self.event_ids.sorted..ends],
+            ends: words[ends..].iter(),
+            at: 0,
+        }
+    }
+
+    /// The schema naming this match's bindings.
+    pub(crate) fn schema(&self) -> &Arc<MatchSchema> {
+        &self.schema
     }
 
     /// The match identity used for set comparisons (sorted id vector).
     pub fn key(&self) -> &[EventId] {
         &self.event_ids
+    }
+
+    /// Give the match `schema`'s binding names, which must name as many
+    /// bindings: a handle swap when both schemas lay the ids out alike
+    /// (the same Kleene bindings), a rebuild otherwise.
+    pub(crate) fn set_schema(&mut self, schema: &Arc<MatchSchema>) {
+        debug_assert_eq!(self.schema.names.len(), schema.names.len());
+        if self.schema.kleene != schema.kleene {
+            let mut builder = MatchBuilder::default();
+            for ((_, ids), &kleene) in self.bindings().zip(&schema.kleene) {
+                match kleene {
+                    true => builder.kleene(ids.iter().copied()),
+                    false => builder.single(ids[0]),
+                }
+            }
+            self.event_ids = builder.finish_with(&self.event_ids, schema).event_ids;
+        }
+        self.schema = Arc::clone(schema);
+    }
+}
+
+impl PartialEq for Match {
+    fn eq(&self, other: &Self) -> bool {
+        if Arc::ptr_eq(&self.schema, &other.schema) {
+            let (a, b) = (&self.event_ids, &other.event_ids);
+            return a.sorted == b.sorted && a.words == b.words;
+        }
+        self.event_ids == other.event_ids
+            && self.schema.names.len() == other.schema.names.len()
+            && self.bindings().eq(other.bindings())
+    }
+}
+
+impl Eq for Match {}
+
+impl std::fmt::Debug for Match {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct List<'a>(&'a Match);
+        impl std::fmt::Debug for List<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_list().entries(self.0.bindings()).finish()
+            }
+        }
+        f.debug_struct("Match")
+            .field("event_ids", &self.event_ids)
+            .field("bindings", &List(self))
+            .finish()
+    }
+}
+
+/// The `(name, ids)` bindings of a [`Match`], in emission order.
+#[derive(Debug, Clone)]
+pub struct Bindings<'a> {
+    names: std::slice::Iter<'a, String>,
+    kleene: std::slice::Iter<'a, bool>,
+    bound: &'a [EventId],
+    ends: std::slice::Iter<'a, EventId>,
+    at: usize,
+}
+
+impl<'a> Iterator for Bindings<'a> {
+    type Item = (&'a str, &'a [EventId]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let name = self.names.next()?;
+        let end = match self.kleene.next()? {
+            true => self.ends.next()?.0 as usize,
+            false => self.at + 1,
+        };
+        let ids = &self.bound[self.at..end];
+        self.at = end;
+        Some((name, ids))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.names.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Bindings<'_> {}
+
+/// Scratch space an engine assembles its matches in, reused from match to
+/// match, so that emitting one costs one allocation: feed the bindings in
+/// emission order, then [`finish`](Self::finish).
+#[derive(Debug, Default)]
+pub(crate) struct MatchBuilder {
+    bound: Vec<EventId>,
+    ends: Vec<EventId>,
+    words: Vec<EventId>,
+}
+
+impl MatchBuilder {
+    /// The next binding is a single step bound to `id`.
+    pub(crate) fn single(&mut self, id: EventId) {
+        self.bound.push(id);
+    }
+
+    /// The next binding is a Kleene binding holding `ids`.
+    pub(crate) fn kleene(&mut self, ids: impl IntoIterator<Item = EventId>) {
+        self.bound.extend(ids);
+        self.ends.push(EventId(self.bound.len() as u64));
+    }
+
+    /// The match of the bindings fed so far, under `schema`; its event ids
+    /// are theirs, sorted and deduplicated.
+    pub(crate) fn finish(&mut self, schema: &Arc<MatchSchema>) -> Match {
+        self.words.clear();
+        self.words.extend_from_slice(&self.bound);
+        self.words.sort_unstable();
+        self.words.dedup();
+        let sorted = self.words.len();
+        self.seal(sorted, schema)
+    }
+
+    /// [`finish`](Self::finish) with `event_ids` as given.
+    fn finish_with(&mut self, event_ids: &[EventId], schema: &Arc<MatchSchema>) -> Match {
+        self.words.clear();
+        self.words.extend_from_slice(event_ids);
+        self.seal(event_ids.len(), schema)
+    }
+
+    fn seal(&mut self, sorted: usize, schema: &Arc<MatchSchema>) -> Match {
+        debug_assert_eq!(self.ends.len(), schema.kleene_count);
+        self.words.extend_from_slice(&self.bound);
+        self.words.extend_from_slice(&self.ends);
+        self.bound.clear();
+        self.ends.clear();
+        Match {
+            event_ids: MatchIds {
+                words: self.words.as_slice().into(),
+                sorted,
+            },
+            schema: Arc::clone(schema),
+        }
     }
 }
 

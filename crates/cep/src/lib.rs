@@ -35,7 +35,7 @@ pub mod tree;
 #[path = "lazy_tests.rs"]
 mod lazy;
 
-pub use engine::{CepEngine, EngineStats, EventArena, Match};
+pub use engine::{Bindings, CepEngine, EngineStats, EventArena, Match, MatchIds, MatchSchema};
 pub use nfa::{NfaConfig, NfaEngine};
 pub use pattern::ast::{Pattern, PatternExpr, TypeSet};
 pub use pattern::condition::{CmpOp, Expr, Predicate};

@@ -36,7 +36,7 @@
 //! step-order engine keeps them, and later completions emit exactly as
 //! its would.
 
-use crate::engine::{CepEngine, EngineStats, EventArena, Match};
+use crate::engine::{CepEngine, EngineStats, EventArena, Match, MatchBuilder};
 use crate::pattern::ast::Pattern;
 use crate::plan::{CompileError, NegGroup, Plan, Slot, MAX_ORDERED_STEPS};
 use crate::program::{
@@ -123,6 +123,7 @@ pub struct NfaEngine {
     branches: Vec<BranchState>,
     arena: EventArena,
     out: Vec<Match>,
+    emit: MatchBuilder,
     stats: EngineStats,
     config: NfaConfig,
     /// Reused buffers: rows created by the current event (the last one
@@ -161,6 +162,7 @@ impl NfaEngine {
             program,
             arena: EventArena::new(),
             out: Vec::new(),
+            emit: MatchBuilder::default(),
             stats: EngineStats::default(),
             config,
             created: Vec::new(),
@@ -498,6 +500,7 @@ struct Pass<'a> {
     pool: &'a mut KleenePool,
     stats: &'a mut EngineStats,
     out: &'a mut Vec<Match>,
+    emit: &'a mut MatchBuilder,
     ids: &'a mut Vec<EventId>,
     done: &'a mut Vec<usize>,
 }
@@ -902,21 +905,22 @@ impl<'a> Pass<'a> {
         false
     }
 
+    /// The match a completed row binds, under the branch's schema: one
+    /// allocation, assembled in the engine's reused builder.
     fn build_match(&mut self, row: &[u64]) -> Match {
         let bp = self.bp;
-        let mut bindings = Vec::new();
-        for (s, step) in bp.steps.iter().enumerate() {
+        for s in 0..bp.steps.len() {
             if bp.kleene_mask >> s & 1 == 0 {
-                bindings.push((step.names[0].clone(), vec![EventId(row[IDS + s])]));
+                self.emit.single(EventId(row[IDS + s]));
                 continue;
             }
             let len = self.kleene_ids(row, s);
-            for (j, name) in step.names.iter().enumerate() {
-                let ids = self.ids.iter().skip(j).step_by(len).copied().collect();
-                bindings.push((name.clone(), ids));
+            for j in 0..len {
+                self.emit
+                    .kleene(self.ids.iter().skip(j).step_by(len).copied());
             }
         }
-        Match::from_bindings(bindings)
+        self.emit.finish(&bp.schema)
     }
 }
 
@@ -968,6 +972,7 @@ impl CepEngine for NfaEngine {
                 pool: &mut st.pool,
                 stats: &mut self.stats,
                 out: &mut self.out,
+                emit: &mut self.emit,
                 ids: &mut self.ids,
                 done: &mut self.done,
             };
@@ -1401,7 +1406,7 @@ mod tests {
         );
         let s = stream(&[A, B, A, C, B, A, C, B, C, A, B, C]);
         let exact: Vec<Vec<EventId>> = {
-            let mut keys: Vec<_> = run(&p, &s).iter().map(|m| m.event_ids.clone()).collect();
+            let mut keys: Vec<_> = run(&p, &s).iter().map(|m| m.event_ids.to_vec()).collect();
             keys.sort();
             keys
         };
@@ -1420,7 +1425,7 @@ mod tests {
         );
         for m in &got {
             assert!(
-                exact.contains(&m.event_ids),
+                exact.contains(&m.event_ids.to_vec()),
                 "shedding must never invent matches"
             );
         }

@@ -11,6 +11,7 @@
 //!    earliest point it can prune: eagerly on single-event slots, per Kleene
 //!    iteration, or as a negation-gap constraint.
 
+use crate::engine::MatchSchema;
 use crate::pattern::ast::{Pattern, PatternExpr, TypeSet};
 use crate::pattern::condition::Predicate;
 use dlacep_events::{PrimitiveEvent, WindowSpec};
@@ -204,20 +205,22 @@ impl Branch {
         m
     }
 
-    /// Binding names the branch emits in [`Match`](crate::Match) order:
-    /// steps in order, a single step contributing its binding and a Kleene
-    /// step its inner elements'. (Negated bindings never appear in matches.)
-    pub fn emission_bindings(&self) -> Vec<String> {
-        let mut out = Vec::new();
+    /// The schema of the matches the branch emits, naming their bindings in
+    /// [`Match`](crate::Match) order: steps in order, a single step
+    /// contributing its binding and a Kleene step its inner elements'.
+    /// (Negated bindings never appear in matches.) `branch` is the branch's
+    /// index in its plan.
+    pub fn match_schema(&self, branch: Option<usize>) -> MatchSchema {
+        let mut bindings = Vec::with_capacity(self.steps.len());
         for step in &self.steps {
             match &step.kind {
-                StepKind::Single { binding, .. } => out.push(binding.clone()),
+                StepKind::Single { binding, .. } => bindings.push((binding.clone(), false)),
                 StepKind::Kleene { inner, .. } => {
-                    out.extend(inner.iter().map(|e| e.binding.clone()));
+                    bindings.extend(inner.iter().map(|e| (e.binding.clone(), true)));
                 }
             }
         }
-        out
+        MatchSchema::new(bindings, branch)
     }
 
     /// Every binding name of the branch with the slot it resolves to — what

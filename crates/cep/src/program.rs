@@ -25,10 +25,12 @@
 //! single step is a step-order row of that suffix — its Kleene steps stay
 //! open, and it absorbs and completes as in step order.
 
+use crate::engine::MatchSchema;
 use crate::pattern::ast::TypeSet;
 use crate::pattern::condition::CompiledPred;
 use crate::plan::{Branch, CostModel, NegGroup, Plan, Slot, StepKind};
 use dlacep_events::{TypeId, WindowSpec};
+use std::sync::Arc;
 
 pub(crate) const BOUND: usize = 0;
 pub(crate) const MIN_ID: usize = 1;
@@ -64,8 +66,6 @@ pub(crate) enum StepProgram {
 #[derive(Debug)]
 pub(crate) struct Step {
     pub kind: StepProgram,
-    /// Binding names the step contributes to a match, in emission order.
-    pub names: Vec<String>,
     pub preds: u64,
     /// Steps that directly require this one to precede them.
     pub succ: u64,
@@ -88,6 +88,8 @@ pub(crate) struct BranchProgram {
     /// completion.
     pub deferred: Vec<(usize, Cond)>,
     pub negs: Vec<NegGroup>,
+    /// Names the bindings of every match the branch emits.
+    pub schema: Arc<MatchSchema>,
     /// Per negation group, its conditions.
     pub neg_conds: Vec<Vec<Cond>>,
     /// `(step, inner length)` per Kleene ordinal.
@@ -114,7 +116,7 @@ pub(crate) struct BranchProgram {
 }
 
 impl BranchProgram {
-    fn lower(branch: &Branch, order: Vec<usize>) -> Self {
+    fn lower(branch: &Branch, index: usize, order: Vec<usize>) -> Self {
         let slots = branch.slots();
         // Value slot i holds attribute `vals[i].1` of single step `vals[i].0`.
         let mut vals: Vec<(usize, usize)> = Vec::new();
@@ -136,10 +138,8 @@ impl BranchProgram {
         let mut steps: Vec<Step> = Vec::with_capacity(branch.steps.len());
         let before_masks = branch.before_masks();
         for (s, step) in branch.steps.iter().enumerate() {
-            let (kind, names, types): (_, _, Vec<&TypeSet>) = match &step.kind {
-                StepKind::Single { types, binding } => {
-                    (StepProgram::Single, vec![binding.clone()], vec![types])
-                }
+            let (kind, types): (_, Vec<&TypeSet>) = match &step.kind {
+                StepKind::Single { types, .. } => (StepProgram::Single, vec![types]),
                 StepKind::Kleene {
                     inner,
                     iter_conditions,
@@ -155,7 +155,6 @@ impl BranchProgram {
                                 .map(|p| p.lower(&mut leaf))
                                 .collect(),
                         },
-                        inner.iter().map(|e| e.binding.clone()).collect(),
                         inner.iter().map(|e| &e.types).collect(),
                     )
                 }
@@ -175,7 +174,6 @@ impl BranchProgram {
             }
             steps.push(Step {
                 kind,
-                names,
                 preds: step.preds,
                 succ: branch.successor_mask(s),
                 before,
@@ -230,6 +228,7 @@ impl BranchProgram {
             conds,
             deferred,
             negs: branch.negs.clone(),
+            schema: Arc::new(branch.match_schema(Some(index))),
             neg_conds,
             kleene,
             accepts,
@@ -305,8 +304,8 @@ impl Program {
         let w = plan.window.size() as f64;
         Self {
             window: plan.window,
-            branches: (plan.branches.iter())
-                .map(|b| BranchProgram::lower(b, model(b).order(b, w)))
+            branches: (plan.branches.iter().enumerate())
+                .map(|(i, b)| BranchProgram::lower(b, i, model(b).order(b, w)))
                 .collect(),
         }
     }

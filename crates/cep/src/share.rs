@@ -12,13 +12,15 @@
 //! Techniques for CEP"). The surviving units form one fused [`Plan`] run by
 //! a single engine over a single scan of the stream; emitted matches are
 //! attributed back to their source pattern(s) with the original binding
-//! names restored.
+//! names restored: each owner holds the [`MatchSchema`] of its branch, and
+//! attribution gives a unit's match the owner's schema in place of the
+//! unit's — a handle swap, no name is copied.
 //!
 //! For a single registered pattern the fused plan is the pattern's own plan
 //! (modulo binding names), so matches and their order are identical to
 //! single-pattern evaluation.
 
-use crate::engine::Match;
+use crate::engine::{Match, MatchSchema};
 use crate::nfa::{NfaConfig, NfaEngine};
 use crate::pattern::ast::Pattern;
 use crate::pattern::condition::{Expr, Predicate};
@@ -96,12 +98,12 @@ impl PatternSet {
     }
 }
 
-/// One owner of an evaluation unit: a source pattern plus its original
-/// binding names in match-emission order.
+/// One owner of an evaluation unit: a source pattern plus the schema of
+/// its branch, which names the unit's bindings as the pattern does.
 #[derive(Debug, Clone)]
 struct Owner {
     pattern: usize,
-    bindings: Vec<String>,
+    schema: Arc<MatchSchema>,
 }
 
 /// A deduplicated plan branch shared by one or more owner patterns.
@@ -137,7 +139,6 @@ pub struct SharedPlan {
     /// `fused` lowered once; every engine over this plan shares it.
     program: Arc<Program>,
     units: Vec<Unit>,
-    unit_of_binding: HashMap<String, usize>,
     n_patterns: usize,
     report: ShareReport,
 }
@@ -162,7 +163,7 @@ impl SharedPlan {
                 report.branches_total += 1;
                 let owner = Owner {
                     pattern: pi,
-                    bindings: branch.emission_bindings(),
+                    schema: Arc::new(branch.match_schema(None)),
                 };
                 let canon = canonicalize(branch);
                 match canon_branches.iter().position(|b| *b == canon) {
@@ -180,17 +181,11 @@ impl SharedPlan {
         report.branches_merged = report.branches_total - report.units;
 
         // Prefix each unit's canonical names with `u<k>.` so binding names
-        // are unique across the fused plan and identify the emitting unit.
-        let mut unit_of_binding = HashMap::new();
-        let mut fused_branches = Vec::with_capacity(canon_branches.len());
-        for (k, canon) in canon_branches.iter().enumerate() {
-            let prefix = format!("u{k}.");
-            let prefixed = rename_branch(canon, &|name| format!("{prefix}{name}"));
-            for name in prefixed.emission_bindings() {
-                unit_of_binding.insert(name, k);
-            }
-            fused_branches.push(prefixed);
-        }
+        // are unique across the fused plan. Fused branch `k` is unit `k`:
+        // its matches' schema says so.
+        let fused_branches = (canon_branches.iter().enumerate())
+            .map(|(k, canon)| rename_branch(canon, &|name| format!("u{k}.{name}")))
+            .collect();
         let fused = Plan {
             branches: fused_branches,
             window: set.window(),
@@ -208,7 +203,6 @@ impl SharedPlan {
             program,
             fused,
             units,
-            unit_of_binding,
             n_patterns: set.len(),
             report,
         })
@@ -243,19 +237,16 @@ impl SharedPlan {
     /// Attribute fused-plan matches back to their source patterns: returns
     /// one match list per registered pattern (registration order), with the
     /// pattern's original binding names restored. A match from a unit with
-    /// several owners is attributed to each of them.
+    /// several owners is attributed to each of them; a match whose bindings
+    /// are not a unit's is dropped.
     ///
-    /// Consumes the engine's matches: each match's unit is looked up once,
-    /// the unit's last owner takes the match itself with its binding names
-    /// overwritten in place, and every other owner gets one copy.
+    /// Consumes the engine's matches: each match's unit is read off its
+    /// schema, the unit's last owner takes the match itself with the
+    /// owner's schema swapped in, and every other owner gets one copy.
     pub fn attribute(&self, matches: Vec<Match>) -> Vec<Vec<Match>> {
         let mut per: Vec<Vec<Match>> = vec![Vec::new(); self.n_patterns];
         for mut m in matches {
-            let Some(&k) = m
-                .bindings
-                .first()
-                .and_then(|(name, _)| self.unit_of_binding.get(name))
-            else {
+            let Some(k) = self.unit_of(m.schema()) else {
                 continue;
             };
             let (last, others) = self.units[k]
@@ -264,30 +255,37 @@ impl SharedPlan {
                 .expect("every unit has an owner");
             for owner in others {
                 let mut copy = m.clone();
-                owner.rename(&mut copy);
+                copy.set_schema(&owner.schema);
                 per[owner.pattern].push(copy);
             }
-            last.rename(&mut m);
+            m.set_schema(&last.schema);
             per[last.pattern].push(m);
         }
         per
+    }
+
+    /// The unit whose matches bind the names `schema` does: the branch the
+    /// schema was built for, when it is a branch of the fused plan (any
+    /// lowering of it), else the unit with those names — a match rebuilt
+    /// from its bytes, such as a pending match of an engine restored from
+    /// a checkpoint, holds a schema of its own.
+    fn unit_of(&self, schema: &Arc<MatchSchema>) -> Option<usize> {
+        let units = &self.program.branches;
+        let fits = |k: &usize| {
+            units.get(*k).is_some_and(|bp| {
+                Arc::ptr_eq(&bp.schema, schema) || bp.schema.names() == schema.names()
+            })
+        };
+        schema
+            .branch()
+            .filter(fits)
+            .or_else(|| (0..units.len()).find(fits))
     }
 
     /// [`SharedPlan::attribute`] over borrowed matches (copies them first).
     pub fn attribute_all(&self, matches: &[Match]) -> AttributedMatches {
         AttributedMatches {
             per_pattern: self.attribute(matches.to_vec()),
-        }
-    }
-}
-
-impl Owner {
-    /// Give a match of this owner's unit the owner's binding names.
-    fn rename(&self, m: &mut Match) {
-        debug_assert_eq!(self.bindings.len(), m.bindings.len());
-        for ((name, _), own) in m.bindings.iter_mut().zip(&self.bindings) {
-            name.clear();
-            name.push_str(own);
         }
     }
 }
@@ -446,24 +444,25 @@ mod tests {
         WindowSpec::Count(n)
     }
 
-    /// The attribution `SharedPlan::attribute` replaced: rebuild every
-    /// owner's match from the engine's and clone it into its pattern's list.
+    /// Attribution by names: find the unit by a fused branch's binding
+    /// names, rebuild every owner's match from the engine's with the names
+    /// its pattern's branch emits, and put it into the pattern's list.
     fn attribute_by_rebuild(shared: &SharedPlan, matches: &[Match]) -> Vec<Vec<Match>> {
         let mut per: Vec<Vec<Match>> = vec![Vec::new(); shared.n_patterns];
         for m in matches {
-            let Some(&k) = m
-                .bindings
-                .first()
-                .and_then(|(name, _)| shared.unit_of_binding.get(name))
+            let names: Vec<&str> = m.bindings().map(|(name, _)| name).collect();
+            let Some(k) =
+                (shared.fused.branches.iter()).position(|b| b.match_schema(None).names() == names)
             else {
                 continue;
             };
             for owner in &shared.units[k].owners {
                 let bindings: Vec<(String, Vec<EventId>)> = owner
-                    .bindings
+                    .schema
+                    .names()
                     .iter()
                     .cloned()
-                    .zip(m.bindings.iter().map(|(_, ids)| ids.clone()))
+                    .zip(m.bindings().map(|(_, ids)| ids.to_vec()))
                     .collect();
                 per[owner.pattern].push(Match::from_bindings(bindings));
             }
@@ -557,8 +556,8 @@ mod tests {
         assert_eq!(per.len(), 2);
         assert_eq!(per[0].len(), per[1].len());
         assert!(!per[0].is_empty());
-        assert_eq!(per[0][0].bindings[0].0, "x");
-        assert_eq!(per[1][0].bindings[0].0, "u");
+        assert_eq!(per[0][0].bindings().next().unwrap().0, "x");
+        assert_eq!(per[1][0].bindings().next().unwrap().0, "u");
         assert_eq!(per[0][0].event_ids, per[1][0].event_ids);
     }
 

@@ -99,31 +99,33 @@ pub struct TreeEngineState {
     pub trees: Vec<Vec<Vec<EntrySnapshot>>>,
 }
 
+/// A match encodes as its sorted ids, then its binding count and each
+/// binding's name and ids — the bytes a match encoded as when it carried
+/// its own names, so every log and checkpoint reads the same.
 impl Enc for Match {
     fn enc(&self, e: &mut Encoder) {
-        e.put(&self.event_ids);
-        e.put_u64(self.bindings.len() as u64);
-        for (name, ids) in &self.bindings {
+        e.put(&*self.event_ids);
+        let bindings = self.bindings();
+        e.put_u64(bindings.len() as u64);
+        for (name, ids) in bindings {
             e.put(name);
             e.put(ids);
         }
     }
 }
 
+/// A decoded match holds a schema of its own, built from its names.
 impl Dec for Match {
     fn dec(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let event_ids = d.get()?;
+        let event_ids: Vec<EventId> = d.get()?;
         let n = usize::dec(d)?;
-        let mut bindings = Vec::with_capacity(n.min(d.remaining()));
+        let mut bindings = Vec::with_capacity(d.capacity_for::<(String, Vec<EventId>)>(n));
         for _ in 0..n {
             let name: String = d.get()?;
             let ids: Vec<EventId> = d.get()?;
             bindings.push((name, ids));
         }
-        Ok(Match {
-            event_ids,
-            bindings,
-        })
+        Ok(Match::from_parts(&event_ids, bindings))
     }
 }
 

@@ -11,12 +11,13 @@
 //! Supported patterns: SEQ/CONJ/DISJ over single events with conditions —
 //! exactly the fragment the paper benchmarks ZStream on (Q_A11, Q_A12).
 
-use crate::engine::{CepEngine, EngineStats, EventArena, Match};
+use crate::engine::{CepEngine, EngineStats, EventArena, Match, MatchBuilder, MatchSchema};
 use crate::pattern::ast::Pattern;
 use crate::pattern::condition::CompiledPred;
 use crate::plan::{Branch, CompileError, CostModel, Plan, Shape, Slot, StepKind};
 use crate::state::{EntrySnapshot, StateError, TreeEngineState};
 use dlacep_events::{EventId, PrimitiveEvent, WindowSpec};
+use std::sync::Arc;
 
 /// Errors raised when instantiating the tree engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,11 +101,12 @@ struct BranchTree {
     root: usize,
     /// step → leaf node index
     leaf_of: Vec<usize>,
-    binding_of: Vec<String>,
+    /// Names the bindings of every match the branch emits.
+    schema: Arc<MatchSchema>,
 }
 
 impl BranchTree {
-    fn new(branch: Branch, model: &CostModel, w: f64) -> Result<Self, TreeError> {
+    fn new(branch: Branch, index: usize, model: &CostModel, w: f64) -> Result<Self, TreeError> {
         if !branch.negs.is_empty()
             || branch
                 .steps
@@ -146,7 +148,7 @@ impl BranchTree {
         let root = add(&mut nodes, &mut leaf_of, &shape);
         Ok(Self {
             conds: step_conds(&branch),
-            binding_of: branch.emission_bindings(),
+            schema: Arc::new(branch.match_schema(Some(index))),
             branch,
             nodes,
             root,
@@ -163,6 +165,14 @@ pub struct TreeEngine {
     out: Vec<Match>,
     stats: EngineStats,
     max_partials: Option<usize>,
+    /// Reused from event to event: entries on their way up the tree, the
+    /// joins of the entry at hand, the id vectors of entries that expired
+    /// or were emitted, and the match being assembled — so a steady stream
+    /// allocates only the matches it emits.
+    queue: Vec<(usize, Entry)>,
+    joined: Vec<Entry>,
+    spare: Vec<Vec<Option<EventId>>>,
+    emit: MatchBuilder,
 }
 
 impl TreeEngine {
@@ -313,13 +323,14 @@ impl TreeEngine {
         let trees = plan
             .branches
             .into_iter()
-            .map(|b| {
+            .enumerate()
+            .map(|(i, b)| {
                 let n = b.steps.len();
                 let m = match &model {
                     Some(m) if m.rates.len() == n => m.clone(),
                     _ => CostModel::uniform(n),
                 };
-                BranchTree::new(b, &m, w)
+                BranchTree::new(b, i, &m, w)
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
@@ -329,10 +340,15 @@ impl TreeEngine {
             out: Vec::new(),
             stats: EngineStats::default(),
             max_partials: None,
+            queue: Vec::new(),
+            joined: Vec::new(),
+            spare: Vec::new(),
+            emit: MatchBuilder::default(),
         })
     }
 
-    /// Join two entries if distinctness, order, window and conditions hold.
+    /// Join two entries into `ids` (a recycled vector) if distinctness,
+    /// order, window and conditions hold; hands `ids` back otherwise.
     fn join(
         stats: &mut EngineStats,
         arena: &EventArena,
@@ -340,27 +356,16 @@ impl TreeEngine {
         window: WindowSpec,
         x: &Entry,
         y: &Entry,
-    ) -> Option<Entry> {
-        if x.mask & y.mask != 0 {
-            return None;
+        mut ids: Vec<Option<EventId>>,
+    ) -> Result<Entry, Vec<Option<EventId>>> {
+        // Disjoint steps, distinct events (CONJ branches may share
+        // admissible types).
+        if x.mask & y.mask != 0 || y.ids.iter().any(|id| id.is_some() && x.ids.contains(id)) {
+            return Err(ids);
         }
         let combined_mask = x.mask | y.mask;
-        let mut ids = x.ids.clone();
-        for (i, id) in y.ids.iter().enumerate() {
-            if let Some(id) = id {
-                ids[i] = Some(*id);
-            }
-        }
-        // Distinct events (CONJ branches may share admissible types).
-        {
-            let mut seen: Vec<EventId> = ids.iter().flatten().copied().collect();
-            let before = seen.len();
-            seen.sort_unstable();
-            seen.dedup();
-            if seen.len() != before {
-                return None;
-            }
-        }
+        ids.clear();
+        ids.extend(x.ids.iter().zip(&y.ids).map(|(a, b)| a.or(*b)));
         // Order: each bound step's predecessors (if bound) must precede it.
         for (t, id_t) in ids.iter().enumerate() {
             let Some(id_t) = id_t else { continue };
@@ -374,7 +379,7 @@ impl TreeEngine {
                 }
                 if let Some(id_p) = id_p {
                     if id_p >= id_t {
-                        return None;
+                        return Err(ids);
                     }
                 }
             }
@@ -386,12 +391,12 @@ impl TreeEngine {
         match window {
             WindowSpec::Count(w) => {
                 if max_id - min_id > w.saturating_sub(1) {
-                    return None;
+                    return Err(ids);
                 }
             }
             WindowSpec::Time(w) => {
                 if max_ts - min_ts > w {
-                    return None;
+                    return Err(ids);
                 }
             }
         }
@@ -405,10 +410,10 @@ impl TreeEngine {
             }
             stats.condition_evaluations += 1;
             if check_bound(cond, &ids, arena) != Some(true) {
-                return None;
+                return Err(ids);
             }
         }
-        Some(Entry {
+        Ok(Entry {
             ids,
             mask: combined_mask,
             min_id,
@@ -429,19 +434,33 @@ impl CepEngine for TreeEngine {
                 .evict_below(EventId((ev.id.0 + 1).saturating_sub(w))),
             WindowSpec::Time(w) => self.arena.evict_before_ts(ev.ts.0.saturating_sub(w)),
         }
-        let window = self.window;
-        let stats = &mut self.stats;
-        let out = &mut self.out;
-        let arena = &self.arena;
-        for tree in &mut self.trees {
+        let Self {
+            window,
+            trees,
+            arena,
+            out,
+            stats,
+            queue,
+            joined,
+            spare,
+            emit,
+            ..
+        } = self;
+        let window = *window;
+        for tree in trees.iter_mut() {
             for node in &mut tree.nodes {
-                node.buffer.retain(|e| match window {
-                    WindowSpec::Count(w) => ev.id.0 - e.min_id < w,
-                    WindowSpec::Time(w) => ev.ts.0 - e.min_ts <= w,
+                node.buffer.retain_mut(|e| {
+                    let live = match window {
+                        WindowSpec::Count(w) => ev.id.0 - e.min_id < w,
+                        WindowSpec::Time(w) => ev.ts.0 - e.min_ts <= w,
+                    };
+                    if !live {
+                        spare.push(std::mem::take(&mut e.ids));
+                    }
+                    live
                 });
             }
             let n = tree.branch.steps.len();
-            let mut queue: Vec<(usize, Entry)> = Vec::new();
             for (s, step) in tree.branch.steps.iter().enumerate() {
                 let StepKind::Single { types, .. } = &step.kind else {
                     unreachable!()
@@ -449,7 +468,9 @@ impl CepEngine for TreeEngine {
                 if !types.contains(ev.type_id) {
                     continue;
                 }
-                let mut ids = vec![None; n];
+                let mut ids = spare.pop().unwrap_or_default();
+                ids.clear();
+                ids.resize(n, None);
                 ids[s] = Some(ev.id);
                 let entry = Entry {
                     ids,
@@ -468,6 +489,7 @@ impl CepEngine for TreeEngine {
                     check_bound(cond, &entry.ids, arena) == Some(true)
                 });
                 if !ok {
+                    spare.push(entry.ids);
                     continue;
                 }
                 queue.push((tree.leaf_of[s], entry));
@@ -475,40 +497,37 @@ impl CepEngine for TreeEngine {
             while let Some((node_idx, entry)) = queue.pop() {
                 stats.partial_matches_created += 1;
                 if node_idx == tree.root {
-                    let bindings: Vec<(String, Vec<EventId>)> = tree
-                        .binding_of
-                        .iter()
-                        .enumerate()
-                        .map(|(s, name)| (name.clone(), vec![entry.ids[s].expect("root entry")]))
-                        .collect();
-                    out.push(Match::from_bindings(bindings));
+                    for id in &entry.ids {
+                        emit.single(id.expect("root entry"));
+                    }
+                    out.push(emit.finish(&tree.schema));
                     stats.matches_emitted += 1;
+                    spare.push(entry.ids);
                     continue;
                 }
                 let parent = tree.nodes[node_idx].parent.expect("non-root has parent");
                 let (l, r) = tree.nodes[parent].children.expect("internal node");
                 let sibling = if l == node_idx { r } else { l };
-                let mut joined: Vec<Entry> = Vec::new();
                 for other in &tree.nodes[sibling].buffer {
-                    if let Some(j) = Self::join(stats, arena, tree, window, &entry, other) {
-                        joined.push(j);
+                    let ids = spare.pop().unwrap_or_default();
+                    match Self::join(stats, arena, tree, window, &entry, other, ids) {
+                        Ok(j) => joined.push(j),
+                        Err(ids) => spare.push(ids),
                     }
                 }
                 tree.nodes[node_idx].buffer.push(entry);
-                for j in joined {
-                    queue.push((parent, j));
-                }
+                queue.extend(joined.drain(..).map(|j| (parent, j)));
             }
         }
         if let Some(budget) = self.max_partials {
-            Self::shed_to_budget(&mut self.trees, stats, budget);
+            Self::shed_to_budget(&mut self.trees, &mut self.stats, budget);
         }
         let stored: u64 = self
             .trees
             .iter()
             .map(|t| t.nodes.iter().map(|nd| nd.buffer.len() as u64).sum::<u64>())
             .sum();
-        stats.peak_partial_matches = stats.peak_partial_matches.max(stored);
+        self.stats.peak_partial_matches = self.stats.peak_partial_matches.max(stored);
     }
 
     fn drain_matches(&mut self) -> Vec<Match> {
@@ -547,7 +566,7 @@ mod tests {
     }
 
     fn match_keys(ms: &[Match]) -> Vec<Vec<EventId>> {
-        let mut keys: Vec<Vec<EventId>> = ms.iter().map(|m| m.event_ids.clone()).collect();
+        let mut keys: Vec<Vec<EventId>> = ms.iter().map(|m| m.event_ids.to_vec()).collect();
         keys.sort();
         keys
     }
@@ -711,7 +730,7 @@ mod tests {
         assert!(budgeted.stats().partials_shed > 0);
         for m in &got {
             assert!(
-                exact.contains(&m.event_ids),
+                exact.contains(&m.event_ids.to_vec()),
                 "shedding must never invent matches"
             );
         }

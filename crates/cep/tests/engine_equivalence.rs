@@ -128,7 +128,7 @@ fn per_event(mut engine: NfaEngine, events: &[PrimitiveEvent]) -> Vec<Vec<Match>
 }
 
 fn keys(ms: &[dlacep_cep::Match]) -> Vec<Vec<EventId>> {
-    let mut k: Vec<Vec<EventId>> = ms.iter().map(|m| m.event_ids.clone()).collect();
+    let mut k: Vec<Vec<EventId>> = ms.iter().map(|m| m.event_ids.to_vec()).collect();
     k.sort();
     k.dedup();
     k

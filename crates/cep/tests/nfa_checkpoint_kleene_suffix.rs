@@ -69,7 +69,7 @@ fn fnv(matches: &[Match]) -> u64 {
         }
     };
     for m in matches {
-        for (name, ids) in &m.bindings {
+        for (name, ids) in m.bindings() {
             put(name.as_bytes());
             for id in ids {
                 put(&id.0.to_le_bytes());

@@ -328,7 +328,9 @@ impl<'a> Oracle<'a> {
 fn canon(ms: &[Match]) -> BTreeSet<Canon> {
     (ms.iter())
         .map(|m| {
-            let mut c = m.bindings.clone();
+            let mut c: Canon = (m.bindings())
+                .map(|(name, ids)| (name.to_string(), ids.to_vec()))
+                .collect();
             c.sort();
             c
         })

@@ -107,7 +107,7 @@ fn lazy(p: &Pattern) -> NfaEngine {
 }
 
 fn keys(ms: &[Match]) -> Vec<Vec<EventId>> {
-    let mut k: Vec<Vec<EventId>> = ms.iter().map(|m| m.event_ids.clone()).collect();
+    let mut k: Vec<Vec<EventId>> = ms.iter().map(|m| m.event_ids.to_vec()).collect();
     k.sort();
     k.dedup();
     k

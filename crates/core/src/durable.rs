@@ -199,7 +199,7 @@ pub fn decode_offer(payload: &[u8]) -> Result<(TypeId, u64, Vec<AttrValue>), Cod
     let type_id = TypeId(d.take_u32()?);
     let ts = d.take_u64()?;
     let n = d.take_u64()? as usize;
-    let mut attrs = Vec::with_capacity(n.min(d.remaining()));
+    let mut attrs = Vec::with_capacity(d.capacity_for::<AttrValue>(n));
     for _ in 0..n {
         attrs.push(d.get::<f64>()?);
     }

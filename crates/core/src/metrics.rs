@@ -47,7 +47,7 @@ pub struct ComparisonReport {
 }
 
 fn keyset(ms: &[Match]) -> BTreeSet<Vec<EventId>> {
-    ms.iter().map(|m| m.event_ids.clone()).collect()
+    ms.iter().map(|m| m.event_ids.to_vec()).collect()
 }
 
 /// Run the exact NFA engine over the events, timing it.

@@ -511,7 +511,7 @@ mod tests {
     }
 
     fn keys(ms: &[Match]) -> std::collections::BTreeSet<Vec<dlacep_events::EventId>> {
-        ms.iter().map(|m| m.event_ids.clone()).collect()
+        ms.iter().map(|m| m.event_ids.to_vec()).collect()
     }
 
     #[test]

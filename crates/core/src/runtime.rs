@@ -212,8 +212,9 @@ impl EmittedMark {
     pub fn push(&mut self, m: &Match) {
         let mut h = Mixer(self.hash);
         h.ids(&m.event_ids);
-        h.word(m.bindings.len() as u64);
-        for (name, bound) in &m.bindings {
+        let bindings = m.bindings();
+        h.word(bindings.len() as u64);
+        for (name, bound) in bindings {
             h.name(name.as_bytes());
             h.ids(bound);
         }
@@ -1575,6 +1576,10 @@ impl<F: Filter> StreamingDlacep<F> {
 }
 
 #[cfg(test)]
+#[path = "match_bytes_tests.rs"]
+mod match_bytes;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::filter::{OracleFilter, PassthroughFilter};
@@ -1612,7 +1617,7 @@ mod tests {
     }
 
     fn keys(ms: &[Match]) -> BTreeSet<Vec<EventId>> {
-        ms.iter().map(|m| m.event_ids.clone()).collect()
+        ms.iter().map(|m| m.event_ids.to_vec()).collect()
     }
 
     #[test]

@@ -538,8 +538,8 @@ mod tests {
         assert!(!t1.is_empty() && !t2.is_empty());
         let recall = |found: &Vec<Match>, truth: &Vec<Match>| {
             let tk: std::collections::BTreeSet<_> =
-                truth.iter().map(|m| m.event_ids.clone()).collect();
-            let c = found.iter().filter(|m| tk.contains(&m.event_ids)).count();
+                truth.iter().map(|m| m.event_ids.to_vec()).collect();
+            let c = found.iter().filter(|m| tk.contains(m.key())).count();
             c as f64 / truth.len() as f64
         };
         assert!(recall(&report.per_pattern[0], &t1) > 0.4, "p1 recall");
@@ -547,9 +547,9 @@ mod tests {
         // No false positives per pattern (id-distance constraint).
         for (found, truth) in report.per_pattern.iter().zip([&t1, &t2]) {
             let tk: std::collections::BTreeSet<_> =
-                truth.iter().map(|m| m.event_ids.clone()).collect();
+                truth.iter().map(|m| m.event_ids.to_vec()).collect();
             for m in found {
-                assert!(tk.contains(&m.event_ids));
+                assert!(tk.contains(m.key()));
             }
         }
     }

@@ -194,7 +194,7 @@ fn seq_bc(w: u64) -> Pattern {
 }
 
 fn match_keys(ms: &[Match]) -> std::collections::BTreeSet<Vec<dlacep_events::EventId>> {
-    ms.iter().map(|m| m.event_ids.clone()).collect()
+    ms.iter().map(|m| m.event_ids.to_vec()).collect()
 }
 
 #[test]

@@ -70,15 +70,15 @@ const NAMES: [&str; 7] = ["a", "s12", "", "kleene_k1", "é", "名前", "🦀x"];
 /// A match from generated parts: `ids` as its event ids, one binding per
 /// entry of `bindings`, named by the matching entry of `names`.
 fn build(ids: Vec<u64>, bindings: Vec<Vec<u64>>, names: &[usize]) -> Match {
-    let to_ids = |v: Vec<u64>| v.into_iter().map(EventId).collect();
-    Match {
-        event_ids: to_ids(ids),
-        bindings: bindings
+    let to_ids = |v: Vec<u64>| v.into_iter().map(EventId).collect::<Vec<_>>();
+    Match::from_parts(
+        &to_ids(ids),
+        bindings
             .into_iter()
             .enumerate()
             .map(|(i, bound)| (NAMES[names[i % names.len()]].to_string(), to_ids(bound)))
             .collect(),
-    }
+    )
 }
 
 fn enc(m: &Match) -> Vec<u8> {

@@ -122,9 +122,9 @@ fn quantized_filter_drops_into_pipeline_and_tracks_f32() {
     let dl = Dlacep::builder(pattern.clone(), quant).build().unwrap();
     let report = dl.run(&eval);
     let truth_keys: std::collections::BTreeSet<_> =
-        truth.iter().map(|m| m.event_ids.clone()).collect();
+        truth.iter().map(|m| m.event_ids.to_vec()).collect();
     for m in report.matches().iter() {
-        assert!(truth_keys.contains(&m.event_ids), "spurious match");
+        assert!(truth_keys.contains(m.key()), "spurious match");
     }
 
     let dl32 = Dlacep::builder(pattern, f32_filter).build().unwrap();

@@ -44,7 +44,7 @@ fn noisy_stream(n: usize) -> EventStream {
 }
 
 fn keys(ms: &[Match]) -> BTreeSet<Vec<EventId>> {
-    ms.iter().map(|m| m.event_ids.clone()).collect()
+    ms.iter().map(|m| m.event_ids.to_vec()).collect()
 }
 
 fn run_with<F: Filter>(

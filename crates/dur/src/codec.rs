@@ -284,6 +284,13 @@ impl<'a> Decoder<'a> {
         self.pos
     }
 
+    /// How many `T`s to reserve for a count of `n` read from the input:
+    /// at most as many as the remaining bytes could hold in memory, so a
+    /// forged count reserves no more than the input's length.
+    pub fn capacity_for<T>(&self, n: usize) -> usize {
+        n.min(self.remaining() / std::mem::size_of::<T>().max(1))
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::Truncated {
@@ -449,7 +456,7 @@ impl Dec for String {
     }
 }
 
-impl<T: Enc> Enc for Vec<T> {
+impl<T: Enc> Enc for [T] {
     fn enc(&self, e: &mut Encoder) {
         e.put_u64(self.len() as u64);
         for item in self {
@@ -458,12 +465,16 @@ impl<T: Enc> Enc for Vec<T> {
     }
 }
 
+impl<T: Enc> Enc for Vec<T> {
+    fn enc(&self, e: &mut Encoder) {
+        self.as_slice().enc(e);
+    }
+}
+
 impl<T: Dec> Dec for Vec<T> {
     fn dec(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let len = d.get::<usize>()?;
-        // Cap the preallocation by what could possibly fit in the remaining
-        // bytes so a corrupt length cannot trigger a huge allocation.
-        let mut out = Vec::with_capacity(len.min(d.remaining()));
+        let mut out = Vec::with_capacity(d.capacity_for::<T>(len));
         for _ in 0..len {
             out.push(T::dec(d)?);
         }

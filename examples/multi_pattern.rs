@@ -86,8 +86,8 @@ fn main() {
     for (i, (p, found)) in [&p1, &p2].iter().zip(&report.per_pattern).enumerate() {
         let truth = ground_truth_matches(p, live.events());
         let keys: std::collections::BTreeSet<_> =
-            truth.iter().map(|m| m.event_ids.clone()).collect();
-        let hit = found.iter().filter(|m| keys.contains(&m.event_ids)).count();
+            truth.iter().map(|m| m.event_ids.to_vec()).collect();
+        let hit = found.iter().filter(|m| keys.contains(m.key())).count();
         println!(
             "  p{} matches {} / {} (recall {:.3})",
             i + 1,

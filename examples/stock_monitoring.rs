@@ -67,7 +67,7 @@ fn main() {
     let mut exact = NfaEngine::new(&pattern).unwrap();
     if let Some(m) = exact.run(live).first() {
         println!("\nexample alert:");
-        for (binding, ids) in &m.bindings {
+        for (binding, ids) in m.bindings() {
             for id in ids {
                 let ev = live.iter().find(|e| e.id == *id).unwrap();
                 println!(

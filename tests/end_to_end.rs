@@ -33,11 +33,11 @@ fn oracle_pipeline_is_lossless_on_stock_data() {
     let dl = Dlacep::new(pattern.clone(), OracleFilter::new(pattern)).unwrap();
     let report = dl.run(stream.events());
     let truth_keys: std::collections::BTreeSet<_> =
-        truth.iter().map(|m| m.event_ids.clone()).collect();
+        truth.iter().map(|m| m.event_ids.to_vec()).collect();
     let found: std::collections::BTreeSet<_> = report
         .matches()
         .iter()
-        .map(|m| m.event_ids.clone())
+        .map(|m| m.event_ids.to_vec())
         .collect();
     assert_eq!(truth_keys, found);
 }
@@ -130,10 +130,10 @@ fn negation_pattern_pipeline_has_no_spurious_matches_when_negator_kept() {
     let dl = Dlacep::new(pattern.clone(), OracleFilter::new(pattern)).unwrap();
     let report = dl.run(stream.events());
     let truth_keys: std::collections::BTreeSet<_> =
-        truth.iter().map(|m| m.event_ids.clone()).collect();
+        truth.iter().map(|m| m.event_ids.to_vec()).collect();
     for m in report.matches().iter() {
         assert!(
-            truth_keys.contains(&m.event_ids),
+            truth_keys.contains(m.key()),
             "spurious match {:?}",
             m.event_ids
         );
