@@ -45,6 +45,11 @@ impl MatchSchema {
         &self.names
     }
 
+    /// Whether each binding is a Kleene binding, in emission order.
+    pub(crate) fn kleene(&self) -> &[bool] {
+        &self.kleene
+    }
+
     /// The plan branch that emits matches of this schema, if a compiled
     /// branch built it.
     pub(crate) fn branch(&self) -> Option<usize> {
@@ -155,8 +160,7 @@ impl Match {
     }
 
     /// A match with exactly these `event_ids` (taken as given, not derived)
-    /// and these bindings, under a schema of its own — how a decoded match
-    /// is rebuilt.
+    /// and these bindings, under a schema of its own.
     pub fn from_parts(event_ids: &[EventId], bindings: Vec<(String, Vec<EventId>)>) -> Self {
         let mut builder = MatchBuilder::default();
         let mut names = Vec::with_capacity(bindings.len());
@@ -315,7 +319,11 @@ impl MatchBuilder {
     }
 
     /// [`finish`](Self::finish) with `event_ids` as given.
-    fn finish_with(&mut self, event_ids: &[EventId], schema: &Arc<MatchSchema>) -> Match {
+    pub(crate) fn finish_with(
+        &mut self,
+        event_ids: &[EventId],
+        schema: &Arc<MatchSchema>,
+    ) -> Match {
         self.words.clear();
         self.words.extend_from_slice(event_ids);
         self.seal(event_ids.len(), schema)
@@ -380,8 +388,10 @@ pub trait CepEngine {
     /// Feed one event (ids must be strictly increasing across calls).
     fn process(&mut self, ev: &PrimitiveEvent);
 
-    /// Take the matches emitted since the last drain.
-    fn drain_matches(&mut self) -> Vec<Match>;
+    /// Move the matches emitted since the last drain to the end of `out`,
+    /// oldest first. The engine keeps its own list's capacity, so a caller
+    /// that drains after every event regrows nothing.
+    fn drain_into(&mut self, out: &mut Vec<Match>);
 
     /// Work counters.
     fn stats(&self) -> &EngineStats;
@@ -391,7 +401,7 @@ pub trait CepEngine {
         let mut out = Vec::new();
         for ev in events {
             self.process(ev);
-            out.append(&mut self.drain_matches());
+            self.drain_into(&mut out);
         }
         out
     }

@@ -45,5 +45,5 @@ pub use plan::{CompileError, CostModel, Plan};
 pub use program::Program;
 pub use rewrite::{normalize, normalize_pattern, RewriteStats, MAX_ALTERNATIVES};
 pub use share::{AttributedMatches, PatternSet, ShareReport, SharedPlan};
-pub use state::{NfaEngineState, StateError, TreeEngineState};
+pub use state::{MatchReader, NfaEngineState, StateError, TreeEngineState};
 pub use tree::TreeEngine;

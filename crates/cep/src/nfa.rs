@@ -991,8 +991,8 @@ impl CepEngine for NfaEngine {
         self.stats.peak_partial_matches = self.stats.peak_partial_matches.max(stored);
     }
 
-    fn drain_matches(&mut self) -> Vec<Match> {
-        std::mem::take(&mut self.out)
+    fn drain_into(&mut self, out: &mut Vec<Match>) {
+        out.append(&mut self.out);
     }
 
     fn stats(&self) -> &EngineStats {

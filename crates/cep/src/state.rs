@@ -18,8 +18,9 @@
 
 use dlacep_dur::{CodecError, Dec, Decoder, Enc, Encoder};
 use dlacep_events::{EventId, PrimitiveEvent};
+use std::sync::Arc;
 
-use crate::engine::{EngineStats, Match};
+use crate::engine::{EngineStats, Match, MatchBuilder, MatchSchema};
 
 /// A state blob does not fit the engine it is being imported into.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,18 +115,58 @@ impl Enc for Match {
     }
 }
 
-/// A decoded match holds a schema of its own, built from its names.
+/// A decoded match holds a schema of its own, built from its names; decode
+/// a run of matches with a [`MatchReader`] to share one.
 impl Dec for Match {
     fn dec(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        MatchReader::default().read(d)
+    }
+}
+
+/// Decodes a run of match encodings, handing each match the previous
+/// match's schema when both name the same bindings (names and Kleene
+/// flags). A log of one pattern's output then reads back with its binding
+/// names held once, as the engine emitted it, instead of once per match.
+/// It reads the bytes `Dec for Match` reads.
+#[derive(Debug, Default)]
+pub struct MatchReader {
+    schema: Option<Arc<MatchSchema>>,
+    builder: MatchBuilder,
+}
+
+impl MatchReader {
+    /// Decode the next match from `d`.
+    pub fn read(&mut self, d: &mut Decoder<'_>) -> Result<Match, CodecError> {
         let event_ids: Vec<EventId> = d.get()?;
         let n = usize::dec(d)?;
         let mut bindings = Vec::with_capacity(d.capacity_for::<(String, Vec<EventId>)>(n));
         for _ in 0..n {
-            let name: String = d.get()?;
+            let len = d.get::<usize>()?;
+            let name =
+                std::str::from_utf8(d.take_bytes(len)?).map_err(|_| CodecError::InvalidUtf8)?;
             let ids: Vec<EventId> = d.get()?;
             bindings.push((name, ids));
         }
-        Ok(Match::from_parts(&event_ids, bindings))
+        let reuse = self.schema.as_ref().is_some_and(|s| {
+            s.names().len() == n
+                && (s.names().iter().zip(s.kleene()))
+                    .zip(&bindings)
+                    .all(|((name, &kleene), (got, ids))| name == got && kleene == (ids.len() != 1))
+        });
+        if !reuse {
+            let names = bindings
+                .iter()
+                .map(|(name, ids)| (name.to_string(), ids.len() != 1));
+            self.schema = Some(Arc::new(MatchSchema::new(names, None)));
+        }
+        for (_, ids) in bindings {
+            match ids.len() != 1 {
+                true => self.builder.kleene(ids),
+                false => self.builder.single(ids[0]),
+            }
+        }
+        let schema = self.schema.as_ref().expect("set above");
+        Ok(self.builder.finish_with(&event_ids, schema))
     }
 }
 
@@ -278,6 +319,41 @@ mod tests {
             ("a".into(), vec![EventId(3)]),
             ("ks".into(), vec![EventId(5), EventId(9)]),
         ]));
+    }
+
+    #[test]
+    fn a_run_of_one_patterns_matches_decodes_under_one_schema() {
+        use crate::{CepEngine, NfaEngine, Pattern, PatternExpr, TypeSet};
+        use dlacep_events::WindowSpec;
+        let steps = ["a", "b", "c"].iter().zip(0..);
+        let steps = steps.map(|(n, t)| PatternExpr::event(TypeSet::single(TypeId(t)), *n));
+        let p = Pattern::new(
+            PatternExpr::Seq(steps.collect()),
+            vec![],
+            WindowSpec::Count(9),
+        );
+        let events: Vec<PrimitiveEvent> = (0..2_000u64)
+            .map(|i| PrimitiveEvent::new(i, TypeId((i % 3) as u32), i, vec![]))
+            .collect();
+        let mut matches = NfaEngine::new(&p).unwrap().run(&events);
+        matches.truncate(1_000);
+        assert_eq!(matches.len(), 1_000);
+        let other = Match::from_bindings(vec![("x".into(), vec![EventId(1)])]);
+        let mut e = Encoder::new();
+        matches.iter().chain([&other]).for_each(|m| e.put(m));
+
+        let mut d = Decoder::new(e.bytes());
+        let mut reader = MatchReader::default();
+        let back: Vec<Match> = (0..=1_000).map(|_| reader.read(&mut d).unwrap()).collect();
+        d.finish().unwrap();
+        assert_eq!(back[..1_000], matches[..]);
+        assert_eq!(back[1_000], other);
+        let shared = back[0].schema();
+        assert!(back[..1_000]
+            .iter()
+            .all(|m| Arc::ptr_eq(m.schema(), shared)));
+        // Other bindings get a schema of their own.
+        assert!(!Arc::ptr_eq(back[1_000].schema(), shared));
     }
 
     #[test]

@@ -114,7 +114,7 @@ fn measure(mut engine: NfaEngine, events: &[PrimitiveEvent]) -> (Vec<Match>, u64
     let before = ALLOCS.load(Ordering::Relaxed);
     for ev in &events[WARM..] {
         engine.process(ev);
-        matches.append(&mut engine.drain_matches());
+        engine.drain_into(&mut matches);
     }
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     let measured = (events.len() - WARM) as u64;

@@ -511,7 +511,9 @@ fn per_event(mut engine: NfaEngine, events: &[PrimitiveEvent]) -> Vec<Vec<Match>
     (events.iter())
         .map(|ev| {
             engine.process(ev);
-            engine.drain_matches()
+            let mut out = Vec::new();
+            engine.drain_into(&mut out);
+            out
         })
         .collect()
 }

@@ -16,6 +16,24 @@
 //! are set up against the final registry (so `pool.*` metrics land with the
 //! pipeline's own).
 //!
+//! The streaming runtime's semantic options live in one [`RuntimeConfig`],
+//! passed whole with [`StreamingBuilder::config`]; the builder adds only what
+//! is not configuration — a model trainer ([`StreamingBuilder::retrain`]),
+//! an obs registry ([`StreamingBuilder::obs`]) and a store
+//! ([`StreamingBuilder::durable`]). A streaming runtime has one construction
+//! path: [`StreamingBuilder::build`] starts it cold and
+//! [`StreamingBuilder::restore`] resumes a checkpoint, both through the same
+//! validation ([`StreamingDlacep::new`] is `build` with every default);
+//! [`DurableBuilder::recover`] restores whatever its store holds that same
+//! way.
+//!
+//! Once built, a runtime is fed through one pair:
+//! [`StreamingDlacep::ingest`] for one event and
+//! [`StreamingDlacep::ingest_batch`] for owned events. Admission re-stamps
+//! ids by arrival; the id an event is offered with is its trace-sampling
+//! key (`ingest` offers at the id it stamps, a fleet at the event's
+//! fleet-global sequence number).
+//!
 //! ```
 //! use dlacep_core::prelude::*;
 //! use dlacep_cep::{Pattern, PatternExpr, TypeSet};
@@ -37,17 +55,14 @@
 //! ```
 
 use crate::assembler::AssemblerConfig;
-use crate::drift::DriftConfig;
 use crate::durable::{DurConfig, DurError, DurableDlacep, RecoveryReport};
 use crate::filter::Filter;
-use crate::guard::GuardConfig;
 use crate::pipeline::{Dlacep, DlacepError};
 use crate::retrain::{ModelTrainer, RetrainConfig};
 use crate::runtime::{RuntimeCheckpoint, RuntimeConfig, RuntimeError, StreamingDlacep};
 use crate::stage::Parallelism;
 use dlacep_cep::{Pattern, PatternSet};
-use dlacep_dur::Store;
-use dlacep_events::OutOfOrderPolicy;
+use dlacep_dur::{Store, StoreLog};
 use dlacep_obs::Registry;
 use std::sync::Arc;
 
@@ -131,9 +146,8 @@ impl<F: Filter> DlacepBuilder<F> {
 
 /// Builder for the supervised streaming runtime ([`StreamingDlacep`]).
 ///
-/// Unset options take the [`RuntimeConfig`] defaults; the individual
-/// setters and [`StreamingBuilder::config`] write to the same underlying
-/// config, last write wins.
+/// Without [`StreamingBuilder::config`] the runtime takes the
+/// [`RuntimeConfig`] defaults.
 #[must_use = "builders do nothing until .build() is called"]
 pub struct StreamingBuilder<F: Filter> {
     pattern: Pattern,
@@ -170,50 +184,22 @@ impl<F: Filter> StreamingBuilder<F> {
         }
     }
 
-    /// Replace the whole runtime configuration (resets any option a prior
-    /// setter wrote).
+    /// The runtime configuration: assembler geometry, out-of-order policy,
+    /// guard, partial-match budget, drift detection and retrain policy.
     pub fn config(mut self, config: RuntimeConfig) -> Self {
         self.config = config;
         self
     }
 
-    /// Assembler geometry (default: `MarkSize = 2W`, `StepSize = W`).
-    pub fn assembler(mut self, assembler: AssemblerConfig) -> Self {
-        self.config.assembler = Some(assembler);
-        self
-    }
-
-    /// Filter-guard / circuit-breaker tuning.
-    pub fn guard(mut self, guard: GuardConfig) -> Self {
-        self.config.guard = guard;
-        self
-    }
-
-    /// Enable drift detection with the given config.
-    pub fn drift(mut self, drift: DriftConfig) -> Self {
-        self.config.drift = Some(drift);
-        self
-    }
-
-    /// Policy for timestamp regressions (default: reject).
-    pub fn ooo_policy(mut self, policy: OutOfOrderPolicy) -> Self {
-        self.config.ooo_policy = policy;
-        self
-    }
-
     /// Enable the self-healing retrain supervisor: on a drift signal,
     /// `trainer` retrains on the replay buffer and a validated candidate is
-    /// hot-swapped in. Requires [`StreamingBuilder::drift`] (the supervisor
-    /// is armed by the drift signal); `build` rejects one without the other.
+    /// hot-swapped in. Sets [`RuntimeConfig::retrain`], so call it after
+    /// [`StreamingBuilder::config`], whose drift detection it requires (the
+    /// supervisor is armed by the drift signal); `build` rejects one
+    /// without the other.
     pub fn retrain(mut self, retrain: RetrainConfig, trainer: Box<dyn ModelTrainer<F>>) -> Self {
         self.config.retrain = Some(retrain);
         self.trainer = Some(trainer);
-        self
-    }
-
-    /// Partial-match budget for the extractor (default: unbounded).
-    pub fn max_partials(mut self, max_partials: usize) -> Self {
-        self.config.max_partials = Some(max_partials);
         self
     }
 
@@ -237,26 +223,48 @@ impl<F: Filter> StreamingBuilder<F> {
 
     /// Validate and construct the runtime.
     pub fn build(self) -> Result<StreamingDlacep<F>, RuntimeError> {
-        StreamingDlacep::with_config_obs_trainer(
+        StreamingDlacep::open(
             self.pattern,
             self.filter,
             self.config,
             self.obs,
             self.trainer,
+            None,
         )
     }
 
     /// Validate and reconstruct the runtime from a checkpoint instead of a
     /// cold start. Pattern, filter kind, config (and trainer, when retrain
-    /// is enabled) must match what the checkpointed runtime ran with.
+    /// is enabled) must be what the checkpointing runtime ran with: the
+    /// semantic configuration is verified against the checkpoint's
+    /// fingerprint, the pattern structurally by the engine-state import. A
+    /// registry set with [`obs`](Self::obs) gets the metrics and journal
+    /// without a new entry, so the restored journal sequence lines up with
+    /// the uninterrupted run's from the checkpoint's
+    /// [`journal watermark`](RuntimeCheckpoint::journal_next_seq). With
+    /// retraining, the trainer decodes the checkpointed active model, which
+    /// is swapped back in so the restored runtime marks with the same
+    /// weights.
+    ///
+    /// The matches emitted before the checkpoint are not in it: put them in
+    /// [`RuntimeCheckpoint::emitted_prefix`] first, or, for output the
+    /// caller keeps as logged bytes, their mark in
+    /// [`RuntimeCheckpoint::emitted_logged`]. An emitted prefix whose count
+    /// or hash disagrees with the checkpoint's mark is a
+    /// [`RuntimeError::Restore`].
+    ///
+    /// After restore, ingesting the same events the original runtime would
+    /// have seen next produces byte-identical matches, counters, timeline
+    /// and journal entries — the crash-recovery equivalence the crash sweep
+    /// proves.
     pub fn restore(self, ckpt: RuntimeCheckpoint) -> Result<StreamingDlacep<F>, RuntimeError> {
-        StreamingDlacep::restore_with_trainer(
+        StreamingDlacep::open(
             self.pattern,
             self.filter,
             self.config,
             self.obs,
-            ckpt,
             self.trainer,
+            Some(ckpt),
         )
     }
 }
@@ -284,34 +292,34 @@ impl<F: Filter + std::fmt::Debug, S: Store + std::fmt::Debug> std::fmt::Debug
 
 impl<F: Filter, S: Store> DurableBuilder<F, S> {
     /// Start a durable runtime on an empty store (a store that holds
-    /// anything is refused with [`DurError::NotEmpty`]). For a store that
-    /// may already hold a log (i.e. after a crash), use
+    /// anything is refused with [`DurError::NotEmpty`] and left as found).
+    /// For a store that may already hold a log (i.e. after a crash), use
     /// [`DurableBuilder::recover`] — it handles the empty store as a cold
     /// start, so it is always safe to call instead.
     pub fn build(self) -> Result<DurableDlacep<F, S>, DurError> {
-        DurableDlacep::new(
-            self.inner.pattern,
-            self.inner.filter,
-            self.inner.config,
-            self.dur,
-            self.store,
-            self.inner.obs,
-            self.inner.trainer,
-        )
+        StoreLog::check_empty::<DurError>(&self.store)?;
+        Ok(self.recover()?.0)
     }
 
     /// Recover from whatever the store holds (latest checkpoint + WAL
-    /// replay), or cold-start on an empty store.
+    /// replay), or cold-start on an empty store. The streaming builder's
+    /// pattern, filter, config and trainer must be what the original
+    /// runtime ran with; a configuration mismatch is a
+    /// [`RuntimeError::Restore`] error. A registry set with
+    /// [`StreamingBuilder::obs`] gets the runtime's metrics and journal from
+    /// the first entry (the initial mode included).
+    ///
+    /// With retraining configured the trainer decodes the checkpointed
+    /// active model (so marking resumes on the same weights) and an
+    /// interrupted in-flight retrain resumes at its checkpointed schedule
+    /// during WAL replay; a model the crashed run accepted after its last
+    /// checkpoint is re-derived by that replay. Replayed events that the
+    /// original run rejected (out-of-order under
+    /// [`Reject`](dlacep_events::OutOfOrderPolicy::Reject)) are rejected
+    /// again — deterministically — and skipped, as the live path
+    /// experienced them.
     pub fn recover(self) -> Result<(DurableDlacep<F, S>, RecoveryReport), DurError> {
-        DurableDlacep::recover(
-            self.inner.pattern,
-            self.inner.filter,
-            self.inner.config,
-            self.dur,
-            self.store,
-            self.inner.obs,
-            self.inner.trainer,
-        )
+        DurableDlacep::recover(self.inner, self.dur, self.store)
     }
 }
 

@@ -11,7 +11,10 @@
 //! matches as `(key 0, match)` emit records. A recovered run is
 //! byte-identical — matches, counters, timeline, journal sequence — to a
 //! run that never crashed, which `tests/crash_sweep.rs` proves for every
-//! possible crash point.
+//! possible crash point. It is built as a streaming runtime is, plus a
+//! store: `StreamingDlacep::builder(..).durable(dur, store)`, then
+//! [`build`](crate::builder::DurableBuilder::build) on an empty store or
+//! [`recover`](crate::builder::DurableBuilder::recover) on any.
 //!
 //! The logged output lives here once, as the bytes that were logged
 //! ([`LoggedMatches`]): each checkpoint drains the runtime's new matches
@@ -19,7 +22,7 @@
 //! records as they are, folding each into the emitted mark that restore
 //! checks instead of decoding it. [`DurableDlacep::matches`] and
 //! [`DurableDlacep::finish`] decode the buffer ahead of the runtime's live
-//! tail.
+//! tail, consecutive matches of one binding list under one schema.
 //!
 //! What is **not** covered: the filter model itself (persist it with
 //! [`crate::persist`] and pass the reloaded filter to `recover`), and output
@@ -28,21 +31,22 @@
 //! [`StreamingDlacep::match_seq`]) as the emitted-match watermark to
 //! deduplicate on the consumer side.
 
+use crate::builder::StreamingBuilder;
 use crate::filter::Filter;
-use crate::retrain::{ModelTrainer, RetrainCheckpoint, RetrainState};
+use crate::retrain::{RetrainCheckpoint, RetrainState};
 use crate::runtime::{
-    EmittedMark, ModeCause, ModeTransition, RuntimeCheckpoint, RuntimeConfig, RuntimeError,
-    RuntimeMode, RuntimeReport, StreamingDlacep,
+    EmittedMark, ModeCause, ModeTransition, RuntimeCheckpoint, RuntimeError, RuntimeMode,
+    RuntimeReport, StreamingDlacep,
 };
 use crate::{BreakerState, GuardStats};
 use crate::{DriftMonitorState, GuardState};
-use dlacep_cep::{Match, Pattern};
+use dlacep_cep::{Match, MatchReader};
 use dlacep_dur::{
     CodecError, Dec, Decoder, EmitError, Enc, Encoder, NotEmpty, Store, StoreLog, WalConfig,
     WalError,
 };
 use dlacep_events::{AttrValue, EventId, TypeId};
-use dlacep_obs::{Counter, Registry};
+use dlacep_obs::Counter;
 use std::io;
 use std::sync::Arc;
 
@@ -84,8 +88,9 @@ pub enum DurError {
     /// The emit log is damaged, or ends before the checkpoint that covers
     /// it.
     Emit(EmitError),
-    /// [`DurableDlacep::new`] was handed a store that already holds a run;
-    /// [`DurableDlacep::recover`] it instead.
+    /// [`DurableBuilder::build`](crate::builder::DurableBuilder::build) was
+    /// handed a store that already holds a run;
+    /// [`recover`](crate::builder::DurableBuilder::recover) it instead.
     NotEmpty(NotEmpty),
 }
 
@@ -140,7 +145,8 @@ impl From<NotEmpty> for DurError {
     }
 }
 
-/// What [`DurableDlacep::recover`] found and did.
+/// What [`DurableBuilder::recover`](crate::builder::DurableBuilder::recover)
+/// found and did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Sequence number of the checkpoint restored from; `None` = cold start
@@ -235,12 +241,17 @@ impl LoggedMatches {
     }
 
     /// Every logged match, then `tail`.
+    /// Consecutive logged matches of one binding list share one schema.
     pub fn ahead_of(&self, mut tail: Vec<Match>) -> Vec<Match> {
         let mut d = Decoder::new(self.0.bytes());
-        let mut out = Vec::new();
+        let (mut reader, mut out) = (MatchReader::default(), Vec::new());
         while d.remaining() > 0 {
             // Every record was checked by `recover` or encoded by `log`.
-            out.push(d.get().expect("logged bytes are match encodings"));
+            out.push(
+                reader
+                    .read(&mut d)
+                    .expect("logged bytes are match encodings"),
+            );
         }
         out.append(&mut tail);
         out
@@ -261,79 +272,33 @@ pub struct DurableDlacep<F: Filter, S: Store> {
 }
 
 impl<F: Filter, S: Store> DurableDlacep<F, S> {
-    /// Start a durable runtime on an empty `store`: [`recover`](Self::recover)
-    /// of a store that holds nothing, which is always safe to call instead.
-    /// A store that holds anything is refused with [`DurError::NotEmpty`]
-    /// and left as found.
-    pub fn new(
-        pattern: Pattern,
-        filter: F,
-        config: RuntimeConfig,
-        dur: DurConfig,
-        store: S,
-        registry: Option<Arc<Registry>>,
-        trainer: Option<Box<dyn ModelTrainer<F>>>,
-    ) -> Result<Self, DurError> {
-        StoreLog::check_empty::<DurError>(&store)?;
-        let (this, _) = Self::recover(pattern, filter, config, dur, store, registry, trainer)?;
-        Ok(this)
-    }
-
     /// Rebuild from whatever `store` holds ([`StoreLog::open`]): restore the
-    /// newest valid checkpoint with the emit log's matches as the runtime's
-    /// emitted prefix (kept as logged bytes, checked by their mark), then
-    /// replay the WAL suffix. An empty store is a cold start. `pattern`,
-    /// `filter`, `config` and `trainer` must be what the original runtime
-    /// ran with; a configuration mismatch is a [`RuntimeError::Restore`]
-    /// error.
-    ///
-    /// When `registry` is `Some`, runtime metrics and journal land there
-    /// from the first entry (the initial mode included). A `trainer` is
-    /// required whenever [`RuntimeConfig::retrain`] is set.
-    ///
-    /// With retraining configured the trainer decodes the checkpointed
-    /// active model (so marking resumes on the same weights) and an
-    /// interrupted in-flight retrain resumes at its checkpointed schedule
-    /// during WAL replay; a model the crashed run accepted after its last
-    /// checkpoint is re-derived by that replay.
-    ///
-    /// Replayed events that the original run rejected (out-of-order under
-    /// [`Reject`](dlacep_events::OutOfOrderPolicy::Reject)) are rejected
-    /// again — deterministically — and skipped, exactly as the live path
-    /// experienced them.
-    pub fn recover(
-        pattern: Pattern,
-        filter: F,
-        config: RuntimeConfig,
+    /// newest valid checkpoint through `runtime` with the emit log's
+    /// matches as the runtime's emitted prefix (kept as logged bytes,
+    /// checked by their mark), then replay the WAL suffix. An empty store
+    /// is a cold start. See
+    /// [`DurableBuilder::recover`](crate::builder::DurableBuilder::recover).
+    pub(crate) fn recover(
+        runtime: StreamingBuilder<F>,
         dur: DurConfig,
         store: S,
-        registry: Option<Arc<Registry>>,
-        trainer: Option<Box<dyn ModelTrainer<F>>>,
     ) -> Result<(Self, RecoveryReport), DurError> {
         let (mut mark, mut logged) = (EmittedMark::default(), LoggedMatches::default());
         let (log, found) =
             StoreLog::open::<_, DurError>(store, dur.wal, decode_durable_payload, |_, record| {
                 logged.recover(&mut mark, record)
             })?;
-        let reg = registry.clone().unwrap_or_else(dlacep_obs::global);
         let (rt, checkpoint_seq, journal_watermark) = match found.checkpoint {
             Some((seq, mut ckpt)) => {
                 // A version-1 checkpoint brings its matches embedded and
                 // covers no log; they reach it at the next checkpoint.
                 ckpt.emitted_logged = mark;
                 let watermark = ckpt.journal_next_seq;
-                let rt = StreamingDlacep::restore_with_trainer(
-                    pattern, filter, config, registry, ckpt, trainer,
-                )?;
-                (rt, Some(seq), watermark)
+                (runtime.restore(ckpt)?, Some(seq), watermark)
             }
-            None => {
-                let rt = StreamingDlacep::with_config_obs_trainer(
-                    pattern, filter, config, registry, trainer,
-                )?;
-                (rt, None, 0)
-            }
+            None => (runtime.build()?, None, 0),
         };
+        let reg = Arc::clone(rt.registry());
 
         let mut this = Self {
             rt,
@@ -822,7 +787,7 @@ impl Dec for RuntimeCheckpoint {
 mod tests {
     use super::*;
     use crate::filter::PassthroughFilter;
-    use dlacep_cep::{PatternExpr, TypeSet};
+    use dlacep_cep::{Pattern, PatternExpr, TypeSet};
     use dlacep_dur::MemStore;
     use dlacep_events::WindowSpec;
 
@@ -874,16 +839,10 @@ mod tests {
 
     #[test]
     fn recover_from_empty_store_is_cold_start() {
-        let (dur, report) = DurableDlacep::recover(
-            seq_ab(4),
-            PassthroughFilter,
-            RuntimeConfig::default(),
-            DurConfig::default(),
-            MemStore::new(),
-            None,
-            None,
-        )
-        .unwrap();
+        let (dur, report) = StreamingDlacep::builder(seq_ab(4), PassthroughFilter)
+            .durable(DurConfig::default(), MemStore::new())
+            .recover()
+            .unwrap();
         assert_eq!(report.checkpoint_seq, None);
         assert_eq!(report.wal_replayed, 0);
         assert_eq!(report.resume_seq, 0);
@@ -903,19 +862,16 @@ mod tests {
         let ref_report = reference.finish();
 
         // Durable run: 25 events, checkpoint, "crash" (drop), recover, rest.
-        let mut dur = DurableDlacep::new(
-            p.clone(),
-            PassthroughFilter,
-            RuntimeConfig::default(),
-            DurConfig {
-                checkpoint_every_events: 0,
-                ..DurConfig::default()
-            },
-            MemStore::new(),
-            None,
-            None,
-        )
-        .unwrap();
+        let mut dur = StreamingDlacep::builder(p.clone(), PassthroughFilter)
+            .durable(
+                DurConfig {
+                    checkpoint_every_events: 0,
+                    ..DurConfig::default()
+                },
+                MemStore::new(),
+            )
+            .build()
+            .unwrap();
         for i in 0..25u64 {
             dur.ingest(TypeId((i % 3) as u32), i, vec![i as f64])
                 .unwrap();
@@ -923,16 +879,10 @@ mod tests {
         dur.checkpoint_now().unwrap();
         let store = dur.into_store(); // crash: everything in-memory is gone
 
-        let (mut recovered, report) = DurableDlacep::recover(
-            p,
-            PassthroughFilter,
-            RuntimeConfig::default(),
-            DurConfig::default(),
-            store,
-            None,
-            None,
-        )
-        .unwrap();
+        let (mut recovered, report) = StreamingDlacep::builder(p, PassthroughFilter)
+            .durable(DurConfig::default(), store)
+            .recover()
+            .unwrap();
         assert_eq!(report.checkpoint_seq, Some(25));
         assert_eq!(report.wal_replayed, 0, "checkpoint covers the whole log");
         assert_eq!(report.resume_seq, 25);
@@ -961,30 +911,18 @@ mod tests {
                 ..WalConfig::default()
             },
         };
-        let mut dur = DurableDlacep::new(
-            p.clone(),
-            PassthroughFilter,
-            RuntimeConfig::default(),
-            dur_cfg,
-            MemStore::new(),
-            None,
-            None,
-        )
-        .unwrap();
+        let mut dur = StreamingDlacep::builder(p.clone(), PassthroughFilter)
+            .durable(dur_cfg, MemStore::new())
+            .build()
+            .unwrap();
         for i in 0..27u64 {
             dur.ingest(TypeId((i % 2) as u32), i, vec![]).unwrap();
         }
         let store = dur.into_store();
-        let (recovered, report) = DurableDlacep::recover(
-            p,
-            PassthroughFilter,
-            RuntimeConfig::default(),
-            dur_cfg,
-            store,
-            None,
-            None,
-        )
-        .unwrap();
+        let (recovered, report) = StreamingDlacep::builder(p, PassthroughFilter)
+            .durable(dur_cfg, store)
+            .recover()
+            .unwrap();
         assert_eq!(
             report.checkpoint_seq,
             Some(20),

@@ -434,7 +434,7 @@ impl<F: Filter> Dlacep<F> {
             let mut matches = Vec::new();
             for (ev, _) in events.iter().zip(&keep).filter(|(_, k)| **k) {
                 extractor.process(ev);
-                matches.append(&mut extractor.drain_matches());
+                extractor.drain_into(&mut matches);
             }
             (matches, *extractor.stats())
         };

@@ -45,7 +45,9 @@ use dlacep_cep::engine::CepEngine;
 use dlacep_cep::plan::Plan;
 use dlacep_cep::{EngineStats, Match, NfaConfig, NfaEngine, Pattern};
 use dlacep_dur::{CodecError, Decoder};
-use dlacep_events::{AttrValue, EventId, OutOfOrderPolicy, PrimitiveEvent, StreamError, TypeId};
+use dlacep_events::{
+    AttrValue, EventId, OutOfOrderPolicy, PrimitiveEvent, StreamError, Timestamp, TypeId,
+};
 use dlacep_obs::{
     Counter, FieldValue, Histogram, Journal, MetricsSnapshot, Registry, TraceBuilder, Tracer,
 };
@@ -258,12 +260,13 @@ impl EmittedMark {
 
 /// Full mutable state of a [`StreamingDlacep`], captured by
 /// [`StreamingDlacep::checkpoint`] and re-injected by
-/// [`StreamingDlacep::restore`]. Everything derived from the pattern and
-/// configuration (compiled plan, guard wiring) is rebuilt by the
-/// constructors; the checkpoint carries only the trajectory: admission
-/// cursors, the un-relayed buffer, breaker/drift state, the extractor's
-/// partial matches, the emitted mark, and the observability watermark —
-/// its size follows the live state, not the length of the run.
+/// [`StreamingBuilder::restore`](crate::builder::StreamingBuilder::restore).
+/// Everything derived from the pattern and configuration (compiled plan,
+/// guard wiring) is rebuilt at construction; the checkpoint carries only
+/// the trajectory: admission cursors, the un-relayed buffer, breaker/drift
+/// state, the extractor's partial matches, the emitted mark, and the
+/// observability watermark — its size follows the live state, not the
+/// length of the run.
 ///
 /// The binary encoding (see `dlacep-dur`) round-trips floats bit-exactly, so
 /// a restored runtime continues *byte-identically* to the uninterrupted one
@@ -873,41 +876,31 @@ pub struct StreamingDlacep<F: Filter> {
 impl<F: Filter> StreamingDlacep<F> {
     /// Build with the default [`RuntimeConfig`].
     pub fn new(pattern: Pattern, filter: F) -> Result<Self, RuntimeError> {
-        Self::with_config_obs_trainer(pattern, filter, RuntimeConfig::default(), None, None)
+        Self::open(pattern, filter, RuntimeConfig::default(), None, None, None)
     }
 
     /// Start a fluent builder — the one construction surface for every
-    /// non-default option (assembler, guard, drift, obs, durability).
+    /// non-default option (configuration, retraining, obs, durability) and
+    /// for restoring a checkpoint.
     pub fn builder(pattern: Pattern, filter: F) -> crate::builder::StreamingBuilder<F> {
         crate::builder::StreamingBuilder::new(pattern, filter)
     }
 
-    /// Construction path behind [`crate::builder::StreamingBuilder::build`]:
-    /// builds the runtime against `registry` (default: the global one) and
-    /// records the initial mode as the journal's entry zero.
-    pub(crate) fn with_config_obs_trainer(
+    /// The one construction path, behind [`StreamingDlacep::new`] and the
+    /// builder's `build` and `restore`: validate the configuration, build
+    /// the runtime against `registry` (default: the global one), then
+    /// either record the initial mode as the journal's entry zero (`ckpt`
+    /// is `None`) or continue the checkpointed trajectory, timeline and
+    /// journal sequence (see [`StreamingBuilder::restore`]).
+    ///
+    /// [`StreamingBuilder::restore`]: crate::builder::StreamingBuilder::restore
+    pub(crate) fn open(
         pattern: Pattern,
         filter: F,
         config: RuntimeConfig,
         registry: Option<Arc<Registry>>,
         trainer: Option<Box<dyn ModelTrainer<F>>>,
-    ) -> Result<Self, RuntimeError> {
-        let mut rt = Self::build(pattern, filter, config, registry, trainer)?;
-        rt.sup
-            .record_mode(0, RuntimeMode::Filtering, ModeCause::Start);
-        Ok(rt)
-    }
-
-    /// Shared construction path of the builder and
-    /// [`StreamingDlacep::restore`]. Does *not* record the initial mode —
-    /// a restored runtime continues its checkpointed timeline and journal
-    /// sequence instead of starting a fresh one.
-    fn build(
-        pattern: Pattern,
-        filter: F,
-        config: RuntimeConfig,
-        registry: Option<Arc<Registry>>,
-        trainer: Option<Box<dyn ModelTrainer<F>>>,
+        ckpt: Option<RuntimeCheckpoint>,
     ) -> Result<Self, RuntimeError> {
         config.guard.validate().map_err(RuntimeError::Config)?;
         if let Some(drift) = &config.drift {
@@ -957,7 +950,7 @@ impl<F: Filter> StreamingDlacep<F> {
         );
         let obs = RuntimeObs::new(registry.unwrap_or_else(dlacep_obs::global));
         let tracer = obs.registry.tracer();
-        Ok(Self {
+        let mut rt = Self {
             config,
             stage: MarkStage::new(filter, config.guard, assembler, None, Histogram::disabled()),
             sup: Supervisor {
@@ -985,7 +978,19 @@ impl<F: Filter> StreamingDlacep<F> {
             matches: Vec::new(),
             emitted: EmittedMark::default(),
             journaled_sheds: 0,
-        })
+        };
+        match ckpt {
+            None => rt
+                .sup
+                .record_mode(0, RuntimeMode::Filtering, ModeCause::Start),
+            Some(ckpt) => rt.resume(ckpt)?,
+        }
+        Ok(rt)
+    }
+
+    /// The obs registry this runtime records into.
+    pub(crate) fn registry(&self) -> &Arc<Registry> {
+        &self.sup.obs.registry
     }
 
     /// The pattern being extracted.
@@ -1157,57 +1162,19 @@ impl<F: Filter> StreamingDlacep<F> {
         }
     }
 
-    /// Rebuild a runtime from a checkpoint. `pattern`, `filter` and `config`
-    /// must be what the checkpointing runtime was built with (the semantic
-    /// configuration is verified against the checkpoint's fingerprint; the
-    /// pattern is verified structurally by the engine-state import). When
-    /// `registry` is `Some`, metrics and journal go there — without
-    /// recording any entry, so the restored journal sequence lines up with
-    /// the uninterrupted run's from the checkpoint's
-    /// [`journal watermark`](RuntimeCheckpoint::journal_next_seq).
+    /// Continue the trajectory `ckpt` captured, in a runtime [`open`]ed
+    /// with the checkpointing runtime's configuration and no journal entry
+    /// of its own.
     ///
-    /// The matches emitted before the checkpoint are not in it: put them in
-    /// [`RuntimeCheckpoint::emitted_prefix`] first, or, for output the
-    /// caller keeps as logged bytes, their mark in
-    /// [`RuntimeCheckpoint::emitted_logged`]. An emitted prefix whose count
-    /// or hash disagrees with the checkpoint's mark is a
-    /// [`RuntimeError::Restore`].
-    ///
-    /// After restore, ingesting the same events the original runtime would
-    /// have seen next produces byte-identical matches, counters, timeline
-    /// and journal entries — the crash-recovery equivalence the
-    /// `dlacep-dur` crash sweep proves.
-    pub fn restore(
-        pattern: Pattern,
-        filter: F,
-        config: RuntimeConfig,
-        registry: Option<Arc<Registry>>,
-        ckpt: RuntimeCheckpoint,
-    ) -> Result<Self, RuntimeError> {
-        Self::restore_with_trainer(pattern, filter, config, registry, ckpt, None)
-    }
-
-    /// [`StreamingDlacep::restore`] for retrain-enabled runtimes: the
-    /// trainer both drives future attempts and decodes the checkpointed
-    /// active model, which is swapped back in so the restored runtime marks
-    /// with the same weights the crashed one did. Reached via
-    /// [`crate::builder::StreamingBuilder::restore`].
-    pub(crate) fn restore_with_trainer(
-        pattern: Pattern,
-        filter: F,
-        config: RuntimeConfig,
-        registry: Option<Arc<Registry>>,
-        ckpt: RuntimeCheckpoint,
-        trainer: Option<Box<dyn ModelTrainer<F>>>,
-    ) -> Result<Self, RuntimeError> {
-        let mut rt = Self::build(pattern, filter, config, registry, trainer)?;
-        if ckpt.config_fingerprint != rt.config_fingerprint() {
+    /// [`open`]: Self::open
+    fn resume(&mut self, ckpt: RuntimeCheckpoint) -> Result<(), RuntimeError> {
+        if ckpt.config_fingerprint != self.config_fingerprint() {
             return Err(RuntimeError::Restore(
                 "checkpoint was taken under a different runtime configuration".into(),
             ));
         }
         let us = |v, what| checked_usize(v, what).map_err(RuntimeError::Restore);
-        match (rt.sup.retrain.as_mut(), ckpt.retrain) {
+        match (self.sup.retrain.as_mut(), ckpt.retrain) {
             (Some(rr), Some(rck)) => {
                 rr.import(rck).map_err(RuntimeError::Restore)?;
                 // Redeploy the checkpointed model so marking continues with
@@ -1221,12 +1188,12 @@ impl<F: Filter> StreamingDlacep<F> {
                             "checkpointed model v{version} failed to decode: {e}"
                         ))
                     })?;
-                    rt.stage.swap_filter(model);
+                    self.stage.swap_filter(model);
                 }
                 // Re-apply the effective drift baseline: `import_state`
                 // below only carries the trajectory, not the rebaselined
                 // config.
-                if let (Some(baseline), Some(m)) = (rr.baseline_override, rt.sup.drift.as_mut()) {
+                if let (Some(baseline), Some(m)) = (rr.baseline_override, self.sup.drift.as_mut()) {
                     m.set_baseline_rate(baseline);
                 }
             }
@@ -1239,10 +1206,10 @@ impl<F: Filter> StreamingDlacep<F> {
                 ))
             }
         }
-        rt.engine
+        self.engine
             .import_state(ckpt.engine)
             .map_err(|e| RuntimeError::Restore(e.to_string()))?;
-        match (rt.sup.drift.as_mut(), ckpt.drift) {
+        match (self.sup.drift.as_mut(), ckpt.drift) {
             (Some(m), Some(st)) => m.import_state(st),
             (None, None) => {}
             // Unreachable while the fingerprint covers drift presence, but a
@@ -1253,8 +1220,8 @@ impl<F: Filter> StreamingDlacep<F> {
                 ))
             }
         }
-        rt.sup.drift_fallback = ckpt.drift_fallback;
-        rt.sup.retrain_signaled = ckpt.retrain_signaled;
+        self.sup.drift_fallback = ckpt.drift_fallback;
+        self.sup.retrain_signaled = ckpt.retrain_signaled;
         if ckpt.marks.len() != ckpt.buf.len() || ckpt.relayed_upto != ckpt.base {
             return Err(RuntimeError::Restore(format!(
                 "{} marks and {} buffered events from position {}, relayed up to {}",
@@ -1264,8 +1231,8 @@ impl<F: Filter> StreamingDlacep<F> {
                 ckpt.relayed_upto
             )));
         }
-        rt.buf = ckpt.buf.into();
-        rt.stage
+        self.buf = ckpt.buf.into();
+        self.stage
             .import_state(StageState {
                 guard: ckpt.guard,
                 marks: ckpt.marks,
@@ -1279,22 +1246,24 @@ impl<F: Filter> StreamingDlacep<F> {
         // In-flight traces and admission instants are timing-only state and
         // not checkpointed: restored events relay as unsampled and their
         // latency clock restarts at the restore instant.
-        if rt.sup.tracer.is_enabled() {
-            rt.sup.traces = std::iter::repeat_with(|| None).take(rt.buf.len()).collect();
-        }
-        if rt.sup.obs.ingest_to_emit_nanos.is_enabled() {
-            rt.admit_at = std::iter::repeat_with(Instant::now)
-                .take(rt.buf.len())
+        if self.sup.tracer.is_enabled() {
+            self.sup.traces = std::iter::repeat_with(|| None)
+                .take(self.buf.len())
                 .collect();
         }
-        rt.last_ts = ckpt.last_ts;
-        rt.next_id = ckpt.next_id;
-        rt.events_offered = us(ckpt.events_offered, "events_offered")?;
-        rt.events_dropped = us(ckpt.events_dropped, "events_dropped")?;
-        rt.events_clamped = us(ckpt.events_clamped, "events_clamped")?;
-        rt.events_relayed = us(ckpt.events_relayed, "events_relayed")?;
-        rt.sup.windows_degraded = us(ckpt.windows_degraded, "windows_degraded")?;
-        rt.sup.timeline = ckpt.timeline;
+        if self.sup.obs.ingest_to_emit_nanos.is_enabled() {
+            self.admit_at = std::iter::repeat_with(Instant::now)
+                .take(self.buf.len())
+                .collect();
+        }
+        self.last_ts = ckpt.last_ts;
+        self.next_id = ckpt.next_id;
+        self.events_offered = us(ckpt.events_offered, "events_offered")?;
+        self.events_dropped = us(ckpt.events_dropped, "events_dropped")?;
+        self.events_clamped = us(ckpt.events_clamped, "events_clamped")?;
+        self.events_relayed = us(ckpt.events_relayed, "events_relayed")?;
+        self.sup.windows_degraded = us(ckpt.windows_degraded, "windows_degraded")?;
+        self.sup.timeline = ckpt.timeline;
         let mut handed = ckpt.emitted_logged;
         ckpt.emitted_prefix.iter().for_each(|m| handed.push(m));
         if handed != ckpt.emitted {
@@ -1304,10 +1273,10 @@ impl<F: Filter> StreamingDlacep<F> {
                 handed.count, handed.hash, ckpt.emitted.count, ckpt.emitted.hash
             )));
         }
-        rt.matches = ckpt.emitted_prefix;
-        rt.emitted = ckpt.emitted;
-        rt.journaled_sheds = ckpt.journaled_sheds;
-        Ok(rt)
+        self.matches = ckpt.emitted_prefix;
+        self.emitted = ckpt.emitted;
+        self.journaled_sheds = ckpt.journaled_sheds;
+        Ok(())
     }
 
     /// Acknowledge a retrain: reset the drift monitor to `baseline_rate` and
@@ -1335,45 +1304,61 @@ impl<F: Filter> StreamingDlacep<F> {
     /// Ingest one event. Returns the stamped id, `Ok(None)` when the event
     /// was dropped by the out-of-order policy, or an error under
     /// [`OutOfOrderPolicy::Reject`] (the runtime stays usable afterwards).
+    /// The event is offered at the id it is stamped with if admitted, which
+    /// is its trace-sampling key.
     pub fn ingest(
         &mut self,
         type_id: TypeId,
         ts: u64,
         attrs: Vec<AttrValue>,
     ) -> Result<Option<EventId>, RuntimeError> {
-        self.ingest_traced(type_id, ts, attrs, None)
-    }
-
-    /// [`StreamingDlacep::ingest`] with an explicit trace-sampling key.
-    /// Fleet front-ends pass the fleet-global sequence so the 1-in-N trace
-    /// sample is taken over the whole fleet and trace ids stay unique
-    /// across keyed shards; `None` falls back to the stamped event id.
-    pub fn ingest_traced(
-        &mut self,
-        type_id: TypeId,
-        ts: u64,
-        attrs: Vec<AttrValue>,
-        trace_seq: Option<u64>,
-    ) -> Result<Option<EventId>, RuntimeError> {
-        let id = self.admit(type_id, ts, attrs, trace_seq);
+        let id = self.admit(PrimitiveEvent::new(self.next_id, type_id, ts, attrs));
         self.settle(false);
         id
     }
 
-    /// Apply the out-of-order policy, stamp and buffer one event — without
-    /// evaluating any window.
-    fn admit(
+    /// Ingest events as one batch, moving each into the runtime. Every
+    /// event is offered and judged by the out-of-order policy on its own,
+    /// then the windows the batch completes are marked together — in
+    /// chunks of [`crate::filter::MARK_BATCH`] windows — and replayed
+    /// through guard, drift monitor and retrain supervisor in window order
+    /// (see [`crate::stage`]). Matches, counters, timeline and journal are
+    /// those of offering the same events one [`StreamingDlacep::ingest`] at
+    /// a time, for any filter whose output depends only on the window (the
+    /// raw filter may see speculative calls whose results a mid-batch trip
+    /// discards).
+    ///
+    /// The id an event is offered with is its trace-sampling key, and
+    /// nothing else: admission re-stamps ids by arrival (dropped and
+    /// rejected events consume none). A fleet offers each event at its
+    /// fleet-global sequence number, so the 1-in-N trace sample is taken
+    /// over the whole fleet and trace ids stay unique across keys.
+    ///
+    /// Under [`OutOfOrderPolicy::Reject`] the first rejection is returned
+    /// once the whole batch has settled; the events after it were still
+    /// offered.
+    pub fn ingest_batch(
         &mut self,
-        type_id: TypeId,
-        ts: u64,
-        attrs: Vec<AttrValue>,
-        trace_seq: Option<u64>,
-    ) -> Result<Option<EventId>, RuntimeError> {
+        events: impl IntoIterator<Item = PrimitiveEvent>,
+    ) -> Result<(), RuntimeError> {
+        let mut rejected = None;
+        for ev in events {
+            if let Err(e) = self.admit(ev) {
+                rejected.get_or_insert(e);
+            }
+        }
+        self.settle(false);
+        rejected.map_or(Ok(()), Err)
+    }
+
+    /// Apply the out-of-order policy to `ev`, then stamp and buffer it —
+    /// without evaluating any window. Its offered id is its trace key.
+    fn admit(&mut self, mut ev: PrimitiveEvent) -> Result<Option<EventId>, RuntimeError> {
         let obs = &self.sup.obs;
         self.events_offered += 1;
         obs.events_offered.inc();
         let ts = match self.last_ts {
-            Some(last) if ts < last => match self.config.ooo_policy {
+            Some(last) if ev.ts.0 < last => match self.config.ooo_policy {
                 OutOfOrderPolicy::Drop => {
                     self.events_dropped += 1;
                     obs.events_dropped.inc();
@@ -1386,18 +1371,21 @@ impl<F: Filter> StreamingDlacep<F> {
                 }
                 OutOfOrderPolicy::Reject => {
                     return Err(RuntimeError::Stream(StreamError::OutOfOrder {
-                        ts,
+                        ts: ev.ts.0,
                         last_ts: last,
                     }));
                 }
             },
-            _ => ts,
+            _ => ev.ts.0,
         };
         self.last_ts = Some(ts);
+        let trace_key = ev.id.0;
         let id = EventId(self.next_id);
         self.next_id += 1;
-        self.buf
-            .push_back(PrimitiveEvent::new(id.0, type_id, ts, attrs));
+        ev.id = id;
+        ev.ts = Timestamp(ts);
+        let type_id = ev.type_id;
+        self.buf.push_back(ev);
         self.stage.admit(1);
         obs.events_admitted.inc();
         // Per-position trace/latency state stays aligned with `buf`:
@@ -1406,8 +1394,7 @@ impl<F: Filter> StreamingDlacep<F> {
             self.admit_at.push_back(Instant::now());
         }
         if self.sup.tracer.is_enabled() {
-            let seq = trace_seq.unwrap_or(id.0);
-            let trace = self.sup.tracer.begin(seq).map(|mut b| {
+            let trace = self.sup.tracer.begin(trace_key).map(|mut b| {
                 let root = b.start("ingest", None);
                 b.annotate(root, "event_id", id.0.into());
                 b.annotate(root, "type_id", u64::from(type_id.0).into());
@@ -1418,60 +1405,6 @@ impl<F: Filter> StreamingDlacep<F> {
             self.sup.traces.push_back(trace);
         }
         Ok(Some(id))
-    }
-
-    /// Ingest events by their `(type, ts, attrs)` payloads, one
-    /// [`StreamingDlacep::ingest`] each. Ids are re-stamped by arrival;
-    /// admission is that of [`StreamingDlacep::ingest_batch`].
-    pub fn ingest_all<'a>(
-        &mut self,
-        events: impl IntoIterator<Item = &'a PrimitiveEvent>,
-    ) -> Result<(), RuntimeError> {
-        let mut rejected = None;
-        for ev in events {
-            if let Err(e) = self.ingest(ev.type_id, ev.ts.0, ev.attrs.clone()) {
-                rejected.get_or_insert(e);
-            }
-        }
-        rejected.map_or(Ok(()), Err)
-    }
-
-    /// Ingest a slice of events as one batch. Every event is offered and
-    /// judged by the out-of-order policy on its own (ids are re-stamped by
-    /// arrival; dropped and rejected events consume none), then the windows
-    /// the batch completes are marked together — in chunks of
-    /// [`crate::filter::MARK_BATCH`] windows — and replayed through guard,
-    /// drift monitor and retrain supervisor in window order (see
-    /// [`crate::stage`]). Matches, counters, timeline and journal are those
-    /// of offering the same events one [`StreamingDlacep::ingest`] at a
-    /// time, for any filter whose output depends only on the window (the
-    /// raw filter may see speculative calls whose results a mid-batch trip
-    /// discards).
-    ///
-    /// Under [`OutOfOrderPolicy::Reject`] the first rejection is returned
-    /// once the whole batch has settled; the events after it were still
-    /// offered.
-    pub fn ingest_batch(&mut self, events: &[PrimitiveEvent]) -> Result<(), RuntimeError> {
-        self.ingest_batch_traced(events, None)
-    }
-
-    /// [`StreamingDlacep::ingest_batch`] with per-event trace-sampling keys
-    /// (position-aligned with `events`; see
-    /// [`StreamingDlacep::ingest_traced`]).
-    pub fn ingest_batch_traced(
-        &mut self,
-        events: &[PrimitiveEvent],
-        trace_seqs: Option<&[u64]>,
-    ) -> Result<(), RuntimeError> {
-        let mut rejected = None;
-        for (i, ev) in events.iter().enumerate() {
-            let seq = trace_seqs.and_then(|s| s.get(i).copied());
-            if let Err(e) = self.admit(ev.type_id, ev.ts.0, ev.attrs.clone(), seq) {
-                rejected.get_or_insert(e);
-            }
-        }
-        self.settle(false);
-        rejected.map_or(Ok(()), Err)
     }
 
     /// Let the stage mark the windows the admitted events complete, then
@@ -1521,7 +1454,7 @@ impl<F: Filter> StreamingDlacep<F> {
         let obs = &self.sup.obs;
         for keep in self.stage.drain_finalized() {
             // Invariant, not input-reachable: `buf` holds exactly the
-            // positions the stage has not drained, and restore()
+            // positions the stage has not drained, and `resume`
             // re-validates the alignment before accepting a checkpoint.
             let ev = self.buf.pop_front().expect("buffer aligned with positions");
             let mut trace = self.sup.traces.pop_front().flatten();
@@ -1544,21 +1477,22 @@ impl<F: Filter> StreamingDlacep<F> {
                         &[("event", ev.id.0.into()), ("count", delta.into())],
                     );
                 }
-                let mut drained = self.engine.drain_matches();
+                let start = self.matches.len();
+                self.engine.drain_into(&mut self.matches);
+                let emitted = &self.matches[start..];
                 if let Some(at) = trace.as_mut() {
                     let t1 = at.builder.now_nanos();
                     let c = at
                         .builder
                         .span_at("cep", Some(at.root), t_cep0.unwrap_or(t1), t1);
                     at.builder.annotate(c, "relayed", 1u64.into());
-                    if !drained.is_empty() {
+                    if !emitted.is_empty() {
                         let e = at.builder.instant("emit", Some(c));
                         at.builder
-                            .annotate(e, "matches", (drained.len() as u64).into());
+                            .annotate(e, "matches", (emitted.len() as u64).into());
                     }
                 }
-                drained.iter().for_each(|m| self.emitted.push(m));
-                self.matches.append(&mut drained);
+                emitted.iter().for_each(|m| self.emitted.push(m));
             } else if let Some(at) = trace.as_mut() {
                 let f = at.builder.instant("filtered", Some(at.root));
                 at.builder.annotate(f, "relayed", 0u64.into());
@@ -1620,6 +1554,13 @@ mod tests {
         ms.iter().map(|m| m.event_ids.to_vec()).collect()
     }
 
+    /// Offer `events` one [`StreamingDlacep::ingest`] each.
+    fn ingest_each<F: Filter>(rt: &mut StreamingDlacep<F>, events: &[PrimitiveEvent]) {
+        for ev in events {
+            rt.ingest(ev.type_id, ev.ts.0, ev.attrs.clone()).unwrap();
+        }
+    }
+
     #[test]
     fn trailing_partial_window_is_flushed() {
         // 10 events, MarkSize 8, StepSize 4: ingestion evaluates [0, 8),
@@ -1634,7 +1575,7 @@ mod tests {
         let truth = ground_truth_matches(&p, s.events());
         assert_eq!(truth.len(), 1);
         let mut rt = StreamingDlacep::new(p.clone(), OracleFilter::new(p)).unwrap();
-        rt.ingest_all(s.events()).unwrap();
+        ingest_each(&mut rt, s.events());
         let report = rt.finish();
         assert_eq!(keys(&report.matches), keys(&truth));
     }
@@ -1760,14 +1701,14 @@ mod tests {
             let s = noisy_stream(n);
 
             let mut serial = StreamingDlacep::new(p.clone(), OracleFilter::new(p.clone())).unwrap();
-            serial.ingest_all(s.events()).unwrap();
+            ingest_each(&mut serial, s.events());
             let serial_report = serial.finish();
 
             let mut batched =
                 StreamingDlacep::new(p.clone(), OracleFilter::new(p.clone())).unwrap();
             // Feed in uneven chunks so batches end mid-window.
             for chunk in s.events().chunks(37) {
-                batched.ingest_batch(chunk).unwrap();
+                batched.ingest_batch(chunk.to_vec()).unwrap();
             }
             assert_reports_equal(&batched.finish(), &serial_report, &format!("n = {n}"));
         }
@@ -1778,13 +1719,13 @@ mod tests {
         // most one.
         let (p, s) = (seq_ab(8), noisy_stream(400));
         let mut serial = StreamingDlacep::new(p.clone(), OracleFilter::new(p.clone())).unwrap();
-        serial.ingest_all(s.events()).unwrap();
+        ingest_each(&mut serial, s.events());
         let serial_report = serial.finish();
         let batch = crate::filter::MARK_BATCH;
         for call in [(batch + 2) * 8, batch * 8] {
             let mut rt = StreamingDlacep::new(p.clone(), OracleFilter::new(p.clone())).unwrap();
             for chunk in s.events().chunks(call) {
-                rt.ingest_batch(chunk).unwrap();
+                rt.ingest_batch(chunk.to_vec()).unwrap();
             }
             assert_reports_equal(&rt.finish(), &serial_report, &format!("calls of {call}"));
         }
@@ -1810,12 +1751,12 @@ mod tests {
         let s = noisy_stream(200);
 
         let mut serial = StreamingDlacep::new(p.clone(), AlwaysPanics).unwrap();
-        serial.ingest_all(s.events()).unwrap();
+        ingest_each(&mut serial, s.events());
         let serial_report = serial.finish();
 
         let mut batched = StreamingDlacep::new(p, AlwaysPanics).unwrap();
         for chunk in s.events().chunks(53) {
-            batched.ingest_batch(chunk).unwrap();
+            batched.ingest_batch(chunk.to_vec()).unwrap();
         }
         let batched_report = batched.finish();
 
@@ -1842,7 +1783,7 @@ mod tests {
             .build()
             .unwrap();
         for chunk in noisy_stream(400).events().chunks(97) {
-            rt.ingest_batch(chunk).unwrap();
+            rt.ingest_batch(chunk.to_vec()).unwrap();
         }
         let passes_before_flush = rt.filter().passes();
         assert!(
@@ -1873,12 +1814,12 @@ mod tests {
         let p = seq_ab(8);
         let s = noisy_stream(300);
         let mut serial = StreamingDlacep::new(p.clone(), PanicsAt64).unwrap();
-        serial.ingest_all(s.events()).unwrap();
+        ingest_each(&mut serial, s.events());
         let serial_report = serial.finish();
         assert_eq!(serial_report.guard.faults_total, 1);
 
         let mut batched = StreamingDlacep::new(p, PanicsAt64).unwrap();
-        batched.ingest_batch(s.events()).unwrap();
+        batched.ingest_batch(s.events().to_vec()).unwrap();
         assert_reports_equal(&batched.finish(), &serial_report, "one poisoned window");
     }
 
@@ -1903,7 +1844,7 @@ mod tests {
         assert_eq!(serial_report.events_admitted, 38);
 
         let mut batched = StreamingDlacep::new(p, PassthroughFilter).unwrap();
-        assert_eq!(batched.ingest_batch(&events).unwrap_err(), errors[0]);
+        assert_eq!(batched.ingest_batch(events).unwrap_err(), errors[0]);
         assert_reports_equal(&batched.finish(), &serial_report, "mid-batch rejections");
     }
 

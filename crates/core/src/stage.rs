@@ -479,7 +479,7 @@ pub(crate) fn checked_usize(v: u64, what: &str) -> Result<usize, String> {
 mod tests {
     use super::*;
     use crate::pipeline::Dlacep;
-    use crate::runtime::StreamingDlacep;
+    use crate::runtime::{RuntimeConfig, StreamingDlacep};
     use dlacep_cep::engine::CepEngine;
     use dlacep_cep::{Match, NfaEngine, Pattern, PatternExpr, TypeSet};
     use dlacep_events::{EventStream, TypeId, WindowSpec};
@@ -631,8 +631,12 @@ mod tests {
                 }
 
                 let streaming = || {
+                    let config = RuntimeConfig {
+                        assembler: Some(assembler),
+                        ..RuntimeConfig::default()
+                    };
                     StreamingDlacep::builder(seq_ab(w), WindowKeyed)
-                        .assembler(assembler)
+                        .config(config)
                         .build()
                         .unwrap()
                 };
@@ -644,7 +648,7 @@ mod tests {
                 for call in &calls {
                     match call {
                         [ev] => drop(batched.ingest(ev.type_id, ev.ts.0, ev.attrs.clone()).unwrap()),
-                        _ => batched.ingest_batch(call).unwrap(),
+                        _ => batched.ingest_batch(call.to_vec()).unwrap(),
                     }
                 }
                 for report in [per_event.finish(), batched.finish()] {

@@ -85,7 +85,7 @@ fn batch_builder_options_are_order_independent() {
 }
 
 #[test]
-fn streaming_builder_setters_match_whole_config() {
+fn streaming_builder_options_are_order_independent() {
     let p = seq_ab(6);
     let s = stream(200);
     let cfg = RuntimeConfig {
@@ -93,39 +93,39 @@ fn streaming_builder_setters_match_whole_config() {
         ..Default::default()
     };
 
-    let built_reg = Arc::new(Registry::with_journal_capacity(2048));
-    let mut built = StreamingDlacep::builder(p.clone(), PassthroughFilter)
+    let reg_a = Arc::new(Registry::with_journal_capacity(2048));
+    let mut a = StreamingDlacep::builder(p.clone(), PassthroughFilter)
         .config(cfg)
-        .obs(built_reg.clone())
+        .obs(reg_a.clone())
         .build()
         .unwrap();
 
-    let setter_reg = Arc::new(Registry::with_journal_capacity(2048));
-    let mut setter = StreamingDlacep::builder(p, PassthroughFilter)
-        .ooo_policy(OutOfOrderPolicy::ClampToLastTs)
-        .obs(setter_reg.clone())
+    let reg_b = Arc::new(Registry::with_journal_capacity(2048));
+    let mut b = StreamingDlacep::builder(p, PassthroughFilter)
+        .obs(reg_b.clone())
+        .config(cfg)
         .build()
         .unwrap();
 
-    built.ingest_all(s.events()).unwrap();
-    setter.ingest_all(s.events()).unwrap();
-    let br = built.finish();
-    let sr = setter.finish();
+    for ev in s.events() {
+        a.ingest(ev.type_id, ev.ts.0, ev.attrs.clone()).unwrap();
+        b.ingest(ev.type_id, ev.ts.0, ev.attrs.clone()).unwrap();
+    }
+    let ra = a.finish();
+    let rb = b.finish();
 
-    assert_eq!(br.matches, sr.matches);
-    assert_eq!(br.windows_evaluated, sr.windows_evaluated);
-    assert_eq!(br.timeline, sr.timeline);
-    assert_eq!(
-        built_reg.snapshot().counters,
-        setter_reg.snapshot().counters
-    );
-    // The journals must agree entry-for-entry: both paths install obs before
-    // the initial mode transition, so the (kind, fields) sequences line up
-    // from entry zero.
-    assert_eq!(
-        journal_kinds_and_fields(&built_reg),
-        journal_kinds_and_fields(&setter_reg)
-    );
+    assert_eq!(ra.matches, rb.matches);
+    assert_eq!(ra.windows_evaluated, rb.windows_evaluated);
+    assert_eq!(ra.timeline, rb.timeline);
+    assert_eq!(reg_a.snapshot().counters, reg_b.snapshot().counters);
+    // The journals must agree entry-for-entry: either order installs obs
+    // before the initial mode transition, so the (kind, fields) sequences
+    // line up from entry zero, which is that transition.
+    let journal = journal_kinds_and_fields(&reg_a);
+    assert_eq!(journal, journal_kinds_and_fields(&reg_b));
+    let (kind, fields) = &journal[0];
+    assert_eq!(kind, "mode");
+    assert_eq!(fields[2], ("cause".to_string(), FieldValue::from("Start")));
 }
 
 /// Trainer stub for option-validation tests: never actually called.

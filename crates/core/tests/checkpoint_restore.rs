@@ -125,8 +125,11 @@ fn assert_restore_equivalent<F: Filter>(
 
     let rec_reg = Arc::new(Registry::with_journal_capacity(4096));
     let watermark = ckpt.journal_next_seq;
-    let mut recovered =
-        StreamingDlacep::restore(pattern, mk_filter(), cfg, Some(rec_reg.clone()), ckpt).unwrap();
+    let mut recovered = StreamingDlacep::builder(pattern, mk_filter())
+        .config(cfg)
+        .obs(rec_reg.clone())
+        .restore(ckpt)
+        .unwrap();
     feed(&mut recovered, &offers[split..]);
     let rec_report = recovered.finish();
 
@@ -265,7 +268,10 @@ fn restore_rejects_config_mismatch() {
         ooo_policy: OutOfOrderPolicy::Drop,
         ..Default::default()
     };
-    match StreamingDlacep::restore(seq_ab(6), PassthroughFilter, other, None, ckpt) {
+    match StreamingDlacep::builder(seq_ab(6), PassthroughFilter)
+        .config(other)
+        .restore(ckpt)
+    {
         Err(RuntimeError::Restore(msg)) => {
             assert!(msg.contains("configuration"), "got: {msg}")
         }

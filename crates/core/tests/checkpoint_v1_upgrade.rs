@@ -49,7 +49,7 @@ use dlacep_core::durable::{
     decode_checkpoint, encode_checkpoint, DurConfig, DurableDlacep, RecoveryReport,
 };
 use dlacep_core::filter::PassthroughFilter;
-use dlacep_core::runtime::{EmittedMark, RuntimeConfig, StreamingDlacep};
+use dlacep_core::runtime::{EmittedMark, StreamingDlacep};
 use dlacep_dur::{
     load_latest_checkpoint, FailingStore, MemStore, Schedule, Store, WalConfig, CKPT_VERSION,
     EMIT_LOG_NAME,
@@ -135,8 +135,8 @@ fn fleet_config() -> FleetConfig {
 
 /// A registry of the runtime's own (the global one's journal position
 /// depends on what else ran in the process, and checkpoints record it).
-fn registry() -> Option<Arc<Registry>> {
-    Some(Arc::new(Registry::with_journal_capacity(64)))
+fn registry() -> Arc<Registry> {
+    Arc::new(Registry::with_journal_capacity(64))
 }
 
 fn from_hex(hex: &str) -> Vec<u8> {
@@ -157,31 +157,21 @@ fn load_store(dump: &str) -> MemStore {
 }
 
 fn durable(store: MemStore) -> DurableDlacep<PassthroughFilter, MemStore> {
-    DurableDlacep::new(
-        pattern(),
-        PassthroughFilter,
-        RuntimeConfig::default(),
-        dur_config(),
-        store,
-        registry(),
-        None,
-    )
-    .unwrap()
+    StreamingDlacep::builder(pattern(), PassthroughFilter)
+        .obs(registry())
+        .durable(dur_config(), store)
+        .build()
+        .unwrap()
 }
 
 fn recover_durable(
     store: MemStore,
 ) -> (DurableDlacep<PassthroughFilter, MemStore>, RecoveryReport) {
-    DurableDlacep::recover(
-        pattern(),
-        PassthroughFilter,
-        RuntimeConfig::default(),
-        dur_config(),
-        store,
-        registry(),
-        None,
-    )
-    .expect("the store recovers")
+    StreamingDlacep::builder(pattern(), PassthroughFilter)
+        .obs(registry())
+        .durable(dur_config(), store)
+        .recover()
+        .expect("the store recovers")
 }
 
 fn fleet(store: MemStore) -> ShardedDlacep<PassthroughFilter, MemStore> {
@@ -271,14 +261,9 @@ fn v1_runtime_payload_seeds_the_emitted_prefix_and_continues() {
     let ckpt = decode_checkpoint(&from_hex(RUNTIME_V1)).expect("version 1 decodes");
     assert!(!ckpt.emitted_prefix.is_empty(), "version 1 embeds matches");
     assert_eq!(ckpt.emitted, EmittedMark::of(&ckpt.emitted_prefix));
-    let mut resumed = StreamingDlacep::restore(
-        pattern(),
-        PassthroughFilter,
-        RuntimeConfig::default(),
-        None,
-        ckpt,
-    )
-    .expect("version 1 restores");
+    let mut resumed = StreamingDlacep::builder(pattern(), PassthroughFilter)
+        .restore(ckpt)
+        .expect("version 1 restores");
     let here = encode_checkpoint(&resumed.checkpoint());
     assert!(
         here.len() < from_hex(RUNTIME_V1).len(),
@@ -478,16 +463,15 @@ fn assert_bytes_equal_but_models(fixture: &MemStore, rebuilt: &MemStore, ctx: &s
 
 fn retrain_durable(store: MemStore) -> (DurableDlacep<SweepFilter, MemStore>, RecoveryReport) {
     let pattern = common::seq_ab(6);
-    DurableDlacep::recover(
-        pattern.clone(),
-        common::sweep_filter(&pattern),
-        common::retrain_config(),
-        common::dur_config(),
-        store,
-        Some(Arc::new(Registry::with_journal_capacity(8192))),
-        Some(common::sweep_trainer(&pattern)),
-    )
-    .expect("the store recovers")
+    let config = common::retrain_config();
+    let retrain = config.retrain.expect("the sweep retrains");
+    StreamingDlacep::builder(pattern.clone(), common::sweep_filter(&pattern))
+        .config(config)
+        .retrain(retrain, common::sweep_trainer(&pattern))
+        .obs(Arc::new(Registry::with_journal_capacity(8192)))
+        .durable(common::dur_config(), store)
+        .recover()
+        .expect("the store recovers")
 }
 
 fn feed_retrain(dur: &mut DurableDlacep<SweepFilter, MemStore>, input: &[common::Offer]) {
@@ -678,16 +662,11 @@ const EMIT_STOP: usize = 72;
 /// The durable store of a run that dies at durability tick `tick`.
 fn durable_crash_image(tick: u64) -> MemStore {
     let store = FailingStore::crash_at(MemStore::new(), tick);
-    let mut dur = DurableDlacep::new(
-        emit_pattern(),
-        PassthroughFilter,
-        RuntimeConfig::default(),
-        emit_dur_config(),
-        store,
-        registry(),
-        None,
-    )
-    .unwrap();
+    let mut dur = StreamingDlacep::builder(emit_pattern(), PassthroughFilter)
+        .obs(registry())
+        .durable(emit_dur_config(), store)
+        .build()
+        .unwrap();
     for (t, ts, attrs) in emit_offers().into_iter().take(EMIT_STOP) {
         if dur.ingest(t, ts, attrs).is_err() {
             break;
@@ -743,16 +722,11 @@ fn assert_emit_tail_image(store: &MemStore, tmp: &str) {
 }
 
 fn emit_durable(store: MemStore) -> (DurableDlacep<PassthroughFilter, MemStore>, RecoveryReport) {
-    DurableDlacep::recover(
-        emit_pattern(),
-        PassthroughFilter,
-        RuntimeConfig::default(),
-        emit_dur_config(),
-        store,
-        registry(),
-        None,
-    )
-    .expect("the store recovers")
+    StreamingDlacep::builder(emit_pattern(), PassthroughFilter)
+        .obs(registry())
+        .durable(emit_dur_config(), store)
+        .recover()
+        .expect("the store recovers")
 }
 
 #[test]

@@ -34,7 +34,8 @@ use dlacep_core::durable::{DurError, DurableDlacep};
 use dlacep_core::filter::{Filter, OracleFilter, PassthroughFilter};
 use dlacep_core::guard::GuardConfig;
 use dlacep_core::retrain::ModelTrainer;
-use dlacep_core::runtime::{RuntimeConfig, RuntimeError, RuntimeReport};
+use dlacep_core::runtime::{RuntimeConfig, RuntimeError, RuntimeReport, StreamingDlacep};
+use dlacep_core::StreamingBuilder;
 use dlacep_dur::{FailingStore, MemStore, Schedule, Store, WalError};
 use dlacep_events::OutOfOrderPolicy;
 use dlacep_obs::{FieldValue, Registry};
@@ -98,19 +99,31 @@ where
     MkF: Fn() -> F,
     MkT: Fn() -> Option<Box<dyn ModelTrainer<F>>>,
 {
+    /// The runtime every run of the scenario builds, recording into `reg`.
+    fn runtime(&self, reg: Arc<Registry>) -> StreamingBuilder<F> {
+        let b = StreamingDlacep::builder(self.pattern.clone(), (self.mk_filter)())
+            .config(self.config)
+            .obs(reg);
+        match (self.mk_trainer)() {
+            Some(trainer) => {
+                let retrain = self
+                    .config
+                    .retrain
+                    .expect("a trainer comes with a retrain config");
+                b.retrain(retrain, trainer)
+            }
+            None => b,
+        }
+    }
+
     /// The uninterrupted run: reference matches, report, and journal.
     fn reference(&self) -> (RuntimeReport, Arc<Registry>) {
         let reg = Arc::new(Registry::with_journal_capacity(8192));
-        let mut dur = DurableDlacep::new(
-            self.pattern.clone(),
-            (self.mk_filter)(),
-            self.config,
-            dur_config(),
-            MemStore::new(),
-            Some(reg.clone()),
-            (self.mk_trainer)(),
-        )
-        .unwrap();
+        let mut dur = self
+            .runtime(reg.clone())
+            .durable(dur_config(), MemStore::new())
+            .build()
+            .unwrap();
         drive(&mut dur, &self.input, 0).expect("reference run must not fail");
         (dur.finish(), reg)
     }
@@ -120,16 +133,11 @@ where
     fn crashed_disk_image(&self, crash_tick: u64) -> Option<MemStore> {
         let store = FailingStore::crash_at(MemStore::new(), crash_tick);
         let reg = Arc::new(Registry::with_journal_capacity(8192));
-        let mut dur = DurableDlacep::new(
-            self.pattern.clone(),
-            (self.mk_filter)(),
-            self.config,
-            dur_config(),
-            store,
-            Some(reg),
-            (self.mk_trainer)(),
-        )
-        .expect("opening a fresh store consumes no durability ticks");
+        let mut dur = self
+            .runtime(reg)
+            .durable(dur_config(), store)
+            .build()
+            .expect("opening a fresh store consumes no durability ticks");
         match drive(&mut dur, &self.input, 0) {
             Ok(()) => None,
             Err(e) => {
@@ -146,16 +154,11 @@ where
     fn total_ticks(&self) -> u64 {
         let store = FailingStore::new(MemStore::new(), Schedule::never());
         let reg = Arc::new(Registry::with_journal_capacity(8192));
-        let mut dur = DurableDlacep::new(
-            self.pattern.clone(),
-            (self.mk_filter)(),
-            self.config,
-            dur_config(),
-            store,
-            Some(reg),
-            (self.mk_trainer)(),
-        )
-        .unwrap();
+        let mut dur = self
+            .runtime(reg)
+            .durable(dur_config(), store)
+            .build()
+            .unwrap();
         drive(&mut dur, &self.input, 0).unwrap();
         dur.into_store().ticks()
     }
@@ -190,16 +193,11 @@ where
             };
             let disk = damage(disk);
             let rec_reg = Arc::new(Registry::with_journal_capacity(8192));
-            let (mut rec, report) = DurableDlacep::recover(
-                self.pattern.clone(),
-                (self.mk_filter)(),
-                self.config,
-                dur_config(),
-                disk,
-                Some(rec_reg.clone()),
-                (self.mk_trainer)(),
-            )
-            .unwrap_or_else(|e| panic!("recovery after crash at tick {tick} failed: {e}"));
+            let (mut rec, report) = self
+                .runtime(rec_reg.clone())
+                .durable(dur_config(), disk)
+                .recover()
+                .unwrap_or_else(|e| panic!("recovery after crash at tick {tick} failed: {e}"));
             match report.checkpoint_seq {
                 Some(_) => with_checkpoint += 1,
                 None => cold_starts += 1,

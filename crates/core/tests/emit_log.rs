@@ -108,16 +108,10 @@ fn dur_config() -> DurConfig {
 
 /// A durable store holding a version-2 checkpoint and a non-empty emit log.
 fn durable_store() -> (MemStore, Vec<Match>) {
-    let mut dur = DurableDlacep::new(
-        seq_ab(),
-        PassthroughFilter,
-        RuntimeConfig::default(),
-        dur_config(),
-        MemStore::new(),
-        None,
-        None,
-    )
-    .unwrap();
+    let mut dur = StreamingDlacep::builder(seq_ab(), PassthroughFilter)
+        .durable(dur_config(), MemStore::new())
+        .build()
+        .unwrap();
     for i in 0..64u64 {
         dur.ingest(TypeId((i % 3) as u32), i, vec![i as f64])
             .unwrap();
@@ -128,16 +122,10 @@ fn durable_store() -> (MemStore, Vec<Match>) {
 }
 
 fn recover_durable<S: Store>(store: S) -> Result<DurableDlacep<PassthroughFilter, S>, DurError> {
-    DurableDlacep::recover(
-        seq_ab(),
-        PassthroughFilter,
-        RuntimeConfig::default(),
-        dur_config(),
-        store,
-        None,
-        None,
-    )
-    .map(|(dur, _)| dur)
+    StreamingDlacep::builder(seq_ab(), PassthroughFilter)
+        .durable(dur_config(), store)
+        .recover()
+        .map(|(dur, _)| dur)
 }
 
 fn fleet_config() -> FleetConfig {
@@ -299,16 +287,11 @@ fn a_corrupted_lone_durable_checkpoint_falls_back_to_the_whole_wal() {
     };
     let open = || {
         let (pattern, config) = (seq_ab(), RuntimeConfig::default());
-        DurableDlacep::new(
-            pattern,
-            PassthroughFilter,
-            config,
-            cfg(),
-            MemStore::new(),
-            None,
-            None,
-        )
-        .unwrap()
+        StreamingDlacep::builder(pattern, PassthroughFilter)
+            .config(config)
+            .durable(cfg(), MemStore::new())
+            .build()
+            .unwrap()
     };
     let mut reference = open();
     for &(t, i) in &input {
@@ -324,9 +307,11 @@ fn a_corrupted_lone_durable_checkpoint_falls_back_to_the_whole_wal() {
     let mut store = dur.into_store();
     corrupt_lone_checkpoint(&mut store);
     let (pattern, config) = (seq_ab(), RuntimeConfig::default());
-    let (mut rec, report) =
-        DurableDlacep::recover(pattern, PassthroughFilter, config, cfg(), store, None, None)
-            .expect("the WAL still covers the run from its first event");
+    let (mut rec, report) = StreamingDlacep::builder(pattern, PassthroughFilter)
+        .config(config)
+        .durable(cfg(), store)
+        .recover()
+        .expect("the WAL still covers the run from its first event");
     assert_eq!(
         (report.checkpoint_seq, report.checkpoints_skipped),
         (None, 1)
@@ -402,15 +387,10 @@ fn starting_fresh_on_a_store_that_holds_a_run_is_refused_and_touches_nothing() {
     let open = || DirStore::open(&dir).unwrap();
     let start = |store| {
         let (pattern, config) = (seq_ab(), RuntimeConfig::default());
-        DurableDlacep::new(
-            pattern,
-            PassthroughFilter,
-            config,
-            dur_config(),
-            store,
-            None,
-            None,
-        )
+        StreamingDlacep::builder(pattern, PassthroughFilter)
+            .config(config)
+            .durable(dur_config(), store)
+            .build()
     };
     let mut dur = start(open()).unwrap();
     for i in 0..40u64 {

@@ -175,7 +175,9 @@ fn guard_validates_quantized_scores_and_obs_counts_quant_windows() {
         .obs(reg.clone())
         .build()
         .unwrap();
-    rt.ingest_all(&eval).unwrap();
+    for ev in &eval {
+        rt.ingest(ev.type_id, ev.ts.0, ev.attrs.clone()).unwrap();
+    }
     let report = rt.finish();
 
     // Finite int8-path scores must not trip the guard.
@@ -231,8 +233,10 @@ fn checkpoint_restore_equivalence_with_quantized_filter() {
         ckpt.emitted_prefix = first.matches_so_far().to_vec();
         drop(first);
 
-        let mut recovered =
-            StreamingDlacep::restore(pattern.clone(), quant.clone(), cfg, None, ckpt).unwrap();
+        let mut recovered = StreamingDlacep::builder(pattern.clone(), quant.clone())
+            .config(cfg)
+            .restore(ckpt)
+            .unwrap();
         feed(&mut recovered, &offers[split..]);
         let rec_report = recovered.finish();
 
@@ -308,11 +312,15 @@ fn pooled_chunking_matches_serial_for_batch_and_streaming() {
     let mut one_by_one = StreamingDlacep::builder(pattern.clone(), quant.clone())
         .build()
         .unwrap();
-    one_by_one.ingest_all(&eval).unwrap();
+    for ev in &eval {
+        one_by_one
+            .ingest(ev.type_id, ev.ts.0, ev.attrs.clone())
+            .unwrap();
+    }
     let one_by_one = one_by_one.finish();
     let mut batched = StreamingDlacep::builder(pattern, quant).build().unwrap();
     for chunk in eval.chunks(300) {
-        batched.ingest_batch(chunk).unwrap();
+        batched.ingest_batch(chunk.to_vec()).unwrap();
     }
     let batched = batched.finish();
     assert_eq!(batched.matches, one_by_one.matches);

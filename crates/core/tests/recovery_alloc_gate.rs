@@ -13,9 +13,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dlacep_cep::{Pattern, PatternExpr, TypeSet};
-use dlacep_core::durable::{DurConfig, DurableDlacep};
+use dlacep_core::durable::DurConfig;
 use dlacep_core::filter::PassthroughFilter;
-use dlacep_core::runtime::RuntimeConfig;
+use dlacep_core::runtime::{RuntimeConfig, StreamingDlacep};
 use dlacep_dur::{MemStore, WalConfig};
 use dlacep_events::{KeyExtractor, TypeId, WindowSpec};
 use dlacep_serve::{FleetConfig, ShardedDlacep};
@@ -80,16 +80,10 @@ const EVERY: u64 = 48;
 const CHECKPOINTS: u64 = 4;
 
 fn durable_store(checkpoints: u64) -> (MemStore, u64) {
-    let mut dur = DurableDlacep::new(
-        pattern(),
-        PassthroughFilter,
-        RuntimeConfig::default(),
-        dur_config(),
-        MemStore::new(),
-        None,
-        None,
-    )
-    .unwrap();
+    let mut dur = StreamingDlacep::builder(pattern(), PassthroughFilter)
+        .durable(dur_config(), MemStore::new())
+        .build()
+        .unwrap();
     for i in 0..checkpoints * EVERY {
         let (t, ts, attrs) = offer(i);
         dur.ingest(t, ts, attrs).unwrap();
@@ -152,7 +146,11 @@ fn recover_durable(store: MemStore) -> u64 {
     allocations(|| {
         let (pattern, config) = (pattern(), RuntimeConfig::default());
         let (filter, cfg) = (PassthroughFilter, dur_config());
-        DurableDlacep::recover(pattern, filter, config, cfg, store, None, None).unwrap()
+        StreamingDlacep::builder(pattern, filter)
+            .config(config)
+            .durable(cfg, store)
+            .recover()
+            .unwrap()
     })
 }
 

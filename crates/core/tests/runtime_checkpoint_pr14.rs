@@ -178,7 +178,9 @@ fn parent_checkpoint_restores_and_continues() {
     v2.emitted_prefix = emitted_at_split;
     assert_eq!(v2, ckpt, "both versions decode to the same checkpoint");
 
-    let mut resumed = StreamingDlacep::restore(pattern(), TripsAt64, config(), None, ckpt)
+    let mut resumed = StreamingDlacep::builder(pattern(), TripsAt64)
+        .config(config())
+        .restore(ckpt)
         .expect("parent checkpoint restores");
     feed(&mut resumed, &offers()[SPLIT..]);
     let resumed = resumed.finish();

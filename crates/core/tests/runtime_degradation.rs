@@ -57,7 +57,9 @@ fn run_with<F: Filter>(
         .config(cfg)
         .build()
         .unwrap();
-    rt.ingest_all(s.events()).unwrap();
+    for ev in s.events() {
+        rt.ingest(ev.type_id, ev.ts.0, ev.attrs.clone()).unwrap();
+    }
     rt.finish()
 }
 
@@ -296,7 +298,9 @@ fn rebaseline_acknowledges_retrain_and_resumes_filtering() {
         .build()
         .unwrap();
     let s = noisy_stream(200);
-    rt.ingest_all(s.events()).unwrap();
+    for ev in s.events() {
+        rt.ingest(ev.type_id, ev.ts.0, ev.attrs.clone()).unwrap();
+    }
     assert_eq!(rt.mode(), RuntimeMode::DegradedExact);
     assert!(rt.retrain_signaled());
 

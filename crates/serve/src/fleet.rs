@@ -44,7 +44,7 @@ use crate::hash::{shard_of, DEFAULT_HASH_SEED, HASH_REVISION};
 use dlacep_cep::Pattern;
 use dlacep_core::{
     decode_offer, put_offer, EmittedMark, Filter, LoggedMatches, ModelTrainer, RuntimeCheckpoint,
-    RuntimeConfig, RuntimeError, StreamingDlacep,
+    RuntimeConfig, RuntimeError, StreamingBuilder, StreamingDlacep,
 };
 use dlacep_dur::codec::{CodecError, Decoder, Encoder};
 use dlacep_dur::manifest::{load_manifest, write_manifest, FleetManifest, ManifestError};
@@ -278,9 +278,6 @@ struct Shard<F: Filter, S: Store> {
     stats: ShardStats,
 }
 
-/// A bucket of one key's events and their fleet-global sequence numbers.
-type Bucket = (Vec<PrimitiveEvent>, Vec<u64>);
-
 /// A keyed multi-shard fleet of durable DLACEP runtimes. See the
 /// [module docs](self) for the partitioning / durability / recovery model.
 pub struct ShardedDlacep<F: Filter, S: Store> {
@@ -406,7 +403,7 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
                     // covers no log; they reach it at the next checkpoint.
                     let (mark, logged) = emitted.remove(&key).unwrap_or_default();
                     rt_ckpt.emitted_logged = mark;
-                    let rt = fleet.restore_runtime(rt_ckpt)?;
+                    let rt = fleet.runtime_builder().restore(rt_ckpt)?;
                     shard.runtimes.insert(key, KeyRuntime { rt, logged });
                     report.keys_restored += 1;
                 }
@@ -417,7 +414,7 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
                      which the checkpoint does not know"
                 ))));
             }
-            let mut buckets: BTreeMap<u64, Bucket> = BTreeMap::new();
+            let mut buckets: BTreeMap<u64, Vec<PrimitiveEvent>> = BTreeMap::new();
             for (_, payload) in found.suffix {
                 let (g, key, type_id, ts, attrs) = decode_offer_record(&payload)?;
                 if g <= shard.high_water {
@@ -427,15 +424,13 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
                 shard.stats.events_routed += 1;
                 report.wal_replayed += 1;
                 let bucket = buckets.entry(key).or_default();
-                // The id is a placeholder: admission re-stamps it.
-                bucket.0.push(PrimitiveEvent::new(g, type_id, ts, attrs));
-                bucket.1.push(g);
+                bucket.push(PrimitiveEvent::new(g, type_id, ts, attrs));
             }
             report.high_water = shard.high_water;
             reports.push(report);
             fleet.shards.push(shard);
-            for (key, (batch, seqs)) in buckets {
-                fleet.apply_bucket(i, key, &batch, &seqs)?;
+            for (key, bucket) in buckets {
+                fleet.apply(i, key, bucket)?;
             }
         }
         // The fleet resumes counting from the slowest shard: every shard
@@ -523,61 +518,18 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
         Ok(())
     }
 
-    fn build_runtime_builder(&self) -> dlacep_core::StreamingBuilder<F> {
-        // Retrain config rides inside RuntimeConfig but the trainer itself
-        // comes from the factory; strip the config when no trainer exists
-        // so construction does not reject the combination.
-        let trainer = (self.mk_trainer)();
-        let mut rt_cfg = self.cfg.runtime;
-        let retrain = rt_cfg.retrain.take();
+    /// The builder of a key runtime: the fleet's runtime configuration, a
+    /// trainer from the factory (without one, the retrain policy is
+    /// dropped so construction does not reject the combination) and, with
+    /// `obs` on, a registry of its own recording into the fleet's tracer.
+    fn runtime_builder(&self) -> StreamingBuilder<F> {
+        let mut config = self.cfg.runtime;
+        let retrain = config.retrain.take();
         let mut b =
-            StreamingDlacep::builder(self.pattern.clone(), (self.mk_filter)()).config(rt_cfg);
-        if let (Some(rc), Some(tr)) = (retrain, trainer) {
+            StreamingDlacep::builder(self.pattern.clone(), (self.mk_filter)()).config(config);
+        if let (Some(rc), Some(tr)) = (retrain, (self.mk_trainer)()) {
             b = b.retrain(rc, tr);
         }
-        b
-    }
-
-    fn fresh_runtime(&self) -> Result<StreamingDlacep<F>, FleetError> {
-        Ok(self.obs_builder().build()?)
-    }
-
-    fn restore_runtime(&self, ckpt: RuntimeCheckpoint) -> Result<StreamingDlacep<F>, FleetError> {
-        Ok(self.obs_builder().restore(ckpt)?)
-    }
-
-    /// The runtime of `key` on shard `si`, created on first sight.
-    fn key_runtime(&mut self, si: usize, key: u64) -> Result<&mut StreamingDlacep<F>, FleetError> {
-        if !self.shards[si].runtimes.contains_key(&key) {
-            let rt = self.fresh_runtime()?;
-            let logged = LoggedMatches::default();
-            self.shards[si]
-                .runtimes
-                .insert(key, KeyRuntime { rt, logged });
-        }
-        let entry = self.shards[si].runtimes.get_mut(&key);
-        Ok(&mut entry.expect("inserted above").rt)
-    }
-
-    /// Offer one key's events, in order, to that key's runtime as one batch.
-    fn apply_bucket(
-        &mut self,
-        si: usize,
-        key: u64,
-        batch: &[PrimitiveEvent],
-        seqs: &[u64],
-    ) -> Result<(), FleetError> {
-        match self
-            .key_runtime(si, key)?
-            .ingest_batch_traced(batch, Some(seqs))
-        {
-            Ok(()) | Err(RuntimeError::Stream(_)) => Ok(()),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn obs_builder(&self) -> dlacep_core::StreamingBuilder<F> {
-        let mut b = self.build_runtime_builder();
         if self.cfg.obs {
             b = b.obs(Arc::new(Registry::with_tracer(
                 self.cfg.journal_capacity,
@@ -585,6 +537,61 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
             )));
         }
         b
+    }
+
+    /// Offer one key's events, in order, to that key's runtime as one
+    /// batch, creating the runtime on the key's first sight. Each event
+    /// carries its fleet-global sequence number as its id, which is its
+    /// trace-sampling key.
+    fn apply(
+        &mut self,
+        si: usize,
+        key: u64,
+        events: impl IntoIterator<Item = PrimitiveEvent>,
+    ) -> Result<(), FleetError> {
+        if !self.shards[si].runtimes.contains_key(&key) {
+            let rt = self.runtime_builder().build()?;
+            let logged = LoggedMatches::default();
+            self.shards[si]
+                .runtimes
+                .insert(key, KeyRuntime { rt, logged });
+        }
+        let entry = self.shards[si].runtimes.get_mut(&key);
+        match entry.expect("inserted above").rt.ingest_batch(events) {
+            // Ordering rejections are the runtime's own admission
+            // decision; deterministic, so replay makes the same one.
+            Ok(()) | Err(RuntimeError::Stream(_)) => Ok(()),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// The front door's one step per offered event: stamp the next
+    /// fleet-global sequence number `g`, route by key, and — unless the
+    /// shard already applied `g` (a post-recovery re-feed, counted and
+    /// skipped) — append `g | key | offer` to the shard's WAL and advance
+    /// its high-water mark. Returns `(shard, key, g)` of an event to apply.
+    fn route(
+        &mut self,
+        type_id: TypeId,
+        ts: u64,
+        attrs: &[AttrValue],
+    ) -> Result<Option<(usize, u64, u64)>, FleetError> {
+        let g = self.next_global + 1;
+        self.next_global = g;
+        let key = self.cfg.key_extractor.key_of(type_id, attrs);
+        let si = shard_of(self.cfg.hash_seed, key, self.cfg.shards) as usize;
+        let shard = &mut self.shards[si];
+        if g <= shard.high_water {
+            shard.stats.refeed_skipped += 1;
+            return Ok(None);
+        }
+        shard
+            .log
+            .append(|e| put_offer_record(e, g, key, type_id, ts, attrs))?;
+        shard.stats.wal_appends += 1;
+        shard.high_water = g;
+        shard.stats.events_routed += 1;
+        Ok(Some((si, key, g)))
     }
 
     /// Offer one event to the fleet. Returns the event's fleet-global
@@ -597,33 +604,14 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
         ts: u64,
         attrs: Vec<AttrValue>,
     ) -> Result<u64, FleetError> {
-        let g = self.next_global + 1;
-        self.next_global = g;
-        let key = self.cfg.key_extractor.key_of(type_id, &attrs);
-        let si = shard_of(self.cfg.hash_seed, key, self.cfg.shards) as usize;
-        if g <= self.shards[si].high_water {
-            self.shards[si].stats.refeed_skipped += 1;
-        } else {
-            let shard = &mut self.shards[si];
-            shard
-                .log
-                .append(|e| put_offer_record(e, g, key, type_id, ts, &attrs))?;
-            shard.stats.wal_appends += 1;
-            match self
-                .key_runtime(si, key)?
-                .ingest_traced(type_id, ts, attrs, Some(g))
-            {
-                // Ordering rejections are the runtime's own admission
-                // decision; deterministic, so replay makes the same one.
-                Ok(_) | Err(RuntimeError::Stream(_)) => {}
-                Err(e) => return Err(e.into()),
-            }
-            let shard = &mut self.shards[si];
-            shard.high_water = g;
-            shard.stats.events_routed += 1;
+        if let Some((si, key, g)) = self.route(type_id, ts, &attrs)? {
+            let ev = PrimitiveEvent::new(g, type_id, ts, attrs);
+            self.apply(si, key, std::iter::once(ev))?;
         }
-        self.tick()?;
-        Ok(g)
+        self.since_sync += 1;
+        self.since_ckpt += 1;
+        self.cadence()?;
+        Ok(self.next_global)
     }
 
     /// Offer a batch. Routing, logging, and high-water advancement happen
@@ -632,38 +620,23 @@ impl<F: Filter, S: Store> ShardedDlacep<F, S> {
     /// chunks, while producing the same per-key event order as serial
     /// ingest.
     pub fn ingest_batch(&mut self, events: &[PrimitiveEvent]) -> Result<(), FleetError> {
-        let mut buckets: BTreeMap<(usize, u64), Bucket> = BTreeMap::new();
+        let mut buckets: BTreeMap<(usize, u64), Vec<PrimitiveEvent>> = BTreeMap::new();
         for ev in events {
-            let g = self.next_global + 1;
-            self.next_global = g;
-            let key = self.cfg.key_extractor.key_of(ev.type_id, &ev.attrs);
-            let si = shard_of(self.cfg.hash_seed, key, self.cfg.shards) as usize;
-            let shard = &mut self.shards[si];
-            if g <= shard.high_water {
-                shard.stats.refeed_skipped += 1;
-                continue;
+            if let Some((si, key, g)) = self.route(ev.type_id, ev.ts.0, &ev.attrs)? {
+                let bucket = buckets.entry((si, key)).or_default();
+                bucket.push(PrimitiveEvent::new(
+                    g,
+                    ev.type_id,
+                    ev.ts.0,
+                    ev.attrs.clone(),
+                ));
             }
-            shard
-                .log
-                .append(|e| put_offer_record(e, g, key, ev.type_id, ev.ts.0, &ev.attrs))?;
-            shard.stats.wal_appends += 1;
-            shard.high_water = g;
-            shard.stats.events_routed += 1;
-            let bucket = buckets.entry((si, key)).or_default();
-            bucket.0.push(ev.clone());
-            bucket.1.push(g);
         }
-        for ((si, key), (batch, seqs)) in buckets {
-            self.apply_bucket(si, key, &batch, &seqs)?;
+        for ((si, key), bucket) in buckets {
+            self.apply(si, key, bucket)?;
         }
         self.since_sync += events.len() as u64;
         self.since_ckpt += events.len() as u64;
-        self.cadence()
-    }
-
-    fn tick(&mut self) -> Result<(), FleetError> {
-        self.since_sync += 1;
-        self.since_ckpt += 1;
         self.cadence()
     }
 

@@ -18,8 +18,8 @@
 //! ```
 
 use dlacep::cep::{Pattern, PatternExpr, TypeSet};
-use dlacep::core::durable::{DurConfig, DurableDlacep};
-use dlacep::core::{OracleFilter, RuntimeConfig, StreamingDlacep};
+use dlacep::core::durable::DurConfig;
+use dlacep::core::{OracleFilter, StreamingDlacep};
 use dlacep::dur::{DirStore, WalConfig};
 use dlacep::events::{AttrValue, TypeId, WindowSpec};
 use dlacep::obs::Registry;
@@ -106,16 +106,11 @@ fn main() {
     // ---- First life: ingest 180 of 300 events, then "crash". -------------
     let registry = Arc::new(Registry::with_journal_capacity(1024));
     let store = DirStore::open(&dir).expect("open dir store");
-    let mut durable = DurableDlacep::new(
-        p.clone(),
-        OracleFilter::new(p.clone()),
-        RuntimeConfig::default(),
-        dur_cfg,
-        store,
-        Some(registry),
-        None,
-    )
-    .expect("fresh durable runtime");
+    let mut durable = StreamingDlacep::builder(p.clone(), OracleFilter::new(p.clone()))
+        .obs(registry)
+        .durable(dur_cfg, store)
+        .build()
+        .expect("fresh durable runtime");
     for (t, ts, attrs) in &input[..180] {
         durable
             .ingest(*t, *ts, attrs.clone())
@@ -128,16 +123,11 @@ fn main() {
     // ---- Second life: recover from disk alone. ---------------------------
     let registry = Arc::new(Registry::with_journal_capacity(1024));
     let store = DirStore::open(&dir).expect("reopen dir store");
-    let (mut recovered, report) = DurableDlacep::recover(
-        p.clone(),
-        OracleFilter::new(p),
-        RuntimeConfig::default(),
-        dur_cfg,
-        store,
-        Some(registry.clone()),
-        None,
-    )
-    .expect("recovery");
+    let (mut recovered, report) = StreamingDlacep::builder(p.clone(), OracleFilter::new(p))
+        .obs(registry.clone())
+        .durable(dur_cfg, store)
+        .recover()
+        .expect("recovery");
     println!(
         "recovery       : checkpoint seq {:?} (skipped {}), {} WAL records replayed,\n\
          \x20                {} torn bytes truncated, resume from event #{}",

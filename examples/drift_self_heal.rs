@@ -95,11 +95,14 @@ fn main() {
     let (stream, drift_at) = live_stream(6_000, 6_000);
     let reg = Arc::new(Registry::with_journal_capacity(8192));
     let mut rt = StreamingDlacep::builder(p.clone(), filter)
-        .drift(DriftConfig {
-            baseline_rate: 0.5,
-            tolerance: 0.5,
-            alpha: 0.2,
-            patience: 5,
+        .config(RuntimeConfig {
+            drift: Some(DriftConfig {
+                baseline_rate: 0.5,
+                tolerance: 0.5,
+                alpha: 0.2,
+                patience: 5,
+            }),
+            ..RuntimeConfig::default()
         })
         .retrain(
             // Backoff matches the replay capacity: by the time the first

@@ -125,7 +125,10 @@ fn main() {
     // 3. Out-of-order feed under the Drop policy: timestamp regressions are
     // shed instead of panicking the stream.
     let mut rt = StreamingDlacep::builder(pattern.clone(), OracleFilter::new(pattern.clone()))
-        .ooo_policy(OutOfOrderPolicy::Drop)
+        .config(RuntimeConfig {
+            ooo_policy: OutOfOrderPolicy::Drop,
+            ..RuntimeConfig::default()
+        })
         .build()
         .expect("pattern compiles");
     for ev in live.events() {
@@ -168,7 +171,10 @@ fn main() {
         WindowSpec::Count(64),
     );
     let mut rt = StreamingDlacep::builder(burst.clone(), OracleFilter::new(burst))
-        .max_partials(4)
+        .config(RuntimeConfig {
+            max_partials: Some(4),
+            ..RuntimeConfig::default()
+        })
         .build()
         .expect("pattern compiles");
     for i in 0..200u64 {

@@ -106,7 +106,7 @@ fn streaming_runtime_obs_deterministic_across_thread_counts() {
             .build()
             .unwrap();
         for chunk in stream.events().chunks(c) {
-            rt.ingest_batch(chunk).unwrap();
+            rt.ingest_batch(chunk.to_vec()).unwrap();
         }
         let report = rt.finish();
         let snap = report.obs.expect("registry is enabled");
@@ -149,7 +149,7 @@ fn faulting_runtime_obs_deterministic_across_thread_counts() {
             .build()
             .unwrap();
         for chunk in stream.events().chunks(c) {
-            rt.ingest_batch(chunk).unwrap();
+            rt.ingest_batch(chunk.to_vec()).unwrap();
         }
         let report = rt.finish();
         assert!(
@@ -278,7 +278,7 @@ fn retrain_lifecycle_obs_deterministic_across_thread_counts() {
             .build()
             .unwrap();
         for chunk in stream.events().chunks(c) {
-            rt.ingest_batch(chunk).unwrap();
+            rt.ingest_batch(chunk.to_vec()).unwrap();
         }
         let report = rt.finish();
         let retrain = report.retrain.expect("retrain supervisor is configured");

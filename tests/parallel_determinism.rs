@@ -176,7 +176,11 @@ fn streaming_runtime_identical_across_thread_counts() {
     ] {
         let mut serial =
             StreamingDlacep::new(pattern.clone(), OracleFilter::new(pattern.clone())).unwrap();
-        serial.ingest_all(stream.events()).unwrap();
+        for ev in stream.events() {
+            serial
+                .ingest(ev.type_id, ev.ts.0, ev.attrs.clone())
+                .unwrap();
+        }
         let baseline = serial.finish();
         assert!(!baseline.matches.is_empty(), "{name}: stream must match");
 
@@ -184,7 +188,7 @@ fn streaming_runtime_identical_across_thread_counts() {
             StreamingDlacep::new(pattern.clone(), OracleFilter::new(pattern.clone())).unwrap();
         // Uneven chunks so batch boundaries fall mid-window.
         for chunk in stream.events().chunks(97) {
-            rt.ingest_batch(chunk).unwrap();
+            rt.ingest_batch(chunk.to_vec()).unwrap();
         }
         let report = rt.finish();
         assert_runtime_reports_equal(&report, &baseline, &format!("{name}, batched"));

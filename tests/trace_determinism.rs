@@ -8,7 +8,11 @@
 //! and [`TraceSnapshot::deterministic_view`] strips exactly those. These
 //! tests run the streaming runtime (healthy and fault-injected) fed one
 //! event per call and in 97-event batches, and the sharded fleet under
-//! `shards ∈ {1, 4}`, and require the views to be byte-identical. A fleet
+//! `shards ∈ {1, 4}`, fed in 97-event batches and one event per
+//! `ShardedDlacep::ingest` (the wire server's path), and require the views
+//! to be byte-identical: on both fleet paths an event's trace id is its
+//! fleet-global sequence number, the id it is offered to its key runtime
+//! with. A fleet
 //! recovered from its stores traces its restored keys as it traces new
 //! ones.
 //!
@@ -106,12 +110,15 @@ fn run_streaming<F: Filter>(
 ) -> (Vec<String>, RuntimeReport) {
     let tracer = Tracer::new(SAMPLE_EVERY, RING);
     let mut rt = StreamingDlacep::builder(pattern.clone(), filter)
-        .guard(guard())
+        .config(RuntimeConfig {
+            guard: guard(),
+            ..RuntimeConfig::default()
+        })
         .obs(Arc::new(Registry::with_tracer(256, tracer.clone())))
         .build()
         .unwrap();
     for events in stream.events().chunks(chunk) {
-        rt.ingest_batch(events).unwrap();
+        rt.ingest_batch(events.to_vec()).unwrap();
     }
     let report = rt.finish();
     let snap = tracer.snapshot();
@@ -214,8 +221,25 @@ fn fleet_config(shards: u32) -> FleetConfig {
     }
 }
 
+/// How the fleet is fed: 97-event `ingest_batch` calls, or one
+/// `ShardedDlacep::ingest` per event — the path the wire server's pump
+/// takes.
+#[derive(Clone, Copy, Debug)]
+enum Feed {
+    Batches,
+    PerEvent,
+}
+
+/// Every shard count under every feed.
+fn fleet_inputs() -> impl Iterator<Item = (u32, Feed)> {
+    SHARDS
+        .into_iter()
+        .flat_map(|shards| [Feed::Batches, Feed::PerEvent].map(|feed| (shards, feed)))
+}
+
 fn run_fleet_traces<F: Filter>(
     shards: u32,
+    feed: Feed,
     pattern: &Pattern,
     stream: &EventStream,
     mk_filter: FilterFactory<F>,
@@ -230,8 +254,17 @@ fn run_fleet_traces<F: Filter>(
     )
     .unwrap();
     let tracer = fleet.tracer();
-    for chunk in stream.events().chunks(97) {
-        fleet.ingest_batch(chunk).unwrap();
+    match feed {
+        Feed::Batches => {
+            for chunk in stream.events().chunks(97) {
+                fleet.ingest_batch(chunk).unwrap();
+            }
+        }
+        Feed::PerEvent => {
+            for ev in stream.events() {
+                fleet.ingest(ev.type_id, ev.ts.0, ev.attrs.clone()).unwrap();
+            }
+        }
     }
     let report = fleet.finish();
     assert!(report.totals.matches > 0, "the pattern must match");
@@ -248,12 +281,14 @@ fn fleet_traces_deterministic_across_shard_and_thread_counts() {
 
     let pat = pattern.clone();
     let mk: FilterFactory<OracleFilter> = Arc::new(move || OracleFilter::new(pat.clone()));
-    let baseline = run_fleet_traces(SHARDS[0], &pattern, &stream, Arc::clone(&mk));
-    for shards in &SHARDS[1..] {
-        let got = run_fleet_traces(*shards, &pattern, &stream, Arc::clone(&mk));
+    let mut inputs = fleet_inputs();
+    let (shards, feed) = inputs.next().unwrap();
+    let baseline = run_fleet_traces(shards, feed, &pattern, &stream, Arc::clone(&mk));
+    for (shards, feed) in inputs {
+        let got = run_fleet_traces(shards, feed, &pattern, &stream, Arc::clone(&mk));
         assert_eq!(
             got, baseline,
-            "shards={shards}: fleet trace structure must be a pure function of the workload"
+            "shards={shards}, {feed:?}: fleet trace structure must be a pure function of the workload"
         );
     }
 }
@@ -267,18 +302,20 @@ fn degraded_fleet_traces_deterministic_across_shard_counts() {
     let mk: FilterFactory<IdKeyedFaults> = Arc::new(move || IdKeyedFaults {
         inner: OracleFilter::new(pat.clone()),
     });
-    let baseline = run_fleet_traces(SHARDS[0], &pattern, &stream, Arc::clone(&mk));
+    let mut inputs = fleet_inputs();
+    let (shards, feed) = inputs.next().unwrap();
+    let baseline = run_fleet_traces(shards, feed, &pattern, &stream, Arc::clone(&mk));
     assert!(
         baseline
             .iter()
             .any(|l| l.contains("path=fault") || l.contains("path=degraded")),
         "the fault injection must reach sampled traces:\n{baseline:#?}"
     );
-    for shards in &SHARDS[1..] {
-        let got = run_fleet_traces(*shards, &pattern, &stream, Arc::clone(&mk));
+    for (shards, feed) in inputs {
+        let got = run_fleet_traces(shards, feed, &pattern, &stream, Arc::clone(&mk));
         assert_eq!(
             got, baseline,
-            "shards={shards}: degraded fleet trace structure must not depend on placement"
+            "shards={shards}, {feed:?}: degraded fleet trace structure must not depend on placement or feed"
         );
     }
 }
